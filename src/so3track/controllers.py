@@ -15,6 +15,11 @@ Three hybrid torque laws build on this mechanism:
 
 A non-hybrid baseline (the basic law with the warp angle frozen at zero) is
 included for comparisons.
+
+Each law is written once, as a component-wise kernel (`*_f`) on floats (see
+`so3`).  The closed loops evaluate the kernels on `y.tolist()` and apply the
+measurement noise in floats; the public numpy functions (`torque_*`,
+`zeta_flow`, `aux_flow`, ...) are adapters over the same kernels.
 """
 
 from __future__ import annotations
@@ -30,15 +35,27 @@ from .errors import ContractError, SolverError
 from .hybrid import HybridSystem
 from .potential import (
     PotentialParams,
-    grad_rotation,
-    gradients,
-    grad_rotation_rate,
+    best_reset_f,
     gap,
-    value,
-    warp_rotation,
+    gap_f,
+    grad_rotation,
+    grad_rotation_rate_f,
+    gradients,
+    gradients_f,
+    moment,
+    value_f,
 )
-from .rigid_body import Inertia, Reference, _cross, feedforward, coupling_times
-from .so3 import exp_so3, orthonormalize, rot_distance, skew
+from .rigid_body import Inertia, Reference, error_accel_f, feedforward, feedforward_f
+from .so3 import (
+    exp_so3,
+    floats,
+    mat_mul_f,
+    mat_skew_f,
+    mat_tvec_f,
+    mat_vec_f,
+    orthonormalize,
+    rot_distance_f,
+)
 
 CONTROLLER_KINDS = ("basic", "smooth", "velocity_free", "non_hybrid")
 
@@ -125,6 +142,79 @@ def filter_gain_bound(gains: Gains, params: PotentialParams) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Kernels on floats (see `so3`): the smooth law's filtered potential and the
+# torque laws.  AR is A @ R as 9 floats (see `potential`), ups the feedforward.
+
+
+def filtered_value_f(AR, theta: float, zeta, p: PotentialParams, rho: float) -> float:
+    """Potential plus rho times the squared mismatch between zeta and the rotation gradient."""
+    g0, g1, g2, _ = gradients_f(AR, theta, p)
+    d0, d1, d2 = zeta[0] - g0, zeta[1] - g1, zeta[2] - g2
+    return value_f(AR, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
+
+
+def filtered_gap_f(AR, theta: float, zeta, p: PotentialParams, rho: float) -> float:
+    """filtered_value_f at theta minus its best value over the reset set."""
+    best = min(filtered_value_f(AR, tp, zeta, p, rho) for tp in p.theta_set)
+    return filtered_value_f(AR, theta, zeta, p, rho) - best
+
+
+def torque_basic_f(ups, g_rot, omega_e, gains: Gains) -> tuple:
+    """ups - 2 k_R g_rot - k_omega omega_e.
+
+    The basic law, and with the warp angle frozen the non-hybrid baseline; the
+    smooth law passes its filter state as g_rot.
+    """
+    k = 2.0 * gains.k_R
+    kw = gains.k_omega
+    return (
+        ups[0] - k * g_rot[0] - kw * omega_e[0],
+        ups[1] - k * g_rot[1] - kw * omega_e[1],
+        ups[2] - k * g_rot[2] - kw * omega_e[2],
+    )
+
+
+def torque_velocity_free_f(ups, g1, g2, gains: Gains) -> tuple:
+    """ups - 2 k_R g1 - 2 k_beta g2.
+
+    g1 and g2 are the rotation gradients at the error and auxiliary rotations.
+    """
+    k1 = 2.0 * gains.k_R
+    k2 = 2.0 * gains.k_beta
+    return (
+        ups[0] - k1 * g1[0] - k2 * g2[0],
+        ups[1] - k1 * g1[1] - k2 * g2[1],
+        ups[2] - k1 * g1[2] - k2 * g2[2],
+    )
+
+
+def zeta_flow_f(AR, theta: float, zeta, omega_e, g_rot, g_th: float, p: PotentialParams,
+                gains: Gains, relaxed: bool) -> tuple:
+    """Filter rate -k_zeta (zeta - g_rot).
+
+    The relaxed form adds the gradient rate and omega_e / rho.
+    """
+    k = -gains.k_zeta
+    out = (k * (zeta[0] - g_rot[0]), k * (zeta[1] - g_rot[1]), k * (zeta[2] - g_rot[2]))
+    if not relaxed:
+        return out
+    r = grad_rotation_rate_f(AR, theta, omega_e, -gains.k_theta * g_th, p)
+    rho = gains.rho
+    return tuple(out[i] + r[i] + omega_e[i] / rho for i in range(3))
+
+
+def aux_flow_f(Rtilde, omega_e, g_rot, Gamma, E=None) -> tuple:
+    """Rate Rtilde skew(omega_e - beta) of the auxiliary rotation, beta = Gamma g_rot.
+
+    With a measurement, g_rot is taken at Rtilde E and beta is rotated back by E.
+    """
+    beta = mat_vec_f(Gamma, g_rot)
+    if E is not None:
+        beta = mat_vec_f(E, beta)
+    return mat_skew_f(Rtilde, (omega_e[0] - beta[0], omega_e[1] - beta[1], omega_e[2] - beta[2]))
+
+
+# ---------------------------------------------------------------------------
 # Warp-angle subsystem.
 
 
@@ -138,16 +228,7 @@ def warp_reset(R, p: PotentialParams) -> float:
 
     Ties break deterministically to the earliest angle in the stored order.
     """
-    AR = p.A @ R
-    best_t = p.theta_set[0]
-    best_v = math.inf
-    for tp in p.theta_set:
-        Ra = warp_rotation(tp, p)
-        v = p._trA - (AR * Ra.T).sum() + 0.5 * p.gamma * tp * tp
-        if v < best_v:
-            best_v = v
-            best_t = tp
-    return best_t
+    return best_reset_f(moment(R, p), p)[0]
 
 
 def in_flow_set(R, theta: float, p: PotentialParams) -> bool:
@@ -164,20 +245,12 @@ def in_jump_set(R, theta: float, p: PotentialParams) -> bool:
 
 def filtered_value(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
     """Potential plus rho times the squared filter mismatch."""
-    g_rot = grad_rotation(R, theta, p)
-    d = np.asarray(zeta, dtype=float) - g_rot
-    return value(R, theta, p) + rho * float(d @ d)
+    return filtered_value_f(moment(R, p), float(theta), floats(zeta), p, rho)
 
 
 def filtered_gap(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
     """filtered_value at theta minus its best value over the reset set."""
-    here = filtered_value(R, theta, zeta, p, rho)
-    best = math.inf
-    for tp in p.theta_set:
-        v = filtered_value(R, tp, zeta, p, rho)
-        if v < best:
-            best = v
-    return here - best
+    return filtered_gap_f(moment(R, p), float(theta), floats(zeta), p, rho)
 
 
 def in_flow_set_smooth(R, theta: float, zeta, p: PotentialParams, rho: float,
@@ -197,8 +270,8 @@ def in_jump_set_smooth(R, theta: float, zeta, p: PotentialParams, rho: float,
 def torque_basic(Re, theta, omega_e, omega_r, z, p: PotentialParams, gains: Gains,
                  inertia: Inertia) -> np.ndarray:
     """Feedforward minus gradient feedback minus velocity damping."""
-    g_rot = grad_rotation(Re, theta, p)
-    return feedforward(Re, omega_r, z, inertia) - 2.0 * gains.k_R * g_rot - gains.k_omega * omega_e
+    ups = feedforward(Re, omega_r, z, inertia)
+    return np.array(torque_basic_f(ups, grad_rotation(Re, theta, p), floats(omega_e), gains))
 
 
 def torque_smooth(Re, zeta, omega_e, omega_r, z, p: PotentialParams, gains: Gains,
@@ -208,11 +281,8 @@ def torque_smooth(Re, zeta, omega_e, omega_r, z, p: PotentialParams, gains: Gain
     The filter state does not jump, so this torque is continuous across warp
     resets.
     """
-    return (
-        feedforward(Re, omega_r, z, inertia)
-        - 2.0 * gains.k_R * np.asarray(zeta, dtype=float)
-        - gains.k_omega * omega_e
-    )
+    ups = feedforward(Re, omega_r, z, inertia)
+    return np.array(torque_basic_f(ups, floats(zeta), floats(omega_e), gains))
 
 
 def zeta_flow(Re, theta: float, zeta, omega_e, p: PotentialParams, gains: Gains,
@@ -222,12 +292,11 @@ def zeta_flow(Re, theta: float, zeta, omega_e, p: PotentialParams, gains: Gains,
     Standard form: -k_zeta (zeta - grad).  The relaxed form adds the gradient
     rate and omega_e / rho, which removes the high-gain requirement on k_zeta.
     """
-    g_rot, g_th = gradients(Re, theta, p)
-    out = -gains.k_zeta * (np.asarray(zeta, dtype=float) - g_rot)
-    if relaxed:
-        rate = -gains.k_theta * g_th
-        out = out + grad_rotation_rate(Re, theta, omega_e, rate, p) + omega_e / gains.rho
-    return out
+    AR = moment(Re, p)
+    g0, g1, g2, g_th = gradients_f(AR, float(theta), p)
+    return np.array(zeta_flow_f(
+        AR, float(theta), floats(zeta), floats(omega_e), (g0, g1, g2), g_th, p, gains, relaxed
+    ))
 
 
 def aux_flow(Rtilde, theta_bar: float, omega_e, p: PotentialParams, gains: Gains):
@@ -238,8 +307,8 @@ def aux_flow(Rtilde, theta_bar: float, omega_e, p: PotentialParams, gains: Gains
     control law itself never reads omega_e.
     """
     g_rot, g_th = gradients(Rtilde, theta_bar, p)
-    beta = gains.Gamma @ g_rot
-    return Rtilde @ skew(np.asarray(omega_e, dtype=float) - beta), -gains.k_theta * g_th
+    Rt_dot = aux_flow_f(floats(Rtilde), floats(omega_e), g_rot, floats(gains.Gamma))
+    return np.array(Rt_dot).reshape(3, 3), -gains.k_theta * g_th
 
 
 def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialParams,
@@ -249,16 +318,16 @@ def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialP
     The signature deliberately excludes every angular velocity of the body;
     damping comes entirely through the auxiliary rotation state.
     """
+    ups = feedforward(Re, omega_r, z, inertia)
     g1 = grad_rotation(Re, theta, p)
     g2 = grad_rotation(Rtilde, theta_bar, p)
-    return feedforward(Re, omega_r, z, inertia) - 2.0 * gains.k_R * g1 - 2.0 * gains.k_beta * g2
+    return np.array(torque_velocity_free_f(ups, g1, g2, gains))
 
 
 def torque_non_hybrid(Re, omega_e, omega_r, z, p: PotentialParams, gains: Gains,
                       inertia: Inertia) -> np.ndarray:
     """Smooth baseline: the basic law with the warp angle frozen at zero."""
-    g_rot = grad_rotation(Re, 0.0, p)
-    return feedforward(Re, omega_r, z, inertia) - 2.0 * gains.k_R * g_rot - gains.k_omega * omega_e
+    return torque_basic(Re, 0.0, omega_e, omega_r, z, p, gains, inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +417,17 @@ class NoiseModel:
 
 
 class _TrackingLoop(HybridSystem):
-    """Shared plumbing: reference inputs, measurement sampling, projection."""
+    """Shared plumbing: reference inputs, measurement sampling, projection, jump records.
+
+    The loop methods evaluate the kernels on `y.tolist()`; each subclass's
+    `_control` gives the torque and the terms its flow shares with it.
+    """
 
     state_cls = BasicLoopState
     rotation_slices: tuple = (slice(0, 9), slice(13, 22))
+    margin_defines_sets = True
+    # (name, index) of the warp angles in the packed state, for jump records.
+    warp_angles: tuple = (("theta", 9),)
 
     def __init__(self, params: PotentialParams, gains: Gains, inertia: Inertia,
                  reference: Reference, noise: NoiseModel | None = None):
@@ -377,8 +453,8 @@ class _TrackingLoop(HybridSystem):
             y[sl] = orthonormalize(y[sl].reshape(3, 3)).ravel()
         return y
 
-    def _guard_reference(self, omega_r: np.ndarray, t: float) -> None:
-        n2 = omega_r @ omega_r
+    def _guard_reference(self, omega_r, t: float) -> None:
+        n2 = omega_r[0] * omega_r[0] + omega_r[1] * omega_r[1] + omega_r[2] * omega_r[2]
         b = self.reference.omega_r_bound
         if n2 > b * b:
             raise SolverError(
@@ -386,14 +462,37 @@ class _TrackingLoop(HybridSystem):
                 f"||omega_r|| = {math.sqrt(n2):.6g} > {b}"
             )
 
-    def _measured(self, Re, theta, omega_e, a_true, omega_r, meas):
-        """Measured error rotation, warp angle, velocity error, and R_m^T omega_r."""
+    @staticmethod
+    def _measured_rotation(R, meas):
+        """R_m = R @ E, or R itself without a measurement."""
+        return R if meas is None else mat_mul_f(R, floats(meas.E))
+
+    def _measured(self, Re, omega_e, omega_r, z, ups, meas):
+        """Measured error rotation, velocity error, and the feedforward at the measured rotation.
+
+        omega_y = omega + n_omega, so the measured velocity error
+        omega_y - R_m^T omega_r is omega_e + (R_e^T - R_m^T) omega_r + n_omega.
+        """
         if meas is None:
-            return Re, theta, omega_e, a_true
-        Rm = Re @ meas.E
-        am = Rm.T @ omega_r
-        wem = omega_e + meas.n_omega + a_true - am
-        return Rm, theta, wem, am
+            return Re, omega_e, ups
+        Rm = self._measured_rotation(Re, meas)
+        a = mat_tvec_f(Re, omega_r)
+        am = mat_tvec_f(Rm, omega_r)
+        n = meas.n_omega.tolist()
+        wem = (
+            omega_e[0] + (a[0] - am[0]) + n[0],
+            omega_e[1] + (a[1] - am[1]) + n[1],
+            omega_e[2] + (a[2] - am[2]) + n[2],
+        )
+        return Rm, wem, feedforward_f(Rm, omega_r, z, self.inertia.J_f)
+
+    def _accel(self, Re, omega_e, omega_r, ups, tau) -> tuple:
+        J = self.inertia
+        return error_accel_f(Re, omega_e, omega_r, ups, tau, J.J_f, J.J_inv_f)
+
+    def _kinetic(self, omega_e) -> float:
+        Jw = mat_vec_f(self.inertia.J_f, omega_e)
+        return 0.5 * (omega_e[0] * Jw[0] + omega_e[1] * Jw[1] + omega_e[2] * Jw[2])
 
     def initial_state(self, state) -> np.ndarray:
         return state.pack()
@@ -401,111 +500,104 @@ class _TrackingLoop(HybridSystem):
     def unpack(self, y: np.ndarray):
         return self.state_cls.unpack(y)
 
-    # Monitor pieces shared by record() and jump_event_info().
-
-    def _kinetic(self, omega_e: np.ndarray) -> float:
-        return 0.5 * float(omega_e @ (self.inertia.J @ omega_e))
-
-    def lyapunov_packed(self, y: np.ndarray) -> float:
+    def _control(self, t: float, v: list, meas) -> tuple:
+        """Kernel terms at state list v; index 2 is the applied torque."""
         raise NotImplementedError
+
+    def _monitor(self, v: list) -> tuple:
+        """(potential at the error rotation, monitor value) at state list v."""
+        raise NotImplementedError
+
+    def _extra_columns(self, v: list) -> tuple:
+        """Values of the columns a loop adds to the shared ones."""
+        return ()
 
     def torque(self, t: float, y: np.ndarray, meas) -> np.ndarray:
-        raise NotImplementedError
+        return np.array(self._control(t, y.tolist(), meas)[2])
+
+    def record(self, t, j, y, meas, in_jump):
+        v = y.tolist()
+        U, lyap = self._monitor(v)
+        tau = self._control(t, v, meas)[2]
+        return (
+            rot_distance_f(v[0:9]), v[9], v[10], v[11], v[12],
+            tau[0], tau[1], tau[2], U, lyap,
+            1.0 if in_jump else 0.0,
+            *self._extra_columns(v),
+        )
+
+    def lyapunov_packed(self, y: np.ndarray) -> float:
+        return self._monitor(y.tolist())[1]
+
+    def in_flow_set(self, t, y, meas):
+        return self.jump_margin(t, y, meas) <= 0.0
+
+    def in_jump_set(self, t, y, meas):
+        return self.jump_margin(t, y, meas) >= 0.0
+
+    def jump(self, t, y, meas):
+        """Reset the warp angle from the measured rotation (a filter state does not jump)."""
+        p = self.params
+        Rm = self._measured_rotation(y[0:9].tolist(), meas)
+        y_post = y.copy()
+        y_post[9] = best_reset_f(mat_mul_f(p._A_f, Rm), p)[0]
+        return y_post
+
+    def jump_event_info(self, t, y_pre, y_post, meas):
+        tau_pre = self.torque(t, y_pre, meas)
+        tau_post = self.torque(t, y_post, meas)
+        info = {}
+        for name, i in self.warp_angles:
+            info[f"{name}_pre"] = float(y_pre[i])
+            info[f"{name}_post"] = float(y_post[i])
+        info.update(
+            lyap_pre=self.lyapunov_packed(y_pre),
+            lyap_post=self.lyapunov_packed(y_post),
+            tau_pre=tau_pre,
+            tau_post=tau_post,
+            tau_jump=float(np.linalg.norm(tau_post - tau_pre)),
+            margin=self.jump_margin(t, y_pre, meas),
+        )
+        return info
 
 
 class BasicLoop(_TrackingLoop):
     kind = "basic"
-    margin_defines_sets = True
     columns = (
         "dist_Re", "theta", "we_x", "we_y", "we_z",
         "tau_x", "tau_y", "tau_z", "U", "lyap", "in_jump_set",
     )
 
+    def _control(self, t, v, meas):
+        """(z, feedforward at R_e, torque, warp gradient)."""
+        p = self.params
+        Re, wr = v[0:9], v[22:25]
+        z = self.reference.z_at(t).tolist()
+        ups = feedforward_f(Re, wr, z, self.inertia.J_f)
+        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, ups, meas)
+        g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[9], p)
+        return z, ups, torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), g_th
+
     def flow(self, t, y, meas):
-        p, gn, J = self.params, self.gains, self.inertia
-        Re = y[0:9].reshape(3, 3)
-        th = y[9]
-        we = y[10:13]
-        Rr = y[13:22].reshape(3, 3)
-        wr = y[22:25]
+        v = y.tolist()
+        Re, we, Rr, wr = v[0:9], v[10:13], v[13:22], v[22:25]
         self._guard_reference(wr, t)
-        z = self.reference.z_at(t)
-        a = Re.T @ wr
-        Rm, thm, wem, am = self._measured(Re, th, we, a, wr, meas)
-        g_rot, g_th = gradients(Rm, thm, p)
-        # Same formula as torque_basic, inlined so one gradient evaluation
-        # serves both the torque and the warp-angle flow.
-        ups_m = J.J @ (Rm.T @ z) + _cross(am, J.J @ am)
-        tau = ups_m - (2.0 * gn.k_R) * g_rot - gn.k_omega * wem
-        ups = ups_m if meas is None else J.J @ (Re.T @ z) + _cross(a, J.J @ a)
-        sig_we = coupling_times(Re, we, wr, J)
-        out = np.empty(25)
-        out[0:9] = (Re @ skew(we)).ravel()
-        out[9] = -gn.k_theta * g_th
-        out[10:13] = J.J_inv @ (sig_we - ups + tau)
-        out[13:22] = (Rr @ skew(wr)).ravel()
-        out[22:25] = z
-        return out
-
-    def jump(self, t, y, meas):
-        Rm = y[0:9].reshape(3, 3) if meas is None else y[0:9].reshape(3, 3) @ meas.E
-        y_post = y.copy()
-        y_post[9] = warp_reset(Rm, self.params)
-        return y_post
-
-    def _gap_measured(self, y, meas) -> float:
-        Re = y[0:9].reshape(3, 3)
-        Rm = Re if meas is None else Re @ meas.E
-        return gap(Rm, y[9], self.params)
-
-    def in_flow_set(self, t, y, meas):
-        return self._gap_measured(y, meas) <= self.params.delta
-
-    def in_jump_set(self, t, y, meas):
-        return self._gap_measured(y, meas) >= self.params.delta
+        z, ups, tau, g_th = self._control(t, v, meas)
+        return np.array((
+            *mat_skew_f(Re, we), -self.gains.k_theta * g_th,
+            *self._accel(Re, we, wr, ups, tau),
+            *mat_skew_f(Rr, wr), *z,
+        ))
 
     def jump_margin(self, t, y, meas):
-        return self._gap_measured(y, meas) - self.params.delta
+        p = self.params
+        v = y.tolist()
+        Rm = self._measured_rotation(v[0:9], meas)
+        return gap_f(mat_mul_f(p._A_f, Rm), v[9], p) - p.delta
 
-    def torque(self, t, y, meas):
-        Re = y[0:9].reshape(3, 3)
-        we = y[10:13]
-        wr = y[22:25]
-        z = self.reference.z_at(t)
-        Rm, thm, wem, _ = self._measured(Re, y[9], we, Re.T @ wr, wr, meas)
-        return torque_basic(Rm, thm, wem, wr, z, self.params, self.gains, self.inertia)
-
-    def lyapunov_packed(self, y):
-        return self.gains.k_R * value(y[0:9].reshape(3, 3), y[9], self.params) + self._kinetic(
-            y[10:13]
-        )
-
-    def record(self, t, j, y, meas, in_jump):
-        Re = y[0:9].reshape(3, 3)
-        th = y[9]
-        we = y[10:13]
-        U = value(Re, th, self.params)
-        lyap = self.gains.k_R * U + self._kinetic(we)
-        tau = self.torque(t, y, meas)
-        return (
-            rot_distance(Re), th, we[0], we[1], we[2],
-            tau[0], tau[1], tau[2], U, lyap,
-            1.0 if in_jump else 0.0,
-        )
-
-    def jump_event_info(self, t, y_pre, y_post, meas):
-        tau_pre = self.torque(t, y_pre, meas)
-        tau_post = self.torque(t, y_post, meas)
-        return {
-            "theta_pre": float(y_pre[9]),
-            "theta_post": float(y_post[9]),
-            "lyap_pre": self.lyapunov_packed(y_pre),
-            "lyap_post": self.lyapunov_packed(y_post),
-            "tau_pre": tau_pre,
-            "tau_post": tau_post,
-            "tau_jump": float(np.linalg.norm(tau_post - tau_pre)),
-            "margin": self.jump_margin(t, y_pre, meas),
-        }
+    def _monitor(self, v):
+        U = value_f(mat_mul_f(self.params._A_f, v[0:9]), v[9], self.params)
+        return U, self.gains.k_R * U + self._kinetic(v[10:13])
 
 
 class NonHybridLoop(BasicLoop):
@@ -532,7 +624,6 @@ class NonHybridLoop(BasicLoop):
 
 class SmoothLoop(_TrackingLoop):
     kind = "smooth"
-    margin_defines_sets = True
     state_cls = SmoothLoopState
     columns = BasicLoop.columns + ("zeta_x", "zeta_y", "zeta_z")
 
@@ -540,229 +631,123 @@ class SmoothLoop(_TrackingLoop):
         super().__init__(params, gains, inertia, reference, noise)
         self.relaxed = relaxed
 
+    def _control(self, t, v, meas):
+        """(z, feedforward at R_e, torque, A R_m, measured velocity error, gradients)."""
+        p = self.params
+        Re, wr = v[0:9], v[22:25]
+        z = self.reference.z_at(t).tolist()
+        ups = feedforward_f(Re, wr, z, self.inertia.J_f)
+        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, ups, meas)
+        AR = mat_mul_f(p._A_f, Rm)
+        g0, g1, g2, g_th = gradients_f(AR, v[9], p)
+        tau = torque_basic_f(ups_m, v[25:28], wem, self.gains)
+        return z, ups, tau, AR, wem, (g0, g1, g2), g_th
+
     def flow(self, t, y, meas):
-        p, gn, J = self.params, self.gains, self.inertia
-        Re = y[0:9].reshape(3, 3)
-        th = y[9]
-        we = y[10:13]
-        Rr = y[13:22].reshape(3, 3)
-        wr = y[22:25]
-        zeta = y[25:28]
+        gn = self.gains
+        v = y.tolist()
+        Re, th, we, Rr, wr = v[0:9], v[9], v[10:13], v[13:22], v[22:25]
         self._guard_reference(wr, t)
-        z = self.reference.z_at(t)
-        a = Re.T @ wr
-        Rm, thm, wem, am = self._measured(Re, th, we, a, wr, meas)
-        g_rot, g_th = gradients(Rm, thm, p)
-        th_dot = -gn.k_theta * g_th
-        ups_m = J.J @ (Rm.T @ z) + _cross(am, J.J @ am)
-        tau = ups_m - (2.0 * gn.k_R) * zeta - gn.k_omega * wem
-        ups = ups_m if meas is None else J.J @ (Re.T @ z) + _cross(a, J.J @ a)
-        sig_we = coupling_times(Re, we, wr, J)
-        zdot = -gn.k_zeta * (zeta - g_rot)
-        if self.relaxed:
-            zdot = zdot + grad_rotation_rate(Rm, thm, wem, th_dot, p) + wem / gn.rho
-        out = np.empty(28)
-        out[0:9] = (Re @ skew(we)).ravel()
-        out[9] = th_dot
-        out[10:13] = J.J_inv @ (sig_we - ups + tau)
-        out[13:22] = (Rr @ skew(wr)).ravel()
-        out[22:25] = z
-        out[25:28] = zdot
-        return out
-
-    def jump(self, t, y, meas):
-        Rm = y[0:9].reshape(3, 3) if meas is None else y[0:9].reshape(3, 3) @ meas.E
-        y_post = y.copy()
-        y_post[9] = warp_reset(Rm, self.params)  # the filter state does not jump
-        return y_post
-
-    def _fgap_measured(self, y, meas) -> float:
-        Re = y[0:9].reshape(3, 3)
-        Rm = Re if meas is None else Re @ meas.E
-        return filtered_gap(Rm, y[9], y[25:28], self.params, self.gains.rho)
-
-    def in_flow_set(self, t, y, meas):
-        return self._fgap_measured(y, meas) <= self.gains.delta_prime
-
-    def in_jump_set(self, t, y, meas):
-        return self._fgap_measured(y, meas) >= self.gains.delta_prime
+        z, ups, tau, AR, wem, g, g_th = self._control(t, v, meas)
+        zdot = zeta_flow_f(AR, th, v[25:28], wem, g, g_th, self.params, gn, self.relaxed)
+        return np.array((
+            *mat_skew_f(Re, we), -gn.k_theta * g_th,
+            *self._accel(Re, we, wr, ups, tau),
+            *mat_skew_f(Rr, wr), *z, *zdot,
+        ))
 
     def jump_margin(self, t, y, meas):
-        return self._fgap_measured(y, meas) - self.gains.delta_prime
+        p = self.params
+        v = y.tolist()
+        AR = mat_mul_f(p._A_f, self._measured_rotation(v[0:9], meas))
+        return filtered_gap_f(AR, v[9], v[25:28], p, self.gains.rho) - self.gains.delta_prime
 
-    def torque(self, t, y, meas):
-        Re = y[0:9].reshape(3, 3)
-        we = y[10:13]
-        wr = y[22:25]
-        z = self.reference.z_at(t)
-        Rm, _, wem, _ = self._measured(Re, y[9], we, Re.T @ wr, wr, meas)
-        return torque_smooth(Rm, y[25:28], wem, wr, z, self.params, self.gains, self.inertia)
+    def _monitor(self, v):
+        p, gn = self.params, self.gains
+        AR = mat_mul_f(p._A_f, v[0:9])
+        W = filtered_value_f(AR, v[9], v[25:28], p, gn.rho)
+        return value_f(AR, v[9], p), gn.k_R * W + self._kinetic(v[10:13])
 
-    def lyapunov_packed(self, y):
-        W = filtered_value(y[0:9].reshape(3, 3), y[9], y[25:28], self.params, self.gains.rho)
-        return self.gains.k_R * W + self._kinetic(y[10:13])
-
-    def record(self, t, j, y, meas, in_jump):
-        Re = y[0:9].reshape(3, 3)
-        th = y[9]
-        we = y[10:13]
-        zeta = y[25:28]
-        U = value(Re, th, self.params)
-        g_rot = grad_rotation(Re, th, self.params)
-        d = zeta - g_rot
-        W = U + self.gains.rho * float(d @ d)
-        lyap = self.gains.k_R * W + self._kinetic(we)
-        tau = self.torque(t, y, meas)
-        return (
-            rot_distance(Re), th, we[0], we[1], we[2],
-            tau[0], tau[1], tau[2], U, lyap,
-            1.0 if in_jump else 0.0,
-            zeta[0], zeta[1], zeta[2],
-        )
-
-    def jump_event_info(self, t, y_pre, y_post, meas):
-        tau_pre = self.torque(t, y_pre, meas)
-        tau_post = self.torque(t, y_post, meas)
-        return {
-            "theta_pre": float(y_pre[9]),
-            "theta_post": float(y_post[9]),
-            "lyap_pre": self.lyapunov_packed(y_pre),
-            "lyap_post": self.lyapunov_packed(y_post),
-            "tau_pre": tau_pre,
-            "tau_post": tau_post,
-            "tau_jump": float(np.linalg.norm(tau_post - tau_pre)),
-            "margin": self.jump_margin(t, y_pre, meas),
-        }
+    def _extra_columns(self, v):
+        return v[25], v[26], v[27]
 
 
 class VelocityFreeLoop(_TrackingLoop):
     kind = "velocity_free"
-    margin_defines_sets = True
     state_cls = VelocityFreeLoopState
     rotation_slices = (slice(0, 9), slice(13, 22), slice(25, 34))
+    warp_angles = (("theta", 9), ("theta_bar", 34))
     columns = BasicLoop.columns + ("dist_Rtilde", "theta_bar")
 
-    def flow(self, t, y, meas):
-        p, gn, J = self.params, self.gains, self.inertia
-        Re = y[0:9].reshape(3, 3)
-        th = y[9]
-        we = y[10:13]
-        Rr = y[13:22].reshape(3, 3)
-        wr = y[22:25]
-        Rt = y[25:34].reshape(3, 3)
-        tb = y[34]
-        self._guard_reference(wr, t)
-        z = self.reference.z_at(t)
-        a = Re.T @ wr
-        if meas is None:
-            Rm, Rtm, am = Re, Rt, a
-        else:
-            Rm = Re @ meas.E
-            Rtm = Rt @ meas.E
-            am = Rm.T @ wr
-        g1_rot, g1_th = gradients(Rm, th, p)
-        g2_rot, g2_th = gradients(Rtm, tb, p)
-        beta = gn.Gamma @ g2_rot
-        ups_m = J.J @ (Rm.T @ z) + _cross(am, J.J @ am)
-        tau = ups_m - (2.0 * gn.k_R) * g1_rot - (2.0 * gn.k_beta) * g2_rot
-        ups = ups_m if meas is None else J.J @ (Re.T @ z) + _cross(a, J.J @ a)
-        sig_we = coupling_times(Re, we, wr, J)
-        drive = we - beta if meas is None else we - meas.E @ beta
-        out = np.empty(35)
-        out[0:9] = (Re @ skew(we)).ravel()
-        out[9] = -gn.k_theta * g1_th
-        out[10:13] = J.J_inv @ (sig_we - ups + tau)
-        out[13:22] = (Rr @ skew(wr)).ravel()
-        out[22:25] = z
-        out[25:34] = (Rt @ skew(drive)).ravel()
-        out[34] = -gn.k_theta * g2_th
-        return out
+    def __init__(self, params, gains, inertia, reference, noise=None):
+        super().__init__(params, gains, inertia, reference, noise)
+        self._Gamma = floats(gains.Gamma) if gains.Gamma is not None else None
 
-    def _measured_pair(self, y, meas):
-        Re = y[0:9].reshape(3, 3)
-        Rt = y[25:34].reshape(3, 3)
+    def _control(self, t, v, meas):
+        """(z, feedforward at R_e, torque, auxiliary gradient, both warp gradients, E)."""
+        p = self.params
+        Re, wr, Rt = v[0:9], v[22:25], v[25:34]
+        z = self.reference.z_at(t).tolist()
+        ups = feedforward_f(Re, wr, z, self.inertia.J_f)
         if meas is None:
-            return Re, Rt
-        return Re @ meas.E, Rt @ meas.E
+            E, ups_m = None, ups
+        else:
+            E = floats(meas.E)
+            Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
+            ups_m = feedforward_f(Re, wr, z, self.inertia.J_f)
+        a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[9], p)
+        b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[34], p)
+        g2 = (b0, b1, b2)
+        tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
+        return z, ups, tau, g2, a_th, b_th, E
+
+    def flow(self, t, y, meas):
+        k_th = self.gains.k_theta
+        v = y.tolist()
+        Re, we, Rr, wr, Rt = v[0:9], v[10:13], v[13:22], v[22:25], v[25:34]
+        self._guard_reference(wr, t)
+        z, ups, tau, g2, a_th, b_th, E = self._control(t, v, meas)
+        return np.array((
+            *mat_skew_f(Re, we), -k_th * a_th,
+            *self._accel(Re, we, wr, ups, tau),
+            *mat_skew_f(Rr, wr), *z,
+            *aux_flow_f(Rt, we, g2, self._Gamma, E), -k_th * b_th,
+        ))
+
+    def _gaps(self, v, meas) -> tuple:
+        """(A R_m, gap) at the error rotation and at the auxiliary rotation."""
+        p = self.params
+        out = []
+        for R, th in ((v[0:9], v[9]), (v[25:34], v[34])):
+            AR = mat_mul_f(p._A_f, self._measured_rotation(R, meas))
+            out.append((AR, gap_f(AR, th, p)))
+        return out
 
     def jump(self, t, y, meas):
         """Reset whichever of the two warp angles is in its jump set (possibly both)."""
         p = self.params
-        Rm, Rtm = self._measured_pair(y, meas)
         y_post = y.copy()
         fired = False
-        if gap(Rm, y[9], p) >= p.delta:
-            y_post[9] = warp_reset(Rm, p)
-            fired = True
-        if gap(Rtm, y[34], p) >= p.delta:
-            y_post[34] = warp_reset(Rtm, p)
-            fired = True
+        for (AR, g), (_, i) in zip(self._gaps(y.tolist(), meas), self.warp_angles):
+            if g >= p.delta:
+                y_post[i] = best_reset_f(AR, p)[0]
+                fired = True
         if not fired:
             raise SolverError("velocity-free jump map applied outside the jump set")
         return y_post
 
-    def in_flow_set(self, t, y, meas):
-        p = self.params
-        Rm, Rtm = self._measured_pair(y, meas)
-        return gap(Rm, y[9], p) <= p.delta and gap(Rtm, y[34], p) <= p.delta
-
-    def in_jump_set(self, t, y, meas):
-        p = self.params
-        Rm, Rtm = self._measured_pair(y, meas)
-        return gap(Rm, y[9], p) >= p.delta or gap(Rtm, y[34], p) >= p.delta
-
     def jump_margin(self, t, y, meas):
-        p = self.params
-        Rm, Rtm = self._measured_pair(y, meas)
-        return max(gap(Rm, y[9], p), gap(Rtm, y[34], p)) - p.delta
+        (_, g1), (_, g2) = self._gaps(y.tolist(), meas)
+        return max(g1, g2) - self.params.delta
 
-    def torque(self, t, y, meas):
-        wr = y[22:25]
-        z = self.reference.z_at(t)
-        Rm, Rtm = self._measured_pair(y, meas)
-        return torque_velocity_free(
-            Rm, y[9], Rtm, y[34], wr, z, self.params, self.gains, self.inertia
-        )
-
-    def lyapunov_packed(self, y):
+    def _monitor(self, v):
         p, gn = self.params, self.gains
-        U1 = value(y[0:9].reshape(3, 3), y[9], p)
-        U2 = value(y[25:34].reshape(3, 3), y[34], p)
-        return gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(y[10:13])
+        U1 = value_f(mat_mul_f(p._A_f, v[0:9]), v[9], p)
+        U2 = value_f(mat_mul_f(p._A_f, v[25:34]), v[34], p)
+        return U1, gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(v[10:13])
 
-    def record(self, t, j, y, meas, in_jump):
-        p, gn = self.params, self.gains
-        Re = y[0:9].reshape(3, 3)
-        th = y[9]
-        we = y[10:13]
-        Rt = y[25:34].reshape(3, 3)
-        tb = y[34]
-        U1 = value(Re, th, p)
-        U2 = value(Rt, tb, p)
-        lyap = gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(we)
-        tau = self.torque(t, y, meas)
-        return (
-            rot_distance(Re), th, we[0], we[1], we[2],
-            tau[0], tau[1], tau[2], U1, lyap,
-            1.0 if in_jump else 0.0,
-            rot_distance(Rt), tb,
-        )
-
-    def jump_event_info(self, t, y_pre, y_post, meas):
-        tau_pre = self.torque(t, y_pre, meas)
-        tau_post = self.torque(t, y_post, meas)
-        return {
-            "theta_pre": float(y_pre[9]),
-            "theta_post": float(y_post[9]),
-            "theta_bar_pre": float(y_pre[34]),
-            "theta_bar_post": float(y_post[34]),
-            "lyap_pre": self.lyapunov_packed(y_pre),
-            "lyap_post": self.lyapunov_packed(y_post),
-            "tau_pre": tau_pre,
-            "tau_post": tau_post,
-            "tau_jump": float(np.linalg.norm(tau_post - tau_pre)),
-            "margin": self.jump_margin(t, y_pre, meas),
-        }
+    def _extra_columns(self, v):
+        return rot_distance_f(v[25:34]), v[34]
 
 
 LOOP_CLASSES = {

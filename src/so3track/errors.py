@@ -1,12 +1,25 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class ContractError(ValueError):
     """An input violates a documented precondition or invariant."""
 
 
 class SolverError(RuntimeError):
-    """The hybrid solver could not continue (chattering, domain exit, bound violation)."""
+    """The hybrid solver could not continue (chattering, domain exit, bound violation).
+
+    An error raised by a flow step carries the hybrid time `t` and jump count
+    `j` the step started from and its length `h`; the others leave them None.
+    """
+
+    def __init__(self, message: str, *, t: float | None = None, j: int | None = None,
+                 h: float | None = None):
+        super().__init__(message)
+        self.t = t
+        self.j = j
+        self.h = h
 
 
 class ConfigError(ValueError):

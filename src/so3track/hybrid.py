@@ -14,6 +14,7 @@ for robustness experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,10 +173,12 @@ def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float
 def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc:
     """Integrate a hybrid system from y0 until t_max or j_max.
 
-    Raises SolverError when the state leaves both sets, or when more than
+    Raises SolverError when the state leaves both sets, when more than
     `max_jumps_per_instant` jumps occur without any flow in between
     (chattering guard; the closed loops of this package have provably finite
-    jump counts, so hitting the guard indicates a configuration error).
+    jump counts, so hitting the guard indicates a configuration error), and
+    when a flow step ends in a non-finite state or one that `system.project`
+    rejects (typically a step size too large for the gains).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -195,6 +198,23 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         js.append(j)
         rows.append(system.record(t, j, y, meas, in_jump))
         states.append(y.copy())
+
+    def advance(h: float) -> np.ndarray:
+        """The projected RK4 step of length h from (t, y)."""
+        y_h = rk4_step(system.flow, t, y, h, meas)
+        # y.y is finite exactly when every component is finite and below 1e154.
+        if not math.isfinite(y_h.dot(y_h)):
+            raise SolverError(
+                f"non-finite state after a flow step from t={t}, j={j} with h={h}",
+                t=t, j=j, h=h,
+            )
+        try:
+            return system.project(y_h)
+        except ContractError as e:
+            raise SolverError(
+                f"projection failed after a flow step from t={t}, j={j} with h={h}: {e}",
+                t=t, j=j, h=h,
+            ) from e
 
     by_margin = system.margin_defines_sets
 
@@ -252,21 +272,20 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             status = "t_max"
             break
         h = config.dt if config.dt < remaining else remaining
-        y_new = system.project(rk4_step(system.flow, t, y, h, meas))
+        y_new = advance(h)
         margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
         if config.refine and in_jump_new and margin_new is not None:
             margin_old = margin if margin is not None else system.jump_margin(t, y, meas)
             if margin_old is not None and margin_old < 0.0:
 
                 def margin_at(tau: float) -> float:
-                    yt = system.project(rk4_step(system.flow, t, y, tau, meas))
-                    return system.jump_margin(t + tau, yt, meas)
+                    return system.jump_margin(t + tau, advance(tau), meas)
 
                 tol = config.refine_tol if config.refine_tol is not None else 1e-9 * h
                 tau_c = detect_crossing(margin_old, margin_new, margin_at, h, tol)
                 if tau_c is not None and tau_c < h:
                     h = tau_c
-                    y_new = system.project(rk4_step(system.flow, t, y, h, meas))
+                    y_new = advance(h)
                     margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
         t += h
         y = y_new

@@ -164,8 +164,10 @@ def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float = 1e-7
     The per-step flow tolerance covers RK4 truncation at the default step; it
     scales as dt^4 if the step changes.  Under measurement noise the flow
     monotonicity of the monitor is not a theorem, so it is reported but not
-    enforced.  The monitor kind must match the controller that produced the
-    arc.
+    enforced.  An arc the solver stopped at its jump limit (status "j_max")
+    fails: the loops' jump counts are bounded, so reaching the limit means the
+    run diverged or the limit is too small.  The monitor kind must match the
+    controller that produced the arc.
     """
     if monitor is None:
         monitor = loop.kind
@@ -204,6 +206,11 @@ def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float = 1e-7
     count_ok = len(arc.jumps) <= bound if req > 0.0 else len(arc.jumps) == 0
     if not count_ok:
         failures.append(f"jump count {len(arc.jumps)} exceeds the bound {bound}")
+    if arc.status == "j_max":
+        failures.append(
+            f"the solver stopped at the jump limit after {len(arc.jumps)} jumps, "
+            f"at t={float(arc.t[-1]):.6g} before the horizon"
+        )
 
     tau_jumps = [ev.info["tau_jump"] for ev in arc.jumps if "tau_jump" in ev.info]
     max_tau_jump = max(tau_jumps) if tau_jumps else None

@@ -17,6 +17,12 @@ spectrum of A), the potential and its two gradients, the gap function used to
 define flow and jump sets, the gradient rate along trajectories, and the
 numerical certification of the gradient and gap bounds that the feedback laws
 rely on.  Bulk (vectorized) evaluators back the sampling-based certification.
+
+Each formula is written once, as a component-wise kernel (`*_f`) on Python
+floats: rotations as 9 floats in row-major order, vectors as 3 floats (see
+`so3`).  The kernels take AR = A @ R rather than R, so that the gap can
+evaluate the potential at several warp angles from one matrix product.  The
+public numpy functions are thin adapters over them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .so3 import EYE3, angle_axis, skew, trace_complement
+from .so3 import (
+    EYE3,
+    angle_axis,
+    axial_f,
+    cross_f,
+    floats,
+    mat_mul_f,
+    mat_tvec_f,
+    mat_vec_f,
+    skew,
+)
 
 _PI2 = math.pi * math.pi
 
@@ -77,6 +93,10 @@ class PotentialParams:
     _ux: np.ndarray = field(init=False, repr=False)
     _ux2: np.ndarray = field(init=False, repr=False)
     _trA: float = field(init=False, repr=False)
+    # Float copies for the kernels: A and ux^2 as 9 floats, u as 3.
+    _A_f: tuple = field(init=False, repr=False)
+    _u_f: tuple = field(init=False, repr=False)
+    _ux2_f: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.theta_set) == 0:
@@ -94,10 +114,14 @@ class PotentialParams:
         if not 0.0 < self.delta < dmax:
             raise ContractError(f"delta={self.delta} outside (0, {dmax})")
         ux = skew(self.u)
+        ux2 = ux @ ux
         object.__setattr__(self, "theta_min", tmin)
         object.__setattr__(self, "_ux", ux)
-        object.__setattr__(self, "_ux2", ux @ ux)
+        object.__setattr__(self, "_ux2", ux2)
         object.__setattr__(self, "_trA", float(np.trace(self.A)))
+        object.__setattr__(self, "_A_f", tuple(floats(self.A)))
+        object.__setattr__(self, "_u_f", tuple(floats(self.u)))
+        object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))
 
     def to_mapping(self) -> dict:
         """Flat mapping matching the scenario config keys for this parameter set."""
@@ -252,9 +276,91 @@ def design_params(
     )
 
 
+# ---------------------------------------------------------------------------
+# Kernels on floats: AR = A @ R and W = warp rotation as 9 floats each.
+
+
+def warp_rotation_f(theta: float, p: PotentialParams) -> tuple:
+    """Rotation by the warp angle about u: I + sin(theta) skew(u) + (1 - cos(theta)) skew(u)^2."""
+    s = math.sin(theta)
+    c = 1.0 - math.cos(theta)
+    u0, u1, u2 = p._u_f
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = p._ux2_f
+    return (
+        1.0 + c * q0, c * q1 - s * u2, c * q2 + s * u1,
+        c * q3 + s * u2, 1.0 + c * q4, c * q5 - s * u0,
+        c * q6 - s * u1, c * q7 + s * u0, 1.0 + c * q8,
+    )
+
+
+def value_f(AR, theta: float, p: PotentialParams) -> float:
+    """tr(A) - tr(A R W) + gamma/2 theta^2 from AR = A @ R."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = AR
+    w0, w1, w2, w3, w4, w5, w6, w7, w8 = warp_rotation_f(theta, p)
+    tr = a0 * w0 + a1 * w3 + a2 * w6 + a3 * w1 + a4 * w4 + a5 * w7 + a6 * w2 + a7 * w5 + a8 * w8
+    return p._trA - tr + 0.5 * p.gamma * theta * theta
+
+
+def gradients_f(AR, theta: float, p: PotentialParams) -> tuple:
+    """(g_x, g_y, g_z, g_theta): rotation gradient W axial(A R W) and warp gradient.
+
+    The rotation gradient is the vector g such that d/ds value(R exp(s w^), theta)
+    equals 2 w . g at s = 0; the warp gradient is d value / d theta.
+    """
+    W = warp_rotation_f(theta, p)
+    ps = axial_f(mat_mul_f(AR, W))
+    u0, u1, u2 = p._u_f
+    g0, g1, g2 = mat_vec_f(W, ps)
+    return g0, g1, g2, p.gamma * theta + 2.0 * (u0 * ps[0] + u1 * ps[1] + u2 * ps[2])
+
+
+def best_reset_f(AR, p: PotentialParams) -> tuple:
+    """(angle, value) of the reset angle minimizing the potential; ties go to the first."""
+    best_t = p.theta_set[0]
+    best_v = math.inf
+    for tp in p.theta_set:
+        v = value_f(AR, tp, p)
+        if v < best_v:
+            best_v = v
+            best_t = tp
+    return best_t, best_v
+
+
+def gap_f(AR, theta: float, p: PotentialParams) -> float:
+    """value at theta minus the best value over the reset set; may be negative."""
+    return value_f(AR, theta, p) - best_reset_f(AR, p)[1]
+
+
+def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: PotentialParams) -> tuple:
+    """Rate of the rotation gradient along Rdot = R skew(omega), thetadot = theta_rate."""
+    W = warp_rotation_f(theta, p)
+    M = mat_mul_f(AR, W)
+    ps = axial_f(M)
+    # E = (tr(M) I - M^T) / 2 applied to a vector v is (tr(M) v - M^T v) / 2.
+    trM = M[0] + M[4] + M[8]
+
+    def E(v):
+        m = mat_tvec_f(M, v)
+        return (0.5 * (trM * v[0] - m[0]), 0.5 * (trM * v[1] - m[1]), 0.5 * (trM * v[2] - m[2]))
+
+    d_rot = mat_vec_f(W, E(mat_tvec_f(W, omega)))
+    d_w = mat_vec_f(W, E(p._u_f))
+    c = cross_f(mat_vec_f(W, ps), p._u_f)
+    return tuple(d_rot[i] + (d_w[i] - c[i]) * theta_rate for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# numpy adapters.
+
+
+def moment(R, p: PotentialParams) -> tuple:
+    """A @ R as 9 floats, the argument of the kernels."""
+    return mat_mul_f(p._A_f, floats(R))
+
+
 def warp_rotation(theta: float, p: PotentialParams) -> np.ndarray:
     """Rotation by the warp angle about the designed axis u."""
-    return EYE3 + math.sin(theta) * p._ux + (1.0 - math.cos(theta)) * p._ux2
+    return np.array(warp_rotation_f(float(theta), p)).reshape(3, 3)
 
 
 def warped(R, theta: float, p: PotentialParams) -> np.ndarray:
@@ -264,9 +370,7 @@ def warped(R, theta: float, p: PotentialParams) -> np.ndarray:
 
 def value(R, theta: float, p: PotentialParams) -> float:
     """The potential tr(A (I - T(R, theta))) + gamma/2 theta^2, nonnegative."""
-    T = R @ warp_rotation(theta, p)
-    trAT = (p.A * T.T).sum()
-    return p._trA - trAT + 0.5 * p.gamma * theta * theta
+    return value_f(moment(R, p), float(theta), p)
 
 
 def gradients(R, theta: float, p: PotentialParams) -> tuple[np.ndarray, float]:
@@ -275,10 +379,8 @@ def gradients(R, theta: float, p: PotentialParams) -> tuple[np.ndarray, float]:
     The rotation gradient is the vector g such that d/ds value(R exp(s w^), theta)
     equals 2 w . g at s = 0; the warp gradient is d value / d theta.
     """
-    Ra = EYE3 + math.sin(theta) * p._ux + (1.0 - math.cos(theta)) * p._ux2
-    M = p.A @ (R @ Ra)
-    ps = 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
-    return Ra @ ps, p.gamma * theta + 2.0 * (p.u @ ps)
+    g0, g1, g2, g_th = gradients_f(moment(R, p), float(theta), p)
+    return np.array((g0, g1, g2)), g_th
 
 
 def grad_rotation(R, theta: float, p: PotentialParams) -> np.ndarray:
@@ -291,27 +393,14 @@ def grad_warp(R, theta: float, p: PotentialParams) -> float:
 
 def gap(R, theta: float, p: PotentialParams) -> float:
     """value(R, theta) minus the best value over the reset set; may be negative."""
-    AR = p.A @ R
-    best = math.inf
-    for tp in p.theta_set:
-        Ra = EYE3 + math.sin(tp) * p._ux + (1.0 - math.cos(tp)) * p._ux2
-        v = p._trA - (AR * Ra.T).sum() + 0.5 * p.gamma * tp * tp
-        if v < best:
-            best = v
-    Ra = EYE3 + math.sin(theta) * p._ux + (1.0 - math.cos(theta)) * p._ux2
-    here = p._trA - (AR * Ra.T).sum() + 0.5 * p.gamma * theta * theta
-    return here - best
+    return gap_f(moment(R, p), float(theta), p)
 
 
 def grad_rotation_rate(R, theta: float, omega, theta_rate: float, p: PotentialParams) -> np.ndarray:
     """Time derivative of grad_rotation along Rdot = R skew(omega), thetadot = theta_rate."""
-    Ra = EYE3 + math.sin(theta) * p._ux + (1.0 - math.cos(theta)) * p._ux2
-    M = p.A @ (R @ Ra)
-    E = trace_complement(M)
-    ps = 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
-    d_rot = Ra @ (E @ (Ra.T @ np.asarray(omega, dtype=float)))
-    d_warp = Ra @ (E @ p.u) - np.cross(Ra @ ps, p.u)
-    return d_rot + d_warp * theta_rate
+    return np.array(grad_rotation_rate_f(
+        moment(R, p), float(theta), floats(omega), float(theta_rate), p
+    ))
 
 
 def undesired_critical_points(p: PotentialParams) -> list[CriticalPoint]:

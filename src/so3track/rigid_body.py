@@ -1,27 +1,22 @@
-"""Rigid-body attitude dynamics, reference generation, and tracking errors."""
+"""Rigid-body attitude dynamics, reference generation, and tracking errors.
+
+The feedforward and coupling terms of the error dynamics are written once, as
+component-wise kernels (`*_f`) on floats (see `so3`); the numpy functions are
+adapters over them.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError
-from .so3 import exp_so3, skew
+from .so3 import cross_f, exp_so3, floats, mat_skew_f, mat_tvec_f, mat_vec_f, skew
 
 Vec3 = np.ndarray
-
-
-def _cross(a, b) -> np.ndarray:
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +27,13 @@ class Inertia:
     J_inv: np.ndarray
     lam_min: float
     lam_max: float
+    # J and J^-1 as 9 floats for the kernels.
+    J_f: tuple = field(init=False, repr=False)
+    J_inv_f: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "J_f", tuple(floats(self.J)))
+        object.__setattr__(self, "J_inv_f", tuple(floats(self.J_inv)))
 
     @classmethod
     def from_matrix(cls, J) -> "Inertia":
@@ -82,7 +84,8 @@ class Reference:
 
     def z_at(self, t: float) -> np.ndarray:
         z = self.z_fn(t)
-        n = math.sqrt(z @ z)
+        z0, z1, z2 = z.tolist()
+        n = math.sqrt(z0 * z0 + z1 * z1 + z2 * z2)
         if n > self.m_bound:
             raise ContractError(
                 f"reference '{self.name}' at t={t}: ||z|| = {n} exceeds the bound {self.m_bound}"
@@ -114,7 +117,7 @@ def body_flow(state: BodyState, tau, inertia: Inertia) -> tuple[np.ndarray, np.n
     """Rigid-body rates: Rdot = R skew(omega), J omegadot = -omega x J omega + tau."""
     w = state.omega
     Rdot = state.R @ skew(w)
-    wdot = inertia.J_inv @ (-_cross(w, inertia.J @ w) + np.asarray(tau, dtype=float))
+    wdot = inertia.J_inv @ (-np.array(cross_f(w, inertia.J @ w)) + np.asarray(tau, dtype=float))
     return Rdot, wdot
 
 
@@ -133,13 +136,50 @@ def tracking_error(body: BodyState, ref: RefState) -> ErrorState:
     return ErrorState(R=Re, omega=body.omega - Re.T @ ref.omega)
 
 
+# ---------------------------------------------------------------------------
+# Kernels on floats: R and J as 9 floats, vectors as 3.
+
+
+def feedforward_f(R, omega_r, z, J) -> tuple:
+    """J R^T z + a x J a with a = R^T omega_r."""
+    a = mat_tvec_f(R, omega_r)
+    a0, a1, a2 = a
+    b0, b1, b2 = mat_vec_f(J, mat_tvec_f(R, z))
+    c0, c1, c2 = mat_vec_f(J, a)
+    return (b0 + (a1 * c2 - a2 * c1), b1 + (a2 * c0 - a0 * c2), b2 + (a0 * c1 - a1 * c0))
+
+
+def coupling_times_f(R, omega_e, omega_r, J) -> tuple:
+    """Coupling matrix times omega_e: Jw x w + Ja x w - a x Jw - J (a x w), a = R^T omega_r."""
+    a = mat_tvec_f(R, omega_r)
+    w0, w1, w2 = omega_e
+    a0, a1, a2 = a
+    p0, p1, p2 = mat_vec_f(J, omega_e)
+    q0, q1, q2 = mat_vec_f(J, a)
+    r0, r1, r2 = mat_vec_f(J, (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0))
+    return (
+        (p1 * w2 - p2 * w1) + (q1 * w2 - q2 * w1) - (a1 * p2 - a2 * p1) - r0,
+        (p2 * w0 - p0 * w2) + (q2 * w0 - q0 * w2) - (a2 * p0 - a0 * p2) - r1,
+        (p0 * w1 - p1 * w0) + (q0 * w1 - q1 * w0) - (a0 * p1 - a1 * p0) - r2,
+    )
+
+
+def error_accel_f(R, omega_e, omega_r, ups, tau, J, J_inv) -> tuple:
+    """omegadot_e = J^-1 (Sigma omega_e - ups + tau), ups the feedforward at R."""
+    s0, s1, s2 = coupling_times_f(R, omega_e, omega_r, J)
+    return mat_vec_f(J_inv, (s0 - ups[0] + tau[0], s1 - ups[1] + tau[1], s2 - ups[2] + tau[2]))
+
+
+# ---------------------------------------------------------------------------
+# numpy adapters.
+
+
 def feedforward(Re, omega_r, z, inertia: Inertia) -> np.ndarray:
     """Torque compensating reference acceleration and gyroscopic coupling.
 
     J R_e^T z + (R_e^T omega_r) x J (R_e^T omega_r); zero for a constant reference.
     """
-    a = Re.T @ np.asarray(omega_r, dtype=float)
-    return inertia.J @ (Re.T @ np.asarray(z, dtype=float)) + _cross(a, inertia.J @ a)
+    return np.array(feedforward_f(floats(Re), floats(omega_r), floats(z), inertia.J_f))
 
 
 def coupling_matrix(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
@@ -152,21 +192,16 @@ def coupling_matrix(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
 
 def coupling_times(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
     """coupling_matrix(...) @ omega_e without forming the matrix."""
-    J = inertia.J
-    a = Re.T @ omega_r
-    Jw = J @ omega_e
-    return _cross(Jw, omega_e) + _cross(J @ a, omega_e) - _cross(a, Jw) - J @ _cross(a, omega_e)
+    return np.array(coupling_times_f(floats(Re), floats(omega_e), floats(omega_r), inertia.J_f))
 
 
 def error_flow(err: ErrorState, omega_r, z, tau, inertia: Inertia) -> tuple[np.ndarray, np.ndarray]:
     """Error rates: Rdot_e = R_e skew(omega_e), J omegadot_e = Sigma omega_e - Upsilon + tau."""
-    Redot = err.R @ skew(err.omega)
-    rhs = (
-        coupling_times(err.R, err.omega, np.asarray(omega_r, dtype=float), inertia)
-        - feedforward(err.R, omega_r, z, inertia)
-        + np.asarray(tau, dtype=float)
-    )
-    return Redot, inertia.J_inv @ rhs
+    R = floats(err.R)
+    we, wr = floats(err.omega), floats(omega_r)
+    ups = feedforward_f(R, wr, floats(z), inertia.J_f)
+    wdot = error_accel_f(R, we, wr, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
+    return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
 
 
 def apply_noise(

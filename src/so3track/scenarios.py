@@ -2,15 +2,15 @@
 
 A scenario file is flat "key = value" text (lists bracketed, '#' comments).
 One scenario expands into one or more member runs: a list of controllers with
-a matching list of potential weights, sharing everything else.  Members are
-independent, so they can run in parallel; all files are written by the caller
-thread afterwards.
+a matching list of potential weights, sharing everything else.  Members run
+one after another in the calling thread (the solver is pure Python, so
+threads would only contend for the interpreter lock); all files are written
+after the last member finishes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -399,16 +399,11 @@ def simulate_member(cfg: ScenarioConfig, member: MemberSpec) -> MemberResult:
     return MemberResult(member=member, loop=loop, arc=arc, report=report)
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, *, plots: bool = True,
-                 parallel: bool = True) -> ScenarioResult:
-    """Run all members, certify, and write CSVs, reports, and charts."""
+def run_scenario(cfg: ScenarioConfig, out_dir, *, plots: bool = True) -> ScenarioResult:
+    """Run all members in turn, certify, and write CSVs, reports, and charts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if parallel and len(cfg.members) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(cfg.members))) as pool:
-            results = list(pool.map(lambda m: simulate_member(cfg, m), cfg.members))
-    else:
-        results = [simulate_member(cfg, m) for m in cfg.members]
+    results = [simulate_member(cfg, m) for m in cfg.members]
     summary_lines = [f"scenario {cfg.name}: {len(results)} member run(s)"]
     for res in results:
         stem = f"{cfg.name}_{res.member.label}"

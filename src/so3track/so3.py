@@ -3,6 +3,11 @@
 Rotations are plain 3x3 numpy arrays constrained to SO(3): orthonormal within
 1e-9 in Frobenius norm and with positive determinant.  Everything here is a
 pure function of its arguments.
+
+The `*_f` helpers are the component-wise forms used by the per-step kernels:
+a 3-vector is a sequence of 3 floats and a 3x3 matrix a sequence of 9 floats
+in row-major order.  At this size numpy call overhead outweighs the
+arithmetic, so the closed loops evaluate their formulas on Python floats.
 """
 
 from __future__ import annotations
@@ -16,6 +21,68 @@ from .errors import ContractError
 EYE3 = np.eye(3)
 
 ORTHONORMALITY_TOL = 1e-9
+
+
+def floats(x) -> list:
+    """A vector or matrix as a flat list of floats (row-major), the kernels' argument form."""
+    return np.asarray(x, dtype=float).ravel().tolist()
+
+
+def mat_mul_f(a, b) -> tuple:
+    """a @ b for row-major 9-float matrices."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+def mat_vec_f(a, v) -> tuple:
+    """a @ v for a 9-float matrix and a 3-float vector."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    v0, v1, v2 = v
+    return (a0 * v0 + a1 * v1 + a2 * v2, a3 * v0 + a4 * v1 + a5 * v2, a6 * v0 + a7 * v1 + a8 * v2)
+
+
+def mat_tvec_f(a, v) -> tuple:
+    """a^T @ v for a 9-float matrix and a 3-float vector."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    v0, v1, v2 = v
+    return (a0 * v0 + a3 * v1 + a6 * v2, a1 * v0 + a4 * v1 + a7 * v2, a2 * v0 + a5 * v1 + a8 * v2)
+
+
+def mat_skew_f(a, w) -> tuple:
+    """a @ skew(w), the rate of a rotation driven by the body-frame velocity w."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    w0, w1, w2 = w
+    return (
+        a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0,
+        a4 * w2 - a5 * w1, a5 * w0 - a3 * w2, a3 * w1 - a4 * w0,
+        a7 * w2 - a8 * w1, a8 * w0 - a6 * w2, a6 * w1 - a7 * w0,
+    )
+
+
+def cross_f(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def axial_f(m) -> tuple:
+    """Axial vector of the antisymmetric part of a 9-float matrix."""
+    return (0.5 * (m[7] - m[5]), 0.5 * (m[2] - m[6]), 0.5 * (m[3] - m[1]))
+
+
+def rot_distance_f(r) -> float:
+    """Normalized distance to the identity, sqrt(tr(I - R) / 4) in [0, 1], of a 9-float R."""
+    tr = 3.0 - (r[0] + r[4] + r[8])
+    if tr < 0.0:
+        tr = 0.0
+    elif tr > 4.0:
+        tr = 4.0
+    return math.sqrt(0.25 * tr)
 
 
 def skew(x) -> np.ndarray:
@@ -40,7 +107,7 @@ def antisym_part(M) -> np.ndarray:
 
 def axial(M) -> np.ndarray:
     """Axial vector of the antisymmetric part of M, i.e. vee((M - M^T)/2)."""
-    return 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+    return np.array(axial_f(np.ravel(M)))
 
 
 def trace_complement(M) -> np.ndarray:
@@ -89,7 +156,7 @@ def log_so3(R) -> np.ndarray:
     if d >= 1.0 - 1e-9:
         raise ContractError("log_so3: rotation angle too close to pi, branch is ambiguous")
     t = 2.0 * math.asin(d)
-    v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    v = axial(R)
     if t < 1e-6:
         return v * (1.0 + t * t / 6.0)
     return v * (t / math.sin(t))
@@ -97,12 +164,7 @@ def log_so3(R) -> np.ndarray:
 
 def rot_distance(R) -> float:
     """Normalized distance to the identity, sqrt(tr(I - R) / 4) in [0, 1]."""
-    tr = 3.0 - (R[0, 0] + R[1, 1] + R[2, 2])
-    if tr < 0.0:
-        tr = 0.0
-    elif tr > 4.0:
-        tr = 4.0
-    return math.sqrt(0.25 * tr)
+    return rot_distance_f(np.ravel(R))
 
 
 def project_to_so3(M) -> np.ndarray:

@@ -133,6 +133,22 @@ def test_run_solver_error_exit_code(tmp_path, capsys):
     assert "omega_r" in capsys.readouterr().err
 
 
+def test_run_unstable_step_is_a_solver_error(tmp_path):
+    # at dt = 0.02 explicit RK4 is unstable for the fig4 gains: the rotation
+    # blocks leave SO(3) and projection fails mid-run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run(
+        [sys.executable, "-m", "so3track", "run", "fig4", "--dt", "0.02", "--t-max", "0.5",
+         "--no-plots", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    line = next(ln for ln in r.stderr.splitlines() if ln.startswith("solver error:"))
+    assert "t=" in line and "j=" in line and "h=0.02" in line
+
+
 def test_smooth_columns_extend_schema(tmp_path):
     text = MINI.replace("controllers = [basic]", "controllers = [smooth]")
     text += "\nk_zeta = 150.0\nrho = 0.0013\ndelta_prime = 0.162\n"

@@ -132,26 +132,143 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
         assert ldot == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
 
 
-def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia):
-    # the inlined torque inside the loop flow must equal torque_basic exactly
+LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
+
+
+def random_loop_state(kind, rng):
+    base = random_basic_state(rng)
+    if kind == "smooth":
+        return st.SmoothLoopState(**base.__dict__, zeta=rng.standard_normal(3))
+    if kind == "velocity_free":
+        return st.VelocityFreeLoopState(
+            **base.__dict__, Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
+        )
+    if kind == "non_hybrid":
+        base.theta = 0.0  # the baseline's warp angle stays at zero
+    return base
+
+
+def random_measurement(rng):
+    return st.Measurement(E=st.exp_so3(rng.normal(0.0, 0.1, 3)), n_omega=rng.normal(0.0, 0.1, 3))
+
+
+def public_torque(kind, s, z, meas, p, gn, J):
+    """The public torque law evaluated at the measured state."""
+    if meas is None:
+        E, Rm, wem = np.eye(3), s.Re, s.omega_e
+    else:
+        E, Rm = meas.E, s.Re @ meas.E
+        wem = s.omega_e + meas.n_omega + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
+    if kind == "basic":
+        return st.torque_basic(Rm, s.theta, wem, s.omega_r, z, p, gn, J)
+    if kind == "smooth":
+        return st.torque_smooth(Rm, s.zeta, wem, s.omega_r, z, p, gn, J)
+    if kind == "velocity_free":
+        return st.torque_velocity_free(
+            Rm, s.theta, s.Rtilde @ E, s.theta_bar, s.omega_r, z, p, gn, J
+        )
+    return st.torque_non_hybrid(Rm, wem, s.omega_r, z, p, gn, J)
+
+
+def check_measured_rates(kind, s, meas, ydot, p, gn):
+    """Warp, filter and auxiliary rows of a noisy flow against the public laws."""
+    Rm = s.Re @ meas.E
+    if kind == "non_hybrid":
+        assert ydot[9] == 0.0
+        return
+    assert ydot[9] == pytest.approx(st.warp_rate(Rm, s.theta, p, gn), rel=1e-12, abs=1e-12)
+    if kind == "smooth":
+        wem = s.omega_e + meas.n_omega + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
+        zdot = st.zeta_flow(Rm, s.theta, s.zeta, wem, p, gn)
+        assert np.allclose(ydot[25:28], zdot, rtol=0.0, atol=1e-10)
+    if kind == "velocity_free":
+        Rtm = s.Rtilde @ meas.E
+        rate = st.warp_rate(Rtm, s.theta_bar, p, gn)
+        assert ydot[34] == pytest.approx(rate, rel=1e-12, abs=1e-12)
+        # the damping output is formed at the measured auxiliary rotation
+        beta = meas.E @ (gn.Gamma @ st.grad_rotation(Rtm, s.theta_bar, p))
+        Rt_dot = s.Rtilde @ st.skew(s.omega_e - beta)
+        assert np.allclose(ydot[25:34], Rt_dot.ravel(), rtol=0.0, atol=1e-11)
+
+
+def public_margin(kind, s, meas, p, gn):
+    """Jump-set margin at the measured rotations from the public gap functions."""
+    Rm = s.Re @ meas.E
+    if kind == "non_hybrid":
+        return None
+    if kind == "smooth":
+        return st.filtered_gap(Rm, s.theta, s.zeta, p, gn.rho) - gn.delta_prime
+    gaps = [st.gap(Rm, s.theta, p)]
+    if kind == "velocity_free":
+        gaps.append(st.gap(s.Rtilde @ meas.E, s.theta_bar, p))
+    return max(gaps) - p.delta
+
+
+def torque_from_flow(loop, s, t, ydot):
+    """Applied torque recovered from the velocity row: J wdot_e - Sigma w_e + Upsilon."""
+    J, z = loop.inertia, loop.reference.z_at(t)
+    sig = st.coupling_times(s.Re, s.omega_e, s.omega_r, J)
+    ups = st.feedforward(s.Re, s.omega_r, z, J)
+    return J.J @ ydot[10:13] - sig + ups
+
+
+@pytest.mark.parametrize("kind", LAWS)
+def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains, paper_inertia):
+    # a noise sample of E = I, n_omega = 0 takes the measured branch and must
+    # reproduce the exact-measurement values bit for bit
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
+    quiet = st.Measurement(E=np.eye(3), n_omega=np.zeros(3))
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        y = random_loop_state(kind, rng).pack()
+        t = rng.uniform(0.0, 10.0)
+        assert np.array_equal(loop.flow(t, y, quiet), loop.flow(t, y, None))
+        assert np.array_equal(loop.torque(t, y, quiet), loop.torque(t, y, None))
+        assert loop.jump_margin(t, y, quiet) == loop.jump_margin(t, y, None)
+
+
+@pytest.mark.parametrize("kind", LAWS)
+def test_noisy_flow_applies_public_torque_at_measured_state(
+    kind, paper_params, paper_gains, paper_inertia
+):
     p, gn, J = paper_params, paper_gains, paper_inertia
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop("basic", p, gn, J, ref, check=False)
-    rng = np.random.default_rng(5)
+    loop = st.make_loop(kind, p, gn, J, ref, check=False)
+    rng = np.random.default_rng(13)
     for _ in range(20):
-        s = random_basic_state(rng)
+        s = random_loop_state(kind, rng)
         y = s.pack()
         t = rng.uniform(0.0, 10.0)
-        ydot = loop.flow(t, y, None)
-        tau = st.torque_basic(
-            s.Re, s.theta, s.omega_e, s.omega_r, ref.z_at(t), p, gn, J
-        )
-        # recover the applied torque from the velocity equation
-        rhs = J.J @ ydot[10:13]
-        sig = st.coupling_times(s.Re, s.omega_e, s.omega_r, J)
-        ups = st.feedforward(s.Re, s.omega_r, ref.z_at(t), J)
-        assert np.allclose(rhs - sig + ups, tau, atol=1e-12)
-        assert np.allclose(loop.torque(t, y, None), tau, atol=0.0)
+        meas = random_measurement(rng)
+        ydot = loop.flow(t, y, meas)
+        tau = public_torque(kind, s, ref.z_at(t), meas, p, gn, J)
+        assert np.allclose(torque_from_flow(loop, s, t, ydot), tau, rtol=0.0, atol=1e-11)
+        assert np.allclose(loop.torque(t, y, meas), tau, rtol=0.0, atol=1e-12)
+        check_measured_rates(kind, s, meas, ydot, p, gn)
+        margin = public_margin(kind, s, meas, p, gn)
+        if margin is None:
+            assert loop.jump_margin(t, y, meas) is None
+        else:
+            assert loop.jump_margin(t, y, meas) == pytest.approx(margin, rel=0.0, abs=1e-12)
+
+
+def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia):
+    # one torque kernel per law: the loop's torque is the public law's value
+    # exactly, and the flow applies that same torque
+    p, gn, J = paper_params, paper_gains, paper_inertia
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    rng = np.random.default_rng(5)
+    for kind in LAWS:
+        loop = st.make_loop(kind, p, gn, J, ref, check=False)
+        for _ in range(20):
+            s = random_loop_state(kind, rng)
+            y = s.pack()
+            t = rng.uniform(0.0, 10.0)
+            tau = public_torque(kind, s, ref.z_at(t), None, p, gn, J)
+            assert np.array_equal(loop.torque(t, y, None), tau)
+            assert np.allclose(torque_from_flow(loop, s, t, loop.flow(t, y, None)), tau,
+                               rtol=0.0, atol=1e-11)
 
 
 def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):

@@ -70,6 +70,15 @@ class Escaper(HybridSystem):
         return False
 
 
+class Blowup(HybridSystem):
+    """Flow that returns NaN, as a diverged right-hand side would."""
+
+    kind = "blowup"
+
+    def flow(self, t, y, meas):
+        return np.full_like(y, math.nan)
+
+
 def test_pure_ode_matches_exponential():
     cfg = st.SolverConfig(dt=1e-3, t_max=5.0, j_max=5)
     arc = st.solve(Decay(), np.array([1.0]), cfg)
@@ -116,6 +125,15 @@ def test_initial_state_outside_both_sets():
     cfg = st.SolverConfig(dt=1e-3, t_max=5.0, j_max=5)
     with pytest.raises(SolverError, match="initial state"):
         st.solve(Escaper(), np.array([2.0]), cfg)
+
+
+def test_non_finite_flow_is_a_solver_error():
+    cfg = st.SolverConfig(dt=1e-3, t_max=1.0, j_max=5)
+    with pytest.raises(SolverError, match="non-finite") as exc:
+        st.solve(Blowup(), np.array([1.0]), cfg)
+    err = exc.value
+    assert (err.t, err.j, err.h) == (0.0, 0, 1e-3)
+    assert "t=0.0" in str(err) and "j=0" in str(err) and "h=0.001" in str(err)
 
 
 def test_solver_config_validation():

@@ -142,3 +142,15 @@ def test_certify_smooth_reports_torque_continuity(fig4_cfg):
     res = st.simulate_member(cfg, member)
     assert res.report.max_torque_jump == 0.0
     assert res.report.torque_continuity_ok
+
+
+def test_certify_fails_an_arc_stopped_at_j_max(fig3_cfg):
+    # room for a single jump: the basic member stops at the limit on its first reset
+    cfg = dataclasses.replace(fig3_cfg, t_max=2.0, j_max=1)
+    res = st.simulate_member(cfg, cfg.members[2])
+    assert res.arc.status == "j_max"
+    rep = res.report
+    assert not rep.passed
+    assert rep.jump_count_ok and rep.jump_drops_ok
+    assert [f for f in rep.failures if "jump limit" in f] == rep.failures
+    assert "status=FAIL" in rep.as_text()
