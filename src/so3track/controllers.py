@@ -17,9 +17,11 @@ A non-hybrid baseline (the basic law with the warp angle frozen at zero) is
 included for comparisons.
 
 Each law is written once, as a component-wise kernel (`*_f`) on floats (see
-`so3`).  The closed loops evaluate the kernels on `y.tolist()` and apply the
-measurement noise in floats; the public numpy functions (`torque_*`,
-`zeta_flow`, `aux_flow`, ...) are adapters over the same kernels.
+`so3`).  The closed loops evaluate the kernels on `y.tolist()` and draw and
+apply the measurement noise in floats; after a run they evaluate the same
+kernels once more on the recorded states as column arrays to fill the
+recorded columns.  The public numpy functions (`torque_*`, `zeta_flow`,
+`aux_flow`, ...) are adapters over the same kernels.
 """
 
 from __future__ import annotations
@@ -47,24 +49,40 @@ from .potential import (
 )
 from .rigid_body import Inertia, Reference, error_accel_f, feedforward, feedforward_f
 from .so3 import (
-    exp_so3,
+    ARRAY_MATH,
+    columns,
+    exp_so3_f,
     floats,
     mat_mul_f,
     mat_skew_f,
     mat_tvec_f,
     mat_vec_f,
-    orthonormalize,
+    orthonormalize_f,
     rot_distance_f,
 )
 
 CONTROLLER_KINDS = ("basic", "smooth", "velocity_free", "non_hybrid")
 
+_EYE_F = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_ZERO_F = (0.0, 0.0, 0.0)
+
 
 class Measurement(NamedTuple):
-    """One sample of measurement noise, held constant over an integration step."""
+    """One sample of measurement noise, held constant over an integration step.
 
-    E: np.ndarray  # attitude noise rotation, R_y = R @ E
-    n_omega: np.ndarray
+    The loops draw E as 9 floats and n_omega as 3 (see `so3`); a 3x3 E and a
+    3-vector n_omega given as arrays are accepted too.
+    """
+
+    E: tuple  # attitude noise rotation, R_y = R @ E
+    n_omega: tuple
+
+
+def _noise_f(meas: Measurement) -> tuple:
+    """(E, n_omega) as float tuples, converting fields given as arrays."""
+    E, n = meas
+    return (E if type(E) is tuple else tuple(floats(E)),
+            n if type(n) is tuple else tuple(floats(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +164,11 @@ def filter_gain_bound(gains: Gains, params: PotentialParams) -> float:
 # torque laws.  AR is A @ R as 9 floats (see `potential`), ups the feedforward.
 
 
-def filtered_value_f(AR, theta: float, zeta, p: PotentialParams, rho: float) -> float:
+def filtered_value_f(AR, theta: float, zeta, p: PotentialParams, rho: float, xp=math) -> float:
     """Potential plus rho times the squared mismatch between zeta and the rotation gradient."""
-    g0, g1, g2, _ = gradients_f(AR, theta, p)
+    g0, g1, g2, _ = gradients_f(AR, theta, p, xp)
     d0, d1, d2 = zeta[0] - g0, zeta[1] - g1, zeta[2] - g2
-    return value_f(AR, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
+    return value_f(AR, theta, p, xp) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def filtered_gap_f(AR, theta: float, zeta, p: PotentialParams, rho: float) -> float:
@@ -417,10 +435,12 @@ class NoiseModel:
 
 
 class _TrackingLoop(HybridSystem):
-    """Shared plumbing: reference inputs, measurement sampling, projection, jump records.
+    """Shared plumbing: reference inputs, measurement sampling, projection, records.
 
     The loop methods evaluate the kernels on `y.tolist()`; each subclass's
     `_control` gives the torque and the terms its flow shares with it.
+    `_control`, `_monitor` and `_columns` also run on a batch: state entries
+    and measurement fields as (n,) arrays, t an (n,) array, xp = ARRAY_MATH.
     """
 
     state_cls = BasicLoopState
@@ -444,13 +464,14 @@ class _TrackingLoop(HybridSystem):
         n = self.noise
         if n is None:
             return None
-        E = exp_so3(rng.normal(0.0, n.sigma_R, 3)) if n.sigma_R > 0.0 else np.eye(3)
-        nw = rng.normal(0.0, n.sigma_omega, 3) if n.sigma_omega > 0.0 else np.zeros(3)
-        return Measurement(E=E, n_omega=nw)
+        E = exp_so3_f(*rng.normal(0.0, n.sigma_R, 3).tolist()) if n.sigma_R > 0.0 else _EYE_F
+        nw = tuple(rng.normal(0.0, n.sigma_omega, 3).tolist()) if n.sigma_omega > 0.0 else _ZERO_F
+        return Measurement(E, nw)
 
     def project(self, y: np.ndarray) -> np.ndarray:
+        v = y.tolist()
         for sl in self.rotation_slices:
-            y[sl] = orthonormalize(y[sl].reshape(3, 3)).ravel()
+            y[sl] = orthonormalize_f(v[sl])
         return y
 
     def _guard_reference(self, omega_r, t: float) -> None:
@@ -465,7 +486,7 @@ class _TrackingLoop(HybridSystem):
     @staticmethod
     def _measured_rotation(R, meas):
         """R_m = R @ E, or R itself without a measurement."""
-        return R if meas is None else mat_mul_f(R, floats(meas.E))
+        return R if meas is None else mat_mul_f(R, _noise_f(meas)[0])
 
     def _measured(self, Re, omega_e, omega_r, z, ups, meas):
         """Measured error rotation, velocity error, and the feedforward at the measured rotation.
@@ -475,10 +496,10 @@ class _TrackingLoop(HybridSystem):
         """
         if meas is None:
             return Re, omega_e, ups
-        Rm = self._measured_rotation(Re, meas)
+        E, n = _noise_f(meas)
+        Rm = mat_mul_f(Re, E)
         a = mat_tvec_f(Re, omega_r)
         am = mat_tvec_f(Rm, omega_r)
-        n = meas.n_omega.tolist()
         wem = (
             omega_e[0] + (a[0] - am[0]) + n[0],
             omega_e[1] + (a[1] - am[1]) + n[1],
@@ -500,31 +521,40 @@ class _TrackingLoop(HybridSystem):
     def unpack(self, y: np.ndarray):
         return self.state_cls.unpack(y)
 
-    def _control(self, t: float, v: list, meas) -> tuple:
+    def _control(self, t: float, v: list, meas, xp=math) -> tuple:
         """Kernel terms at state list v; index 2 is the applied torque."""
         raise NotImplementedError
 
-    def _monitor(self, v: list) -> tuple:
+    def _monitor(self, v: list, xp=math) -> tuple:
         """(potential at the error rotation, monitor value) at state list v."""
         raise NotImplementedError
 
-    def _extra_columns(self, v: list) -> tuple:
+    def _extra_columns(self, v: list, xp=math) -> tuple:
         """Values of the columns a loop adds to the shared ones."""
         return ()
+
+    def _columns(self, t, v: list, meas, in_jump, xp=math) -> tuple:
+        """The recorded columns at state list v under measurement meas."""
+        U, lyap = self._monitor(v, xp)
+        tau = self._control(t, v, meas, xp)[2]
+        return (
+            rot_distance_f(v[0:9], xp), v[9], v[10], v[11], v[12],
+            tau[0], tau[1], tau[2], U, lyap,
+            in_jump * 1.0,
+            *self._extra_columns(v, xp),
+        )
 
     def torque(self, t: float, y: np.ndarray, meas) -> np.ndarray:
         return np.array(self._control(t, y.tolist(), meas)[2])
 
-    def record(self, t, j, y, meas, in_jump):
-        v = y.tolist()
-        U, lyap = self._monitor(v)
-        tau = self._control(t, v, meas)[2]
-        return (
-            rot_distance_f(v[0:9]), v[9], v[10], v[11], v[12],
-            tau[0], tau[1], tau[2], U, lyap,
-            1.0 if in_jump else 0.0,
-            *self._extra_columns(v),
-        )
+    def record(self, t, j, states, meas, in_jump):
+        """All recorded columns in one pass of the kernels over the column arrays."""
+        if meas[0] is None:
+            meas = None
+        else:
+            noise = columns([E + n for E, n in map(_noise_f, meas)])
+            meas = Measurement(tuple(noise[0:9]), tuple(noise[9:12]))
+        return self._columns(t, columns(states), meas, in_jump, ARRAY_MATH)
 
     def lyapunov_packed(self, y: np.ndarray) -> float:
         return self._monitor(y.tolist())[1]
@@ -568,14 +598,14 @@ class BasicLoop(_TrackingLoop):
         "tau_x", "tau_y", "tau_z", "U", "lyap", "in_jump_set",
     )
 
-    def _control(self, t, v, meas):
+    def _control(self, t, v, meas, xp=math):
         """(z, feedforward at R_e, torque, warp gradient)."""
         p = self.params
         Re, wr = v[0:9], v[22:25]
-        z = self.reference.z_at(t).tolist()
+        z = self.reference.z_at(t, xp)
         ups = feedforward_f(Re, wr, z, self.inertia.J_f)
         Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, ups, meas)
-        g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[9], p)
+        g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[9], p, xp)
         return z, ups, torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), g_th
 
     def flow(self, t, y, meas):
@@ -595,8 +625,8 @@ class BasicLoop(_TrackingLoop):
         Rm = self._measured_rotation(v[0:9], meas)
         return gap_f(mat_mul_f(p._A_f, Rm), v[9], p) - p.delta
 
-    def _monitor(self, v):
-        U = value_f(mat_mul_f(self.params._A_f, v[0:9]), v[9], self.params)
+    def _monitor(self, v, xp=math):
+        U = value_f(mat_mul_f(self.params._A_f, v[0:9]), v[9], self.params, xp)
         return U, self.gains.k_R * U + self._kinetic(v[10:13])
 
 
@@ -631,15 +661,15 @@ class SmoothLoop(_TrackingLoop):
         super().__init__(params, gains, inertia, reference, noise)
         self.relaxed = relaxed
 
-    def _control(self, t, v, meas):
+    def _control(self, t, v, meas, xp=math):
         """(z, feedforward at R_e, torque, A R_m, measured velocity error, gradients)."""
         p = self.params
         Re, wr = v[0:9], v[22:25]
-        z = self.reference.z_at(t).tolist()
+        z = self.reference.z_at(t, xp)
         ups = feedforward_f(Re, wr, z, self.inertia.J_f)
         Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, ups, meas)
         AR = mat_mul_f(p._A_f, Rm)
-        g0, g1, g2, g_th = gradients_f(AR, v[9], p)
+        g0, g1, g2, g_th = gradients_f(AR, v[9], p, xp)
         tau = torque_basic_f(ups_m, v[25:28], wem, self.gains)
         return z, ups, tau, AR, wem, (g0, g1, g2), g_th
 
@@ -662,13 +692,13 @@ class SmoothLoop(_TrackingLoop):
         AR = mat_mul_f(p._A_f, self._measured_rotation(v[0:9], meas))
         return filtered_gap_f(AR, v[9], v[25:28], p, self.gains.rho) - self.gains.delta_prime
 
-    def _monitor(self, v):
+    def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
         AR = mat_mul_f(p._A_f, v[0:9])
-        W = filtered_value_f(AR, v[9], v[25:28], p, gn.rho)
-        return value_f(AR, v[9], p), gn.k_R * W + self._kinetic(v[10:13])
+        W = filtered_value_f(AR, v[9], v[25:28], p, gn.rho, xp)
+        return value_f(AR, v[9], p, xp), gn.k_R * W + self._kinetic(v[10:13])
 
-    def _extra_columns(self, v):
+    def _extra_columns(self, v, xp=math):
         return v[25], v[26], v[27]
 
 
@@ -683,20 +713,20 @@ class VelocityFreeLoop(_TrackingLoop):
         super().__init__(params, gains, inertia, reference, noise)
         self._Gamma = floats(gains.Gamma) if gains.Gamma is not None else None
 
-    def _control(self, t, v, meas):
+    def _control(self, t, v, meas, xp=math):
         """(z, feedforward at R_e, torque, auxiliary gradient, both warp gradients, E)."""
         p = self.params
         Re, wr, Rt = v[0:9], v[22:25], v[25:34]
-        z = self.reference.z_at(t).tolist()
+        z = self.reference.z_at(t, xp)
         ups = feedforward_f(Re, wr, z, self.inertia.J_f)
         if meas is None:
             E, ups_m = None, ups
         else:
-            E = floats(meas.E)
+            E = _noise_f(meas)[0]
             Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
             ups_m = feedforward_f(Re, wr, z, self.inertia.J_f)
-        a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[9], p)
-        b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[34], p)
+        a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[9], p, xp)
+        b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[34], p, xp)
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
         return z, ups, tau, g2, a_th, b_th, E
@@ -740,14 +770,14 @@ class VelocityFreeLoop(_TrackingLoop):
         (_, g1), (_, g2) = self._gaps(y.tolist(), meas)
         return max(g1, g2) - self.params.delta
 
-    def _monitor(self, v):
+    def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
-        U1 = value_f(mat_mul_f(p._A_f, v[0:9]), v[9], p)
-        U2 = value_f(mat_mul_f(p._A_f, v[25:34]), v[34], p)
+        U1 = value_f(mat_mul_f(p._A_f, v[0:9]), v[9], p, xp)
+        U2 = value_f(mat_mul_f(p._A_f, v[25:34]), v[34], p, xp)
         return U1, gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(v[10:13])
 
-    def _extra_columns(self, v):
-        return rot_distance_f(v[25:34]), v[34]
+    def _extra_columns(self, v, xp=math):
+        return rot_distance_f(v[25:34], xp), v[34]
 
 
 LOOP_CLASSES = {

@@ -21,6 +21,11 @@ import numpy as np
 
 from .errors import ContractError, SolverError
 
+# Samples per `record` call.  A recording pass holds some 80 temporaries of its
+# batch length; at 1024 samples they stay below a megabyte and in cache, which
+# a 20 000-sample member recorded at once (12 MB) would not.
+RECORD_BATCH = 1024
+
 
 @dataclass
 class SolverConfig:
@@ -52,6 +57,14 @@ class HybridSystem:
     scalar may set `margin_defines_sets = True`; the solver then derives both
     memberships from a single `jump_margin` evaluation and can refine jump
     times by bisection on it.
+
+    Recording: during the run `solve` keeps, for each sample, only t, j, a
+    copy of the state, the jump-set flag and the measurement in force (the
+    one the step into the sample used).  After the run it calls `record` on
+    consecutive batches of n <= RECORD_BATCH samples, with these as t (n,),
+    j (n,) ints, states (n, dim), meas a list of n measurements and
+    in_jump (n,) bools.  `record` returns one (n,) array per entry of
+    `columns`, in that order.
     """
 
     kind: str = "generic"
@@ -80,7 +93,8 @@ class HybridSystem:
     def sample_measurement(self, rng):
         return None
 
-    def record(self, t: float, j: int, y: np.ndarray, meas, in_jump: bool) -> tuple:
+    def record(self, t: np.ndarray, j: np.ndarray, states: np.ndarray, meas: list,
+               in_jump: np.ndarray) -> tuple:
         return ()
 
     def jump_event_info(self, t: float, y_pre: np.ndarray, y_post: np.ndarray, meas) -> dict:
@@ -189,15 +203,17 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
 
     ts: list[float] = []
     js: list[int] = []
-    rows: list[tuple] = []
     states: list[np.ndarray] = []
+    flags: list[bool] = []
+    measured: list = []
     jumps: list[JumpEvent] = []
 
     def sample(in_jump: bool):
         ts.append(t)
         js.append(j)
-        rows.append(system.record(t, j, y, meas, in_jump))
         states.append(y.copy())
+        flags.append(in_jump)
+        measured.append(meas)
 
     def advance(h: float) -> np.ndarray:
         """The projected RK4 step of length h from (t, y)."""
@@ -298,15 +314,23 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             meas = fresh
             margin, in_jump, in_flow = membership(t, y)
 
-    n_cols = len(system.columns)
-    data = np.array(rows, dtype=float) if n_cols else np.zeros((len(ts), 0))
+    t_arr, j_arr, states_arr = np.array(ts), np.array(js, dtype=int), np.array(states)
+    states.clear()  # free the per-sample copies before the recording pass
+    flags_arr = np.array(flags, dtype=bool)
+    data = np.empty((len(ts), len(system.columns)))
+    if system.columns:
+        for a in range(0, len(ts), RECORD_BATCH):
+            b = a + RECORD_BATCH
+            cols = system.record(t_arr[a:b], j_arr[a:b], states_arr[a:b], measured[a:b],
+                                 flags_arr[a:b])
+            data[a:b] = np.stack(cols, axis=1)
     return HybridArc(
         controller=system.kind,
         columns=tuple(system.columns),
-        t=np.array(ts),
-        j=np.array(js, dtype=int),
-        data=data.reshape(len(ts), n_cols),
-        states=np.array(states),
+        t=t_arr,
+        j=j_arr,
+        data=data,
+        states=states_arr,
         jumps=jumps,
         status=status,
         dt=config.dt,

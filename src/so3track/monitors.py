@@ -157,14 +157,14 @@ def required_jump_drop(loop) -> float:
     return 0.0
 
 
-def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float = 1e-7,
+def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float | None = None,
                 fit: bool = True, fit_floor: float = 1e-12) -> CertificationReport:
     """Check the monitor decrease properties of a recorded arc.
 
-    The per-step flow tolerance covers RK4 truncation at the default step; it
-    scales as dt^4 if the step changes.  Under measurement noise the flow
-    monotonicity of the monitor is not a theorem, so it is reported but not
-    enforced.  An arc the solver stopped at its jump limit (status "j_max")
+    The per-step flow tolerance covers RK4 truncation: by default 1e-7 at the
+    default step dt = 1e-3, scaled as dt^4 to the arc's step.  Under
+    measurement noise the flow monotonicity of the monitor is not a theorem,
+    so it is reported but not enforced.  An arc the solver stopped at its jump limit (status "j_max")
     fails: the loops' jump counts are bounded, so reaching the limit means the
     run diverged or the limit is too small.  The monitor kind must match the
     controller that produced the arc.
@@ -176,6 +176,8 @@ def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float = 1e-7
             f"monitor/controller mismatch: arc from '{arc.controller}', "
             f"monitor '{monitor}', loop '{loop.kind}'"
         )
+    if flow_tol is None:
+        flow_tol = 1e-7 * (arc.dt / 1e-3) ** 4
     failures: list[str] = []
     lyap = arc.column("lyap")
     same_segment = arc.j[1:] == arc.j[:-1]

@@ -8,25 +8,20 @@ from pathlib import Path
 import numpy as np
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(path, arc, footer_lines=()) -> None:
     """Write an arc as CSV: header, one row per sample, '#' footer lines.
 
-    Column order is t, j, then the arc's recorded columns.  Output is a pure
-    function of the arc, so identical runs give byte-identical files.
+    Column order is t, j, then the arc's recorded columns; floats are written
+    with 17 significant digits and `j` and `in_jump_set` as integers.  Output
+    is a pure function of the arc, so identical runs give byte-identical files.
     """
     path = Path(path)
-    int_cols = {"in_jump_set"}
+    row = ",".join(["%.17g", "%d"] + ["%d" if name == "in_jump_set" else "%.17g"
+                                      for name in arc.columns]) + "\n"
     with path.open("w", newline="\n") as f:
         f.write("t,j," + ",".join(arc.columns) + "\n")
-        for i in range(len(arc)):
-            cells = [_fmt(arc.t[i]), str(int(arc.j[i]))]
-            for name, v in zip(arc.columns, arc.data[i]):
-                cells.append(str(int(v)) if name in int_cols else _fmt(v))
-            f.write(",".join(cells) + "\n")
+        f.writelines(row % (t, j, *cells.tolist()) for t, j, cells in
+                     zip(arc.t.tolist(), arc.j.tolist(), arc.data))
         for line in footer_lines:
             f.write(f"# {line}\n")
 

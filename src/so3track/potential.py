@@ -16,13 +16,15 @@ This module owns the parameter constructor (axis and gap selection from the
 spectrum of A), the potential and its two gradients, the gap function used to
 define flow and jump sets, the gradient rate along trajectories, and the
 numerical certification of the gradient and gap bounds that the feedback laws
-rely on.  Bulk (vectorized) evaluators back the sampling-based certification.
+rely on.
 
 Each formula is written once, as a component-wise kernel (`*_f`) on Python
 floats: rotations as 9 floats in row-major order, vectors as 3 floats (see
 `so3`).  The kernels take AR = A @ R rather than R, so that the gap can
 evaluate the potential at several warp angles from one matrix product.  The
-public numpy functions are thin adapters over them.
+public numpy functions are thin adapters over them, and the sampling-based
+certification runs `value_f` and `gradients_f` on batches (`moment` of a
+stack of rotations, `xp = ARRAY_MATH`).
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ import numpy as np
 
 from .errors import ContractError
 from .so3 import (
+    ARRAY_MATH,
     EYE3,
     angle_axis,
     axial_f,
+    columns,
     cross_f,
     floats,
     mat_mul_f,
@@ -90,8 +94,6 @@ class PotentialParams:
     delta: float
     spectral: SpectralData
     theta_min: float = field(init=False)
-    _ux: np.ndarray = field(init=False, repr=False)
-    _ux2: np.ndarray = field(init=False, repr=False)
     _trA: float = field(init=False, repr=False)
     # Float copies for the kernels: A and ux^2 as 9 floats, u as 3.
     _A_f: tuple = field(init=False, repr=False)
@@ -116,8 +118,6 @@ class PotentialParams:
         ux = skew(self.u)
         ux2 = ux @ ux
         object.__setattr__(self, "theta_min", tmin)
-        object.__setattr__(self, "_ux", ux)
-        object.__setattr__(self, "_ux2", ux2)
         object.__setattr__(self, "_trA", float(np.trace(self.A)))
         object.__setattr__(self, "_A_f", tuple(floats(self.A)))
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
@@ -277,13 +277,14 @@ def design_params(
 
 
 # ---------------------------------------------------------------------------
-# Kernels on floats: AR = A @ R and W = warp rotation as 9 floats each.
+# Kernels on floats: AR = A @ R and W = warp rotation as 9 floats each.  With
+# theta and AR as (n,) arrays and xp = ARRAY_MATH they evaluate a batch.
 
 
-def warp_rotation_f(theta: float, p: PotentialParams) -> tuple:
+def warp_rotation_f(theta: float, p: PotentialParams, xp=math) -> tuple:
     """Rotation by the warp angle about u: I + sin(theta) skew(u) + (1 - cos(theta)) skew(u)^2."""
-    s = math.sin(theta)
-    c = 1.0 - math.cos(theta)
+    s = xp.sin(theta)
+    c = 1.0 - xp.cos(theta)
     u0, u1, u2 = p._u_f
     q0, q1, q2, q3, q4, q5, q6, q7, q8 = p._ux2_f
     return (
@@ -293,21 +294,21 @@ def warp_rotation_f(theta: float, p: PotentialParams) -> tuple:
     )
 
 
-def value_f(AR, theta: float, p: PotentialParams) -> float:
+def value_f(AR, theta: float, p: PotentialParams, xp=math) -> float:
     """tr(A) - tr(A R W) + gamma/2 theta^2 from AR = A @ R."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = AR
-    w0, w1, w2, w3, w4, w5, w6, w7, w8 = warp_rotation_f(theta, p)
+    w0, w1, w2, w3, w4, w5, w6, w7, w8 = warp_rotation_f(theta, p, xp)
     tr = a0 * w0 + a1 * w3 + a2 * w6 + a3 * w1 + a4 * w4 + a5 * w7 + a6 * w2 + a7 * w5 + a8 * w8
     return p._trA - tr + 0.5 * p.gamma * theta * theta
 
 
-def gradients_f(AR, theta: float, p: PotentialParams) -> tuple:
+def gradients_f(AR, theta: float, p: PotentialParams, xp=math) -> tuple:
     """(g_x, g_y, g_z, g_theta): rotation gradient W axial(A R W) and warp gradient.
 
     The rotation gradient is the vector g such that d/ds value(R exp(s w^), theta)
     equals 2 w . g at s = 0; the warp gradient is d value / d theta.
     """
-    W = warp_rotation_f(theta, p)
+    W = warp_rotation_f(theta, p, xp)
     ps = axial_f(mat_mul_f(AR, W))
     u0, u1, u2 = p._u_f
     g0, g1, g2 = mat_vec_f(W, ps)
@@ -354,8 +355,8 @@ def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: Potentia
 
 
 def moment(R, p: PotentialParams) -> tuple:
-    """A @ R as 9 floats, the argument of the kernels."""
-    return mat_mul_f(p._A_f, floats(R))
+    """A @ R as 9 floats, the argument of the kernels; as 9 (n,) arrays for an (n, 3, 3) stack."""
+    return mat_mul_f(p._A_f, columns(R) if np.ndim(R) == 3 else floats(R))
 
 
 def warp_rotation(theta: float, p: PotentialParams) -> np.ndarray:
@@ -423,39 +424,16 @@ def undesired_critical_points(p: PotentialParams) -> list[CriticalPoint]:
 
 
 # ---------------------------------------------------------------------------
-# Bulk evaluators (vectorized over a leading sample axis).
-
-
-def warp_rotations_many(theta: np.ndarray, p: PotentialParams) -> np.ndarray:
-    s = np.sin(theta)[:, None, None]
-    c = (1.0 - np.cos(theta))[:, None, None]
-    return EYE3[None, :, :] + s * p._ux[None, :, :] + c * p._ux2[None, :, :]
-
-
-def value_many(R: np.ndarray, theta: np.ndarray, p: PotentialParams) -> np.ndarray:
-    T = R @ warp_rotations_many(theta, p)
-    trAT = np.einsum("ij,nji->n", p.A, T)
-    return p._trA - trAT + 0.5 * p.gamma * theta * theta
-
-
-def gradients_many(R: np.ndarray, theta: np.ndarray, p: PotentialParams):
-    Ra = warp_rotations_many(theta, p)
-    M = np.einsum("ij,njk->nik", p.A, R @ Ra)
-    ps = 0.5 * np.stack(
-        [M[:, 2, 1] - M[:, 1, 2], M[:, 0, 2] - M[:, 2, 0], M[:, 1, 0] - M[:, 0, 1]], axis=1
-    )
-    g_rot = np.einsum("nij,nj->ni", Ra, ps)
-    g_warp = p.gamma * theta + 2.0 * ps @ p.u
-    return g_rot, g_warp
+# Sampling over stacks of rotations (n, 3, 3).
 
 
 def gap_many(R: np.ndarray, theta: np.ndarray, p: PotentialParams) -> np.ndarray:
-    here = value_many(R, theta, p)
-    n = R.shape[0]
-    best = np.full(n, np.inf)
-    for tp in p.theta_set:
-        best = np.minimum(best, value_many(R, np.full(n, tp), p))
-    return here - best
+    """gap at each rotation of a stack and warp angle of an (n,) array."""
+    AR = moment(R, p)
+    best = value_f(AR, p.theta_set[0], p)
+    for tp in p.theta_set[1:]:
+        best = np.minimum(best, value_f(AR, tp, p))
+    return value_f(AR, theta, p, ARRAY_MATH) - best
 
 
 def alignment_factor_many(T: np.ndarray, p: PotentialParams, guard: float = 1e-9) -> np.ndarray:
@@ -499,7 +477,8 @@ def certification_constants(
     R = random_rotations(n_samples, rng)
     theta = rng.uniform(-math.pi, math.pi, n_samples)
     in_flow = gap_many(R, theta, p) <= p.delta
-    T = R[in_flow] @ warp_rotations_many(theta[in_flow], p)
+    W = warp_rotation_f(theta[in_flow], p, ARRAY_MATH)
+    T = R[in_flow] @ np.stack(W, axis=1).reshape(-1, 3, 3)
     align = alignment_factor_many(T, p)
     align = align[np.isfinite(align)]
     if align.size == 0:

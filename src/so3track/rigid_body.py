@@ -74,18 +74,25 @@ class Reference:
 
     `m_bound` bounds ||z(t)|| (checked at every evaluation) and
     `omega_r_bound` declares the compact set the reference velocity must stay
-    in; the simulation aborts if the bound is violated.
+    in; the simulation aborts if the bound is violated.  `z_fn(t, xp)` gives
+    z(t) as 3 floats, or as 3 arrays over an (n,) array of times with
+    xp = ARRAY_MATH (see `so3`).
     """
 
     name: str
-    z_fn: Callable[[float], np.ndarray]
+    z_fn: Callable[..., tuple]
     m_bound: float
     omega_r_bound: float
 
-    def z_at(self, t: float) -> np.ndarray:
-        z = self.z_fn(t)
-        z0, z1, z2 = z.tolist()
-        n = math.sqrt(z0 * z0 + z1 * z1 + z2 * z2)
+    def z_at(self, t: float, xp=math) -> tuple:
+        """z(t) as 3 floats (3 arrays over a batch of times), checked against `m_bound`."""
+        z = self.z_fn(t, xp)
+        n2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+        if xp is not math:  # check the largest norm of the batch, at its time
+            n2 = np.broadcast_to(n2, np.shape(t))
+            i = int(np.argmax(n2))
+            t, n2 = float(t[i]), float(n2[i])
+        n = math.sqrt(n2)
         if n > self.m_bound:
             raise ContractError(
                 f"reference '{self.name}' at t={t}: ||z|| = {n} exceeds the bound {self.m_bound}"
@@ -93,15 +100,15 @@ class Reference:
         return z
 
 
-def _paper_sine(t: float) -> np.ndarray:
-    return np.array([math.sin(0.1 * t), -math.cos(0.3 * t), 0.1])
+def _paper_sine(t: float, xp=math) -> tuple:
+    return (xp.sin(0.1 * t), -xp.cos(0.3 * t), 0.1)
 
 
-def _rest(t: float) -> np.ndarray:
-    return np.zeros(3)
+def _rest(t: float, xp=math) -> tuple:
+    return (0.0, 0.0, 0.0)
 
 
-REFERENCE_FUNCTIONS: dict[str, Callable[[float], np.ndarray]] = {
+REFERENCE_FUNCTIONS: dict[str, Callable[..., tuple]] = {
     "paper_sine": _paper_sine,
     "rest": _rest,
 }

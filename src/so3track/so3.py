@@ -8,11 +8,17 @@ The `*_f` helpers are the component-wise forms used by the per-step kernels:
 a 3-vector is a sequence of 3 floats and a 3x3 matrix a sequence of 9 floats
 in row-major order.  At this size numpy call overhead outweighs the
 arithmetic, so the closed loops evaluate their formulas on Python floats.
+
+The same kernels run on a batch when each component is an (n,) array (see
+`columns`).  Arithmetic is the same there; the few math functions a kernel
+calls come from its `xp` argument, `math` for floats and `ARRAY_MATH` for
+arrays.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,6 +32,26 @@ ORTHONORMALITY_TOL = 1e-9
 def floats(x) -> list:
     """A vector or matrix as a flat list of floats (row-major), the kernels' argument form."""
     return np.asarray(x, dtype=float).ravel().tolist()
+
+
+def columns(a) -> list:
+    """The entries of a stack of n vectors or matrices as (n,) arrays (row-major), without a copy.
+
+    The kernels' batch argument form: an (n, 3, 3) stack gives 9 arrays.
+    """
+    a = np.asarray(a, dtype=float)
+    return list(a.reshape(a.shape[0], -1).T)
+
+
+def _elementwise(fn):
+    return lambda x: np.fromiter(map(fn, x.tolist()), float, x.shape[0])
+
+
+# The math functions of the kernels on (n,) arrays: the `xp` of a batch.  sin
+# and cos apply `math`'s own functions to each element, so that a batch
+# reproduces the float kernels bit for bit (numpy's vectorized sin may differ
+# from the C library's in the last bit); sqrt is correctly rounded in both.
+ARRAY_MATH = SimpleNamespace(sin=_elementwise(math.sin), cos=_elementwise(math.cos), sqrt=np.sqrt)
 
 
 def mat_mul_f(a, b) -> tuple:
@@ -75,14 +101,71 @@ def axial_f(m) -> tuple:
     return (0.5 * (m[7] - m[5]), 0.5 * (m[2] - m[6]), 0.5 * (m[3] - m[1]))
 
 
-def rot_distance_f(r) -> float:
+def rot_distance_f(r, xp=math) -> float:
     """Normalized distance to the identity, sqrt(tr(I - R) / 4) in [0, 1], of a 9-float R."""
     tr = 3.0 - (r[0] + r[4] + r[8])
-    if tr < 0.0:
+    if xp is not math:
+        tr = np.clip(tr, 0.0, 4.0)
+    elif tr < 0.0:
         tr = 0.0
     elif tr > 4.0:
         tr = 4.0
-    return math.sqrt(0.25 * tr)
+    return xp.sqrt(0.25 * tr)
+
+
+def exp_so3_f(w0: float, w1: float, w2: float) -> tuple:
+    """exp(skew(w)) as 9 floats: I + a W + b W^2 with W^2 = w w^T - |w|^2 I.
+
+    Rodrigues coefficients a = sin(t)/t and b = (1 - cos(t))/t^2, t = |w|, with
+    a series below t = 1e-6 to avoid the cancellation in sin(t)/t.
+    """
+    s0, s1, s2 = w0 * w0, w1 * w1, w2 * w2
+    t = math.sqrt(s0 + s1 + s2)
+    t2 = t * t
+    if t < 1e-6:
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    else:
+        a = math.sin(t) / t
+        b = (1.0 - math.cos(t)) / t2
+    aw0, aw1, aw2 = a * w0, a * w1, a * w2
+    b01, b02, b12 = b * (w0 * w1), b * (w0 * w2), b * (w1 * w2)
+    return (
+        1.0 - b * (s1 + s2), b01 - aw2, b02 + aw1,
+        b01 + aw2, 1.0 - b * (s0 + s2), b12 - aw0,
+        b02 - aw1, b12 + aw0, 1.0 - b * (s0 + s1),
+    )
+
+
+def orthonormalize_f(r) -> tuple:
+    """Per-step drift correction of a 9-float R toward its symmetric polar factor.
+
+    Newton-Schulz iterations R (3 I - R^T R) / 2 converge quadratically to the
+    polar factor; for the tiny drifts produced by one integration step a
+    single pass reaches machine precision.  R is returned as it is once
+    R^T R - I is within 1e-15 entrywise; drifts beyond 1e-4, outside the
+    iteration's safe range, fall back to the exact factor `project_to_so3`.
+    """
+    for _ in range(3):
+        r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+        # D = R^T R - I, symmetric.
+        d00 = r0 * r0 + r3 * r3 + r6 * r6 - 1.0
+        d11 = r1 * r1 + r4 * r4 + r7 * r7 - 1.0
+        d22 = r2 * r2 + r5 * r5 + r8 * r8 - 1.0
+        d01 = r0 * r1 + r3 * r4 + r6 * r7
+        d02 = r0 * r2 + r3 * r5 + r6 * r8
+        d12 = r1 * r2 + r4 * r5 + r7 * r8
+        m = max(abs(d00), abs(d11), abs(d22), abs(d01), abs(d02), abs(d12))
+        if m <= 1e-15:
+            return r
+        if m > 1e-4:
+            return tuple(floats(project_to_so3(np.array(r).reshape(3, 3))))
+        r = mat_mul_f(r, (
+            1.0 - 0.5 * d00, -0.5 * d01, -0.5 * d02,
+            -0.5 * d01, 1.0 - 0.5 * d11, -0.5 * d12,
+            -0.5 * d02, -0.5 * d12, 1.0 - 0.5 * d22,
+        ))
+    return r
 
 
 def skew(x) -> np.ndarray:
@@ -127,22 +210,8 @@ def angle_axis(angle: float, axis) -> np.ndarray:
 
 
 def exp_so3(w) -> np.ndarray:
-    """Matrix exponential of skew(w).
-
-    Uses the Rodrigues closed form, with a series fallback below 1e-6 to avoid
-    sin(t)/t cancellation.
-    """
-    w = np.asarray(w, dtype=float)
-    t = math.sqrt(w @ w)
-    W = skew(w)
-    if t < 1e-6:
-        t2 = t * t
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / (t * t)
-    return EYE3 + a * W + b * (W @ W)
+    """Matrix exponential of skew(w) (Rodrigues form, see `exp_so3_f`)."""
+    return np.array(exp_so3_f(*floats(w))).reshape(3, 3)
 
 
 def log_so3(R) -> np.ndarray:
@@ -185,23 +254,9 @@ def project_to_so3(M) -> np.ndarray:
     return R
 
 
-def orthonormalize(R: np.ndarray) -> np.ndarray:
-    """Per-step drift correction toward the symmetric square-root polar factor.
-
-    Newton-Schulz iterations R (3 I - R^T R) / 2 converge quadratically to the
-    polar factor; for the tiny drifts produced by one integration step a
-    single pass reaches machine precision.  Drifts beyond the iteration's
-    safe range fall back to the exact factor.
-    """
-    for _ in range(3):
-        D = R.T @ R - EYE3
-        m = abs(D).max()
-        if m <= 1e-15:
-            return R
-        if m > 1e-4:
-            return project_to_so3(R)
-        R = R @ (EYE3 - 0.5 * D)
-    return R
+def orthonormalize(R) -> np.ndarray:
+    """Drift correction toward the symmetric polar factor (see `orthonormalize_f`)."""
+    return np.array(orthonormalize_f(floats(R))).reshape(3, 3)
 
 
 def is_rotation(R, tol: float = ORTHONORMALITY_TOL) -> bool:

@@ -271,6 +271,94 @@ def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia)
                                rtol=0.0, atol=1e-11)
 
 
+def spy_on_record(loop):
+    """Keep the arguments `solve` hands to `loop.record`."""
+    seen = {}
+    record = loop.record
+
+    def spy(t, j, states, meas, in_jump):
+        seen.update(t=t, states=states, meas=meas, in_jump=in_jump)
+        return record(t, j, states, meas, in_jump)
+
+    loop.record = spy
+    return seen
+
+
+def assert_rows_equal_scalar_kernels(loop, arc, t, states, meas, in_jump, rows):
+    """Each recorded row, bit for bit, equals the float kernels at its sample."""
+    for i in rows:
+        row = loop._columns(float(t[i]), states[i].tolist(), meas[i], bool(in_jump[i]))
+        assert np.array(row, dtype=float).tobytes() == arc.data[i].tobytes(), f"row {i}"
+
+
+@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
+@pytest.mark.parametrize("kind", LAWS)
+def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_gains,
+                                              paper_inertia):
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    noise = st.NoiseModel(sigma_R=0.05, sigma_omega=0.05) if noisy else None
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise, check=False)
+    s = random_loop_state(kind, np.random.default_rng(21))
+    s.Re, s.theta = st.angle_axis(math.pi, E1), 0.0  # an unwanted critical point
+    seen = spy_on_record(loop)
+    flow, calls = loop.flow, []
+
+    def spy_flow(t, y, meas):
+        calls.append((t, meas))
+        return flow(t, y, meas)
+
+    loop.flow = spy_flow
+    cfg = st.SolverConfig(dt=1e-3, t_max=0.2, j_max=10)
+    arc = st.solve(loop, s.pack(), cfg, np.random.default_rng(3))
+    assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
+    assert np.array_equal(seen["states"], arc.states)
+    # a flow sample is recorded under the measurement of the step into it,
+    # whose last RK4 stage evaluates the flow at the sample time
+    step_meas = {calls[k + 3][0]: calls[k][1] for k in range(0, len(calls), 4)}
+    for i in range(1, len(arc)):
+        if arc.j[i] == arc.j[i - 1]:
+            assert seen["meas"][i] is step_meas[seen["t"][i]]
+    assert all((m is None) != noisy for m in seen["meas"])
+    assert_rows_equal_scalar_kernels(loop, arc, seen["t"], seen["states"], seen["meas"],
+                                     seen["in_jump"], range(len(arc)))
+
+
+def test_fig3_columns_equal_scalar_kernels(fig3_runs):
+    for _, loop, arc, _, _ in fig3_runs.values():
+        rows = sorted({*range(0, len(arc), 10), len(arc) - 1,
+                       *(k for k in range(1, len(arc)) if arc.j[k] != arc.j[k - 1])})
+        flags = arc.column("in_jump_set") == 1.0
+        assert_rows_equal_scalar_kernels(loop, arc, arc.t, arc.states, [None] * len(arc),
+                                         flags, rows)
+
+
+def numpy_exp_so3(w):
+    """exp(skew(w)) from 3x3 numpy products (the Rodrigues form without the float kernel)."""
+    t = math.sqrt(w @ w)
+    W = st.skew(w)
+    return np.eye(3) + (math.sin(t) / t) * W + ((1.0 - math.cos(t)) / (t * t)) * (W @ W)
+
+
+@pytest.mark.parametrize("sigmas", ((0.1, 0.2), (0.1, 0.0), (0.0, 0.2)))
+def test_sample_measurement_replays_numpy_draw(sigmas, paper_params, paper_gains,
+                                               paper_inertia):
+    # the same rng.normal calls in the same order: noisy runs replay, and the
+    # generator ends in the same state
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    noise = st.NoiseModel(*sigmas)
+    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise,
+                        check=False)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(50):
+        m = loop.sample_measurement(rng)
+        E = numpy_exp_so3(twin.normal(0.0, sigmas[0], 3)) if sigmas[0] > 0.0 else np.eye(3)
+        n = twin.normal(0.0, sigmas[1], 3) if sigmas[1] > 0.0 else np.zeros(3)
+        assert len(m.E) == 9 and len(m.n_omega) == 3
+        assert np.abs(np.reshape(m.E, (3, 3)) - E).max() <= 1e-15
+        assert np.array_equal(m.n_omega, n)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
     """Filtered-monitor rate matches its closed form for both filter variants."""
     p, gn, J = paper_params, paper_gains, paper_inertia

@@ -17,8 +17,8 @@ class Decay(HybridSystem):
     def flow(self, t, y, meas):
         return -y
 
-    def record(self, t, j, y, meas, in_jump):
-        return (y[0],)
+    def record(self, t, j, states, meas, in_jump):
+        return (states[:, 0],)
 
 
 class Timer(HybridSystem):
@@ -86,6 +86,7 @@ def test_pure_ode_matches_exponential():
     assert len(arc.jumps) == 0
     assert arc.t[-1] == pytest.approx(5.0, abs=1e-9)
     assert arc.states[-1, 0] == pytest.approx(math.exp(-5.0), abs=1e-6)
+    assert np.array_equal(arc.column("x"), arc.states[:, 0])  # recorded over several batches
 
 
 def test_timer_jumps_at_unit_intervals():

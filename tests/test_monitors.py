@@ -6,6 +6,7 @@ import pytest
 
 import so3track as st
 from so3track.errors import ContractError
+from so3track.so3 import ARRAY_MATH
 
 
 def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia):
@@ -54,7 +55,7 @@ def test_lyapunov_positive_away_from_attractor(paper_params, paper_gains, paper_
     R = st.random_rotations(n, rng)
     theta = rng.uniform(-math.pi, math.pi, n)
     we = rng.standard_normal((n, 3))
-    U = st.potential.value_many(R, theta, p)
+    U = st.potential.value_f(st.potential.moment(R, p), theta, p, ARRAY_MATH)
     kin = 0.5 * np.einsum("ni,ij,nj->n", we, J.J, we)
     lyap = gn.k_R * U + kin
     dist = np.sqrt(np.clip((3.0 - np.einsum("nii->n", R)) / 4.0, 0.0, None))
@@ -154,3 +155,15 @@ def test_certify_fails_an_arc_stopped_at_j_max(fig3_cfg):
     assert rep.jump_count_ok and rep.jump_drops_ok
     assert [f for f in rep.failures if "jump limit" in f] == rep.failures
     assert "status=FAIL" in rep.as_text()
+
+
+@pytest.mark.parametrize("dt", (5e-4, 1e-3, 2e-3))
+def test_certify_flow_tol_follows_the_step(fig3_cfg, dt):
+    # RK4's per-step error scales as dt^4: 1e-7 at dt = 1e-3
+    cfg = dataclasses.replace(fig3_cfg, dt=dt, t_max=0.02)
+    res = st.simulate_member(cfg, cfg.members[0])
+    assert res.report.flow_tol_per_step == pytest.approx(1e-7 * (dt / 1e-3) ** 4, rel=1e-12)
+    if dt == 1e-3:
+        assert res.report.flow_tol_per_step == 1e-7
+    explicit = st.certify_arc(res.arc, res.loop, flow_tol=3e-6)
+    assert explicit.flow_tol_per_step == 3e-6

@@ -5,6 +5,7 @@ import pytest
 
 import so3track as st
 from so3track.errors import ContractError
+from so3track.so3 import ARRAY_MATH
 
 PI2 = math.pi**2
 
@@ -22,6 +23,17 @@ def value_oracle(R, theta, p):
     """Trace evaluation through an independently coded warp."""
     T = R @ st.angle_axis(theta, p.u) if theta != 0.0 else R.copy()
     return float(np.trace(p.A @ (np.eye(3) - T))) + 0.5 * p.gamma * theta**2
+
+
+def batch_value(R, theta, p):
+    """The potential kernel on a stack of rotations (n, 3, 3) and warp angles (n,)."""
+    return st.potential.value_f(st.potential.moment(R, p), theta, p, ARRAY_MATH)
+
+
+def batch_gradients(R, theta, p):
+    """The gradient kernel on a batch: rotation gradients (n, 3) and warp gradients (n,)."""
+    g0, g1, g2, g_th = st.potential.gradients_f(st.potential.moment(R, p), theta, p, ARRAY_MATH)
+    return np.stack((g0, g1, g2), axis=1), g_th
 
 
 def fd_grad_rotation(R, theta, p, h=1e-5):
@@ -134,7 +146,7 @@ def test_value_zero_only_at_target(paper_params):
     rng = np.random.default_rng(2)
     R = st.random_rotations(100_000, rng)
     theta = rng.uniform(-math.pi, math.pi, 100_000)
-    vals = st.potential.value_many(R, theta, p)
+    vals = batch_value(R, theta, p)
     dist = np.sqrt(np.clip((3.0 - np.einsum("nii->n", R)) / 4.0, 0.0, None))
     away = (dist > 1e-3) | (np.abs(theta) > 1e-3)
     assert vals[away].min() > 0.0
@@ -168,13 +180,14 @@ def test_value_closed_form_at_half_turns(paper_params):
 
 
 def test_value_many_matches_scalar(paper_params):
+    """The potential kernel on a batch reproduces its float form bit for bit."""
     p = paper_params
     rng = np.random.default_rng(4)
     R = st.random_rotations(50, rng)
     theta = rng.uniform(-math.pi, math.pi, 50)
-    vals = st.potential.value_many(R, theta, p)
+    vals = batch_value(R, theta, p)
     for k in range(50):
-        assert vals[k] == pytest.approx(st.value(R[k], theta[k], p), abs=1e-12)
+        assert vals[k] == st.value(R[k], theta[k], p)
 
 
 # --- gradients ---------------------------------------------------------------
@@ -208,15 +221,16 @@ def test_gradients_vanish_at_critical_points(paper_params):
 
 
 def test_gradients_many_matches_scalar(paper_params):
+    """The gradient kernel on a batch reproduces its float form bit for bit."""
     p = paper_params
     rng = np.random.default_rng(6)
     R = st.random_rotations(50, rng)
     theta = rng.uniform(-math.pi, math.pi, 50)
-    g_rot, g_th = st.potential.gradients_many(R, theta, p)
+    g_rot, g_th = batch_gradients(R, theta, p)
     for k in range(50):
         sr, sth = st.gradients(R[k], theta[k], p)
-        assert np.linalg.norm(g_rot[k] - sr) <= 1e-12
-        assert abs(g_th[k] - sth) <= 1e-12
+        assert np.array_equal(g_rot[k], sr)
+        assert g_th[k] == sth
 
 
 # --- gap function ------------------------------------------------------------
@@ -329,10 +343,10 @@ def test_no_spurious_critical_points(paper_params):
     n = 100_000
     R = st.random_rotations(n, rng)
     theta = rng.uniform(-math.pi, math.pi, n)
-    g_rot, g_th = st.potential.gradients_many(R, theta, p)
+    g_rot, g_th = batch_gradients(R, theta, p)
     gn2 = np.einsum("ni,ni->n", g_rot, g_rot) + g_th * g_th
     flat = gn2 < 1e-12  # both gradient norms below 1e-6
-    vals = st.potential.value_many(R, theta, p)
+    vals = batch_value(R, theta, p)
     suspicious = flat & (vals > 0.01)
     if suspicious.any():
         # must be inside a neighborhood of a known critical configuration
@@ -362,9 +376,9 @@ def test_gradient_upper_bound_sampled(paper_params):
     n = 100_000
     R = st.random_rotations(n, rng)
     theta = rng.uniform(-math.pi, math.pi, n)
-    g_rot, g_th = st.potential.gradients_many(R, theta, p)
+    g_rot, g_th = batch_gradients(R, theta, p)
     lhs = np.einsum("ni,ni->n", g_rot, g_rot) + g_th * g_th
-    rhs = cc.alpha1 * st.potential.value_many(R, theta, p)
+    rhs = cc.alpha1 * batch_value(R, theta, p)
     assert (lhs <= rhs + 1e-9).all()
 
 
@@ -377,9 +391,9 @@ def test_gradient_lower_bound_on_flow_set(paper_params):
     R = st.random_rotations(n, rng)
     theta = rng.uniform(-math.pi, math.pi, n)
     in_flow = st.potential.gap_many(R, theta, p) <= p.delta
-    g_rot, g_th = st.potential.gradients_many(R[in_flow], theta[in_flow], p)
+    g_rot, g_th = batch_gradients(R[in_flow], theta[in_flow], p)
     lhs = np.einsum("ni,ni->n", g_rot, g_rot) + g_th * g_th
-    rhs = cc.alpha2_approx * st.potential.value_many(R[in_flow], theta[in_flow], p)
+    rhs = cc.alpha2_approx * batch_value(R[in_flow], theta[in_flow], p)
     frac_bad = float((lhs < rhs - 1e-12).mean())
     assert frac_bad < 0.01
 
@@ -390,7 +404,7 @@ def test_grad_rotation_norm_bounded_by_c_psi(paper_params):
     n = 100_000
     R = st.random_rotations(n, rng)
     theta = rng.uniform(-math.pi, math.pi, n)
-    g_rot, _ = st.potential.gradients_many(R, theta, p)
+    g_rot, _ = batch_gradients(R, theta, p)
     assert (np.einsum("ni,ni->n", g_rot, g_rot) <= 100.0 + 1e-9).all()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import so3track as st
 from so3track.errors import ContractError
+from so3track.so3 import ARRAY_MATH
 
 
 def rk4(f, y, h):
@@ -78,6 +79,8 @@ def test_ref_flow_rejects_oversized_acceleration():
     ref = st.make_reference("paper_sine", m_bound=1.0, omega_r_bound=25.0)
     with pytest.raises(ContractError, match="t=0"):
         ref.z_at(0.0)  # ||z(0)|| = sqrt(1.01) > 1
+    with pytest.raises(ContractError, match="t=0.0:"):  # a batch names its worst time
+        ref.z_at(np.array([5.0, 0.0, 3.0]), ARRAY_MATH)
     s = st.RefState(R=np.eye(3), omega=np.zeros(3))
     with pytest.raises(ContractError):
         st.ref_flow(s, np.array([1.5, 0.0, 0.0]), 1.0)

@@ -164,6 +164,50 @@ def test_orthonormalize_matches_polar_factor():
         assert np.linalg.norm(fast.T @ fast - np.eye(3)) <= 1e-12
 
 
+def polar_factor_long(M):
+    """Polar factor of M from Newton-Schulz iterations in extended precision (oracle)."""
+    R = np.asarray(M, dtype=np.longdouble)
+    eye = np.eye(3, dtype=np.longdouble)
+    for _ in range(8):
+        R = R @ (eye - 0.5 * (R.T @ R - eye))
+    return R
+
+
+def test_orthonormalize_f_early_exit_returns_input():
+    for R in (np.eye(3), st.angle_axis(0.5, E3), st.angle_axis(math.pi, E1)):
+        v = st.so3.floats(R)
+        assert st.so3.orthonormalize_f(v) is v
+        assert np.abs(np.reshape(v, (3, 3)) - st.project_to_so3(R)).max() <= 1e-15
+
+
+def test_orthonormalize_f_newton_schulz_reaches_polar_factor():
+    # Drifts up to 1e-4 take the iteration.  Its result sits within 1e-15 of
+    # the polar factor computed in extended precision; the SVD factor of
+    # project_to_so3 carries rounding errors of a few 1e-15 itself.
+    rng = np.random.default_rng(44)
+    for scale in (1e-12, 1e-9, 1e-6, 3e-5):
+        for _ in range(20):
+            M = st.random_rotation(rng) + scale * rng.standard_normal((3, 3))
+            got = np.array(st.so3.orthonormalize_f(st.so3.floats(M))).reshape(3, 3)
+            assert np.abs(got - polar_factor_long(M)).max() <= 1e-15
+            assert np.abs(got - st.project_to_so3(M)).max() <= 1e-14
+            assert np.array_equal(st.so3.orthonormalize(M), got)
+
+
+def test_orthonormalize_f_falls_back_to_svd_past_1e_4():
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        M = st.random_rotation(rng) + 1e-3 * rng.standard_normal((3, 3))
+        got = np.array(st.so3.orthonormalize_f(st.so3.floats(M))).reshape(3, 3)
+        assert np.array_equal(got, st.project_to_so3(M))
+
+
+def test_orthonormalize_f_rejects_reflection():
+    M = np.diag([1.0, 1.0, -1.0]) + 1e-3 * np.random.default_rng(46).standard_normal((3, 3))
+    with pytest.raises(ContractError, match="orientation-reversing"):
+        st.so3.orthonormalize_f(st.so3.floats(M))
+
+
 def test_random_rotations_are_rotations():
     rng = np.random.default_rng(43)
     R = st.random_rotations(500, rng)
