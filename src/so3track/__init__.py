@@ -26,6 +26,7 @@ from .so3 import (
 from .potential import (
     CertificationConstants,
     CriticalPoint,
+    GradientBounds,
     PotentialParams,
     SpectralData,
     certification_constants,
@@ -34,6 +35,7 @@ from .potential import (
     grad_rotation,
     grad_rotation_rate,
     grad_warp,
+    gradient_bounds,
     gradients,
     undesired_critical_points,
     value,
@@ -73,10 +75,6 @@ from .controllers import (
     filter_gain_bound,
     filtered_gap,
     filtered_value,
-    in_flow_set,
-    in_flow_set_smooth,
-    in_jump_set,
-    in_jump_set_smooth,
     make_loop,
     torque_basic,
     torque_non_hybrid,
@@ -91,10 +89,7 @@ from .monitors import (
     certify_arc,
     cross_eps_bound,
     exponential_fit,
-    lyapunov_basic,
     lyapunov_cross,
-    lyapunov_smooth,
-    lyapunov_velocity_free,
 )
 from .scenarios import (
     MemberResult,

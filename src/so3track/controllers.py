@@ -38,10 +38,10 @@ from .hybrid import HybridSystem
 from .potential import (
     PotentialParams,
     best_reset_f,
-    gap,
     gap_f,
     grad_rotation,
     grad_rotation_rate_f,
+    gradient_bounds,
     gradients,
     gradients_f,
     moment,
@@ -121,7 +121,7 @@ class Gains:
                 raise ContractError("rho must be positive")
             if self.delta_prime is None or not 0.0 < self.delta_prime < params.delta:
                 raise ContractError("delta_prime must lie in (0, delta)")
-            c_psi = 2.0 * params.spectral.a_bar_max
+            c_psi = gradient_bounds(params).c_psi
             rho_bound = (params.delta - self.delta_prime) / (c_psi * c_psi)
             if self.rho >= rho_bound:
                 notes.append(
@@ -151,11 +151,9 @@ class Gains:
 
 def filter_gain_bound(gains: Gains, params: PotentialParams) -> float:
     """Sufficient filter rate max{k_R (1 + rho c_R)^2 / (rho k_omega), c_theta^2 k_theta rho}."""
-    sp = params.spectral
-    c_R = sp.a_bar_fro
-    c_theta = sp.a_bar_fro + 2.0 * sp.a_bar_max
-    a = gains.k_R * (1.0 + gains.rho * c_R) ** 2 / (gains.rho * gains.k_omega)
-    b = c_theta * c_theta * gains.k_theta * gains.rho
+    bd = gradient_bounds(params)
+    a = gains.k_R * (1.0 + gains.rho * bd.c_R) ** 2 / (gains.rho * gains.k_omega)
+    b = bd.c_theta * bd.c_theta * gains.k_theta * gains.rho
     return max(a, b)
 
 
@@ -249,14 +247,6 @@ def warp_reset(R, p: PotentialParams) -> float:
     return best_reset_f(moment(R, p), p)[0]
 
 
-def in_flow_set(R, theta: float, p: PotentialParams) -> bool:
-    return gap(R, theta, p) <= p.delta
-
-
-def in_jump_set(R, theta: float, p: PotentialParams) -> bool:
-    return gap(R, theta, p) >= p.delta
-
-
 # ---------------------------------------------------------------------------
 # Filtered potential used by the smooth law.
 
@@ -269,16 +259,6 @@ def filtered_value(R, theta: float, zeta, p: PotentialParams, rho: float) -> flo
 def filtered_gap(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
     """filtered_value at theta minus its best value over the reset set."""
     return filtered_gap_f(moment(R, p), float(theta), floats(zeta), p, rho)
-
-
-def in_flow_set_smooth(R, theta: float, zeta, p: PotentialParams, rho: float,
-                       delta_prime: float) -> bool:
-    return filtered_gap(R, theta, zeta, p, rho) <= delta_prime
-
-
-def in_jump_set_smooth(R, theta: float, zeta, p: PotentialParams, rho: float,
-                       delta_prime: float) -> bool:
-    return filtered_gap(R, theta, zeta, p, rho) >= delta_prime
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +349,6 @@ class BasicLoopState:
         y[22:25] = self.omega_r
         return y
 
-    @classmethod
-    def unpack(cls, y: np.ndarray) -> "BasicLoopState":
-        return cls(
-            Re=y[0:9].reshape(3, 3).copy(),
-            theta=float(y[9]),
-            omega_e=y[10:13].copy(),
-            Rr=y[13:22].reshape(3, 3).copy(),
-            omega_r=y[22:25].copy(),
-        )
-
 
 @dataclass
 class SmoothLoopState(BasicLoopState):
@@ -389,11 +359,6 @@ class SmoothLoopState(BasicLoopState):
         y[0:25] = super().pack()
         y[25:28] = self.zeta
         return y
-
-    @classmethod
-    def unpack(cls, y: np.ndarray) -> "SmoothLoopState":
-        base = BasicLoopState.unpack(y)
-        return cls(**base.__dict__, zeta=y[25:28].copy())
 
 
 @dataclass
@@ -407,15 +372,6 @@ class VelocityFreeLoopState(BasicLoopState):
         y[25:34] = np.asarray(self.Rtilde, dtype=float).ravel()
         y[34] = self.theta_bar
         return y
-
-    @classmethod
-    def unpack(cls, y: np.ndarray) -> "VelocityFreeLoopState":
-        base = BasicLoopState.unpack(y)
-        return cls(**base.__dict__, Rtilde=y[25:34].reshape(3, 3).copy(), theta_bar=float(y[34]))
-
-    def Rbar(self) -> np.ndarray:
-        """Auxiliary estimate rotation, reconstructed as R_e @ Rtilde^T."""
-        return self.Re @ self.Rtilde.T
 
 
 @dataclass(frozen=True)
@@ -441,11 +397,11 @@ class _TrackingLoop(HybridSystem):
     `_control` gives the torque and the terms its flow shares with it.
     `_control`, `_monitor` and `_columns` also run on a batch: state entries
     and measurement fields as (n,) arrays, t an (n,) array, xp = ARRAY_MATH.
+    Each law defines its sets once, by `jump_margin`, its monitor once, by
+    `_monitor`, and the monitor's designed drop at a jump as `jump_drop`.
     """
 
-    state_cls = BasicLoopState
     rotation_slices: tuple = (slice(0, 9), slice(13, 22))
-    margin_defines_sets = True
     # (name, index) of the warp angles in the packed state, for jump records.
     warp_angles: tuple = (("theta", 9),)
 
@@ -515,12 +471,6 @@ class _TrackingLoop(HybridSystem):
         Jw = mat_vec_f(self.inertia.J_f, omega_e)
         return 0.5 * (omega_e[0] * Jw[0] + omega_e[1] * Jw[1] + omega_e[2] * Jw[2])
 
-    def initial_state(self, state) -> np.ndarray:
-        return state.pack()
-
-    def unpack(self, y: np.ndarray):
-        return self.state_cls.unpack(y)
-
     def _control(self, t: float, v: list, meas, xp=math) -> tuple:
         """Kernel terms at state list v; index 2 is the applied torque."""
         raise NotImplementedError
@@ -557,13 +507,8 @@ class _TrackingLoop(HybridSystem):
         return self._columns(t, columns(states), meas, in_jump, ARRAY_MATH)
 
     def lyapunov_packed(self, y: np.ndarray) -> float:
+        """The loop's monitor at packed state y."""
         return self._monitor(y.tolist())[1]
-
-    def in_flow_set(self, t, y, meas):
-        return self.jump_margin(t, y, meas) <= 0.0
-
-    def in_jump_set(self, t, y, meas):
-        return self.jump_margin(t, y, meas) >= 0.0
 
     def jump(self, t, y, meas):
         """Reset the warp angle from the measured rotation (a filter state does not jump)."""
@@ -597,6 +542,11 @@ class BasicLoop(_TrackingLoop):
         "dist_Re", "theta", "we_x", "we_y", "we_z",
         "tau_x", "tau_y", "tau_z", "U", "lyap", "in_jump_set",
     )
+
+    @property
+    def jump_drop(self) -> float:
+        """k_R delta."""
+        return self.gains.k_R * self.params.delta
 
     def _control(self, t, v, meas, xp=math):
         """(z, feedforward at R_e, torque, warp gradient)."""
@@ -632,7 +582,7 @@ class BasicLoop(_TrackingLoop):
 
 class NonHybridLoop(BasicLoop):
     kind = "non_hybrid"
-    margin_defines_sets = False
+    jump_drop = 0.0
 
     def flow(self, t, y, meas):
         out = super().flow(t, y, meas)
@@ -642,24 +592,22 @@ class NonHybridLoop(BasicLoop):
     def jump(self, t, y, meas):
         raise SolverError("the non-hybrid loop has no jump map")
 
-    def in_flow_set(self, t, y, meas):
-        return True
-
-    def in_jump_set(self, t, y, meas):
-        return False
-
     def jump_margin(self, t, y, meas):
-        return None
+        return -math.inf  # no jump set
 
 
 class SmoothLoop(_TrackingLoop):
     kind = "smooth"
-    state_cls = SmoothLoopState
     columns = BasicLoop.columns + ("zeta_x", "zeta_y", "zeta_z")
 
     def __init__(self, params, gains, inertia, reference, noise=None, relaxed: bool = False):
         super().__init__(params, gains, inertia, reference, noise)
         self.relaxed = relaxed
+
+    @property
+    def jump_drop(self) -> float:
+        """k_R delta_prime."""
+        return self.gains.k_R * self.gains.delta_prime
 
     def _control(self, t, v, meas, xp=math):
         """(z, feedforward at R_e, torque, A R_m, measured velocity error, gradients)."""
@@ -704,7 +652,6 @@ class SmoothLoop(_TrackingLoop):
 
 class VelocityFreeLoop(_TrackingLoop):
     kind = "velocity_free"
-    state_cls = VelocityFreeLoopState
     rotation_slices = (slice(0, 9), slice(13, 22), slice(25, 34))
     warp_angles = (("theta", 9), ("theta_bar", 34))
     columns = BasicLoop.columns + ("dist_Rtilde", "theta_bar")
@@ -712,6 +659,11 @@ class VelocityFreeLoop(_TrackingLoop):
     def __init__(self, params, gains, inertia, reference, noise=None):
         super().__init__(params, gains, inertia, reference, noise)
         self._Gamma = floats(gains.Gamma) if gains.Gamma is not None else None
+
+    @property
+    def jump_drop(self) -> float:
+        """min(k_R, k_beta) delta: whichever warp angle resets drops its term by delta."""
+        return min(self.gains.k_R, self.gains.k_beta) * self.params.delta
 
     def _control(self, t, v, meas, xp=math):
         """(z, feedforward at R_e, torque, auxiliary gradient, both warp gradients, E)."""

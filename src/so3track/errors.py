@@ -10,8 +10,12 @@ class ContractError(ValueError):
 class SolverError(RuntimeError):
     """The hybrid solver could not continue (chattering, domain exit, bound violation).
 
-    An error raised by a flow step carries the hybrid time `t` and jump count
-    `j` the step started from and its length `h`; the others leave them None.
+    An error raised by `solve` carries the hybrid time `t` and jump count `j`
+    where it stopped: a flow step's error the (t, j) the step started from and
+    its length `h`, a jump margin that is not a number or the chattering guard
+    the (t, j) of the offending state, with `h` None.  Errors raised inside a
+    loop's own maps (the reference guard, a jump map applied outside its set)
+    leave all three None.
     """
 
     def __init__(self, message: str, *, t: float | None = None, j: int | None = None,

@@ -3,9 +3,10 @@
 Solutions are produced on hybrid time domains: samples carry (t, j) where t
 accumulates flow time and j counts jumps.  Flow uses fixed-step RK4 in the
 ambient space with an optional per-step projection hook (used to push
-rotation blocks back onto SO(3)); jumps are detected through set membership,
-optionally refined by bisection on a scalar margin that changes sign at the
-jump-set boundary.
+rotation blocks back onto SO(3)).  Both sets come from one scalar, the jump
+margin m: the jump set is m >= 0 and the flow set m <= 0, so together they
+cover every state with a number for a margin.  Jumps are detected through the
+margin's sign and their times refined by bisection on it.
 
 Where the flow and jump sets overlap, jump priority is the default: it forces
 the designed potential drop at the set boundary.  Flow priority is available
@@ -26,6 +27,9 @@ from .errors import ContractError, SolverError
 # a 20 000-sample member recorded at once (12 MB) would not.
 RECORD_BATCH = 1024
 
+# More jumps than this at one instant, with no flow in between, stop the run.
+MAX_JUMPS_PER_INSTANT = 10
+
 
 @dataclass
 class SolverConfig:
@@ -33,9 +37,6 @@ class SolverConfig:
     t_max: float = 20.0
     j_max: int = 50
     priority: str = "jump"
-    refine_tol: float | None = None  # defaults to 1e-9 * dt
-    refine: bool = True
-    max_jumps_per_instant: int = 10
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -49,14 +50,12 @@ class SolverConfig:
 class HybridSystem:
     """Base contract for systems handed to `solve`.
 
-    Subclasses must provide flow and jump maps plus the two set-membership
-    predicates; the remaining hooks have neutral defaults.  The union of flow
-    and jump sets must cover every state the solution visits.
-
-    Systems whose two closed sets are the sublevel and superlevel sets of one
-    scalar may set `margin_defines_sets = True`; the solver then derives both
-    memberships from a single `jump_margin` evaluation and can refine jump
-    times by bisection on it.
+    Subclasses provide the flow and jump maps and the jump margin, a scalar
+    that defines both sets: the jump set is margin >= 0, the flow set
+    margin <= 0, and the boundary margin == 0 belongs to both.  The default
+    margin, -inf, gives a system with no jump set.  A margin that is not a
+    number lies in neither set, and `solve` stops with a `SolverError` there.
+    The remaining hooks have neutral defaults.
 
     Recording: during the run `solve` keeps, for each sample, only t, j, a
     copy of the state, the jump-set flag and the measurement in force (the
@@ -69,7 +68,6 @@ class HybridSystem:
 
     kind: str = "generic"
     columns: tuple = ()
-    margin_defines_sets: bool = False
 
     def flow(self, t: float, y: np.ndarray, meas) -> np.ndarray:
         raise NotImplementedError
@@ -77,15 +75,9 @@ class HybridSystem:
     def jump(self, t: float, y: np.ndarray, meas) -> np.ndarray:
         raise NotImplementedError
 
-    def in_flow_set(self, t: float, y: np.ndarray, meas) -> bool:
-        return True
-
-    def in_jump_set(self, t: float, y: np.ndarray, meas) -> bool:
-        return False
-
-    def jump_margin(self, t: float, y: np.ndarray, meas):
-        """Scalar that is >= 0 exactly on the jump set, or None to disable refinement."""
-        return None
+    def jump_margin(self, t: float, y: np.ndarray, meas) -> float:
+        """Scalar that is >= 0 exactly on the jump set and <= 0 exactly on the flow set."""
+        return -math.inf
 
     def project(self, y: np.ndarray) -> np.ndarray:
         return y
@@ -144,16 +136,15 @@ def rk4_step(f, t: float, y: np.ndarray, h: float, meas) -> np.ndarray:
 
 
 def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float,
-                    tol: float | None = None, scans: int = 64):
+                    scans: int = 64):
     """Locate the first sign change of a scalar over a step of length dt.
 
     `refine` evaluates the scalar at an offset in [0, dt].  Returns the upper
     end of the bisection bracket (first point past the crossing) refined to
-    `tol` (default 1e-9 * dt), or None if the scalar never changes sign on the
-    scan grid.  With several roots inside the step the earliest one is found.
+    1e-9 * dt, or None if the scalar never changes sign on the scan grid.
+    With several roots inside the step the earliest one is found.
     """
-    if tol is None:
-        tol = 1e-9 * dt
+    tol = 1e-9 * dt
     s0 = scalar_before
     if s0 == 0.0:
         return 0.0
@@ -187,12 +178,14 @@ def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float
 def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc:
     """Integrate a hybrid system from y0 until t_max or j_max.
 
-    Raises SolverError when the state leaves both sets, when more than
-    `max_jumps_per_instant` jumps occur without any flow in between
+    Raises SolverError, carrying the hybrid time t and jump count j, when the
+    jump margin is not a number (the state then lies in neither set), when
+    more than MAX_JUMPS_PER_INSTANT jumps occur without any flow in between
     (chattering guard; the closed loops of this package have provably finite
     jump counts, so hitting the guard indicates a configuration error), and
     when a flow step ends in a non-finite state or one that `system.project`
-    rejects (typically a step size too large for the gains).
+    rejects (typically a step size too large for the gains); an error of a
+    flow step also carries the step length h.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -232,18 +225,18 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 t=t, j=j, h=h,
             ) from e
 
-    by_margin = system.margin_defines_sets
-
     def membership(tt, yy):
         """(margin, in_jump, in_flow) under the current measurement."""
-        if by_margin:
-            m = system.jump_margin(tt, yy, meas)
-            return m, m >= 0.0, m <= 0.0
-        return None, system.in_jump_set(tt, yy, meas), system.in_flow_set(tt, yy, meas)
+        m = system.jump_margin(tt, yy, meas)
+        if m != m:
+            raise SolverError(
+                f"the jump margin is not a number at t={tt}, j={j}: "
+                f"the state lies outside both the flow and jump sets",
+                t=tt, j=j,
+            )
+        return m, m >= 0.0, m <= 0.0
 
     margin, in_jump, in_flow = membership(t, y)
-    if not (in_jump or in_flow):
-        raise SolverError("initial state lies outside both the flow and jump sets")
     sample(in_jump)
 
     jumps_here = 0
@@ -259,9 +252,10 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 jumps_here += 1
             else:
                 jumps_here = 1
-            if jumps_here > config.max_jumps_per_instant:
+            if jumps_here > MAX_JUMPS_PER_INSTANT:
                 raise SolverError(
-                    f"chattering guard: more than {config.max_jumps_per_instant} jumps at t={t}"
+                    f"chattering guard: more than {MAX_JUMPS_PER_INSTANT} jumps at t={t}, j={j}",
+                    t=t, j=j,
                 )
             last_jump_t = t
             y_post = system.jump(t, y, meas)
@@ -279,10 +273,6 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             margin, in_jump, in_flow = membership(t, y)
             sample(in_jump)
             continue
-        if not in_flow:
-            raise SolverError(
-                f"state left both the flow and jump sets at t={t}, j={j} (solver-domain exit)"
-            )
         remaining = config.t_max - t
         if remaining <= 1e-12:
             status = "t_max"
@@ -290,19 +280,16 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         h = config.dt if config.dt < remaining else remaining
         y_new = advance(h)
         margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
-        if config.refine and in_jump_new and margin_new is not None:
-            margin_old = margin if margin is not None else system.jump_margin(t, y, meas)
-            if margin_old is not None and margin_old < 0.0:
+        if in_jump_new and margin < 0.0:
 
-                def margin_at(tau: float) -> float:
-                    return system.jump_margin(t + tau, advance(tau), meas)
+            def margin_at(tau: float) -> float:
+                return system.jump_margin(t + tau, advance(tau), meas)
 
-                tol = config.refine_tol if config.refine_tol is not None else 1e-9 * h
-                tau_c = detect_crossing(margin_old, margin_new, margin_at, h, tol)
-                if tau_c is not None and tau_c < h:
-                    h = tau_c
-                    y_new = advance(h)
-                    margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
+            tau_c = detect_crossing(margin, margin_new, margin_at, h)
+            if tau_c is not None and tau_c < h:
+                h = tau_c
+                y_new = advance(h)
+                margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
         t += h
         y = y_new
         sample(in_jump_new)

@@ -1,10 +1,11 @@
-"""Lyapunov evaluation and certification of recorded hybrid arcs.
+"""Certification of recorded hybrid arcs against the loops' monitors.
 
-Each closed loop has a monitor function that must not increase along flows
-and must drop by a known amount at every jump.  `certify_arc` replays those
-two properties over a recorded arc, checks the jump-count bound implied by
-the initial monitor value, and optionally fits an exponential rate to the
-squared distance from the attractor.
+Each closed loop has a monitor function (`lyapunov_packed`) that must not
+increase along flows and must drop by at least the loop's `jump_drop` at
+every jump.  `certify_arc` replays those two properties over a recorded arc,
+checks the jump-count bound implied by the initial monitor value, and
+optionally fits an exponential rate to the squared distance from the
+attractor.
 """
 
 from __future__ import annotations
@@ -14,52 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import filtered_value
 from .errors import ContractError
-from .potential import grad_rotation, value
+from .potential import grad_rotation, gradient_bounds
 
 
-def lyapunov_basic(state, params, gains, inertia, *, U_value=None) -> float:
-    """k_R U(R_e, theta) + kinetic energy of the velocity error."""
-    U = value(state.Re, state.theta, params) if U_value is None else U_value
-    return gains.k_R * U + 0.5 * float(state.omega_e @ (inertia.J @ state.omega_e))
+def lyapunov_cross(loop, y: np.ndarray, eps: float) -> float:
+    """The loop's monitor at packed state y plus eps omega_e . J grad_rotation(R_e, theta).
 
-
-def lyapunov_smooth(state, params, gains, inertia, *, W_value=None) -> float:
-    """k_R times the filtered potential plus kinetic energy."""
-    W = (
-        filtered_value(state.Re, state.theta, state.zeta, params, gains.rho)
-        if W_value is None
-        else W_value
-    )
-    return gains.k_R * W + 0.5 * float(state.omega_e @ (inertia.J @ state.omega_e))
-
-
-def lyapunov_velocity_free(state, params, gains, inertia) -> float:
-    """k_R U at the error rotation plus k_beta U at the auxiliary rotation plus kinetic."""
-    U1 = value(state.Re, state.theta, params)
-    U2 = value(state.Rtilde, state.theta_bar, params)
-    kin = 0.5 * float(state.omega_e @ (inertia.J @ state.omega_e))
-    return gains.k_R * U1 + gains.k_beta * U2 + kin
-
-
-def lyapunov_cross(state, params, gains, inertia, eps: float) -> float:
-    """Diagnostic monitor with an eps cross term between velocity and gradient.
-
-    Positive definite for eps below `cross_eps_bound`; used to visualize the
-    exponential decay envelope, not for certification.
+    Positive definite for the basic loop with eps below `cross_eps_bound`;
+    used to visualize the exponential decay envelope, not for certification.
     """
-    g = grad_rotation(state.Re, state.theta, params)
-    return lyapunov_basic(state, params, gains, inertia) + eps * float(
-        state.omega_e @ (inertia.J @ g)
-    )
+    g = grad_rotation(y[0:9].reshape(3, 3), y[9], loop.params)
+    return loop.lyapunov_packed(y) + eps * float(y[10:13] @ (loop.inertia.J @ g))
 
 
-def cross_eps_bound(params, gains, inertia, alpha1: float | None = None) -> float:
+def cross_eps_bound(params, gains, inertia) -> float:
     """Largest eps for which the cross-term monitor stays positive definite."""
-    if alpha1 is None:
-        sp = params.spectral
-        alpha1 = max(7.0 * sp.a_bar_max**2 / sp.a_bar_min, 6.0 * params.gamma)
+    alpha1 = gradient_bounds(params).alpha1
     return (1.0 / inertia.lam_max) * math.sqrt(2.0 * gains.k_R * inertia.lam_min / alpha1)
 
 
@@ -96,7 +68,7 @@ class CertificationReport:
     flow_tol_per_step: float
     max_flow_increase: float
     flow_monotone_ok: bool | None
-    required_jump_drop: float
+    jump_drop: float
     min_jump_drop: float | None
     jump_drops_ok: bool
     jump_bound: int
@@ -125,7 +97,7 @@ class CertificationReport:
             f"(tol {self.flow_tol_per_step:.6g}, "
             f"{'enforced' if self.flow_monotone_ok is not None else 'informational under noise'})",
             f"  min_jump_drop={self.min_jump_drop if self.min_jump_drop is not None else 'n/a'} "
-            f"required>={self.required_jump_drop:.6g}"
+            f"required>={self.jump_drop:.6g}"
             + ("" if not self.noise_enabled else " (informational under noise)"),
         ]
         if self.max_torque_jump is not None:
@@ -144,17 +116,6 @@ class CertificationReport:
 
     def as_text(self) -> str:
         return "\n".join(self.lines()) + "\n"
-
-
-def required_jump_drop(loop) -> float:
-    kind = loop.kind
-    if kind == "basic":
-        return loop.gains.k_R * loop.params.delta
-    if kind == "smooth":
-        return loop.gains.k_R * loop.gains.delta_prime
-    if kind == "velocity_free":
-        return min(loop.gains.k_R, loop.gains.k_beta) * loop.params.delta
-    return 0.0
 
 
 def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float | None = None,
@@ -193,7 +154,7 @@ def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float | None
                 f"monitor increased by {max_inc:.3g} on a flow step (tol {flow_tol:.3g})"
             )
 
-    req = required_jump_drop(loop)
+    req = loop.jump_drop
     drops = [ev.info["lyap_pre"] - ev.info["lyap_post"] for ev in arc.jumps if ev.info]
     min_drop = min(drops) if drops else None
     drops_ok = all(d >= req - 1e-9 for d in drops)
@@ -242,7 +203,7 @@ def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float | None
         flow_tol_per_step=flow_tol,
         max_flow_increase=max_inc,
         flow_monotone_ok=flow_ok,
-        required_jump_drop=req,
+        jump_drop=req,
         min_jump_drop=min_drop,
         jump_drops_ok=drops_ok,
         jump_bound=bound,

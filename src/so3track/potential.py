@@ -139,11 +139,36 @@ class CriticalPoint(NamedTuple):
     isolated: bool
 
 
+class GradientBounds(NamedTuple):
+    """Closed-form gradient bounds, exact functions of the spectrum of A and gamma.
+
+    |grad_rotation|^2 + |grad_warp|^2 <= alpha1 * value, |grad_rotation| <= c_psi,
+    and c_R and c_theta bound the coefficients of the gradient rate.
+    """
+
+    alpha1: float
+    c_psi: float
+    c_R: float
+    c_theta: float
+
+
+def gradient_bounds(p: PotentialParams) -> GradientBounds:
+    """The closed-form gradient bounds of a parameter set."""
+    sp = p.spectral
+    c_psi = 2.0 * sp.a_bar_max
+    return GradientBounds(
+        alpha1=max(7.0 * sp.a_bar_max**2 / sp.a_bar_min, 6.0 * p.gamma),
+        c_psi=c_psi,
+        c_R=sp.a_bar_fro,
+        c_theta=sp.a_bar_fro + c_psi,
+    )
+
+
 @dataclass(frozen=True)
 class CertificationConstants:
     """Closed-form gradient bounds plus the sampled lower-bound coefficient.
 
-    alpha1, c_psi, c_R and c_theta are exact functions of the spectrum; the
+    alpha1, c_psi, c_R and c_theta are those of `gradient_bounds`; the
     lower coefficient alpha2_approx depends on the minimum axis-alignment
     factor over the flow set, which is estimated by sampling and is therefore
     an approximation (the sampled minimum and 1st percentile are reported).
@@ -469,10 +494,7 @@ def certification_constants(
     from .so3 import random_rotations
 
     sp = p.spectral
-    alpha1 = max(7.0 * sp.a_bar_max**2 / sp.a_bar_min, 6.0 * p.gamma)
-    c_psi = 2.0 * sp.a_bar_max
-    c_R = sp.a_bar_fro
-    c_theta = sp.a_bar_fro + c_psi
+    bd = gradient_bounds(p)
     rng = np.random.default_rng(seed)
     R = random_rotations(n_samples, rng)
     theta = rng.uniform(-math.pi, math.pi, n_samples)
@@ -487,11 +509,11 @@ def certification_constants(
     a_p01 = float(np.percentile(align, 1.0))
     alpha2 = min(a_min * sp.a_bar_min**2 / (2.0 * sp.a_bar_max), p.gamma / 8.0)
     return CertificationConstants(
-        alpha1=float(alpha1),
+        alpha1=float(bd.alpha1),
         alpha2_approx=float(alpha2),
-        c_psi=float(c_psi),
-        c_R=float(c_R),
-        c_theta=float(c_theta),
+        c_psi=float(bd.c_psi),
+        c_R=float(bd.c_R),
+        c_theta=float(bd.c_theta),
         alignment_min=a_min,
         alignment_p01=a_p01,
         n_samples=int(align.size),

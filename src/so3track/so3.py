@@ -266,11 +266,6 @@ def is_rotation(R, tol: float = ORTHONORMALITY_TOL) -> bool:
     return np.linalg.norm(R.T @ R - EYE3) <= tol and np.linalg.det(R) > 0.0
 
 
-def check_rotation(R, tol: float = ORTHONORMALITY_TOL, name: str = "R") -> None:
-    if not is_rotation(R, tol):
-        raise ContractError(f"{name} is not a rotation within tolerance {tol}")
-
-
 def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
     """n random rotation matrices, shape (n, 3, 3), via QR of Gaussian matrices."""
     G = rng.standard_normal((n, 3, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -78,21 +79,28 @@ def test_warp_reset_tie_break_prefers_first():
     assert st.warp_reset(np.eye(3), p) == a
 
 
-def test_flow_and_jump_sets(paper_params):
+def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
+    # the basic loop's margin is gap - delta: flow set <= 0, jump set >= 0
     p = paper_params
-    assert st.in_flow_set(np.eye(3), 0.0, p)
-    assert not st.in_jump_set(np.eye(3), 0.0, p)
-    for cp in st.undesired_critical_points(p):
-        assert st.in_jump_set(cp.rotation, cp.theta, p)
-    # boundary states belong to both closed sets
-    import dataclasses
+    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
 
+    def margin(R, theta, params):
+        loop = st.make_loop("basic", params, paper_gains, paper_inertia, ref, check=False)
+        y = st.BasicLoopState(
+            Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
+        ).pack()
+        return loop.jump_margin(0.0, y, None)
+
+    assert margin(np.eye(3), 0.0, p) < 0.0
+    for cp in st.undesired_critical_points(p):
+        assert margin(cp.rotation, cp.theta, p) >= 0.0
+    # boundary states belong to both closed sets
     rng = np.random.default_rng(3)
     R = st.random_rotation(rng)
     g = st.gap(R, 0.3, p)
     if 0.0 < g < 4.0 * p.spectral.delta_star / math.pi**2:
         boundary = dataclasses.replace(p, delta=g)
-        assert st.in_flow_set(R, 0.3, boundary) and st.in_jump_set(R, 0.3, boundary)
+        assert margin(R, 0.3, boundary) == 0.0
 
 
 # --- torque laws -------------------------------------------------------------
@@ -195,7 +203,7 @@ def public_margin(kind, s, meas, p, gn):
     """Jump-set margin at the measured rotations from the public gap functions."""
     Rm = s.Re @ meas.E
     if kind == "non_hybrid":
-        return None
+        return -math.inf
     if kind == "smooth":
         return st.filtered_gap(Rm, s.theta, s.zeta, p, gn.rho) - gn.delta_prime
     gaps = [st.gap(Rm, s.theta, p)]
@@ -247,10 +255,7 @@ def test_noisy_flow_applies_public_torque_at_measured_state(
         assert np.allclose(loop.torque(t, y, meas), tau, rtol=0.0, atol=1e-12)
         check_measured_rates(kind, s, meas, ydot, p, gn)
         margin = public_margin(kind, s, meas, p, gn)
-        if margin is None:
-            assert loop.jump_margin(t, y, meas) is None
-        else:
-            assert loop.jump_margin(t, y, meas) == pytest.approx(margin, rel=0.0, abs=1e-12)
+        assert loop.jump_margin(t, y, meas) == pytest.approx(margin, rel=0.0, abs=1e-12)
 
 
 def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia):
@@ -433,23 +438,37 @@ def test_filtered_potential_properties(paper_params, paper_gains):
     assert st.filtered_value(R, theta, g, p, rho) == st.value(R, theta, p)
 
 
-def test_filtered_gap_margin_with_compliant_rho(paper_params, paper_gains):
+def smooth_margin(R, theta, zeta, p, gains, inertia):
+    """The smooth loop's jump margin at the given error rotation, warp angle and filter state."""
+    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
+    loop = st.make_loop("smooth", p, gains, inertia, ref, check=False)
+    y = st.SmoothLoopState(
+        Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3), zeta=zeta
+    ).pack()
+    return loop.jump_margin(0.0, y, None)
+
+
+def test_filtered_gap_margin_with_compliant_rho(paper_params, paper_gains, paper_inertia):
     # with rho below (delta - delta_prime)/c_psi^2 the unwanted critical
     # points keep a filtered-gap margin above delta_prime
     p = paper_params
     dp = paper_gains.delta_prime
     c_psi = 2.0 * p.spectral.a_bar_max
     rho_ok = 0.9 * (p.delta - dp) / c_psi**2
+    gains = dataclasses.replace(paper_gains, rho=rho_ok)
     for cp in st.undesired_critical_points(p):
         fg = st.filtered_gap(cp.rotation, cp.theta, np.zeros(3), p, rho_ok)
         assert fg > dp
-        assert st.in_jump_set_smooth(cp.rotation, cp.theta, np.zeros(3), p, rho_ok, dp)
+        assert smooth_margin(cp.rotation, cp.theta, np.zeros(3), p, gains, paper_inertia) == fg - dp
 
 
-def test_smooth_set_membership(paper_params, paper_gains):
-    p, gn = paper_params, paper_gains
-    assert st.in_flow_set_smooth(np.eye(3), 0.0, np.zeros(3), p, gn.rho, gn.delta_prime)
-    assert not st.in_jump_set_smooth(np.eye(3), 0.0, np.zeros(3), p, gn.rho, gn.delta_prime)
+def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
+    # at the attractor the smooth loop lies in its flow set only
+    m = smooth_margin(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains, paper_inertia)
+    assert m < 0.0
+    assert m == st.filtered_gap(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains.rho) - (
+        paper_gains.delta_prime
+    )
 
 
 # --- velocity-free law -------------------------------------------------------
@@ -529,7 +548,7 @@ def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
         Rtilde=bad.copy(), theta_bar=0.0,
     )
     y = s.pack()
-    assert loop.in_jump_set(0.0, y, None)
+    assert loop.jump_margin(0.0, y, None) >= 0.0
     y_post = loop.jump(0.0, y, None)
     assert y_post[9] == 0.9 * math.pi
     assert y_post[34] == 0.9 * math.pi
@@ -570,8 +589,7 @@ def test_non_hybrid_loop_never_jumps(paper_params, paper_gains, paper_inertia):
     y = st.BasicLoopState(
         Re=bad, theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
     ).pack()
-    assert loop.in_flow_set(0.0, y, None)
-    assert not loop.in_jump_set(0.0, y, None)
+    assert loop.jump_margin(0.0, y, None) == -math.inf  # flow set only
     ydot = loop.flow(0.0, y, None)
     assert ydot[9] == 0.0  # warp angle frozen
 

@@ -25,7 +25,6 @@ class Timer(HybridSystem):
     """Clock that resets to zero every time it reaches one."""
 
     kind = "timer"
-    margin_defines_sets = True
 
     def flow(self, t, y, meas):
         return np.ones(1)
@@ -48,26 +47,20 @@ class Chatter(HybridSystem):
     def jump(self, t, y, meas):
         return y.copy()
 
-    def in_jump_set(self, t, y, meas):
-        return True
-
-    def in_flow_set(self, t, y, meas):
-        return False
+    def jump_margin(self, t, y, meas):
+        return 1.0
 
 
 class Escaper(HybridSystem):
-    """Flow set x <= 1 with no jump set: the solution exits the domain."""
+    """Flow x' = 1 whose margin is not a number past x = 1, as a broken margin formula gives."""
 
     kind = "escaper"
 
     def flow(self, t, y, meas):
         return np.ones(1)
 
-    def in_flow_set(self, t, y, meas):
-        return y[0] <= 1.0
-
-    def in_jump_set(self, t, y, meas):
-        return False
+    def jump_margin(self, t, y, meas):
+        return -1.0 if y[0] <= 1.0 else math.nan
 
 
 class Blowup(HybridSystem):
@@ -111,21 +104,32 @@ def test_arc_well_formedness():
 
 
 def test_chattering_guard_trips():
-    cfg = st.SolverConfig(dt=1e-3, t_max=1.0, j_max=50, max_jumps_per_instant=10)
-    with pytest.raises(SolverError, match="chattering"):
+    cfg = st.SolverConfig(dt=1e-3, t_max=1.0, j_max=50)
+    with pytest.raises(SolverError, match="chattering") as exc:
         st.solve(Chatter(), np.array([0.0]), cfg)
+    err = exc.value
+    assert (err.t, err.j, err.h) == (0.0, 10, None)
+    assert "t=0.0, j=10" in str(err)
 
 
 def test_domain_exit_is_an_error():
+    # the margin turns NaN on the first step past x = 1, near t = 0.5
     cfg = st.SolverConfig(dt=1e-3, t_max=5.0, j_max=5)
-    with pytest.raises(SolverError, match="flow and jump sets"):
+    with pytest.raises(SolverError, match="flow and jump sets") as exc:
         st.solve(Escaper(), np.array([0.5]), cfg)
+    err = exc.value
+    assert "not a number" in str(err)
+    assert err.t == pytest.approx(0.5, abs=1.5e-3) and err.j == 0 and err.h is None
+    assert f"t={err.t}, j=0" in str(err)
 
 
 def test_initial_state_outside_both_sets():
     cfg = st.SolverConfig(dt=1e-3, t_max=5.0, j_max=5)
-    with pytest.raises(SolverError, match="initial state"):
+    with pytest.raises(SolverError, match="flow and jump sets") as exc:
         st.solve(Escaper(), np.array([2.0]), cfg)
+    err = exc.value
+    assert "not a number" in str(err)
+    assert (err.t, err.j, err.h) == (0.0, 0, None)
 
 
 def test_non_finite_flow_is_a_solver_error():

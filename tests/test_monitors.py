@@ -9,21 +9,29 @@ from so3track.errors import ContractError
 from so3track.so3 import ARRAY_MATH
 
 
+def loops(p, gn, J):
+    """The basic, smooth and velocity-free loops, whose monitors the tests evaluate."""
+    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
+    return [st.make_loop(kind, p, gn, J, ref, check=False)
+            for kind in ("basic", "smooth", "velocity_free")]
+
+
 def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia):
-    p, gn, J = paper_params, paper_gains, paper_inertia
+    basic_loop, smooth_loop, vf_loop = loops(paper_params, paper_gains, paper_inertia)
     basic = st.BasicLoopState(
         Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
     )
-    assert st.lyapunov_basic(basic, p, gn, J) == 0.0
+    assert basic_loop.lyapunov_packed(basic.pack()) == 0.0
     smooth = st.SmoothLoopState(**basic.__dict__, zeta=np.zeros(3))
-    assert st.lyapunov_smooth(smooth, p, gn, J) == 0.0
+    assert smooth_loop.lyapunov_packed(smooth.pack()) == 0.0
     vf = st.VelocityFreeLoopState(**basic.__dict__, Rtilde=np.eye(3), theta_bar=0.0)
-    assert st.lyapunov_velocity_free(vf, p, gn, J) == 0.0
-    assert st.lyapunov_cross(basic, p, gn, J, eps=0.5) == 0.0
+    assert vf_loop.lyapunov_packed(vf.pack()) == 0.0
+    assert st.lyapunov_cross(basic_loop, basic.pack(), eps=0.5) == 0.0
 
 
 def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
-    p, gn, J = paper_params, paper_gains, paper_inertia
+    p, gn = paper_params, paper_gains
+    basic_loop, smooth_loop, vf_loop = loops(p, gn, paper_inertia)
     rng = np.random.default_rng(0)
     base = st.BasicLoopState(
         Re=st.random_rotation(rng),
@@ -33,19 +41,34 @@ def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
         omega_r=np.zeros(3),
     )
     # no velocity error: the basic monitor is k_R U
-    assert st.lyapunov_basic(base, p, gn, J) == pytest.approx(
+    assert basic_loop.lyapunov_packed(base.pack()) == pytest.approx(
         gn.k_R * st.value(base.Re, base.theta, p), abs=1e-14
     )
     # filter state equal to the gradient: smooth monitor reduces to the basic one
     base.omega_e = rng.standard_normal(3)
+    plain = basic_loop.lyapunov_packed(base.pack())
     g = st.grad_rotation(base.Re, base.theta, p)
     smooth = st.SmoothLoopState(**base.__dict__, zeta=g)
-    assert st.lyapunov_smooth(smooth, p, gn, J) == st.lyapunov_basic(base, p, gn, J)
+    assert smooth_loop.lyapunov_packed(smooth.pack()) == plain
     # auxiliary rotation at its target: only the k_R and kinetic terms remain
     vf = st.VelocityFreeLoopState(**base.__dict__, Rtilde=np.eye(3), theta_bar=0.0)
-    assert st.lyapunov_velocity_free(vf, p, gn, J) == st.lyapunov_basic(base, p, gn, J)
+    assert vf_loop.lyapunov_packed(vf.pack()) == plain
     # zero cross weight recovers the plain monitor
-    assert st.lyapunov_cross(base, p, gn, J, eps=0.0) == st.lyapunov_basic(base, p, gn, J)
+    assert st.lyapunov_cross(basic_loop, base.pack(), eps=0.0) == plain
+
+
+def test_jump_drop_per_law(paper_params, paper_gains, paper_inertia):
+    # the designed monitor drop at a jump: k_R delta, k_R delta', min(k_R, k_beta) delta, 0
+    p, gn = paper_params, paper_gains
+    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
+    drops = {kind: st.make_loop(kind, p, gn, paper_inertia, ref, check=False).jump_drop
+             for kind in ("basic", "smooth", "velocity_free", "non_hybrid")}
+    assert drops == {
+        "basic": gn.k_R * p.delta,
+        "smooth": gn.k_R * gn.delta_prime,
+        "velocity_free": min(gn.k_R, gn.k_beta) * p.delta,
+        "non_hybrid": 0.0,
+    }
 
 
 def test_lyapunov_positive_away_from_attractor(paper_params, paper_gains, paper_inertia):
@@ -76,9 +99,9 @@ def test_cross_monitor_positive_below_bound(fig3_runs, paper_gains, paper_inerti
     eps = 0.9 * st.cross_eps_bound(p, paper_gains, paper_inertia)
     floor_hit = 0
     for k in range(0, len(arc), 50):
-        s = st.BasicLoopState.unpack(arc.states[k])
-        val = st.lyapunov_cross(s, p, paper_gains, paper_inertia, eps)
-        sq = st.value(s.Re, s.theta, p) + s.omega_e @ s.omega_e
+        y = arc.states[k]
+        val = st.lyapunov_cross(loop, y, eps)
+        sq = st.value(y[0:9].reshape(3, 3), y[9], p) + y[10:13] @ y[10:13]
         if sq > 1e-12:
             assert val > 0.0
         else:

@@ -323,7 +323,7 @@ def test_undesired_critical_points_for_diagonal_weights(paper_params):
         assert np.allclose(cp.rotation, exp, atol=1e-12)
         assert cp.theta == 0.0
         assert cp.isolated
-        assert st.in_jump_set(cp.rotation, cp.theta, p)
+        assert st.gap(cp.rotation, cp.theta, p) >= p.delta
 
 
 def test_critical_points_flagged_in_eigenplane_case():
