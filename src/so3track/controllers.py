@@ -17,10 +17,10 @@ A non-hybrid baseline (the basic law with the warp angle frozen at zero) is
 included for comparisons.
 
 Each law is written once, as a component-wise kernel (`*_f`) on floats (see
-`so3`).  The closed loops evaluate the kernels on `y.tolist()` and draw and
-apply the measurement noise in floats; after a run they evaluate the same
-kernels once more on the recorded states as column arrays to fill the
-recorded columns.  The public numpy functions (`torque_*`, `zeta_flow`,
+`so3`).  The closed loops evaluate the kernels on the state as a tuple of
+floats and draw and apply the measurement noise in floats; after a run they
+evaluate the same kernels once more on the recorded states as column arrays
+to fill the recorded columns.  The public numpy functions (`torque_*`, `zeta_flow`,
 `aux_flow`, ...) are adapters over the same kernels.
 """
 
@@ -44,10 +44,20 @@ from .potential import (
     gradient_bounds,
     gradients,
     gradients_f,
+    gradients_w_f,
     moment,
     value_f,
+    value_w_f,
+    warp_rotation_f,
 )
-from .rigid_body import Inertia, Reference, error_accel_f, feedforward, feedforward_f
+from .rigid_body import (
+    Inertia,
+    Reference,
+    error_accel_f,
+    feedforward,
+    feedforward_f,
+    shared_terms_f,
+)
 from .so3 import (
     ARRAY_MATH,
     columns,
@@ -55,7 +65,6 @@ from .so3 import (
     floats,
     mat_mul_f,
     mat_skew_f,
-    mat_tvec_f,
     mat_vec_f,
     orthonormalize_f,
     rot_distance_f,
@@ -162,17 +171,21 @@ def filter_gain_bound(gains: Gains, params: PotentialParams) -> float:
 # torque laws.  AR is A @ R as 9 floats (see `potential`), ups the feedforward.
 
 
-def filtered_value_f(AR, theta: float, zeta, p: PotentialParams, rho: float, xp=math) -> float:
-    """Potential plus rho times the squared mismatch between zeta and the rotation gradient."""
-    g0, g1, g2, _ = gradients_f(AR, theta, p, xp)
+def filtered_value_w_f(AR, W, theta: float, zeta, p: PotentialParams, rho: float) -> float:
+    """Potential plus rho times the squared mismatch between zeta and the rotation gradient.
+
+    W is the warp rotation of theta.
+    """
+    g0, g1, g2, _ = gradients_w_f(AR, W, theta, p)
     d0, d1, d2 = zeta[0] - g0, zeta[1] - g1, zeta[2] - g2
-    return value_f(AR, theta, p, xp) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
+    return value_w_f(AR, W, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def filtered_gap_f(AR, theta: float, zeta, p: PotentialParams, rho: float) -> float:
-    """filtered_value_f at theta minus its best value over the reset set."""
-    best = min(filtered_value_f(AR, tp, zeta, p, rho) for tp in p.theta_set)
-    return filtered_value_f(AR, theta, zeta, p, rho) - best
+    """The filtered value at theta minus its best value over the reset set."""
+    best = min(filtered_value_w_f(AR, W, tp, zeta, p, rho)
+               for tp, W in zip(p.theta_set, p._reset_W_f))
+    return filtered_value_w_f(AR, warp_rotation_f(theta, p), theta, zeta, p, rho) - best
 
 
 def torque_basic_f(ups, g_rot, omega_e, gains: Gains) -> tuple:
@@ -253,7 +266,8 @@ def warp_reset(R, p: PotentialParams) -> float:
 
 def filtered_value(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
     """Potential plus rho times the squared filter mismatch."""
-    return filtered_value_f(moment(R, p), float(theta), floats(zeta), p, rho)
+    theta = float(theta)
+    return filtered_value_w_f(moment(R, p), warp_rotation_f(theta, p), theta, floats(zeta), p, rho)
 
 
 def filtered_gap(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
@@ -393,10 +407,11 @@ class NoiseModel:
 class _TrackingLoop(HybridSystem):
     """Shared plumbing: reference inputs, measurement sampling, projection, records.
 
-    The loop methods evaluate the kernels on `y.tolist()`; each subclass's
-    `_control` gives the torque and the terms its flow shares with it.
-    `_control`, `_monitor` and `_columns` also run on a batch: state entries
-    and measurement fields as (n,) arrays, t an (n,) array, xp = ARRAY_MATH.
+    The loop methods evaluate the kernels on the state as a sequence of floats
+    (`solve` passes tuples; see `HybridSystem`); each subclass's `_control`
+    gives the torque and the terms its flow shares with it.  `_control`,
+    `_monitor` and `_columns` also run on a batch: state entries and
+    measurement fields as (n,) arrays, t an (n,) array, xp = ARRAY_MATH.
     Each law defines its sets once, by `jump_margin`, its monitor once, by
     `_monitor`, and the monitor's designed drop at a jump as `jump_drop`.
     """
@@ -424,11 +439,11 @@ class _TrackingLoop(HybridSystem):
         nw = tuple(rng.normal(0.0, n.sigma_omega, 3).tolist()) if n.sigma_omega > 0.0 else _ZERO_F
         return Measurement(E, nw)
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        v = y.tolist()
+    def project(self, y):
+        out = list(y)
         for sl in self.rotation_slices:
-            y[sl] = orthonormalize_f(v[sl])
-        return y
+            out[sl] = orthonormalize_f(y[sl])
+        return tuple(out)
 
     def _guard_reference(self, omega_r, t: float) -> None:
         n2 = omega_r[0] * omega_r[0] + omega_r[1] * omega_r[1] + omega_r[2] * omega_r[2]
@@ -444,49 +459,55 @@ class _TrackingLoop(HybridSystem):
         """R_m = R @ E, or R itself without a measurement."""
         return R if meas is None else mat_mul_f(R, _noise_f(meas)[0])
 
-    def _measured(self, Re, omega_e, omega_r, z, ups, meas):
+    def _feedforward(self, R, omega_r, z) -> tuple:
+        """(a, J a, feedforward) at rotation R, with a = R^T omega_r."""
+        J = self.inertia.J_f
+        a, Ja = shared_terms_f(R, omega_r, J)
+        return a, Ja, feedforward_f(R, z, a, Ja, J)
+
+    def _measured(self, Re, omega_e, omega_r, z, a, ups, meas):
         """Measured error rotation, velocity error, and the feedforward at the measured rotation.
 
         omega_y = omega + n_omega, so the measured velocity error
-        omega_y - R_m^T omega_r is omega_e + (R_e^T - R_m^T) omega_r + n_omega.
+        omega_y - R_m^T omega_r is omega_e + (R_e^T - R_m^T) omega_r + n_omega,
+        with a = R_e^T omega_r.
         """
         if meas is None:
             return Re, omega_e, ups
         E, n = _noise_f(meas)
         Rm = mat_mul_f(Re, E)
-        a = mat_tvec_f(Re, omega_r)
-        am = mat_tvec_f(Rm, omega_r)
+        am, _, ups_m = self._feedforward(Rm, omega_r, z)
         wem = (
             omega_e[0] + (a[0] - am[0]) + n[0],
             omega_e[1] + (a[1] - am[1]) + n[1],
             omega_e[2] + (a[2] - am[2]) + n[2],
         )
-        return Rm, wem, feedforward_f(Rm, omega_r, z, self.inertia.J_f)
+        return Rm, wem, ups_m
 
-    def _accel(self, Re, omega_e, omega_r, ups, tau) -> tuple:
+    def _accel(self, omega_e, a, Ja, ups, tau) -> tuple:
         J = self.inertia
-        return error_accel_f(Re, omega_e, omega_r, ups, tau, J.J_f, J.J_inv_f)
+        return error_accel_f(omega_e, a, Ja, ups, tau, J.J_f, J.J_inv_f)
 
     def _kinetic(self, omega_e) -> float:
         Jw = mat_vec_f(self.inertia.J_f, omega_e)
         return 0.5 * (omega_e[0] * Jw[0] + omega_e[1] * Jw[1] + omega_e[2] * Jw[2])
 
-    def _control(self, t: float, v: list, meas, xp=math) -> tuple:
-        """Kernel terms at state list v; index 2 is the applied torque."""
+    def _control(self, t: float, v, meas, xp=math) -> tuple:
+        """Kernel terms at state v; index 0 is the applied torque."""
         raise NotImplementedError
 
-    def _monitor(self, v: list, xp=math) -> tuple:
-        """(potential at the error rotation, monitor value) at state list v."""
+    def _monitor(self, v, xp=math) -> tuple:
+        """(potential at the error rotation, monitor value) at state v."""
         raise NotImplementedError
 
-    def _extra_columns(self, v: list, xp=math) -> tuple:
+    def _extra_columns(self, v, xp=math) -> tuple:
         """Values of the columns a loop adds to the shared ones."""
         return ()
 
-    def _columns(self, t, v: list, meas, in_jump, xp=math) -> tuple:
-        """The recorded columns at state list v under measurement meas."""
+    def _columns(self, t, v, meas, in_jump, xp=math) -> tuple:
+        """The recorded columns at state v under measurement meas."""
         U, lyap = self._monitor(v, xp)
-        tau = self._control(t, v, meas, xp)[2]
+        tau = self._control(t, v, meas, xp)[0]
         return (
             rot_distance_f(v[0:9], xp), v[9], v[10], v[11], v[12],
             tau[0], tau[1], tau[2], U, lyap,
@@ -494,29 +515,26 @@ class _TrackingLoop(HybridSystem):
             *self._extra_columns(v, xp),
         )
 
-    def torque(self, t: float, y: np.ndarray, meas) -> np.ndarray:
-        return np.array(self._control(t, y.tolist(), meas)[2])
+    def torque(self, t: float, y, meas) -> np.ndarray:
+        return np.array(self._control(t, y, meas)[0])
 
-    def record(self, t, j, states, meas, in_jump):
+    def record(self, t, j, states, noise, in_jump):
         """All recorded columns in one pass of the kernels over the column arrays."""
-        if meas[0] is None:
-            meas = None
-        else:
-            noise = columns([E + n for E, n in map(_noise_f, meas)])
-            meas = Measurement(tuple(noise[0:9]), tuple(noise[9:12]))
+        meas = None
+        if noise is not None:
+            n = columns(noise)
+            meas = Measurement(tuple(n[0:9]), tuple(n[9:12]))
         return self._columns(t, columns(states), meas, in_jump, ARRAY_MATH)
 
-    def lyapunov_packed(self, y: np.ndarray) -> float:
+    def lyapunov_packed(self, y) -> float:
         """The loop's monitor at packed state y."""
-        return self._monitor(y.tolist())[1]
+        return self._monitor(y)[1]
 
     def jump(self, t, y, meas):
         """Reset the warp angle from the measured rotation (a filter state does not jump)."""
         p = self.params
-        Rm = self._measured_rotation(y[0:9].tolist(), meas)
-        y_post = y.copy()
-        y_post[9] = best_reset_f(mat_mul_f(p._A_f, Rm), p)[0]
-        return y_post
+        Rm = self._measured_rotation(y[0:9], meas)
+        return (*y[0:9], best_reset_f(mat_mul_f(p._A_f, Rm), p)[0], *y[10:])
 
     def jump_event_info(self, t, y_pre, y_post, meas):
         tau_pre = self.torque(t, y_pre, meas)
@@ -549,31 +567,29 @@ class BasicLoop(_TrackingLoop):
         return self.gains.k_R * self.params.delta
 
     def _control(self, t, v, meas, xp=math):
-        """(z, feedforward at R_e, torque, warp gradient)."""
+        """(torque, z, a, J a, feedforward at R_e, warp gradient)."""
         p = self.params
         Re, wr = v[0:9], v[22:25]
         z = self.reference.z_at(t, xp)
-        ups = feedforward_f(Re, wr, z, self.inertia.J_f)
-        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, ups, meas)
+        a, Ja, ups = self._feedforward(Re, wr, z)
+        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, a, ups, meas)
         g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[9], p, xp)
-        return z, ups, torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), g_th
+        return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), z, a, Ja, ups, g_th
 
     def flow(self, t, y, meas):
-        v = y.tolist()
-        Re, we, Rr, wr = v[0:9], v[10:13], v[13:22], v[22:25]
+        Re, we, Rr, wr = y[0:9], y[10:13], y[13:22], y[22:25]
         self._guard_reference(wr, t)
-        z, ups, tau, g_th = self._control(t, v, meas)
-        return np.array((
+        tau, z, a, Ja, ups, g_th = self._control(t, y, meas)
+        return (
             *mat_skew_f(Re, we), -self.gains.k_theta * g_th,
-            *self._accel(Re, we, wr, ups, tau),
+            *self._accel(we, a, Ja, ups, tau),
             *mat_skew_f(Rr, wr), *z,
-        ))
+        )
 
     def jump_margin(self, t, y, meas):
         p = self.params
-        v = y.tolist()
-        Rm = self._measured_rotation(v[0:9], meas)
-        return gap_f(mat_mul_f(p._A_f, Rm), v[9], p) - p.delta
+        Rm = self._measured_rotation(y[0:9], meas)
+        return gap_f(mat_mul_f(p._A_f, Rm), y[9], p) - p.delta
 
     def _monitor(self, v, xp=math):
         U = value_f(mat_mul_f(self.params._A_f, v[0:9]), v[9], self.params, xp)
@@ -586,8 +602,7 @@ class NonHybridLoop(BasicLoop):
 
     def flow(self, t, y, meas):
         out = super().flow(t, y, meas)
-        out[9] = 0.0  # warp angle frozen
-        return out
+        return (*out[0:9], 0.0, *out[10:])  # warp angle frozen
 
     def jump(self, t, y, meas):
         raise SolverError("the non-hybrid loop has no jump map")
@@ -610,41 +625,40 @@ class SmoothLoop(_TrackingLoop):
         return self.gains.k_R * self.gains.delta_prime
 
     def _control(self, t, v, meas, xp=math):
-        """(z, feedforward at R_e, torque, A R_m, measured velocity error, gradients)."""
+        """(torque, z, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
         p = self.params
         Re, wr = v[0:9], v[22:25]
         z = self.reference.z_at(t, xp)
-        ups = feedforward_f(Re, wr, z, self.inertia.J_f)
-        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, ups, meas)
+        a, Ja, ups = self._feedforward(Re, wr, z)
+        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, a, ups, meas)
         AR = mat_mul_f(p._A_f, Rm)
         g0, g1, g2, g_th = gradients_f(AR, v[9], p, xp)
         tau = torque_basic_f(ups_m, v[25:28], wem, self.gains)
-        return z, ups, tau, AR, wem, (g0, g1, g2), g_th
+        return tau, z, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
 
     def flow(self, t, y, meas):
         gn = self.gains
-        v = y.tolist()
-        Re, th, we, Rr, wr = v[0:9], v[9], v[10:13], v[13:22], v[22:25]
+        Re, th, we, Rr, wr = y[0:9], y[9], y[10:13], y[13:22], y[22:25]
         self._guard_reference(wr, t)
-        z, ups, tau, AR, wem, g, g_th = self._control(t, v, meas)
-        zdot = zeta_flow_f(AR, th, v[25:28], wem, g, g_th, self.params, gn, self.relaxed)
-        return np.array((
+        tau, z, a, Ja, ups, AR, wem, g, g_th = self._control(t, y, meas)
+        zdot = zeta_flow_f(AR, th, y[25:28], wem, g, g_th, self.params, gn, self.relaxed)
+        return (
             *mat_skew_f(Re, we), -gn.k_theta * g_th,
-            *self._accel(Re, we, wr, ups, tau),
+            *self._accel(we, a, Ja, ups, tau),
             *mat_skew_f(Rr, wr), *z, *zdot,
-        ))
+        )
 
     def jump_margin(self, t, y, meas):
         p = self.params
-        v = y.tolist()
-        AR = mat_mul_f(p._A_f, self._measured_rotation(v[0:9], meas))
-        return filtered_gap_f(AR, v[9], v[25:28], p, self.gains.rho) - self.gains.delta_prime
+        AR = mat_mul_f(p._A_f, self._measured_rotation(y[0:9], meas))
+        return filtered_gap_f(AR, y[9], y[25:28], p, self.gains.rho) - self.gains.delta_prime
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
         AR = mat_mul_f(p._A_f, v[0:9])
-        W = filtered_value_f(AR, v[9], v[25:28], p, gn.rho, xp)
-        return value_f(AR, v[9], p, xp), gn.k_R * W + self._kinetic(v[10:13])
+        W = warp_rotation_f(v[9], p, xp)
+        V = filtered_value_w_f(AR, W, v[9], v[25:28], p, gn.rho)
+        return value_w_f(AR, W, v[9], p), gn.k_R * V + self._kinetic(v[10:13])
 
     def _extra_columns(self, v, xp=math):
         return v[25], v[26], v[27]
@@ -666,41 +680,40 @@ class VelocityFreeLoop(_TrackingLoop):
         return min(self.gains.k_R, self.gains.k_beta) * self.params.delta
 
     def _control(self, t, v, meas, xp=math):
-        """(z, feedforward at R_e, torque, auxiliary gradient, both warp gradients, E)."""
+        """(torque, z, a, J a, feedforward at R_e, auxiliary gradient, both warp gradients, E)."""
         p = self.params
         Re, wr, Rt = v[0:9], v[22:25], v[25:34]
         z = self.reference.z_at(t, xp)
-        ups = feedforward_f(Re, wr, z, self.inertia.J_f)
+        a, Ja, ups = self._feedforward(Re, wr, z)
         if meas is None:
             E, ups_m = None, ups
         else:
             E = _noise_f(meas)[0]
             Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
-            ups_m = feedforward_f(Re, wr, z, self.inertia.J_f)
+            ups_m = self._feedforward(Re, wr, z)[2]
         a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[9], p, xp)
         b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[34], p, xp)
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
-        return z, ups, tau, g2, a_th, b_th, E
+        return tau, z, a, Ja, ups, g2, a_th, b_th, E
 
     def flow(self, t, y, meas):
         k_th = self.gains.k_theta
-        v = y.tolist()
-        Re, we, Rr, wr, Rt = v[0:9], v[10:13], v[13:22], v[22:25], v[25:34]
+        Re, we, Rr, wr, Rt = y[0:9], y[10:13], y[13:22], y[22:25], y[25:34]
         self._guard_reference(wr, t)
-        z, ups, tau, g2, a_th, b_th, E = self._control(t, v, meas)
-        return np.array((
+        tau, z, a, Ja, ups, g2, a_th, b_th, E = self._control(t, y, meas)
+        return (
             *mat_skew_f(Re, we), -k_th * a_th,
-            *self._accel(Re, we, wr, ups, tau),
+            *self._accel(we, a, Ja, ups, tau),
             *mat_skew_f(Rr, wr), *z,
             *aux_flow_f(Rt, we, g2, self._Gamma, E), -k_th * b_th,
-        ))
+        )
 
-    def _gaps(self, v, meas) -> tuple:
+    def _gaps(self, y, meas) -> list:
         """(A R_m, gap) at the error rotation and at the auxiliary rotation."""
         p = self.params
         out = []
-        for R, th in ((v[0:9], v[9]), (v[25:34], v[34])):
+        for R, th in ((y[0:9], y[9]), (y[25:34], y[34])):
             AR = mat_mul_f(p._A_f, self._measured_rotation(R, meas))
             out.append((AR, gap_f(AR, th, p)))
         return out
@@ -708,18 +721,18 @@ class VelocityFreeLoop(_TrackingLoop):
     def jump(self, t, y, meas):
         """Reset whichever of the two warp angles is in its jump set (possibly both)."""
         p = self.params
-        y_post = y.copy()
+        y_post = list(y)
         fired = False
-        for (AR, g), (_, i) in zip(self._gaps(y.tolist(), meas), self.warp_angles):
+        for (AR, g), (_, i) in zip(self._gaps(y, meas), self.warp_angles):
             if g >= p.delta:
                 y_post[i] = best_reset_f(AR, p)[0]
                 fired = True
         if not fired:
             raise SolverError("velocity-free jump map applied outside the jump set")
-        return y_post
+        return tuple(y_post)
 
     def jump_margin(self, t, y, meas):
-        (_, g1), (_, g2) = self._gaps(y.tolist(), meas)
+        (_, g1), (_, g2) = self._gaps(y, meas)
         return max(g1, g2) - self.params.delta
 
     def _monitor(self, v, xp=math):

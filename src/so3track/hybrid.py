@@ -3,10 +3,12 @@
 Solutions are produced on hybrid time domains: samples carry (t, j) where t
 accumulates flow time and j counts jumps.  Flow uses fixed-step RK4 in the
 ambient space with an optional per-step projection hook (used to push
-rotation blocks back onto SO(3)).  Both sets come from one scalar, the jump
-margin m: the jump set is m >= 0 and the flow set m <= 0, so together they
-cover every state with a number for a margin.  Jumps are detected through the
-margin's sign and their times refined by bisection on it.
+rotation blocks back onto SO(3)).  The state is a tuple of Python floats on
+the whole step path; numpy only builds the recorded arc.  Both sets come from
+one scalar, the jump margin m: the jump set is m >= 0 and the flow set
+m <= 0, so together they cover every state with a number for a margin.
+Jumps are detected through the margin's sign and their times refined by
+bisection on it.
 
 Where the flow and jump sets overlap, jump priority is the default: it forces
 the designed potential drop at the set boundary.  Flow priority is available
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from struct import Struct
 
 import numpy as np
 
@@ -57,39 +61,46 @@ class HybridSystem:
     number lies in neither set, and `solve` stops with a `SolverError` there.
     The remaining hooks have neutral defaults.
 
-    Recording: during the run `solve` keeps, for each sample, only t, j, a
-    copy of the state, the jump-set flag and the measurement in force (the
-    one the step into the sample used).  After the run it calls `record` on
-    consecutive batches of n <= RECORD_BATCH samples, with these as t (n,),
-    j (n,) ints, states (n, dim), meas a list of n measurements and
-    in_jump (n,) bools.  `record` returns one (n,) array per entry of
-    `columns`, in that order.
+    State contract: `solve` hands `flow`, `jump_margin`, `jump` and `project`
+    the state as a tuple of Python floats, and `flow`, `jump` and `project`
+    return one (a flow returns the rates as a tuple of the state's length).
+    `jump_event_info` gets the states before and after a jump as tuples too.
+
+    Recording: during the run `solve` keeps, for each sample, only t, j, the
+    jump-set flag, the state and the measurement in force (the one the step
+    into the sample used); the last two are packed as doubles into flat
+    buffers.  A measurement is a tuple of float sequences (the loops' is E as
+    9 floats and n_omega as 3), kept concatenated.  After the run `solve`
+    calls `record` on consecutive batches of n <= RECORD_BATCH samples, with
+    these as t (n,), j (n,) ints, states (n, dim), noise (n, width), or None
+    when `sample_measurement` gives None, and in_jump (n,) bools.  `record`
+    returns one (n,) array per entry of `columns`, in that order.
     """
 
     kind: str = "generic"
     columns: tuple = ()
 
-    def flow(self, t: float, y: np.ndarray, meas) -> np.ndarray:
+    def flow(self, t: float, y: tuple, meas) -> tuple:
         raise NotImplementedError
 
-    def jump(self, t: float, y: np.ndarray, meas) -> np.ndarray:
+    def jump(self, t: float, y: tuple, meas) -> tuple:
         raise NotImplementedError
 
-    def jump_margin(self, t: float, y: np.ndarray, meas) -> float:
+    def jump_margin(self, t: float, y: tuple, meas) -> float:
         """Scalar that is >= 0 exactly on the jump set and <= 0 exactly on the flow set."""
         return -math.inf
 
-    def project(self, y: np.ndarray) -> np.ndarray:
+    def project(self, y: tuple) -> tuple:
         return y
 
     def sample_measurement(self, rng):
         return None
 
-    def record(self, t: np.ndarray, j: np.ndarray, states: np.ndarray, meas: list,
+    def record(self, t: np.ndarray, j: np.ndarray, states: np.ndarray, noise,
                in_jump: np.ndarray) -> tuple:
         return ()
 
-    def jump_event_info(self, t: float, y_pre: np.ndarray, y_post: np.ndarray, meas) -> dict:
+    def jump_event_info(self, t: float, y_pre: tuple, y_post: tuple, meas) -> dict:
         return {}
 
 
@@ -127,12 +138,20 @@ class HybridArc:
         return self.data[:, idx]
 
 
-def rk4_step(f, t: float, y: np.ndarray, h: float, meas) -> np.ndarray:
+def rk4_step(f, t: float, y: tuple, h: float, meas) -> tuple:
+    """One classical RK4 step of y' = f(t, y, meas) on a tuple of floats.
+
+    Each component is summed in the order of the array expressions
+    y + (h/2) k, y + h k3 and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    """
+    c = 0.5 * h
     k1 = f(t, y, meas)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, meas)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, meas)
-    k4 = f(t + h, y + h * k3, meas)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + c, tuple([a + c * b for a, b in zip(y, k1)]), meas)
+    k3 = f(t + c, tuple([a + c * b for a, b in zip(y, k2)]), meas)
+    k4 = f(t + h, tuple([a + h * b for a, b in zip(y, k3)]), meas)
+    s = h / 6.0
+    return tuple([a + s * (((p + 2.0 * q) + 2.0 * r) + w)
+                  for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
 
 
 def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float,
@@ -189,30 +208,36 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    y = system.project(np.array(y0, dtype=float))
+    y = system.project(tuple(np.asarray(y0, dtype=float).tolist()))
     t = 0.0
     j = 0
     meas = system.sample_measurement(rng)
 
     ts: list[float] = []
     js: list[int] = []
-    states: list[np.ndarray] = []
     flags: list[bool] = []
-    measured: list = []
+    # The state and the noise of each sample, packed as doubles.
+    states = bytearray()
+    pack_state = Struct(f"{len(y)}d").pack
+    noise = None
+    if meas is not None:
+        noise = bytearray()
+        pack_noise = Struct(f"{sum(map(len, meas))}d").pack
     jumps: list[JumpEvent] = []
 
     def sample(in_jump: bool):
         ts.append(t)
         js.append(j)
-        states.append(y.copy())
         flags.append(in_jump)
-        measured.append(meas)
+        states.extend(pack_state(*y))
+        if noise is not None:
+            noise.extend(pack_noise(*chain.from_iterable(meas)))
 
-    def advance(h: float) -> np.ndarray:
+    def advance(h: float) -> tuple:
         """The projected RK4 step of length h from (t, y)."""
         y_h = rk4_step(system.flow, t, y, h, meas)
-        # y.y is finite exactly when every component is finite and below 1e154.
-        if not math.isfinite(y_h.dot(y_h)):
+        # The sum is not finite when a component is not.
+        if not math.isfinite(sum(y_h)):
             raise SolverError(
                 f"non-finite state after a flow step from t={t}, j={j} with h={h}",
                 t=t, j=j, h=h,
@@ -263,8 +288,8 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 JumpEvent(
                     t=t,
                     j_before=j,
-                    y_pre=y.copy(),
-                    y_post=y_post.copy(),
+                    y_pre=np.array(y),
+                    y_post=np.array(y_post),
                     info=system.jump_event_info(t, y, y_post, meas),
                 )
             )
@@ -301,15 +326,17 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             meas = fresh
             margin, in_jump, in_flow = membership(t, y)
 
-    t_arr, j_arr, states_arr = np.array(ts), np.array(js, dtype=int), np.array(states)
-    states.clear()  # free the per-sample copies before the recording pass
-    flags_arr = np.array(flags, dtype=bool)
-    data = np.empty((len(ts), len(system.columns)))
+    n = len(ts)
+    t_arr, j_arr, flags_arr = np.array(ts), np.array(js, dtype=int), np.array(flags, dtype=bool)
+    # Views of the packed buffers, without a copy.
+    states_arr = np.frombuffer(states).reshape(n, -1)
+    noise_arr = None if noise is None else np.frombuffer(noise).reshape(n, -1)
+    data = np.empty((n, len(system.columns)))
     if system.columns:
-        for a in range(0, len(ts), RECORD_BATCH):
+        for a in range(0, n, RECORD_BATCH):
             b = a + RECORD_BATCH
-            cols = system.record(t_arr[a:b], j_arr[a:b], states_arr[a:b], measured[a:b],
-                                 flags_arr[a:b])
+            cols = system.record(t_arr[a:b], j_arr[a:b], states_arr[a:b],
+                                 None if noise_arr is None else noise_arr[a:b], flags_arr[a:b])
             data[a:b] = np.stack(cols, axis=1)
     return HybridArc(
         controller=system.kind,

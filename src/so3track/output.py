@@ -49,12 +49,6 @@ def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series,
     y_min -= pad
     y_max += pad
 
-    def px(x):
-        return ml + (x - x_min) / (x_max - x_min) * pw
-
-    def py(y):
-        return mt + (y_max - y) / (y_max - y_min) * ph
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
@@ -91,7 +85,10 @@ def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series,
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         stride = max(1, math.ceil(x.size / max_points))
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[::stride], y[::stride]))
+        # Plot coordinates of the kept points, mapped in one pass each.
+        px = ml + (x[::stride] - x_min) / (x_max - x_min) * pw
+        py = mt + (y_max - y[::stride]) / (y_max - y_min) * ph
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         parts.append(

@@ -95,10 +95,12 @@ class PotentialParams:
     spectral: SpectralData
     theta_min: float = field(init=False)
     _trA: float = field(init=False, repr=False)
-    # Float copies for the kernels: A and ux^2 as 9 floats, u as 3.
+    # Float copies for the kernels: A and ux^2 as 9 floats, u as 3, and the
+    # warp rotation of each reset angle (in theta_set order) as 9 floats.
     _A_f: tuple = field(init=False, repr=False)
     _u_f: tuple = field(init=False, repr=False)
     _ux2_f: tuple = field(init=False, repr=False)
+    _reset_W_f: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.theta_set) == 0:
@@ -122,6 +124,8 @@ class PotentialParams:
         object.__setattr__(self, "_A_f", tuple(floats(self.A)))
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
         object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))
+        object.__setattr__(self, "_reset_W_f",
+                           tuple(warp_rotation_f(th, self) for th in self.theta_set))
 
     def to_mapping(self) -> dict:
         """Flat mapping matching the scenario config keys for this parameter set."""
@@ -319,12 +323,41 @@ def warp_rotation_f(theta: float, p: PotentialParams, xp=math) -> tuple:
     )
 
 
-def value_f(AR, theta: float, p: PotentialParams, xp=math) -> float:
-    """tr(A) - tr(A R W) + gamma/2 theta^2 from AR = A @ R."""
+def value_w_f(AR, W, theta: float, p: PotentialParams) -> float:
+    """tr(A) - tr(A R W) + gamma/2 theta^2 from AR = A @ R and the warp rotation W of theta."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = AR
-    w0, w1, w2, w3, w4, w5, w6, w7, w8 = warp_rotation_f(theta, p, xp)
+    w0, w1, w2, w3, w4, w5, w6, w7, w8 = W
     tr = a0 * w0 + a1 * w3 + a2 * w6 + a3 * w1 + a4 * w4 + a5 * w7 + a6 * w2 + a7 * w5 + a8 * w8
     return p._trA - tr + 0.5 * p.gamma * theta * theta
+
+
+def value_f(AR, theta: float, p: PotentialParams, xp=math) -> float:
+    """tr(A) - tr(A R W) + gamma/2 theta^2 from AR = A @ R."""
+    return value_w_f(AR, warp_rotation_f(theta, p, xp), theta, p)
+
+
+def gradients_w_f(AR, W, theta: float, p: PotentialParams) -> tuple:
+    """gradients_f with the warp rotation W of theta given.
+
+    Of M = A R W it forms only the six off-diagonal entries that the axial
+    vector reads.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = AR
+    w0, w1, w2, w3, w4, w5, w6, w7, w8 = W
+    m1 = a0 * w1 + a1 * w4 + a2 * w7
+    m2 = a0 * w2 + a1 * w5 + a2 * w8
+    m3 = a3 * w0 + a4 * w3 + a5 * w6
+    m5 = a3 * w2 + a4 * w5 + a5 * w8
+    m6 = a6 * w0 + a7 * w3 + a8 * w6
+    m7 = a6 * w1 + a7 * w4 + a8 * w7
+    s0, s1, s2 = 0.5 * (m7 - m5), 0.5 * (m2 - m6), 0.5 * (m3 - m1)
+    u0, u1, u2 = p._u_f
+    return (
+        w0 * s0 + w1 * s1 + w2 * s2,
+        w3 * s0 + w4 * s1 + w5 * s2,
+        w6 * s0 + w7 * s1 + w8 * s2,
+        p.gamma * theta + 2.0 * (u0 * s0 + u1 * s1 + u2 * s2),
+    )
 
 
 def gradients_f(AR, theta: float, p: PotentialParams, xp=math) -> tuple:
@@ -333,19 +366,15 @@ def gradients_f(AR, theta: float, p: PotentialParams, xp=math) -> tuple:
     The rotation gradient is the vector g such that d/ds value(R exp(s w^), theta)
     equals 2 w . g at s = 0; the warp gradient is d value / d theta.
     """
-    W = warp_rotation_f(theta, p, xp)
-    ps = axial_f(mat_mul_f(AR, W))
-    u0, u1, u2 = p._u_f
-    g0, g1, g2 = mat_vec_f(W, ps)
-    return g0, g1, g2, p.gamma * theta + 2.0 * (u0 * ps[0] + u1 * ps[1] + u2 * ps[2])
+    return gradients_w_f(AR, warp_rotation_f(theta, p, xp), theta, p)
 
 
 def best_reset_f(AR, p: PotentialParams) -> tuple:
     """(angle, value) of the reset angle minimizing the potential; ties go to the first."""
     best_t = p.theta_set[0]
     best_v = math.inf
-    for tp in p.theta_set:
-        v = value_f(AR, tp, p)
+    for tp, W in zip(p.theta_set, p._reset_W_f):
+        v = value_w_f(AR, W, tp, p)
         if v < best_v:
             best_v = v
             best_t = tp
@@ -455,9 +484,10 @@ def undesired_critical_points(p: PotentialParams) -> list[CriticalPoint]:
 def gap_many(R: np.ndarray, theta: np.ndarray, p: PotentialParams) -> np.ndarray:
     """gap at each rotation of a stack and warp angle of an (n,) array."""
     AR = moment(R, p)
-    best = value_f(AR, p.theta_set[0], p)
-    for tp in p.theta_set[1:]:
-        best = np.minimum(best, value_f(AR, tp, p))
+    best = None
+    for tp, W in zip(p.theta_set, p._reset_W_f):
+        v = value_w_f(AR, W, tp, p)
+        best = v if best is None else np.minimum(best, v)
     return value_f(AR, theta, p, ARRAY_MATH) - best
 
 

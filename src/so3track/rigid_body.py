@@ -144,25 +144,31 @@ def tracking_error(body: BodyState, ref: RefState) -> ErrorState:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on floats: R and J as 9 floats, vectors as 3.
+# Kernels on floats: R and J as 9 floats, vectors as 3.  a = R^T omega_r and
+# Ja = J a are shared by the feedforward and the coupling term, so a flow
+# computes them once and passes them in.
 
 
-def feedforward_f(R, omega_r, z, J) -> tuple:
-    """J R^T z + a x J a with a = R^T omega_r."""
+def shared_terms_f(R, omega_r, J) -> tuple:
+    """(a, J a) with a = R^T omega_r."""
     a = mat_tvec_f(R, omega_r)
+    return a, mat_vec_f(J, a)
+
+
+def feedforward_f(R, z, a, Ja, J) -> tuple:
+    """J R^T z + a x J a."""
     a0, a1, a2 = a
     b0, b1, b2 = mat_vec_f(J, mat_tvec_f(R, z))
-    c0, c1, c2 = mat_vec_f(J, a)
+    c0, c1, c2 = Ja
     return (b0 + (a1 * c2 - a2 * c1), b1 + (a2 * c0 - a0 * c2), b2 + (a0 * c1 - a1 * c0))
 
 
-def coupling_times_f(R, omega_e, omega_r, J) -> tuple:
-    """Coupling matrix times omega_e: Jw x w + Ja x w - a x Jw - J (a x w), a = R^T omega_r."""
-    a = mat_tvec_f(R, omega_r)
+def coupling_times_f(omega_e, a, Ja, J) -> tuple:
+    """Coupling matrix times omega_e: Jw x w + Ja x w - a x Jw - J (a x w)."""
     w0, w1, w2 = omega_e
     a0, a1, a2 = a
     p0, p1, p2 = mat_vec_f(J, omega_e)
-    q0, q1, q2 = mat_vec_f(J, a)
+    q0, q1, q2 = Ja
     r0, r1, r2 = mat_vec_f(J, (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0))
     return (
         (p1 * w2 - p2 * w1) + (q1 * w2 - q2 * w1) - (a1 * p2 - a2 * p1) - r0,
@@ -171,9 +177,9 @@ def coupling_times_f(R, omega_e, omega_r, J) -> tuple:
     )
 
 
-def error_accel_f(R, omega_e, omega_r, ups, tau, J, J_inv) -> tuple:
+def error_accel_f(omega_e, a, Ja, ups, tau, J, J_inv) -> tuple:
     """omegadot_e = J^-1 (Sigma omega_e - ups + tau), ups the feedforward at R."""
-    s0, s1, s2 = coupling_times_f(R, omega_e, omega_r, J)
+    s0, s1, s2 = coupling_times_f(omega_e, a, Ja, J)
     return mat_vec_f(J_inv, (s0 - ups[0] + tau[0], s1 - ups[1] + tau[1], s2 - ups[2] + tau[2]))
 
 
@@ -186,7 +192,9 @@ def feedforward(Re, omega_r, z, inertia: Inertia) -> np.ndarray:
 
     J R_e^T z + (R_e^T omega_r) x J (R_e^T omega_r); zero for a constant reference.
     """
-    return np.array(feedforward_f(floats(Re), floats(omega_r), floats(z), inertia.J_f))
+    R = floats(Re)
+    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
+    return np.array(feedforward_f(R, floats(z), a, Ja, inertia.J_f))
 
 
 def coupling_matrix(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
@@ -199,15 +207,17 @@ def coupling_matrix(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
 
 def coupling_times(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
     """coupling_matrix(...) @ omega_e without forming the matrix."""
-    return np.array(coupling_times_f(floats(Re), floats(omega_e), floats(omega_r), inertia.J_f))
+    a, Ja = shared_terms_f(floats(Re), floats(omega_r), inertia.J_f)
+    return np.array(coupling_times_f(floats(omega_e), a, Ja, inertia.J_f))
 
 
 def error_flow(err: ErrorState, omega_r, z, tau, inertia: Inertia) -> tuple[np.ndarray, np.ndarray]:
     """Error rates: Rdot_e = R_e skew(omega_e), J omegadot_e = Sigma omega_e - Upsilon + tau."""
     R = floats(err.R)
-    we, wr = floats(err.omega), floats(omega_r)
-    ups = feedforward_f(R, wr, floats(z), inertia.J_f)
-    wdot = error_accel_f(R, we, wr, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
+    we = floats(err.omega)
+    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
+    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_f)
+    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
     return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
 
 

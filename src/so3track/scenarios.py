@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError
 from .hybrid import SolverConfig, solve
 from .monitors import certify_arc
 from .output import write_csv, write_member_plots
-from .potential import design_params
+from .potential import design_params, gradient_bounds
 from .rigid_body import Inertia, make_reference
 from .so3 import angle_axis
 
@@ -347,10 +347,48 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec, check: bool = False):
     return loop, state.pack()
 
 
+# Classical RK4 is stable on the negative real axis down to h lambda = -2.785.
+RK4_REAL_LIMIT = 2.785
+
+
+def fastest_rate(cfg: ScenarioConfig, member: MemberSpec, params) -> tuple[float, str]:
+    """(rate, source) of the fastest linearised decay rate of a member's closed loop.
+
+    The candidates are the warp-angle flow, k_theta times the curvature bound
+    gamma + lambda_2(A) + lambda_3(A) of the potential in theta (not for the
+    non-hybrid loop, whose warp angle is frozen), the smooth law's filter rate
+    k_zeta, and the velocity damping k_omega / lambda_min(J) of the laws that
+    read the velocity.  RK4 is stable on such a mode while dt * rate stays
+    below RK4_REAL_LIMIT.
+
+    For the bundled gains the estimate is conservative by 13 % or more.  In
+    fig3 and fig4 the warp-angle mode is the fastest (k_theta = 50,
+    curvature bound 10.3 to 10.7), which puts the limit at 0.0052 to
+    0.0054 s, so dt = 0.005 passes without a warning.  Every noise-free
+    fig3 and fig4 member certifies at dt = 0.005 and 0.0055.  The first
+    failure is the velocity-free member at 0.006; the basic and smooth
+    members fail from 0.008 or 0.01, and the non-hybrid member certifies up
+    to 0.012 at least.  The estimate reads one mode at a time and ignores
+    the coupling between them, so it is a guide, not a proof of stability.
+    """
+    gains = cfg.gains
+    rates = []
+    if member.controller != "non_hybrid":
+        curvature = params.gamma + gradient_bounds(params).c_psi
+        rates.append((gains.k_theta * curvature,
+                      "k_theta times the warp-angle curvature bound"))
+    if member.controller == "smooth":
+        rates.append((gains.k_zeta, "k_zeta"))
+    if member.controller != "velocity_free":
+        rates.append((gains.k_omega / min(cfg.inertia_diag), "k_omega / lambda_min(J)"))
+    return max(rates)
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Run every member-level invariant check without simulating.
 
-    Raises ConfigError on hard violations; returns advisory warnings.
+    Raises ConfigError on hard violations; returns advisory warnings, among
+    them a step size past the RK4 limit of a member's `fastest_rate`.
     """
     notes: list[str] = []
     for member in cfg.members:
@@ -359,6 +397,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             member_notes = cfg.gains.check_for(member.controller, params)
         except ContractError as e:
             raise ConfigError(f"member {member.label}: {e}") from None
+        rate, source = fastest_rate(cfg, member, params)
+        if cfg.dt * rate > RK4_REAL_LIMIT:
+            member_notes.append(
+                f"dt = {cfg.dt} is past the RK4 stability limit {RK4_REAL_LIMIT / rate:.3g} "
+                f"of the fastest linearised rate {rate:.4g}/s ({source}); the run may diverge"
+            )
         notes.extend(f"member {member.label}: {n}" for n in member_notes)
         build_member(cfg, member, check=False)
     _solver_config(cfg)

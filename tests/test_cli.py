@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -186,3 +187,14 @@ def test_scenario_csv_round_trip_determinism(tmp_path):
     assert (tmp_path / "a" / "mini_0_basic.csv").read_bytes() == (
         tmp_path / "b" / "mini_0_basic.csv"
     ).read_bytes()
+
+
+def test_validate_warns_past_the_rk4_step_limit(capsys):
+    cfg = st.load_scenario("fig4")
+    coarse = st.validate_scenario(dataclasses.replace(cfg, dt=0.02))
+    past = [n for n in coarse if "RK4 stability limit" in n]
+    assert len(past) == len(cfg.members)
+    assert all("0.0052" in n and "k_theta" in n for n in past)
+    assert not any("RK4" in n for n in st.validate_scenario(cfg))
+    assert main(["validate", "fig4"]) == 0
+    assert "RK4" not in capsys.readouterr().out

@@ -281,9 +281,9 @@ def spy_on_record(loop):
     seen = {}
     record = loop.record
 
-    def spy(t, j, states, meas, in_jump):
-        seen.update(t=t, states=states, meas=meas, in_jump=in_jump)
-        return record(t, j, states, meas, in_jump)
+    def spy(t, j, states, noise, in_jump):
+        seen.update(t=t, states=states, noise=noise, in_jump=in_jump)
+        return record(t, j, states, noise, in_jump)
 
     loop.record = spy
     return seen
@@ -317,14 +317,17 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
     arc = st.solve(loop, s.pack(), cfg, np.random.default_rng(3))
     assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
     assert np.array_equal(seen["states"], arc.states)
+    noise = seen["noise"]
+    assert (noise is None) != noisy
+    meas = ([None] * len(arc) if noise is None else
+            [st.Measurement(tuple(r[0:9]), tuple(r[9:12])) for r in noise.tolist()])
     # a flow sample is recorded under the measurement of the step into it,
     # whose last RK4 stage evaluates the flow at the sample time
     step_meas = {calls[k + 3][0]: calls[k][1] for k in range(0, len(calls), 4)}
     for i in range(1, len(arc)):
         if arc.j[i] == arc.j[i - 1]:
-            assert seen["meas"][i] is step_meas[seen["t"][i]]
-    assert all((m is None) != noisy for m in seen["meas"])
-    assert_rows_equal_scalar_kernels(loop, arc, seen["t"], seen["states"], seen["meas"],
+            assert meas[i] == step_meas[seen["t"][i]]
+    assert_rows_equal_scalar_kernels(loop, arc, seen["t"], seen["states"], meas,
                                      seen["in_jump"], range(len(arc)))
 
 

@@ -15,9 +15,9 @@ class Decay(HybridSystem):
     columns = ("x",)
 
     def flow(self, t, y, meas):
-        return -y
+        return tuple(-x for x in y)
 
-    def record(self, t, j, states, meas, in_jump):
+    def record(self, t, j, states, noise, in_jump):
         return (states[:, 0],)
 
 
@@ -27,10 +27,10 @@ class Timer(HybridSystem):
     kind = "timer"
 
     def flow(self, t, y, meas):
-        return np.ones(1)
+        return (1.0,)
 
     def jump(self, t, y, meas):
-        return np.zeros(1)
+        return (0.0,)
 
     def jump_margin(self, t, y, meas):
         return y[0] - 1.0
@@ -42,10 +42,10 @@ class Chatter(HybridSystem):
     kind = "chatter"
 
     def flow(self, t, y, meas):
-        return np.zeros(1)
+        return (0.0,)
 
     def jump(self, t, y, meas):
-        return y.copy()
+        return y
 
     def jump_margin(self, t, y, meas):
         return 1.0
@@ -57,7 +57,7 @@ class Escaper(HybridSystem):
     kind = "escaper"
 
     def flow(self, t, y, meas):
-        return np.ones(1)
+        return (1.0,)
 
     def jump_margin(self, t, y, meas):
         return -1.0 if y[0] <= 1.0 else math.nan
@@ -69,7 +69,58 @@ class Blowup(HybridSystem):
     kind = "blowup"
 
     def flow(self, t, y, meas):
-        return np.full_like(y, math.nan)
+        return (math.nan,) * len(y)
+
+
+def assert_float_tuple(y):
+    assert type(y) is tuple and all(type(x) is float for x in y), y
+
+
+class Strict(HybridSystem):
+    """A noisy clock with a projection that checks every state it is handed.
+
+    x' = 1 with a reset to zero at x = 0.3337 (inside a step, so the crossing
+    is refined), and a decaying second component.
+    """
+
+    kind = "strict"
+    columns = ("x",)
+
+    def flow(self, t, y, meas):
+        assert_float_tuple(y)
+        return (1.0, -y[1])
+
+    def jump_margin(self, t, y, meas):
+        assert_float_tuple(y)
+        return y[0] - 0.3337
+
+    def jump(self, t, y, meas):
+        assert_float_tuple(y)
+        return (0.0, y[1])
+
+    def project(self, y):
+        assert_float_tuple(y)
+        return y
+
+    def sample_measurement(self, rng):
+        return ((float(rng.normal()),),)
+
+    def jump_event_info(self, t, y_pre, y_post, meas):
+        assert_float_tuple(y_pre)
+        assert_float_tuple(y_post)
+        return {}
+
+    def record(self, t, j, states, noise, in_jump):
+        assert states.shape == (len(t), 2) and noise.shape == (len(t), 1)
+        return (states[:, 0],)
+
+
+def test_solve_hands_the_system_only_float_tuples():
+    cfg = st.SolverConfig(dt=1e-3, t_max=1.0, j_max=5)
+    arc = st.solve(Strict(), np.array([0.0, 1.0]), cfg)
+    assert len(arc.jumps) == 2
+    assert arc.jumps[0].t == pytest.approx(0.3337, abs=1e-9)
+    assert arc.states.shape == (len(arc), 2)
 
 
 def test_pure_ode_matches_exponential():
