@@ -9,10 +9,8 @@ decrease properties numerically.
 from .errors import ConfigError, ContractError, SolverError
 from .so3 import (
     angle_axis,
-    antisym_part,
     axial,
     exp_so3,
-    is_rotation,
     log_so3,
     orthonormalize,
     project_to_so3,
@@ -20,7 +18,6 @@ from .so3 import (
     random_rotations,
     rot_distance,
     skew,
-    trace_complement,
     vee,
 )
 from .potential import (
@@ -34,31 +31,14 @@ from .potential import (
     gap,
     grad_rotation,
     grad_rotation_rate,
-    grad_warp,
     gradient_bounds,
     gradients,
     undesired_critical_points,
     value,
     warp_gap,
     warp_rotation,
-    warped,
 )
-from .rigid_body import (
-    BodyState,
-    ErrorState,
-    Inertia,
-    RefState,
-    Reference,
-    apply_noise,
-    body_flow,
-    coupling_matrix,
-    coupling_times,
-    error_flow,
-    feedforward,
-    make_reference,
-    ref_flow,
-    tracking_error,
-)
+from .rigid_body import Inertia, Reference, feedforward, make_reference
 from .hybrid import HybridArc, HybridSystem, JumpEvent, SolverConfig, detect_crossing, rk4_step, solve
 from .controllers import (
     BasicLoop,
@@ -71,18 +51,9 @@ from .controllers import (
     SmoothLoopState,
     VelocityFreeLoop,
     VelocityFreeLoopState,
-    aux_flow,
     filter_gain_bound,
-    filtered_gap,
-    filtered_value,
     make_loop,
-    torque_basic,
-    torque_non_hybrid,
-    torque_smooth,
     torque_velocity_free,
-    warp_rate,
-    warp_reset,
-    zeta_flow,
 )
 from .monitors import (
     CertificationReport,

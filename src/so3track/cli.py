@@ -1,7 +1,8 @@
 """Command line interface: run, list, and validate scenarios.
 
 Exit codes: 0 success, 1 configuration error, 2 solver error,
-3 certification failure.
+3 certification failure, 4 output error (the output directory or a file in
+it cannot be written).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CERT = 3
+EXIT_OUTPUT = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,6 +85,9 @@ def main(argv=None) -> int:
     except SolverError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_OUTPUT
     for res in result.members:
         status = "PASS" if res.report.passed else "FAIL"
         print(f"{cfg.name} {res.member.label}: {status} -> {res.csv_path}")

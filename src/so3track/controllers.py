@@ -20,8 +20,7 @@ Each law is written once, as a component-wise kernel (`*_f`) on floats (see
 `so3`).  The closed loops evaluate the kernels on the state as a tuple of
 floats and draw and apply the measurement noise in floats; after a run they
 evaluate the same kernels once more on the recorded states as column arrays
-to fill the recorded columns.  The public numpy functions (`torque_*`, `zeta_flow`,
-`aux_flow`, ...) are adapters over the same kernels.
+to fill the recorded columns.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ from .potential import (
     grad_rotation,
     grad_rotation_rate_f,
     gradient_bounds,
-    gradients,
     gradients_f,
     gradients_w_f,
-    moment,
     value_f,
     value_w_f,
     warp_rotation_f,
@@ -79,19 +76,11 @@ _ZERO_F = (0.0, 0.0, 0.0)
 class Measurement(NamedTuple):
     """One sample of measurement noise, held constant over an integration step.
 
-    The loops draw E as 9 floats and n_omega as 3 (see `so3`); a 3x3 E and a
-    3-vector n_omega given as arrays are accepted too.
+    E is 9 floats and n_omega 3 (see `so3`); `record` passes (n,) arrays.
     """
 
     E: tuple  # attitude noise rotation, R_y = R @ E
     n_omega: tuple
-
-
-def _noise_f(meas: Measurement) -> tuple:
-    """(E, n_omega) as float tuples, converting fields given as arrays."""
-    E, n = meas
-    return (E if type(E) is tuple else tuple(floats(E)),
-            n if type(n) is tuple else tuple(floats(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,83 +233,7 @@ def aux_flow_f(Rtilde, omega_e, g_rot, Gamma, E=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Warp-angle subsystem.
-
-
-def warp_rate(R, theta: float, p: PotentialParams, gains: Gains) -> float:
-    """Flow of the warp angle: minus k_theta times the warp gradient."""
-    return -gains.k_theta * gradients(R, theta, p)[1]
-
-
-def warp_reset(R, p: PotentialParams) -> float:
-    """Reset value: the angle from the reset set minimizing the potential at R.
-
-    Ties break deterministically to the earliest angle in the stored order.
-    """
-    return best_reset_f(moment(R, p), p)[0]
-
-
-# ---------------------------------------------------------------------------
-# Filtered potential used by the smooth law.
-
-
-def filtered_value(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
-    """Potential plus rho times the squared filter mismatch."""
-    theta = float(theta)
-    return filtered_value_w_f(moment(R, p), warp_rotation_f(theta, p), theta, floats(zeta), p, rho)
-
-
-def filtered_gap(R, theta: float, zeta, p: PotentialParams, rho: float) -> float:
-    """filtered_value at theta minus its best value over the reset set."""
-    return filtered_gap_f(moment(R, p), float(theta), floats(zeta), p, rho)
-
-
-# ---------------------------------------------------------------------------
-# Torque laws.
-
-
-def torque_basic(Re, theta, omega_e, omega_r, z, p: PotentialParams, gains: Gains,
-                 inertia: Inertia) -> np.ndarray:
-    """Feedforward minus gradient feedback minus velocity damping."""
-    ups = feedforward(Re, omega_r, z, inertia)
-    return np.array(torque_basic_f(ups, grad_rotation(Re, theta, p), floats(omega_e), gains))
-
-
-def torque_smooth(Re, zeta, omega_e, omega_r, z, p: PotentialParams, gains: Gains,
-                  inertia: Inertia) -> np.ndarray:
-    """Like the basic law but with the filter state in place of the gradient.
-
-    The filter state does not jump, so this torque is continuous across warp
-    resets.
-    """
-    ups = feedforward(Re, omega_r, z, inertia)
-    return np.array(torque_basic_f(ups, floats(zeta), floats(omega_e), gains))
-
-
-def zeta_flow(Re, theta: float, zeta, omega_e, p: PotentialParams, gains: Gains,
-              relaxed: bool = False) -> np.ndarray:
-    """Filter dynamics tracking the rotation gradient.
-
-    Standard form: -k_zeta (zeta - grad).  The relaxed form adds the gradient
-    rate and omega_e / rho, which removes the high-gain requirement on k_zeta.
-    """
-    AR = moment(Re, p)
-    g0, g1, g2, g_th = gradients_f(AR, float(theta), p)
-    return np.array(zeta_flow_f(
-        AR, float(theta), floats(zeta), floats(omega_e), (g0, g1, g2), g_th, p, gains, relaxed
-    ))
-
-
-def aux_flow(Rtilde, theta_bar: float, omega_e, p: PotentialParams, gains: Gains):
-    """Rates of the auxiliary rotation and its warp angle.
-
-    The auxiliary rotation is driven by the true relative velocity minus the
-    damping output beta = Gamma @ grad_rotation; that is plant physics, the
-    control law itself never reads omega_e.
-    """
-    g_rot, g_th = gradients(Rtilde, theta_bar, p)
-    Rt_dot = aux_flow_f(floats(Rtilde), floats(omega_e), g_rot, floats(gains.Gamma))
-    return np.array(Rt_dot).reshape(3, 3), -gains.k_theta * g_th
+# The velocity-free law on 3x3 arrays, whose signature names no body velocity.
 
 
 def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialParams,
@@ -334,12 +247,6 @@ def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialP
     g1 = grad_rotation(Re, theta, p)
     g2 = grad_rotation(Rtilde, theta_bar, p)
     return np.array(torque_velocity_free_f(ups, g1, g2, gains))
-
-
-def torque_non_hybrid(Re, omega_e, omega_r, z, p: PotentialParams, gains: Gains,
-                      inertia: Inertia) -> np.ndarray:
-    """Smooth baseline: the basic law with the warp angle frozen at zero."""
-    return torque_basic(Re, 0.0, omega_e, omega_r, z, p, gains, inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +364,7 @@ class _TrackingLoop(HybridSystem):
     @staticmethod
     def _measured_rotation(R, meas):
         """R_m = R @ E, or R itself without a measurement."""
-        return R if meas is None else mat_mul_f(R, _noise_f(meas)[0])
+        return R if meas is None else mat_mul_f(R, meas.E)
 
     def _feedforward(self, R, omega_r, z) -> tuple:
         """(a, J a, feedforward) at rotation R, with a = R^T omega_r."""
@@ -474,7 +381,7 @@ class _TrackingLoop(HybridSystem):
         """
         if meas is None:
             return Re, omega_e, ups
-        E, n = _noise_f(meas)
+        E, n = meas
         Rm = mat_mul_f(Re, E)
         am, _, ups_m = self._feedforward(Rm, omega_r, z)
         wem = (
@@ -688,7 +595,7 @@ class VelocityFreeLoop(_TrackingLoop):
         if meas is None:
             E, ups_m = None, ups
         else:
-            E = _noise_f(meas)[0]
+            E = meas.E
             Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
             ups_m = self._feedforward(Re, wr, z)[2]
         a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[9], p, xp)

@@ -3,9 +3,8 @@
 Each closed loop has a monitor function (`lyapunov_packed`) that must not
 increase along flows and must drop by at least the loop's `jump_drop` at
 every jump.  `certify_arc` replays those two properties over a recorded arc,
-checks the jump-count bound implied by the initial monitor value, and
-optionally fits an exponential rate to the squared distance from the
-attractor.
+checks the jump-count bound implied by the initial monitor value, and fits
+an exponential rate to the squared distance from the attractor.
 """
 
 from __future__ import annotations
@@ -118,24 +117,20 @@ class CertificationReport:
         return "\n".join(self.lines()) + "\n"
 
 
-def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float | None = None,
-                fit: bool = True, fit_floor: float = 1e-12) -> CertificationReport:
+def certify_arc(arc, loop, *, flow_tol: float | None = None) -> CertificationReport:
     """Check the monitor decrease properties of a recorded arc.
 
     The per-step flow tolerance covers RK4 truncation: by default 1e-7 at the
     default step dt = 1e-3, scaled as dt^4 to the arc's step.  Under
     measurement noise the flow monotonicity of the monitor is not a theorem,
-    so it is reported but not enforced.  An arc the solver stopped at its jump limit (status "j_max")
-    fails: the loops' jump counts are bounded, so reaching the limit means the
-    run diverged or the limit is too small.  The monitor kind must match the
-    controller that produced the arc.
+    so it is reported but not enforced.  An arc the solver stopped at its jump
+    limit (status "j_max") fails: the loops' jump counts are bounded, so
+    reaching the limit means the run diverged or the limit is too small.  The
+    loop must be of the kind that produced the arc.
     """
-    if monitor is None:
-        monitor = loop.kind
-    if monitor != arc.controller or loop.kind != arc.controller:
+    if loop.kind != arc.controller:
         raise ContractError(
-            f"monitor/controller mismatch: arc from '{arc.controller}', "
-            f"monitor '{monitor}', loop '{loop.kind}'"
+            f"monitor/controller mismatch: arc from '{arc.controller}', loop '{loop.kind}'"
         )
     if flow_tol is None:
         flow_tol = 1e-7 * (arc.dt / 1e-3) ** 4
@@ -186,14 +181,10 @@ def certify_arc(arc, loop, monitor: str | None = None, *, flow_tol: float | None
     we = np.sqrt(
         arc.column("we_x") ** 2 + arc.column("we_y") ** 2 + arc.column("we_z") ** 2
     )
-    slope = r2 = n_used = None
-    if fit:
-        t_tail = arc.jumps[-1].t if arc.jumps else 0.0
-        tail = arc.t >= t_tail
-        vals = arc.column("U")[tail] + we[tail] ** 2
-        res = exponential_fit(arc.t[tail], vals, floor=fit_floor)
-        if res is not None:
-            slope, r2, n_used = res
+    t_tail = arc.jumps[-1].t if arc.jumps else 0.0
+    tail = arc.t >= t_tail
+    fit = exponential_fit(arc.t[tail], arc.column("U")[tail] + we[tail] ** 2)
+    slope, r2, n_used = fit if fit is not None else (None, None, None)
 
     return CertificationReport(
         controller=arc.controller,

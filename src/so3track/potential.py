@@ -22,9 +22,8 @@ Each formula is written once, as a component-wise kernel (`*_f`) on Python
 floats: rotations as 9 floats in row-major order, vectors as 3 floats (see
 `so3`).  The kernels take AR = A @ R rather than R, so that the gap can
 evaluate the potential at several warp angles from one matrix product.  The
-public numpy functions are thin adapters over them, and the sampling-based
-certification runs `value_f` and `gradients_f` on batches (`moment` of a
-stack of rotations, `xp = ARRAY_MATH`).
+sampling-based certification runs `value_f` and `gradients_f` on batches
+(`moment` of a stack of rotations, `xp = ARRAY_MATH`).
 """
 
 from __future__ import annotations
@@ -405,7 +404,7 @@ def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: Potentia
 
 
 # ---------------------------------------------------------------------------
-# numpy adapters.
+# The kernels on a rotation as a 3x3 array.
 
 
 def moment(R, p: PotentialParams) -> tuple:
@@ -416,11 +415,6 @@ def moment(R, p: PotentialParams) -> tuple:
 def warp_rotation(theta: float, p: PotentialParams) -> np.ndarray:
     """Rotation by the warp angle about the designed axis u."""
     return np.array(warp_rotation_f(float(theta), p)).reshape(3, 3)
-
-
-def warped(R, theta: float, p: PotentialParams) -> np.ndarray:
-    """Warped attitude T(R, theta) = R @ warp_rotation(theta)."""
-    return R @ warp_rotation(theta, p)
 
 
 def value(R, theta: float, p: PotentialParams) -> float:
@@ -440,10 +434,6 @@ def gradients(R, theta: float, p: PotentialParams) -> tuple[np.ndarray, float]:
 
 def grad_rotation(R, theta: float, p: PotentialParams) -> np.ndarray:
     return gradients(R, theta, p)[0]
-
-
-def grad_warp(R, theta: float, p: PotentialParams) -> float:
-    return gradients(R, theta, p)[1]
 
 
 def gap(R, theta: float, p: PotentialParams) -> float:

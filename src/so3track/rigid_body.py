@@ -1,8 +1,7 @@
-"""Rigid-body attitude dynamics, reference generation, and tracking errors.
+"""Inertia, reference generation, and the terms of the tracking-error dynamics.
 
 The feedforward and coupling terms of the error dynamics are written once, as
-component-wise kernels (`*_f`) on floats (see `so3`); the numpy functions are
-adapters over them.
+component-wise kernels (`*_f`) on floats (see `so3`).
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError
-from .so3 import cross_f, exp_so3, floats, mat_skew_f, mat_tvec_f, mat_vec_f, skew
-
-Vec3 = np.ndarray
+from .so3 import floats, mat_tvec_f, mat_vec_f
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,24 +45,6 @@ class Inertia:
     @classmethod
     def from_diag(cls, d) -> "Inertia":
         return cls.from_matrix(np.diag(np.asarray(d, dtype=float)))
-
-
-@dataclass
-class BodyState:
-    R: np.ndarray
-    omega: np.ndarray
-
-
-@dataclass
-class RefState:
-    R: np.ndarray
-    omega: np.ndarray
-
-
-@dataclass
-class ErrorState:
-    R: np.ndarray
-    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,29 +99,6 @@ def make_reference(name: str, m_bound: float, omega_r_bound: float) -> Reference
     return Reference(name=name, z_fn=REFERENCE_FUNCTIONS[name], m_bound=m_bound, omega_r_bound=omega_r_bound)
 
 
-def body_flow(state: BodyState, tau, inertia: Inertia) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid-body rates: Rdot = R skew(omega), J omegadot = -omega x J omega + tau."""
-    w = state.omega
-    Rdot = state.R @ skew(w)
-    wdot = inertia.J_inv @ (-np.array(cross_f(w, inertia.J @ w)) + np.asarray(tau, dtype=float))
-    return Rdot, wdot
-
-
-def ref_flow(state: RefState, z, m_bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reference rates: Rdot = R skew(omega_r), omegadot = z with ||z|| <= m_bound."""
-    z = np.asarray(z, dtype=float)
-    n = math.sqrt(z @ z)
-    if n > m_bound:
-        raise ContractError(f"reference acceleration norm {n} exceeds the bound {m_bound}")
-    return state.R @ skew(state.omega), z
-
-
-def tracking_error(body: BodyState, ref: RefState) -> ErrorState:
-    """Left-invariant errors R_e = R_r^T R and omega_e = omega - R_e^T omega_r."""
-    Re = ref.R.T @ body.R
-    return ErrorState(R=Re, omega=body.omega - Re.T @ ref.omega)
-
-
 # ---------------------------------------------------------------------------
 # Kernels on floats: R and J as 9 floats, vectors as 3.  a = R^T omega_r and
 # Ja = J a are shared by the feedforward and the coupling term, so a flow
@@ -183,10 +139,6 @@ def error_accel_f(omega_e, a, Ja, ups, tau, J, J_inv) -> tuple:
     return mat_vec_f(J_inv, (s0 - ups[0] + tau[0], s1 - ups[1] + tau[1], s2 - ups[2] + tau[2]))
 
 
-# ---------------------------------------------------------------------------
-# numpy adapters.
-
-
 def feedforward(Re, omega_r, z, inertia: Inertia) -> np.ndarray:
     """Torque compensating reference acceleration and gyroscopic coupling.
 
@@ -195,44 +147,3 @@ def feedforward(Re, omega_r, z, inertia: Inertia) -> np.ndarray:
     R = floats(Re)
     a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
     return np.array(feedforward_f(R, floats(z), a, Ja, inertia.J_f))
-
-
-def coupling_matrix(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
-    """Skew-symmetric coupling matrix of the error dynamics (contributes no power)."""
-    J = inertia.J
-    a = Re.T @ np.asarray(omega_r, dtype=float)
-    ax = skew(a)
-    return skew(J @ np.asarray(omega_e, dtype=float)) + skew(J @ a) - (ax @ J + J @ ax)
-
-
-def coupling_times(Re, omega_e, omega_r, inertia: Inertia) -> np.ndarray:
-    """coupling_matrix(...) @ omega_e without forming the matrix."""
-    a, Ja = shared_terms_f(floats(Re), floats(omega_r), inertia.J_f)
-    return np.array(coupling_times_f(floats(omega_e), a, Ja, inertia.J_f))
-
-
-def error_flow(err: ErrorState, omega_r, z, tau, inertia: Inertia) -> tuple[np.ndarray, np.ndarray]:
-    """Error rates: Rdot_e = R_e skew(omega_e), J omegadot_e = Sigma omega_e - Upsilon + tau."""
-    R = floats(err.R)
-    we = floats(err.omega)
-    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
-    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_f)
-    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
-    return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
-
-
-def apply_noise(
-    body: BodyState, sigma_R: float, sigma_omega: float, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy measurements R_y = R exp(skew(n_R)), omega_y = omega + n_omega.
-
-    Noise components are i.i.d. N(0, sigma^2); zero sigmas give exact
-    measurements without consuming random draws.
-    """
-    if sigma_R < 0.0 or sigma_omega < 0.0:
-        raise ContractError("noise standard deviations must be nonnegative")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    R_y = body.R if sigma_R == 0.0 else body.R @ exp_so3(rng.normal(0.0, sigma_R, 3))
-    w_y = body.omega if sigma_omega == 0.0 else body.omega + rng.normal(0.0, sigma_omega, 3)
-    return R_y, w_y

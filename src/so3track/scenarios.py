@@ -164,14 +164,22 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     d = dict(_DEFAULTS)
     d.update(raw)
 
+    def finite(key, x):
+        try:
+            f = float(x)
+        except (TypeError, ValueError):
+            raise ConfigError(f"'{key}' must contain numbers") from None
+        except OverflowError:  # an integer beyond the float range
+            f = math.inf
+        if not math.isfinite(f):
+            raise ConfigError(f"'{key}' must be finite, got {x}")
+        return f
+
     def as_floats(key, n=None):
         v = d[key]
         if not isinstance(v, list) or (n is not None and len(v) != n):
             raise ConfigError(f"'{key}' must be a list" + (f" of {n} numbers" if n else ""))
-        try:
-            return [float(x) for x in v]
-        except (TypeError, ValueError):
-            raise ConfigError(f"'{key}' must contain numbers") from None
+        return [finite(key, x) for x in v]
 
     def as_float(key, allow_none=False):
         v = d[key]
@@ -179,7 +187,7 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"'{key}' must be a number")
-        return float(v)
+        return finite(key, v)
 
     controllers = d["controllers"]
     if not isinstance(controllers, list) or not controllers:
@@ -187,10 +195,7 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     for c in controllers:
         if c not in CONTROLLER_KINDS:
             raise ConfigError(f"'controllers' entry '{c}' not one of {CONTROLLER_KINDS}")
-    gammas = d["gammas"]
-    if not isinstance(gammas, list):
-        raise ConfigError("'gammas' must be a list")
-    gammas = [float(g) for g in gammas]
+    gammas = as_floats("gammas")
     if len(gammas) == 1:
         gammas = gammas * len(controllers)
     if len(gammas) != len(controllers):
@@ -199,6 +204,8 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     if (d["delta"] is None) == (d["delta_frac"] is None):
         raise ConfigError("give exactly one of 'delta' and 'delta_frac'")
 
+    if not isinstance(d["reference"], str):
+        raise ConfigError("'reference' must be the name of a reference")
     if d["zeta_dynamics"] not in ("standard", "relaxed"):
         raise ConfigError("'zeta_dynamics' must be 'standard' or 'relaxed'")
     if d["Rbar0"] not in ("transpose", "identity"):
@@ -213,6 +220,9 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     t_max = as_float("t_max")
     if dt <= 0.0 or t_max <= 0.0:
         raise ConfigError("'dt' and 't_max' must be positive")
+    inertia_diag = as_floats("J_diag", 3)
+    if min(inertia_diag) <= 0.0:
+        raise ConfigError("'J_diag' entries must be positive")
     nvr = as_float("noise_var_R")
     nvw = as_float("noise_var_omega")
     if nvr < 0.0 or nvw < 0.0:
@@ -250,7 +260,7 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
         delta_frac=as_float("delta_frac", allow_none=True),
         gains=gains,
         zeta_dynamics=d["zeta_dynamics"],
-        inertia_diag=as_floats("J_diag", 3),
+        inertia_diag=inertia_diag,
         reference=d["reference"],
         m_bound=as_float("m_bound"),
         omega_r_bound=as_float("omega_r_bound"),
@@ -294,7 +304,10 @@ def load_scenario(name_or_path) -> ScenarioConfig:
                 f"'{name_or_path}' is neither a bundled scenario {sorted(bundled)} "
                 "nor an existing file"
             )
-        text = p.read_text()
+        try:
+            text = p.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read '{name_or_path}': {e}") from None
     return scenario_from_mapping(parse_config_text(text))
 
 
@@ -311,7 +324,7 @@ def _member_params(cfg: ScenarioConfig, member: MemberSpec):
         raise ConfigError(f"member {member.label}: {e}") from None
 
 
-def build_member(cfg: ScenarioConfig, member: MemberSpec, check: bool = False):
+def build_member(cfg: ScenarioConfig, member: MemberSpec):
     """Closed loop plus packed initial state for one member run."""
     params = _member_params(cfg, member)
     inertia = Inertia.from_diag(cfg.inertia_diag)
@@ -330,7 +343,7 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec, check: bool = False):
         reference,
         noise,
         relaxed_filter=cfg.zeta_dynamics == "relaxed",
-        check=check,
+        check=False,
     )
     axis = np.asarray(cfg.R0_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -404,7 +417,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 f"of the fastest linearised rate {rate:.4g}/s ({source}); the run may diverge"
             )
         notes.extend(f"member {member.label}: {n}" for n in member_notes)
-        build_member(cfg, member, check=False)
+        build_member(cfg, member)
     _solver_config(cfg)
     return notes
 

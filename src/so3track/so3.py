@@ -26,8 +26,6 @@ from .errors import ContractError
 
 EYE3 = np.eye(3)
 
-ORTHONORMALITY_TOL = 1e-9
-
 
 def floats(x) -> list:
     """A vector or matrix as a flat list of floats (row-major), the kernels' argument form."""
@@ -182,21 +180,9 @@ def vee(M) -> np.ndarray:
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
-def antisym_part(M) -> np.ndarray:
-    """Antisymmetric projection (M - M^T) / 2."""
-    M = np.asarray(M, dtype=float)
-    return 0.5 * (M - M.T)
-
-
 def axial(M) -> np.ndarray:
     """Axial vector of the antisymmetric part of M, i.e. vee((M - M^T)/2)."""
     return np.array(axial_f(np.ravel(M)))
-
-
-def trace_complement(M) -> np.ndarray:
-    """The map M -> (tr(M) I - M^T) / 2, used in gradient-rate formulas."""
-    M = np.asarray(M, dtype=float)
-    return 0.5 * ((M[0, 0] + M[1, 1] + M[2, 2]) * EYE3 - M.T)
 
 
 def angle_axis(angle: float, axis) -> np.ndarray:
@@ -257,13 +243,6 @@ def project_to_so3(M) -> np.ndarray:
 def orthonormalize(R) -> np.ndarray:
     """Drift correction toward the symmetric polar factor (see `orthonormalize_f`)."""
     return np.array(orthonormalize_f(floats(R))).reshape(3, 3)
-
-
-def is_rotation(R, tol: float = ORTHONORMALITY_TOL) -> bool:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    return np.linalg.norm(R.T @ R - EYE3) <= tol and np.linalg.det(R) > 0.0
 
 
 def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:

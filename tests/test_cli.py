@@ -198,3 +198,48 @@ def test_validate_warns_past_the_rk4_step_limit(capsys):
     assert not any("RK4" in n for n in st.validate_scenario(cfg))
     assert main(["validate", "fig4"]) == 0
     assert "RK4" not in capsys.readouterr().out
+
+
+def with_key(text, key, value):
+    """Config text with `key` set to `value`, replacing any line that sets it."""
+    kept = [ln for ln in text.splitlines() if ln.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("key, value, names", [
+    ("J_diag", "[0.0, 4.0, 6.0]", "positive"),
+    ("J_diag", "[nan, 0, 0]", "finite"),
+    ("reference", "[1,2,3]", "reference"),
+    ("R0_angle", "-inf", "finite"),
+    ("t_max", "nan", "finite"),
+], ids=("J_zero", "J_nan", "reference_list", "R0_angle_inf", "t_max_nan"))
+def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, names):
+    cfg = write_cfg(tmp_path, with_key(MINI, key, value))
+    assert main(["validate", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("config error:") and key in err and names in err
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and len(err.splitlines()) == 1
+
+
+def test_run_output_error_exit_code(tmp_path):
+    # an output directory under a regular file cannot be created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = write_cfg(tmp_path, MINI.replace("t_max = 0.5", "t_max = 0.01"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run(
+        [sys.executable, "-m", "so3track", "run", str(cfg), "--out-dir", str(blocker / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert r.stderr.startswith("output error:") and "blocker" in r.stderr

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import so3track as st
+from so3track.controllers import filtered_gap_f, filtered_value_w_f, torque_basic_f
 from so3track.errors import ContractError
+from so3track.potential import moment, warp_rotation_f
+from so3track.rigid_body import coupling_times_f, shared_terms_f
+from so3track.so3 import floats
 
 E1, E2, E3 = np.eye(3)
+REST = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
 
 
 def random_basic_state(rng):
@@ -21,41 +26,67 @@ def random_basic_state(rng):
     )
 
 
+def fixed_reference(z):
+    """A reference whose acceleration z is the same at every time."""
+    z = tuple(floats(z))
+    return st.Reference("fixed", lambda t, xp=math: z, m_bound=10.0, omega_r_bound=25.0)
+
+
+def rest_state(R, theta):
+    """Basic-loop state with error rotation R and warp angle theta, at rest on a resting frame."""
+    return st.BasicLoopState(
+        Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
+    ).pack()
+
+
 # --- warp-angle subsystem ----------------------------------------------------
 
 
-def test_warp_rate_zero_at_target(paper_params, paper_gains):
-    assert st.warp_rate(np.eye(3), 0.0, paper_params, paper_gains) == 0.0
+def warp_rate(R, theta, p, gains, inertia):
+    """The warp-angle row of the basic loop's flow."""
+    loop = st.make_loop("basic", p, gains, inertia, REST, check=False)
+    return loop.flow(0.0, rest_state(R, theta), None)[9]
 
 
-def test_warp_rate_pure_quadratic_pull(paper_params, paper_gains):
+def warp_reset(R, p, gains, inertia):
+    """The warp angle after the basic loop's jump map."""
+    loop = st.make_loop("basic", p, gains, inertia, REST, check=False)
+    return loop.jump(0.0, rest_state(R, 0.0), None)[9]
+
+
+def test_warp_rate_zero_at_target(paper_params, paper_gains, paper_inertia):
+    assert warp_rate(np.eye(3), 0.0, paper_params, paper_gains, paper_inertia) == 0.0
+
+
+def test_warp_rate_pure_quadratic_pull(paper_params, paper_gains, paper_inertia):
     # rotations about e1 have their gradient direction orthogonal to the warp
     # axis, leaving only the quadratic term
     p = paper_params
     for theta in (0.5, -1.1, 2.0):
         T = st.angle_axis(1.3, E1)
         R = T @ st.warp_rotation(theta, p).T
-        rate = st.warp_rate(R, theta, p, paper_gains)
+        rate = warp_rate(R, theta, p, paper_gains, paper_inertia)
         assert rate == pytest.approx(-paper_gains.k_theta * p.gamma * theta, abs=1e-12)
 
 
-def test_warp_rate_descends(paper_params, paper_gains):
+def test_warp_rate_descends(paper_params, paper_gains, paper_inertia):
     rng = np.random.default_rng(0)
     for _ in range(200):
         R = st.random_rotation(rng)
         theta = rng.uniform(-math.pi, math.pi)
-        assert st.warp_rate(R, theta, paper_params, paper_gains) * st.grad_warp(
+        assert warp_rate(R, theta, paper_params, paper_gains, paper_inertia) * st.gradients(
             R, theta, paper_params
-        ) <= 0.0
+        )[1] <= 0.0
 
 
-def test_warp_reset_singleton(paper_params):
+def test_warp_reset_singleton(paper_params, paper_gains, paper_inertia):
     rng = np.random.default_rng(1)
     for _ in range(20):
-        assert st.warp_reset(st.random_rotation(rng), paper_params) == 0.9 * math.pi
+        R = st.random_rotation(rng)
+        assert warp_reset(R, paper_params, paper_gains, paper_inertia) == 0.9 * math.pi
 
 
-def test_warp_reset_drops_potential_by_gap(paper_params):
+def test_warp_reset_drops_potential_by_gap(paper_params, paper_gains, paper_inertia):
     p = paper_params
     rng = np.random.default_rng(2)
     found = 0
@@ -65,31 +96,27 @@ def test_warp_reset_drops_potential_by_gap(paper_params):
         if st.gap(R, theta, p) < p.delta:
             continue
         found += 1
-        post = st.warp_reset(R, p)
+        post = warp_reset(R, p, paper_gains, paper_inertia)
         assert st.value(R, post, p) <= st.value(R, theta, p) - p.delta
 
 
-def test_warp_reset_tie_break_prefers_first():
+def test_warp_reset_tie_break_prefers_first(paper_gains, paper_inertia):
     # at the identity the potential is even in theta, so {a, -a} ties exactly
     p = st.design_params(
         np.diag([2.0, 4.0, 6.0]), [0.9 * math.pi, -0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5
     )
     a, b = p.theta_set
     assert st.value(np.eye(3), a, p) == st.value(np.eye(3), b, p)
-    assert st.warp_reset(np.eye(3), p) == a
+    assert warp_reset(np.eye(3), p, paper_gains, paper_inertia) == a
 
 
 def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
     # the basic loop's margin is gap - delta: flow set <= 0, jump set >= 0
     p = paper_params
-    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
 
     def margin(R, theta, params):
-        loop = st.make_loop("basic", params, paper_gains, paper_inertia, ref, check=False)
-        y = st.BasicLoopState(
-            Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
-        ).pack()
-        return loop.jump_margin(0.0, y, None)
+        loop = st.make_loop("basic", params, paper_gains, paper_inertia, REST, check=False)
+        return loop.jump_margin(0.0, rest_state(R, theta), None)
 
     assert margin(np.eye(3), 0.0, p) < 0.0
     for cp in st.undesired_critical_points(p):
@@ -107,10 +134,8 @@ def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
 
 
 def test_torque_basic_zero_at_attractor(paper_params, paper_gains, paper_inertia):
-    tau = st.torque_basic(
-        np.eye(3), 0.0, np.zeros(3), np.zeros(3), np.zeros(3), paper_params, paper_gains,
-        paper_inertia,
-    )
+    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, REST, check=False)
+    tau = loop.torque(0.0, rest_state(np.eye(3), 0.0), None)
     assert np.array_equal(tau, np.zeros(3))
 
 
@@ -157,65 +182,75 @@ def random_loop_state(kind, rng):
 
 
 def random_measurement(rng):
-    return st.Measurement(E=st.exp_so3(rng.normal(0.0, 0.1, 3)), n_omega=rng.normal(0.0, 0.1, 3))
+    return st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, 0.1, 3)))),
+                          n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
+
+
+def measured(s, meas):
+    """(E, R_m, omega_e,m): noise rotation, measured error rotation and velocity error."""
+    if meas is None:
+        return np.eye(3), s.Re, s.omega_e
+    E = np.reshape(meas.E, (3, 3))
+    Rm = s.Re @ E
+    return E, Rm, s.omega_e + np.array(meas.n_omega) + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
+
+
+def filtered_gap(R, theta, zeta, p, rho):
+    """The smooth law's filtered gap, from its kernel."""
+    return filtered_gap_f(moment(R, p), float(theta), floats(zeta), p, rho)
 
 
 def public_torque(kind, s, z, meas, p, gn, J):
-    """The public torque law evaluated at the measured state."""
-    if meas is None:
-        E, Rm, wem = np.eye(3), s.Re, s.omega_e
-    else:
-        E, Rm = meas.E, s.Re @ meas.E
-        wem = s.omega_e + meas.n_omega + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
-    if kind == "basic":
-        return st.torque_basic(Rm, s.theta, wem, s.omega_r, z, p, gn, J)
-    if kind == "smooth":
-        return st.torque_smooth(Rm, s.zeta, wem, s.omega_r, z, p, gn, J)
+    """The torque law evaluated at the measured state from the 3x3 gradient and feedforward."""
+    E, Rm, wem = measured(s, meas)
     if kind == "velocity_free":
         return st.torque_velocity_free(
             Rm, s.theta, s.Rtilde @ E, s.theta_bar, s.omega_r, z, p, gn, J
         )
-    return st.torque_non_hybrid(Rm, wem, s.omega_r, z, p, gn, J)
+    # the smooth law feeds back its filter state; non_hybrid states have theta = 0
+    g = s.zeta if kind == "smooth" else st.grad_rotation(Rm, s.theta, p)
+    return np.array(torque_basic_f(st.feedforward(Rm, s.omega_r, z, J), g, wem, gn))
 
 
 def check_measured_rates(kind, s, meas, ydot, p, gn):
-    """Warp, filter and auxiliary rows of a noisy flow against the public laws."""
-    Rm = s.Re @ meas.E
+    """Warp, filter and auxiliary rows of a noisy flow against the laws' formulas."""
+    E, Rm, wem = measured(s, meas)
     if kind == "non_hybrid":
         assert ydot[9] == 0.0
         return
-    assert ydot[9] == pytest.approx(st.warp_rate(Rm, s.theta, p, gn), rel=1e-12, abs=1e-12)
+    rate = -gn.k_theta * st.gradients(Rm, s.theta, p)[1]
+    assert ydot[9] == pytest.approx(rate, rel=1e-12, abs=1e-12)
     if kind == "smooth":
-        wem = s.omega_e + meas.n_omega + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
-        zdot = st.zeta_flow(Rm, s.theta, s.zeta, wem, p, gn)
+        zdot = -gn.k_zeta * (s.zeta - st.grad_rotation(Rm, s.theta, p))
         assert np.allclose(ydot[25:28], zdot, rtol=0.0, atol=1e-10)
     if kind == "velocity_free":
-        Rtm = s.Rtilde @ meas.E
-        rate = st.warp_rate(Rtm, s.theta_bar, p, gn)
+        Rtm = s.Rtilde @ E
+        rate = -gn.k_theta * st.gradients(Rtm, s.theta_bar, p)[1]
         assert ydot[34] == pytest.approx(rate, rel=1e-12, abs=1e-12)
         # the damping output is formed at the measured auxiliary rotation
-        beta = meas.E @ (gn.Gamma @ st.grad_rotation(Rtm, s.theta_bar, p))
+        beta = E @ (gn.Gamma @ st.grad_rotation(Rtm, s.theta_bar, p))
         Rt_dot = s.Rtilde @ st.skew(s.omega_e - beta)
         assert np.allclose(ydot[25:34], Rt_dot.ravel(), rtol=0.0, atol=1e-11)
 
 
 def public_margin(kind, s, meas, p, gn):
-    """Jump-set margin at the measured rotations from the public gap functions."""
-    Rm = s.Re @ meas.E
+    """Jump-set margin at the measured rotations from the gap functions."""
+    E, Rm, _ = measured(s, meas)
     if kind == "non_hybrid":
         return -math.inf
     if kind == "smooth":
-        return st.filtered_gap(Rm, s.theta, s.zeta, p, gn.rho) - gn.delta_prime
+        return filtered_gap(Rm, s.theta, s.zeta, p, gn.rho) - gn.delta_prime
     gaps = [st.gap(Rm, s.theta, p)]
     if kind == "velocity_free":
-        gaps.append(st.gap(s.Rtilde @ meas.E, s.theta_bar, p))
+        gaps.append(st.gap(s.Rtilde @ E, s.theta_bar, p))
     return max(gaps) - p.delta
 
 
 def torque_from_flow(loop, s, t, ydot):
     """Applied torque recovered from the velocity row: J wdot_e - Sigma w_e + Upsilon."""
     J, z = loop.inertia, loop.reference.z_at(t)
-    sig = st.coupling_times(s.Re, s.omega_e, s.omega_r, J)
+    a, Ja = shared_terms_f(floats(s.Re), floats(s.omega_r), J.J_f)
+    sig = np.array(coupling_times_f(floats(s.omega_e), a, Ja, J.J_f))
     ups = st.feedforward(s.Re, s.omega_r, z, J)
     return J.J @ ydot[10:13] - sig + ups
 
@@ -226,7 +261,7 @@ def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains
     # reproduce the exact-measurement values bit for bit
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
-    quiet = st.Measurement(E=np.eye(3), n_omega=np.zeros(3))
+    quiet = st.Measurement(E=tuple(floats(np.eye(3))), n_omega=tuple(floats(np.zeros(3))))
     rng = np.random.default_rng(12)
     for _ in range(20):
         y = random_loop_state(kind, rng).pack()
@@ -411,44 +446,58 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
             assert ldot == pytest.approx(expected, abs=1e-8 * max(1.0, abs(expected)))
 
 
+def smooth_state(R, theta, zeta):
+    """Smooth-loop state at rest on a resting reference."""
+    return st.SmoothLoopState(
+        Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3), zeta=zeta
+    ).pack()
+
+
 def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inertia):
     p, gn, J = paper_params, paper_gains, paper_inertia
     rng = np.random.default_rng(7)
     base = random_basic_state(rng)
     z = rng.standard_normal(3)
     zeta = rng.standard_normal(3)
-    pre = st.torque_smooth(base.Re, zeta, base.omega_e, base.omega_r, z, p, gn, J)
-    post = st.torque_smooth(base.Re, zeta, base.omega_e, base.omega_r, z, p, gn, J)
-    assert np.array_equal(pre, post)  # theta is not even an input
+    loop = st.make_loop("smooth", p, gn, J, fixed_reference(z), check=False)
+    y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
+    y_post = loop.jump(0.0, y, None)
+    assert y_post[9] != y[9]
+    pre = loop.torque(0.0, y, None)
+    post = loop.torque(0.0, y_post, None)
+    assert np.array_equal(pre, post)  # the filter state does not jump
 
 
-def test_zeta_flow_stationary_at_gradient(paper_params, paper_gains):
+def test_zeta_flow_stationary_at_gradient(paper_params, paper_gains, paper_inertia):
     rng = np.random.default_rng(8)
     R = st.random_rotation(rng)
     theta = 0.8
     g = st.grad_rotation(R, theta, paper_params)
-    zdot = st.zeta_flow(R, theta, g, np.zeros(3), paper_params, paper_gains, relaxed=False)
+    loop = st.make_loop("smooth", paper_params, paper_gains, paper_inertia, REST, check=False)
+    zdot = loop.flow(0.0, smooth_state(R, theta, g), None)[25:28]
     assert np.array_equal(zdot, np.zeros(3))
+
+
+def filtered_value(R, theta, zeta, p, rho):
+    """The smooth law's filtered potential, from its kernel."""
+    theta = float(theta)
+    return filtered_value_w_f(moment(R, p), warp_rotation_f(theta, p), theta, floats(zeta), p, rho)
 
 
 def test_filtered_potential_properties(paper_params, paper_gains):
     p, rho = paper_params, paper_gains.rho
-    assert st.filtered_value(np.eye(3), 0.0, np.zeros(3), p, rho) == 0.0
+    assert filtered_value(np.eye(3), 0.0, np.zeros(3), p, rho) == 0.0
     rng = np.random.default_rng(9)
     R = st.random_rotation(rng)
     theta = rng.uniform(-math.pi, math.pi)
     g = st.grad_rotation(R, theta, p)
-    assert st.filtered_value(R, theta, g, p, rho) == st.value(R, theta, p)
+    assert filtered_value(R, theta, g, p, rho) == st.value(R, theta, p)
 
 
 def smooth_margin(R, theta, zeta, p, gains, inertia):
     """The smooth loop's jump margin at the given error rotation, warp angle and filter state."""
-    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    loop = st.make_loop("smooth", p, gains, inertia, ref, check=False)
-    y = st.SmoothLoopState(
-        Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3), zeta=zeta
-    ).pack()
-    return loop.jump_margin(0.0, y, None)
+    loop = st.make_loop("smooth", p, gains, inertia, REST, check=False)
+    return loop.jump_margin(0.0, smooth_state(R, theta, zeta), None)
 
 
 def test_filtered_gap_margin_with_compliant_rho(paper_params, paper_gains, paper_inertia):
@@ -460,7 +509,7 @@ def test_filtered_gap_margin_with_compliant_rho(paper_params, paper_gains, paper
     rho_ok = 0.9 * (p.delta - dp) / c_psi**2
     gains = dataclasses.replace(paper_gains, rho=rho_ok)
     for cp in st.undesired_critical_points(p):
-        fg = st.filtered_gap(cp.rotation, cp.theta, np.zeros(3), p, rho_ok)
+        fg = filtered_gap(cp.rotation, cp.theta, np.zeros(3), p, rho_ok)
         assert fg > dp
         assert smooth_margin(cp.rotation, cp.theta, np.zeros(3), p, gains, paper_inertia) == fg - dp
 
@@ -469,7 +518,7 @@ def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
     # at the attractor the smooth loop lies in its flow set only
     m = smooth_margin(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains, paper_inertia)
     assert m < 0.0
-    assert m == st.filtered_gap(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains.rho) - (
+    assert m == filtered_gap(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains.rho) - (
         paper_gains.delta_prime
     )
 
@@ -477,10 +526,16 @@ def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
 # --- velocity-free law -------------------------------------------------------
 
 
-def test_aux_flow_stationary_at_target(paper_params, paper_gains):
-    Rt_dot, tb_dot = st.aux_flow(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains)
-    assert np.array_equal(Rt_dot, np.zeros((3, 3)))
-    assert tb_dot == 0.0
+def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia):
+    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST,
+                        check=False)
+    y = st.VelocityFreeLoopState(
+        Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3),
+        Rtilde=np.eye(3), theta_bar=0.0,
+    ).pack()
+    ydot = loop.flow(0.0, y, None)
+    assert np.array_equal(ydot[25:34], np.zeros(9))
+    assert ydot[34] == 0.0
 
 
 def test_aux_damping_output_zero_at_target(paper_params, paper_gains):
@@ -565,12 +620,12 @@ def test_non_hybrid_equals_basic_at_zero_warp(paper_params, paper_gains, paper_i
     for _ in range(20):
         s = random_basic_state(rng)
         z = rng.standard_normal(3)
-        a = st.torque_non_hybrid(
-            s.Re, s.omega_e, s.omega_r, z, paper_params, paper_gains, paper_inertia
-        )
-        b = st.torque_basic(
-            s.Re, 0.0, s.omega_e, s.omega_r, z, paper_params, paper_gains, paper_inertia
-        )
+        ref = fixed_reference(z)
+        s.theta = 0.0
+        y = s.pack()
+        loops = [st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
+                 for kind in ("non_hybrid", "basic")]
+        a, b = (loop.torque(0.0, y, None) for loop in loops)
         assert np.array_equal(a, b)
 
 
@@ -580,18 +635,17 @@ def test_non_hybrid_stalls_at_critical_rotation(paper_params, paper_gains, paper
     R = st.angle_axis(math.pi, E3)
     wr = np.array([0.1, 0.2, -0.1])
     z = np.array([0.0, 0.5, 0.1])
-    tau = st.torque_non_hybrid(R, np.zeros(3), wr, z, paper_params, paper_gains, paper_inertia)
+    loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia,
+                        fixed_reference(z), check=False)
+    y = st.BasicLoopState(Re=R, theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=wr).pack()
+    tau = loop.torque(0.0, y, None)
     ups = st.feedforward(R, wr, z, paper_inertia)
     assert np.linalg.norm(tau - ups) <= 2.0 * paper_gains.k_R * 1e-12
 
 
 def test_non_hybrid_loop_never_jumps(paper_params, paper_gains, paper_inertia):
-    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia, ref, check=False)
-    bad = st.undesired_critical_points(paper_params)[0].rotation
-    y = st.BasicLoopState(
-        Re=bad, theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
-    ).pack()
+    loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia, REST, check=False)
+    y = rest_state(st.undesired_critical_points(paper_params)[0].rotation, 0.0)
     assert loop.jump_margin(0.0, y, None) == -math.inf  # flow set only
     ydot = loop.flow(0.0, y, None)
     assert ydot[9] == 0.0  # warp angle frozen

@@ -153,11 +153,14 @@ def test_certify_flags_wrong_sign_gain(paper_params, paper_inertia):
     assert "status=FAIL" in rep.as_text()
 
 
-def test_certify_rejects_mismatched_monitor(fig3_cfg):
+def test_certify_rejects_mismatched_monitor(fig3_cfg, paper_gains):
     cfg = dataclasses.replace(fig3_cfg, t_max=0.2)
     res = st.simulate_member(cfg, cfg.members[2])
+    loop = res.loop
+    smooth = st.make_loop("smooth", loop.params, paper_gains, loop.inertia, loop.reference,
+                          check=False)
     with pytest.raises(ContractError, match="mismatch"):
-        st.certify_arc(res.arc, res.loop, monitor="smooth")
+        st.certify_arc(res.arc, smooth)
 
 
 def test_certify_smooth_reports_torque_continuity(fig4_cfg):

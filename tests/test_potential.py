@@ -131,9 +131,9 @@ def test_warped_special_cases(paper_params):
     p = paper_params
     rng = np.random.default_rng(1)
     R = st.random_rotation(rng)
-    assert np.array_equal(st.warped(R, 0.0, p), R)
-    assert np.allclose(st.warped(np.eye(3), math.pi, p), st.angle_axis(math.pi, p.u), atol=1e-15)
-    back = st.warped(st.warped(R, 0.7, p), 0.0, p) @ st.warp_rotation(0.7, p).T
+    assert np.array_equal(R @ st.warp_rotation(0.0, p), R)
+    assert np.allclose(st.warp_rotation(math.pi, p), st.angle_axis(math.pi, p.u), atol=1e-15)
+    back = (R @ st.warp_rotation(0.7, p)) @ st.warp_rotation(0.0, p) @ st.warp_rotation(0.7, p).T
     assert np.linalg.norm(back - R) <= 1e-12
 
 

@@ -5,7 +5,12 @@ import pytest
 
 import so3track as st
 from so3track.errors import ContractError
-from so3track.so3 import ARRAY_MATH
+from so3track.rigid_body import coupling_times_f, error_accel_f, feedforward_f, shared_terms_f
+from so3track.so3 import ARRAY_MATH, floats, mat_skew_f
+
+from rigid_body_oracle import (
+    BodyState, RefState, body_flow, coupling_matrix, ref_flow, tracking_error,
+)
 
 
 def rk4(f, y, h):
@@ -17,19 +22,31 @@ def rk4(f, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def error_rates(Re, omega_e, omega_r, z, tau, inertia):
+    """(Rdot_e, omegadot_e) from the package kernels.
+
+    Rdot_e = R_e skew(omega_e) and J omegadot_e = Sigma omega_e - Upsilon + tau.
+    """
+    R, we = floats(Re), floats(omega_e)
+    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
+    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_f)
+    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
+    return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
+
+
 def test_body_flow_gyroscopic_cancellation(paper_inertia):
     rng = np.random.default_rng(0)
     for _ in range(10):
         w = rng.standard_normal(3)
-        s = st.BodyState(R=st.random_rotation(rng), omega=w)
+        s = BodyState(R=st.random_rotation(rng), omega=w)
         tau = np.cross(w, paper_inertia.J @ w)
-        _, wdot = st.body_flow(s, tau, paper_inertia)
+        _, wdot = body_flow(s, tau, paper_inertia)
         assert np.linalg.norm(wdot) <= 1e-12
 
 
 def test_body_flow_at_rest(paper_inertia):
-    s = st.BodyState(R=np.eye(3), omega=np.zeros(3))
-    Rdot, wdot = st.body_flow(s, np.zeros(3), paper_inertia)
+    s = BodyState(R=np.eye(3), omega=np.zeros(3))
+    Rdot, wdot = body_flow(s, np.zeros(3), paper_inertia)
     assert np.array_equal(Rdot, np.zeros((3, 3)))
     assert np.array_equal(wdot, np.zeros(3))
 
@@ -41,7 +58,7 @@ def test_free_rotation_conserves_energy(paper_inertia):
     def f(y):
         R = y[:9].reshape(3, 3)
         w = y[9:]
-        Rdot, wdot = st.body_flow(st.BodyState(R=R, omega=w), np.zeros(3), J)
+        Rdot, wdot = body_flow(BodyState(R=R, omega=w), np.zeros(3), J)
         return np.concatenate([Rdot.ravel(), wdot])
 
     w0 = np.array([0.3, -0.2, 0.4])
@@ -62,15 +79,15 @@ def test_ref_flow_accepts_study_profile():
     sup = max(np.linalg.norm(ref.z_at(t)) for t in np.linspace(0.0, 80.0, 4001))
     assert sup <= math.sqrt(2.01)
     assert sup < 2.0
-    s = st.RefState(R=np.eye(3), omega=np.zeros(3))
-    Rdot, wdot = st.ref_flow(s, ref.z_at(0.0), ref.m_bound)
+    s = RefState(R=np.eye(3), omega=np.zeros(3))
+    Rdot, wdot = ref_flow(s, ref.z_at(0.0), ref.m_bound)
     assert np.array_equal(Rdot, np.zeros((3, 3)))
     assert np.allclose(wdot, [0.0, -1.0, 0.1])
 
 
 def test_ref_flow_constant_when_unaccelerated():
-    s = st.RefState(R=np.eye(3), omega=np.zeros(3))
-    Rdot, wdot = st.ref_flow(s, np.zeros(3), 1.0)
+    s = RefState(R=np.eye(3), omega=np.zeros(3))
+    Rdot, wdot = ref_flow(s, np.zeros(3), 1.0)
     assert np.array_equal(Rdot, np.zeros((3, 3)))
     assert np.array_equal(wdot, np.zeros(3))
 
@@ -81,26 +98,26 @@ def test_ref_flow_rejects_oversized_acceleration():
         ref.z_at(0.0)  # ||z(0)|| = sqrt(1.01) > 1
     with pytest.raises(ContractError, match="t=0.0:"):  # a batch names its worst time
         ref.z_at(np.array([5.0, 0.0, 3.0]), ARRAY_MATH)
-    s = st.RefState(R=np.eye(3), omega=np.zeros(3))
+    s = RefState(R=np.eye(3), omega=np.zeros(3))
     with pytest.raises(ContractError):
-        st.ref_flow(s, np.array([1.5, 0.0, 0.0]), 1.0)
+        ref_flow(s, np.array([1.5, 0.0, 0.0]), 1.0)
 
 
 def test_tracking_error_definitions():
     rng = np.random.default_rng(1)
     R = st.random_rotation(rng)
     w = rng.standard_normal(3)
-    exact = st.tracking_error(st.BodyState(R=R, omega=w), st.RefState(R=R, omega=w))
+    exact = tracking_error(BodyState(R=R, omega=w), RefState(R=R, omega=w))
     assert np.linalg.norm(exact.R - np.eye(3)) <= 1e-12
     assert np.linalg.norm(exact.omega) <= 1e-12
 
-    ref0 = st.RefState(R=np.eye(3), omega=np.zeros(3))
-    err = st.tracking_error(st.BodyState(R=R, omega=w), ref0)
+    ref0 = RefState(R=np.eye(3), omega=np.zeros(3))
+    err = tracking_error(BodyState(R=R, omega=w), ref0)
     assert np.array_equal(err.R, R)
     assert np.array_equal(err.omega, w)
 
-    ref = st.RefState(R=st.random_rotation(rng), omega=rng.standard_normal(3))
-    err = st.tracking_error(st.BodyState(R=R, omega=w), ref)
+    ref = RefState(R=st.random_rotation(rng), omega=rng.standard_normal(3))
+    err = tracking_error(BodyState(R=R, omega=w), ref)
     assert np.linalg.norm(ref.R @ err.R - R) <= 1e-12
 
 
@@ -124,15 +141,17 @@ def test_coupling_matrix_is_skew_and_powerless(paper_inertia):
         Re = st.random_rotation(rng)
         we = rng.standard_normal(3)
         wr = rng.standard_normal(3)
-        S = st.coupling_matrix(Re, we, wr, paper_inertia)
+        S = coupling_matrix(Re, we, wr, paper_inertia)
         assert np.linalg.norm(S + S.T) <= 1e-12
         assert abs(we @ S @ we) <= 1e-12
-        assert np.allclose(S @ we, st.coupling_times(Re, we, wr, paper_inertia), atol=1e-13)
+        a, Ja = shared_terms_f(floats(Re), floats(wr), paper_inertia.J_f)
+        sig = coupling_times_f(floats(we), a, Ja, paper_inertia.J_f)
+        assert np.allclose(S @ we, sig, atol=1e-13)
 
 
 def test_coupling_matrix_zero_at_rest(paper_inertia):
     rng = np.random.default_rng(4)
-    S = st.coupling_matrix(st.random_rotation(rng), np.zeros(3), np.zeros(3), paper_inertia)
+    S = coupling_matrix(st.random_rotation(rng), np.zeros(3), np.zeros(3), paper_inertia)
     assert np.array_equal(S, np.zeros((3, 3)))
 
 
@@ -140,9 +159,8 @@ def test_error_flow_equilibrium(paper_inertia):
     rng = np.random.default_rng(5)
     wr = rng.standard_normal(3)
     z = rng.standard_normal(3)
-    err = st.ErrorState(R=np.eye(3), omega=np.zeros(3))
-    tau = st.feedforward(err.R, wr, z, paper_inertia)
-    Rdot, wdot = st.error_flow(err, wr, z, tau, paper_inertia)
+    tau = st.feedforward(np.eye(3), wr, z, paper_inertia)
+    Rdot, wdot = error_rates(np.eye(3), np.zeros(3), wr, z, tau, paper_inertia)
     assert np.linalg.norm(Rdot) <= 1e-15
     assert np.linalg.norm(wdot) <= 1e-12
 
@@ -174,10 +192,10 @@ def test_error_dynamics_match_direct_simulation(paper_inertia):
         Rr = y[12:21].reshape(3, 3)
         wr = y[21:24]
         z = ref.z_fn(t)
-        err = st.tracking_error(st.BodyState(R=R, omega=w), st.RefState(R=Rr, omega=wr))
+        err = tracking_error(BodyState(R=R, omega=w), RefState(R=Rr, omega=wr))
         tau = control(err.R, err.omega, wr, z)
-        Rdot, wdot = st.body_flow(st.BodyState(R=R, omega=w), tau, J)
-        Rrdot, wrdot = st.ref_flow(st.RefState(R=Rr, omega=wr), z, ref.m_bound)
+        Rdot, wdot = body_flow(BodyState(R=R, omega=w), tau, J)
+        Rrdot, wrdot = ref_flow(RefState(R=Rr, omega=wr), z, ref.m_bound)
         return np.concatenate([Rdot.ravel(), wdot, Rrdot.ravel(), wrdot])
 
     # path B: error dynamics simulated directly
@@ -188,8 +206,8 @@ def test_error_dynamics_match_direct_simulation(paper_inertia):
         wr = y[21:24]
         z = ref.z_fn(t)
         tau = control(Re, we, wr, z)
-        Redot, wedot = st.error_flow(st.ErrorState(R=Re, omega=we), wr, z, tau, J)
-        Rrdot, wrdot = st.ref_flow(st.RefState(R=Rr, omega=wr), z, ref.m_bound)
+        Redot, wedot = error_rates(Re, we, wr, z, tau, J)
+        Rrdot, wrdot = ref_flow(RefState(R=Rr, omega=wr), z, ref.m_bound)
         return np.concatenate([Redot.ravel(), wedot, Rrdot.ravel(), wrdot])
 
     def rk4t(f, y, t, h):
@@ -198,6 +216,18 @@ def test_error_dynamics_match_direct_simulation(paper_inertia):
         k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
         k4 = f(y + h * k3, t + h)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def error_rates(Re, omega_e, omega_r, z, tau, inertia):
+    """(Rdot_e, omegadot_e) from the package kernels.
+
+    Rdot_e = R_e skew(omega_e) and J omegadot_e = Sigma omega_e - Upsilon + tau.
+    """
+    R, we = floats(Re), floats(omega_e)
+    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
+    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_f)
+    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
+    return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
 
     ya = np.concatenate([R0.ravel(), w0, np.eye(3).ravel(), np.zeros(3)])
     yb = ya.copy()  # R_r(0) = I, so R_e(0) = R(0) and omega_e(0) = omega(0)
@@ -213,7 +243,7 @@ def test_error_dynamics_match_direct_simulation(paper_inertia):
             w = ya[9:12]
             Rr = ya[12:21].reshape(3, 3)
             wr = ya[21:24]
-            err = st.tracking_error(st.BodyState(R=R, omega=w), st.RefState(R=Rr, omega=wr))
+            err = tracking_error(BodyState(R=R, omega=w), RefState(R=Rr, omega=wr))
             worst = max(
                 worst,
                 np.linalg.norm(err.R - yb[:9].reshape(3, 3)),
@@ -229,38 +259,9 @@ def test_invariant_torque_keeps_error_fixed(paper_inertia):
     wr = rng.standard_normal(3)
     z = rng.standard_normal(3)
     tau = st.feedforward(Re, wr, z, paper_inertia)
-    Rdot, wdot = st.error_flow(st.ErrorState(R=Re, omega=np.zeros(3)), wr, z, tau, paper_inertia)
+    Rdot, wdot = error_rates(Re, np.zeros(3), wr, z, tau, paper_inertia)
     assert np.linalg.norm(Rdot) <= 1e-15
     assert np.linalg.norm(wdot) <= 1e-12
-
-
-def test_apply_noise_exact_when_silent():
-    rng = np.random.default_rng(7)
-    body = st.BodyState(R=st.random_rotation(rng), omega=rng.standard_normal(3))
-    R_y, w_y = st.apply_noise(body, 0.0, 0.0, rng)
-    assert np.array_equal(R_y, body.R)
-    assert np.array_equal(w_y, body.omega)
-
-
-def test_apply_noise_deterministic_with_seed():
-    rng = np.random.default_rng(8)
-    body = st.BodyState(R=st.random_rotation(rng), omega=np.zeros(3))
-    a = st.apply_noise(body, 0.1, 0.1, 1234)
-    b = st.apply_noise(body, 0.1, 0.1, 1234)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
-
-
-def test_apply_noise_variance():
-    body = st.BodyState(R=np.eye(3), omega=np.zeros(3))
-    rng = np.random.default_rng(9)
-    n = 100_000
-    draws = np.empty((n, 3))
-    for k in range(n):
-        _, w_y = st.apply_noise(body, 0.0, 0.1, rng)
-        draws[k] = w_y
-    var = draws.var(axis=0)
-    assert np.all(np.abs(var - 0.01) <= 0.0005)  # 0.01 within 5 percent
 
 
 def test_inertia_validation():
