@@ -152,6 +152,11 @@ class ScenarioConfig:
     priority: str
 
 
+def _check_horizon(dt, t_max) -> None:
+    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
+        raise ConfigError(f"'dt' and 't_max' must be positive and finite, got {dt} and {t_max}")
+
+
 def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed keys, with field-level errors."""
     known = set(_DEFAULTS) | set(_REQUIRED)
@@ -218,8 +223,7 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
         raise ConfigError("'j_max' must be a positive integer")
     dt = as_float("dt")
     t_max = as_float("t_max")
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ConfigError("'dt' and 't_max' must be positive")
+    _check_horizon(dt, t_max)
     inertia_diag = as_floats("J_diag", 3)
     if min(inertia_diag) <= 0.0:
         raise ConfigError("'J_diag' entries must be positive")
@@ -403,6 +407,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     Raises ConfigError on hard violations; returns advisory warnings, among
     them a step size past the RK4 limit of a member's `fastest_rate`.
     """
+    _check_horizon(cfg.dt, cfg.t_max)  # also covers overrides applied after loading
     notes: list[str] = []
     for member in cfg.members:
         params = _member_params(cfg, member)

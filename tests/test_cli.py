@@ -200,12 +200,6 @@ def test_validate_warns_past_the_rk4_step_limit(capsys):
     assert "RK4" not in capsys.readouterr().out
 
 
-def with_key(text, key, value):
-    """Config text with `key` set to `value`, replacing any line that sets it."""
-    kept = [ln for ln in text.splitlines() if ln.split("=", 1)[0].strip() != key]
-    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
-
-
 @pytest.mark.parametrize("key, value, names", [
     ("J_diag", "[0.0, 4.0, 6.0]", "positive"),
     ("J_diag", "[nan, 0, 0]", "finite"),
@@ -214,12 +208,25 @@ def with_key(text, key, value):
     ("t_max", "nan", "finite"),
 ], ids=("J_zero", "J_nan", "reference_list", "R0_angle_inf", "t_max_nan"))
 def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, names):
-    cfg = write_cfg(tmp_path, with_key(MINI, key, value))
+    kept = [ln for ln in MINI.splitlines() if ln.split("=", 1)[0].strip() != key]
+    cfg = write_cfg(tmp_path, "\n".join(kept + [f"{key} = {value}"]) + "\n")
     assert main(["validate", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     assert err.splitlines() == [err.strip()]
     assert err.startswith("config error:") and key in err and names in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "0"), ("--dt", "nan"), ("--t-max", "nan"), ("--t-max", "-1"), ("--t-max", "inf"),
+])
+def test_run_rejects_bad_override_with_one_line(tmp_path, capsys, flag, value):
+    cfg = write_cfg(tmp_path, MINI)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("config error:") and "'dt' and 't_max'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unreadable_config_is_a_config_error(tmp_path, capsys):

@@ -214,7 +214,7 @@ def public_torque(kind, s, z, meas, p, gn, J):
 
 def check_measured_rates(kind, s, meas, ydot, p, gn):
     """Warp, filter and auxiliary rows of a noisy flow against the laws' formulas."""
-    E, Rm, wem = measured(s, meas)
+    E, Rm, _ = measured(s, meas)
     if kind == "non_hybrid":
         assert ydot[9] == 0.0
         return
@@ -478,20 +478,16 @@ def test_zeta_flow_stationary_at_gradient(paper_params, paper_gains, paper_inert
     assert np.array_equal(zdot, np.zeros(3))
 
 
-def filtered_value(R, theta, zeta, p, rho):
-    """The smooth law's filtered potential, from its kernel."""
-    theta = float(theta)
-    return filtered_value_w_f(moment(R, p), warp_rotation_f(theta, p), theta, floats(zeta), p, rho)
-
-
 def test_filtered_potential_properties(paper_params, paper_gains):
     p, rho = paper_params, paper_gains.rho
-    assert filtered_value(np.eye(3), 0.0, np.zeros(3), p, rho) == 0.0
+    M0, W0 = moment(np.eye(3), p), warp_rotation_f(0.0, p)
+    assert filtered_value_w_f(M0, W0, 0.0, (0.0, 0.0, 0.0), p, rho) == 0.0
     rng = np.random.default_rng(9)
     R = st.random_rotation(rng)
     theta = rng.uniform(-math.pi, math.pi)
-    g = st.grad_rotation(R, theta, p)
-    assert filtered_value(R, theta, g, p, rho) == st.value(R, theta, p)
+    g = floats(st.grad_rotation(R, theta, p))
+    M, W = moment(R, p), warp_rotation_f(theta, p)
+    assert filtered_value_w_f(M, W, theta, g, p, rho) == st.value(R, theta, p)
 
 
 def smooth_margin(R, theta, zeta, p, gains, inertia):

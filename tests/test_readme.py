@@ -6,15 +6,11 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_sketch() -> str:
-    text = README.read_text()
-    section = text.split("## Library sketch", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
-
-
 def test_library_sketch_runs_and_certifies(capsys):
+    section = README.read_text().split("## Library sketch", 1)[1]
+    sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
-    exec(compile(library_sketch(), str(README), "exec"), namespace)
+    exec(compile(sketch, str(README), "exec"), namespace)
     report = namespace["report"]
     assert report.passed
     assert report.n_jumps >= 1  # started next to a half turn, the warp angle resets

@@ -217,18 +217,6 @@ def test_error_dynamics_match_direct_simulation(paper_inertia):
         k4 = f(y + h * k3, t + h)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-
-def error_rates(Re, omega_e, omega_r, z, tau, inertia):
-    """(Rdot_e, omegadot_e) from the package kernels.
-
-    Rdot_e = R_e skew(omega_e) and J omegadot_e = Sigma omega_e - Upsilon + tau.
-    """
-    R, we = floats(Re), floats(omega_e)
-    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
-    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_f)
-    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
-    return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
-
     ya = np.concatenate([R0.ravel(), w0, np.eye(3).ravel(), np.zeros(3)])
     yb = ya.copy()  # R_r(0) = I, so R_e(0) = R(0) and omega_e(0) = omega(0)
     h = 1e-3
