@@ -12,7 +12,6 @@ from .so3 import (
     axial,
     exp_so3,
     log_so3,
-    orthonormalize,
     project_to_so3,
     random_rotation,
     random_rotations,

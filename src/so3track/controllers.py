@@ -255,19 +255,20 @@ def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialP
 
 @dataclass
 class BasicLoopState:
+    """Initial state of a closed loop, packed at the offsets its loop class declares."""
+
     Re: np.ndarray
     theta: float
     omega_e: np.ndarray
-    Rr: np.ndarray
     omega_r: np.ndarray
 
     def pack(self) -> np.ndarray:
-        y = np.empty(25)
-        y[0:9] = np.asarray(self.Re, dtype=float).ravel()
-        y[9] = self.theta
-        y[10:13] = self.omega_e
-        y[13:22] = np.asarray(self.Rr, dtype=float).ravel()
-        y[22:25] = self.omega_r
+        L = BasicLoop
+        y = np.empty(L.WIDTH)
+        y[L.R_E] = np.asarray(self.Re, dtype=float).ravel()
+        y[L.THETA] = self.theta
+        y[L.OMEGA_E] = self.omega_e
+        y[L.OMEGA_R] = self.omega_r
         return y
 
 
@@ -276,9 +277,9 @@ class SmoothLoopState(BasicLoopState):
     zeta: np.ndarray = None
 
     def pack(self) -> np.ndarray:
-        y = np.empty(28)
-        y[0:25] = super().pack()
-        y[25:28] = self.zeta
+        y = np.empty(SmoothLoop.WIDTH)
+        y[:BasicLoop.WIDTH] = super().pack()
+        y[SmoothLoop.ZETA] = self.zeta
         return y
 
 
@@ -288,10 +289,11 @@ class VelocityFreeLoopState(BasicLoopState):
     theta_bar: float = 0.0
 
     def pack(self) -> np.ndarray:
-        y = np.empty(35)
-        y[0:25] = super().pack()
-        y[25:34] = np.asarray(self.Rtilde, dtype=float).ravel()
-        y[34] = self.theta_bar
+        L = VelocityFreeLoop
+        y = np.empty(L.WIDTH)
+        y[:BasicLoop.WIDTH] = super().pack()
+        y[L.R_TILDE] = np.asarray(self.Rtilde, dtype=float).ravel()
+        y[L.THETA_BAR] = self.theta_bar
         return y
 
 
@@ -323,9 +325,18 @@ class _TrackingLoop(HybridSystem):
     `_monitor`, and the monitor's designed drop at a jump as `jump_drop`.
     """
 
-    rotation_slices: tuple = (slice(0, 9), slice(13, 22))
+    # The packed state in error coordinates: the error rotation R_e, the warp
+    # angle, the velocity error omega_e and the reference velocity omega_r;
+    # each law appends its own states.  The reference attitude enters no law,
+    # set or monitor, so it is not integrated.
+    R_E = slice(0, 9)
+    THETA = 9
+    OMEGA_E = slice(10, 13)
+    OMEGA_R = slice(13, 16)
+    WIDTH = 16
+    rotation_slices: tuple = (R_E,)
     # (name, index) of the warp angles in the packed state, for jump records.
-    warp_angles: tuple = (("theta", 9),)
+    warp_angles: tuple = (("theta", THETA),)
 
     def __init__(self, params: PotentialParams, gains: Gains, inertia: Inertia,
                  reference: Reference, noise: NoiseModel | None = None):
@@ -416,7 +427,7 @@ class _TrackingLoop(HybridSystem):
         U, lyap = self._monitor(v, xp)
         tau = self._control(t, v, meas, xp)[0]
         return (
-            rot_distance_f(v[0:9], xp), v[9], v[10], v[11], v[12],
+            rot_distance_f(v[self.R_E], xp), v[self.THETA], *v[self.OMEGA_E],
             tau[0], tau[1], tau[2], U, lyap,
             in_jump * 1.0,
             *self._extra_columns(v, xp),
@@ -440,8 +451,8 @@ class _TrackingLoop(HybridSystem):
     def jump(self, t, y, meas):
         """Reset the warp angle from the measured rotation (a filter state does not jump)."""
         p = self.params
-        Rm = self._measured_rotation(y[0:9], meas)
-        return (*y[0:9], best_reset_f(mat_mul_f(p._A_f, Rm), p)[0], *y[10:])
+        Rm = self._measured_rotation(y[self.R_E], meas)
+        return (*y[:self.THETA], best_reset_f(mat_mul_f(p._A_f, Rm), p)[0], *y[self.THETA + 1:])
 
     def jump_event_info(self, t, y_pre, y_post, meas):
         tau_pre = self.torque(t, y_pre, meas)
@@ -476,31 +487,31 @@ class BasicLoop(_TrackingLoop):
     def _control(self, t, v, meas, xp=math):
         """(torque, z, a, J a, feedforward at R_e, warp gradient)."""
         p = self.params
-        Re, wr = v[0:9], v[22:25]
+        Re, wr = v[self.R_E], v[self.OMEGA_R]
         z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
-        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, a, ups, meas)
-        g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[9], p, xp)
+        Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
+        g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[self.THETA], p, xp)
         return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), z, a, Ja, ups, g_th
 
     def flow(self, t, y, meas):
-        Re, we, Rr, wr = y[0:9], y[10:13], y[13:22], y[22:25]
-        self._guard_reference(wr, t)
+        Re, we = y[self.R_E], y[self.OMEGA_E]
+        self._guard_reference(y[self.OMEGA_R], t)
         tau, z, a, Ja, ups, g_th = self._control(t, y, meas)
         return (
             *mat_skew_f(Re, we), -self.gains.k_theta * g_th,
-            *self._accel(we, a, Ja, ups, tau),
-            *mat_skew_f(Rr, wr), *z,
+            *self._accel(we, a, Ja, ups, tau), *z,
         )
 
     def jump_margin(self, t, y, meas):
         p = self.params
-        Rm = self._measured_rotation(y[0:9], meas)
-        return gap_f(mat_mul_f(p._A_f, Rm), y[9], p) - p.delta
+        Rm = self._measured_rotation(y[self.R_E], meas)
+        return gap_f(mat_mul_f(p._A_f, Rm), y[self.THETA], p) - p.delta
 
     def _monitor(self, v, xp=math):
-        U = value_f(mat_mul_f(self.params._A_f, v[0:9]), v[9], self.params, xp)
-        return U, self.gains.k_R * U + self._kinetic(v[10:13])
+        p = self.params
+        U = value_f(mat_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
+        return U, self.gains.k_R * U + self._kinetic(v[self.OMEGA_E])
 
 
 class NonHybridLoop(BasicLoop):
@@ -509,7 +520,7 @@ class NonHybridLoop(BasicLoop):
 
     def flow(self, t, y, meas):
         out = super().flow(t, y, meas)
-        return (*out[0:9], 0.0, *out[10:])  # warp angle frozen
+        return (*out[:self.THETA], 0.0, *out[self.THETA + 1:])  # warp angle frozen
 
     def jump(self, t, y, meas):
         raise SolverError("the non-hybrid loop has no jump map")
@@ -520,6 +531,8 @@ class NonHybridLoop(BasicLoop):
 
 class SmoothLoop(_TrackingLoop):
     kind = "smooth"
+    ZETA = slice(16, 19)
+    WIDTH = 19
     columns = BasicLoop.columns + ("zeta_x", "zeta_y", "zeta_z")
 
     def __init__(self, params, gains, inertia, reference, noise=None, relaxed: bool = False):
@@ -534,47 +547,50 @@ class SmoothLoop(_TrackingLoop):
     def _control(self, t, v, meas, xp=math):
         """(torque, z, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
         p = self.params
-        Re, wr = v[0:9], v[22:25]
+        Re, wr = v[self.R_E], v[self.OMEGA_R]
         z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
-        Rm, wem, ups_m = self._measured(Re, v[10:13], wr, z, a, ups, meas)
+        Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
         AR = mat_mul_f(p._A_f, Rm)
-        g0, g1, g2, g_th = gradients_f(AR, v[9], p, xp)
-        tau = torque_basic_f(ups_m, v[25:28], wem, self.gains)
+        g0, g1, g2, g_th = gradients_f(AR, v[self.THETA], p, xp)
+        tau = torque_basic_f(ups_m, v[self.ZETA], wem, self.gains)
         return tau, z, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
 
     def flow(self, t, y, meas):
         gn = self.gains
-        Re, th, we, Rr, wr = y[0:9], y[9], y[10:13], y[13:22], y[22:25]
-        self._guard_reference(wr, t)
+        Re, th, we = y[self.R_E], y[self.THETA], y[self.OMEGA_E]
+        self._guard_reference(y[self.OMEGA_R], t)
         tau, z, a, Ja, ups, AR, wem, g, g_th = self._control(t, y, meas)
-        zdot = zeta_flow_f(AR, th, y[25:28], wem, g, g_th, self.params, gn, self.relaxed)
+        zdot = zeta_flow_f(AR, th, y[self.ZETA], wem, g, g_th, self.params, gn, self.relaxed)
         return (
             *mat_skew_f(Re, we), -gn.k_theta * g_th,
-            *self._accel(we, a, Ja, ups, tau),
-            *mat_skew_f(Rr, wr), *z, *zdot,
+            *self._accel(we, a, Ja, ups, tau), *z, *zdot,
         )
 
     def jump_margin(self, t, y, meas):
-        p = self.params
-        AR = mat_mul_f(p._A_f, self._measured_rotation(y[0:9], meas))
-        return filtered_gap_f(AR, y[9], y[25:28], p, self.gains.rho) - self.gains.delta_prime
+        p, gn = self.params, self.gains
+        AR = mat_mul_f(p._A_f, self._measured_rotation(y[self.R_E], meas))
+        return filtered_gap_f(AR, y[self.THETA], y[self.ZETA], p, gn.rho) - gn.delta_prime
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
-        AR = mat_mul_f(p._A_f, v[0:9])
-        W = warp_rotation_f(v[9], p, xp)
-        V = filtered_value_w_f(AR, W, v[9], v[25:28], p, gn.rho)
-        return value_w_f(AR, W, v[9], p), gn.k_R * V + self._kinetic(v[10:13])
+        th = v[self.THETA]
+        AR = mat_mul_f(p._A_f, v[self.R_E])
+        W = warp_rotation_f(th, p, xp)
+        V = filtered_value_w_f(AR, W, th, v[self.ZETA], p, gn.rho)
+        return value_w_f(AR, W, th, p), gn.k_R * V + self._kinetic(v[self.OMEGA_E])
 
     def _extra_columns(self, v, xp=math):
-        return v[25], v[26], v[27]
+        return v[self.ZETA]
 
 
 class VelocityFreeLoop(_TrackingLoop):
     kind = "velocity_free"
-    rotation_slices = (slice(0, 9), slice(13, 22), slice(25, 34))
-    warp_angles = (("theta", 9), ("theta_bar", 34))
+    R_TILDE = slice(16, 25)
+    THETA_BAR = 25
+    WIDTH = 26
+    rotation_slices = _TrackingLoop.rotation_slices + (R_TILDE,)
+    warp_angles = _TrackingLoop.warp_angles + (("theta_bar", THETA_BAR),)
     columns = BasicLoop.columns + ("dist_Rtilde", "theta_bar")
 
     def __init__(self, params, gains, inertia, reference, noise=None):
@@ -589,7 +605,7 @@ class VelocityFreeLoop(_TrackingLoop):
     def _control(self, t, v, meas, xp=math):
         """(torque, z, a, J a, feedforward at R_e, auxiliary gradient, both warp gradients, E)."""
         p = self.params
-        Re, wr, Rt = v[0:9], v[22:25], v[25:34]
+        Re, wr, Rt = v[self.R_E], v[self.OMEGA_R], v[self.R_TILDE]
         z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
         if meas is None:
@@ -598,29 +614,28 @@ class VelocityFreeLoop(_TrackingLoop):
             E = meas.E
             Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
             ups_m = self._feedforward(Re, wr, z)[2]
-        a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[9], p, xp)
-        b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[34], p, xp)
+        a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[self.THETA], p, xp)
+        b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[self.THETA_BAR], p, xp)
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
         return tau, z, a, Ja, ups, g2, a_th, b_th, E
 
     def flow(self, t, y, meas):
         k_th = self.gains.k_theta
-        Re, we, Rr, wr, Rt = y[0:9], y[10:13], y[13:22], y[22:25], y[25:34]
-        self._guard_reference(wr, t)
+        Re, we = y[self.R_E], y[self.OMEGA_E]
+        self._guard_reference(y[self.OMEGA_R], t)
         tau, z, a, Ja, ups, g2, a_th, b_th, E = self._control(t, y, meas)
         return (
             *mat_skew_f(Re, we), -k_th * a_th,
-            *self._accel(we, a, Ja, ups, tau),
-            *mat_skew_f(Rr, wr), *z,
-            *aux_flow_f(Rt, we, g2, self._Gamma, E), -k_th * b_th,
+            *self._accel(we, a, Ja, ups, tau), *z,
+            *aux_flow_f(y[self.R_TILDE], we, g2, self._Gamma, E), -k_th * b_th,
         )
 
     def _gaps(self, y, meas) -> list:
         """(A R_m, gap) at the error rotation and at the auxiliary rotation."""
         p = self.params
         out = []
-        for R, th in ((y[0:9], y[9]), (y[25:34], y[34])):
+        for R, th in ((y[self.R_E], y[self.THETA]), (y[self.R_TILDE], y[self.THETA_BAR])):
             AR = mat_mul_f(p._A_f, self._measured_rotation(R, meas))
             out.append((AR, gap_f(AR, th, p)))
         return out
@@ -644,12 +659,12 @@ class VelocityFreeLoop(_TrackingLoop):
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
-        U1 = value_f(mat_mul_f(p._A_f, v[0:9]), v[9], p, xp)
-        U2 = value_f(mat_mul_f(p._A_f, v[25:34]), v[34], p, xp)
-        return U1, gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(v[10:13])
+        U1 = value_f(mat_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
+        U2 = value_f(mat_mul_f(p._A_f, v[self.R_TILDE]), v[self.THETA_BAR], p, xp)
+        return U1, gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(v[self.OMEGA_E])
 
     def _extra_columns(self, v, xp=math):
-        return rot_distance_f(v[25:34], xp), v[34]
+        return rot_distance_f(v[self.R_TILDE], xp), v[self.THETA_BAR]
 
 
 LOOP_CLASSES = {

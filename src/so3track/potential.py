@@ -82,6 +82,7 @@ class PotentialParams:
     Invariants (checked on construction):
       * every reset angle satisfies 0 < |theta_i| <= pi,
       * A is symmetric positive definite with lambda_2 < lambda_3,
+      * the gap coefficient and the gradient bounds of A are finite floats,
       * gamma < 4 delta_star / pi^2,
       * delta < (4 delta_star / pi^2 - gamma) * theta_min^2 / 2.
     """
@@ -109,6 +110,13 @@ class PotentialParams:
                 raise ContractError(f"reset angle {th} outside (0, pi]")
         if abs(float(np.linalg.norm(self.u)) - 1.0) > 1e-12:
             raise ContractError("warp axis u must be a unit vector")
+        try:
+            finite = all(map(math.isfinite, (self.spectral.delta_star, *gradient_bounds(self))))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ContractError("the eigenvalues of A are too large or too far apart: "
+                                "its gap coefficient or gradient bounds overflow")
         gmax = 4.0 * self.spectral.delta_star / _PI2
         if not 0.0 < self.gamma < gmax:
             raise ContractError(f"gamma={self.gamma} outside (0, {gmax}) = (0, 4*delta_star/pi^2)")
@@ -240,8 +248,10 @@ def _spectral_data(A: np.ndarray) -> SpectralData:
         delta_star = 4.0 * l1 * l2 * l3 / s
         case_id = 3
     a_bar = 0.5 * ((l1 + l2 + l3) * EYE3 - A)
-    a_bar2 = a_bar @ a_bar
-    a_under = np.trace(a_bar2) * EYE3 - 2.0 * a_bar2
+    with np.errstate(over="ignore", invalid="ignore"):  # PotentialParams rejects overflow
+        a_bar2 = a_bar @ a_bar
+        a_under = np.trace(a_bar2) * EYE3 - 2.0 * a_bar2
+        a_bar_fro = float(np.linalg.norm(a_bar))
     bar_evals = 0.5 * ((l1 + l2 + l3) - evals)
     return SpectralData(
         eigenvalues=evals,
@@ -250,7 +260,7 @@ def _spectral_data(A: np.ndarray) -> SpectralData:
         a_under=a_under,
         a_bar_min=float(bar_evals.min()),
         a_bar_max=float(bar_evals.max()),
-        a_bar_fro=float(np.linalg.norm(a_bar)),
+        a_bar_fro=a_bar_fro,
         delta_star=float(delta_star),
         case_id=case_id,
         alphas=alphas,

@@ -328,6 +328,23 @@ def _member_params(cfg: ScenarioConfig, member: MemberSpec):
         raise ConfigError(f"member {member.label}: {e}") from None
 
 
+def _unit_axis(axis) -> np.ndarray:
+    """The rotation axis scaled to unit length.
+
+    ConfigError for an axis whose norm is zero or overflows, or is so small
+    that the scaled axis misses unit length by more than `angle_axis` allows.
+    """
+    axis = np.asarray(axis, dtype=float)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(axis)
+    if 0.0 < n < math.inf:
+        unit = axis / n
+        if abs(math.sqrt(unit @ unit) - 1.0) <= 1e-12:
+            return unit
+    raise ConfigError(f"'R0_axis' must have a nonzero norm within the float range, "
+                      f"got {[float(x) for x in axis]}")
+
+
 def build_member(cfg: ScenarioConfig, member: MemberSpec):
     """Closed loop plus packed initial state for one member run."""
     params = _member_params(cfg, member)
@@ -349,11 +366,9 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec):
         relaxed_filter=cfg.zeta_dynamics == "relaxed",
         check=False,
     )
-    axis = np.asarray(cfg.R0_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    R0 = angle_axis(cfg.R0_angle, axis)
+    R0 = angle_axis(cfg.R0_angle, _unit_axis(cfg.R0_axis))
     omega0 = np.asarray(cfg.omega0, dtype=float)
-    base = dict(Re=R0, theta=cfg.theta0, omega_e=omega0, Rr=np.eye(3), omega_r=np.zeros(3))
+    base = dict(Re=R0, theta=cfg.theta0, omega_e=omega0, omega_r=np.zeros(3))
     if member.controller == "smooth":
         state = SmoothLoopState(**base, zeta=np.asarray(cfg.zeta0, dtype=float))
     elif member.controller == "velocity_free":
@@ -366,6 +381,11 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec):
 
 # Classical RK4 is stable on the negative real axis down to h lambda = -2.785.
 RK4_REAL_LIMIT = 2.785
+
+# The most steps, t_max / dt, that `validate_scenario` lets one member ask for.
+# A run keeps every sample (a full-horizon fig4 member of 20 000 steps peaks
+# at about 11 MB), so a member at the budget holds about half a gigabyte.
+STEP_BUDGET = 1_000_000
 
 
 def fastest_rate(cfg: ScenarioConfig, member: MemberSpec, params) -> tuple[float, str]:
@@ -404,10 +424,15 @@ def fastest_rate(cfg: ScenarioConfig, member: MemberSpec, params) -> tuple[float
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Run every member-level invariant check without simulating.
 
-    Raises ConfigError on hard violations; returns advisory warnings, among
-    them a step size past the RK4 limit of a member's `fastest_rate`.
+    Raises ConfigError on hard violations, among them a horizon of more than
+    STEP_BUDGET steps; returns advisory warnings, among them a step size past
+    the RK4 limit of a member's `fastest_rate`.
     """
     _check_horizon(cfg.dt, cfg.t_max)  # also covers overrides applied after loading
+    steps = cfg.t_max / cfg.dt
+    if steps > STEP_BUDGET:
+        raise ConfigError(f"t_max / dt = {steps:.3g} steps is over the budget of "
+                          f"{STEP_BUDGET} steps per member")
     notes: list[str] = []
     for member in cfg.members:
         params = _member_params(cfg, member)

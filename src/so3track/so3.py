@@ -240,11 +240,6 @@ def project_to_so3(M) -> np.ndarray:
     return R
 
 
-def orthonormalize(R) -> np.ndarray:
-    """Drift correction toward the symmetric polar factor (see `orthonormalize_f`)."""
-    return np.array(orthonormalize_f(floats(R))).reshape(3, 3)
-
-
 def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
     """n random rotation matrices, shape (n, 3, 3), via QR of Gaussian matrices."""
     G = rng.standard_normal((n, 3, 3))

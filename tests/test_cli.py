@@ -206,7 +206,12 @@ def test_validate_warns_past_the_rk4_step_limit(capsys):
     ("reference", "[1,2,3]", "reference"),
     ("R0_angle", "-inf", "finite"),
     ("t_max", "nan", "finite"),
-], ids=("J_zero", "J_nan", "reference_list", "R0_angle_inf", "t_max_nan"))
+    ("R0_axis", "[0, 0, 0]", "nonzero norm"),
+    ("R0_axis", "[1e300, 1, 1]", "nonzero norm"),
+    ("R0_axis", "[1e-170, 0, 0]", "nonzero norm"),
+    ("dt", "1e-300", f"budget of {st.scenarios.STEP_BUDGET} steps"),
+], ids=("J_zero", "J_nan", "reference_list", "R0_angle_inf", "t_max_nan", "R0_axis_zero",
+        "R0_axis_overflow", "R0_axis_underflow", "dt_over_step_budget"))
 def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, names):
     kept = [ln for ln in MINI.splitlines() if ln.split("=", 1)[0].strip() != key]
     cfg = write_cfg(tmp_path, "\n".join(kept + [f"{key} = {value}"]) + "\n")
@@ -215,6 +220,20 @@ def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, 
     assert "Traceback" not in out + err
     assert err.splitlines() == [err.strip()]
     assert err.startswith("config error:") and key in err and names in err
+
+
+@pytest.mark.parametrize("A_diag", [
+    "[1e300, 2, 3]", "[1e200, 2e200, 3e200]", "[1e-300, 2e-300, 1]",
+])
+def test_validate_rejects_overflowing_weights_with_one_line(tmp_path, capsys, A_diag):
+    # the smallest bundled fig3 gamma, so the overflow is not caught first as an oversized gamma
+    text = MINI.replace("A_diag = [2.0, 4.0, 6.0]", f"A_diag = {A_diag}")
+    cfg = write_cfg(tmp_path, text.replace("0.7092482854963644", "0.3039635509270133"))
+    assert main(["validate", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("config error:") and "eigenvalues of A" in err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -14,6 +14,10 @@ from so3track.so3 import floats
 
 E1, E2, E3 = np.eye(3)
 REST = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
+# Offsets in the packed state, as the loop classes declare them.
+THETA, OMEGA_E = st.BasicLoop.THETA, st.BasicLoop.OMEGA_E
+ZETA = st.SmoothLoop.ZETA
+R_TILDE, THETA_BAR = st.VelocityFreeLoop.R_TILDE, st.VelocityFreeLoop.THETA_BAR
 
 
 def random_basic_state(rng):
@@ -21,7 +25,6 @@ def random_basic_state(rng):
         Re=st.random_rotation(rng),
         theta=rng.uniform(-math.pi, math.pi),
         omega_e=rng.standard_normal(3),
-        Rr=st.random_rotation(rng),
         omega_r=rng.standard_normal(3),
     )
 
@@ -34,9 +37,7 @@ def fixed_reference(z):
 
 def rest_state(R, theta):
     """Basic-loop state with error rotation R and warp angle theta, at rest on a resting frame."""
-    return st.BasicLoopState(
-        Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
-    ).pack()
+    return st.BasicLoopState(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3)).pack()
 
 
 # --- warp-angle subsystem ----------------------------------------------------
@@ -45,13 +46,13 @@ def rest_state(R, theta):
 def warp_rate(R, theta, p, gains, inertia):
     """The warp-angle row of the basic loop's flow."""
     loop = st.make_loop("basic", p, gains, inertia, REST, check=False)
-    return loop.flow(0.0, rest_state(R, theta), None)[9]
+    return loop.flow(0.0, rest_state(R, theta), None)[THETA]
 
 
 def warp_reset(R, p, gains, inertia):
     """The warp angle after the basic loop's jump map."""
     loop = st.make_loop("basic", p, gains, inertia, REST, check=False)
-    return loop.jump(0.0, rest_state(R, 0.0), None)[9]
+    return loop.jump(0.0, rest_state(R, 0.0), None)[THETA]
 
 
 def test_warp_rate_zero_at_target(paper_params, paper_gains, paper_inertia):
@@ -156,8 +157,8 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
         t = rng.uniform(0.0, 10.0)
         ydot = loop.flow(t, y, None)
         g_rot, g_th = st.gradients(s.Re, s.theta, p)
-        theta_dot = ydot[9]
-        we_dot = ydot[10:13]
+        theta_dot = ydot[THETA]
+        we_dot = ydot[OMEGA_E]
         ldot = gn.k_R * (2.0 * s.omega_e @ g_rot + g_th * theta_dot) + s.omega_e @ (
             J.J @ we_dot
         )
@@ -179,6 +180,32 @@ def random_loop_state(kind, rng):
     if kind == "non_hybrid":
         base.theta = 0.0  # the baseline's warp angle stays at zero
     return base
+
+
+# State field of each named offset, by the law whose loop class declares it.
+FIELDS = {"R_E": "Re", "THETA": "theta", "OMEGA_E": "omega_e", "OMEGA_R": "omega_r"}
+LAW_FIELDS = {"smooth": {"ZETA": "zeta"}, "velocity_free": {"R_TILDE": "Rtilde",
+                                                             "THETA_BAR": "theta_bar"}}
+
+
+@pytest.mark.parametrize("kind, width", [
+    ("basic", 16), ("smooth", 19), ("velocity_free", 26), ("non_hybrid", 16),
+])
+def test_packed_layout_and_flow_width(kind, width, paper_params, paper_gains, paper_inertia):
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
+    s = random_loop_state(kind, np.random.default_rng(12))
+    y = s.pack()
+    assert loop.WIDTH == width and y.shape == (width,)
+    # the named offsets tile the packed state and read back the packed fields
+    covered = []
+    for name, field in {**FIELDS, **LAW_FIELDS.get(kind, {})}.items():
+        at = getattr(loop, name)
+        covered += range(width)[at] if isinstance(at, slice) else [at]
+        assert np.array_equal(np.ravel(y[at]), np.ravel(getattr(s, field)))
+    assert sorted(covered) == list(range(width))
+    ydot = loop.flow(0.3, tuple(y.tolist()), None)
+    assert type(ydot) is tuple and len(ydot) == width
 
 
 def random_measurement(rng):
@@ -216,21 +243,21 @@ def check_measured_rates(kind, s, meas, ydot, p, gn):
     """Warp, filter and auxiliary rows of a noisy flow against the laws' formulas."""
     E, Rm, _ = measured(s, meas)
     if kind == "non_hybrid":
-        assert ydot[9] == 0.0
+        assert ydot[THETA] == 0.0
         return
     rate = -gn.k_theta * st.gradients(Rm, s.theta, p)[1]
-    assert ydot[9] == pytest.approx(rate, rel=1e-12, abs=1e-12)
+    assert ydot[THETA] == pytest.approx(rate, rel=1e-12, abs=1e-12)
     if kind == "smooth":
         zdot = -gn.k_zeta * (s.zeta - st.grad_rotation(Rm, s.theta, p))
-        assert np.allclose(ydot[25:28], zdot, rtol=0.0, atol=1e-10)
+        assert np.allclose(ydot[ZETA], zdot, rtol=0.0, atol=1e-10)
     if kind == "velocity_free":
         Rtm = s.Rtilde @ E
         rate = -gn.k_theta * st.gradients(Rtm, s.theta_bar, p)[1]
-        assert ydot[34] == pytest.approx(rate, rel=1e-12, abs=1e-12)
+        assert ydot[THETA_BAR] == pytest.approx(rate, rel=1e-12, abs=1e-12)
         # the damping output is formed at the measured auxiliary rotation
         beta = E @ (gn.Gamma @ st.grad_rotation(Rtm, s.theta_bar, p))
         Rt_dot = s.Rtilde @ st.skew(s.omega_e - beta)
-        assert np.allclose(ydot[25:34], Rt_dot.ravel(), rtol=0.0, atol=1e-11)
+        assert np.allclose(ydot[R_TILDE], Rt_dot.ravel(), rtol=0.0, atol=1e-11)
 
 
 def public_margin(kind, s, meas, p, gn):
@@ -252,7 +279,7 @@ def torque_from_flow(loop, s, t, ydot):
     a, Ja = shared_terms_f(floats(s.Re), floats(s.omega_r), J.J_f)
     sig = np.array(coupling_times_f(floats(s.omega_e), a, Ja, J.J_f))
     ups = st.feedforward(s.Re, s.omega_r, z, J)
-    return J.J @ ydot[10:13] - sig + ups
+    return J.J @ ydot[OMEGA_E] - sig + ups
 
 
 @pytest.mark.parametrize("kind", LAWS)
@@ -418,9 +445,9 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
             t = rng.uniform(0.0, 10.0)
             ydot = loop.flow(t, y, None)
             g_rot, g_th = st.gradients(s.Re, s.theta, p)
-            theta_dot = ydot[9]
-            we_dot = ydot[10:13]
-            zeta_dot = ydot[25:28]
+            theta_dot = ydot[THETA]
+            we_dot = ydot[OMEGA_E]
+            zeta_dot = ydot[ZETA]
             rate_g = st.grad_rotation_rate(s.Re, s.theta, s.omega_e, theta_dot, p)
             mism = s.zeta - g_rot
             wdot = (
@@ -448,9 +475,8 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
 
 def smooth_state(R, theta, zeta):
     """Smooth-loop state at rest on a resting reference."""
-    return st.SmoothLoopState(
-        Re=R, theta=theta, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3), zeta=zeta
-    ).pack()
+    return st.SmoothLoopState(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3),
+                              zeta=zeta).pack()
 
 
 def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inertia):
@@ -462,7 +488,7 @@ def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inert
     loop = st.make_loop("smooth", p, gn, J, fixed_reference(z), check=False)
     y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
     y_post = loop.jump(0.0, y, None)
-    assert y_post[9] != y[9]
+    assert y_post[THETA] != y[THETA]
     pre = loop.torque(0.0, y, None)
     post = loop.torque(0.0, y_post, None)
     assert np.array_equal(pre, post)  # the filter state does not jump
@@ -474,7 +500,7 @@ def test_zeta_flow_stationary_at_gradient(paper_params, paper_gains, paper_inert
     theta = 0.8
     g = st.grad_rotation(R, theta, paper_params)
     loop = st.make_loop("smooth", paper_params, paper_gains, paper_inertia, REST, check=False)
-    zdot = loop.flow(0.0, smooth_state(R, theta, g), None)[25:28]
+    zdot = loop.flow(0.0, smooth_state(R, theta, g), None)[ZETA]
     assert np.array_equal(zdot, np.zeros(3))
 
 
@@ -526,12 +552,12 @@ def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia)
     loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST,
                         check=False)
     y = st.VelocityFreeLoopState(
-        Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3),
+        Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
         Rtilde=np.eye(3), theta_bar=0.0,
     ).pack()
     ydot = loop.flow(0.0, y, None)
-    assert np.array_equal(ydot[25:34], np.zeros(9))
-    assert ydot[34] == 0.0
+    assert np.array_equal(ydot[R_TILDE], np.zeros(9))
+    assert ydot[THETA_BAR] == 0.0
 
 
 def test_aux_damping_output_zero_at_target(paper_params, paper_gains):
@@ -575,12 +601,12 @@ def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_i
         ydot = loop.flow(t, y, None)
         g1, g1_th = st.gradients(s.Re, s.theta, p)
         g2, g2_th = st.gradients(s.Rtilde, s.theta_bar, p)
-        we_dot = ydot[10:13]
+        we_dot = ydot[OMEGA_E]
         # chain rule: U(Rtilde, theta_bar) flows with drive omega_e - beta
         beta = gn.Gamma @ g2
         ldot = (
-            gn.k_R * (2.0 * s.omega_e @ g1 + g1_th * ydot[9])
-            + gn.k_beta * (2.0 * (s.omega_e - beta) @ g2 + g2_th * ydot[34])
+            gn.k_R * (2.0 * s.omega_e @ g1 + g1_th * ydot[THETA])
+            + gn.k_beta * (2.0 * (s.omega_e - beta) @ g2 + g2_th * ydot[THETA_BAR])
             + s.omega_e @ (J.J @ we_dot)
         )
         expected = (
@@ -598,14 +624,14 @@ def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
     loop = st.make_loop("velocity_free", p, paper_gains, paper_inertia, ref, check=False)
     bad = st.undesired_critical_points(p)[0].rotation
     s = st.VelocityFreeLoopState(
-        Re=bad, theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3),
+        Re=bad, theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
         Rtilde=bad.copy(), theta_bar=0.0,
     )
     y = s.pack()
     assert loop.jump_margin(0.0, y, None) >= 0.0
     y_post = loop.jump(0.0, y, None)
-    assert y_post[9] == 0.9 * math.pi
-    assert y_post[34] == 0.9 * math.pi
+    assert y_post[THETA] == 0.9 * math.pi
+    assert y_post[THETA_BAR] == 0.9 * math.pi
 
 
 # --- non-hybrid baseline -----------------------------------------------------
@@ -633,7 +659,7 @@ def test_non_hybrid_stalls_at_critical_rotation(paper_params, paper_gains, paper
     z = np.array([0.0, 0.5, 0.1])
     loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia,
                         fixed_reference(z), check=False)
-    y = st.BasicLoopState(Re=R, theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=wr).pack()
+    y = st.BasicLoopState(Re=R, theta=0.0, omega_e=np.zeros(3), omega_r=wr).pack()
     tau = loop.torque(0.0, y, None)
     ups = st.feedforward(R, wr, z, paper_inertia)
     assert np.linalg.norm(tau - ups) <= 2.0 * paper_gains.k_R * 1e-12
@@ -644,7 +670,7 @@ def test_non_hybrid_loop_never_jumps(paper_params, paper_gains, paper_inertia):
     y = rest_state(st.undesired_critical_points(paper_params)[0].rotation, 0.0)
     assert loop.jump_margin(0.0, y, None) == -math.inf  # flow set only
     ydot = loop.flow(0.0, y, None)
-    assert ydot[9] == 0.0  # warp angle frozen
+    assert ydot[THETA] == 0.0  # warp angle frozen
 
 
 # --- gains validation --------------------------------------------------------

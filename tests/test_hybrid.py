@@ -235,7 +235,6 @@ def test_jump_refinement_on_closed_loop(paper_params, paper_inertia):
         Re=R0,
         theta=0.0,
         omega_e=np.array([0.0, 0.0, 3.0]),
-        Rr=np.eye(3),
         omega_r=np.zeros(3),
     ).pack()
     cfg = st.SolverConfig(dt=1e-3, t_max=2.0, j_max=5)
@@ -257,7 +256,6 @@ def test_deterministic_replay_with_noise(paper_params, paper_inertia, paper_gain
         Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])),
         theta=0.0,
         omega_e=np.zeros(3),
-        Rr=np.eye(3),
         omega_r=np.zeros(3),
     ).pack()
     cfg = st.SolverConfig(dt=1e-3, t_max=0.5, j_max=10)

@@ -18,9 +18,7 @@ def loops(p, gn, J):
 
 def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia):
     basic_loop, smooth_loop, vf_loop = loops(paper_params, paper_gains, paper_inertia)
-    basic = st.BasicLoopState(
-        Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), Rr=np.eye(3), omega_r=np.zeros(3)
-    )
+    basic = st.BasicLoopState(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
     assert basic_loop.lyapunov_packed(basic.pack()) == 0.0
     smooth = st.SmoothLoopState(**basic.__dict__, zeta=np.zeros(3))
     assert smooth_loop.lyapunov_packed(smooth.pack()) == 0.0
@@ -37,7 +35,6 @@ def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
         Re=st.random_rotation(rng),
         theta=0.7,
         omega_e=np.zeros(3),
-        Rr=np.eye(3),
         omega_r=np.zeros(3),
     )
     # no velocity error: the basic monitor is k_R U
@@ -142,7 +139,6 @@ def test_certify_flags_wrong_sign_gain(paper_params, paper_inertia):
         Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])),
         theta=0.0,
         omega_e=np.array([0.2, -0.1, 0.1]),
-        Rr=np.eye(3),
         omega_r=np.zeros(3),
     ).pack()
     arc = st.solve(loop, y0, st.SolverConfig(dt=1e-3, t_max=1.0, j_max=10))

@@ -152,7 +152,7 @@ def test_orthonormalize_matches_polar_factor():
     for scale in (1e-9, 1e-6, 1e-3):
         R = st.random_rotation(rng)
         M = R + scale * rng.standard_normal((3, 3))
-        fast = st.so3.orthonormalize(M.copy())
+        fast = np.array(st.so3.orthonormalize_f(st.so3.floats(M))).reshape(3, 3)
         exact = st.project_to_so3(M)
         assert np.linalg.norm(fast - exact) <= 1e-9
         assert np.linalg.norm(fast.T @ fast - np.eye(3)) <= 1e-12
@@ -185,7 +185,6 @@ def test_orthonormalize_f_newton_schulz_reaches_polar_factor():
             got = np.array(st.so3.orthonormalize_f(st.so3.floats(M))).reshape(3, 3)
             assert np.abs(got - polar_factor_long(M)).max() <= 1e-15
             assert np.abs(got - st.project_to_so3(M)).max() <= 1e-14
-            assert np.array_equal(st.so3.orthonormalize(M), got)
 
 
 def test_orthonormalize_f_falls_back_to_svd_past_1e_4():
