@@ -54,13 +54,7 @@ from .controllers import (
     make_loop,
     torque_velocity_free,
 )
-from .monitors import (
-    CertificationReport,
-    certify_arc,
-    cross_eps_bound,
-    exponential_fit,
-    lyapunov_cross,
-)
+from .monitors import CertificationReport, certify_arc, exponential_fit
 from .scenarios import (
     MemberResult,
     ScenarioConfig,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 
 from .errors import ConfigError, SolverError
@@ -79,9 +78,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # gain advisories were already printed
-            result = run_scenario(cfg, args.out_dir, plots=not args.no_plots)
+        result = run_scenario(cfg, args.out_dir, plots=not args.no_plots)
     except SolverError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER

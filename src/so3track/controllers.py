@@ -26,7 +26,6 @@ to fill the recorded columns.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,7 +126,14 @@ class Gains:
                     f"(delta - delta_prime)/c_psi^2 = {rho_bound:.6g}; the jump-set "
                     "margin at the unwanted critical points is no longer guaranteed"
                 )
-            kz_star = filter_gain_bound(self, params)
+            try:
+                kz_star = filter_gain_bound(self, params)
+            except (OverflowError, ZeroDivisionError):
+                kz_star = math.inf
+            if not math.isfinite(kz_star):
+                raise ContractError(f"the sufficient filter rate k_zeta* is not finite for "
+                                    f"k_R = {self.k_R}, k_omega = {self.k_omega}, "
+                                    f"k_theta = {self.k_theta} and rho = {self.rho}")
             if self.k_zeta <= kz_star:
                 notes.append(
                     f"k_zeta = {self.k_zeta} is below the sufficient bound "
@@ -519,8 +525,11 @@ class NonHybridLoop(BasicLoop):
     jump_drop = 0.0
 
     def flow(self, t, y, meas):
-        out = super().flow(t, y, meas)
-        return (*out[:self.THETA], 0.0, *out[self.THETA + 1:])  # warp angle frozen
+        """The basic flow with the warp angle frozen; k_theta is never read."""
+        Re, we = y[self.R_E], y[self.OMEGA_E]
+        self._guard_reference(y[self.OMEGA_R], t)
+        tau, z, a, Ja, ups, _ = self._control(t, y, meas)
+        return (*mat_skew_f(Re, we), 0.0, *self._accel(we, a, Ja, ups, tau), *z)
 
     def jump(self, t, y, meas):
         raise SolverError("the non-hybrid loop has no jump map")
@@ -677,15 +686,10 @@ LOOP_CLASSES = {
 
 def make_loop(kind: str, params: PotentialParams, gains: Gains, inertia: Inertia,
               reference: Reference, noise: NoiseModel | None = None,
-              relaxed_filter: bool = False, check: bool = True):
-    """Build a closed loop of the given kind; gain warnings go to `warnings`."""
+              relaxed_filter: bool = False):
+    """Build a closed loop of the given kind; `loop.check()` gives its gain advisories."""
     if kind not in LOOP_CLASSES:
         raise ContractError(f"unknown controller '{kind}', choose from {CONTROLLER_KINDS}")
     if kind == "smooth":
-        loop = SmoothLoop(params, gains, inertia, reference, noise, relaxed=relaxed_filter)
-    else:
-        loop = LOOP_CLASSES[kind](params, gains, inertia, reference, noise)
-    if check:
-        for note in loop.check():
-            warnings.warn(note, stacklevel=2)
-    return loop
+        return SmoothLoop(params, gains, inertia, reference, noise, relaxed=relaxed_filter)
+    return LOOP_CLASSES[kind](params, gains, inertia, reference, noise)

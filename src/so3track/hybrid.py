@@ -10,9 +10,8 @@ m <= 0, so together they cover every state with a number for a margin.
 Jumps are detected through the margin's sign and their times refined by
 bisection on it.
 
-Where the flow and jump sets overlap, jump priority is the default: it forces
-the designed potential drop at the set boundary.  Flow priority is available
-for robustness experiments.
+Where the flow and jump sets overlap, the jump is taken: jump priority forces
+the designed potential drop at the set boundary.
 """
 
 from __future__ import annotations
@@ -34,21 +33,22 @@ RECORD_BATCH = 1024
 # More jumps than this at one instant, with no flow in between, stop the run.
 MAX_JUMPS_PER_INSTANT = 10
 
+# Evenly spaced points at which `detect_crossing` scans a step for a sign change.
+CROSSING_SCANS = 64
+
 
 @dataclass
 class SolverConfig:
     dt: float = 1e-3
     t_max: float = 20.0
     j_max: int = 50
-    priority: str = "jump"
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ContractError("dt must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_max < math.inf):
+            raise ContractError(f"'dt' and 't_max' must be positive and finite, "
+                                f"got {self.dt} and {self.t_max}")
         if self.j_max < 1:
             raise ContractError("j_max must be at least 1")
-        if self.priority not in ("jump", "flow"):
-            raise ContractError("priority must be 'jump' or 'flow'")
 
 
 class HybridSystem:
@@ -154,8 +154,7 @@ def rk4_step(f, t: float, y: tuple, h: float, meas) -> tuple:
                   for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
 
 
-def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float,
-                    scans: int = 64):
+def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float):
     """Locate the first sign change of a scalar over a step of length dt.
 
     `refine` evaluates the scalar at an offset in [0, dt].  Returns the upper
@@ -174,8 +173,8 @@ def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float
         hi = dt
     # Scan for an earlier bracket; required when the scalar re-crosses within
     # the step so that the endpoint signs agree.
-    step = dt / scans
-    for i in range(1, scans):
+    step = dt / CROSSING_SCANS
+    for i in range(1, CROSSING_SCANS):
         x = i * step
         s = refine(x)
         if s == 0.0 or (s > 0.0) != sign0:
@@ -251,7 +250,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             ) from e
 
     def membership(tt, yy):
-        """(margin, in_jump, in_flow) under the current measurement."""
+        """(margin, in_jump) under the current measurement."""
         m = system.jump_margin(tt, yy, meas)
         if m != m:
             raise SolverError(
@@ -259,9 +258,9 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 f"the state lies outside both the flow and jump sets",
                 t=tt, j=j,
             )
-        return m, m >= 0.0, m <= 0.0
+        return m, m >= 0.0
 
-    margin, in_jump, in_flow = membership(t, y)
+    margin, in_jump = membership(t, y)
     sample(in_jump)
 
     jumps_here = 0
@@ -271,8 +270,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         if j >= config.j_max:
             status = "j_max"
             break
-        take_jump = in_jump and (config.priority == "jump" or not in_flow)
-        if take_jump:
+        if in_jump:
             if last_jump_t is not None and t == last_jump_t:
                 jumps_here += 1
             else:
@@ -295,7 +293,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             )
             y = y_post
             j += 1
-            margin, in_jump, in_flow = membership(t, y)
+            margin, in_jump = membership(t, y)
             sample(in_jump)
             continue
         remaining = config.t_max - t
@@ -304,7 +302,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             break
         h = config.dt if config.dt < remaining else remaining
         y_new = advance(h)
-        margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
+        margin_new, in_jump_new = membership(t + h, y_new)
         if in_jump_new and margin < 0.0:
 
             def margin_at(tau: float) -> float:
@@ -314,17 +312,17 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             if tau_c is not None and tau_c < h:
                 h = tau_c
                 y_new = advance(h)
-                margin_new, in_jump_new, in_flow_new = membership(t + h, y_new)
+                margin_new, in_jump_new = membership(t + h, y_new)
         t += h
         y = y_new
         sample(in_jump_new)
         fresh = system.sample_measurement(rng)
         if fresh is None and meas is None:
             # No noise: the membership under the step's measurement is current.
-            margin, in_jump, in_flow = margin_new, in_jump_new, in_flow_new
+            margin, in_jump = margin_new, in_jump_new
         else:
             meas = fresh
-            margin, in_jump, in_flow = membership(t, y)
+            margin, in_jump = membership(t, y)
 
     n = len(ts)
     t_arr, j_arr, flags_arr = np.array(ts), np.array(js, dtype=int), np.array(flags, dtype=bool)

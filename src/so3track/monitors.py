@@ -15,23 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .potential import grad_rotation, gradient_bounds
-
-
-def lyapunov_cross(loop, y: np.ndarray, eps: float) -> float:
-    """The loop's monitor at packed state y plus eps omega_e . J grad_rotation(R_e, theta).
-
-    Positive definite for the basic loop with eps below `cross_eps_bound`;
-    used to visualize the exponential decay envelope, not for certification.
-    """
-    g = grad_rotation(y[0:9].reshape(3, 3), y[9], loop.params)
-    return loop.lyapunov_packed(y) + eps * float(y[10:13] @ (loop.inertia.J @ g))
-
-
-def cross_eps_bound(params, gains, inertia) -> float:
-    """Largest eps for which the cross-term monitor stays positive definite."""
-    alpha1 = gradient_bounds(params).alpha1
-    return (1.0 / inertia.lam_max) * math.sqrt(2.0 * gains.k_R * inertia.lam_min / alpha1)
 
 
 def exponential_fit(t: np.ndarray, values: np.ndarray, floor: float = 1e-12):
@@ -117,11 +100,11 @@ class CertificationReport:
         return "\n".join(self.lines()) + "\n"
 
 
-def certify_arc(arc, loop, *, flow_tol: float | None = None) -> CertificationReport:
+def certify_arc(arc, loop) -> CertificationReport:
     """Check the monitor decrease properties of a recorded arc.
 
-    The per-step flow tolerance covers RK4 truncation: by default 1e-7 at the
-    default step dt = 1e-3, scaled as dt^4 to the arc's step.  Under
+    The per-step flow tolerance covers RK4 truncation: 1e-7 at the default
+    step dt = 1e-3, scaled as dt^4 to the arc's step.  Under
     measurement noise the flow monotonicity of the monitor is not a theorem,
     so it is reported but not enforced.  An arc the solver stopped at its jump
     limit (status "j_max") fails: the loops' jump counts are bounded, so
@@ -132,8 +115,7 @@ def certify_arc(arc, loop, *, flow_tol: float | None = None) -> CertificationRep
         raise ContractError(
             f"monitor/controller mismatch: arc from '{arc.controller}', loop '{loop.kind}'"
         )
-    if flow_tol is None:
-        flow_tol = 1e-7 * (arc.dt / 1e-3) ** 4
+    tol = 1e-7 * (arc.dt / 1e-3) ** 4
     failures: list[str] = []
     lyap = arc.column("lyap")
     same_segment = arc.j[1:] == arc.j[:-1]
@@ -143,10 +125,10 @@ def certify_arc(arc, loop, *, flow_tol: float | None = None) -> CertificationRep
     if noise_on:
         flow_ok = None
     else:
-        flow_ok = max_inc <= flow_tol
+        flow_ok = max_inc <= tol
         if not flow_ok:
             failures.append(
-                f"monitor increased by {max_inc:.3g} on a flow step (tol {flow_tol:.3g})"
+                f"monitor increased by {max_inc:.3g} on a flow step (tol {tol:.3g})"
             )
 
     req = loop.jump_drop
@@ -191,7 +173,7 @@ def certify_arc(arc, loop, *, flow_tol: float | None = None) -> CertificationRep
         n_samples=len(arc),
         n_jumps=len(arc.jumps),
         noise_enabled=noise_on,
-        flow_tol_per_step=flow_tol,
+        flow_tol_per_step=tol,
         max_flow_increase=max_inc,
         flow_monotone_ok=flow_ok,
         jump_drop=req,

@@ -28,11 +28,16 @@ def write_csv(path, arc, footer_lines=()) -> None:
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# Chart size in pixels, and the most points drawn of one series (longer series
+# are strided down to this).
+CHART_WIDTH, CHART_HEIGHT = 720, 440
+CHART_MAX_POINTS = 1500
 
-def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series,
-                   width: int = 720, height: int = 440, max_points: int = 1500) -> None:
+
+def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series) -> None:
     """Minimal polyline chart; `series` is a list of (name, x, y) arrays."""
     path = Path(path)
+    width, height = CHART_WIDTH, CHART_HEIGHT
     ml, mr, mt, mb = 64, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs = [np.asarray(s[1], dtype=float) for s in series]
@@ -84,7 +89,7 @@ def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series,
     for k, (name, x, y) in enumerate(series):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        stride = max(1, math.ceil(x.size / max_points))
+        stride = max(1, math.ceil(x.size / CHART_MAX_POINTS))
         # Plot coordinates of the kept points, mapped in one pass each.
         px = ml + (x[::stride] - x_min) / (x_max - x_min) * pw
         py = mt + (y_max - y[::stride]) / (y_max - y_min) * ph

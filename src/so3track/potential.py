@@ -491,11 +491,12 @@ def gap_many(R: np.ndarray, theta: np.ndarray, p: PotentialParams) -> np.ndarray
     return value_f(AR, theta, p, ARRAY_MATH) - best
 
 
-def alignment_factor_many(T: np.ndarray, p: PotentialParams, guard: float = 1e-9) -> np.ndarray:
+def alignment_factor_many(T: np.ndarray, p: PotentialParams) -> np.ndarray:
     """Axis-alignment factor 1 - |T|_I^2 cos^2(axis(T), a_bar axis(T)) per sample.
 
-    Samples whose rotation angle is within `guard` of 0 or pi (where the axis
-    read off the antisymmetric part is ill-conditioned) are returned as nan.
+    Samples whose antisymmetric part has a norm of at most 1e-9 (rotation angle
+    near 0 or pi, where the axis read off it is ill-conditioned) are returned
+    as nan.
     """
     w = 0.5 * np.stack(
         [T[:, 2, 1] - T[:, 1, 2], T[:, 0, 2] - T[:, 2, 0], T[:, 1, 0] - T[:, 0, 1]], axis=1
@@ -503,7 +504,7 @@ def alignment_factor_many(T: np.ndarray, p: PotentialParams, guard: float = 1e-9
     s = np.linalg.norm(w, axis=1)
     distsq = np.clip((3.0 - np.einsum("nii->n", T)) / 4.0, 0.0, 1.0)
     out = np.full(T.shape[0], np.nan)
-    ok = s > guard
+    ok = s > 1e-9
     axis = w[ok] / s[ok, None]
     mapped = axis @ p.spectral.a_bar
     cosang = np.einsum("ni,ni->n", axis, mapped) / np.linalg.norm(mapped, axis=1)

@@ -58,7 +58,6 @@ _DEFAULTS = {
     "dt": 1e-3,
     "t_max": 20.0,
     "j_max": 50,
-    "priority": "jump",
 }
 
 _REQUIRED = ("name", "controllers", "gammas", "A_diag", "theta_set", "k_R", "k_theta",
@@ -149,12 +148,13 @@ class ScenarioConfig:
     dt: float
     t_max: float
     j_max: int
-    priority: str
 
 
-def _check_horizon(dt, t_max) -> None:
-    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
-        raise ConfigError(f"'dt' and 't_max' must be positive and finite, got {dt} and {t_max}")
+def _solver_config(dt, t_max, j_max) -> SolverConfig:
+    try:
+        return SolverConfig(dt=dt, t_max=t_max, j_max=j_max)
+    except ContractError as e:
+        raise ConfigError(str(e)) from None
 
 
 def scenario_from_mapping(raw: dict) -> ScenarioConfig:
@@ -215,15 +215,13 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
         raise ConfigError("'zeta_dynamics' must be 'standard' or 'relaxed'")
     if d["Rbar0"] not in ("transpose", "identity"):
         raise ConfigError("'Rbar0' must be 'transpose' or 'identity'")
-    if d["priority"] not in ("jump", "flow"):
-        raise ConfigError("'priority' must be 'jump' or 'flow'")
     if not isinstance(d["seed"], int) or isinstance(d["seed"], bool):
         raise ConfigError("'seed' must be an integer")
     if not isinstance(d["j_max"], int) or d["j_max"] < 1:
         raise ConfigError("'j_max' must be a positive integer")
     dt = as_float("dt")
     t_max = as_float("t_max")
-    _check_horizon(dt, t_max)
+    _solver_config(dt, t_max, d["j_max"])
     inertia_diag = as_floats("J_diag", 3)
     if min(inertia_diag) <= 0.0:
         raise ConfigError("'J_diag' entries must be positive")
@@ -281,7 +279,6 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
         dt=dt,
         t_max=t_max,
         j_max=int(d["j_max"]),
-        priority=d["priority"],
     )
 
 
@@ -364,7 +361,6 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec):
         reference,
         noise,
         relaxed_filter=cfg.zeta_dynamics == "relaxed",
-        check=False,
     )
     R0 = angle_axis(cfg.R0_angle, _unit_axis(cfg.R0_axis))
     omega0 = np.asarray(cfg.omega0, dtype=float)
@@ -428,7 +424,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     STEP_BUDGET steps; returns advisory warnings, among them a step size past
     the RK4 limit of a member's `fastest_rate`.
     """
-    _check_horizon(cfg.dt, cfg.t_max)  # also covers overrides applied after loading
+    _solver_config(cfg.dt, cfg.t_max, cfg.j_max)  # also covers overrides applied after loading
     steps = cfg.t_max / cfg.dt
     if steps > STEP_BUDGET:
         raise ConfigError(f"t_max / dt = {steps:.3g} steps is over the budget of "
@@ -448,7 +444,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             )
         notes.extend(f"member {member.label}: {n}" for n in member_notes)
         build_member(cfg, member)
-    _solver_config(cfg)
     return notes
 
 
@@ -472,14 +467,10 @@ class ScenarioResult:
         return all(m.report.passed for m in self.members)
 
 
-def _solver_config(cfg: ScenarioConfig) -> SolverConfig:
-    return SolverConfig(dt=cfg.dt, t_max=cfg.t_max, j_max=cfg.j_max, priority=cfg.priority)
-
-
 def simulate_member(cfg: ScenarioConfig, member: MemberSpec) -> MemberResult:
     """Run one member and certify its arc; no files are written."""
     loop, y0 = build_member(cfg, member)
-    solver_cfg = _solver_config(cfg)
+    solver_cfg = _solver_config(cfg.dt, cfg.t_max, cfg.j_max)
     rng = np.random.default_rng(member.seed)
     arc = solve(loop, y0, solver_cfg, rng)
     report = certify_arc(arc, loop)

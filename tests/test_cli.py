@@ -69,9 +69,12 @@ def test_validate_rejects_oversized_gamma(tmp_path, capsys):
 
 
 def test_validate_reports_unknown_key(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINI + "\nbogus_key = 3\n")
-    assert main(["validate", str(cfg)]) == 1
-    assert "bogus_key" in capsys.readouterr().err
+    # 'priority' is no key: where the sets overlap the solver always takes the jump
+    for line in ("bogus_key = 3", "priority = jump"):
+        cfg = write_cfg(tmp_path, MINI + f"\n{line}\n")
+        assert main(["validate", str(cfg)]) == 1
+        key = line.split(" ")[0]
+        assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n"
 
 
 def test_validate_reports_missing_key(tmp_path, capsys):
@@ -234,6 +237,19 @@ def test_validate_rejects_overflowing_weights_with_one_line(tmp_path, capsys, A_
     assert "Traceback" not in out + err
     assert err.splitlines() == [err.strip()]
     assert err.startswith("config error:") and "eigenvalues of A" in err
+
+
+@pytest.mark.parametrize("rho", ("1e300", "5e-324"))
+def test_validate_rejects_non_finite_filter_bound_with_one_line(tmp_path, capsys, rho):
+    # the smooth law's sufficient filter rate: (1 + rho c_R)^2 overflowed at
+    # rho = 1e300, and rho k_omega underflowed to a zero divisor at 5e-324
+    text = st.bundled_scenarios()["fig4"].read_text()
+    cfg = write_cfg(tmp_path, text.replace("rho = 0.0146", f"rho = {rho}"))
+    assert main(["validate", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("config error: member 1_smooth:") and "k_zeta* is not finite" in err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,0 +1,98 @@
+"""Seeded config fuzz: a mutated bundled config validates or ends in one ConfigError."""
+
+import math
+import random
+
+import pytest
+
+import so3track as st
+from so3track.cli import main
+from so3track.errors import ConfigError
+from so3track.scenarios import _DEFAULTS, _REQUIRED
+
+# Every key the loader knows, a removed key (`priority`) and one it never knew.
+KEYS = sorted({*_DEFAULTS, *_REQUIRED}) + ["priority", "bogus"]
+
+# Values that `parse_config_text` can produce: ints of any size, floats with
+# their extremes, booleans, tokens and flat lists of those.
+SCALARS = (
+    0, 1, -1, 3, 10**400, 0.5, -0.5, 2.0, 1e-3, 1e-300, 5e-324, 1e300, -1e300,
+    math.inf, -math.inf, math.nan, True, False,
+    "token", "basic", "smooth", "velocity_free", "non_hybrid", "jump", "flow",
+    "rest", "relaxed", "identity",
+)
+LISTS = (
+    [], [0], [1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [1e300, 1.0, 1.0], [5e-324, 1.0, 1.0],
+    [math.nan, 1.0, 1.0], [-1.0, 2.0, 3.0], [1.0, "token", 2.0], [True, 1.0, 1.0],
+    ["basic"], ["smooth", "velocity_free"], ["basic", "bogus"], [0.3, 0.5, 0.7],
+)
+POOL = SCALARS + LISTS
+
+
+def bundled_mappings():
+    return {name: st.parse_config_text(path.read_text())
+            for name, path in st.bundled_scenarios().items()}
+
+
+def mutate(base: dict, rng: random.Random) -> dict:
+    """One or two keys of `base` set to a pool value or removed."""
+    raw = dict(base)
+    for _ in range(rng.randint(1, 2)):
+        key = rng.choice(KEYS)
+        if rng.random() < 0.15:
+            raw.pop(key, None)
+        else:
+            value = rng.choice(POOL)
+            raw[key] = list(value) if isinstance(value, list) else value
+    return raw
+
+
+def config_text(raw: dict) -> str:
+    """A config file that parses back to `raw`."""
+
+    def fmt(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "".join(
+        f"{k} = [{', '.join(map(fmt, v))}]\n" if isinstance(v, list) else f"{k} = {fmt(v)}\n"
+        for k, v in raw.items()
+    )
+
+
+def test_mutated_configs_raise_only_config_errors():
+    bases = bundled_mappings()
+    rng = random.Random(20261018)
+    outcomes = {"ok": 0, "config error": 0}
+    for case in range(2000):
+        name = rng.choice(sorted(bases))
+        raw = mutate(bases[name], rng)
+        try:
+            st.validate_scenario(st.scenario_from_mapping(raw))
+        except ConfigError:
+            outcomes["config error"] += 1
+        except Exception as e:  # any other type fails the test, naming the case
+            pytest.fail(f"case {case} ({name}, {raw}) raised {type(e).__name__}: {e}")
+        else:
+            outcomes["ok"] += 1
+    # the pool reaches both outcomes often
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_mutated_configs_through_the_cli(tmp_path, capsys):
+    bases = bundled_mappings()
+    rng = random.Random(7)
+    for case in range(12):
+        name = rng.choice(sorted(bases))
+        raw = mutate(bases[name], rng)
+        assert st.parse_config_text(config_text(raw)).keys() == raw.keys()
+        path = tmp_path / f"case{case}.cfg"
+        path.write_text(config_text(raw))
+        code = main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if code == 1:
+            assert err.startswith("config error:") and err.splitlines() == [err.strip()]
+        else:
+            assert code == 0 and err == "" and "OK" in out

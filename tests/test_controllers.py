@@ -45,13 +45,13 @@ def rest_state(R, theta):
 
 def warp_rate(R, theta, p, gains, inertia):
     """The warp-angle row of the basic loop's flow."""
-    loop = st.make_loop("basic", p, gains, inertia, REST, check=False)
+    loop = st.make_loop("basic", p, gains, inertia, REST)
     return loop.flow(0.0, rest_state(R, theta), None)[THETA]
 
 
 def warp_reset(R, p, gains, inertia):
     """The warp angle after the basic loop's jump map."""
-    loop = st.make_loop("basic", p, gains, inertia, REST, check=False)
+    loop = st.make_loop("basic", p, gains, inertia, REST)
     return loop.jump(0.0, rest_state(R, 0.0), None)[THETA]
 
 
@@ -116,7 +116,7 @@ def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
     p = paper_params
 
     def margin(R, theta, params):
-        loop = st.make_loop("basic", params, paper_gains, paper_inertia, REST, check=False)
+        loop = st.make_loop("basic", params, paper_gains, paper_inertia, REST)
         return loop.jump_margin(0.0, rest_state(R, theta), None)
 
     assert margin(np.eye(3), 0.0, p) < 0.0
@@ -135,7 +135,7 @@ def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
 
 
 def test_torque_basic_zero_at_attractor(paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, REST, check=False)
+    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, REST)
     tau = loop.torque(0.0, rest_state(np.eye(3), 0.0), None)
     assert np.array_equal(tau, np.zeros(3))
 
@@ -149,7 +149,7 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
     """
     p, gn, J = paper_params, paper_gains, paper_inertia
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop("basic", p, gn, J, ref, check=False)
+    loop = st.make_loop("basic", p, gn, J, ref)
     rng = np.random.default_rng(4)
     for _ in range(50):
         s = random_basic_state(rng)
@@ -193,7 +193,7 @@ LAW_FIELDS = {"smooth": {"ZETA": "zeta"}, "velocity_free": {"R_TILDE": "Rtilde",
 ])
 def test_packed_layout_and_flow_width(kind, width, paper_params, paper_gains, paper_inertia):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
     s = random_loop_state(kind, np.random.default_rng(12))
     y = s.pack()
     assert loop.WIDTH == width and y.shape == (width,)
@@ -287,7 +287,7 @@ def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains
     # a noise sample of E = I, n_omega = 0 takes the measured branch and must
     # reproduce the exact-measurement values bit for bit
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
     quiet = st.Measurement(E=tuple(floats(np.eye(3))), n_omega=tuple(floats(np.zeros(3))))
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -304,7 +304,7 @@ def test_noisy_flow_applies_public_torque_at_measured_state(
 ):
     p, gn, J = paper_params, paper_gains, paper_inertia
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop(kind, p, gn, J, ref, check=False)
+    loop = st.make_loop(kind, p, gn, J, ref)
     rng = np.random.default_rng(13)
     for _ in range(20):
         s = random_loop_state(kind, rng)
@@ -327,7 +327,7 @@ def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia)
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     rng = np.random.default_rng(5)
     for kind in LAWS:
-        loop = st.make_loop(kind, p, gn, J, ref, check=False)
+        loop = st.make_loop(kind, p, gn, J, ref)
         for _ in range(20):
             s = random_loop_state(kind, rng)
             y = s.pack()
@@ -364,7 +364,7 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
                                               paper_inertia):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(sigma_R=0.05, sigma_omega=0.05) if noisy else None
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise, check=False)
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise)
     s = random_loop_state(kind, np.random.default_rng(21))
     s.Re, s.theta = st.angle_axis(math.pi, E1), 0.0  # an unwanted critical point
     seen = spy_on_record(loop)
@@ -416,8 +416,7 @@ def test_sample_measurement_replays_numpy_draw(sigmas, paper_params, paper_gains
     # generator ends in the same state
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(*sigmas)
-    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise,
-                        check=False)
+    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise)
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
     for _ in range(50):
         m = loop.sample_measurement(rng)
@@ -435,9 +434,7 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     rng = np.random.default_rng(6)
     for relaxed in (False, True):
-        loop = st.make_loop(
-            "smooth", p, gn, J, ref, relaxed_filter=relaxed, check=False
-        )
+        loop = st.make_loop("smooth", p, gn, J, ref, relaxed_filter=relaxed)
         for _ in range(30):
             base = random_basic_state(rng)
             s = st.SmoothLoopState(**base.__dict__, zeta=rng.standard_normal(3))
@@ -485,7 +482,7 @@ def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inert
     base = random_basic_state(rng)
     z = rng.standard_normal(3)
     zeta = rng.standard_normal(3)
-    loop = st.make_loop("smooth", p, gn, J, fixed_reference(z), check=False)
+    loop = st.make_loop("smooth", p, gn, J, fixed_reference(z))
     y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
     y_post = loop.jump(0.0, y, None)
     assert y_post[THETA] != y[THETA]
@@ -499,7 +496,7 @@ def test_zeta_flow_stationary_at_gradient(paper_params, paper_gains, paper_inert
     R = st.random_rotation(rng)
     theta = 0.8
     g = st.grad_rotation(R, theta, paper_params)
-    loop = st.make_loop("smooth", paper_params, paper_gains, paper_inertia, REST, check=False)
+    loop = st.make_loop("smooth", paper_params, paper_gains, paper_inertia, REST)
     zdot = loop.flow(0.0, smooth_state(R, theta, g), None)[ZETA]
     assert np.array_equal(zdot, np.zeros(3))
 
@@ -518,7 +515,7 @@ def test_filtered_potential_properties(paper_params, paper_gains):
 
 def smooth_margin(R, theta, zeta, p, gains, inertia):
     """The smooth loop's jump margin at the given error rotation, warp angle and filter state."""
-    loop = st.make_loop("smooth", p, gains, inertia, REST, check=False)
+    loop = st.make_loop("smooth", p, gains, inertia, REST)
     return loop.jump_margin(0.0, smooth_state(R, theta, zeta), None)
 
 
@@ -549,8 +546,7 @@ def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
 
 
 def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST,
-                        check=False)
+    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
     y = st.VelocityFreeLoopState(
         Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
         Rtilde=np.eye(3), theta_bar=0.0,
@@ -589,7 +585,7 @@ def test_velocity_free_torque_zero_at_attractor(paper_params, paper_gains, paper
 def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
     p, gn, J = paper_params, paper_gains, paper_inertia
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop("velocity_free", p, gn, J, ref, check=False)
+    loop = st.make_loop("velocity_free", p, gn, J, ref)
     rng = np.random.default_rng(10)
     for _ in range(50):
         base = random_basic_state(rng)
@@ -621,7 +617,7 @@ def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
     # both warp angles reset in a single jump event when both gaps are large
     p = paper_params
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    loop = st.make_loop("velocity_free", p, paper_gains, paper_inertia, ref, check=False)
+    loop = st.make_loop("velocity_free", p, paper_gains, paper_inertia, ref)
     bad = st.undesired_critical_points(p)[0].rotation
     s = st.VelocityFreeLoopState(
         Re=bad, theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
@@ -645,7 +641,7 @@ def test_non_hybrid_equals_basic_at_zero_warp(paper_params, paper_gains, paper_i
         ref = fixed_reference(z)
         s.theta = 0.0
         y = s.pack()
-        loops = [st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, check=False)
+        loops = [st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
                  for kind in ("non_hybrid", "basic")]
         a, b = (loop.torque(0.0, y, None) for loop in loops)
         assert np.array_equal(a, b)
@@ -658,7 +654,7 @@ def test_non_hybrid_stalls_at_critical_rotation(paper_params, paper_gains, paper
     wr = np.array([0.1, 0.2, -0.1])
     z = np.array([0.0, 0.5, 0.1])
     loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia,
-                        fixed_reference(z), check=False)
+                        fixed_reference(z))
     y = st.BasicLoopState(Re=R, theta=0.0, omega_e=np.zeros(3), omega_r=wr).pack()
     tau = loop.torque(0.0, y, None)
     ups = st.feedforward(R, wr, z, paper_inertia)
@@ -666,11 +662,31 @@ def test_non_hybrid_stalls_at_critical_rotation(paper_params, paper_gains, paper
 
 
 def test_non_hybrid_loop_never_jumps(paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia, REST, check=False)
+    loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia, REST)
     y = rest_state(st.undesired_critical_points(paper_params)[0].rotation, 0.0)
     assert loop.jump_margin(0.0, y, None) == -math.inf  # flow set only
     ydot = loop.flow(0.0, y, None)
     assert ydot[THETA] == 0.0  # warp angle frozen
+
+
+def test_non_hybrid_loop_runs_without_k_theta(paper_params, paper_inertia):
+    # the non-hybrid law has no warp-angle gain: its flow must not read one
+    gains = st.Gains(k_R=1.5, k_omega=0.2)
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    loop = st.make_loop("non_hybrid", paper_params, gains, paper_inertia, ref)
+    assert loop.check() == []
+    y0 = st.BasicLoopState(Re=st.angle_axis(1.0, E2), theta=0.3, omega_e=np.zeros(3),
+                           omega_r=np.zeros(3)).pack()
+    arc = st.solve(loop, y0, st.SolverConfig(dt=1e-3, t_max=0.05))
+    assert len(arc) == 51 and not arc.jumps
+    assert np.all(arc.states[:, THETA] == 0.3)
+    assert st.certify_arc(arc, loop).passed
+
+
+@pytest.mark.parametrize("kind", sorted(st.controllers.LOOP_CLASSES))
+def test_each_loop_class_defines_its_own_flow(kind):
+    # per-law flow timing looks the method up in the class body
+    assert "flow" in st.controllers.LOOP_CLASSES[kind].__dict__
 
 
 # --- gains validation --------------------------------------------------------

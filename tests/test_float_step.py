@@ -93,7 +93,7 @@ def test_solve_reproduces_ndarray_oracle(kind, noisy, paper_params, paper_gains,
                                          monkeypatch):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(sigma_R=0.05, sigma_omega=0.05) if noisy else None
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise, check=False)
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise)
     rng = np.random.default_rng(31)
     # next to an unwanted critical point, so the hybrid laws jump
     s = initial_state(kind, rng, st.angle_axis(math.pi - 1e-3, E1), 0.0, rng.standard_normal(3))
@@ -106,7 +106,7 @@ def test_refined_jump_reproduces_ndarray_oracle(paper_params, paper_inertia, mon
     # the spin-up of test_jump_refinement_on_closed_loop: a crossing inside a step
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
     gains = st.Gains(k_R=0.2, k_omega=0.02, k_theta=0.5)
-    loop = st.make_loop("basic", paper_params, gains, paper_inertia, ref, check=False)
+    loop = st.make_loop("basic", paper_params, gains, paper_inertia, ref)
     s = initial_state("basic", None, st.angle_axis(2.75, np.array([0.0, 0.0, 1.0])), 0.0,
                       np.array([0.0, 0.0, 3.0]))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.3, j_max=5)

@@ -12,7 +12,7 @@ from so3track.so3 import ARRAY_MATH
 def loops(p, gn, J):
     """The basic, smooth and velocity-free loops, whose monitors the tests evaluate."""
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    return [st.make_loop(kind, p, gn, J, ref, check=False)
+    return [st.make_loop(kind, p, gn, J, ref)
             for kind in ("basic", "smooth", "velocity_free")]
 
 
@@ -24,7 +24,6 @@ def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia)
     assert smooth_loop.lyapunov_packed(smooth.pack()) == 0.0
     vf = st.VelocityFreeLoopState(**basic.__dict__, Rtilde=np.eye(3), theta_bar=0.0)
     assert vf_loop.lyapunov_packed(vf.pack()) == 0.0
-    assert st.lyapunov_cross(basic_loop, basic.pack(), eps=0.5) == 0.0
 
 
 def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
@@ -50,15 +49,13 @@ def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
     # auxiliary rotation at its target: only the k_R and kinetic terms remain
     vf = st.VelocityFreeLoopState(**base.__dict__, Rtilde=np.eye(3), theta_bar=0.0)
     assert vf_loop.lyapunov_packed(vf.pack()) == plain
-    # zero cross weight recovers the plain monitor
-    assert st.lyapunov_cross(basic_loop, base.pack(), eps=0.0) == plain
 
 
 def test_jump_drop_per_law(paper_params, paper_gains, paper_inertia):
     # the designed monitor drop at a jump: k_R delta, k_R delta', min(k_R, k_beta) delta, 0
     p, gn = paper_params, paper_gains
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    drops = {kind: st.make_loop(kind, p, gn, paper_inertia, ref, check=False).jump_drop
+    drops = {kind: st.make_loop(kind, p, gn, paper_inertia, ref).jump_drop
              for kind in ("basic", "smooth", "velocity_free", "non_hybrid")}
     assert drops == {
         "basic": gn.k_R * p.delta,
@@ -81,30 +78,6 @@ def test_lyapunov_positive_away_from_attractor(paper_params, paper_gains, paper_
     dist = np.sqrt(np.clip((3.0 - np.einsum("nii->n", R)) / 4.0, 0.0, None))
     away = (dist > 1e-3) | (np.abs(theta) > 1e-3) | (np.linalg.norm(we, axis=1) > 1e-3)
     assert lyap[away].min() > 0.0
-
-
-def test_cross_eps_bound_value(paper_params, paper_gains, paper_inertia):
-    # (1 / lam_max) * sqrt(2 k_R lam_min / alpha1) with alpha1 = 175/3
-    expect = (1.0 / 0.0297) * math.sqrt(2.0 * 1.5 * 0.0150 / (175.0 / 3.0))
-    got = st.cross_eps_bound(paper_params, paper_gains, paper_inertia)
-    assert got == pytest.approx(expect, abs=1e-12)
-
-
-def test_cross_monitor_positive_below_bound(fig3_runs, paper_gains, paper_inertia):
-    member, loop, arc, _, _ = fig3_runs["2_basic"]
-    p = loop.params
-    eps = 0.9 * st.cross_eps_bound(p, paper_gains, paper_inertia)
-    floor_hit = 0
-    for k in range(0, len(arc), 50):
-        y = arc.states[k]
-        val = st.lyapunov_cross(loop, y, eps)
-        sq = st.value(y[0:9].reshape(3, 3), y[9], p) + y[10:13] @ y[10:13]
-        if sq > 1e-12:
-            assert val > 0.0
-        else:
-            floor_hit += 1
-            assert val > -1e-12
-    assert floor_hit > 0  # the run does converge to the numerical floor
 
 
 def test_exponential_fit_recovers_rate():
@@ -134,7 +107,7 @@ def test_certify_flags_wrong_sign_gain(paper_params, paper_inertia):
     # destabilizing velocity gain: the monitor must increase along flows
     bad = st.Gains(k_R=1.5, k_omega=-0.2, k_theta=50.0)
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop("basic", paper_params, bad, paper_inertia, ref, check=False)
+    loop = st.make_loop("basic", paper_params, bad, paper_inertia, ref)
     y0 = st.BasicLoopState(
         Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])),
         theta=0.0,
@@ -153,8 +126,7 @@ def test_certify_rejects_mismatched_monitor(fig3_cfg, paper_gains):
     cfg = dataclasses.replace(fig3_cfg, t_max=0.2)
     res = st.simulate_member(cfg, cfg.members[2])
     loop = res.loop
-    smooth = st.make_loop("smooth", loop.params, paper_gains, loop.inertia, loop.reference,
-                          check=False)
+    smooth = st.make_loop("smooth", loop.params, paper_gains, loop.inertia, loop.reference)
     with pytest.raises(ContractError, match="mismatch"):
         st.certify_arc(res.arc, smooth)
 
@@ -187,5 +159,3 @@ def test_certify_flow_tol_follows_the_step(fig3_cfg, dt):
     assert res.report.flow_tol_per_step == pytest.approx(1e-7 * (dt / 1e-3) ** 4, rel=1e-12)
     if dt == 1e-3:
         assert res.report.flow_tol_per_step == 1e-7
-    explicit = st.certify_arc(res.arc, res.loop, flow_tol=3e-6)
-    assert explicit.flow_tol_per_step == 3e-6
