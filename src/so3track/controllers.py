@@ -57,8 +57,9 @@ from .rigid_body import (
 from .so3 import (
     ARRAY_MATH,
     columns,
+    diag_floats,
+    diag_mul_f,
     exp_so3_f,
-    floats,
     mat_mul_f,
     mat_skew_f,
     mat_vec_f,
@@ -84,7 +85,11 @@ class Measurement(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Gains:
-    """Feedback gains; which fields are required depends on the controller."""
+    """Feedback gains; which fields are required depends on the controller.
+
+    Gamma, the velocity-free law's filter gain, is a diagonal 3x3 matrix
+    with positive entries; the law reads only its diagonal.
+    """
 
     k_R: float
     k_omega: float | None = None
@@ -145,10 +150,7 @@ class Gains:
                 raise ContractError("k_beta must be positive")
             if self.Gamma is None:
                 raise ContractError("Gamma matrix is required")
-            G = np.asarray(self.Gamma, dtype=float)
-            if G.shape != (3, 3) or np.linalg.norm(G - G.T) > 1e-12:
-                raise ContractError("Gamma must be symmetric 3x3")
-            if np.linalg.eigvalsh(G)[0] <= 0.0:
+            if not min(diag_floats(self.Gamma, "Gamma")) > 0.0:
                 raise ContractError("Gamma must be positive definite")
         return notes
 
@@ -230,9 +232,10 @@ def zeta_flow_f(AR, theta: float, zeta, omega_e, g_rot, g_th: float, p: Potentia
 def aux_flow_f(Rtilde, omega_e, g_rot, Gamma, E=None) -> tuple:
     """Rate Rtilde skew(omega_e - beta) of the auxiliary rotation, beta = Gamma g_rot.
 
-    With a measurement, g_rot is taken at Rtilde E and beta is rotated back by E.
+    Gamma is its 3 diagonal entries.  With a measurement, g_rot is taken at
+    Rtilde E and beta is rotated back by E.
     """
-    beta = mat_vec_f(Gamma, g_rot)
+    beta = (Gamma[0] * g_rot[0], Gamma[1] * g_rot[1], Gamma[2] * g_rot[2])
     if E is not None:
         beta = mat_vec_f(E, beta)
     return mat_skew_f(Rtilde, (omega_e[0] - beta[0], omega_e[1] - beta[1], omega_e[2] - beta[2]))
@@ -413,8 +416,9 @@ class _TrackingLoop(HybridSystem):
         return error_accel_f(omega_e, a, Ja, ups, tau, J.J_f, J.J_inv_f)
 
     def _kinetic(self, omega_e) -> float:
-        Jw = mat_vec_f(self.inertia.J_f, omega_e)
-        return 0.5 * (omega_e[0] * Jw[0] + omega_e[1] * Jw[1] + omega_e[2] * Jw[2])
+        J0, J1, J2 = self.inertia.J_f
+        w0, w1, w2 = omega_e
+        return 0.5 * (w0 * (J0 * w0) + w1 * (J1 * w1) + w2 * (J2 * w2))
 
     def _control(self, t: float, v, meas, xp=math) -> tuple:
         """Kernel terms at state v; index 0 is the applied torque."""
@@ -458,7 +462,7 @@ class _TrackingLoop(HybridSystem):
         """Reset the warp angle from the measured rotation (a filter state does not jump)."""
         p = self.params
         Rm = self._measured_rotation(y[self.R_E], meas)
-        return (*y[:self.THETA], best_reset_f(mat_mul_f(p._A_f, Rm), p)[0], *y[self.THETA + 1:])
+        return (*y[:self.THETA], best_reset_f(diag_mul_f(p._A_f, Rm), p)[0], *y[self.THETA + 1:])
 
     def jump_event_info(self, t, y_pre, y_post, meas):
         tau_pre = self.torque(t, y_pre, meas)
@@ -497,7 +501,7 @@ class BasicLoop(_TrackingLoop):
         z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
-        g0, g1, g2, g_th = gradients_f(mat_mul_f(p._A_f, Rm), v[self.THETA], p, xp)
+        g0, g1, g2, g_th = gradients_f(diag_mul_f(p._A_f, Rm), v[self.THETA], p, xp)
         return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), z, a, Ja, ups, g_th
 
     def flow(self, t, y, meas):
@@ -512,11 +516,11 @@ class BasicLoop(_TrackingLoop):
     def jump_margin(self, t, y, meas):
         p = self.params
         Rm = self._measured_rotation(y[self.R_E], meas)
-        return gap_f(mat_mul_f(p._A_f, Rm), y[self.THETA], p) - p.delta
+        return gap_f(diag_mul_f(p._A_f, Rm), y[self.THETA], p) - p.delta
 
     def _monitor(self, v, xp=math):
         p = self.params
-        U = value_f(mat_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
+        U = value_f(diag_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
         return U, self.gains.k_R * U + self._kinetic(v[self.OMEGA_E])
 
 
@@ -560,7 +564,7 @@ class SmoothLoop(_TrackingLoop):
         z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
-        AR = mat_mul_f(p._A_f, Rm)
+        AR = diag_mul_f(p._A_f, Rm)
         g0, g1, g2, g_th = gradients_f(AR, v[self.THETA], p, xp)
         tau = torque_basic_f(ups_m, v[self.ZETA], wem, self.gains)
         return tau, z, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
@@ -578,13 +582,13 @@ class SmoothLoop(_TrackingLoop):
 
     def jump_margin(self, t, y, meas):
         p, gn = self.params, self.gains
-        AR = mat_mul_f(p._A_f, self._measured_rotation(y[self.R_E], meas))
+        AR = diag_mul_f(p._A_f, self._measured_rotation(y[self.R_E], meas))
         return filtered_gap_f(AR, y[self.THETA], y[self.ZETA], p, gn.rho) - gn.delta_prime
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
         th = v[self.THETA]
-        AR = mat_mul_f(p._A_f, v[self.R_E])
+        AR = diag_mul_f(p._A_f, v[self.R_E])
         W = warp_rotation_f(th, p, xp)
         V = filtered_value_w_f(AR, W, th, v[self.ZETA], p, gn.rho)
         return value_w_f(AR, W, th, p), gn.k_R * V + self._kinetic(v[self.OMEGA_E])
@@ -604,7 +608,7 @@ class VelocityFreeLoop(_TrackingLoop):
 
     def __init__(self, params, gains, inertia, reference, noise=None):
         super().__init__(params, gains, inertia, reference, noise)
-        self._Gamma = floats(gains.Gamma) if gains.Gamma is not None else None
+        self._Gamma = diag_floats(gains.Gamma, "Gamma") if gains.Gamma is not None else None
 
     @property
     def jump_drop(self) -> float:
@@ -623,8 +627,8 @@ class VelocityFreeLoop(_TrackingLoop):
             E = meas.E
             Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
             ups_m = self._feedforward(Re, wr, z)[2]
-        a0, a1, a2, a_th = gradients_f(mat_mul_f(p._A_f, Re), v[self.THETA], p, xp)
-        b0, b1, b2, b_th = gradients_f(mat_mul_f(p._A_f, Rt), v[self.THETA_BAR], p, xp)
+        a0, a1, a2, a_th = gradients_f(diag_mul_f(p._A_f, Re), v[self.THETA], p, xp)
+        b0, b1, b2, b_th = gradients_f(diag_mul_f(p._A_f, Rt), v[self.THETA_BAR], p, xp)
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
         return tau, z, a, Ja, ups, g2, a_th, b_th, E
@@ -645,7 +649,7 @@ class VelocityFreeLoop(_TrackingLoop):
         p = self.params
         out = []
         for R, th in ((y[self.R_E], y[self.THETA]), (y[self.R_TILDE], y[self.THETA_BAR])):
-            AR = mat_mul_f(p._A_f, self._measured_rotation(R, meas))
+            AR = diag_mul_f(p._A_f, self._measured_rotation(R, meas))
             out.append((AR, gap_f(AR, th, p)))
         return out
 
@@ -668,8 +672,8 @@ class VelocityFreeLoop(_TrackingLoop):
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
-        U1 = value_f(mat_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
-        U2 = value_f(mat_mul_f(p._A_f, v[self.R_TILDE]), v[self.THETA_BAR], p, xp)
+        U1 = value_f(diag_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
+        U2 = value_f(diag_mul_f(p._A_f, v[self.R_TILDE]), v[self.THETA_BAR], p, xp)
         return U1, gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(v[self.OMEGA_E])
 
     def _extra_columns(self, v, xp=math):

@@ -6,11 +6,12 @@ scalar warp angle `theta`:
     value(R, theta) = tr(A (I - T(R, theta))) + gamma/2 * theta^2,
     T(R, theta)     = R @ angle_axis(theta, u),
 
-where A is symmetric positive definite and u a fixed unit axis.  Warping the
-attitude inside the trace ties the unwanted critical rotations of the trace
-distance to theta = 0, so resetting theta to a value from a finite set moves
-the state off those configurations while the potential drops by at least a
-designed gap `delta`.
+where A is diagonal and positive definite with a distinct top pair
+lambda_2 < lambda_3, and u a fixed unit axis.  Warping the attitude inside
+the trace ties the unwanted critical rotations of the trace distance to
+theta = 0, so resetting theta to a value from a finite set moves the state
+off those configurations while the potential drops by at least a designed
+gap `delta`.
 
 This module owns the parameter constructor (axis and gap selection from the
 spectrum of A), the potential and its two gradients, the gap function used to
@@ -19,11 +20,12 @@ numerical certification of the gradient and gap bounds that the feedback laws
 rely on.
 
 Each formula is written once, as a component-wise kernel (`*_f`) on Python
-floats: rotations as 9 floats in row-major order, vectors as 3 floats (see
-`so3`).  The kernels take AR = A @ R rather than R, so that the gap can
-evaluate the potential at several warp angles from one matrix product.  The
-sampling-based certification runs `value_f` and `gradients_f` on batches
-(`moment` of a stack of rotations, `xp = ARRAY_MATH`).
+floats: rotations as 9 floats in row-major order, vectors and the diagonal
+of A as 3 floats (see `so3`).  The kernels take AR = A @ R rather than R, so
+that the gap can evaluate the potential at several warp angles from one
+matrix product.  The sampling-based certification runs `value_f` and
+`gradients_f` on batches (`moment` of a stack of rotations,
+`xp = ARRAY_MATH`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .so3 import (
     axial_f,
     columns,
     cross_f,
+    diag_floats,
+    diag_mul_f,
     floats,
     mat_mul_f,
     mat_tvec_f,
@@ -81,7 +85,7 @@ class PotentialParams:
 
     Invariants (checked on construction):
       * every reset angle satisfies 0 < |theta_i| <= pi,
-      * A is symmetric positive definite with lambda_2 < lambda_3,
+      * A is diagonal and positive definite with lambda_2 < lambda_3,
       * the gap coefficient and the gradient bounds of A are finite floats,
       * gamma < 4 delta_star / pi^2,
       * delta < (4 delta_star / pi^2 - gamma) * theta_min^2 / 2.
@@ -95,14 +99,15 @@ class PotentialParams:
     spectral: SpectralData
     theta_min: float = field(init=False)
     _trA: float = field(init=False, repr=False)
-    # Float copies for the kernels: A and ux^2 as 9 floats, u as 3, and the
-    # warp rotation of each reset angle (in theta_set order) as 9 floats.
+    # Float copies for the kernels: the diagonal of A and u as 3 floats, ux^2
+    # and the warp rotation of each reset angle (in theta_set order) as 9.
     _A_f: tuple = field(init=False, repr=False)
     _u_f: tuple = field(init=False, repr=False)
     _ux2_f: tuple = field(init=False, repr=False)
     _reset_W_f: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        A_f = diag_floats(self.A, "A")
         if len(self.theta_set) == 0:
             raise ContractError("theta_set must be nonempty")
         for th in self.theta_set:
@@ -128,7 +133,7 @@ class PotentialParams:
         ux2 = ux @ ux
         object.__setattr__(self, "theta_min", tmin)
         object.__setattr__(self, "_trA", float(np.trace(self.A)))
-        object.__setattr__(self, "_A_f", tuple(floats(self.A)))
+        object.__setattr__(self, "_A_f", A_f)
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
         object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))
         object.__setattr__(self, "_reset_W_f",
@@ -419,7 +424,7 @@ def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: Potentia
 
 def moment(R, p: PotentialParams) -> tuple:
     """A @ R as 9 floats, the argument of the kernels; as 9 (n,) arrays for an (n, 3, 3) stack."""
-    return mat_mul_f(p._A_f, columns(R) if np.ndim(R) == 3 else floats(R))
+    return diag_mul_f(p._A_f, columns(R) if np.ndim(R) == 3 else floats(R))
 
 
 def warp_rotation(theta: float, p: PotentialParams) -> np.ndarray:

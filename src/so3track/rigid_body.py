@@ -13,38 +13,45 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError
-from .so3 import floats, mat_tvec_f, mat_vec_f
+from .so3 import diag_floats, floats, mat_tvec_f
 
 
 @dataclass(frozen=True, eq=False)
 class Inertia:
-    """Symmetric positive definite inertia matrix with its inverse cached."""
+    """Diagonal positive definite inertia matrix with its inverse cached.
+
+    The kernels read J and J^-1 as their diagonal entries, so J must be
+    diagonal: a non-zero off-diagonal entry is a ContractError.
+    """
 
     J: np.ndarray
-    J_inv: np.ndarray
-    lam_min: float
-    lam_max: float
-    # J and J^-1 as 9 floats for the kernels.
+    J_inv: np.ndarray = field(init=False)
+    lam_min: float = field(init=False)
+    lam_max: float = field(init=False)
+    # The diagonals of J and J^-1 as 3 floats each, for the kernels.
     J_f: tuple = field(init=False, repr=False)
     J_inv_f: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "J_f", tuple(floats(self.J)))
-        object.__setattr__(self, "J_inv_f", tuple(floats(self.J_inv)))
+        J = np.asarray(self.J, dtype=float)
+        J_f = diag_floats(J, "inertia matrix")
+        if not min(J_f) > 0.0:
+            raise ContractError("inertia matrix must be positive definite")
+        J_inv = np.linalg.inv(J)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J_inv", J_inv)
+        object.__setattr__(self, "lam_min", min(J_f))
+        object.__setattr__(self, "lam_max", max(J_f))
+        object.__setattr__(self, "J_f", J_f)
+        object.__setattr__(self, "J_inv_f", tuple(np.diagonal(J_inv).tolist()))
 
     @classmethod
     def from_matrix(cls, J) -> "Inertia":
-        J = np.asarray(J, dtype=float)
-        if J.shape != (3, 3) or np.linalg.norm(J - J.T) > 1e-12:
-            raise ContractError("inertia matrix must be symmetric 3x3")
-        evals = np.linalg.eigvalsh(J)
-        if evals[0] <= 0.0:
-            raise ContractError("inertia matrix must be positive definite")
-        return cls(J=J, J_inv=np.linalg.inv(J), lam_min=float(evals[0]), lam_max=float(evals[2]))
+        return cls(J)
 
     @classmethod
     def from_diag(cls, d) -> "Inertia":
-        return cls.from_matrix(np.diag(np.asarray(d, dtype=float)))
+        return cls(np.diag(np.asarray(d, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -100,43 +107,53 @@ def make_reference(name: str, m_bound: float, omega_r_bound: float) -> Reference
 
 
 # ---------------------------------------------------------------------------
-# Kernels on floats: R and J as 9 floats, vectors as 3.  a = R^T omega_r and
-# Ja = J a are shared by the feedforward and the coupling term, so a flow
-# computes them once and passes them in.
+# Kernels on floats: R as 9 floats, vectors as 3, and J and J^-1 as their 3
+# diagonal entries.  a = R^T omega_r and Ja = J a are shared by the
+# feedforward and the coupling term, so a flow computes them once and passes
+# them in.
 
 
 def shared_terms_f(R, omega_r, J) -> tuple:
     """(a, J a) with a = R^T omega_r."""
     a = mat_tvec_f(R, omega_r)
-    return a, mat_vec_f(J, a)
+    return a, (J[0] * a[0], J[1] * a[1], J[2] * a[2])
 
 
 def feedforward_f(R, z, a, Ja, J) -> tuple:
     """J R^T z + a x J a."""
     a0, a1, a2 = a
-    b0, b1, b2 = mat_vec_f(J, mat_tvec_f(R, z))
+    b0, b1, b2 = mat_tvec_f(R, z)
     c0, c1, c2 = Ja
-    return (b0 + (a1 * c2 - a2 * c1), b1 + (a2 * c0 - a0 * c2), b2 + (a0 * c1 - a1 * c0))
+    return (
+        J[0] * b0 + (a1 * c2 - a2 * c1),
+        J[1] * b1 + (a2 * c0 - a0 * c2),
+        J[2] * b2 + (a0 * c1 - a1 * c0),
+    )
 
 
 def coupling_times_f(omega_e, a, Ja, J) -> tuple:
     """Coupling matrix times omega_e: Jw x w + Ja x w - a x Jw - J (a x w)."""
     w0, w1, w2 = omega_e
     a0, a1, a2 = a
-    p0, p1, p2 = mat_vec_f(J, omega_e)
+    J0, J1, J2 = J
+    p0, p1, p2 = J0 * w0, J1 * w1, J2 * w2
     q0, q1, q2 = Ja
-    r0, r1, r2 = mat_vec_f(J, (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0))
+    c0, c1, c2 = a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0
     return (
-        (p1 * w2 - p2 * w1) + (q1 * w2 - q2 * w1) - (a1 * p2 - a2 * p1) - r0,
-        (p2 * w0 - p0 * w2) + (q2 * w0 - q0 * w2) - (a2 * p0 - a0 * p2) - r1,
-        (p0 * w1 - p1 * w0) + (q0 * w1 - q1 * w0) - (a0 * p1 - a1 * p0) - r2,
+        (p1 * w2 - p2 * w1) + (q1 * w2 - q2 * w1) - (a1 * p2 - a2 * p1) - J0 * c0,
+        (p2 * w0 - p0 * w2) + (q2 * w0 - q0 * w2) - (a2 * p0 - a0 * p2) - J1 * c1,
+        (p0 * w1 - p1 * w0) + (q0 * w1 - q1 * w0) - (a0 * p1 - a1 * p0) - J2 * c2,
     )
 
 
 def error_accel_f(omega_e, a, Ja, ups, tau, J, J_inv) -> tuple:
     """omegadot_e = J^-1 (Sigma omega_e - ups + tau), ups the feedforward at R."""
     s0, s1, s2 = coupling_times_f(omega_e, a, Ja, J)
-    return mat_vec_f(J_inv, (s0 - ups[0] + tau[0], s1 - ups[1] + tau[1], s2 - ups[2] + tau[2]))
+    return (
+        J_inv[0] * (s0 - ups[0] + tau[0]),
+        J_inv[1] * (s1 - ups[1] + tau[1]),
+        J_inv[2] * (s2 - ups[2] + tau[2]),
+    )
 
 
 def feedforward(Re, omega_r, z, inertia: Inertia) -> np.ndarray:

@@ -170,6 +170,8 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     d.update(raw)
 
     def finite(key, x):
+        if isinstance(x, bool):  # float() would take true as 1.0
+            raise ConfigError(f"'{key}' must contain numbers, got {str(x).lower()}")
         try:
             f = float(x)
         except (TypeError, ValueError):
@@ -217,7 +219,7 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
         raise ConfigError("'Rbar0' must be 'transpose' or 'identity'")
     if not isinstance(d["seed"], int) or isinstance(d["seed"], bool):
         raise ConfigError("'seed' must be an integer")
-    if not isinstance(d["j_max"], int) or d["j_max"] < 1:
+    if isinstance(d["j_max"], bool) or not isinstance(d["j_max"], int) or d["j_max"] < 1:
         raise ConfigError("'j_max' must be a positive integer")
     dt = as_float("dt")
     t_max = as_float("t_max")

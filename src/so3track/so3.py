@@ -6,8 +6,10 @@ pure function of its arguments.
 
 The `*_f` helpers are the component-wise forms used by the per-step kernels:
 a 3-vector is a sequence of 3 floats and a 3x3 matrix a sequence of 9 floats
-in row-major order.  At this size numpy call overhead outweighs the
-arithmetic, so the closed loops evaluate their formulas on Python floats.
+in row-major order, or of its 3 diagonal entries where the matrix must be
+diagonal (`diag_floats`, `diag_mul_f`).  At this size numpy call overhead
+outweighs the arithmetic, so the closed loops evaluate their formulas on
+Python floats.
 
 The same kernels run on a batch when each component is an (n,) array (see
 `columns`).  Arithmetic is the same there; the few math functions a kernel
@@ -50,6 +52,24 @@ def _elementwise(fn):
 # reproduces the float kernels bit for bit (numpy's vectorized sin may differ
 # from the C library's in the last bit); sqrt is correctly rounded in both.
 ARRAY_MATH = SimpleNamespace(sin=_elementwise(math.sin), cos=_elementwise(math.cos), sqrt=np.sqrt)
+
+
+def diag_floats(m, name: str) -> tuple:
+    """The diagonal of a 3x3 matrix as 3 floats, the kernels' form of a diagonal weight.
+
+    ContractError unless m is 3x3 with every off-diagonal entry zero.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3) or np.any(m[~np.eye(3, dtype=bool)] != 0.0):
+        raise ContractError(f"{name} must be a diagonal 3x3 matrix")
+    return tuple(np.diagonal(m).tolist())
+
+
+def diag_mul_f(d, b) -> tuple:
+    """diag(d) @ b for 3 floats d and a row-major 9-float matrix: row i of b scaled by d_i."""
+    d0, d1, d2 = d
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (d0 * b0, d0 * b1, d0 * b2, d1 * b3, d1 * b4, d1 * b5, d2 * b6, d2 * b7, d2 * b8)
 
 
 def mat_mul_f(a, b) -> tuple:

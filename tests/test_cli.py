@@ -213,8 +213,13 @@ def test_validate_warns_past_the_rk4_step_limit(capsys):
     ("R0_axis", "[1e300, 1, 1]", "nonzero norm"),
     ("R0_axis", "[1e-170, 0, 0]", "nonzero norm"),
     ("dt", "1e-300", f"budget of {st.scenarios.STEP_BUDGET} steps"),
+    ("j_max", "true", "positive integer"),
+    ("J_diag", "[true, 1, 1]", "numbers, got true"),
+    ("gammas", "[true]", "numbers, got true"),
+    ("A_diag", "[2, 4, false]", "numbers, got false"),
 ], ids=("J_zero", "J_nan", "reference_list", "R0_angle_inf", "t_max_nan", "R0_axis_zero",
-        "R0_axis_overflow", "R0_axis_underflow", "dt_over_step_budget"))
+        "R0_axis_overflow", "R0_axis_underflow", "dt_over_step_budget", "j_max_bool", "J_bool",
+        "gammas_bool", "A_bool"))
 def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, names):
     kept = [ln for ln in MINI.splitlines() if ln.split("=", 1)[0].strip() != key]
     cfg = write_cfg(tmp_path, "\n".join(kept + [f"{key} = {value}"]) + "\n")

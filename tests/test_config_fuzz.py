@@ -23,7 +23,7 @@ SCALARS = (
 )
 LISTS = (
     [], [0], [1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [1e300, 1.0, 1.0], [5e-324, 1.0, 1.0],
-    [math.nan, 1.0, 1.0], [-1.0, 2.0, 3.0], [1.0, "token", 2.0], [True, 1.0, 1.0],
+    [math.nan, 1.0, 1.0], [-1.0, 2.0, 3.0], [1.0, "token", 2.0], [True, 1.0, 1.0], [False],
     ["basic"], ["smooth", "velocity_free"], ["basic", "bogus"], [0.3, 0.5, 0.7],
 )
 POOL = SCALARS + LISTS
@@ -32,6 +32,12 @@ POOL = SCALARS + LISTS
 def bundled_mappings():
     return {name: st.parse_config_text(path.read_text())
             for name, path in st.bundled_scenarios().items()}
+
+
+def has_bool(raw: dict) -> bool:
+    """Whether a value of `raw`, or an entry of a list value, is a boolean."""
+    return any(isinstance(x, bool)
+               for v in raw.values() for x in (v if isinstance(v, list) else [v]))
 
 
 def mutate(base: dict, rng: random.Random) -> dict:
@@ -75,6 +81,9 @@ def test_mutated_configs_raise_only_config_errors():
         except Exception as e:  # any other type fails the test, naming the case
             pytest.fail(f"case {case} ({name}, {raw}) raised {type(e).__name__}: {e}")
         else:
+            # no key takes a boolean: true must not load as the number 1
+            if has_bool(raw):
+                pytest.fail(f"case {case} ({name}, {raw}) loaded a boolean")
             outcomes["ok"] += 1
     # the pool reaches both outcomes often
     assert min(outcomes.values()) > 200, outcomes

@@ -707,6 +707,15 @@ def test_gains_validation(paper_params):
         ).check_for("velocity_free", paper_params)
 
 
+def test_velocity_free_loop_rejects_off_diagonal_gamma(paper_params, paper_gains, paper_inertia):
+    # the filter gain enters the flow as its diagonal, so an off-diagonal entry is refused
+    gains = dataclasses.replace(paper_gains, Gamma=30.0 * np.eye(3) + np.diag([1.0, 1.0], 1))
+    with pytest.raises(ContractError, match="Gamma must be a diagonal 3x3 matrix"):
+        st.make_loop("velocity_free", paper_params, gains, paper_inertia, REST)
+    with pytest.raises(ContractError, match="Gamma must be a diagonal 3x3 matrix"):
+        gains.check_for("velocity_free", paper_params)
+
+
 def test_gains_warning_for_large_rho(paper_params, paper_gains):
     notes = paper_gains.check_for("smooth", paper_params)
     assert any("rho" in n and "0.00162" in n for n in notes)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import so3track as st
+from so3track import hybrid
 from so3track.errors import ContractError, SolverError
 from so3track.hybrid import HybridSystem, detect_crossing
 
@@ -289,3 +290,49 @@ def test_rotations_stay_on_manifold_along_arc(fig3_runs):
         err = np.abs(Rs.transpose(0, 2, 1) @ Rs - np.eye(3)).max()
         assert err <= 1e-9
         assert np.linalg.det(Rs).min() > 0.0
+
+
+# A tumbling member per law: fig4's settings, noise off, a seeded initial
+# state.  The seeds are picked so that each hybrid law refines a jump.
+TUMBLE_SEEDS = {"basic": 7, "smooth": 16, "velocity_free": 10, "non_hybrid": 0}
+
+
+@pytest.mark.parametrize("law", sorted(TUMBLE_SEEDS))
+def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
+    # every flow evaluation belongs to an RK4 step: an accepted step, a
+    # refinement evaluation of the margin or the re-step to the crossing
+    rng = np.random.default_rng(TUMBLE_SEEDS[law])
+    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
+    cfg = st.scenario_from_mapping({
+        **base, "name": "tumble", "controllers": [law], "gammas": base["gammas"][:1],
+        "omega0": rng.uniform(-20.0, 20.0, 3).tolist(),
+        "theta0": float(rng.uniform(-math.pi, math.pi)),
+        "R0_axis": rng.normal(size=3).tolist(), "R0_angle": float(rng.uniform(0.0, math.pi)),
+        "theta_set": [-0.9 * math.pi, 0.9 * math.pi],
+        "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.5,
+    })
+    loop, y0 = st.scenarios.build_member(cfg, cfg.members[0])
+    counts = {"flow": 0, "refine": 0, "restep": 0}
+    flow = loop.flow
+
+    def counted_flow(t, y, meas):
+        counts["flow"] += 1
+        return flow(t, y, meas)
+
+    def counted_crossing(before, after, refine, dt):
+        def counted_refine(x):
+            counts["refine"] += 1
+            return refine(x)
+
+        tau = detect_crossing(before, after, counted_refine, dt)
+        counts["restep"] += tau is not None and tau < dt
+        return tau
+
+    loop.flow = counted_flow
+    monkeypatch.setattr(hybrid, "detect_crossing", counted_crossing)
+    arc = st.solve(loop, y0, st.SolverConfig(dt=cfg.dt, t_max=cfg.t_max))
+    steps = len(arc) - 1 - len(arc.jumps)
+    assert steps >= 500
+    assert counts["flow"] == 4 * (steps + counts["refine"] + counts["restep"])
+    if law != "non_hybrid":
+        assert arc.jumps and counts["refine"] > 0 and counts["restep"] > 0

@@ -106,6 +106,13 @@ def test_constructor_rejects_bad_inputs():
         st.design_params(np.diag([-1.0, 4.0, 6.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
 
 
+def test_design_params_rejects_off_diagonal_weights():
+    # symmetric and positive definite, but the kernels read A as its diagonal
+    A = np.array([[2.0, 0.1, 0.0], [0.1, 4.0, 0.0], [0.0, 0.0, 6.0]])
+    with pytest.raises(ContractError, match="A must be a diagonal 3x3 matrix"):
+        st.design_params(A, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+
+
 def test_gap_coefficient_values(paper_params):
     p = paper_params
     A = p.A

@@ -255,8 +255,13 @@ def test_invariant_torque_keeps_error_fixed(paper_inertia):
 def test_inertia_validation():
     with pytest.raises(ContractError):
         st.Inertia.from_matrix(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(ContractError, match="inertia matrix must be a diagonal 3x3 matrix"):
+        st.Inertia.from_matrix(np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(ContractError):
         st.Inertia.from_diag([1.0, -1.0, 1.0])
     J = st.Inertia.from_diag([0.0159, 0.0150, 0.0297])
     assert J.lam_min == pytest.approx(0.0150)
     assert J.lam_max == pytest.approx(0.0297)
+    # the kernels read the diagonals, J^-1's taken from the inverse matrix
+    assert J.J_f == (0.0159, 0.0150, 0.0297)
+    assert J.J_inv_f == tuple(np.diagonal(np.linalg.inv(J.J)))

@@ -206,3 +206,17 @@ def test_random_rotations_are_rotations():
     R = st.random_rotations(500, rng)
     assert np.allclose(R @ R.transpose(0, 2, 1), np.eye(3), atol=1e-12)
     assert np.allclose(np.linalg.det(R), 1.0, atol=1e-12)
+
+
+def test_diag_mul_f_matches_the_full_product():
+    # row i of R scaled by d_i is the 9-float product with diag(d), bit for bit
+    rng = np.random.default_rng(45)
+    R = st.random_rotations(200, rng)
+    d = tuple(rng.uniform(0.1, 10.0, 3).tolist())
+    D = st.so3.floats(np.diag(d))
+    for r in map(st.so3.floats, R):
+        got, want = st.so3.diag_mul_f(d, r), st.so3.mat_mul_f(D, r)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    got = st.so3.diag_mul_f(d, st.so3.columns(R))
+    want = st.so3.mat_mul_f(D, st.so3.columns(R))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
