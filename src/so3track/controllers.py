@@ -21,6 +21,18 @@ Each law is written once, as a component-wise kernel (`*_f`) on floats (see
 floats and draw and apply the measurement noise in floats; after a run they
 evaluate the same kernels once more on the recorded states as column arrays
 to fill the recorded columns.
+
+The flow is compiled.  A loop's `_rates` composes the kernels, and its first
+flow evaluation traces `_rates` on symbolic floats into one straight-line
+function (see `straightline`), one for exact and one for noisy measurements.
+A flow then costs its arithmetic and little else: no kernel calls, tuple
+packing, slicing or attribute lookups.  The function is traced rather than
+written out by hand so that every formula keeps a single source; the traced
+code runs the same IEEE operations in the same expression tree as `_rates`,
+so both return the same bits.  `flow` checks the reference velocity and
+acceleration bounds itself, outside the compiled code, since they branch on
+data; `jump_margin`, `jump` and `project` branch on data too and stay
+interpreted.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import straightline
 from .errors import ContractError, SolverError
 from .hybrid import HybridSystem
 from .potential import (
@@ -215,7 +228,7 @@ def torque_velocity_free_f(ups, g1, g2, gains: Gains) -> tuple:
 
 
 def zeta_flow_f(AR, theta: float, zeta, omega_e, g_rot, g_th: float, p: PotentialParams,
-                gains: Gains, relaxed: bool) -> tuple:
+                gains: Gains, relaxed: bool, xp=math) -> tuple:
     """Filter rate -k_zeta (zeta - g_rot).
 
     The relaxed form adds the gradient rate and omega_e / rho.
@@ -224,7 +237,7 @@ def zeta_flow_f(AR, theta: float, zeta, omega_e, g_rot, g_th: float, p: Potentia
     out = (k * (zeta[0] - g_rot[0]), k * (zeta[1] - g_rot[1]), k * (zeta[2] - g_rot[2]))
     if not relaxed:
         return out
-    r = grad_rotation_rate_f(AR, theta, omega_e, -gains.k_theta * g_th, p)
+    r = grad_rotation_rate_f(AR, theta, omega_e, -gains.k_theta * g_th, p, xp)
     rho = gains.rho
     return tuple(out[i] + r[i] + omega_e[i] / rho for i in range(3))
 
@@ -327,11 +340,14 @@ class _TrackingLoop(HybridSystem):
 
     The loop methods evaluate the kernels on the state as a sequence of floats
     (`solve` passes tuples; see `HybridSystem`); each subclass's `_control`
-    gives the torque and the terms its flow shares with it.  `_control`,
-    `_monitor` and `_columns` also run on a batch: state entries and
-    measurement fields as (n,) arrays, t an (n,) array, xp = ARRAY_MATH.
-    Each law defines its sets once, by `jump_margin`, its monitor once, by
-    `_monitor`, and the monitor's designed drop at a jump as `jump_drop`.
+    gives the torque and the terms its flow shares with it, and its `_rates`
+    the flow, which `flow` runs compiled.  `_control`, `_monitor` and
+    `_columns` also run on a batch: state entries and measurement fields as
+    (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its sets
+    once, by `jump_margin`, its monitor once, by `_monitor`, and the
+    monitor's designed drop at a jump as `jump_drop`.  Each law class binds
+    `flow = _TrackingLoop._flow` in its own body, so that per-law profiles
+    (`perfbench/layers.py`) can tell the laws' flows apart.
     """
 
     # The packed state in error coordinates: the error rotation R_e, the warp
@@ -354,6 +370,7 @@ class _TrackingLoop(HybridSystem):
         self.inertia = inertia
         self.reference = reference
         self.noise = noise if (noise is not None and noise.enabled) else None
+        self._cores = [None, None]  # compiled `_rates`, noisy and exact (index: meas is None)
 
     def check(self) -> list[str]:
         return self.gains.check_for(self.kind, self.params)
@@ -420,9 +437,37 @@ class _TrackingLoop(HybridSystem):
         w0, w1, w2 = omega_e
         return 0.5 * (w0 * (J0 * w0) + w1 * (J1 * w1) + w2 * (J2 * w2))
 
-    def _control(self, t: float, v, meas, xp=math) -> tuple:
-        """Kernel terms at state v; index 0 is the applied torque."""
+    def _control(self, z, v, meas, xp=math) -> tuple:
+        """Kernel terms at state v and reference acceleration z; index 0 is the applied torque."""
         raise NotImplementedError
+
+    def _rates(self, t, y, meas, z, xp=math) -> tuple:
+        """The flow at state y under reference acceleration z, without the reference guard.
+
+        The source that `_flow` compiles; `t` enters only through z.
+        """
+        raise NotImplementedError
+
+    def _flow(self, t, y, meas):
+        """Check the reference bounds, then evaluate the compiled `_rates`.
+
+        Each measurement kind (exact or noisy) gets its own straight-line
+        function, traced from `_rates` on its first use and kept on the loop.
+        """
+        self._guard_reference(y[self.OMEGA_R], t)
+        z = self.reference.z_at(t)
+        exact = meas is None
+        core = self._cores[exact]
+        if core is None:
+            core = self._cores[exact] = self._compile_rates(exact)
+        return core(y, meas, z)
+
+    def _compile_rates(self, exact: bool):
+        def rates(xp, y, meas, z):
+            return self._rates(None, y, None if exact else Measurement(*meas), z, xp)
+
+        return straightline.compile_traced(rates, f"{self.kind}_rates", y=self.WIDTH,
+                                           meas=None if exact else (9, 3), z=3)
 
     def _monitor(self, v, xp=math) -> tuple:
         """(potential at the error rotation, monitor value) at state v."""
@@ -435,7 +480,7 @@ class _TrackingLoop(HybridSystem):
     def _columns(self, t, v, meas, in_jump, xp=math) -> tuple:
         """The recorded columns at state v under measurement meas."""
         U, lyap = self._monitor(v, xp)
-        tau = self._control(t, v, meas, xp)[0]
+        tau = self._control(self.reference.z_at(t, xp), v, meas, xp)[0]
         return (
             rot_distance_f(v[self.R_E], xp), v[self.THETA], *v[self.OMEGA_E],
             tau[0], tau[1], tau[2], U, lyap,
@@ -444,7 +489,7 @@ class _TrackingLoop(HybridSystem):
         )
 
     def torque(self, t: float, y, meas) -> np.ndarray:
-        return np.array(self._control(t, y, meas)[0])
+        return np.array(self._control(self.reference.z_at(t), y, meas)[0])
 
     def record(self, t, j, states, noise, in_jump):
         """All recorded columns in one pass of the kernels over the column arrays."""
@@ -494,20 +539,20 @@ class BasicLoop(_TrackingLoop):
         """k_R delta."""
         return self.gains.k_R * self.params.delta
 
-    def _control(self, t, v, meas, xp=math):
-        """(torque, z, a, J a, feedforward at R_e, warp gradient)."""
+    def _control(self, z, v, meas, xp=math):
+        """(torque, a, J a, feedforward at R_e, warp gradient)."""
         p = self.params
         Re, wr = v[self.R_E], v[self.OMEGA_R]
-        z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
         g0, g1, g2, g_th = gradients_f(diag_mul_f(p._A_f, Rm), v[self.THETA], p, xp)
-        return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), z, a, Ja, ups, g_th
+        return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), a, Ja, ups, g_th
 
-    def flow(self, t, y, meas):
+    flow = _TrackingLoop._flow
+
+    def _rates(self, t, y, meas, z, xp=math):
         Re, we = y[self.R_E], y[self.OMEGA_E]
-        self._guard_reference(y[self.OMEGA_R], t)
-        tau, z, a, Ja, ups, g_th = self._control(t, y, meas)
+        tau, a, Ja, ups, g_th = self._control(z, y, meas, xp)
         return (
             *mat_skew_f(Re, we), -self.gains.k_theta * g_th,
             *self._accel(we, a, Ja, ups, tau), *z,
@@ -528,11 +573,12 @@ class NonHybridLoop(BasicLoop):
     kind = "non_hybrid"
     jump_drop = 0.0
 
-    def flow(self, t, y, meas):
+    flow = _TrackingLoop._flow
+
+    def _rates(self, t, y, meas, z, xp=math):
         """The basic flow with the warp angle frozen; k_theta is never read."""
         Re, we = y[self.R_E], y[self.OMEGA_E]
-        self._guard_reference(y[self.OMEGA_R], t)
-        tau, z, a, Ja, ups, _ = self._control(t, y, meas)
+        tau, a, Ja, ups, _ = self._control(z, y, meas, xp)
         return (*mat_skew_f(Re, we), 0.0, *self._accel(we, a, Ja, ups, tau), *z)
 
     def jump(self, t, y, meas):
@@ -557,24 +603,24 @@ class SmoothLoop(_TrackingLoop):
         """k_R delta_prime."""
         return self.gains.k_R * self.gains.delta_prime
 
-    def _control(self, t, v, meas, xp=math):
-        """(torque, z, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
+    def _control(self, z, v, meas, xp=math):
+        """(torque, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
         p = self.params
         Re, wr = v[self.R_E], v[self.OMEGA_R]
-        z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
         AR = diag_mul_f(p._A_f, Rm)
         g0, g1, g2, g_th = gradients_f(AR, v[self.THETA], p, xp)
         tau = torque_basic_f(ups_m, v[self.ZETA], wem, self.gains)
-        return tau, z, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
+        return tau, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
 
-    def flow(self, t, y, meas):
+    flow = _TrackingLoop._flow
+
+    def _rates(self, t, y, meas, z, xp=math):
         gn = self.gains
         Re, th, we = y[self.R_E], y[self.THETA], y[self.OMEGA_E]
-        self._guard_reference(y[self.OMEGA_R], t)
-        tau, z, a, Ja, ups, AR, wem, g, g_th = self._control(t, y, meas)
-        zdot = zeta_flow_f(AR, th, y[self.ZETA], wem, g, g_th, self.params, gn, self.relaxed)
+        tau, a, Ja, ups, AR, wem, g, g_th = self._control(z, y, meas, xp)
+        zdot = zeta_flow_f(AR, th, y[self.ZETA], wem, g, g_th, self.params, gn, self.relaxed, xp)
         return (
             *mat_skew_f(Re, we), -gn.k_theta * g_th,
             *self._accel(we, a, Ja, ups, tau), *z, *zdot,
@@ -615,11 +661,10 @@ class VelocityFreeLoop(_TrackingLoop):
         """min(k_R, k_beta) delta: whichever warp angle resets drops its term by delta."""
         return min(self.gains.k_R, self.gains.k_beta) * self.params.delta
 
-    def _control(self, t, v, meas, xp=math):
-        """(torque, z, a, J a, feedforward at R_e, auxiliary gradient, both warp gradients, E)."""
+    def _control(self, z, v, meas, xp=math):
+        """(torque, a, J a, feedforward at R_e, auxiliary gradient, both warp gradients, E)."""
         p = self.params
         Re, wr, Rt = v[self.R_E], v[self.OMEGA_R], v[self.R_TILDE]
-        z = self.reference.z_at(t, xp)
         a, Ja, ups = self._feedforward(Re, wr, z)
         if meas is None:
             E, ups_m = None, ups
@@ -631,13 +676,14 @@ class VelocityFreeLoop(_TrackingLoop):
         b0, b1, b2, b_th = gradients_f(diag_mul_f(p._A_f, Rt), v[self.THETA_BAR], p, xp)
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
-        return tau, z, a, Ja, ups, g2, a_th, b_th, E
+        return tau, a, Ja, ups, g2, a_th, b_th, E
 
-    def flow(self, t, y, meas):
+    flow = _TrackingLoop._flow
+
+    def _rates(self, t, y, meas, z, xp=math):
         k_th = self.gains.k_theta
         Re, we = y[self.R_E], y[self.OMEGA_E]
-        self._guard_reference(y[self.OMEGA_R], t)
-        tau, z, a, Ja, ups, g2, a_th, b_th, E = self._control(t, y, meas)
+        tau, a, Ja, ups, g2, a_th, b_th, E = self._control(z, y, meas, xp)
         return (
             *mat_skew_f(Re, we), -k_th * a_th,
             *self._accel(we, a, Ja, ups, tau), *z,

@@ -400,9 +400,10 @@ def gap_f(AR, theta: float, p: PotentialParams) -> float:
     return value_f(AR, theta, p) - best_reset_f(AR, p)[1]
 
 
-def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: PotentialParams) -> tuple:
+def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: PotentialParams,
+                         xp=math) -> tuple:
     """Rate of the rotation gradient along Rdot = R skew(omega), thetadot = theta_rate."""
-    W = warp_rotation_f(theta, p)
+    W = warp_rotation_f(theta, p, xp)
     M = mat_mul_f(AR, W)
     ps = axial_f(M)
     # E = (tr(M) I - M^T) / 2 applied to a vector v is (tr(M) v - M^T v) / 2.

@@ -21,7 +21,8 @@ class Inertia:
     """Diagonal positive definite inertia matrix with its inverse cached.
 
     The kernels read J and J^-1 as their diagonal entries, so J must be
-    diagonal: a non-zero off-diagonal entry is a ContractError.
+    diagonal: a non-zero off-diagonal entry is a ContractError, as is an
+    entry so small that its inverse overflows.
     """
 
     J: np.ndarray
@@ -38,12 +39,16 @@ class Inertia:
         if not min(J_f) > 0.0:
             raise ContractError("inertia matrix must be positive definite")
         J_inv = np.linalg.inv(J)
+        J_inv_f = tuple(np.diagonal(J_inv).tolist())
+        if not all(map(math.isfinite, J_inv_f)):
+            raise ContractError(f"the inverse of the inertia matrix is not finite: "
+                                f"diagonal {list(J_inv_f)}")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "J_inv", J_inv)
         object.__setattr__(self, "lam_min", min(J_f))
         object.__setattr__(self, "lam_max", max(J_f))
         object.__setattr__(self, "J_f", J_f)
-        object.__setattr__(self, "J_inv_f", tuple(np.diagonal(J_inv).tolist()))
+        object.__setattr__(self, "J_inv_f", J_inv_f)
 
     @classmethod
     def from_matrix(cls, J) -> "Inertia":

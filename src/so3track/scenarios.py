@@ -347,7 +347,10 @@ def _unit_axis(axis) -> np.ndarray:
 def build_member(cfg: ScenarioConfig, member: MemberSpec):
     """Closed loop plus packed initial state for one member run."""
     params = _member_params(cfg, member)
-    inertia = Inertia.from_diag(cfg.inertia_diag)
+    try:
+        inertia = Inertia.from_diag(cfg.inertia_diag)
+    except ContractError as e:
+        raise ConfigError(f"'J_diag' = {list(cfg.inertia_diag)}: {e}") from None
     try:
         reference = make_reference(cfg.reference, cfg.m_bound, cfg.omega_r_bound)
     except ContractError as e:

@@ -217,9 +217,11 @@ def test_validate_warns_past_the_rk4_step_limit(capsys):
     ("J_diag", "[true, 1, 1]", "numbers, got true"),
     ("gammas", "[true]", "numbers, got true"),
     ("A_diag", "[2, 4, false]", "numbers, got false"),
+    ("J_diag", "[5e-324, 0.0150, 0.0297]", "inverse of the inertia matrix is not finite"),
+    ("J_diag", "[1e-310, 0.0150, 0.0297]", "inverse of the inertia matrix is not finite"),
 ], ids=("J_zero", "J_nan", "reference_list", "R0_angle_inf", "t_max_nan", "R0_axis_zero",
         "R0_axis_overflow", "R0_axis_underflow", "dt_over_step_budget", "j_max_bool", "J_bool",
-        "gammas_bool", "A_bool"))
+        "gammas_bool", "A_bool", "J_inverse_overflow_5e-324", "J_inverse_overflow_1e-310"))
 def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, names):
     kept = [ln for ln in MINI.splitlines() if ln.split("=", 1)[0].strip() != key]
     cfg = write_cfg(tmp_path, "\n".join(kept + [f"{key} = {value}"]) + "\n")
