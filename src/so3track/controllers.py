@@ -1,17 +1,22 @@
 """Hybrid warp-angle subsystem and the four attitude tracking feedback laws.
 
 The warp angle flows down the potential gradient while the extended state is
-away from the unwanted critical configurations, and is reset to the best
-value from a finite set when the gap function says the state is near one.
-Three hybrid torque laws build on this mechanism:
+away from the unwanted critical configurations, and jumps near them.  One rule
+gives every hybrid law its sets and its jump map: a warp angle's gap is its
+value minus the least value over the finite reset set, the jump set is where
+a gap reaches a threshold, and a jump resets the angle to the reset angle of
+least value, so the monitor drops by at least the designed amount.  Three
+hybrid torque laws build on this mechanism:
 
-  * basic: gradient feedback plus velocity damping; the torque jumps with the
-    warp angle.
+  * basic: gradient feedback plus velocity damping; the value is the
+    potential, the threshold delta, and the torque jumps with the warp angle.
   * smooth: the gradient term is routed through a first-order filter state
-    that does not jump, so the torque stays continuous; flow and jump sets
-    use a filtered potential with its own (smaller) gap.
+    that does not jump, so the torque stays continuous; the value is a
+    filtered potential with its own (smaller) threshold delta', and a jump
+    resets theta to the least filtered value.
   * velocity_free: damping is generated by an auxiliary rotation state driven
     by attitude information only; the torque never reads an angular velocity.
+    Its auxiliary rotation has a second warp angle, under the same rule.
 
 A non-hybrid baseline (the basic law with the warp angle frozen at zero) is
 included for comparisons.
@@ -48,8 +53,6 @@ from .errors import ContractError, SolverError
 from .hybrid import HybridSystem
 from .potential import (
     PotentialParams,
-    best_reset_f,
-    gap_f,
     grad_rotation,
     grad_rotation_rate_f,
     gradient_bounds,
@@ -189,13 +192,6 @@ def filtered_value_w_f(AR, W, theta: float, zeta, p: PotentialParams, rho: float
     g0, g1, g2, _ = gradients_w_f(AR, W, theta, p)
     d0, d1, d2 = zeta[0] - g0, zeta[1] - g1, zeta[2] - g2
     return value_w_f(AR, W, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
-
-
-def filtered_gap_f(AR, theta: float, zeta, p: PotentialParams, rho: float) -> float:
-    """The filtered value at theta minus its best value over the reset set."""
-    best = min(filtered_value_w_f(AR, W, tp, zeta, p, rho)
-               for tp, W in zip(p.theta_set, p._reset_W_f))
-    return filtered_value_w_f(AR, warp_rotation_f(theta, p), theta, zeta, p, rho) - best
 
 
 def torque_basic_f(ups, g_rot, omega_e, gains: Gains) -> tuple:
@@ -343,11 +339,16 @@ class _TrackingLoop(HybridSystem):
     gives the torque and the terms its flow shares with it, and its `_rates`
     the flow, which `flow` runs compiled.  `_control`, `_monitor` and
     `_columns` also run on a batch: state entries and measurement fields as
-    (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its sets
-    once, by `jump_margin`, its monitor once, by `_monitor`, and the
-    monitor's designed drop at a jump as `jump_drop`.  Each law class binds
-    `flow = _TrackingLoop._flow` in its own body, so that per-law profiles
-    (`perfbench/layers.py`) can tell the laws' flows apart.
+    (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its
+    monitor once, by `_monitor`.
+
+    The sets and the jump map follow the jump rule of the module docstring,
+    applied here once by `_gaps`: a law declares only its warp angles
+    (`warp_angles`), the value whose gap it watches (`_value_w`) and the
+    gap's threshold (`_threshold`), and a jump drops the monitor by at least
+    `jump_drop`.  Each law class binds `flow = _TrackingLoop._flow` in its
+    own body, so that per-law profiles (`perfbench/layers.py`) can tell the
+    laws' flows apart.
     """
 
     # The packed state in error coordinates: the error rotation R_e, the warp
@@ -360,8 +361,9 @@ class _TrackingLoop(HybridSystem):
     OMEGA_R = slice(13, 16)
     WIDTH = 16
     rotation_slices: tuple = (R_E,)
-    # (name, index) of the warp angles in the packed state, for jump records.
-    warp_angles: tuple = (("theta", THETA),)
+    # (name, rotation slice, index) of each warp angle in the packed state:
+    # its gap is taken at that rotation.
+    warp_angles: tuple = (("theta", R_E, THETA),)
 
     def __init__(self, params: PotentialParams, gains: Gains, inertia: Inertia,
                  reference: Reference, noise: NoiseModel | None = None):
@@ -371,6 +373,12 @@ class _TrackingLoop(HybridSystem):
         self.reference = reference
         self.noise = noise if (noise is not None and noise.enabled) else None
         self._cores = [None, None]  # compiled `_rates`, noisy and exact (index: meas is None)
+        self._threshold = params.delta  # the gap at which a warp angle jumps
+
+    @property
+    def jump_drop(self) -> float:
+        """k_R times the threshold: the monitor's designed drop at a jump."""
+        return self.gains.k_R * self._threshold
 
     def check(self) -> list[str]:
         return self.gains.check_for(self.kind, self.params)
@@ -397,11 +405,6 @@ class _TrackingLoop(HybridSystem):
                 f"reference angular velocity left its declared set at t={t}: "
                 f"||omega_r|| = {math.sqrt(n2):.6g} > {b}"
             )
-
-    @staticmethod
-    def _measured_rotation(R, meas):
-        """R_m = R @ E, or R itself without a measurement."""
-        return R if meas is None else mat_mul_f(R, meas.E)
 
     def _feedforward(self, R, omega_r, z) -> tuple:
         """(a, J a, feedforward) at rotation R, with a = R^T omega_r."""
@@ -503,17 +506,55 @@ class _TrackingLoop(HybridSystem):
         """The loop's monitor at packed state y."""
         return self._monitor(y)[1]
 
-    def jump(self, t, y, meas):
-        """Reset the warp angle from the measured rotation (a filter state does not jump)."""
+    def _value_w(self, AR, W, theta: float, y) -> float:
+        """The value whose gap defines the sets, at AR = A R_m and the warp rotation W of theta."""
+        return value_w_f(AR, W, theta, self.params)
+
+    def _gaps(self, y, meas) -> list:
+        """(gap, best reset angle) of each warp angle, at its measured rotation R_m = R E.
+
+        The best reset angle is the one of least value; ties go to the first
+        angle of `theta_set`.
+        """
         p = self.params
-        Rm = self._measured_rotation(y[self.R_E], meas)
-        return (*y[:self.THETA], best_reset_f(diag_mul_f(p._A_f, Rm), p)[0], *y[self.THETA + 1:])
+        value = self._value_w
+        out = []
+        for _, sl, i in self.warp_angles:
+            AR = diag_mul_f(p._A_f, y[sl] if meas is None else mat_mul_f(y[sl], meas.E))
+            best_t, best_v = p.theta_set[0], math.inf
+            for tp, W in p._resets:
+                v = value(AR, W, tp, y)
+                if v < best_v:
+                    best_t, best_v = tp, v
+            th = y[i]
+            out.append((value(AR, warp_rotation_f(th, p), th, y) - best_v, best_t))
+        return out
+
+    def jump_margin(self, t, y, meas):
+        """The largest gap minus the threshold; -inf for a loop without a warp angle."""
+        gaps = self._gaps(y, meas)
+        return max(gaps)[0] - self._threshold if gaps else -math.inf
+
+    def jump(self, t, y, meas):
+        """Reset each warp angle whose gap reaches the threshold (a filter state does not jump).
+
+        SolverError if no gap reaches it: the state is outside the jump set.
+        """
+        out = list(y)
+        fired = False
+        for (g, best), (_, _, i) in zip(self._gaps(y, meas), self.warp_angles):
+            if g >= self._threshold:
+                out[i] = best
+                fired = True
+        if not fired:
+            raise SolverError(f"the {self.kind} jump map was applied outside the jump set")
+        return tuple(out)
 
     def jump_event_info(self, t, y_pre, y_post, meas):
         tau_pre = self.torque(t, y_pre, meas)
         tau_post = self.torque(t, y_post, meas)
         info = {}
-        for name, i in self.warp_angles:
+        for name, _, i in self.warp_angles:
             info[f"{name}_pre"] = float(y_pre[i])
             info[f"{name}_post"] = float(y_post[i])
         info.update(
@@ -534,11 +575,6 @@ class BasicLoop(_TrackingLoop):
         "tau_x", "tau_y", "tau_z", "U", "lyap", "in_jump_set",
     )
 
-    @property
-    def jump_drop(self) -> float:
-        """k_R delta."""
-        return self.gains.k_R * self.params.delta
-
     def _control(self, z, v, meas, xp=math):
         """(torque, a, J a, feedforward at R_e, warp gradient)."""
         p = self.params
@@ -558,11 +594,6 @@ class BasicLoop(_TrackingLoop):
             *self._accel(we, a, Ja, ups, tau), *z,
         )
 
-    def jump_margin(self, t, y, meas):
-        p = self.params
-        Rm = self._measured_rotation(y[self.R_E], meas)
-        return gap_f(diag_mul_f(p._A_f, Rm), y[self.THETA], p) - p.delta
-
     def _monitor(self, v, xp=math):
         p = self.params
         U = value_f(diag_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
@@ -571,6 +602,7 @@ class BasicLoop(_TrackingLoop):
 
 class NonHybridLoop(BasicLoop):
     kind = "non_hybrid"
+    warp_angles = ()  # no jump set
     jump_drop = 0.0
 
     flow = _TrackingLoop._flow
@@ -580,12 +612,6 @@ class NonHybridLoop(BasicLoop):
         Re, we = y[self.R_E], y[self.OMEGA_E]
         tau, a, Ja, ups, _ = self._control(z, y, meas, xp)
         return (*mat_skew_f(Re, we), 0.0, *self._accel(we, a, Ja, ups, tau), *z)
-
-    def jump(self, t, y, meas):
-        raise SolverError("the non-hybrid loop has no jump map")
-
-    def jump_margin(self, t, y, meas):
-        return -math.inf  # no jump set
 
 
 class SmoothLoop(_TrackingLoop):
@@ -597,11 +623,7 @@ class SmoothLoop(_TrackingLoop):
     def __init__(self, params, gains, inertia, reference, noise=None, relaxed: bool = False):
         super().__init__(params, gains, inertia, reference, noise)
         self.relaxed = relaxed
-
-    @property
-    def jump_drop(self) -> float:
-        """k_R delta_prime."""
-        return self.gains.k_R * self.gains.delta_prime
+        self._threshold = gains.delta_prime
 
     def _control(self, z, v, meas, xp=math):
         """(torque, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
@@ -626,10 +648,9 @@ class SmoothLoop(_TrackingLoop):
             *self._accel(we, a, Ja, ups, tau), *z, *zdot,
         )
 
-    def jump_margin(self, t, y, meas):
-        p, gn = self.params, self.gains
-        AR = diag_mul_f(p._A_f, self._measured_rotation(y[self.R_E], meas))
-        return filtered_gap_f(AR, y[self.THETA], y[self.ZETA], p, gn.rho) - gn.delta_prime
+    def _value_w(self, AR, W, theta, y):
+        """The filtered value: the jump resets theta to its least value, not the potential's."""
+        return filtered_value_w_f(AR, W, theta, y[self.ZETA], self.params, self.gains.rho)
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
@@ -649,7 +670,7 @@ class VelocityFreeLoop(_TrackingLoop):
     THETA_BAR = 25
     WIDTH = 26
     rotation_slices = _TrackingLoop.rotation_slices + (R_TILDE,)
-    warp_angles = _TrackingLoop.warp_angles + (("theta_bar", THETA_BAR),)
+    warp_angles = _TrackingLoop.warp_angles + (("theta_bar", R_TILDE, THETA_BAR),)
     columns = BasicLoop.columns + ("dist_Rtilde", "theta_bar")
 
     def __init__(self, params, gains, inertia, reference, noise=None):
@@ -659,7 +680,7 @@ class VelocityFreeLoop(_TrackingLoop):
     @property
     def jump_drop(self) -> float:
         """min(k_R, k_beta) delta: whichever warp angle resets drops its term by delta."""
-        return min(self.gains.k_R, self.gains.k_beta) * self.params.delta
+        return min(self.gains.k_R, self.gains.k_beta) * self._threshold
 
     def _control(self, z, v, meas, xp=math):
         """(torque, a, J a, feedforward at R_e, auxiliary gradient, both warp gradients, E)."""
@@ -689,32 +710,6 @@ class VelocityFreeLoop(_TrackingLoop):
             *self._accel(we, a, Ja, ups, tau), *z,
             *aux_flow_f(y[self.R_TILDE], we, g2, self._Gamma, E), -k_th * b_th,
         )
-
-    def _gaps(self, y, meas) -> list:
-        """(A R_m, gap) at the error rotation and at the auxiliary rotation."""
-        p = self.params
-        out = []
-        for R, th in ((y[self.R_E], y[self.THETA]), (y[self.R_TILDE], y[self.THETA_BAR])):
-            AR = diag_mul_f(p._A_f, self._measured_rotation(R, meas))
-            out.append((AR, gap_f(AR, th, p)))
-        return out
-
-    def jump(self, t, y, meas):
-        """Reset whichever of the two warp angles is in its jump set (possibly both)."""
-        p = self.params
-        y_post = list(y)
-        fired = False
-        for (AR, g), (_, i) in zip(self._gaps(y, meas), self.warp_angles):
-            if g >= p.delta:
-                y_post[i] = best_reset_f(AR, p)[0]
-                fired = True
-        if not fired:
-            raise SolverError("velocity-free jump map applied outside the jump set")
-        return tuple(y_post)
-
-    def jump_margin(self, t, y, meas):
-        (_, g1), (_, g2) = self._gaps(y, meas)
-        return max(g1, g2) - self.params.delta
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains

@@ -14,10 +14,16 @@ off those configurations while the potential drops by at least a designed
 gap `delta`.
 
 This module owns the parameter constructor (axis and gap selection from the
-spectrum of A), the potential and its two gradients, the gap function used to
-define flow and jump sets, the gradient rate along trajectories, and the
-numerical certification of the gradient and gap bounds that the feedback laws
-rely on.
+spectrum of A), the potential and its two gradients, the gap, the gradient
+rate along trajectories, and the numerical certification of the gradient and
+gap bounds that the feedback laws rely on.
+
+The gap states the one jump rule of every hybrid law: a warp angle's gap is
+its value minus the least value over the reset set, the jump set is where the
+gap reaches the threshold delta, and a jump resets the angle to the reset
+angle of least value, so the value drops by at least delta.  The closed loops
+apply the rule in `controllers._TrackingLoop._gaps`, where the smooth law
+takes its filtered value and threshold delta' in place of the potential's.
 
 Each formula is written once, as a component-wise kernel (`*_f`) on Python
 floats: rotations as 9 floats in row-major order, vectors and the diagonal
@@ -100,11 +106,12 @@ class PotentialParams:
     theta_min: float = field(init=False)
     _trA: float = field(init=False, repr=False)
     # Float copies for the kernels: the diagonal of A and u as 3 floats, ux^2
-    # and the warp rotation of each reset angle (in theta_set order) as 9.
+    # as 9, and each reset angle paired with its warp rotation as 9 floats,
+    # in theta_set order.
     _A_f: tuple = field(init=False, repr=False)
     _u_f: tuple = field(init=False, repr=False)
     _ux2_f: tuple = field(init=False, repr=False)
-    _reset_W_f: tuple = field(init=False, repr=False)
+    _resets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A_f = diag_floats(self.A, "A")
@@ -136,8 +143,8 @@ class PotentialParams:
         object.__setattr__(self, "_A_f", A_f)
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
         object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))
-        object.__setattr__(self, "_reset_W_f",
-                           tuple(warp_rotation_f(th, self) for th in self.theta_set))
+        object.__setattr__(self, "_resets",
+                           tuple((th, warp_rotation_f(th, self)) for th in self.theta_set))
 
     def to_mapping(self) -> dict:
         """Flat mapping matching the scenario config keys for this parameter set."""
@@ -383,23 +390,6 @@ def gradients_f(AR, theta: float, p: PotentialParams, xp=math) -> tuple:
     return gradients_w_f(AR, warp_rotation_f(theta, p, xp), theta, p)
 
 
-def best_reset_f(AR, p: PotentialParams) -> tuple:
-    """(angle, value) of the reset angle minimizing the potential; ties go to the first."""
-    best_t = p.theta_set[0]
-    best_v = math.inf
-    for tp, W in zip(p.theta_set, p._reset_W_f):
-        v = value_w_f(AR, W, tp, p)
-        if v < best_v:
-            best_v = v
-            best_t = tp
-    return best_t, best_v
-
-
-def gap_f(AR, theta: float, p: PotentialParams) -> float:
-    """value at theta minus the best value over the reset set; may be negative."""
-    return value_f(AR, theta, p) - best_reset_f(AR, p)[1]
-
-
 def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: PotentialParams,
                          xp=math) -> tuple:
     """Rate of the rotation gradient along Rdot = R skew(omega), thetadot = theta_rate."""
@@ -452,9 +442,15 @@ def grad_rotation(R, theta: float, p: PotentialParams) -> np.ndarray:
     return gradients(R, theta, p)[0]
 
 
-def gap(R, theta: float, p: PotentialParams) -> float:
-    """value(R, theta) minus the best value over the reset set; may be negative."""
-    return gap_f(moment(R, p), float(theta), p)
+def gap(R, theta, p: PotentialParams):
+    """value(R, theta) minus the least value over the reset set; may be negative.
+
+    R is one rotation and theta a float, or R an (n, 3, 3) stack and theta an
+    (n,) array.  The closed loops take the same gap in `_gaps`.
+    """
+    AR = moment(R, p)
+    best = np.min([value_w_f(AR, W, tp, p) for tp, W in p._resets], axis=0)
+    return value_f(AR, theta, p, ARRAY_MATH if np.ndim(R) == 3 else math) - best
 
 
 def grad_rotation_rate(R, theta: float, omega, theta_rate: float, p: PotentialParams) -> np.ndarray:
@@ -485,16 +481,6 @@ def undesired_critical_points(p: PotentialParams) -> list[CriticalPoint]:
 
 # ---------------------------------------------------------------------------
 # Sampling over stacks of rotations (n, 3, 3).
-
-
-def gap_many(R: np.ndarray, theta: np.ndarray, p: PotentialParams) -> np.ndarray:
-    """gap at each rotation of a stack and warp angle of an (n,) array."""
-    AR = moment(R, p)
-    best = None
-    for tp, W in zip(p.theta_set, p._reset_W_f):
-        v = value_w_f(AR, W, tp, p)
-        best = v if best is None else np.minimum(best, v)
-    return value_f(AR, theta, p, ARRAY_MATH) - best
 
 
 def alignment_factor_many(T: np.ndarray, p: PotentialParams) -> np.ndarray:
@@ -535,7 +521,7 @@ def certification_constants(
     rng = np.random.default_rng(seed)
     R = random_rotations(n_samples, rng)
     theta = rng.uniform(-math.pi, math.pi, n_samples)
-    in_flow = gap_many(R, theta, p) <= p.delta
+    in_flow = gap(R, theta, p) <= p.delta
     W = warp_rotation_f(theta[in_flow], p, ARRAY_MATH)
     T = R[in_flow] @ np.stack(W, axis=1).reshape(-1, 3, 3)
     align = alignment_factor_many(T, p)

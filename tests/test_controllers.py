@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track.controllers import filtered_gap_f, filtered_value_w_f, torque_basic_f
-from so3track.errors import ContractError
+from so3track.controllers import filtered_value_w_f, torque_basic_f
+from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
 from so3track.so3 import floats
@@ -49,10 +49,20 @@ def warp_rate(R, theta, p, gains, inertia):
     return loop.flow(0.0, rest_state(R, theta), None)[THETA]
 
 
-def warp_reset(R, p, gains, inertia):
-    """The warp angle after the basic loop's jump map."""
+def warp_reset(R, theta, p, gains, inertia):
+    """The warp angle after the basic loop's jump map, from a state in the jump set."""
     loop = st.make_loop("basic", p, gains, inertia, REST)
-    return loop.jump(0.0, rest_state(R, 0.0), None)[THETA]
+    return loop.jump(0.0, rest_state(R, theta), None)[THETA]
+
+
+def jump_set_states(p, rng, n):
+    """n seeded (R, theta) pairs whose gap reaches delta."""
+    out = []
+    while len(out) < n:
+        R, theta = st.random_rotation(rng), rng.uniform(-math.pi, math.pi)
+        if st.gap(R, theta, p) >= p.delta:
+            out.append((R, theta))
+    return out
 
 
 def test_warp_rate_zero_at_target(paper_params, paper_gains, paper_inertia):
@@ -81,34 +91,27 @@ def test_warp_rate_descends(paper_params, paper_gains, paper_inertia):
 
 
 def test_warp_reset_singleton(paper_params, paper_gains, paper_inertia):
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        R = st.random_rotation(rng)
-        assert warp_reset(R, paper_params, paper_gains, paper_inertia) == 0.9 * math.pi
+    for R, theta in jump_set_states(paper_params, np.random.default_rng(1), 20):
+        assert warp_reset(R, theta, paper_params, paper_gains, paper_inertia) == 0.9 * math.pi
 
 
 def test_warp_reset_drops_potential_by_gap(paper_params, paper_gains, paper_inertia):
     p = paper_params
-    rng = np.random.default_rng(2)
-    found = 0
-    while found < 25:
-        R = st.random_rotation(rng)
-        theta = rng.uniform(-math.pi, math.pi)
-        if st.gap(R, theta, p) < p.delta:
-            continue
-        found += 1
-        post = warp_reset(R, p, paper_gains, paper_inertia)
+    for R, theta in jump_set_states(p, np.random.default_rng(2), 25):
+        post = warp_reset(R, theta, p, paper_gains, paper_inertia)
         assert st.value(R, post, p) <= st.value(R, theta, p) - p.delta
 
 
 def test_warp_reset_tie_break_prefers_first(paper_gains, paper_inertia):
-    # at the identity the potential is even in theta, so {a, -a} ties exactly
-    p = st.design_params(
-        np.diag([2.0, 4.0, 6.0]), [0.9 * math.pi, -0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5
-    )
-    a, b = p.theta_set
-    assert st.value(np.eye(3), a, p) == st.value(np.eye(3), b, p)
-    assert warp_reset(np.eye(3), p, paper_gains, paper_inertia) == a
+    # at a diagonal half turn A R is diagonal and the potential is even in
+    # theta, so {a, -a} ties exactly; at theta = 0 the state is in the jump set
+    R = np.diag([1.0, -1.0, -1.0])
+    for theta_set in ([0.9 * math.pi, -0.9 * math.pi], [-0.9 * math.pi, 0.9 * math.pi]):
+        p = st.design_params(np.diag([2.0, 4.0, 6.0]), theta_set, gamma_frac=0.5, delta_frac=0.5)
+        a, b = p.theta_set
+        assert st.value(R, a, p) == st.value(R, b, p)
+        assert st.gap(R, 0.0, p) >= p.delta
+        assert warp_reset(R, 0.0, p, paper_gains, paper_inertia) == a
 
 
 def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
@@ -223,8 +226,11 @@ def measured(s, meas):
 
 
 def filtered_gap(R, theta, zeta, p, rho):
-    """The smooth law's filtered gap, from its kernel."""
-    return filtered_gap_f(moment(R, p), float(theta), floats(zeta), p, rho)
+    """The smooth law's filtered gap: the filtered value at theta minus its least over the resets."""
+    AR, zeta = moment(R, p), floats(zeta)
+    best = min(filtered_value_w_f(AR, warp_rotation_f(tp, p), tp, zeta, p, rho)
+               for tp in p.theta_set)
+    return filtered_value_w_f(AR, warp_rotation_f(theta, p), theta, zeta, p, rho) - best
 
 
 def public_torque(kind, s, z, meas, p, gn, J):
@@ -484,6 +490,9 @@ def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inert
     zeta = rng.standard_normal(3)
     loop = st.make_loop("smooth", p, gn, J, fixed_reference(z))
     y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
+    while loop.jump_margin(0.0, y, None) < 0.0:
+        base.Re = st.random_rotation(rng)
+        y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
     y_post = loop.jump(0.0, y, None)
     assert y_post[THETA] != y[THETA]
     pre = loop.torque(0.0, y, None)
@@ -665,6 +674,8 @@ def test_non_hybrid_loop_never_jumps(paper_params, paper_gains, paper_inertia):
     loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia, REST)
     y = rest_state(st.undesired_critical_points(paper_params)[0].rotation, 0.0)
     assert loop.jump_margin(0.0, y, None) == -math.inf  # flow set only
+    with pytest.raises(SolverError):
+        loop.jump(0.0, y, None)
     ydot = loop.flow(0.0, y, None)
     assert ydot[THETA] == 0.0  # warp angle frozen
 
@@ -687,6 +698,74 @@ def test_non_hybrid_loop_runs_without_k_theta(paper_params, paper_inertia):
 def test_each_loop_class_defines_its_own_flow(kind):
     # per-law flow timing looks the method up in the class body
     assert "flow" in st.controllers.LOOP_CLASSES[kind].__dict__
+
+
+# --- the jump rule -----------------------------------------------------------
+
+# Two reset angles, so that a jump has a choice to make.
+TWO_RESETS = [-0.9 * math.pi, 0.9 * math.pi]
+
+
+def fig4_config(kind, **overrides):
+    """fig4 with a single member of one law, plus config overrides."""
+    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
+    return st.scenario_from_mapping({**base, "controllers": [kind], **overrides})
+
+
+def attractor_state(kind):
+    """The packed state of a law at its attractor, at rest on a resting frame."""
+    base = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
+    if kind == "smooth":
+        return st.SmoothLoopState(**base, zeta=np.zeros(3)).pack()
+    if kind == "velocity_free":
+        return st.VelocityFreeLoopState(**base, Rtilde=np.eye(3), theta_bar=0.0).pack()
+    return st.BasicLoopState(**base).pack()
+
+
+@pytest.mark.parametrize("kind", ["basic", "smooth", "velocity_free"])
+def test_every_jump_drops_the_monitor_by_jump_drop(kind):
+    # the smooth law must reset theta to the least filtered value: resetting
+    # to the potential's least value missed k_R delta' on some of these states
+    cfg = fig4_config(kind, theta_set=TWO_RESETS)
+    loop = st.build_member(cfg, cfg.members[0])[0]
+    rng = np.random.default_rng(1)
+    jumped = 0
+    for _ in range(4000):
+        s = random_loop_state(kind, rng)
+        if kind == "smooth":
+            s.zeta = 5.0 * s.zeta  # as large as the rotation gradient gets: c_psi = 10
+        y = tuple(s.pack().tolist())
+        if loop.jump_margin(0.0, y, None) < 0.0:
+            continue
+        jumped += 1
+        drop = loop.lyapunov_packed(y) - loop.lyapunov_packed(loop.jump(0.0, y, None))
+        assert drop >= loop.jump_drop - 1e-9
+    assert jumped > 1000
+
+
+def test_tumbling_smooth_member_certifies():
+    # a tumble_sweep member whose first jump, reset to the potential's least
+    # value, dropped the monitor by 0.102 < k_R delta' = 0.243
+    cfg = fig4_config(
+        "smooth",
+        R0_axis=[0.5819519089813335, -0.16672078425554362, 0.7959498449840907],
+        R0_angle=3.0030760170524027,
+        omega0=[4.233283111055588, -6.764239553534166, -19.15901661598872],
+        theta0=0.48052465759335306, theta_set=[-2.827433388230814, 2.827433388230814],
+        k_theta=20.02123404924168, noise_var_R=0.0, noise_var_omega=0.0, t_max=0.5, seed=548,
+    )
+    res = st.simulate_member(cfg, cfg.members[0])
+    assert res.arc.jumps
+    assert res.report.passed, res.report.failures
+
+
+@pytest.mark.parametrize("kind", LAWS)
+def test_jump_outside_the_jump_set_raises(kind, paper_params, paper_gains, paper_inertia):
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, REST)
+    y = attractor_state(kind)
+    assert loop.jump_margin(0.0, y, None) < 0.0
+    with pytest.raises(SolverError, match="outside the jump set"):
+        loop.jump(0.0, y, None)
 
 
 # --- gains validation --------------------------------------------------------

@@ -397,7 +397,7 @@ def test_gradient_lower_bound_on_flow_set(paper_params):
     n = 50_000
     R = st.random_rotations(n, rng)
     theta = rng.uniform(-math.pi, math.pi, n)
-    in_flow = st.potential.gap_many(R, theta, p) <= p.delta
+    in_flow = st.gap(R, theta, p) <= p.delta
     g_rot, g_th = batch_gradients(R[in_flow], theta[in_flow], p)
     lhs = np.einsum("ni,ni->n", g_rot, g_rot) + g_th * g_th
     rhs = cc.alpha2_approx * batch_value(R[in_flow], theta[in_flow], p)
