@@ -41,15 +41,12 @@ from .rigid_body import Inertia, Reference, feedforward, make_reference
 from .hybrid import HybridArc, HybridSystem, JumpEvent, SolverConfig, detect_crossing, rk4_step, solve
 from .controllers import (
     BasicLoop,
-    BasicLoopState,
     Gains,
     Measurement,
     NoiseModel,
     NonHybridLoop,
     SmoothLoop,
-    SmoothLoopState,
     VelocityFreeLoop,
-    VelocityFreeLoopState,
     filter_gain_bound,
     make_loop,
     torque_velocity_free,

@@ -83,8 +83,6 @@ from .so3 import (
     rot_distance_f,
 )
 
-CONTROLLER_KINDS = ("basic", "smooth", "velocity_free", "non_hybrid")
-
 _EYE_F = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 _ZERO_F = (0.0, 0.0, 0.0)
 
@@ -101,7 +99,7 @@ class Measurement(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Gains:
-    """Feedback gains; which fields are required depends on the controller.
+    """Feedback gains; each loop class checks the ones its law reads (`check`).
 
     Gamma, the velocity-free law's filter gain, is a diagonal 3x3 matrix
     with positive entries; the law reads only its diagonal.
@@ -115,60 +113,6 @@ class Gains:
     Gamma: np.ndarray | None = None
     rho: float | None = None
     delta_prime: float | None = None
-
-    def check_for(self, kind: str, params: PotentialParams) -> list[str]:
-        """Validate gains for a controller kind; returns advisory warnings.
-
-        Hard violations raise ContractError.  The filter-rate sufficient bound
-        and the filtered-gap margin bound are advisory: values beyond them are
-        reported, not rejected.
-        """
-        notes: list[str] = []
-        if self.k_R <= 0.0:
-            raise ContractError("k_R must be positive")
-        if kind != "non_hybrid":
-            if self.k_theta is None or self.k_theta <= 0.0:
-                raise ContractError("k_theta must be positive")
-        if kind in ("basic", "smooth", "non_hybrid"):
-            if self.k_omega is None or self.k_omega <= 0.0:
-                raise ContractError("k_omega must be positive")
-        if kind == "smooth":
-            if self.k_zeta is None or self.k_zeta <= 0.0:
-                raise ContractError("k_zeta must be positive")
-            if self.rho is None or self.rho <= 0.0:
-                raise ContractError("rho must be positive")
-            if self.delta_prime is None or not 0.0 < self.delta_prime < params.delta:
-                raise ContractError("delta_prime must lie in (0, delta)")
-            c_psi = gradient_bounds(params).c_psi
-            rho_bound = (params.delta - self.delta_prime) / (c_psi * c_psi)
-            if self.rho >= rho_bound:
-                notes.append(
-                    f"rho = {self.rho} exceeds the certified filtered-gap bound "
-                    f"(delta - delta_prime)/c_psi^2 = {rho_bound:.6g}; the jump-set "
-                    "margin at the unwanted critical points is no longer guaranteed"
-                )
-            try:
-                kz_star = filter_gain_bound(self, params)
-            except (OverflowError, ZeroDivisionError):
-                kz_star = math.inf
-            if not math.isfinite(kz_star):
-                raise ContractError(f"the sufficient filter rate k_zeta* is not finite for "
-                                    f"k_R = {self.k_R}, k_omega = {self.k_omega}, "
-                                    f"k_theta = {self.k_theta} and rho = {self.rho}")
-            if self.k_zeta <= kz_star:
-                notes.append(
-                    f"k_zeta = {self.k_zeta} is below the sufficient bound "
-                    f"k_zeta* = {kz_star:.6g}; flow decrease of the filtered "
-                    "monitor is not certified (it may still hold)"
-                )
-        if kind == "velocity_free":
-            if self.k_beta is None or self.k_beta <= 0.0:
-                raise ContractError("k_beta must be positive")
-            if self.Gamma is None:
-                raise ContractError("Gamma matrix is required")
-            if not min(diag_floats(self.Gamma, "Gamma")) > 0.0:
-                raise ContractError("Gamma must be positive definite")
-        return notes
 
 
 def filter_gain_bound(gains: Gains, params: PotentialParams) -> float:
@@ -267,54 +211,6 @@ def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialP
     return np.array(torque_velocity_free_f(ups, g1, g2, gains))
 
 
-# ---------------------------------------------------------------------------
-# Loop states.
-
-
-@dataclass
-class BasicLoopState:
-    """Initial state of a closed loop, packed at the offsets its loop class declares."""
-
-    Re: np.ndarray
-    theta: float
-    omega_e: np.ndarray
-    omega_r: np.ndarray
-
-    def pack(self) -> np.ndarray:
-        L = BasicLoop
-        y = np.empty(L.WIDTH)
-        y[L.R_E] = np.asarray(self.Re, dtype=float).ravel()
-        y[L.THETA] = self.theta
-        y[L.OMEGA_E] = self.omega_e
-        y[L.OMEGA_R] = self.omega_r
-        return y
-
-
-@dataclass
-class SmoothLoopState(BasicLoopState):
-    zeta: np.ndarray = None
-
-    def pack(self) -> np.ndarray:
-        y = np.empty(SmoothLoop.WIDTH)
-        y[:BasicLoop.WIDTH] = super().pack()
-        y[SmoothLoop.ZETA] = self.zeta
-        return y
-
-
-@dataclass
-class VelocityFreeLoopState(BasicLoopState):
-    Rtilde: np.ndarray = None
-    theta_bar: float = 0.0
-
-    def pack(self) -> np.ndarray:
-        L = VelocityFreeLoop
-        y = np.empty(L.WIDTH)
-        y[:BasicLoop.WIDTH] = super().pack()
-        y[L.R_TILDE] = np.asarray(self.Rtilde, dtype=float).ravel()
-        y[L.THETA_BAR] = self.theta_bar
-        return y
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-axis measurement noise standard deviations (zero disables a channel)."""
@@ -349,6 +245,11 @@ class _TrackingLoop(HybridSystem):
     `jump_drop`.  Each law class binds `flow = _TrackingLoop._flow` in its
     own body, so that per-law profiles (`perfbench/layers.py`) can tell the
     laws' flows apart.
+
+    Everything else a law needs is declared on its class too: its state
+    fields (`state_fields`, read by `pack`), the gains it reads (`gain_names`
+    and `check`), its linearised decay rates (`decay_rates`) and whether its
+    torque must stay continuous across jumps (`continuous_torque`).
     """
 
     # The packed state in error coordinates: the error rotation R_e, the warp
@@ -360,20 +261,47 @@ class _TrackingLoop(HybridSystem):
     OMEGA_E = slice(10, 13)
     OMEGA_R = slice(13, 16)
     WIDTH = 16
+    # (field, offset) of each initial-state field that `pack` takes.
+    state_fields: tuple = (("Re", R_E), ("theta", THETA), ("omega_e", OMEGA_E),
+                           ("omega_r", OMEGA_R))
     rotation_slices: tuple = (R_E,)
     # (name, rotation slice, index) of each warp angle in the packed state:
     # its gap is taken at that rotation.
     warp_angles: tuple = (("theta", R_E, THETA),)
+    # The gains the law reads that `check` requires to be positive, in the
+    # order it checks them.
+    gain_names: tuple = ("k_R", "k_theta", "k_omega")
+    continuous_torque = False  # whether `certify_arc` requires the torque not to jump
 
     def __init__(self, params: PotentialParams, gains: Gains, inertia: Inertia,
-                 reference: Reference, noise: NoiseModel | None = None):
+                 reference: Reference, noise: NoiseModel | None = None, relaxed: bool = False):
+        """`relaxed` selects the relaxed flow of a law's filter state; a law without one ignores it."""
         self.params = params
         self.gains = gains
         self.inertia = inertia
         self.reference = reference
         self.noise = noise if (noise is not None and noise.enabled) else None
+        self.relaxed = relaxed
         self._cores = [None, None]  # compiled `_rates`, noisy and exact (index: meas is None)
         self._threshold = params.delta  # the gap at which a warp angle jumps
+
+    @classmethod
+    def pack(cls, **state) -> np.ndarray:
+        """The packed state of the fields named in `state_fields`, each at its offset.
+
+        Rotations are 3x3 arrays, packed row-major.  ContractError for a
+        missing or an unknown field.
+        """
+        names = [name for name, _ in cls.state_fields]
+        missing = [n for n in names if n not in state]
+        unknown = [n for n in state if n not in names]
+        if missing or unknown:
+            raise ContractError(f"a {cls.kind} loop state has the fields {names}; "
+                                f"missing {missing}, unknown {unknown}")
+        y = np.empty(cls.WIDTH)
+        for name, at in cls.state_fields:
+            y[at] = np.reshape(state[name], np.shape(y[at]))
+        return y
 
     @property
     def jump_drop(self) -> float:
@@ -381,7 +309,34 @@ class _TrackingLoop(HybridSystem):
         return self.gains.k_R * self._threshold
 
     def check(self) -> list[str]:
-        return self.gains.check_for(self.kind, self.params)
+        """Validate the gains the law reads; returns advisory warnings.
+
+        ContractError for a gain of `gain_names` that is missing or not
+        positive.  A law that checks more extends this.
+        """
+        for name in self.gain_names:
+            v = getattr(self.gains, name)
+            if v is None or v <= 0.0:
+                raise ContractError(f"{name} must be positive")
+        return []
+
+    def decay_rates(self) -> list:
+        """(rate, source) of each linearised decay mode of the closed loop.
+
+        Here the warp-angle flow: k_theta times the curvature bound
+        gamma + lambda_2(A) + lambda_3(A) of the potential in theta.  A law
+        extends the list with its own modes.  `validate_scenario` compares
+        the fastest with the RK4 stability limit; the estimate reads one mode
+        at a time and ignores the coupling between them, so it is a guide,
+        not a proof of stability.
+        """
+        p = self.params
+        return [(self.gains.k_theta * (p.gamma + gradient_bounds(p).c_psi),
+                 "k_theta times the warp-angle curvature bound")]
+
+    def _velocity_damping(self) -> tuple:
+        """(rate, source) of the velocity damping of a law that reads the velocity."""
+        return self.gains.k_omega / min(self.inertia.J_f), "k_omega / lambda_min(J)"
 
     def sample_measurement(self, rng):
         n = self.noise
@@ -403,7 +358,8 @@ class _TrackingLoop(HybridSystem):
         if n2 > b * b:
             raise SolverError(
                 f"reference angular velocity left its declared set at t={t}: "
-                f"||omega_r|| = {math.sqrt(n2):.6g} > {b}"
+                f"||omega_r|| = {math.sqrt(n2):.6g} > {b}",
+                t=t,
             )
 
     def _feedforward(self, R, omega_r, z) -> tuple:
@@ -599,11 +555,15 @@ class BasicLoop(_TrackingLoop):
         U = value_f(diag_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
         return U, self.gains.k_R * U + self._kinetic(v[self.OMEGA_E])
 
+    def decay_rates(self):
+        return super().decay_rates() + [self._velocity_damping()]
+
 
 class NonHybridLoop(BasicLoop):
     kind = "non_hybrid"
     warp_angles = ()  # no jump set
     jump_drop = 0.0
+    gain_names = ("k_R", "k_omega")
 
     flow = _TrackingLoop._flow
 
@@ -613,17 +573,60 @@ class NonHybridLoop(BasicLoop):
         tau, a, Ja, ups, _ = self._control(z, y, meas, xp)
         return (*mat_skew_f(Re, we), 0.0, *self._accel(we, a, Ja, ups, tau), *z)
 
+    def decay_rates(self):
+        """The velocity damping alone: the warp angle is frozen."""
+        return [self._velocity_damping()]
+
 
 class SmoothLoop(_TrackingLoop):
     kind = "smooth"
     ZETA = slice(16, 19)
     WIDTH = 19
+    state_fields = _TrackingLoop.state_fields + (("zeta", ZETA),)
+    gain_names = _TrackingLoop.gain_names + ("k_zeta", "rho")
+    continuous_torque = True  # the filter state, not the warp gradient, enters the torque
     columns = BasicLoop.columns + ("zeta_x", "zeta_y", "zeta_z")
 
     def __init__(self, params, gains, inertia, reference, noise=None, relaxed: bool = False):
-        super().__init__(params, gains, inertia, reference, noise)
-        self.relaxed = relaxed
+        super().__init__(params, gains, inertia, reference, noise, relaxed)
         self._threshold = gains.delta_prime
+
+    def check(self):
+        """Also delta_prime in (0, delta).
+
+        The filter-rate sufficient bound and the filtered-gap margin bound are
+        advisory: values beyond them are reported, not rejected.
+        """
+        notes = super().check()
+        p, gn = self.params, self.gains
+        if gn.delta_prime is None or not 0.0 < gn.delta_prime < p.delta:
+            raise ContractError("delta_prime must lie in (0, delta)")
+        c_psi = gradient_bounds(p).c_psi
+        rho_bound = (p.delta - gn.delta_prime) / (c_psi * c_psi)
+        if gn.rho >= rho_bound:
+            notes.append(
+                f"rho = {gn.rho} exceeds the certified filtered-gap bound "
+                f"(delta - delta_prime)/c_psi^2 = {rho_bound:.6g}; the jump-set "
+                "margin at the unwanted critical points is no longer guaranteed"
+            )
+        try:
+            kz_star = filter_gain_bound(gn, p)
+        except (OverflowError, ZeroDivisionError):
+            kz_star = math.inf
+        if not math.isfinite(kz_star):
+            raise ContractError(f"the sufficient filter rate k_zeta* is not finite for "
+                                f"k_R = {gn.k_R}, k_omega = {gn.k_omega}, "
+                                f"k_theta = {gn.k_theta} and rho = {gn.rho}")
+        if gn.k_zeta <= kz_star:
+            notes.append(
+                f"k_zeta = {gn.k_zeta} is below the sufficient bound "
+                f"k_zeta* = {kz_star:.6g}; flow decrease of the filtered "
+                "monitor is not certified (it may still hold)"
+            )
+        return notes
+
+    def decay_rates(self):
+        return super().decay_rates() + [(self.gains.k_zeta, "k_zeta"), self._velocity_damping()]
 
     def _control(self, z, v, meas, xp=math):
         """(torque, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
@@ -669,13 +672,24 @@ class VelocityFreeLoop(_TrackingLoop):
     R_TILDE = slice(16, 25)
     THETA_BAR = 25
     WIDTH = 26
+    state_fields = _TrackingLoop.state_fields + (("Rtilde", R_TILDE), ("theta_bar", THETA_BAR))
     rotation_slices = _TrackingLoop.rotation_slices + (R_TILDE,)
     warp_angles = _TrackingLoop.warp_angles + (("theta_bar", R_TILDE, THETA_BAR),)
+    gain_names = ("k_R", "k_theta", "k_beta")
     columns = BasicLoop.columns + ("dist_Rtilde", "theta_bar")
 
-    def __init__(self, params, gains, inertia, reference, noise=None):
-        super().__init__(params, gains, inertia, reference, noise)
+    def __init__(self, params, gains, inertia, reference, noise=None, relaxed: bool = False):
+        super().__init__(params, gains, inertia, reference, noise, relaxed)
         self._Gamma = diag_floats(gains.Gamma, "Gamma") if gains.Gamma is not None else None
+
+    def check(self):
+        """Also a filter gain Gamma with positive diagonal entries."""
+        notes = super().check()
+        if self._Gamma is None:
+            raise ContractError("Gamma matrix is required")
+        if not min(self._Gamma) > 0.0:
+            raise ContractError("Gamma must be positive definite")
+        return notes
 
     @property
     def jump_drop(self) -> float:
@@ -721,12 +735,7 @@ class VelocityFreeLoop(_TrackingLoop):
         return rot_distance_f(v[self.R_TILDE], xp), v[self.THETA_BAR]
 
 
-LOOP_CLASSES = {
-    "basic": BasicLoop,
-    "smooth": SmoothLoop,
-    "velocity_free": VelocityFreeLoop,
-    "non_hybrid": NonHybridLoop,
-}
+LOOP_CLASSES = {cls.kind: cls for cls in (BasicLoop, SmoothLoop, VelocityFreeLoop, NonHybridLoop)}
 
 
 def make_loop(kind: str, params: PotentialParams, gains: Gains, inertia: Inertia,
@@ -734,7 +743,5 @@ def make_loop(kind: str, params: PotentialParams, gains: Gains, inertia: Inertia
               relaxed_filter: bool = False):
     """Build a closed loop of the given kind; `loop.check()` gives its gain advisories."""
     if kind not in LOOP_CLASSES:
-        raise ContractError(f"unknown controller '{kind}', choose from {CONTROLLER_KINDS}")
-    if kind == "smooth":
-        return SmoothLoop(params, gains, inertia, reference, noise, relaxed=relaxed_filter)
-    return LOOP_CLASSES[kind](params, gains, inertia, reference, noise)
+        raise ContractError(f"unknown controller '{kind}', choose from {tuple(LOOP_CLASSES)}")
+    return LOOP_CLASSES[kind](params, gains, inertia, reference, noise, relaxed_filter)

@@ -13,9 +13,9 @@ class SolverError(RuntimeError):
     An error raised by `solve` carries the hybrid time `t` and jump count `j`
     where it stopped: a flow step's error the (t, j) the step started from and
     its length `h`, a jump margin that is not a number or the chattering guard
-    the (t, j) of the offending state, with `h` None.  Errors raised inside a
-    loop's own maps (the reference guard, a jump map applied outside its set)
-    leave all three None.
+    the (t, j) of the offending state, with `h` None.  A reference that leaves
+    its declared bounds raises with the t at which it did, and `j` and `h`
+    None; a jump map applied outside its set leaves all three None.
     """
 
     def __init__(self, message: str, *, t: float | None = None, j: int | None = None,

@@ -202,8 +202,9 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     (chattering guard; the closed loops of this package have provably finite
     jump counts, so hitting the guard indicates a configuration error), and
     when a flow step ends in a non-finite state or one that `system.project`
-    rejects (typically a step size too large for the gains); an error of a
-    flow step also carries the step length h.
+    rejects, or a flow evaluation in it raises ValueError (typically a step
+    size too large for the gains); an error of a flow step also carries the
+    step length h.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -234,7 +235,13 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
 
     def advance(h: float) -> tuple:
         """The projected RK4 step of length h from (t, y)."""
-        y_h = rk4_step(system.flow, t, y, h, meas)
+        try:
+            y_h = rk4_step(system.flow, t, y, h, meas)
+        except ValueError as e:  # `math` refuses an infinite stage value: "math domain error"
+            raise SolverError(
+                f"a flow evaluation failed in the step from t={t}, j={j} with h={h}: {e}",
+                t=t, j=j, h=h,
+            ) from e
         # The sum is not finite when a component is not.
         if not math.isfinite(sum(y_h)):
             raise SolverError(

@@ -108,8 +108,10 @@ def certify_arc(arc, loop) -> CertificationReport:
     measurement noise the flow monotonicity of the monitor is not a theorem,
     so it is reported but not enforced.  An arc the solver stopped at its jump
     limit (status "j_max") fails: the loops' jump counts are bounded, so
-    reaching the limit means the run diverged or the limit is too small.  The
-    loop must be of the kind that produced the arc.
+    reaching the limit means the run diverged or the limit is too small.  A
+    loop with no designed drop (`jump_drop` 0) has a jump-count bound of 0,
+    so any jump fails it, and a loop whose `continuous_torque` is set fails on
+    any torque jump.  The loop must be of the kind that produced the arc.
     """
     if loop.kind != arc.controller:
         raise ContractError(
@@ -139,8 +141,6 @@ def certify_arc(arc, loop) -> CertificationReport:
         # Noise-triggered jumps fire on the measured state, so the true-state
         # drop is only guaranteed for exact measurements.
         failures.append(f"a jump dropped the monitor by {min_drop:.6g} < required {req:.6g}")
-    if arc.controller == "non_hybrid" and arc.jumps:
-        failures.append("the non-hybrid loop produced jumps")
 
     bound = max(1, math.ceil(lyap[0] / req)) if req > 0.0 else 0
     count_ok = len(arc.jumps) <= bound if req > 0.0 else len(arc.jumps) == 0
@@ -155,10 +155,10 @@ def certify_arc(arc, loop) -> CertificationReport:
     tau_jumps = [ev.info["tau_jump"] for ev in arc.jumps if "tau_jump" in ev.info]
     max_tau_jump = max(tau_jumps) if tau_jumps else None
     torque_ok = None
-    if arc.controller == "smooth":
+    if loop.continuous_torque:
         torque_ok = max_tau_jump is None or max_tau_jump <= 0.0
         if not torque_ok:
-            failures.append(f"smooth torque jumped by {max_tau_jump:.3g} at a reset")
+            failures.append(f"{loop.kind} torque jumped by {max_tau_jump:.3g} at a reset")
 
     we = np.sqrt(
         arc.column("we_x") ** 2 + arc.column("we_y") ** 2 + arc.column("we_z") ** 2

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, SolverError
 from .so3 import diag_floats, floats, mat_tvec_f
 
 
@@ -65,9 +65,9 @@ class Reference:
 
     `m_bound` bounds ||z(t)|| (checked at every evaluation) and
     `omega_r_bound` declares the compact set the reference velocity must stay
-    in; the simulation aborts if the bound is violated.  `z_fn(t, xp)` gives
-    z(t) as 3 floats, or as 3 arrays over an (n,) array of times with
-    xp = ARRAY_MATH (see `so3`).
+    in; the simulation aborts with a `SolverError` that carries the time t
+    if either bound is violated.  `z_fn(t, xp)` gives z(t) as 3 floats, or
+    as 3 arrays over an (n,) array of times with xp = ARRAY_MATH (see `so3`).
     """
 
     name: str
@@ -76,7 +76,10 @@ class Reference:
     omega_r_bound: float
 
     def z_at(self, t: float, xp=math) -> tuple:
-        """z(t) as 3 floats (3 arrays over a batch of times), checked against `m_bound`."""
+        """z(t) as 3 floats (3 arrays over a batch of times), checked against `m_bound`.
+
+        SolverError, carrying t, where ||z(t)|| exceeds `m_bound`.
+        """
         z = self.z_fn(t, xp)
         n2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
         if xp is not math:  # check the largest norm of the batch, at its time
@@ -85,8 +88,9 @@ class Reference:
             t, n2 = float(t[i]), float(n2[i])
         n = math.sqrt(n2)
         if n > self.m_bound:
-            raise ContractError(
-                f"reference '{self.name}' at t={t}: ||z|| = {n} exceeds the bound {self.m_bound}"
+            raise SolverError(
+                f"reference '{self.name}' at t={t}: ||z|| = {n} exceeds the bound {self.m_bound}",
+                t=t,
             )
         return z
 
@@ -106,8 +110,12 @@ REFERENCE_FUNCTIONS: dict[str, Callable[..., tuple]] = {
 
 
 def make_reference(name: str, m_bound: float, omega_r_bound: float) -> Reference:
+    """The named reference; ContractError for an unknown name or a bound that is not positive."""
     if name not in REFERENCE_FUNCTIONS:
         raise ContractError(f"unknown reference '{name}', choose from {sorted(REFERENCE_FUNCTIONS)}")
+    for key, bound in (("m_bound", m_bound), ("omega_r_bound", omega_r_bound)):
+        if not bound > 0.0:
+            raise ContractError(f"'{key}' must be positive, got {bound}")
     return Reference(name=name, z_fn=REFERENCE_FUNCTIONS[name], m_bound=m_bound, omega_r_bound=omega_r_bound)
 
 

@@ -17,20 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .controllers import (
-    CONTROLLER_KINDS,
-    BasicLoopState,
-    Gains,
-    NoiseModel,
-    SmoothLoopState,
-    VelocityFreeLoopState,
-    make_loop,
-)
+from .controllers import LOOP_CLASSES, Gains, NoiseModel, make_loop
 from .errors import ConfigError, ContractError
 from .hybrid import SolverConfig, solve
 from .monitors import certify_arc
 from .output import write_csv, write_member_plots
-from .potential import design_params, gradient_bounds
+from .potential import design_params
 from .rigid_body import Inertia, make_reference
 from .so3 import angle_axis
 
@@ -200,8 +192,8 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     if not isinstance(controllers, list) or not controllers:
         raise ConfigError("'controllers' must be a nonempty list")
     for c in controllers:
-        if c not in CONTROLLER_KINDS:
-            raise ConfigError(f"'controllers' entry '{c}' not one of {CONTROLLER_KINDS}")
+        if c not in LOOP_CLASSES:
+            raise ConfigError(f"'controllers' entry '{c}' not one of {tuple(LOOP_CLASSES)}")
     gammas = as_floats("gammas")
     if len(gammas) == 1:
         gammas = gammas * len(controllers)
@@ -314,19 +306,6 @@ def load_scenario(name_or_path) -> ScenarioConfig:
     return scenario_from_mapping(parse_config_text(text))
 
 
-def _member_params(cfg: ScenarioConfig, member: MemberSpec):
-    try:
-        return design_params(
-            np.diag(cfg.A_diag),
-            cfg.theta_set,
-            gamma=member.gamma,
-            delta=cfg.delta,
-            delta_frac=cfg.delta_frac,
-        )
-    except ContractError as e:
-        raise ConfigError(f"member {member.label}: {e}") from None
-
-
 def _unit_axis(axis) -> np.ndarray:
     """The rotation axis scaled to unit length.
 
@@ -346,7 +325,11 @@ def _unit_axis(axis) -> np.ndarray:
 
 def build_member(cfg: ScenarioConfig, member: MemberSpec):
     """Closed loop plus packed initial state for one member run."""
-    params = _member_params(cfg, member)
+    try:
+        params = design_params(np.diag(cfg.A_diag), cfg.theta_set, gamma=member.gamma,
+                               delta=cfg.delta, delta_frac=cfg.delta_frac)
+    except ContractError as e:
+        raise ConfigError(f"member {member.label}: {e}") from None
     try:
         inertia = Inertia.from_diag(cfg.inertia_diag)
     except ContractError as e:
@@ -358,26 +341,14 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec):
     noise = NoiseModel(
         sigma_R=math.sqrt(cfg.noise_var_R), sigma_omega=math.sqrt(cfg.noise_var_omega)
     )
-    loop = make_loop(
-        member.controller,
-        params,
-        cfg.gains,
-        inertia,
-        reference,
-        noise,
-        relaxed_filter=cfg.zeta_dynamics == "relaxed",
-    )
+    loop = make_loop(member.controller, params, cfg.gains, inertia, reference, noise,
+                     relaxed_filter=cfg.zeta_dynamics == "relaxed")
     R0 = angle_axis(cfg.R0_angle, _unit_axis(cfg.R0_axis))
-    omega0 = np.asarray(cfg.omega0, dtype=float)
-    base = dict(Re=R0, theta=cfg.theta0, omega_e=omega0, omega_r=np.zeros(3))
-    if member.controller == "smooth":
-        state = SmoothLoopState(**base, zeta=np.asarray(cfg.zeta0, dtype=float))
-    elif member.controller == "velocity_free":
-        Rbar0 = R0.T if cfg.Rbar0 == "transpose" else np.eye(3)
-        state = VelocityFreeLoopState(**base, Rtilde=Rbar0.T @ R0, theta_bar=cfg.theta_bar0)
-    else:
-        state = BasicLoopState(**base)
-    return loop, state.pack()
+    Rbar0 = R0.T if cfg.Rbar0 == "transpose" else np.eye(3)
+    # The initial value of every state field a law may declare; the loop packs its own.
+    init = dict(Re=R0, theta=cfg.theta0, omega_e=cfg.omega0, omega_r=np.zeros(3),
+                zeta=cfg.zeta0, Rtilde=Rbar0.T @ R0, theta_bar=cfg.theta_bar0)
+    return loop, loop.pack(**{name: init[name] for name, _ in loop.state_fields})
 
 
 # Classical RK4 is stable on the negative real axis down to h lambda = -2.785.
@@ -389,66 +360,56 @@ RK4_REAL_LIMIT = 2.785
 STEP_BUDGET = 1_000_000
 
 
-def fastest_rate(cfg: ScenarioConfig, member: MemberSpec, params) -> tuple[float, str]:
-    """(rate, source) of the fastest linearised decay rate of a member's closed loop.
+def validate_scenario(cfg: ScenarioConfig) -> list[str]:
+    """Run every member-level invariant check without simulating.
 
-    The candidates are the warp-angle flow, k_theta times the curvature bound
-    gamma + lambda_2(A) + lambda_3(A) of the potential in theta (not for the
-    non-hybrid loop, whose warp angle is frozen), the smooth law's filter rate
-    k_zeta, and the velocity damping k_omega / lambda_min(J) of the laws that
-    read the velocity.  RK4 is stable on such a mode while dt * rate stays
-    below RK4_REAL_LIMIT.
+    Builds each member's loop once and asks it for its gain checks
+    (`loop.check`) and linearised decay rates (`loop.decay_rates`).  Raises
+    ConfigError on hard violations, among them a negative seed, a horizon of
+    more than STEP_BUDGET steps and an initial state at which the jump-count
+    bound V(0) / jump_drop of `certify_arc` is not finite; returns advisory
+    warnings, among them a step size past the RK4 limit of a member's
+    fastest rate.
 
-    For the bundled gains the estimate is conservative by 13 % or more.  In
-    fig3 and fig4 the warp-angle mode is the fastest (k_theta = 50,
+    For the bundled gains the rate estimate is conservative by 13 % or more.
+    In fig3 and fig4 the warp-angle mode is the fastest (k_theta = 50,
     curvature bound 10.3 to 10.7), which puts the limit at 0.0052 to
     0.0054 s, so dt = 0.005 passes without a warning.  Every noise-free
     fig3 and fig4 member certifies at dt = 0.005 and 0.0055.  The first
     failure is the velocity-free member at 0.006; the basic and smooth
     members fail from 0.008 or 0.01, and the non-hybrid member certifies up
-    to 0.012 at least.  The estimate reads one mode at a time and ignores
-    the coupling between them, so it is a guide, not a proof of stability.
-    """
-    gains = cfg.gains
-    rates = []
-    if member.controller != "non_hybrid":
-        curvature = params.gamma + gradient_bounds(params).c_psi
-        rates.append((gains.k_theta * curvature,
-                      "k_theta times the warp-angle curvature bound"))
-    if member.controller == "smooth":
-        rates.append((gains.k_zeta, "k_zeta"))
-    if member.controller != "velocity_free":
-        rates.append((gains.k_omega / min(cfg.inertia_diag), "k_omega / lambda_min(J)"))
-    return max(rates)
-
-
-def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Run every member-level invariant check without simulating.
-
-    Raises ConfigError on hard violations, among them a horizon of more than
-    STEP_BUDGET steps; returns advisory warnings, among them a step size past
-    the RK4 limit of a member's `fastest_rate`.
+    to 0.012 at least.
     """
     _solver_config(cfg.dt, cfg.t_max, cfg.j_max)  # also covers overrides applied after loading
+    if cfg.seed < 0:
+        raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
     steps = cfg.t_max / cfg.dt
     if steps > STEP_BUDGET:
         raise ConfigError(f"t_max / dt = {steps:.3g} steps is over the budget of "
                           f"{STEP_BUDGET} steps per member")
     notes: list[str] = []
+    built = []
     for member in cfg.members:
-        params = _member_params(cfg, member)
+        loop, y0 = build_member(cfg, member)
         try:
-            member_notes = cfg.gains.check_for(member.controller, params)
+            member_notes = loop.check()
         except ContractError as e:
             raise ConfigError(f"member {member.label}: {e}") from None
-        rate, source = fastest_rate(cfg, member, params)
+        rate, source = max(loop.decay_rates())
         if cfg.dt * rate > RK4_REAL_LIMIT:
             member_notes.append(
                 f"dt = {cfg.dt} is past the RK4 stability limit {RK4_REAL_LIMIT / rate:.3g} "
                 f"of the fastest linearised rate {rate:.4g}/s ({source}); the run may diverge"
             )
         notes.extend(f"member {member.label}: {n}" for n in member_notes)
-        build_member(cfg, member)
+        built.append((member, loop, y0))
+    # `certify_arc` bounds the jump count by V(0) / jump_drop (no jump when the drop is 0).
+    # Checked after every member is built, so that a member's build error comes first.
+    for member, loop, y0 in built:
+        lyap0, drop = loop.lyapunov_packed(tuple(y0.tolist())), loop.jump_drop
+        if not math.isfinite(lyap0 / (drop or 1.0)):
+            raise ConfigError(f"member {member.label}: the jump-count bound V(0) / jump_drop = "
+                              f"{lyap0:.6g} / {drop:.6g} is not finite")
     return notes
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import so3track as st
 from so3track.cli import main
-from so3track.errors import ConfigError
+from so3track.errors import ConfigError, SolverError
 
 MINI = """
 name = mini
@@ -292,3 +292,50 @@ def test_run_output_error_exit_code(tmp_path):
     assert "Traceback" not in r.stderr
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert r.stderr.startswith("output error:") and "blocker" in r.stderr
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", "-3", "'seed' must be nonnegative, got -3"),
+    ("m_bound", "-1", "'m_bound' must be positive, got -1.0"),
+    ("m_bound", "0", "'m_bound' must be positive, got 0.0"),
+    ("omega_r_bound", "-1", "'omega_r_bound' must be positive, got -1.0"),
+], ids=("seed_negative", "m_bound_negative", "m_bound_zero", "omega_r_bound_negative"))
+def test_run_rejects_a_negative_seed_or_bound_with_one_line(tmp_path, capsys, key, value,
+                                                            message):
+    # a negative seed crashed in np.random.default_rng, m_bound = -1 in the
+    # reference check, and omega_r_bound = -1 was squared and passed
+    cfg = write_cfg(tmp_path, MINI.replace("seed = 7", "") + f"{key} = {value}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_negative_seed_override_with_one_line(tmp_path, capsys):
+    assert main(["run", "fig3", "--seed", "-2", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: 'seed' must be nonnegative, got -2\n"
+
+
+def test_reference_past_m_bound_is_a_solver_error_with_t(tmp_path, capsys):
+    # ||z(0)|| = sqrt(1.01) = 1.005 > m_bound: the reference check raised a
+    # ContractError out of `solve`, and `run` printed a traceback
+    text = MINI.replace("t_max = 0.5", "t_max = 0.005") + "m_bound = 1.0\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("solver error: reference 'paper_sine' at t=0.0: ||z|| = 1.00498")
+    loaded = st.load_scenario(str(cfg))
+    with pytest.raises(SolverError, match="exceeds the bound 1.0") as e:
+        st.simulate_member(loaded, loaded.members[0])
+    assert e.value.t == 0.0
+
+
+def test_non_finite_initial_monitor_is_a_config_error(tmp_path, capsys):
+    # theta0 = 1e300 validated, and `certify_arc` overflowed in the jump-count
+    # bound ceil(V(0) / jump_drop) with V(0) = inf
+    text = st.bundled_scenarios()["fig4"].read_text() + "theta0 = 1e300\n"
+    cfg = write_cfg(tmp_path, text)
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("config error: member 0_basic: the jump-count bound "
+                                           "V(0) / jump_drop = inf / 0.486 is not finite\n")

@@ -1,13 +1,18 @@
-"""Seeded config fuzz: a mutated bundled config validates or ends in one ConfigError."""
+"""Seeded config fuzz: a mutated bundled config validates or ends in one ConfigError.
 
+A second seeded stage runs each mutated config that validates for a few steps.
+"""
+
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import so3track as st
 from so3track.cli import main
-from so3track.errors import ConfigError
+from so3track.errors import ConfigError, SolverError
 from so3track.scenarios import _DEFAULTS, _REQUIRED
 
 # Every key the loader knows, a removed key (`priority`) and one it never knew.
@@ -27,6 +32,10 @@ LISTS = (
     ["basic"], ["smooth", "velocity_free"], ["basic", "bogus"], [0.3, 0.5, 0.7],
 )
 POOL = SCALARS + LISTS
+
+# Cases and steps per member of the run stage.
+RUN_CASES = 2000
+RUN_STEPS = 5
 
 
 def bundled_mappings():
@@ -105,3 +114,31 @@ def test_mutated_configs_through_the_cli(tmp_path, capsys):
             assert err.startswith("config error:") and err.splitlines() == [err.strip()]
         else:
             assert code == 0 and err == "" and "OK" in out
+
+
+def test_mutated_configs_that_validate_run_a_few_steps():
+    # a config that validates must run: each member ends in PASS/FAIL, a
+    # SolverError or a ConfigError, never another exception
+    bases = bundled_mappings()
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for case in range(RUN_CASES):
+        name = rng.choice(sorted(bases))
+        raw = mutate(bases[name], rng)
+        try:
+            cfg = st.scenario_from_mapping(raw)
+            st.validate_scenario(cfg)
+        except ConfigError:
+            continue
+        cfg = dataclasses.replace(cfg, t_max=min(cfg.t_max, RUN_STEPS * cfg.dt))
+        for member in cfg.members:
+            try:
+                res = st.simulate_member(cfg, member)
+            except (SolverError, ConfigError) as e:
+                outcomes[type(e).__name__] += 1
+            except Exception as e:
+                pytest.fail(f"case {case} ({name}, {raw}), member {member.label} "
+                            f"raised {type(e).__name__}: {e}")
+            else:
+                outcomes["PASS" if res.report.passed else "FAIL"] += 1
+    assert outcomes["PASS"] > 200 and outcomes["SolverError"] > 10, outcomes

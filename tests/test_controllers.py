@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,12 +22,17 @@ R_TILDE, THETA_BAR = st.VelocityFreeLoop.R_TILDE, st.VelocityFreeLoop.THETA_BAR
 
 
 def random_basic_state(rng):
-    return st.BasicLoopState(
+    return SimpleNamespace(
         Re=st.random_rotation(rng),
         theta=rng.uniform(-math.pi, math.pi),
         omega_e=rng.standard_normal(3),
         omega_r=rng.standard_normal(3),
     )
+
+
+def pack(kind, s):
+    """The packed state, by the law's loop class, of the state fields in namespace s."""
+    return st.controllers.LOOP_CLASSES[kind].pack(**vars(s))
 
 
 def fixed_reference(z):
@@ -37,7 +43,7 @@ def fixed_reference(z):
 
 def rest_state(R, theta):
     """Basic-loop state with error rotation R and warp angle theta, at rest on a resting frame."""
-    return st.BasicLoopState(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3)).pack()
+    return st.BasicLoop.pack(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3))
 
 
 # --- warp-angle subsystem ----------------------------------------------------
@@ -156,7 +162,7 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
     rng = np.random.default_rng(4)
     for _ in range(50):
         s = random_basic_state(rng)
-        y = s.pack()
+        y = pack("basic", s)
         t = rng.uniform(0.0, 10.0)
         ydot = loop.flow(t, y, None)
         g_rot, g_th = st.gradients(s.Re, s.theta, p)
@@ -175,10 +181,10 @@ LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
 def random_loop_state(kind, rng):
     base = random_basic_state(rng)
     if kind == "smooth":
-        return st.SmoothLoopState(**base.__dict__, zeta=rng.standard_normal(3))
+        return SimpleNamespace(**vars(base), zeta=rng.standard_normal(3))
     if kind == "velocity_free":
-        return st.VelocityFreeLoopState(
-            **base.__dict__, Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
+        return SimpleNamespace(
+            **vars(base), Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
         )
     if kind == "non_hybrid":
         base.theta = 0.0  # the baseline's warp angle stays at zero
@@ -198,7 +204,7 @@ def test_packed_layout_and_flow_width(kind, width, paper_params, paper_gains, pa
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
     s = random_loop_state(kind, np.random.default_rng(12))
-    y = s.pack()
+    y = pack(kind, s)
     assert loop.WIDTH == width and y.shape == (width,)
     # the named offsets tile the packed state and read back the packed fields
     covered = []
@@ -297,7 +303,7 @@ def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains
     quiet = st.Measurement(E=tuple(floats(np.eye(3))), n_omega=tuple(floats(np.zeros(3))))
     rng = np.random.default_rng(12)
     for _ in range(20):
-        y = random_loop_state(kind, rng).pack()
+        y = pack(kind, random_loop_state(kind, rng))
         t = rng.uniform(0.0, 10.0)
         assert np.array_equal(loop.flow(t, y, quiet), loop.flow(t, y, None))
         assert np.array_equal(loop.torque(t, y, quiet), loop.torque(t, y, None))
@@ -314,7 +320,7 @@ def test_noisy_flow_applies_public_torque_at_measured_state(
     rng = np.random.default_rng(13)
     for _ in range(20):
         s = random_loop_state(kind, rng)
-        y = s.pack()
+        y = pack(kind, s)
         t = rng.uniform(0.0, 10.0)
         meas = random_measurement(rng)
         ydot = loop.flow(t, y, meas)
@@ -336,7 +342,7 @@ def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia)
         loop = st.make_loop(kind, p, gn, J, ref)
         for _ in range(20):
             s = random_loop_state(kind, rng)
-            y = s.pack()
+            y = pack(kind, s)
             t = rng.uniform(0.0, 10.0)
             tau = public_torque(kind, s, ref.z_at(t), None, p, gn, J)
             assert np.array_equal(loop.torque(t, y, None), tau)
@@ -382,7 +388,7 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
 
     loop.flow = spy_flow
     cfg = st.SolverConfig(dt=1e-3, t_max=0.2, j_max=10)
-    arc = st.solve(loop, s.pack(), cfg, np.random.default_rng(3))
+    arc = st.solve(loop, pack(kind, s), cfg, np.random.default_rng(3))
     assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
     assert np.array_equal(seen["states"], arc.states)
     noise = seen["noise"]
@@ -443,8 +449,8 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
         loop = st.make_loop("smooth", p, gn, J, ref, relaxed_filter=relaxed)
         for _ in range(30):
             base = random_basic_state(rng)
-            s = st.SmoothLoopState(**base.__dict__, zeta=rng.standard_normal(3))
-            y = s.pack()
+            s = SimpleNamespace(**vars(base), zeta=rng.standard_normal(3))
+            y = pack("smooth", s)
             t = rng.uniform(0.0, 10.0)
             ydot = loop.flow(t, y, None)
             g_rot, g_th = st.gradients(s.Re, s.theta, p)
@@ -478,8 +484,8 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
 
 def smooth_state(R, theta, zeta):
     """Smooth-loop state at rest on a resting reference."""
-    return st.SmoothLoopState(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3),
-                              zeta=zeta).pack()
+    return st.SmoothLoop.pack(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3),
+                              zeta=zeta)
 
 
 def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inertia):
@@ -489,10 +495,10 @@ def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inert
     z = rng.standard_normal(3)
     zeta = rng.standard_normal(3)
     loop = st.make_loop("smooth", p, gn, J, fixed_reference(z))
-    y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
+    y = st.SmoothLoop.pack(**vars(base), zeta=zeta)
     while loop.jump_margin(0.0, y, None) < 0.0:
         base.Re = st.random_rotation(rng)
-        y = st.SmoothLoopState(**base.__dict__, zeta=zeta).pack()
+        y = st.SmoothLoop.pack(**vars(base), zeta=zeta)
     y_post = loop.jump(0.0, y, None)
     assert y_post[THETA] != y[THETA]
     pre = loop.torque(0.0, y, None)
@@ -556,10 +562,10 @@ def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
 
 def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia):
     loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
-    y = st.VelocityFreeLoopState(
+    y = st.VelocityFreeLoop.pack(
         Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
         Rtilde=np.eye(3), theta_bar=0.0,
-    ).pack()
+    )
     ydot = loop.flow(0.0, y, None)
     assert np.array_equal(ydot[R_TILDE], np.zeros(9))
     assert ydot[THETA_BAR] == 0.0
@@ -598,10 +604,10 @@ def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_i
     rng = np.random.default_rng(10)
     for _ in range(50):
         base = random_basic_state(rng)
-        s = st.VelocityFreeLoopState(
-            **base.__dict__, Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
+        s = SimpleNamespace(
+            **vars(base), Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
         )
-        y = s.pack()
+        y = pack("velocity_free", s)
         t = rng.uniform(0.0, 10.0)
         ydot = loop.flow(t, y, None)
         g1, g1_th = st.gradients(s.Re, s.theta, p)
@@ -628,11 +634,10 @@ def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
     loop = st.make_loop("velocity_free", p, paper_gains, paper_inertia, ref)
     bad = st.undesired_critical_points(p)[0].rotation
-    s = st.VelocityFreeLoopState(
+    y = st.VelocityFreeLoop.pack(
         Re=bad, theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
         Rtilde=bad.copy(), theta_bar=0.0,
     )
-    y = s.pack()
     assert loop.jump_margin(0.0, y, None) >= 0.0
     y_post = loop.jump(0.0, y, None)
     assert y_post[THETA] == 0.9 * math.pi
@@ -649,7 +654,7 @@ def test_non_hybrid_equals_basic_at_zero_warp(paper_params, paper_gains, paper_i
         z = rng.standard_normal(3)
         ref = fixed_reference(z)
         s.theta = 0.0
-        y = s.pack()
+        y = pack("basic", s)
         loops = [st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
                  for kind in ("non_hybrid", "basic")]
         a, b = (loop.torque(0.0, y, None) for loop in loops)
@@ -664,7 +669,7 @@ def test_non_hybrid_stalls_at_critical_rotation(paper_params, paper_gains, paper
     z = np.array([0.0, 0.5, 0.1])
     loop = st.make_loop("non_hybrid", paper_params, paper_gains, paper_inertia,
                         fixed_reference(z))
-    y = st.BasicLoopState(Re=R, theta=0.0, omega_e=np.zeros(3), omega_r=wr).pack()
+    y = st.BasicLoop.pack(Re=R, theta=0.0, omega_e=np.zeros(3), omega_r=wr)
     tau = loop.torque(0.0, y, None)
     ups = st.feedforward(R, wr, z, paper_inertia)
     assert np.linalg.norm(tau - ups) <= 2.0 * paper_gains.k_R * 1e-12
@@ -686,8 +691,8 @@ def test_non_hybrid_loop_runs_without_k_theta(paper_params, paper_inertia):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     loop = st.make_loop("non_hybrid", paper_params, gains, paper_inertia, ref)
     assert loop.check() == []
-    y0 = st.BasicLoopState(Re=st.angle_axis(1.0, E2), theta=0.3, omega_e=np.zeros(3),
-                           omega_r=np.zeros(3)).pack()
+    y0 = st.BasicLoop.pack(Re=st.angle_axis(1.0, E2), theta=0.3, omega_e=np.zeros(3),
+                           omega_r=np.zeros(3))
     arc = st.solve(loop, y0, st.SolverConfig(dt=1e-3, t_max=0.05))
     assert len(arc) == 51 and not arc.jumps
     assert np.all(arc.states[:, THETA] == 0.3)
@@ -716,10 +721,10 @@ def attractor_state(kind):
     """The packed state of a law at its attractor, at rest on a resting frame."""
     base = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
     if kind == "smooth":
-        return st.SmoothLoopState(**base, zeta=np.zeros(3)).pack()
+        return st.SmoothLoop.pack(**base, zeta=np.zeros(3))
     if kind == "velocity_free":
-        return st.VelocityFreeLoopState(**base, Rtilde=np.eye(3), theta_bar=0.0).pack()
-    return st.BasicLoopState(**base).pack()
+        return st.VelocityFreeLoop.pack(**base, Rtilde=np.eye(3), theta_bar=0.0)
+    return st.BasicLoop.pack(**base)
 
 
 @pytest.mark.parametrize("kind", ["basic", "smooth", "velocity_free"])
@@ -734,7 +739,7 @@ def test_every_jump_drops_the_monitor_by_jump_drop(kind):
         s = random_loop_state(kind, rng)
         if kind == "smooth":
             s.zeta = 5.0 * s.zeta  # as large as the rotation gradient gets: c_psi = 10
-        y = tuple(s.pack().tolist())
+        y = tuple(pack(kind, s).tolist())
         if loop.jump_margin(0.0, y, None) < 0.0:
             continue
         jumped += 1
@@ -771,19 +776,23 @@ def test_jump_outside_the_jump_set_raises(kind, paper_params, paper_gains, paper
 # --- gains validation --------------------------------------------------------
 
 
-def test_gains_validation(paper_params):
+def check(kind, gains, p, J):
+    """The gain advisories of a loop of the given law."""
+    return st.make_loop(kind, p, gains, J, REST).check()
+
+
+def test_gains_validation(paper_params, paper_inertia):
+    p, J = paper_params, paper_inertia
     with pytest.raises(ContractError):
-        st.Gains(k_R=-1.0).check_for("basic", paper_params)
+        check("basic", st.Gains(k_R=-1.0), p, J)
     with pytest.raises(ContractError):
-        st.Gains(k_R=1.0, k_theta=1.0).check_for("basic", paper_params)  # k_omega missing
+        check("basic", st.Gains(k_R=1.0, k_theta=1.0), p, J)  # k_omega missing
     with pytest.raises(ContractError):
-        st.Gains(k_R=1.0, k_omega=1.0, k_theta=1.0, k_zeta=10.0, rho=0.001).check_for(
-            "smooth", paper_params
-        )  # delta_prime missing
+        check("smooth", st.Gains(k_R=1.0, k_omega=1.0, k_theta=1.0, k_zeta=10.0, rho=0.001),
+              p, J)  # delta_prime missing
     with pytest.raises(ContractError):
-        st.Gains(
-            k_R=1.0, k_omega=1.0, k_theta=1.0, k_beta=1.0, Gamma=np.diag([1.0, 1.0, -1.0])
-        ).check_for("velocity_free", paper_params)
+        check("velocity_free", st.Gains(k_R=1.0, k_omega=1.0, k_theta=1.0, k_beta=1.0,
+                                        Gamma=np.diag([1.0, 1.0, -1.0])), p, J)
 
 
 def test_velocity_free_loop_rejects_off_diagonal_gamma(paper_params, paper_gains, paper_inertia):
@@ -791,12 +800,10 @@ def test_velocity_free_loop_rejects_off_diagonal_gamma(paper_params, paper_gains
     gains = dataclasses.replace(paper_gains, Gamma=30.0 * np.eye(3) + np.diag([1.0, 1.0], 1))
     with pytest.raises(ContractError, match="Gamma must be a diagonal 3x3 matrix"):
         st.make_loop("velocity_free", paper_params, gains, paper_inertia, REST)
-    with pytest.raises(ContractError, match="Gamma must be a diagonal 3x3 matrix"):
-        gains.check_for("velocity_free", paper_params)
 
 
-def test_gains_warning_for_large_rho(paper_params, paper_gains):
-    notes = paper_gains.check_for("smooth", paper_params)
+def test_gains_warning_for_large_rho(paper_params, paper_gains, paper_inertia):
+    notes = check("smooth", paper_gains, paper_params, paper_inertia)
     assert any("rho" in n and "0.00162" in n for n in notes)
     assert any("k_zeta" in n for n in notes)
     # a compliant configuration produces no advisories
@@ -805,4 +812,94 @@ def test_gains_warning_for_large_rho(paper_params, paper_gains):
     )
     kz_star = st.filter_gain_bound(quiet, paper_params)
     assert quiet.k_zeta > kz_star
-    assert quiet.check_for("smooth", paper_params) == []
+    assert check("smooth", quiet, paper_params, paper_inertia) == []
+
+
+# --- what each law declares on its loop class ---------------------------------
+
+LOOP_CLASSES = st.controllers.LOOP_CLASSES
+
+
+def random_fields(cls, rng):
+    """A random value of each state field of a loop class: a rotation for 9 entries."""
+    out = {}
+    for name, at in cls.state_fields:
+        n = len(range(cls.WIDTH)[at]) if isinstance(at, slice) else 0
+        out[name] = (st.random_rotation(rng) if n == 9 else
+                     rng.standard_normal(n) if n else rng.normal())
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_CLASSES))
+def test_pack_round_trips_every_declared_field(kind):
+    cls = LOOP_CLASSES[kind]
+    state = random_fields(cls, np.random.default_rng(40))
+    y = cls.pack(**state)
+    assert y.shape == (cls.WIDTH,)
+    covered = []
+    for name, at in cls.state_fields:
+        assert np.array_equal(np.ravel(y[at]), np.ravel(state[name])), name
+        covered += range(cls.WIDTH)[at] if isinstance(at, slice) else [at]
+    assert sorted(covered) == list(range(cls.WIDTH))  # the fields tile the packed state
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_CLASSES))
+def test_pack_rejects_a_missing_or_unknown_field(kind):
+    cls = LOOP_CLASSES[kind]
+    state = random_fields(cls, np.random.default_rng(41))
+    for name in state:
+        with pytest.raises(ContractError, match=rf"missing \['{name}'\]"):
+            cls.pack(**{k: v for k, v in state.items() if k != name})
+    with pytest.raises(ContractError, match=r"unknown \['bogus'\]"):
+        cls.pack(**state, bogus=0.0)
+
+
+def gain_message(gain, bad):
+    """The message for a gain a law reads that is missing (None) or not positive."""
+    if gain == "delta_prime":
+        return "delta_prime must lie in (0, delta)"
+    if gain == "Gamma":
+        return "Gamma matrix is required" if bad is None else "Gamma must be positive definite"
+    return f"{gain} must be positive"
+
+
+# The gains each law of the package reads, as `Gains.check_for` checked them.
+READS = {
+    "basic": {"k_R", "k_theta", "k_omega"},
+    "smooth": {"k_R", "k_theta", "k_omega", "k_zeta", "rho", "delta_prime"},
+    "velocity_free": {"k_R", "k_theta", "k_beta", "Gamma"},
+    "non_hybrid": {"k_R", "k_omega"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_CLASSES))
+def test_each_missing_or_non_positive_gain_keeps_its_message(kind, paper_params, paper_gains,
+                                                             paper_inertia):
+    raised = set()
+    for field in dataclasses.fields(st.Gains):
+        gain = field.name
+        bads = (None, 0.0 * np.eye(3), -np.eye(3)) if gain == "Gamma" else (None, 0.0, -1.0)
+        for bad in bads:
+            gains = dataclasses.replace(paper_gains, **{gain: bad})
+            loop = st.make_loop(kind, paper_params, gains, paper_inertia, REST)
+            try:
+                loop.check()
+            except ContractError as e:
+                assert str(e) == gain_message(gain, bad), (gain, bad)
+                raised.add(gain)
+    assert set(LOOP_CLASSES[kind].gain_names) <= raised
+    assert raised == READS.get(kind, raised)
+
+
+@pytest.mark.parametrize("scenario, rates", [
+    ("fig3", {"0_basic": 515.198, "1_basic": 525.330, "2_basic": 535.462,
+              "3_non_hybrid": 13.333}),
+    ("fig4", {"0_basic": 535.462, "1_smooth": 535.462, "2_velocity_free": 535.462}),
+])
+def test_fastest_decay_rate_of_each_bundled_member(scenario, rates):
+    cfg = st.load_scenario(scenario)
+    for member in cfg.members:
+        rate, source = max(st.build_member(cfg, member)[0].decay_rates())
+        assert rate == pytest.approx(rates[member.label], abs=5e-4), member.label
+        assert source == ("k_omega / lambda_min(J)" if member.controller == "non_hybrid"
+                          else "k_theta times the warp-angle curvature bound")

@@ -48,10 +48,10 @@ def oracle_step(loop, t, y, h, meas):
 def initial_state(kind, rng, Re, theta, omega_e):
     base = dict(Re=Re, theta=theta, omega_e=omega_e, omega_r=np.zeros(3))
     if kind == "smooth":
-        return st.SmoothLoopState(**base, zeta=rng.standard_normal(3))
+        return st.SmoothLoop.pack(**base, zeta=rng.standard_normal(3))
     if kind == "velocity_free":
-        return st.VelocityFreeLoopState(**base, Rtilde=st.random_rotation(rng), theta_bar=0.5)
-    return st.BasicLoopState(**base)
+        return st.VelocityFreeLoop.pack(**base, Rtilde=st.random_rotation(rng), theta_bar=0.5)
+    return st.BasicLoop.pack(**base)
 
 
 def run_against_oracle(loop, y0, cfg, monkeypatch):
@@ -96,9 +96,9 @@ def test_solve_reproduces_ndarray_oracle(kind, noisy, paper_params, paper_gains,
     loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise)
     rng = np.random.default_rng(31)
     # next to an unwanted critical point, so the hybrid laws jump
-    s = initial_state(kind, rng, st.angle_axis(math.pi - 1e-3, E1), 0.0, rng.standard_normal(3))
+    y0 = initial_state(kind, rng, st.angle_axis(math.pi - 1e-3, E1), 0.0, rng.standard_normal(3))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.15, j_max=10)
-    arc, _ = run_against_oracle(loop, s.pack(), cfg, monkeypatch)
+    arc, _ = run_against_oracle(loop, y0, cfg, monkeypatch)
     assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
 
 
@@ -107,8 +107,8 @@ def test_refined_jump_reproduces_ndarray_oracle(paper_params, paper_inertia, mon
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
     gains = st.Gains(k_R=0.2, k_omega=0.02, k_theta=0.5)
     loop = st.make_loop("basic", paper_params, gains, paper_inertia, ref)
-    s = initial_state("basic", None, st.angle_axis(2.75, np.array([0.0, 0.0, 1.0])), 0.0,
-                      np.array([0.0, 0.0, 3.0]))
+    y0 = initial_state("basic", None, st.angle_axis(2.75, np.array([0.0, 0.0, 1.0])), 0.0,
+                       np.array([0.0, 0.0, 3.0]))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.3, j_max=5)
-    arc, refined = run_against_oracle(loop, s.pack(), cfg, monkeypatch)
+    arc, refined = run_against_oracle(loop, y0, cfg, monkeypatch)
     assert refined >= 1 and arc.jumps and arc.jumps[0].t > 0.0

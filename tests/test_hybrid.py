@@ -234,12 +234,12 @@ def test_jump_refinement_on_closed_loop(paper_params, paper_inertia):
     loop = st.make_loop("basic", paper_params, gains, paper_inertia, ref)
     R0 = st.angle_axis(2.75, np.array([0.0, 0.0, 1.0]))
     assert st.gap(R0, 0.0, paper_params) < paper_params.delta
-    y0 = st.BasicLoopState(
+    y0 = st.BasicLoop.pack(
         Re=R0,
         theta=0.0,
         omega_e=np.array([0.0, 0.0, 3.0]),
         omega_r=np.zeros(3),
-    ).pack()
+    )
     cfg = st.SolverConfig(dt=1e-3, t_max=2.0, j_max=5)
     arc = st.solve(loop, y0, cfg)
     assert arc.jumps, "the spin-up state should reach the jump set"
@@ -255,12 +255,12 @@ def test_jump_refinement_on_closed_loop(paper_params, paper_inertia):
 def test_deterministic_replay_with_noise(paper_params, paper_inertia, paper_gains):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(sigma_R=0.1, sigma_omega=0.1)
-    y0 = st.BasicLoopState(
+    y0 = st.BasicLoop.pack(
         Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])),
         theta=0.0,
         omega_e=np.zeros(3),
         omega_r=np.zeros(3),
-    ).pack()
+    )
     cfg = st.SolverConfig(dt=1e-3, t_max=0.5, j_max=10)
     loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise)
     a = st.solve(loop, y0, cfg, np.random.default_rng(42))

@@ -18,37 +18,37 @@ def loops(p, gn, J):
 
 def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia):
     basic_loop, smooth_loop, vf_loop = loops(paper_params, paper_gains, paper_inertia)
-    basic = st.BasicLoopState(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
-    assert basic_loop.lyapunov_packed(basic.pack()) == 0.0
-    smooth = st.SmoothLoopState(**basic.__dict__, zeta=np.zeros(3))
-    assert smooth_loop.lyapunov_packed(smooth.pack()) == 0.0
-    vf = st.VelocityFreeLoopState(**basic.__dict__, Rtilde=np.eye(3), theta_bar=0.0)
-    assert vf_loop.lyapunov_packed(vf.pack()) == 0.0
+    basic = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
+    assert basic_loop.lyapunov_packed(st.BasicLoop.pack(**basic)) == 0.0
+    smooth = st.SmoothLoop.pack(**basic, zeta=np.zeros(3))
+    assert smooth_loop.lyapunov_packed(smooth) == 0.0
+    vf = st.VelocityFreeLoop.pack(**basic, Rtilde=np.eye(3), theta_bar=0.0)
+    assert vf_loop.lyapunov_packed(vf) == 0.0
 
 
 def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
     p, gn = paper_params, paper_gains
     basic_loop, smooth_loop, vf_loop = loops(p, gn, paper_inertia)
     rng = np.random.default_rng(0)
-    base = st.BasicLoopState(
+    base = dict(
         Re=st.random_rotation(rng),
         theta=0.7,
         omega_e=np.zeros(3),
         omega_r=np.zeros(3),
     )
     # no velocity error: the basic monitor is k_R U
-    assert basic_loop.lyapunov_packed(base.pack()) == pytest.approx(
-        gn.k_R * st.value(base.Re, base.theta, p), abs=1e-14
+    assert basic_loop.lyapunov_packed(st.BasicLoop.pack(**base)) == pytest.approx(
+        gn.k_R * st.value(base["Re"], base["theta"], p), abs=1e-14
     )
     # filter state equal to the gradient: smooth monitor reduces to the basic one
-    base.omega_e = rng.standard_normal(3)
-    plain = basic_loop.lyapunov_packed(base.pack())
-    g = st.grad_rotation(base.Re, base.theta, p)
-    smooth = st.SmoothLoopState(**base.__dict__, zeta=g)
-    assert smooth_loop.lyapunov_packed(smooth.pack()) == plain
+    base["omega_e"] = rng.standard_normal(3)
+    plain = basic_loop.lyapunov_packed(st.BasicLoop.pack(**base))
+    g = st.grad_rotation(base["Re"], base["theta"], p)
+    smooth = st.SmoothLoop.pack(**base, zeta=g)
+    assert smooth_loop.lyapunov_packed(smooth) == plain
     # auxiliary rotation at its target: only the k_R and kinetic terms remain
-    vf = st.VelocityFreeLoopState(**base.__dict__, Rtilde=np.eye(3), theta_bar=0.0)
-    assert vf_loop.lyapunov_packed(vf.pack()) == plain
+    vf = st.VelocityFreeLoop.pack(**base, Rtilde=np.eye(3), theta_bar=0.0)
+    assert vf_loop.lyapunov_packed(vf) == plain
 
 
 def test_jump_drop_per_law(paper_params, paper_gains, paper_inertia):
@@ -108,12 +108,12 @@ def test_certify_flags_wrong_sign_gain(paper_params, paper_inertia):
     bad = st.Gains(k_R=1.5, k_omega=-0.2, k_theta=50.0)
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     loop = st.make_loop("basic", paper_params, bad, paper_inertia, ref)
-    y0 = st.BasicLoopState(
+    y0 = st.BasicLoop.pack(
         Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])),
         theta=0.0,
         omega_e=np.array([0.2, -0.1, 0.1]),
         omega_r=np.zeros(3),
-    ).pack()
+    )
     arc = st.solve(loop, y0, st.SolverConfig(dt=1e-3, t_max=1.0, j_max=10))
     rep = st.certify_arc(arc, loop)
     assert not rep.passed
@@ -137,6 +137,19 @@ def test_certify_smooth_reports_torque_continuity(fig4_cfg):
     res = st.simulate_member(cfg, member)
     assert res.report.max_torque_jump == 0.0
     assert res.report.torque_continuity_ok
+
+
+def test_certify_fails_a_jumping_baseline_once(fig3_cfg):
+    # the baseline's jump_drop of 0 gives it a jump-count bound of 0, so a
+    # jump fails that bound, and no second check reports the same jump
+    cfg = dataclasses.replace(fig3_cfg, t_max=0.2)
+    res = st.simulate_member(cfg, cfg.members[0])  # basic, next to a half turn: it jumps
+    assert res.arc.jumps
+    loop = res.loop
+    baseline = st.make_loop("non_hybrid", loop.params, loop.gains, loop.inertia, loop.reference)
+    rep = st.certify_arc(dataclasses.replace(res.arc, controller="non_hybrid"), baseline)
+    assert rep.failures == [f"jump count {len(res.arc.jumps)} exceeds the bound 0"]
+    assert rep.torque_continuity_ok is None and res.report.torque_continuity_ok is None
 
 
 def test_certify_fails_an_arc_stopped_at_j_max(fig3_cfg):

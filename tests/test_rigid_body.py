@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track.errors import ContractError
+from so3track.errors import ContractError, SolverError
 from so3track.rigid_body import coupling_times_f, error_accel_f, feedforward_f, shared_terms_f
 from so3track.so3 import ARRAY_MATH, floats, mat_skew_f
 
@@ -94,10 +94,12 @@ def test_ref_flow_constant_when_unaccelerated():
 
 def test_ref_flow_rejects_oversized_acceleration():
     ref = st.make_reference("paper_sine", m_bound=1.0, omega_r_bound=25.0)
-    with pytest.raises(ContractError, match="t=0"):
+    with pytest.raises(SolverError, match="t=0") as e:
         ref.z_at(0.0)  # ||z(0)|| = sqrt(1.01) > 1
-    with pytest.raises(ContractError, match="t=0.0:"):  # a batch names its worst time
+    assert e.value.t == 0.0
+    with pytest.raises(SolverError, match="t=0.0:") as e:  # a batch names its worst time
         ref.z_at(np.array([5.0, 0.0, 3.0]), ARRAY_MATH)
+    assert e.value.t == 0.0
     s = RefState(R=np.eye(3), omega=np.zeros(3))
     with pytest.raises(ContractError):
         ref_flow(s, np.array([1.5, 0.0, 0.0]), 1.0)

@@ -7,7 +7,7 @@ import pytest
 
 import so3track as st
 from so3track import straightline
-from so3track.errors import ContractError, SolverError
+from so3track.errors import SolverError
 from so3track.so3 import floats
 
 LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
@@ -30,11 +30,11 @@ def random_state(kind, rng, near_critical=None):
     base = dict(Re=R, theta=theta, omega_e=rng.standard_normal(3),
                 omega_r=rng.standard_normal(3))
     if kind == "smooth":
-        return st.SmoothLoopState(**base, zeta=rng.standard_normal(3)).pack()
+        return st.SmoothLoop.pack(**base, zeta=rng.standard_normal(3))
     if kind == "velocity_free":
-        return st.VelocityFreeLoopState(**base, Rtilde=st.random_rotation(rng),
-                                        theta_bar=rng.uniform(-2.0, 2.0)).pack()
-    return st.BasicLoopState(**base).pack()
+        return st.VelocityFreeLoop.pack(**base, Rtilde=st.random_rotation(rng),
+                                        theta_bar=rng.uniform(-2.0, 2.0))
+    return st.BasicLoop.pack(**base)
 
 
 def random_measurement(rng):
@@ -85,15 +85,17 @@ def test_compiled_flow_keeps_the_reference_checks(kind, paper_params, paper_gain
     y[st.BasicLoop.OMEGA_R] = (30.0, 0.0, 0.0)
     for meas in (None, random_measurement(np.random.default_rng(5))):
         with pytest.raises(SolverError, match=r"left its declared set at t=0.25: "
-                                              r"\|\|omega_r\|\| = 30 > 25"):
+                                              r"\|\|omega_r\|\| = 30 > 25") as e:
             loop.flow(0.25, tuple(y), meas)
+        assert e.value.t == 0.25
     far = st.Reference("far", lambda t, xp=math: (3.0, 0.0, 0.0), m_bound=2.0,
                        omega_r_bound=25.0)
     loop = make(kind, False, paper_params, paper_gains, paper_inertia, far)
     y = tuple(random_state(kind, np.random.default_rng(6)).tolist())
-    with pytest.raises(ContractError, match=r"reference 'far' at t=0.5: \|\|z\|\| = 3.0 "
-                                            r"exceeds the bound 2.0"):
+    with pytest.raises(SolverError, match=r"reference 'far' at t=0.5: \|\|z\|\| = 3.0 "
+                                           r"exceeds the bound 2.0") as e:
         loop.flow(0.5, y, None)
+    assert e.value.t == 0.5
 
 
 @pytest.mark.parametrize("kind, relaxed", STRUCTURES)
