@@ -49,7 +49,6 @@ from .controllers import (
     VelocityFreeLoop,
     filter_gain_bound,
     make_loop,
-    torque_velocity_free,
 )
 from .monitors import CertificationReport, certify_arc, exponential_fit
 from .scenarios import (

@@ -53,7 +53,6 @@ from .errors import ContractError, SolverError
 from .hybrid import HybridSystem
 from .potential import (
     PotentialParams,
-    grad_rotation,
     grad_rotation_rate_f,
     gradient_bounds,
     gradients_f,
@@ -66,7 +65,6 @@ from .rigid_body import (
     Inertia,
     Reference,
     error_accel_f,
-    feedforward,
     feedforward_f,
     shared_terms_f,
 )
@@ -192,23 +190,6 @@ def aux_flow_f(Rtilde, omega_e, g_rot, Gamma, E=None) -> tuple:
     if E is not None:
         beta = mat_vec_f(E, beta)
     return mat_skew_f(Rtilde, (omega_e[0] - beta[0], omega_e[1] - beta[1], omega_e[2] - beta[2]))
-
-
-# ---------------------------------------------------------------------------
-# The velocity-free law on 3x3 arrays, whose signature names no body velocity.
-
-
-def torque_velocity_free(Re, theta, Rtilde, theta_bar, omega_r, z, p: PotentialParams,
-                         gains: Gains, inertia: Inertia) -> np.ndarray:
-    """Gradient feedback at the error and auxiliary rotations; no velocity input.
-
-    The signature deliberately excludes every angular velocity of the body;
-    damping comes entirely through the auxiliary rotation state.
-    """
-    ups = feedforward(Re, omega_r, z, inertia)
-    g1 = grad_rotation(Re, theta, p)
-    g2 = grad_rotation(Rtilde, theta_bar, p)
-    return np.array(torque_velocity_free_f(ups, g1, g2, gains))
 
 
 @dataclass(frozen=True)
@@ -448,6 +429,7 @@ class _TrackingLoop(HybridSystem):
         )
 
     def torque(self, t: float, y, meas) -> np.ndarray:
+        """The applied torque at time t and state y under measurement meas."""
         return np.array(self._control(self.reference.z_at(t), y, meas)[0])
 
     def record(self, t, j, states, noise, in_jump):
@@ -505,23 +487,6 @@ class _TrackingLoop(HybridSystem):
         if not fired:
             raise SolverError(f"the {self.kind} jump map was applied outside the jump set")
         return tuple(out)
-
-    def jump_event_info(self, t, y_pre, y_post, meas):
-        tau_pre = self.torque(t, y_pre, meas)
-        tau_post = self.torque(t, y_post, meas)
-        info = {}
-        for name, _, i in self.warp_angles:
-            info[f"{name}_pre"] = float(y_pre[i])
-            info[f"{name}_post"] = float(y_post[i])
-        info.update(
-            lyap_pre=self.lyapunov_packed(y_pre),
-            lyap_post=self.lyapunov_packed(y_post),
-            tau_pre=tau_pre,
-            tau_post=tau_post,
-            tau_jump=float(np.linalg.norm(tau_post - tau_pre)),
-            margin=self.jump_margin(t, y_pre, meas),
-        )
-        return info
 
 
 class BasicLoop(_TrackingLoop):

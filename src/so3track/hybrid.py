@@ -17,7 +17,7 @@ the designed potential drop at the set boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from struct import Struct
 
@@ -64,7 +64,6 @@ class HybridSystem:
     State contract: `solve` hands `flow`, `jump_margin`, `jump` and `project`
     the state as a tuple of Python floats, and `flow`, `jump` and `project`
     return one (a flow returns the rates as a tuple of the state's length).
-    `jump_event_info` gets the states before and after a jump as tuples too.
 
     Recording: during the run `solve` keeps, for each sample, only t, j, the
     jump-set flag, the state and the measurement in force (the one the step
@@ -100,17 +99,22 @@ class HybridSystem:
                in_jump: np.ndarray) -> tuple:
         return ()
 
-    def jump_event_info(self, t: float, y_pre: tuple, y_post: tuple, meas) -> dict:
-        return {}
-
 
 @dataclass
 class JumpEvent:
+    """One jump: at time t the state y_pre of jump count j_before became y_post.
+
+    `meas` is the measurement the jump was taken under (None without noise).
+    On the arc the jump is the pair of adjacent samples (t, j_before) and
+    (t, j_before + 1), whose recorded columns hold the values before and
+    after it.
+    """
+
     t: float
     j_before: int
     y_pre: np.ndarray
     y_post: np.ndarray
-    info: dict = field(default_factory=dict)
+    meas: object
 
 
 @dataclass
@@ -289,15 +293,8 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 )
             last_jump_t = t
             y_post = system.jump(t, y, meas)
-            jumps.append(
-                JumpEvent(
-                    t=t,
-                    j_before=j,
-                    y_pre=np.array(y),
-                    y_post=np.array(y_post),
-                    info=system.jump_event_info(t, y, y_post, meas),
-                )
-            )
+            jumps.append(JumpEvent(t=t, j_before=j, y_pre=np.array(y), y_post=np.array(y_post),
+                                   meas=meas))
             y = y_post
             j += 1
             margin, in_jump = membership(t, y)

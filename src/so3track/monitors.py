@@ -3,8 +3,11 @@
 Each closed loop has a monitor function (`lyapunov_packed`) that must not
 increase along flows and must drop by at least the loop's `jump_drop` at
 every jump.  `certify_arc` replays those two properties over a recorded arc,
-checks the jump-count bound implied by the initial monitor value, and fits
-an exponential rate to the squared distance from the attractor.
+checks the jump-count bound implied by the initial monitor value
+(`jump_count_bound`), and fits an exponential rate to the squared distance
+from the attractor.  It reads the monitor from the arc's `lyap` column: a
+flow step is a pair of adjacent samples of the same jump count j, a jump the
+pair of adjacent samples of j and j + 1 at one time.
 """
 
 from __future__ import annotations
@@ -39,6 +42,20 @@ def exponential_fit(t: np.ndarray, values: np.ndarray, floor: float = 1e-12):
     sstot = float(((yv - ym) ** 2).sum())
     r2 = 1.0 - float((resid**2).sum()) / sstot if sstot > 0.0 else 0.0
     return slope, r2, int(mask.sum())
+
+
+def jump_count_bound(v0: float, drop: float) -> int:
+    """max(1, ceil(V(0) / drop)): the most jumps of an arc from monitor value v0.
+
+    Each jump drops the monitor by at least `drop` and flows do not raise it,
+    so no more jumps fit.  A drop of 0 allows none: the bound is 0.
+    ContractError when V(0) / drop (V(0) itself for a drop of 0) is not finite.
+    """
+    v0, drop = float(v0), float(drop)
+    if not math.isfinite(v0 / (drop or 1.0)):
+        raise ContractError(f"the jump-count bound V(0) / jump_drop = "
+                            f"{v0:.6g} / {drop:.6g} is not finite")
+    return max(1, math.ceil(v0 / drop)) if drop > 0.0 else 0
 
 
 @dataclass
@@ -112,6 +129,13 @@ def certify_arc(arc, loop) -> CertificationReport:
     loop with no designed drop (`jump_drop` 0) has a jump-count bound of 0,
     so any jump fails it, and a loop whose `continuous_torque` is set fails on
     any torque jump.  The loop must be of the kind that produced the arc.
+
+    A jump's monitor drop is read from the `lyap` column across the adjacent
+    samples of j and j + 1.  Its torque jump is evaluated by `loop.torque` on
+    the event's states before and after, under the event's measurement: under
+    noise the sample before a jump carries the previous step's measurement,
+    so the recorded torque columns would mix two.  ContractError when the
+    jump-count bound is not finite (see `jump_count_bound`).
     """
     if loop.kind != arc.controller:
         raise ContractError(
@@ -134,16 +158,17 @@ def certify_arc(arc, loop) -> CertificationReport:
             )
 
     req = loop.jump_drop
-    drops = [ev.info["lyap_pre"] - ev.info["lyap_post"] for ev in arc.jumps if ev.info]
-    min_drop = min(drops) if drops else None
-    drops_ok = all(d >= req - 1e-9 for d in drops)
+    jumped = ~same_segment
+    drops = lyap[:-1][jumped] - lyap[1:][jumped]
+    min_drop = float(drops.min()) if drops.size else None
+    drops_ok = bool((drops >= req - 1e-9).all())
     if not drops_ok and not noise_on:
         # Noise-triggered jumps fire on the measured state, so the true-state
         # drop is only guaranteed for exact measurements.
         failures.append(f"a jump dropped the monitor by {min_drop:.6g} < required {req:.6g}")
 
-    bound = max(1, math.ceil(lyap[0] / req)) if req > 0.0 else 0
-    count_ok = len(arc.jumps) <= bound if req > 0.0 else len(arc.jumps) == 0
+    bound = jump_count_bound(lyap[0], req)
+    count_ok = len(arc.jumps) <= bound
     if not count_ok:
         failures.append(f"jump count {len(arc.jumps)} exceeds the bound {bound}")
     if arc.status == "j_max":
@@ -152,7 +177,9 @@ def certify_arc(arc, loop) -> CertificationReport:
             f"at t={float(arc.t[-1]):.6g} before the horizon"
         )
 
-    tau_jumps = [ev.info["tau_jump"] for ev in arc.jumps if "tau_jump" in ev.info]
+    # The states as Python floats, as `solve` hands them: numpy scalars warn where a torque overflows.
+    tau_jumps = [math.dist(loop.torque(ev.t, ev.y_pre.tolist(), ev.meas),
+                           loop.torque(ev.t, ev.y_post.tolist(), ev.meas)) for ev in arc.jumps]
     max_tau_jump = max(tau_jumps) if tau_jumps else None
     torque_ok = None
     if loop.continuous_torque:

@@ -68,12 +68,19 @@ class Reference:
     in; the simulation aborts with a `SolverError` that carries the time t
     if either bound is violated.  `z_fn(t, xp)` gives z(t) as 3 floats, or
     as 3 arrays over an (n,) array of times with xp = ARRAY_MATH (see `so3`).
+    ContractError for a bound that is not positive.
     """
 
     name: str
     z_fn: Callable[..., tuple]
     m_bound: float
     omega_r_bound: float
+
+    def __post_init__(self):
+        for key in ("m_bound", "omega_r_bound"):
+            bound = getattr(self, key)
+            if not bound > 0.0:
+                raise ContractError(f"'{key}' must be positive, got {bound}")
 
     def z_at(self, t: float, xp=math) -> tuple:
         """z(t) as 3 floats (3 arrays over a batch of times), checked against `m_bound`.
@@ -113,9 +120,6 @@ def make_reference(name: str, m_bound: float, omega_r_bound: float) -> Reference
     """The named reference; ContractError for an unknown name or a bound that is not positive."""
     if name not in REFERENCE_FUNCTIONS:
         raise ContractError(f"unknown reference '{name}', choose from {sorted(REFERENCE_FUNCTIONS)}")
-    for key, bound in (("m_bound", m_bound), ("omega_r_bound", omega_r_bound)):
-        if not bound > 0.0:
-            raise ContractError(f"'{key}' must be positive, got {bound}")
     return Reference(name=name, z_fn=REFERENCE_FUNCTIONS[name], m_bound=m_bound, omega_r_bound=omega_r_bound)
 
 

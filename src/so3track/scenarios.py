@@ -20,7 +20,7 @@ import numpy as np
 from .controllers import LOOP_CLASSES, Gains, NoiseModel, make_loop
 from .errors import ConfigError, ContractError
 from .hybrid import SolverConfig, solve
-from .monitors import certify_arc
+from .monitors import certify_arc, jump_count_bound
 from .output import write_csv, write_member_plots
 from .potential import design_params
 from .rigid_body import Inertia, make_reference
@@ -367,7 +367,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     (`loop.check`) and linearised decay rates (`loop.decay_rates`).  Raises
     ConfigError on hard violations, among them a negative seed, a horizon of
     more than STEP_BUDGET steps and an initial state at which the jump-count
-    bound V(0) / jump_drop of `certify_arc` is not finite; returns advisory
+    bound V(0) / jump_drop (`jump_count_bound`) is not finite; returns advisory
     warnings, among them a step size past the RK4 limit of a member's
     fastest rate.
 
@@ -403,13 +403,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             )
         notes.extend(f"member {member.label}: {n}" for n in member_notes)
         built.append((member, loop, y0))
-    # `certify_arc` bounds the jump count by V(0) / jump_drop (no jump when the drop is 0).
     # Checked after every member is built, so that a member's build error comes first.
     for member, loop, y0 in built:
-        lyap0, drop = loop.lyapunov_packed(tuple(y0.tolist())), loop.jump_drop
-        if not math.isfinite(lyap0 / (drop or 1.0)):
-            raise ConfigError(f"member {member.label}: the jump-count bound V(0) / jump_drop = "
-                              f"{lyap0:.6g} / {drop:.6g} is not finite")
+        try:
+            jump_count_bound(loop.lyapunov_packed(tuple(y0.tolist())), loop.jump_drop)
+        except ContractError as e:
+            raise ConfigError(f"member {member.label}: {e}") from None
     return notes
 
 

@@ -5,7 +5,6 @@ heavy simulation runs are shared through session fixtures in conftest.py.
 """
 
 import functools
-import inspect
 import math
 import time
 
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import so3track as st
+from torque_trace import torque_inputs
 
 PI2 = math.pi**2
 
@@ -136,7 +136,7 @@ def test_c5_trends(fig3_runs):
         # the warp angle resets to 0.9 pi at t = 0
         assert len(arc.jumps) == 1
         assert arc.jumps[0].t == 0.0
-        assert arc.jumps[0].info["theta_post"] == pytest.approx(0.9 * math.pi, abs=0.0)
+        assert arc.jumps[0].y_post[loop.THETA] == pytest.approx(0.9 * math.pi, abs=0.0)
         i15 = int(np.searchsorted(arc.t, 15.0))
         assert arc.column("dist_Re")[i15:].max() < 0.05
         assert omega_norms(arc)[i15:].max() < 0.05
@@ -157,11 +157,15 @@ def test_c6_smoothing(fig4_result):
     assert smooth.arc.jumps, "the smooth run must reset at least once"
     assert smooth.report.max_torque_jump == 0.0
     for ev in smooth.arc.jumps:
-        assert ev.info["lyap_pre"] - ev.info["lyap_post"] >= 0.243 - 1e-9
+        drop = smooth.loop.lyapunov_packed(ev.y_pre) - smooth.loop.lyapunov_packed(ev.y_post)
+        assert drop >= 0.243 - 1e-9
     basic = by_kind["basic"]
     t0_jumps = [ev for ev in basic.arc.jumps if ev.t == 0.0]
     assert t0_jumps
-    assert t0_jumps[0].info["tau_jump"] > 0.1
+    ev = t0_jumps[0]
+    tau_jump = math.dist(basic.loop.torque(ev.t, ev.y_pre, ev.meas),
+                         basic.loop.torque(ev.t, ev.y_post, ev.meas))
+    assert tau_jump > 0.1
 
 
 @criterion(7, "velocity-free convergence")
@@ -170,12 +174,18 @@ def test_c7_velocity_free(vf_quiet_run):
     i15 = int(np.searchsorted(arc.t, 15.0))
     assert arc.column("dist_Re")[i15:].max() < 0.05
     assert omega_norms(arc)[i15:].max() < 0.1
-    names = set(inspect.signature(st.torque_velocity_free).parameters)
-    assert names.isdisjoint({"omega", "omega_e", "omega_y", "w", "we"})
+    # the applied torque reaches no velocity error and no velocity noise; the
+    # basic law's, with the same gains, reaches both
+    loop = vf_quiet_run.loop
+    basic = st.make_loop("basic", loop.params, loop.gains, loop.inertia, loop.reference)
+    velocity = {f"y{i}" for i in range(10, 13)} | {f"meas{i}" for i in range(9, 12)}
+    assert torque_inputs(loop, False).isdisjoint(velocity)
+    assert torque_inputs(loop, True).isdisjoint(velocity)
+    assert torque_inputs(basic, True) >= velocity
     assert report.max_flow_increase <= 1e-7
     required = min(1.5, 3.0) * vf_quiet_run.loop.params.delta
     for ev in arc.jumps:
-        assert ev.info["lyap_pre"] - ev.info["lyap_post"] >= required - 1e-9
+        assert loop.lyapunov_packed(ev.y_pre) - loop.lyapunov_packed(ev.y_post) >= required - 1e-9
     assert report.passed
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 from types import SimpleNamespace
 
@@ -7,11 +6,12 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track.controllers import filtered_value_w_f, torque_basic_f
+from so3track.controllers import filtered_value_w_f, torque_basic_f, torque_velocity_free_f
 from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
 from so3track.so3 import floats
+from torque_trace import torque_inputs
 
 E1, E2, E3 = np.eye(3)
 REST = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
@@ -242,13 +242,13 @@ def filtered_gap(R, theta, zeta, p, rho):
 def public_torque(kind, s, z, meas, p, gn, J):
     """The torque law evaluated at the measured state from the 3x3 gradient and feedforward."""
     E, Rm, wem = measured(s, meas)
+    ups = st.feedforward(Rm, s.omega_r, z, J)
     if kind == "velocity_free":
-        return st.torque_velocity_free(
-            Rm, s.theta, s.Rtilde @ E, s.theta_bar, s.omega_r, z, p, gn, J
-        )
+        g2 = st.grad_rotation(s.Rtilde @ E, s.theta_bar, p)
+        return np.array(torque_velocity_free_f(ups, st.grad_rotation(Rm, s.theta, p), g2, gn))
     # the smooth law feeds back its filter state; non_hybrid states have theta = 0
     g = s.zeta if kind == "smooth" else st.grad_rotation(Rm, s.theta, p)
-    return np.array(torque_basic_f(st.feedforward(Rm, s.omega_r, z, J), g, wem, gn))
+    return np.array(torque_basic_f(ups, g, wem, gn))
 
 
 def check_measured_rates(kind, s, meas, ydot, p, gn):
@@ -582,19 +582,27 @@ def test_velocity_free_gain_relation(paper_gains):
     assert np.allclose(rel, paper_gains.k_omega * np.eye(3), atol=1e-15)
 
 
-def test_velocity_free_signature_excludes_velocities():
-    names = set(inspect.signature(st.torque_velocity_free).parameters)
-    forbidden = {"omega", "omega_e", "omega_y", "w", "we", "velocity", "angular_velocity"}
-    assert names.isdisjoint(forbidden)
-    assert "omega_r" in names  # the reference velocity is known, not measured
+def test_velocity_free_torque_reads_no_velocity(paper_params, paper_gains, paper_inertia):
+    """Traced, the velocity-free torque reaches neither omega_e nor its noise n_omega.
+
+    The basic torque reaches both, so the trace can tell the two apart.
+    """
+    omega_e = {f"y{i}" for i in range(10, 13)}
+    n_omega = {f"meas{i}" for i in range(9, 12)}
+    vf, basic = (st.make_loop(kind, paper_params, paper_gains, paper_inertia, REST)
+                 for kind in ("velocity_free", "basic"))
+    for noisy in (False, True):
+        reads = torque_inputs(vf, noisy)
+        assert reads.isdisjoint(omega_e | n_omega)
+        assert {"y13", "y14", "y15"} <= reads  # the reference velocity is known, not measured
+        assert torque_inputs(basic, noisy) >= omega_e | (n_omega if noisy else set())
 
 
 def test_velocity_free_torque_zero_at_attractor(paper_params, paper_gains, paper_inertia):
-    tau = st.torque_velocity_free(
-        np.eye(3), 0.0, np.eye(3), 0.0, np.zeros(3), np.zeros(3), paper_params, paper_gains,
-        paper_inertia,
-    )
-    assert np.array_equal(tau, np.zeros(3))
+    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
+    y = loop.pack(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
+                  Rtilde=np.eye(3), theta_bar=0.0)
+    assert np.array_equal(loop.torque(0.0, y, None), np.zeros(3))
 
 
 def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):

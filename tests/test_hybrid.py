@@ -106,11 +106,6 @@ class Strict(HybridSystem):
     def sample_measurement(self, rng):
         return ((float(rng.normal()),),)
 
-    def jump_event_info(self, t, y_pre, y_post, meas):
-        assert_float_tuple(y_pre)
-        assert_float_tuple(y_post)
-        return {}
-
     def record(self, t, j, states, noise, in_jump):
         assert states.shape == (len(t), 2) and noise.shape == (len(t), 1)
         return (states[:, 0],)
@@ -248,7 +243,7 @@ def test_jump_refinement_on_closed_loop(paper_params, paper_inertia):
     pre_gap = st.gap(ev.y_pre[0:9].reshape(3, 3), ev.y_pre[9], paper_params)
     assert pre_gap >= paper_params.delta
     assert pre_gap - paper_params.delta <= 1e-9  # boundary located by bisection
-    drop = ev.info["lyap_pre"] - ev.info["lyap_post"]
+    drop = loop.lyapunov_packed(ev.y_pre) - loop.lyapunov_packed(ev.y_post)
     assert drop >= gains.k_R * paper_params.delta - 1e-9
 
 

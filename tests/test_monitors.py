@@ -6,6 +6,7 @@ import pytest
 
 import so3track as st
 from so3track.errors import ContractError
+from so3track.monitors import jump_count_bound
 from so3track.so3 import ARRAY_MATH
 
 
@@ -88,6 +89,25 @@ def test_exponential_fit_recovers_rate():
     assert r2 == pytest.approx(1.0, abs=1e-12)
     assert n == 2001
     assert st.exponential_fit(t[:5], vals[:5]) is None
+
+
+def test_jump_count_bound():
+    assert jump_count_bound(10.0, 0.486) == math.ceil(10.0 / 0.486) == 21
+    assert jump_count_bound(0.1, 0.486) == jump_count_bound(0.0, 0.486) == 1  # at least 1
+    assert jump_count_bound(3.0, 0.0) == 0  # no designed drop: no jump
+    for v0, drop in ((math.inf, 0.486), (1.0, 5e-324), (math.inf, 0.0), (math.nan, 0.486)):
+        with pytest.raises(ContractError, match=r"V\(0\) / jump_drop = .* is not finite"):
+            jump_count_bound(v0, drop)
+
+
+# theta0 = 1e300 overflows the potential's 0.5 gamma theta^2 to inf when the
+# arc is recorded, and numpy warns of it; the warning is the expected path here.
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_certify_rejects_an_infinite_initial_monitor(fig4_cfg):
+    # without `validate_scenario`, `certify_arc` overflowed in ceil(V(0) / jump_drop)
+    cfg = dataclasses.replace(fig4_cfg, theta0=1e300, t_max=0.01)
+    with pytest.raises(ContractError, match=r"V\(0\) / jump_drop = inf / 0.486 is not finite"):
+        st.simulate_member(cfg, cfg.members[0])
 
 
 def test_certify_passes_on_short_basic_run(fig3_cfg):

@@ -105,6 +105,18 @@ def test_ref_flow_rejects_oversized_acceleration():
         ref_flow(s, np.array([1.5, 0.0, 0.0]), 1.0)
 
 
+def test_reference_built_directly_rejects_a_non_positive_bound():
+    # the bounds were checked only by `make_reference`: m_bound = -1 constructed,
+    # and the first `z_at` failed as a solver error at t = 0
+    def fn(t, xp=math):
+        return (0.0, 0.0, 0.0)
+
+    with pytest.raises(ContractError, match="'m_bound' must be positive, got -1.0"):
+        st.Reference("r", fn, m_bound=-1.0, omega_r_bound=25.0)
+    with pytest.raises(ContractError, match="'omega_r_bound' must be positive, got 0.0"):
+        st.Reference("r", fn, m_bound=1.0, omega_r_bound=0.0)
+
+
 def test_tracking_error_definitions():
     rng = np.random.default_rng(1)
     R = st.random_rotation(rng)
