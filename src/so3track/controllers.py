@@ -99,8 +99,9 @@ class Measurement(NamedTuple):
 class Gains:
     """Feedback gains; each loop class checks the ones its law reads (`check`).
 
-    Gamma, the velocity-free law's filter gain, is a diagonal 3x3 matrix
-    with positive entries; the law reads only its diagonal.
+    Gamma_diag holds the velocity-free law's diagonal filter gain Gamma as
+    its 3 entries: ContractError on construction unless it is None or 3
+    finite numbers (see `so3.diag_floats`).
     """
 
     k_R: float
@@ -108,9 +109,13 @@ class Gains:
     k_theta: float | None = None
     k_zeta: float | None = None
     k_beta: float | None = None
-    Gamma: np.ndarray | None = None
+    Gamma_diag: tuple | None = None
     rho: float | None = None
     delta_prime: float | None = None
+
+    def __post_init__(self):
+        if self.Gamma_diag is not None:
+            object.__setattr__(self, "Gamma_diag", diag_floats(self.Gamma_diag, "Gamma_diag"))
 
 
 def filter_gain_bound(gains: Gains, params: PotentialParams) -> float:
@@ -271,7 +276,7 @@ class _TrackingLoop(HybridSystem):
         """The packed state of the fields named in `state_fields`, each at its offset.
 
         Rotations are 3x3 arrays, packed row-major.  ContractError for a
-        missing or an unknown field.
+        missing or an unknown field, or one of the wrong size.
         """
         names = [name for name, _ in cls.state_fields]
         missing = [n for n in names if n not in state]
@@ -281,6 +286,9 @@ class _TrackingLoop(HybridSystem):
                                 f"missing {missing}, unknown {unknown}")
         y = np.empty(cls.WIDTH)
         for name, at in cls.state_fields:
+            if np.size(state[name]) != np.size(y[at]):
+                raise ContractError(f"field '{name}' of a {cls.kind} loop state has "
+                                    f"{np.size(y[at])} entries, got {np.size(state[name])}")
             y[at] = np.reshape(state[name], np.shape(y[at]))
         return y
 
@@ -317,7 +325,7 @@ class _TrackingLoop(HybridSystem):
 
     def _velocity_damping(self) -> tuple:
         """(rate, source) of the velocity damping of a law that reads the velocity."""
-        return self.gains.k_omega / min(self.inertia.J_f), "k_omega / lambda_min(J)"
+        return self.gains.k_omega / min(self.inertia.J_diag), "k_omega / lambda_min(J)"
 
     def sample_measurement(self, rng):
         n = self.noise
@@ -345,7 +353,7 @@ class _TrackingLoop(HybridSystem):
 
     def _feedforward(self, R, omega_r, z) -> tuple:
         """(a, J a, feedforward) at rotation R, with a = R^T omega_r."""
-        J = self.inertia.J_f
+        J = self.inertia.J_diag
         a, Ja = shared_terms_f(R, omega_r, J)
         return a, Ja, feedforward_f(R, z, a, Ja, J)
 
@@ -370,10 +378,10 @@ class _TrackingLoop(HybridSystem):
 
     def _accel(self, omega_e, a, Ja, ups, tau) -> tuple:
         J = self.inertia
-        return error_accel_f(omega_e, a, Ja, ups, tau, J.J_f, J.J_inv_f)
+        return error_accel_f(omega_e, a, Ja, ups, tau, J.J_diag, J.J_inv_diag)
 
     def _kinetic(self, omega_e) -> float:
-        J0, J1, J2 = self.inertia.J_f
+        J0, J1, J2 = self.inertia.J_diag
         w0, w1, w2 = omega_e
         return 0.5 * (w0 * (J0 * w0) + w1 * (J1 * w1) + w2 * (J2 * w2))
 
@@ -432,7 +440,7 @@ class _TrackingLoop(HybridSystem):
         """The applied torque at time t and state y under measurement meas."""
         return np.array(self._control(self.reference.z_at(t), y, meas)[0])
 
-    def record(self, t, j, states, noise, in_jump):
+    def record(self, t, states, noise, in_jump):
         """All recorded columns in one pass of the kernels over the column arrays."""
         meas = None
         if noise is not None:
@@ -458,7 +466,7 @@ class _TrackingLoop(HybridSystem):
         value = self._value_w
         out = []
         for _, sl, i in self.warp_angles:
-            AR = diag_mul_f(p._A_f, y[sl] if meas is None else mat_mul_f(y[sl], meas.E))
+            AR = diag_mul_f(p.A_diag, y[sl] if meas is None else mat_mul_f(y[sl], meas.E))
             best_t, best_v = p.theta_set[0], math.inf
             for tp, W in p._resets:
                 v = value(AR, W, tp, y)
@@ -502,7 +510,7 @@ class BasicLoop(_TrackingLoop):
         Re, wr = v[self.R_E], v[self.OMEGA_R]
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
-        g0, g1, g2, g_th = gradients_f(diag_mul_f(p._A_f, Rm), v[self.THETA], p, xp)
+        g0, g1, g2, g_th = gradients_f(diag_mul_f(p.A_diag, Rm), v[self.THETA], p, xp)
         return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), a, Ja, ups, g_th
 
     flow = _TrackingLoop._flow
@@ -517,7 +525,7 @@ class BasicLoop(_TrackingLoop):
 
     def _monitor(self, v, xp=math):
         p = self.params
-        U = value_f(diag_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
+        U = value_f(diag_mul_f(p.A_diag, v[self.R_E]), v[self.THETA], p, xp)
         return U, self.gains.k_R * U + self._kinetic(v[self.OMEGA_E])
 
     def decay_rates(self):
@@ -599,7 +607,7 @@ class SmoothLoop(_TrackingLoop):
         Re, wr = v[self.R_E], v[self.OMEGA_R]
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
-        AR = diag_mul_f(p._A_f, Rm)
+        AR = diag_mul_f(p.A_diag, Rm)
         g0, g1, g2, g_th = gradients_f(AR, v[self.THETA], p, xp)
         tau = torque_basic_f(ups_m, v[self.ZETA], wem, self.gains)
         return tau, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
@@ -623,7 +631,7 @@ class SmoothLoop(_TrackingLoop):
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
         th = v[self.THETA]
-        AR = diag_mul_f(p._A_f, v[self.R_E])
+        AR = diag_mul_f(p.A_diag, v[self.R_E])
         W = warp_rotation_f(th, p, xp)
         V = filtered_value_w_f(AR, W, th, v[self.ZETA], p, gn.rho)
         return value_w_f(AR, W, th, p), gn.k_R * V + self._kinetic(v[self.OMEGA_E])
@@ -643,16 +651,12 @@ class VelocityFreeLoop(_TrackingLoop):
     gain_names = ("k_R", "k_theta", "k_beta")
     columns = BasicLoop.columns + ("dist_Rtilde", "theta_bar")
 
-    def __init__(self, params, gains, inertia, reference, noise=None, relaxed: bool = False):
-        super().__init__(params, gains, inertia, reference, noise, relaxed)
-        self._Gamma = diag_floats(gains.Gamma, "Gamma") if gains.Gamma is not None else None
-
     def check(self):
         """Also a filter gain Gamma with positive diagonal entries."""
         notes = super().check()
-        if self._Gamma is None:
+        if self.gains.Gamma_diag is None:
             raise ContractError("Gamma matrix is required")
-        if not min(self._Gamma) > 0.0:
+        if not min(self.gains.Gamma_diag) > 0.0:
             raise ContractError("Gamma must be positive definite")
         return notes
 
@@ -672,8 +676,8 @@ class VelocityFreeLoop(_TrackingLoop):
             E = meas.E
             Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
             ups_m = self._feedforward(Re, wr, z)[2]
-        a0, a1, a2, a_th = gradients_f(diag_mul_f(p._A_f, Re), v[self.THETA], p, xp)
-        b0, b1, b2, b_th = gradients_f(diag_mul_f(p._A_f, Rt), v[self.THETA_BAR], p, xp)
+        a0, a1, a2, a_th = gradients_f(diag_mul_f(p.A_diag, Re), v[self.THETA], p, xp)
+        b0, b1, b2, b_th = gradients_f(diag_mul_f(p.A_diag, Rt), v[self.THETA_BAR], p, xp)
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
         return tau, a, Ja, ups, g2, a_th, b_th, E
@@ -687,13 +691,13 @@ class VelocityFreeLoop(_TrackingLoop):
         return (
             *mat_skew_f(Re, we), -k_th * a_th,
             *self._accel(we, a, Ja, ups, tau), *z,
-            *aux_flow_f(y[self.R_TILDE], we, g2, self._Gamma, E), -k_th * b_th,
+            *aux_flow_f(y[self.R_TILDE], we, g2, self.gains.Gamma_diag, E), -k_th * b_th,
         )
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains
-        U1 = value_f(diag_mul_f(p._A_f, v[self.R_E]), v[self.THETA], p, xp)
-        U2 = value_f(diag_mul_f(p._A_f, v[self.R_TILDE]), v[self.THETA_BAR], p, xp)
+        U1 = value_f(diag_mul_f(p.A_diag, v[self.R_E]), v[self.THETA], p, xp)
+        U2 = value_f(diag_mul_f(p.A_diag, v[self.R_TILDE]), v[self.THETA_BAR], p, xp)
         return U1, gn.k_R * U1 + gn.k_beta * U2 + self._kinetic(v[self.OMEGA_E])
 
     def _extra_columns(self, v, xp=math):

@@ -71,8 +71,8 @@ class HybridSystem:
     buffers.  A measurement is a tuple of float sequences (the loops' is E as
     9 floats and n_omega as 3), kept concatenated.  After the run `solve`
     calls `record` on consecutive batches of n <= RECORD_BATCH samples, with
-    these as t (n,), j (n,) ints, states (n, dim), noise (n, width), or None
-    when `sample_measurement` gives None, and in_jump (n,) bools.  `record`
+    these as t (n,), states (n, dim), noise (n, width), or None when
+    `sample_measurement` gives None, and in_jump (n,) bools.  `record`
     returns one (n,) array per entry of `columns`, in that order.
     """
 
@@ -95,8 +95,7 @@ class HybridSystem:
     def sample_measurement(self, rng):
         return None
 
-    def record(self, t: np.ndarray, j: np.ndarray, states: np.ndarray, noise,
-               in_jump: np.ndarray) -> tuple:
+    def record(self, t: np.ndarray, states: np.ndarray, noise, in_jump: np.ndarray) -> tuple:
         return ()
 
 
@@ -337,7 +336,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     if system.columns:
         for a in range(0, n, RECORD_BATCH):
             b = a + RECORD_BATCH
-            cols = system.record(t_arr[a:b], j_arr[a:b], states_arr[a:b],
+            cols = system.record(t_arr[a:b], states_arr[a:b],
                                  None if noise_arr is None else noise_arr[a:b], flags_arr[a:b])
             data[a:b] = np.stack(cols, axis=1)
     return HybridArc(

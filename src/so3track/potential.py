@@ -26,12 +26,12 @@ apply the rule in `controllers._TrackingLoop._gaps`, where the smooth law
 takes its filtered value and threshold delta' in place of the potential's.
 
 Each formula is written once, as a component-wise kernel (`*_f`) on Python
-floats: rotations as 9 floats in row-major order, vectors and the diagonal
-of A as 3 floats (see `so3`).  The kernels take AR = A @ R rather than R, so
-that the gap can evaluate the potential at several warp angles from one
-matrix product.  The sampling-based certification runs `value_f` and
-`gradients_f` on batches (`moment` of a stack of rotations,
-`xp = ARRAY_MATH`).
+floats: rotations as 9 floats in row-major order, vectors as 3 floats, and A
+as its 3 diagonal entries, the one form it is held in (see `so3`).  The
+kernels take AR = A @ R rather than R, so that the gap can evaluate the
+potential at several warp angles from one matrix product.  The
+sampling-based certification runs `value_f` and `gradients_f` on batches
+(`moment` of a stack of rotations, `xp = ARRAY_MATH`).
 """
 
 from __future__ import annotations
@@ -64,19 +64,19 @@ _PI2 = math.pi * math.pi
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Spectrum-derived quantities of the weight matrix A.
+    """Spectrum-derived quantities of the diagonal weight A.
 
-    eigenvalues are ascending; eigenvectors are the matching columns with the
-    first nonzero component of each made positive for reproducibility.
-    `a_bar` is (tr(A) I - A)/2 and `a_under` is tr(a_bar^2) I - 2 a_bar^2.
-    `case_id` records which construction case produced the axis coefficients
-    `alphas`, and `delta_star` the guaranteed gap coefficient.
+    eigenvalues are A's diagonal entries in ascending order (a stable sort, so
+    equal entries keep their order) and eigenvectors the matching unit columns
+    of I.  `a_bar` is the matrix (tr(A) I - A)/2, which the gradient bounds
+    and the sampled alignment factor read.  `case_id` records which
+    construction case produced the axis coefficients `alphas`, and
+    `delta_star` the guaranteed gap coefficient.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     a_bar: np.ndarray
-    a_under: np.ndarray
     a_bar_min: float
     a_bar_max: float
     a_bar_fro: float
@@ -87,34 +87,37 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class PotentialParams:
-    """Full parameter set of the warped potential: {theta_set, A, u, gamma, delta}.
+    """Full parameter set of the warped potential: {theta_set, A_diag, u, gamma, delta}.
+
+    A_diag holds the diagonal weight A as its 3 entries (see `so3.diag_floats`);
+    `spectral` is derived from it on construction, so it is always A's.
 
     Invariants (checked on construction):
       * every reset angle satisfies 0 < |theta_i| <= pi,
-      * A is diagonal and positive definite with lambda_2 < lambda_3,
+      * A is positive definite with lambda_2 < lambda_3,
       * the gap coefficient and the gradient bounds of A are finite floats,
       * gamma < 4 delta_star / pi^2,
       * delta < (4 delta_star / pi^2 - gamma) * theta_min^2 / 2.
     """
 
     theta_set: tuple
-    A: np.ndarray
+    A_diag: tuple
     u: np.ndarray
     gamma: float
     delta: float
-    spectral: SpectralData
+    spectral: SpectralData = field(init=False)
     theta_min: float = field(init=False)
     _trA: float = field(init=False, repr=False)
-    # Float copies for the kernels: the diagonal of A and u as 3 floats, ux^2
-    # as 9, and each reset angle paired with its warp rotation as 9 floats,
-    # in theta_set order.
-    _A_f: tuple = field(init=False, repr=False)
+    # Float forms for the kernels: u as 3 floats, ux^2 as 9, and each reset
+    # angle paired with its warp rotation as 9 floats, in theta_set order.
     _u_f: tuple = field(init=False, repr=False)
     _ux2_f: tuple = field(init=False, repr=False)
     _resets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        A_f = diag_floats(self.A, "A")
+        A_diag = diag_floats(self.A_diag, "A_diag")
+        object.__setattr__(self, "A_diag", A_diag)
+        object.__setattr__(self, "spectral", _spectral_data(A_diag))
         if len(self.theta_set) == 0:
             raise ContractError("theta_set must be nonempty")
         for th in self.theta_set:
@@ -139,8 +142,7 @@ class PotentialParams:
         ux = skew(self.u)
         ux2 = ux @ ux
         object.__setattr__(self, "theta_min", tmin)
-        object.__setattr__(self, "_trA", float(np.trace(self.A)))
-        object.__setattr__(self, "_A_f", A_f)
+        object.__setattr__(self, "_trA", A_diag[0] + A_diag[1] + A_diag[2])
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
         object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))
         object.__setattr__(self, "_resets",
@@ -149,7 +151,7 @@ class PotentialParams:
     def to_mapping(self) -> dict:
         """Flat mapping matching the scenario config keys for this parameter set."""
         return {
-            "A_diag": [float(v) for v in np.diag(self.A)],
+            "A_diag": list(self.A_diag),
             "theta_set": [float(t) for t in self.theta_set],
             "gamma": float(self.gamma),
             "delta": float(self.delta),
@@ -207,36 +209,24 @@ class CertificationConstants:
     n_samples: int
 
 
-def warp_gap(u, v, A) -> float:
-    """Gap coefficient Delta(u, v) = u^T (tr(A) I - A - 2 v^T A v (I - v v^T)) u."""
+def warp_gap(u, v, A_diag) -> float:
+    """Gap coefficient u^T (tr(A) I - A - 2 v^T A v (I - v v^T)) u, A = diag(A_diag)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    A = np.asarray(A, dtype=float)
-    M = np.trace(A) * EYE3 - A - 2.0 * (v @ A @ v) * (EYE3 - np.outer(v, v))
-    return float(u @ M @ u)
+    a = np.array(diag_floats(A_diag, "A_diag"))
+    uu = u @ u
+    return float(a.sum() * uu - a @ (u * u) - 2.0 * (a @ (v * v)) * (uu - (u @ v) ** 2))
 
 
-def _spectral_data(A: np.ndarray) -> SpectralData:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3) or np.linalg.norm(A - A.T) > 1e-12:
-        raise ContractError("A must be a symmetric 3x3 matrix")
-    evals, evecs = np.linalg.eigh(A)
-    if evals[0] <= 0.0:
+def _spectral_data(A_diag: tuple) -> SpectralData:
+    """The spectrum of A = diag(A_diag), 3 finite floats, and what derives from it."""
+    order = sorted(range(3), key=A_diag.__getitem__)
+    l1, l2, l3 = (A_diag[i] for i in order)
+    if l1 <= 0.0:
         raise ContractError("A must be positive definite")
-    scale = evals[2]
-    if evals[2] - evals[1] <= 1e-9 * scale:
+    if l3 - l2 <= 1e-9 * l3:
         raise ContractError("lambda_2 = lambda_3: axis construction is undefined")
-    # Sign-fix eigenvectors: first component of magnitude > 1e-12 made positive.
-    evecs = evecs.copy()
-    for i in range(3):
-        col = evecs[:, i]
-        for c in col:
-            if abs(c) > 1e-12:
-                if c < 0.0:
-                    evecs[:, i] = -col
-                break
-    l1, l2, l3 = (float(v) for v in evals)
-    if l2 - l1 <= 1e-9 * scale:
+    if l2 - l1 <= 1e-9 * l3:
         # Equal low pair: only the top-axis coefficient is pinned; the rest of
         # the mass goes on the first eigenvector (any split in the eigenplane
         # is equivalent by symmetry).
@@ -259,19 +249,16 @@ def _spectral_data(A: np.ndarray) -> SpectralData:
         )
         delta_star = 4.0 * l1 * l2 * l3 / s
         case_id = 3
-    a_bar = 0.5 * ((l1 + l2 + l3) * EYE3 - A)
-    with np.errstate(over="ignore", invalid="ignore"):  # PotentialParams rejects overflow
-        a_bar2 = a_bar @ a_bar
-        a_under = np.trace(a_bar2) * EYE3 - 2.0 * a_bar2
+    tr = l1 + l2 + l3
+    a_bar = np.diag(0.5 * (tr - np.array(A_diag)))
+    with np.errstate(over="ignore"):  # PotentialParams rejects overflow
         a_bar_fro = float(np.linalg.norm(a_bar))
-    bar_evals = 0.5 * ((l1 + l2 + l3) - evals)
     return SpectralData(
-        eigenvalues=evals,
-        eigenvectors=evecs,
+        eigenvalues=np.array((l1, l2, l3)),
+        eigenvectors=EYE3[:, order],
         a_bar=a_bar,
-        a_under=a_under,
-        a_bar_min=float(bar_evals.min()),
-        a_bar_max=float(bar_evals.max()),
+        a_bar_min=0.5 * (tr - l3),
+        a_bar_max=0.5 * (tr - l1),
         a_bar_fro=a_bar_fro,
         delta_star=float(delta_star),
         case_id=case_id,
@@ -280,7 +267,7 @@ def _spectral_data(A: np.ndarray) -> SpectralData:
 
 
 def design_params(
-    A,
+    A_diag,
     theta_set,
     *,
     gamma: float | None = None,
@@ -288,14 +275,16 @@ def design_params(
     delta: float | None = None,
     delta_frac: float | None = None,
 ) -> PotentialParams:
-    """Build a parameter set with the warp axis chosen from the spectrum of A.
+    """Build a parameter set with the warp axis chosen from the spectrum of A = diag(A_diag).
 
     The axis u and gap coefficient delta_star follow the three-way case split
     on the eigenvalues of A.  Exactly one of gamma / gamma_frac and one of
     delta / delta_frac must be given; fractions are taken of the admissible
-    upper bounds, so fractional inputs always satisfy the invariants.
+    upper bounds, so fractional inputs always satisfy the invariants, which
+    `PotentialParams` checks.
     """
-    spectral = _spectral_data(np.asarray(A, dtype=float))
+    A_diag = diag_floats(A_diag, "A_diag")
+    spectral = _spectral_data(A_diag)
     theta_set = tuple(float(t) for t in theta_set)
     if (gamma is None) == (gamma_frac is None):
         raise ContractError("give exactly one of gamma, gamma_frac")
@@ -306,23 +295,18 @@ def design_params(
         if not 0.0 < gamma_frac < 1.0:
             raise ContractError("gamma_frac must lie in (0, 1)")
         gamma = gamma_frac * gmax
-    if not theta_set:
-        raise ContractError("theta_set must be nonempty")
-    tmin = min(abs(t) for t in theta_set)
-    dmax = (gmax - float(gamma)) * tmin * tmin / 2.0
     if delta is None:
         if not 0.0 < delta_frac < 1.0:
             raise ContractError("delta_frac must lie in (0, 1)")
-        delta = delta_frac * dmax
+        tmin = min((abs(t) for t in theta_set), default=0.0)
+        delta = delta_frac * ((gmax - float(gamma)) * tmin * tmin / 2.0)
     u = spectral.eigenvectors @ spectral.alphas
-    u = u / np.linalg.norm(u)
     return PotentialParams(
         theta_set=theta_set,
-        A=np.asarray(A, dtype=float),
-        u=u,
+        A_diag=A_diag,
+        u=u / np.linalg.norm(u),
         gamma=float(gamma),
         delta=float(delta),
-        spectral=spectral,
     )
 
 
@@ -415,7 +399,7 @@ def grad_rotation_rate_f(AR, theta: float, omega, theta_rate: float, p: Potentia
 
 def moment(R, p: PotentialParams) -> tuple:
     """A @ R as 9 floats, the argument of the kernels; as 9 (n,) arrays for an (n, 3, 3) stack."""
-    return diag_mul_f(p._A_f, columns(R) if np.ndim(R) == 3 else floats(R))
+    return diag_mul_f(p.A_diag, columns(R) if np.ndim(R) == 3 else floats(R))
 
 
 def warp_rotation(theta: float, p: PotentialParams) -> np.ndarray:

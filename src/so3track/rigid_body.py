@@ -1,7 +1,8 @@
 """Inertia, reference generation, and the terms of the tracking-error dynamics.
 
 The feedforward and coupling terms of the error dynamics are written once, as
-component-wise kernels (`*_f`) on floats (see `so3`).
+component-wise kernels (`*_f`) on floats (see `so3`), which read the inertia
+J and J^-1 as their diagonal entries, as `Inertia` holds them.
 """
 
 from __future__ import annotations
@@ -18,45 +19,25 @@ from .so3 import diag_floats, floats, mat_tvec_f
 
 @dataclass(frozen=True, eq=False)
 class Inertia:
-    """Diagonal positive definite inertia matrix with its inverse cached.
+    """Diagonal positive definite inertia J, held as its 3 diagonal entries.
 
-    The kernels read J and J^-1 as their diagonal entries, so J must be
-    diagonal: a non-zero off-diagonal entry is a ContractError, as is an
-    entry so small that its inverse overflows.
+    `J_inv_diag` holds those of J^-1.  ContractError unless J_diag is 3
+    finite positive numbers (see `so3.diag_floats`) whose inverses are finite.
     """
 
-    J: np.ndarray
-    J_inv: np.ndarray = field(init=False)
-    lam_min: float = field(init=False)
-    lam_max: float = field(init=False)
-    # The diagonals of J and J^-1 as 3 floats each, for the kernels.
-    J_f: tuple = field(init=False, repr=False)
-    J_inv_f: tuple = field(init=False, repr=False)
+    J_diag: tuple
+    J_inv_diag: tuple = field(init=False)
 
     def __post_init__(self):
-        J = np.asarray(self.J, dtype=float)
-        J_f = diag_floats(J, "inertia matrix")
-        if not min(J_f) > 0.0:
+        J = diag_floats(self.J_diag, "J_diag")
+        if not min(J) > 0.0:
             raise ContractError("inertia matrix must be positive definite")
-        J_inv = np.linalg.inv(J)
-        J_inv_f = tuple(np.diagonal(J_inv).tolist())
-        if not all(map(math.isfinite, J_inv_f)):
+        J_inv = tuple(1.0 / x for x in J)
+        if not all(map(math.isfinite, J_inv)):
             raise ContractError(f"the inverse of the inertia matrix is not finite: "
-                                f"diagonal {list(J_inv_f)}")
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "J_inv", J_inv)
-        object.__setattr__(self, "lam_min", min(J_f))
-        object.__setattr__(self, "lam_max", max(J_f))
-        object.__setattr__(self, "J_f", J_f)
-        object.__setattr__(self, "J_inv_f", J_inv_f)
-
-    @classmethod
-    def from_matrix(cls, J) -> "Inertia":
-        return cls(J)
-
-    @classmethod
-    def from_diag(cls, d) -> "Inertia":
-        return cls(np.diag(np.asarray(d, dtype=float)))
+                                f"diagonal {list(J_inv)}")
+        object.__setattr__(self, "J_diag", J)
+        object.__setattr__(self, "J_inv_diag", J_inv)
 
 
 @dataclass(frozen=True)
@@ -179,5 +160,5 @@ def feedforward(Re, omega_r, z, inertia: Inertia) -> np.ndarray:
     J R_e^T z + (R_e^T omega_r) x J (R_e^T omega_r); zero for a constant reference.
     """
     R = floats(Re)
-    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
-    return np.array(feedforward_f(R, floats(z), a, Ja, inertia.J_f))
+    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_diag)
+    return np.array(feedforward_f(R, floats(z), a, Ja, inertia.J_diag))

@@ -224,17 +224,13 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     if nvr < 0.0 or nvw < 0.0:
         raise ConfigError("noise variances must be nonnegative")
 
-    gamma_diag = d["Gamma_diag"]
-    Gamma = None
-    if gamma_diag is not None:
-        Gamma = np.diag(as_floats("Gamma_diag", 3))
     gains = Gains(
         k_R=as_float("k_R"),
         k_omega=as_float("k_omega", allow_none=True),
         k_theta=as_float("k_theta"),
         k_zeta=as_float("k_zeta", allow_none=True),
         k_beta=as_float("k_beta", allow_none=True),
-        Gamma=Gamma,
+        Gamma_diag=None if d["Gamma_diag"] is None else as_floats("Gamma_diag", 3),
         rho=as_float("rho", allow_none=True),
         delta_prime=as_float("delta_prime", allow_none=True),
     )
@@ -326,12 +322,12 @@ def _unit_axis(axis) -> np.ndarray:
 def build_member(cfg: ScenarioConfig, member: MemberSpec):
     """Closed loop plus packed initial state for one member run."""
     try:
-        params = design_params(np.diag(cfg.A_diag), cfg.theta_set, gamma=member.gamma,
+        params = design_params(cfg.A_diag, cfg.theta_set, gamma=member.gamma,
                                delta=cfg.delta, delta_frac=cfg.delta_frac)
     except ContractError as e:
         raise ConfigError(f"member {member.label}: {e}") from None
     try:
-        inertia = Inertia.from_diag(cfg.inertia_diag)
+        inertia = Inertia(cfg.inertia_diag)
     except ContractError as e:
         raise ConfigError(f"'J_diag' = {list(cfg.inertia_diag)}: {e}") from None
     try:

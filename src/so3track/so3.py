@@ -6,10 +6,11 @@ pure function of its arguments.
 
 The `*_f` helpers are the component-wise forms used by the per-step kernels:
 a 3-vector is a sequence of 3 floats and a 3x3 matrix a sequence of 9 floats
-in row-major order, or of its 3 diagonal entries where the matrix must be
-diagonal (`diag_floats`, `diag_mul_f`).  At this size numpy call overhead
-outweighs the arithmetic, so the closed loops evaluate their formulas on
-Python floats.
+in row-major order.  A diagonal weight (the potential's A, the inertia J and
+the filter gain Gamma) is its 3 diagonal entries everywhere, from the config
+to the kernels; `diag_floats` is the one check of that form.  At this size
+numpy call overhead outweighs the arithmetic, so the closed loops evaluate
+their formulas on Python floats.
 
 The same kernels run on a batch when each component is an (n,) array (see
 `columns`).  Arithmetic is the same there; the few math functions a kernel
@@ -54,15 +55,18 @@ def _elementwise(fn):
 ARRAY_MATH = SimpleNamespace(sin=_elementwise(math.sin), cos=_elementwise(math.cos), sqrt=np.sqrt)
 
 
-def diag_floats(m, name: str) -> tuple:
-    """The diagonal of a 3x3 matrix as 3 floats, the kernels' form of a diagonal weight.
+def diag_floats(d, name: str) -> tuple:
+    """A diagonal weight (A, J or Gamma) as its 3 entries, the one form the package holds it in.
 
-    ContractError unless m is 3x3 with every off-diagonal entry zero.
+    ContractError unless d is 3 finite numbers; a 3x3 matrix is not, nor are strings.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or np.any(m[~np.eye(3, dtype=bool)] != 0.0):
-        raise ContractError(f"{name} must be a diagonal 3x3 matrix")
-    return tuple(np.diagonal(m).tolist())
+    try:
+        d = np.asarray(d)
+    except ValueError:  # a ragged nesting
+        d = np.empty(0)
+    if d.shape != (3,) or d.dtype.kind not in "biuf" or not np.isfinite(d).all():
+        raise ContractError(f"{name} must be 3 finite numbers, the diagonal entries of the matrix")
+    return tuple(d.astype(float).tolist())
 
 
 def diag_mul_f(d, b) -> tuple:

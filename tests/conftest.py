@@ -12,13 +12,13 @@ import so3track as st
 def paper_params():
     """The simulation-study parameter set: A=diag(2,4,6), one reset at 0.9 pi."""
     return st.design_params(
-        np.diag([2.0, 4.0, 6.0]), [0.9 * math.pi], gamma=7.0 / math.pi**2, delta_frac=0.8
+        [2.0, 4.0, 6.0], [0.9 * math.pi], gamma=7.0 / math.pi**2, delta_frac=0.8
     )
 
 
 @pytest.fixture(scope="session")
 def paper_inertia():
-    return st.Inertia.from_diag([0.0159, 0.0150, 0.0297])
+    return st.Inertia([0.0159, 0.0150, 0.0297])
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def paper_gains():
         k_theta=50.0,
         k_zeta=150.0,
         k_beta=3.0,
-        Gamma=30.0 * np.eye(3),
+        Gamma_diag=[30.0, 30.0, 30.0],
         rho=0.0146,
         delta_prime=0.162,
     )

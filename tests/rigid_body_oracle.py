@@ -38,7 +38,8 @@ def body_flow(state: BodyState, tau, inertia) -> tuple[np.ndarray, np.ndarray]:
     """Rigid-body rates: Rdot = R skew(omega), J omegadot = -omega x J omega + tau."""
     w = state.omega
     Rdot = state.R @ skew(w)
-    wdot = inertia.J_inv @ (-np.cross(w, inertia.J @ w) + np.asarray(tau, dtype=float))
+    J = np.diag(inertia.J_diag)
+    wdot = np.diag(inertia.J_inv_diag) @ (-np.cross(w, J @ w) + np.asarray(tau, dtype=float))
     return Rdot, wdot
 
 
@@ -59,7 +60,7 @@ def tracking_error(body: BodyState, ref: RefState) -> ErrorState:
 
 def coupling_matrix(Re, omega_e, omega_r, inertia) -> np.ndarray:
     """Skew-symmetric coupling matrix of the error dynamics (contributes no power)."""
-    J = inertia.J
+    J = np.diag(inertia.J_diag)
     a = Re.T @ np.asarray(omega_r, dtype=float)
     ax = skew(a)
     return skew(J @ np.asarray(omega_e, dtype=float)) + skew(J @ a) - (ax @ J + J @ ax)

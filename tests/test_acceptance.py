@@ -99,15 +99,15 @@ def test_c3_constructor(paper_params):
     assert abs(p.spectral.delta_star - 2.0) <= 1e-12
 
     def check(A_diag):
-        q = st.design_params(np.diag(A_diag), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+        q = st.design_params(A_diag, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
         sp = q.spectral
         assert abs(float(sp.alphas @ sp.alphas) - 1.0) <= 1e-12
         # oracle: enumerate the gap coefficient over the eigenvector family
-        vals = [st.warp_gap(q.u, sp.eigenvectors[:, i], q.A) for i in range(3)]
+        vals = [st.warp_gap(q.u, sp.eigenvectors[:, i], q.A_diag) for i in range(3)]
         if sp.case_id == 1:
             for phi in np.linspace(0.0, 2.0 * math.pi, 1441):
                 v = math.cos(phi) * sp.eigenvectors[:, 0] + math.sin(phi) * sp.eigenvectors[:, 1]
-                vals.append(st.warp_gap(q.u, v, q.A))
+                vals.append(st.warp_gap(q.u, v, q.A_diag))
         assert abs(min(vals) - sp.delta_star) <= 1e-10
         return sp.case_id
 
@@ -243,7 +243,7 @@ def test_c9_identity_suite(paper_params):
     cos1 = (1.0 - np.cos(angles))[:, None, None]
     T = np.eye(3)[None] + sin * K + cos1 * (K @ K)
 
-    A_w = p.A
+    A_w = np.diag(p.A_diag)
     sp = p.spectral
     distsq = (3.0 - np.einsum("nii->n", T)) / 4.0
     trace_term = np.trace(A_w) - np.einsum("ij,nji->n", A_w, T)
@@ -265,7 +265,9 @@ def test_c9_identity_suite(paper_params):
     mapped = ax_T @ sp.a_bar
     cosang = np.einsum("ni,ni->n", ax_T, mapped) / np.linalg.norm(mapped, axis=1)
     alpha = 1.0 - distsq * cosang**2
-    under_term = np.trace(sp.a_under) - np.einsum("ij,nji->n", sp.a_under, T)
+    a_bar2 = sp.a_bar @ sp.a_bar
+    a_under = np.trace(a_bar2) * np.eye(3) - 2.0 * a_bar2
+    under_term = np.trace(a_under) - np.einsum("ij,nji->n", a_under, T)
     assert np.abs(lhs - alpha * under_term).max() <= 1e-9
     assert time.perf_counter() - start < 5.0
 

@@ -1,18 +1,21 @@
 """Seeded config fuzz: a mutated bundled config validates or ends in one ConfigError.
 
-A second seeded stage runs each mutated config that validates for a few steps.
+A second seeded stage runs each mutated config that validates for a few steps,
+and a third passes pool values as diagonal weights to the public constructors.
 """
 
 import dataclasses
 import math
 import random
+import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import so3track as st
 from so3track.cli import main
-from so3track.errors import ConfigError, SolverError
+from so3track.errors import ConfigError, ContractError, SolverError
 from so3track.scenarios import _DEFAULTS, _REQUIRED
 
 # Every key the loader knows, a removed key (`priority`) and one it never knew.
@@ -142,3 +145,56 @@ def test_mutated_configs_that_validate_run_a_few_steps():
             else:
                 outcomes["PASS" if res.report.passed else "FAIL"] += 1
     assert outcomes["PASS"] > 200 and outcomes["SolverError"] > 10, outcomes
+
+
+# 3x3 matrices, which no constructor takes as a diagonal weight.
+MATRICES = (np.eye(3), np.diag([2.0, 4.0, 6.0]), np.diag([2.0, 4.0, 6.0]) + np.diag([0.1, 0.1], 1),
+            np.full((3, 3), math.nan))
+
+
+def weight(rng: random.Random):
+    """A diagonal weight to try: a pool value, a 3x3 matrix or 3 pool scalars."""
+    x = rng.random()
+    if x < 0.4:
+        value = rng.choice(POOL)
+        return list(value) if isinstance(value, list) else value
+    if x < 0.5:
+        return rng.choice(MATRICES).copy()
+    return [rng.choice(SCALARS) for _ in range(3)]
+
+
+def test_weight_constructors_build_finite_weights_or_raise_contract_errors(paper_params,
+                                                                           paper_inertia):
+    rest = st.make_reference("rest", 1.0, 1.0)
+    gains = st.Gains(k_R=1.5, k_theta=50.0, k_beta=3.0)
+
+    def build(name, w):
+        """The entries a constructor keeps for weight w; ContractError if it refuses w."""
+        if name == "A_diag":
+            p = st.design_params(w, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+            return (*p.A_diag, *st.gradient_bounds(p))
+        if name == "J_diag":
+            J = st.Inertia(w)
+            return (*J.J_diag, *J.J_inv_diag)
+        g = dataclasses.replace(gains, Gamma_diag=w)
+        st.make_loop("velocity_free", paper_params, g, paper_inertia, rest).check()
+        return g.Gamma_diag
+
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for case in range(3000):
+        name = ("A_diag", "J_diag", "Gamma_diag")[case % 3]
+        w = weight(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entries = build(name, w)
+        except ContractError:
+            outcomes[name, "error"] += 1
+        except Exception as e:  # any other type, or a warning, fails the test, naming the case
+            pytest.fail(f"case {case}: {name} = {w!r} raised {type(e).__name__}: {e}")
+        else:
+            assert len(entries) >= 3 and all(map(math.isfinite, entries)), (case, name, w)
+            outcomes[name, "ok"] += 1
+    # every constructor reaches both outcomes
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 10, outcomes

@@ -113,7 +113,7 @@ def test_warp_reset_tie_break_prefers_first(paper_gains, paper_inertia):
     # theta, so {a, -a} ties exactly; at theta = 0 the state is in the jump set
     R = np.diag([1.0, -1.0, -1.0])
     for theta_set in ([0.9 * math.pi, -0.9 * math.pi], [-0.9 * math.pi, 0.9 * math.pi]):
-        p = st.design_params(np.diag([2.0, 4.0, 6.0]), theta_set, gamma_frac=0.5, delta_frac=0.5)
+        p = st.design_params([2.0, 4.0, 6.0], theta_set, gamma_frac=0.5, delta_frac=0.5)
         a, b = p.theta_set
         assert st.value(R, a, p) == st.value(R, b, p)
         assert st.gap(R, 0.0, p) >= p.delta
@@ -169,7 +169,7 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
         theta_dot = ydot[THETA]
         we_dot = ydot[OMEGA_E]
         ldot = gn.k_R * (2.0 * s.omega_e @ g_rot + g_th * theta_dot) + s.omega_e @ (
-            J.J @ we_dot
+            np.diag(J.J_diag) @ we_dot
         )
         expected = -gn.k_omega * (s.omega_e @ s.omega_e) - gn.k_R * gn.k_theta * g_th**2
         assert ldot == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
@@ -267,7 +267,7 @@ def check_measured_rates(kind, s, meas, ydot, p, gn):
         rate = -gn.k_theta * st.gradients(Rtm, s.theta_bar, p)[1]
         assert ydot[THETA_BAR] == pytest.approx(rate, rel=1e-12, abs=1e-12)
         # the damping output is formed at the measured auxiliary rotation
-        beta = E @ (gn.Gamma @ st.grad_rotation(Rtm, s.theta_bar, p))
+        beta = E @ (np.diag(gn.Gamma_diag) @ st.grad_rotation(Rtm, s.theta_bar, p))
         Rt_dot = s.Rtilde @ st.skew(s.omega_e - beta)
         assert np.allclose(ydot[R_TILDE], Rt_dot.ravel(), rtol=0.0, atol=1e-11)
 
@@ -288,10 +288,10 @@ def public_margin(kind, s, meas, p, gn):
 def torque_from_flow(loop, s, t, ydot):
     """Applied torque recovered from the velocity row: J wdot_e - Sigma w_e + Upsilon."""
     J, z = loop.inertia, loop.reference.z_at(t)
-    a, Ja = shared_terms_f(floats(s.Re), floats(s.omega_r), J.J_f)
-    sig = np.array(coupling_times_f(floats(s.omega_e), a, Ja, J.J_f))
+    a, Ja = shared_terms_f(floats(s.Re), floats(s.omega_r), J.J_diag)
+    sig = np.array(coupling_times_f(floats(s.omega_e), a, Ja, J.J_diag))
     ups = st.feedforward(s.Re, s.omega_r, z, J)
-    return J.J @ ydot[OMEGA_E] - sig + ups
+    return np.diag(J.J_diag) @ ydot[OMEGA_E] - sig + ups
 
 
 @pytest.mark.parametrize("kind", LAWS)
@@ -355,9 +355,9 @@ def spy_on_record(loop):
     seen = {}
     record = loop.record
 
-    def spy(t, j, states, noise, in_jump):
+    def spy(t, states, noise, in_jump):
         seen.update(t=t, states=states, noise=noise, in_jump=in_jump)
-        return record(t, j, states, noise, in_jump)
+        return record(t, states, noise, in_jump)
 
     loop.record = spy
     return seen
@@ -464,7 +464,7 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
                 + g_th * theta_dot
                 + 2.0 * gn.rho * mism @ (zeta_dot - rate_g)
             )
-            ldot = gn.k_R * wdot + s.omega_e @ (J.J @ we_dot)
+            ldot = gn.k_R * wdot + s.omega_e @ (np.diag(J.J_diag) @ we_dot)
             if relaxed:
                 expected = (
                     -gn.k_omega * (s.omega_e @ s.omega_e)
@@ -572,13 +572,13 @@ def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia)
 
 
 def test_aux_damping_output_zero_at_target(paper_params, paper_gains):
-    beta = paper_gains.Gamma @ st.grad_rotation(np.eye(3), 0.0, paper_params)
+    beta = np.diag(paper_gains.Gamma_diag) @ st.grad_rotation(np.eye(3), 0.0, paper_params)
     assert np.array_equal(beta, np.zeros(3))
 
 
 def test_velocity_free_gain_relation(paper_gains):
     # the study picks k_beta so that 2 k_beta Gamma^-1 equals k_omega
-    rel = 2.0 * paper_gains.k_beta * np.linalg.inv(paper_gains.Gamma)
+    rel = 2.0 * paper_gains.k_beta * np.linalg.inv(np.diag(paper_gains.Gamma_diag))
     assert np.allclose(rel, paper_gains.k_omega * np.eye(3), atol=1e-15)
 
 
@@ -622,16 +622,16 @@ def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_i
         g2, g2_th = st.gradients(s.Rtilde, s.theta_bar, p)
         we_dot = ydot[OMEGA_E]
         # chain rule: U(Rtilde, theta_bar) flows with drive omega_e - beta
-        beta = gn.Gamma @ g2
+        beta = np.diag(gn.Gamma_diag) @ g2
         ldot = (
             gn.k_R * (2.0 * s.omega_e @ g1 + g1_th * ydot[THETA])
             + gn.k_beta * (2.0 * (s.omega_e - beta) @ g2 + g2_th * ydot[THETA_BAR])
-            + s.omega_e @ (J.J @ we_dot)
+            + s.omega_e @ (np.diag(J.J_diag) @ we_dot)
         )
         expected = (
             -gn.k_R * gn.k_theta * g1_th**2
             - gn.k_beta * gn.k_theta * g2_th**2
-            - 2.0 * gn.k_beta * (g2 @ (gn.Gamma @ g2))
+            - 2.0 * gn.k_beta * (g2 @ (np.diag(gn.Gamma_diag) @ g2))
         )
         assert ldot == pytest.approx(expected, abs=1e-8 * max(1.0, abs(expected)))
 
@@ -800,14 +800,16 @@ def test_gains_validation(paper_params, paper_inertia):
               p, J)  # delta_prime missing
     with pytest.raises(ContractError):
         check("velocity_free", st.Gains(k_R=1.0, k_omega=1.0, k_theta=1.0, k_beta=1.0,
-                                        Gamma=np.diag([1.0, 1.0, -1.0])), p, J)
+                                        Gamma_diag=[1.0, 1.0, -1.0]), p, J)
 
 
-def test_velocity_free_loop_rejects_off_diagonal_gamma(paper_params, paper_gains, paper_inertia):
-    # the filter gain enters the flow as its diagonal, so an off-diagonal entry is refused
-    gains = dataclasses.replace(paper_gains, Gamma=30.0 * np.eye(3) + np.diag([1.0, 1.0], 1))
-    with pytest.raises(ContractError, match="Gamma must be a diagonal 3x3 matrix"):
-        st.make_loop("velocity_free", paper_params, gains, paper_inertia, REST)
+def test_velocity_free_loop_rejects_off_diagonal_gamma(paper_gains):
+    # the filter gain is held as its 3 diagonal entries: a matrix, even a diagonal one, 2
+    # entries or a NaN entry is refused when the gains are built
+    for bad in (30.0 * np.eye(3) + np.diag([1.0, 1.0], 1), 30.0 * np.eye(3), [30.0, 30.0],
+                [30.0, math.nan, 30.0]):
+        with pytest.raises(ContractError, match="Gamma_diag must be 3 finite numbers"):
+            dataclasses.replace(paper_gains, Gamma_diag=bad)
 
 
 def test_gains_warning_for_large_rho(paper_params, paper_gains, paper_inertia):
@@ -860,13 +862,15 @@ def test_pack_rejects_a_missing_or_unknown_field(kind):
             cls.pack(**{k: v for k, v in state.items() if k != name})
     with pytest.raises(ContractError, match=r"unknown \['bogus'\]"):
         cls.pack(**state, bogus=0.0)
+    with pytest.raises(ContractError, match="field 'Re' of a .* loop state has 9 entries, got 4"):
+        cls.pack(**{**state, "Re": np.eye(2)})
 
 
 def gain_message(gain, bad):
     """The message for a gain a law reads that is missing (None) or not positive."""
     if gain == "delta_prime":
         return "delta_prime must lie in (0, delta)"
-    if gain == "Gamma":
+    if gain == "Gamma_diag":
         return "Gamma matrix is required" if bad is None else "Gamma must be positive definite"
     return f"{gain} must be positive"
 
@@ -875,7 +879,7 @@ def gain_message(gain, bad):
 READS = {
     "basic": {"k_R", "k_theta", "k_omega"},
     "smooth": {"k_R", "k_theta", "k_omega", "k_zeta", "rho", "delta_prime"},
-    "velocity_free": {"k_R", "k_theta", "k_beta", "Gamma"},
+    "velocity_free": {"k_R", "k_theta", "k_beta", "Gamma_diag"},
     "non_hybrid": {"k_R", "k_omega"},
 }
 
@@ -883,10 +887,14 @@ READS = {
 @pytest.mark.parametrize("kind", sorted(LOOP_CLASSES))
 def test_each_missing_or_non_positive_gain_keeps_its_message(kind, paper_params, paper_gains,
                                                              paper_inertia):
+    # a Gamma that is not 3 entries is refused when the gains are built, before a law reads it
+    with pytest.raises(ContractError) as e:
+        dataclasses.replace(paper_gains, Gamma_diag=0.0 * np.eye(3))
+    assert str(e.value).startswith("Gamma_diag must be 3 finite numbers")
     raised = set()
     for field in dataclasses.fields(st.Gains):
         gain = field.name
-        bads = (None, 0.0 * np.eye(3), -np.eye(3)) if gain == "Gamma" else (None, 0.0, -1.0)
+        bads = (None, [0.0] * 3, [-1.0] * 3) if gain == "Gamma_diag" else (None, 0.0, -1.0)
         for bad in bads:
             gains = dataclasses.replace(paper_gains, **{gain: bad})
             loop = st.make_loop(kind, paper_params, gains, paper_inertia, REST)

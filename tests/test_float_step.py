@@ -64,9 +64,9 @@ def run_against_oracle(loop, y0, cfg, monkeypatch):
         steps[t] = h  # the accepted step from t is the last one taken from t
         return rk4_step(f, t, y, h, meas)
 
-    def spy_record(t, j, states, noise, in_jump):
+    def spy_record(t, states, noise, in_jump):
         seen.setdefault("noise", []).append(noise)
-        return record(t, j, states, noise, in_jump)
+        return record(t, states, noise, in_jump)
 
     monkeypatch.setattr(hybrid, "rk4_step", spy_rk4)
     loop.record = spy_record

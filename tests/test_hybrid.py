@@ -18,7 +18,7 @@ class Decay(HybridSystem):
     def flow(self, t, y, meas):
         return tuple(-x for x in y)
 
-    def record(self, t, j, states, noise, in_jump):
+    def record(self, t, states, noise, in_jump):
         return (states[:, 0],)
 
 
@@ -106,7 +106,7 @@ class Strict(HybridSystem):
     def sample_measurement(self, rng):
         return ((float(rng.normal()),),)
 
-    def record(self, t, j, states, noise, in_jump):
+    def record(self, t, states, noise, in_jump):
         assert states.shape == (len(t), 2) and noise.shape == (len(t), 1)
         return (states[:, 0],)
 

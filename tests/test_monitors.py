@@ -74,7 +74,7 @@ def test_lyapunov_positive_away_from_attractor(paper_params, paper_gains, paper_
     theta = rng.uniform(-math.pi, math.pi, n)
     we = rng.standard_normal((n, 3))
     U = st.potential.value_f(st.potential.moment(R, p), theta, p, ARRAY_MATH)
-    kin = 0.5 * np.einsum("ni,ij,nj->n", we, J.J, we)
+    kin = 0.5 * np.einsum("ni,ij,nj->n", we, np.diag(J.J_diag), we)
     lyap = gn.k_R * U + kin
     dist = np.sqrt(np.clip((3.0 - np.einsum("nii->n", R)) / 4.0, 0.0, None))
     away = (dist > 1e-3) | (np.abs(theta) > 1e-3) | (np.linalg.norm(we, axis=1) > 1e-3)

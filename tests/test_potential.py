@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ def gap_coeff_oracle(u, v, A):
 def value_oracle(R, theta, p):
     """Trace evaluation through an independently coded warp."""
     T = R @ st.angle_axis(theta, p.u) if theta != 0.0 else R.copy()
-    return float(np.trace(p.A @ (np.eye(3) - T))) + 0.5 * p.gamma * theta**2
+    return float(np.trace(np.diag(p.A_diag) @ (np.eye(3) - T))) + 0.5 * p.gamma * theta**2
 
 
 def batch_value(R, theta, p):
@@ -68,54 +69,75 @@ def test_case2_matches_simulation_study(paper_params):
 
 
 def test_case1_equal_low_pair():
-    p = st.design_params(np.diag([3.0, 3.0, 6.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+    p = st.design_params([3.0, 3.0, 6.0], [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
     sp = p.spectral
     assert sp.case_id == 1
     assert sp.alphas[2] ** 2 == pytest.approx(0.5, abs=1e-12)
     assert sp.alphas @ sp.alphas == pytest.approx(1.0, abs=1e-12)
     assert sp.delta_star == pytest.approx(1.5, abs=1e-12)
     # oracle: smallest gap coefficient over the whole eigenvector family
-    vals = [gap_coeff_oracle(p.u, v, p.A) for v in np.eye(3)]
+    vals = [gap_coeff_oracle(p.u, v, np.diag(p.A_diag)) for v in np.eye(3)]
     for phi in np.linspace(0.0, 2.0 * math.pi, 721):
         v = math.cos(phi) * sp.eigenvectors[:, 0] + math.sin(phi) * sp.eigenvectors[:, 1]
-        vals.append(gap_coeff_oracle(p.u, v, p.A))
+        vals.append(gap_coeff_oracle(p.u, v, np.diag(p.A_diag)))
     assert min(vals) == pytest.approx(sp.delta_star, abs=1e-10)
 
 
 def test_case3_construction():
-    p = st.design_params(np.diag([1.0, 1.2, 3.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+    p = st.design_params([1.0, 1.2, 3.0], [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
     sp = p.spectral
     assert sp.case_id == 3
     assert sp.alphas @ sp.alphas == pytest.approx(1.0, abs=1e-12)
-    vals = [gap_coeff_oracle(p.u, sp.eigenvectors[:, i], p.A) for i in range(3)]
+    vals = [gap_coeff_oracle(p.u, sp.eigenvectors[:, i], np.diag(p.A_diag)) for i in range(3)]
     assert min(vals) == pytest.approx(sp.delta_star, abs=1e-10)
 
 
 def test_constructor_rejects_bad_inputs():
     with pytest.raises(ContractError):
-        st.design_params(np.diag([2.0, 6.0, 6.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+        st.design_params([2.0, 6.0, 6.0], [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
     with pytest.raises(ContractError):
-        st.design_params(np.diag([2.0, 4.0, 6.0]), [], gamma_frac=0.5, delta_frac=0.5)
+        st.design_params([2.0, 4.0, 6.0], [], gamma_frac=0.5, delta_frac=0.5)
     with pytest.raises(ContractError):
-        st.design_params(np.diag([2.0, 4.0, 6.0]), [0.9 * math.pi], gamma_frac=1.2, delta_frac=0.5)
+        st.design_params([2.0, 4.0, 6.0], [0.9 * math.pi], gamma_frac=1.2, delta_frac=0.5)
     with pytest.raises(ContractError):
         st.design_params(
-            np.diag([2.0, 4.0, 6.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5, delta=0.1
+            [2.0, 4.0, 6.0], [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5, delta=0.1
         )
     with pytest.raises(ContractError):
-        st.design_params(np.diag([-1.0, 4.0, 6.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+        st.design_params([-1.0, 4.0, 6.0], [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
 
 
 def test_design_params_rejects_off_diagonal_weights():
-    # symmetric and positive definite, but the kernels read A as its diagonal
-    A = np.array([[2.0, 0.1, 0.0], [0.1, 4.0, 0.0], [0.0, 0.0, 6.0]])
-    with pytest.raises(ContractError, match="A must be a diagonal 3x3 matrix"):
-        st.design_params(A, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+    # A is given and held as its 3 diagonal entries: a matrix, even a diagonal one, 2
+    # entries or a NaN entry is refused
+    for A in (np.array([[2.0, 0.1, 0.0], [0.1, 4.0, 0.0], [0.0, 0.0, 6.0]]),
+              np.diag([2.0, 4.0, 6.0]), [2.0, 4.0], [2.0, math.nan, 6.0]):
+        with pytest.raises(ContractError, match="A_diag must be 3 finite numbers"):
+            st.design_params(A, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+
+
+def test_design_params_rejects_an_infinite_weight():
+    # an infinite entry is refused at the boundary, not in the spectrum with a numpy warning
+    for A in ([2.0, math.inf, 6.0], np.diag([2.0, math.inf, 6.0])):
+        with pytest.raises(ContractError, match="A_diag must be 3 finite numbers"):
+            st.design_params(A, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+
+
+def test_a_replaced_weight_brings_its_own_spectrum(paper_params):
+    # the spectrum is derived from A_diag on construction, never carried over from another A
+    p = paper_params
+    q = dataclasses.replace(p, A_diag=[2.0, 4.0, 60.0])
+    fresh = st.design_params([2.0, 4.0, 60.0], p.theta_set, gamma=p.gamma, delta=p.delta)
+    assert list(q.spectral.eigenvalues) == [2.0, 4.0, 60.0]
+    assert st.gradient_bounds(q) == st.gradient_bounds(fresh)
+    assert st.gradient_bounds(q).c_psi == 64.0
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(p, spectral=p.spectral)
 
 
 def test_gap_coefficient_values(paper_params):
     p = paper_params
-    A = p.A
+    A = p.A_diag
     assert st.warp_gap(p.u, np.array([1.0, 0.0, 0.0]), A) == pytest.approx(2.8, abs=1e-12)
     best = min(st.warp_gap(p.u, v, A) for v in np.eye(3))
     assert best == pytest.approx(2.0, abs=1e-12)
@@ -128,7 +150,7 @@ def test_gap_coefficient_values(paper_params):
         u /= np.linalg.norm(u)
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        assert st.warp_gap(u, v, A) == pytest.approx(gap_coeff_oracle(u, v, A), abs=1e-12)
+        assert st.warp_gap(u, v, A) == pytest.approx(gap_coeff_oracle(u, v, np.diag(A)), abs=1e-12)
 
 
 # --- warp map ----------------------------------------------------------------
@@ -176,7 +198,7 @@ def test_value_closed_form_at_half_turns(paper_params):
         v = np.zeros(3)
         v[i] = 1.0
         R = st.angle_axis(math.pi, v)
-        coeff = gap_coeff_oracle(p.u, v, p.A)
+        coeff = gap_coeff_oracle(p.u, v, np.diag(p.A_diag))
         for theta in rng.uniform(-math.pi, math.pi, 100):
             closed = (
                 4.0 * bar_eigs[i]
@@ -258,7 +280,7 @@ def test_gap_closed_form_at_half_turns(paper_params):
     p = paper_params
     for i, v in enumerate(np.eye(3)):
         R = st.angle_axis(math.pi, v)
-        coeff = gap_coeff_oracle(p.u, v, p.A)
+        coeff = gap_coeff_oracle(p.u, v, np.diag(p.A_diag))
         expected = max(
             2.0 * math.sin(t / 2.0) ** 2 * coeff - 0.5 * p.gamma * t * t for t in p.theta_set
         )
@@ -334,7 +356,7 @@ def test_undesired_critical_points_for_diagonal_weights(paper_params):
 
 
 def test_critical_points_flagged_in_eigenplane_case():
-    p = st.design_params(np.diag([3.0, 3.0, 6.0]), [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+    p = st.design_params([3.0, 3.0, 6.0], [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
     pts = st.undesired_critical_points(p)
     assert len(pts) == 4
     assert sum(1 for cp in pts if not cp.isolated) == 3
@@ -421,6 +443,6 @@ def test_grad_rotation_norm_bounded_by_c_psi(paper_params):
 def test_params_config_round_trip(paper_params):
     p = paper_params
     m = p.to_mapping()
-    q = st.design_params(np.diag(m["A_diag"]), m["theta_set"], gamma=m["gamma"], delta=m["delta"])
+    q = st.design_params(m["A_diag"], m["theta_set"], gamma=m["gamma"], delta=m["delta"])
     assert np.allclose(q.u, p.u, atol=0.0)
     assert q.gamma == p.gamma and q.delta == p.delta and q.theta_set == p.theta_set

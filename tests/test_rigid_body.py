@@ -28,9 +28,9 @@ def error_rates(Re, omega_e, omega_r, z, tau, inertia):
     Rdot_e = R_e skew(omega_e) and J omegadot_e = Sigma omega_e - Upsilon + tau.
     """
     R, we = floats(Re), floats(omega_e)
-    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_f)
-    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_f)
-    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_f, inertia.J_inv_f)
+    a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_diag)
+    ups = feedforward_f(R, floats(z), a, Ja, inertia.J_diag)
+    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_diag, inertia.J_inv_diag)
     return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
 
 
@@ -39,7 +39,7 @@ def test_body_flow_gyroscopic_cancellation(paper_inertia):
     for _ in range(10):
         w = rng.standard_normal(3)
         s = BodyState(R=st.random_rotation(rng), omega=w)
-        tau = np.cross(w, paper_inertia.J @ w)
+        tau = np.cross(w, np.diag(paper_inertia.J_diag) @ w)
         _, wdot = body_flow(s, tau, paper_inertia)
         assert np.linalg.norm(wdot) <= 1e-12
 
@@ -63,13 +63,13 @@ def test_free_rotation_conserves_energy(paper_inertia):
 
     w0 = np.array([0.3, -0.2, 0.4])
     y = np.concatenate([np.eye(3).ravel(), w0])
-    e0 = 0.5 * w0 @ (J.J @ w0)
+    e0 = 0.5 * w0 @ (np.diag(J.J_diag) @ w0)
     h = 1e-3
     worst = 0.0
     for k in range(10_000):
         y = rk4(f, y, h)
         w = y[9:]
-        worst = max(worst, abs(0.5 * w @ (J.J @ w) - e0))
+        worst = max(worst, abs(0.5 * w @ (np.diag(J.J_diag) @ w) - e0))
     assert worst <= 1e-8
 
 
@@ -139,13 +139,14 @@ def test_feedforward_values(paper_inertia):
     rng = np.random.default_rng(2)
     Re = st.random_rotation(rng)
     assert np.array_equal(st.feedforward(Re, np.zeros(3), np.zeros(3), paper_inertia), np.zeros(3))
-    ident = st.Inertia.from_diag([1.0, 1.0, 1.0])
+    ident = st.Inertia([1.0, 1.0, 1.0])
     z = rng.standard_normal(3)
     w = rng.standard_normal(3)
     assert np.allclose(st.feedforward(np.eye(3), w, z, ident), z, atol=1e-15)
     # independent re-evaluation of the formula
     a = Re.T @ w
-    expected = paper_inertia.J @ (Re.T @ z) + np.cross(a, paper_inertia.J @ a)
+    J = np.diag(paper_inertia.J_diag)
+    expected = J @ (Re.T @ z) + np.cross(a, J @ a)
     assert np.allclose(st.feedforward(Re, w, z, paper_inertia), expected, atol=0.0)
 
 
@@ -158,8 +159,8 @@ def test_coupling_matrix_is_skew_and_powerless(paper_inertia):
         S = coupling_matrix(Re, we, wr, paper_inertia)
         assert np.linalg.norm(S + S.T) <= 1e-12
         assert abs(we @ S @ we) <= 1e-12
-        a, Ja = shared_terms_f(floats(Re), floats(wr), paper_inertia.J_f)
-        sig = coupling_times_f(floats(we), a, Ja, paper_inertia.J_f)
+        a, Ja = shared_terms_f(floats(Re), floats(wr), paper_inertia.J_diag)
+        sig = coupling_times_f(floats(we), a, Ja, paper_inertia.J_diag)
         assert np.allclose(S @ we, sig, atol=1e-13)
 
 
@@ -188,7 +189,7 @@ def test_error_dynamics_match_direct_simulation(paper_inertia):
     """
     J = paper_inertia
     p = st.design_params(
-        np.diag([2.0, 4.0, 6.0]), [0.9 * math.pi], gamma=7.0 / math.pi**2, delta_frac=0.8
+        [2.0, 4.0, 6.0], [0.9 * math.pi], gamma=7.0 / math.pi**2, delta_frac=0.8
     )
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     kr, kw = 1.5, 0.2
@@ -267,15 +268,19 @@ def test_invariant_torque_keeps_error_fixed(paper_inertia):
 
 
 def test_inertia_validation():
+    # J is given and held as its 3 diagonal entries: a matrix, even a diagonal one, 2
+    # entries or a NaN entry is refused
+    for bad in (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.eye(3), [1.0, 1.0], [1.0, math.nan, 1.0], [math.inf, 1.0, 1.0],
+                ["1.0", "1.0", "1.0"]):
+        with pytest.raises(ContractError, match="J_diag must be 3 finite numbers"):
+            st.Inertia(bad)
     with pytest.raises(ContractError):
-        st.Inertia.from_matrix(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    with pytest.raises(ContractError, match="inertia matrix must be a diagonal 3x3 matrix"):
-        st.Inertia.from_matrix(np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    with pytest.raises(ContractError):
-        st.Inertia.from_diag([1.0, -1.0, 1.0])
-    J = st.Inertia.from_diag([0.0159, 0.0150, 0.0297])
-    assert J.lam_min == pytest.approx(0.0150)
-    assert J.lam_max == pytest.approx(0.0297)
-    # the kernels read the diagonals, J^-1's taken from the inverse matrix
-    assert J.J_f == (0.0159, 0.0150, 0.0297)
-    assert J.J_inv_f == tuple(np.diagonal(np.linalg.inv(J.J)))
+        st.Inertia([1.0, -1.0, 1.0])
+    J = st.Inertia([0.0159, 0.0150, 0.0297])
+    assert min(J.J_diag) == pytest.approx(0.0150)
+    assert max(J.J_diag) == pytest.approx(0.0297)
+    # the kernels read the diagonals; J^-1's equal those of the inverse matrix
+    assert J.J_diag == (0.0159, 0.0150, 0.0297)
+    assert J.J_inv_diag == tuple(np.diagonal(np.linalg.inv(np.diag(J.J_diag))))
