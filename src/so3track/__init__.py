@@ -38,7 +38,7 @@ from .potential import (
     warp_rotation,
 )
 from .rigid_body import Inertia, Reference, feedforward, make_reference
-from .hybrid import HybridArc, HybridSystem, JumpEvent, SolverConfig, detect_crossing, rk4_step, solve
+from .hybrid import HybridArc, HybridSystem, JumpEvent, SolverConfig, detect_crossing, solve
 from .controllers import (
     BasicLoop,
     Gains,

@@ -27,16 +27,27 @@ floats and draw and apply the measurement noise in floats; after a run they
 evaluate the same kernels once more on the recorded states as column arrays
 to fill the recorded columns.
 
-The flow is compiled.  A loop's `_rates` composes the kernels, and its first
-flow evaluation traces `_rates` on symbolic floats into one straight-line
-function (see `straightline`), one for exact and one for noisy measurements.
-A flow then costs its arithmetic and little else: no kernel calls, tuple
-packing, slicing or attribute lookups.  The function is traced rather than
-written out by hand so that every formula keeps a single source; the traced
-code runs the same IEEE operations in the same expression tree as `_rates`,
-so both return the same bits.  `flow` checks the reference velocity and
-acceleration bounds itself, outside the compiled code, since they branch on
-data; `jump_margin`, `jump` and `project` branch on data too and stay
+The step is compiled.  A loop's `_rates` composes the kernels, and `flow`
+evaluates it as written, after the reference velocity and acceleration
+checks.  `step`, which `solve` calls, runs one RK4 step as one straight-line
+function (see `straightline`): `HybridSystem.step`, the one RK4 source,
+traced on symbolic floats over `_rates` and the reference's `z_fn`.  A step
+then costs its arithmetic and little else: no kernel calls, tuple packing,
+slicing or attribute lookups.  It is traced rather than written out by hand
+so that every formula keeps a single source; the traced code runs the same
+IEEE operations in the same expression tree, so it returns the bits of
+`HybridSystem.step` on `flow`.
+
+Each loop structure (law, `relaxed`, measurement kind, reference function)
+is traced once per process, with the gains, the inertia and the potential's
+parameters as inputs; each loop then binds its own values, and the nodes
+that depend on them alone are evaluated once, at the binding.  Tracing and
+binding happen at a loop's first step for each measurement kind and
+reference function.  The reference checks branch on data, so the compiled
+step returns the norms they test, and `step` checks them after the call;
+where one fails, or the compiled code raises, the step is taken again
+through `flow`, which raises the error with its message and time.
+`jump_margin`, `jump` and `project` branch on data too and stay
 interpreted.
 """
 
@@ -44,6 +55,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -77,12 +90,21 @@ from .so3 import (
     mat_mul_f,
     mat_skew_f,
     mat_vec_f,
+    norm2_f,
     orthonormalize_f,
     rot_distance_f,
 )
 
 _EYE_F = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 _ZERO_F = (0.0, 0.0, 0.0)
+
+# Steps per block of measurement noise: a block is 3 x 1024 normals per noisy channel.
+NOISE_BLOCK = 1024
+
+# The traced RK4 step of each loop structure, keyed by (loop class, relaxed,
+# exact measurement, reference function).  A trace depends on nothing else,
+# so every loop of one structure in the process shares it.
+_STEP_TRACES: dict = {}
 
 
 class Measurement(NamedTuple):
@@ -219,7 +241,7 @@ class _TrackingLoop(HybridSystem):
     The loop methods evaluate the kernels on the state as a sequence of floats
     (`solve` passes tuples; see `HybridSystem`); each subclass's `_control`
     gives the torque and the terms its flow shares with it, and its `_rates`
-    the flow, which `flow` runs compiled.  `_control`, `_monitor` and
+    the flow, which `step` runs compiled.  `_control`, `_monitor` and
     `_columns` also run on a batch: state entries and measurement fields as
     (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its
     monitor once, by `_monitor`.
@@ -228,9 +250,7 @@ class _TrackingLoop(HybridSystem):
     applied here once by `_gaps`: a law declares only its warp angles
     (`warp_angles`), the value whose gap it watches (`_value_w`) and the
     gap's threshold (`_threshold`), and a jump drops the monitor by at least
-    `jump_drop`.  Each law class binds `flow = _TrackingLoop._flow` in its
-    own body, so that per-law profiles (`perfbench/layers.py`) can tell the
-    laws' flows apart.
+    `jump_drop`.
 
     Everything else a law needs is declared on its class too: its state
     fields (`state_fields`, read by `pack`), the gains it reads (`gain_names`
@@ -268,7 +288,7 @@ class _TrackingLoop(HybridSystem):
         self.reference = reference
         self.noise = noise if (noise is not None and noise.enabled) else None
         self.relaxed = relaxed
-        self._cores = [None, None]  # compiled `_rates`, noisy and exact (index: meas is None)
+        self._steps = {}  # the compiled step by (exact measurement, reference function)
         self._threshold = params.delta  # the gap at which a warp angle jumps
 
     @classmethod
@@ -327,13 +347,27 @@ class _TrackingLoop(HybridSystem):
         """(rate, source) of the velocity damping of a law that reads the velocity."""
         return self.gains.k_omega / min(self.inertia.J_diag), "k_omega / lambda_min(J)"
 
-    def sample_measurement(self, rng):
+    def measurements(self, rng):
+        """None for ever without noise; else a Measurement per step, from blocks of normals.
+
+        Each block is `rng.standard_normal((NOISE_BLOCK, k))` over the k
+        channels whose sigma is positive (3 each, attitude first), scaled as
+        `0.0 + sigma * z`: the values, in the order, of a `rng.normal(0.0,
+        sigma, 3)` call per channel and step.
+        """
         n = self.noise
         if n is None:
-            return None
-        E = exp_so3_f(*rng.normal(0.0, n.sigma_R, 3).tolist()) if n.sigma_R > 0.0 else _EYE_F
-        nw = tuple(rng.normal(0.0, n.sigma_omega, 3).tolist()) if n.sigma_omega > 0.0 else _ZERO_F
-        return Measurement(E, nw)
+            return repeat(None)
+        return self._noise(rng, n)
+
+    @staticmethod
+    def _noise(rng, n: NoiseModel):
+        scale = np.repeat([s for s in (n.sigma_R, n.sigma_omega) if s > 0.0], 3)
+        while True:
+            for row in (0.0 + scale * rng.standard_normal((NOISE_BLOCK, scale.size))).tolist():
+                E = exp_so3_f(*row[:3]) if n.sigma_R > 0.0 else _EYE_F
+                nw = tuple(row[-3:]) if n.sigma_omega > 0.0 else _ZERO_F
+                yield Measurement(E, nw)
 
     def project(self, y):
         out = list(y)
@@ -342,7 +376,7 @@ class _TrackingLoop(HybridSystem):
         return tuple(out)
 
     def _guard_reference(self, omega_r, t: float) -> None:
-        n2 = omega_r[0] * omega_r[0] + omega_r[1] * omega_r[1] + omega_r[2] * omega_r[2]
+        n2 = norm2_f(omega_r)
         b = self.reference.omega_r_bound
         if n2 > b * b:
             raise SolverError(
@@ -392,30 +426,73 @@ class _TrackingLoop(HybridSystem):
     def _rates(self, t, y, meas, z, xp=math) -> tuple:
         """The flow at state y under reference acceleration z, without the reference guard.
 
-        The source that `_flow` compiles; `t` enters only through z.
+        The source of `flow` and of the compiled `step`; `t` enters only through z.
         """
         raise NotImplementedError
 
-    def _flow(self, t, y, meas):
-        """Check the reference bounds, then evaluate the compiled `_rates`.
-
-        Each measurement kind (exact or noisy) gets its own straight-line
-        function, traced from `_rates` on its first use and kept on the loop.
-        """
+    def flow(self, t, y, meas):
+        """The rates at state y: the reference checks, then `_rates` interpreted."""
         self._guard_reference(y[self.OMEGA_R], t)
-        z = self.reference.z_at(t)
-        exact = meas is None
-        core = self._cores[exact]
-        if core is None:
-            core = self._cores[exact] = self._compile_rates(exact)
-        return core(y, meas, z)
+        return self._rates(t, y, meas, self.reference.z_at(t))
 
-    def _compile_rates(self, exact: bool):
-        def rates(xp, y, meas, z):
-            return self._rates(None, y, None if exact else Measurement(*meas), z, xp)
+    def step(self, t, y, h, meas):
+        """`HybridSystem.step` on `flow`, run as this loop's compiled step, with the same bits.
 
-        return straightline.compile_traced(rates, f"{self.kind}_rates", y=self.WIDTH,
-                                           meas=None if exact else (9, 3), z=3)
+        The step is interpreted instead where the compiled one finds a
+        reference check failing or raises: then it raises what `flow` raises,
+        at the stage and time it does.
+        """
+        ref = self.reference
+        key = (meas is None, ref.z_fn)
+        fn = self._steps.get(key)
+        if fn is None:
+            fn = self._steps[key] = self._compile_step(*key)
+        try:
+            y_h, (w1, z1, w2, z2, w3, z3, w4, z4) = fn(t, y, h, meas)
+        except (ValueError, ArithmeticError):  # which error comes first is the stages' order
+            return HybridSystem.step(self, t, y, h, meas)
+        w, m = ref.omega_r_bound * ref.omega_r_bound, ref.m_bound
+        if w1 > w or w2 > w or w3 > w or w4 > w or z1 > m or z2 > m or z3 > m or z4 > m:
+            return HybridSystem.step(self, t, y, h, meas)
+        return y_h
+
+    def _compile_step(self, exact: bool, z_fn):
+        """The step of this loop's structure, traced once per process, bound to its parameters."""
+        key = (type(self), self.relaxed, exact, z_fn)
+        traced = _STEP_TRACES.get(key)
+        if traced is None:
+            traced = _STEP_TRACES[key] = self._trace_step(exact, z_fn)
+        return traced.bind(params=self.params, gains=self.gains, inertia=self.inertia)
+
+    def _trace_step(self, exact: bool, z_fn):
+        """Trace `HybridSystem.step` over `_rates` and `z_fn`.
+
+        The traced function returns the new state and, for each stage in
+        order, |omega_r|^2 and ||z||, the values the reference checks test.
+        """
+        cls, relaxed = type(self), self.relaxed
+
+        def rk4(xp, params, gains, inertia, t, y, h, meas):
+            # A loop that holds only what `_rates` reads, all of it traced.
+            loop = object.__new__(cls)
+            loop.params, loop.gains, loop.inertia, loop.relaxed = params, gains, inertia, relaxed
+            checked = []
+
+            def flow(tt, yy, m):
+                z = z_fn(tt, xp)
+                checked.extend((norm2_f(yy[cls.OMEGA_R]), xp.sqrt(norm2_f(z))))
+                return loop._rates(tt, yy, m, z, xp)
+
+            # The RK4 source over `flow`, held apart from `loop` so that no
+            # reference cycle keeps the traced expressions alive.
+            m = None if meas is None else Measurement(*meas)
+            return HybridSystem.step(SimpleNamespace(flow=flow), t, y, h, m), checked
+
+        return straightline.trace(
+            rk4, f"{self.kind}_step",
+            parameters=dict(params=self.params, gains=self.gains, inertia=self.inertia),
+            t=(), y=self.WIDTH, h=(), meas=None if exact else (9, 3),
+        )
 
     def _monitor(self, v, xp=math) -> tuple:
         """(potential at the error rotation, monitor value) at state v."""
@@ -513,8 +590,6 @@ class BasicLoop(_TrackingLoop):
         g0, g1, g2, g_th = gradients_f(diag_mul_f(p.A_diag, Rm), v[self.THETA], p, xp)
         return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), a, Ja, ups, g_th
 
-    flow = _TrackingLoop._flow
-
     def _rates(self, t, y, meas, z, xp=math):
         Re, we = y[self.R_E], y[self.OMEGA_E]
         tau, a, Ja, ups, g_th = self._control(z, y, meas, xp)
@@ -537,8 +612,6 @@ class NonHybridLoop(BasicLoop):
     warp_angles = ()  # no jump set
     jump_drop = 0.0
     gain_names = ("k_R", "k_omega")
-
-    flow = _TrackingLoop._flow
 
     def _rates(self, t, y, meas, z, xp=math):
         """The basic flow with the warp angle frozen; k_theta is never read."""
@@ -612,8 +685,6 @@ class SmoothLoop(_TrackingLoop):
         tau = torque_basic_f(ups_m, v[self.ZETA], wem, self.gains)
         return tau, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
 
-    flow = _TrackingLoop._flow
-
     def _rates(self, t, y, meas, z, xp=math):
         gn = self.gains
         Re, th, we = y[self.R_E], y[self.THETA], y[self.OMEGA_E]
@@ -681,8 +752,6 @@ class VelocityFreeLoop(_TrackingLoop):
         g2 = (b0, b1, b2)
         tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
         return tau, a, Ja, ups, g2, a_th, b_th, E
-
-    flow = _TrackingLoop._flow
 
     def _rates(self, t, y, meas, z, xp=math):
         k_th = self.gains.k_theta

@@ -2,13 +2,13 @@
 
 Solutions are produced on hybrid time domains: samples carry (t, j) where t
 accumulates flow time and j counts jumps.  Flow uses fixed-step RK4 in the
-ambient space with an optional per-step projection hook (used to push
-rotation blocks back onto SO(3)).  The state is a tuple of Python floats on
-the whole step path; numpy only builds the recorded arc.  Both sets come from
-one scalar, the jump margin m: the jump set is m >= 0 and the flow set
-m <= 0, so together they cover every state with a number for a margin.
-Jumps are detected through the margin's sign and their times refined by
-bisection on it.
+ambient space (`HybridSystem.step`) with an optional per-step projection
+hook (used to push rotation blocks back onto SO(3)).  The state is a tuple
+of Python floats on the whole step path; numpy only builds the recorded arc.
+Both sets come from one scalar, the jump margin m: the jump set is m >= 0
+and the flow set m <= 0, so together they cover every state with a number
+for a margin.  Jumps are detected through the margin's sign and their times
+refined by bisection on it.
 
 Where the flow and jump sets overlap, the jump is taken: jump priority forces
 the designed potential drop at the set boundary.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from struct import Struct
 
 import numpy as np
@@ -61,9 +61,21 @@ class HybridSystem:
     number lies in neither set, and `solve` stops with a `SolverError` there.
     The remaining hooks have neutral defaults.
 
-    State contract: `solve` hands `flow`, `jump_margin`, `jump` and `project`
-    the state as a tuple of Python floats, and `flow`, `jump` and `project`
-    return one (a flow returns the rates as a tuple of the state's length).
+    State contract: `solve` hands `step`, `jump_margin`, `jump` and `project`
+    the state as a tuple of Python floats, and `step`, `jump` and `project`
+    return one; so does `flow`, with the rates, for the default `step`.
+
+    Step contract: `step(t, y, h, meas)` is one classical RK4 step of
+    y' = flow(t, y, meas).  A system may run it another way (the closed loops
+    compile it) if it returns the same bits and raises what the default
+    raises.  `solve` takes every flow step, and every state at which
+    refinement evaluates the margin, through `step`.
+
+    Measurement contract: `measurements(rng)` gives an iterator, and `solve`
+    takes one item from it before the first sample and one after each flow
+    step; the item is the measurement in force until the next one.  The
+    default yields None, for a system without measurement noise.  The
+    iterator lives for one run, so whatever it buffers goes with it.
 
     Recording: during the run `solve` keeps, for each sample, only t, j, the
     jump-set flag, the state and the measurement in force (the one the step
@@ -71,8 +83,8 @@ class HybridSystem:
     buffers.  A measurement is a tuple of float sequences (the loops' is E as
     9 floats and n_omega as 3), kept concatenated.  After the run `solve`
     calls `record` on consecutive batches of n <= RECORD_BATCH samples, with
-    these as t (n,), states (n, dim), noise (n, width), or None when
-    `sample_measurement` gives None, and in_jump (n,) bools.  `record`
+    these as t (n,), states (n, dim), noise (n, width), or None when the
+    measurements are None, and in_jump (n,) bools.  `record`
     returns one (n,) array per entry of `columns`, in that order.
     """
 
@@ -81,6 +93,21 @@ class HybridSystem:
 
     def flow(self, t: float, y: tuple, meas) -> tuple:
         raise NotImplementedError
+
+    def step(self, t: float, y: tuple, h: float, meas) -> tuple:
+        """One classical RK4 step of y' = flow(t, y, meas) on a tuple of floats.
+
+        Each component is summed in the order of the array expressions
+        y + (h/2) k, y + h k3 and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+        """
+        c = 0.5 * h
+        k1 = self.flow(t, y, meas)
+        k2 = self.flow(t + c, tuple([a + c * b for a, b in zip(y, k1)]), meas)
+        k3 = self.flow(t + c, tuple([a + c * b for a, b in zip(y, k2)]), meas)
+        k4 = self.flow(t + h, tuple([a + h * b for a, b in zip(y, k3)]), meas)
+        s = h / 6.0
+        return tuple([a + s * (((p + 2.0 * q) + 2.0 * r) + w)
+                      for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
 
     def jump(self, t: float, y: tuple, meas) -> tuple:
         raise NotImplementedError
@@ -92,8 +119,8 @@ class HybridSystem:
     def project(self, y: tuple) -> tuple:
         return y
 
-    def sample_measurement(self, rng):
-        return None
+    def measurements(self, rng):
+        return repeat(None)
 
     def record(self, t: np.ndarray, states: np.ndarray, noise, in_jump: np.ndarray) -> tuple:
         return ()
@@ -139,22 +166,6 @@ class HybridArc:
         except ValueError:
             raise ContractError(f"arc has no column '{name}'") from None
         return self.data[:, idx]
-
-
-def rk4_step(f, t: float, y: tuple, h: float, meas) -> tuple:
-    """One classical RK4 step of y' = f(t, y, meas) on a tuple of floats.
-
-    Each component is summed in the order of the array expressions
-    y + (h/2) k, y + h k3 and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
-    """
-    c = 0.5 * h
-    k1 = f(t, y, meas)
-    k2 = f(t + c, tuple([a + c * b for a, b in zip(y, k1)]), meas)
-    k3 = f(t + c, tuple([a + c * b for a, b in zip(y, k2)]), meas)
-    k4 = f(t + h, tuple([a + h * b for a, b in zip(y, k3)]), meas)
-    s = h / 6.0
-    return tuple([a + s * (((p + 2.0 * q) + 2.0 * r) + w)
-                  for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
 
 
 def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float):
@@ -214,7 +225,8 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     y = system.project(tuple(np.asarray(y0, dtype=float).tolist()))
     t = 0.0
     j = 0
-    meas = system.sample_measurement(rng)
+    draws = system.measurements(rng)
+    meas = next(draws)
 
     ts: list[float] = []
     js: list[int] = []
@@ -239,7 +251,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     def advance(h: float) -> tuple:
         """The projected RK4 step of length h from (t, y)."""
         try:
-            y_h = rk4_step(system.flow, t, y, h, meas)
+            y_h = system.step(t, y, h, meas)
         except ValueError as e:  # `math` refuses an infinite stage value: "math domain error"
             raise SolverError(
                 f"a flow evaluation failed in the step from t={t}, j={j} with h={h}: {e}",
@@ -319,7 +331,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         t += h
         y = y_new
         sample(in_jump_new)
-        fresh = system.sample_measurement(rng)
+        fresh = next(draws)
         if fresh is None and meas is None:
             # No noise: the membership under the step's measurement is current.
             margin, in_jump = margin_new, in_jump_new

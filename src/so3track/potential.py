@@ -37,7 +37,7 @@ sampling-based certification runs `value_f` and `gradients_f` on batches
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +91,7 @@ class PotentialParams:
 
     A_diag holds the diagonal weight A as its 3 entries (see `so3.diag_floats`);
     `spectral` is derived from it on construction, so it is always A's.
+    `design_params`, which has derived it already, passes it as `_spectral`.
 
     Invariants (checked on construction):
       * every reset angle satisfies 0 < |theta_i| <= pi,
@@ -113,11 +114,13 @@ class PotentialParams:
     _u_f: tuple = field(init=False, repr=False)
     _ux2_f: tuple = field(init=False, repr=False)
     _resets: tuple = field(init=False, repr=False)
+    _spectral: InitVar[SpectralData | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _spectral):
         A_diag = diag_floats(self.A_diag, "A_diag")
         object.__setattr__(self, "A_diag", A_diag)
-        object.__setattr__(self, "spectral", _spectral_data(A_diag))
+        object.__setattr__(self, "spectral",
+                           _spectral_data(A_diag) if _spectral is None else _spectral)
         if len(self.theta_set) == 0:
             raise ContractError("theta_set must be nonempty")
         for th in self.theta_set:
@@ -307,6 +310,7 @@ def design_params(
         u=u / np.linalg.norm(u),
         gamma=float(gamma),
         delta=float(delta),
+        _spectral=spectral,
     )
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, SolverError
-from .so3 import diag_floats, floats, mat_tvec_f
+from .so3 import diag_floats, floats, mat_tvec_f, norm2_f
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +69,7 @@ class Reference:
         SolverError, carrying t, where ||z(t)|| exceeds `m_bound`.
         """
         z = self.z_fn(t, xp)
-        n2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+        n2 = norm2_f(z)
         if xp is not math:  # check the largest norm of the batch, at its time
             n2 = np.broadcast_to(n2, np.shape(t))
             i = int(np.argmax(n2))

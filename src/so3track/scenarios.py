@@ -216,9 +216,7 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     dt = as_float("dt")
     t_max = as_float("t_max")
     _solver_config(dt, t_max, d["j_max"])
-    inertia_diag = as_floats("J_diag", 3)
-    if min(inertia_diag) <= 0.0:
-        raise ConfigError("'J_diag' entries must be positive")
+    inertia_diag = as_floats("J_diag", 3)  # `build_member` checks it as an `Inertia`
     nvr = as_float("noise_var_R")
     nvw = as_float("noise_var_omega")
     if nvr < 0.0 or nvw < 0.0:

@@ -118,6 +118,11 @@ def cross_f(a, b) -> tuple:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
+def norm2_f(v) -> float:
+    """The squared Euclidean norm of a 3-float vector."""
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+
+
 def axial_f(m) -> tuple:
     """Axial vector of the antisymmetric part of a 9-float matrix."""
     return (0.5 * (m[7] - m[5]), 0.5 * (m[2] - m[6]), 0.5 * (m[3] - m[1]))

@@ -1,19 +1,31 @@
 """Straight-line compilation of a float kernel, by tracing it once.
 
-A closed loop's flow runs about two hundred float operations through some
-thirty Python calls, and the calls, tuple packing, slicing and attribute
-lookups cost more than the arithmetic.  `compile_traced` runs a function once
-on symbolic floats (`Var`), which record every operation they take part in,
-and emits one Python function that evaluates the recorded expressions
-directly:
+A closed loop's RK4 step runs one to two and a half thousand float
+operations through many Python calls, and the calls, tuple packing, slicing
+and attribute lookups cost more than the arithmetic.  `trace` runs a
+function once on symbolic floats (`Var`), which record every operation they
+take part in, and emits one Python function that evaluates the recorded
+expressions directly:
 
-  * a node used once is folded, in parentheses, into the expression that
-    uses it; only nodes used more than once become locals;
+  * a node used once is folded into the expression that uses it, with only
+    the parentheses that its grouping needs; only nodes used more than once
+    become locals;
+  * a local's name is reused once its last use has run, so its float is
+    released there and not kept until the return;
   * each input sequence is unpacked once;
   * every constant and math function is bound as a default argument, so the
-    body makes no global or attribute lookup (`co_names == ()`) and its
-    source text depends on the structure of the trace, not on the values of
-    its constants.  Code objects are cached by source text.
+    body makes no global or attribute lookup (`co_names == ()`).
+
+The parameters of a trace are objects (gains, weights) that the traced code
+reads attributes of.  During the trace each is a read-only stand-in: reading
+a float, or a tuple of floats, gives input Vars, and reading anything else
+raises TypeError, so no parameter value is baked into the code.  The trace
+splits the expression DAG: the nodes that depend on parameters alone are
+emitted as a second function, `bind`, which `Traced.bind` evaluates once for
+each set of parameter objects (partial evaluation), and the main function
+takes their values as default arguments.  One trace thus serves every caller
+whose parameters have the same shapes.  Nothing is cached here: a caller
+keeps the `Traced` it will bind again (the loops keep one per structure).
 
 The emitted code applies the same IEEE operations to the same operands in
 the same expression tree as the traced function, so it returns the same
@@ -25,12 +37,14 @@ trace passes `XP`.
 
 from __future__ import annotations
 
-import functools
 import math
 import types
 
-_BINARY = ("+", "-", "*", "/")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators; both sides associate left
+_UNARY = 3  # unary minus binds tighter than * and /
+_ATOM = 4  # names and calls
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+_NUMBERS = (float, int)
 
 
 def _operand(x):
@@ -83,9 +97,15 @@ XP = types.SimpleNamespace(**{name: _call(name) for name in _FUNCTIONS})
 
 
 def _inputs(name: str, shape):
-    """Input Vars for an argument of the given shape: a length, a tuple of lengths, or None."""
+    """Input Vars for an argument of the given shape.
+
+    () is a float, a length a sequence of floats, a tuple of lengths a
+    sequence of such sequences, and None an argument that is not traced.
+    """
     if shape is None:
         return None
+    if shape == ():
+        return Var(None, name)
     if isinstance(shape, int):
         return tuple(Var(None, f"{name}{i}") for i in range(shape))
     start = 0
@@ -96,83 +116,239 @@ def _inputs(name: str, shape):
     return tuple(parts)
 
 
-def _target(part) -> str:
-    return "(" + ", ".join(v.args if type(v) is Var else _target(v) for v in part) + ",)"
+def _leaf_shape(value):
+    """None for a float or int parameter, its length for a tuple of them, else TypeError."""
+    if type(value) in _NUMBERS:
+        return None
+    if type(value) is tuple and all(type(x) in _NUMBERS for x in value):
+        return len(value)
+    raise TypeError(f"a {type(value).__name__} is not a float or a tuple of floats, "
+                    "so it cannot be a parameter of traced code")
 
 
-def _emit(name: str, inputs: dict, outputs) -> tuple[str, list]:
-    """(source text, default values) of a function returning `outputs`."""
-    uses, order = {}, []  # order: the operation nodes reachable from outputs, operands first
+class _Parameters:
+    """The read-only stand-in for a parameter object during a trace.
 
-    def visit(v):
-        if id(v) in uses:
-            uses[id(v)] += 1
-            return
-        uses[id(v)] = 1
-        if v.op is not None:
-            for a in v.args:
-                if type(a) is Var:
-                    visit(a)
-            order.append(v)
+    Each float or float-tuple attribute read becomes input Vars of `bind`,
+    named p0, p1, ... in the order of first reading, and is recorded in
+    `leaves` as (owner, attribute, shape).
+    """
 
-    for o in outputs:
-        if type(o) is Var:
-            visit(o)
-    names = {}  # id of a local or a constant -> its name
-    defaults, calls = [], set()
+    def __init__(self, owner: str, obj, leaves: list, flat: list):
+        object.__setattr__(self, "_of", (owner, obj, leaves, flat, {}))
 
-    def expr(v) -> str:
+    def __getattr__(self, attr):
+        owner, obj, leaves, flat, seen = self._of
+        if attr not in seen:
+            try:
+                shape = _leaf_shape(getattr(obj, attr))
+            except TypeError as e:
+                raise TypeError(f"{owner}.{attr}: {e}") from None
+            leaves.append((owner, attr, shape))
+            n = 1 if shape is None else shape
+            new = tuple(Var(None, f"p{len(flat) + i}") for i in range(n))
+            flat.extend(new)
+            seen[attr] = new[0] if shape is None else new
+        return seen[attr]
+
+    def __setattr__(self, attr, value):
+        raise TypeError("the parameters of a trace are read-only")
+
+
+def _flatten(outputs) -> list:
+    """The leaves of a nested tuple or list of outputs, each checked by `_operand`."""
+    if type(outputs) is tuple or type(outputs) is list:
+        return [x for o in outputs for x in _flatten(o)]
+    return [_operand(outputs)]
+
+
+def _graph(roots, stop: dict) -> tuple[dict, list]:
+    """(uses, order) of the DAG below `roots`.
+
+    uses maps the id of every node reached to its number of uses; order
+    lists the operation nodes, operands first.  Nodes in `stop` are counted
+    but not entered.
+    """
+    uses, order = {}, []
+    for r in roots:
+        if type(r) is Var:
+            _visit(r, uses, order, stop)
+    return uses, order
+
+
+def _visit(v, uses: dict, order: list, stop: dict) -> None:
+    # A function of its own, not a closure, whose cycle through its cell
+    # would keep `order`, and so the whole DAG, alive until a collection.
+    if id(v) in uses:
+        uses[id(v)] += 1
+        return
+    uses[id(v)] = 1
+    if v.op is not None and id(v) not in stop:
+        for a in v.args:
+            if type(a) is Var:
+                _visit(a, uses, order, stop)
+        order.append(v)
+
+
+def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list]:
+    """(source text, default values) of a function of `inputs` returning `outputs`.
+
+    outputs is a nested sequence of Vars and constants, returned as nested
+    tuples.  The nodes in `bound` are parameters b_0, b_1, ... of the
+    function, after the inputs; their defaults are not in the returned list,
+    which holds those of the constants and the math functions that follow.
+    """
+    names = {id(v): f"b_{i}" for i, v in enumerate(bound)}  # id of a node -> its name
+    uses, order = _graph(_flatten(outputs), names)
+    unread = {id(v): uses[id(v)] for v in order if uses[id(v)] > 1}  # each local's reads to come
+    defaults, calls, dead = [], set(), []
+
+    def render(v) -> tuple[str, int]:
+        """(text, precedence) of the expression of v, from the names given so far."""
         text = names.get(id(v))
         if text is not None:
-            return text
+            if id(v) in unread:  # a local read for the last time frees its name
+                unread[id(v)] -= 1
+                if not unread[id(v)]:
+                    dead.append(text)
+            return text, _ATOM
         if type(v) is not Var:  # constants are kept alive by the DAG, so ids stay unique
             text = names[id(v)] = f"c_{len(defaults)}"
             defaults.append(v)
-            return text
+            return text, _ATOM
         if v.op is None:
-            return v.args
+            return v.args, _ATOM
         if v.op == "neg":
-            return f"(-{expr(v.args[0])})"
-        if v.op in _BINARY:
-            return f"({expr(v.args[0])} {v.op} {expr(v.args[1])})"
+            text, prec = render(v.args[0])
+            return "-" + (text if prec >= _UNARY else f"({text})"), _UNARY
+        prec = _PRECEDENCE.get(v.op)
+        if prec is not None:
+            left, lp = render(v.args[0])
+            right, rp = render(v.args[1])
+            if lp < prec:
+                left = f"({left})"
+            if rp <= prec:  # a - (b - c) and a * (b * c) keep their grouping
+                right = f"({right})"
+            return f"{left} {v.op} {right}", prec
         calls.add(v.op)
-        return f"{v.op}({expr(v.args[0])})"
+        return f"{v.op}({render(v.args[0])[0]})", _ATOM
 
-    body = [f"    {_target(part)} = {arg}" for arg, part in inputs.items() if part is not None]
-    n_locals = 0
+    def display(o) -> str:
+        if type(o) is tuple or type(o) is list:
+            return "(" + "".join(display(x) + ", " for x in o) + ")"
+        return render(o)[0]
+
+    body = [f"    {display(part)} = {arg}" for arg, part in inputs.items()
+            if type(part) is tuple and part]
+    free, n_names = [], 0
     for v in order:
-        if uses[id(v)] > 1:
-            local = f"t_{n_locals}"
-            n_locals += 1
-            body.append(f"    {local} = {expr(v)}")
+        if id(v) in unread:
+            value = render(v)[0]
+            free += dead
+            dead.clear()
+            if free:
+                local = free.pop()
+            else:
+                local = f"t_{n_names}"
+                n_names += 1
+            body.append(f"    {local} = {value}")
             names[id(v)] = local
-    body.append(f"    return ({''.join(expr(o) + ', ' for o in outputs)})")
+    body.append(f"    return {display(outputs)}")
     funcs = sorted(calls)
-    params = [*inputs, *(f"c_{i}" for i in range(len(defaults))), *funcs]
+    params = [*inputs, *(f"b_{i}" for i in range(len(bound))),
+              *(f"c_{i}" for i in range(len(defaults))), *funcs]
     source = f"def {name}({', '.join(params)}):\n" + "\n".join(body) + "\n"
     return source, [*defaults, *(_FUNCTIONS[f] for f in funcs)]
 
 
-@functools.lru_cache(maxsize=64)
-def _code(source: str) -> types.CodeType:
+def _function_code(source: str) -> types.CodeType:
     module = compile(source, "<straightline>", "exec")
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
-def compile_traced(fn, name: str, **shapes):
-    """fn(XP, **inputs) as one straight-line function of the inputs named in `shapes`.
+class Traced:
+    """A traced function: its code, and `bind`, which gives it the values of parameter objects."""
 
-    Each shape is a length (a sequence of floats), a tuple of lengths (a
-    sequence of such sequences) or None (an argument that is not traced; fn
-    gets None).  fn returns a sequence of traced floats or float constants;
-    the compiled function takes the inputs by position and returns them as a
-    tuple.  Argument names are alphabetic and name no math function, so they
-    cannot collide with the generated names.
+    def __init__(self, name: str, source: str, defaults: list, leaves: list,
+                 bind_source: str, bind_defaults: list):
+        self.name = name
+        self.source = source
+        self.code = _function_code(source)
+        self._defaults = tuple(defaults)
+        self._leaves = leaves
+        self._bind = types.FunctionType(_function_code(bind_source), {}, "bind",
+                                        tuple(bind_defaults))
+
+    def bind(self, **objects):
+        """The traced function with the parameters of `objects`, named as in the trace.
+
+        Every attribute the trace read must have the shape it had then;
+        TypeError otherwise.
+        """
+        p = []
+        for owner, attr, shape in self._leaves:
+            value = getattr(objects[owner], attr)
+            try:
+                ok = _leaf_shape(value) == shape
+            except TypeError:
+                ok = False
+            if not ok:
+                traced = "a float" if shape is None else f"a tuple of {shape} floats"
+                raise TypeError(f"{owner}.{attr} = {value!r} does not have the shape it was "
+                                f"traced with, {traced}")
+            if shape is None:
+                p.append(value)
+            else:
+                p.extend(value)
+        return types.FunctionType(self.code, {}, self.name, self._bind(p) + self._defaults)
+
+
+def trace(fn, name: str, parameters: dict | None = None, **shapes) -> Traced:
+    """Trace fn(XP, **stand-ins, **inputs) into a straight-line function of the inputs.
+
+    Each shape is () (a float), a length (a sequence of floats), a tuple of
+    lengths (a sequence of such sequences) or None (an argument that is not
+    traced; fn gets None).  `parameters` maps argument names to the objects
+    whose float attributes the traced code may read; fn gets read-only
+    stand-ins for them (see the module docstring).  fn returns a nested
+    sequence of traced floats or float constants.  The function that
+    `Traced.bind` returns takes the inputs by position and returns that
+    sequence as nested tuples.  Input names are alphabetic and name no math
+    function, so they cannot collide with the generated names.
     """
+    parameters = parameters or {}
     for arg in shapes:
-        if not arg.isalpha() or arg in _FUNCTIONS:
-            raise ValueError(f"argument name {arg!r} is not alphabetic or names a function")
+        if not arg.isalpha() or arg in _FUNCTIONS or arg in parameters:
+            raise ValueError(f"argument name {arg!r} is not alphabetic, names a function or "
+                             "a parameter")
+    leaves, flat = [], []
+    stand_ins = {arg: _Parameters(arg, obj, leaves, flat) for arg, obj in parameters.items()}
     inputs = {arg: _inputs(arg, shape) for arg, shape in shapes.items()}
-    outputs = [_operand(o) for o in fn(XP, **inputs)]
-    source, defaults = _emit(name, inputs, outputs)
-    return types.FunctionType(_code(source), {}, name, tuple(defaults))
+    outputs = fn(XP, **stand_ins, **inputs)
+    bound = _bound_nodes(outputs, {id(v) for v in flat})
+    source, defaults = _emit(name, inputs, outputs, bound)
+    bind_source, bind_defaults = _emit("bind", {"p": tuple(flat)}, bound)
+    del stand_ins, inputs, outputs, bound, flat  # the DAG goes before the compiler's peak
+    return Traced(name, source, defaults, leaves, bind_source, bind_defaults)
+
+
+def _bound_nodes(outputs, parameters: set) -> list:
+    """The nodes that depend on parameters and constants alone and that an
+    output, or a node that depends on an input, reads: what `bind` returns."""
+    roots = _flatten(outputs)
+    _, order = _graph(roots, {})
+    fixed = {}  # id of an operation node -> whether it depends on parameters and constants alone
+
+    def is_fixed(a) -> bool:
+        if type(a) is not Var:
+            return True
+        return id(a) in parameters if a.op is None else fixed[id(a)]
+
+    for v in order:
+        fixed[id(v)] = all(is_fixed(a) for a in v.args)
+    bound = {}
+    for v in order:
+        if not fixed[id(v)]:
+            bound.update((id(a), a) for a in v.args if type(a) is Var and is_fixed(a))
+    bound.update((id(r), r) for r in roots if type(r) is Var and is_fixed(r))
+    return list(bound.values())

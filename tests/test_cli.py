@@ -232,6 +232,21 @@ def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, 
     assert err.startswith("config error:") and key in err and names in err
 
 
+def test_a_non_positive_inertia_has_one_message_on_every_path():
+    # the config's shape is fine, so the inertia is checked once, as an Inertia,
+    # whether the member is validated, built or run
+    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
+    for J in ([0.0, 4.0, 6.0], [1.0, -2.0, 3.0]):
+        cfg = st.scenario_from_mapping({**base, "J_diag": J})
+        seen = set()
+        for path in (st.validate_scenario, lambda c: st.build_member(c, c.members[0]),
+                     lambda c: st.simulate_member(c, c.members[0])):
+            with pytest.raises(ConfigError) as e:
+                path(cfg)
+            seen.add(str(e.value))
+        assert seen == {f"'J_diag' = {J}: inertia matrix must be positive definite"}
+
+
 @pytest.mark.parametrize("A_diag", [
     "[1e300, 2, 3]", "[1e200, 2e200, 3e200]", "[1e-300, 2e-300, 1]",
 ])

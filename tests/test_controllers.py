@@ -10,7 +10,7 @@ from so3track.controllers import filtered_value_w_f, torque_basic_f, torque_velo
 from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
-from so3track.so3 import floats
+from so3track.so3 import exp_so3_f, floats
 from torque_trace import torque_inputs
 
 E1, E2, E3 = np.eye(3)
@@ -380,13 +380,13 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
     s = random_loop_state(kind, np.random.default_rng(21))
     s.Re, s.theta = st.angle_axis(math.pi, E1), 0.0  # an unwanted critical point
     seen = spy_on_record(loop)
-    flow, calls = loop.flow, []
+    step, calls = loop.step, []
 
-    def spy_flow(t, y, meas):
-        calls.append((t, meas))
-        return flow(t, y, meas)
+    def spy_step(t, y, h, meas):
+        calls.append((t + h, meas))
+        return step(t, y, h, meas)
 
-    loop.flow = spy_flow
+    loop.step = spy_step
     cfg = st.SolverConfig(dt=1e-3, t_max=0.2, j_max=10)
     arc = st.solve(loop, pack(kind, s), cfg, np.random.default_rng(3))
     assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
@@ -396,8 +396,8 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
     meas = ([None] * len(arc) if noise is None else
             [st.Measurement(tuple(r[0:9]), tuple(r[9:12])) for r in noise.tolist()])
     # a flow sample is recorded under the measurement of the step into it,
-    # whose last RK4 stage evaluates the flow at the sample time
-    step_meas = {calls[k + 3][0]: calls[k][1] for k in range(0, len(calls), 4)}
+    # which ends at the sample time (the accepted step is the last one to end there)
+    step_meas = dict(calls)
     for i in range(1, len(arc)):
         if arc.j[i] == arc.j[i - 1]:
             assert meas[i] == step_meas[seen["t"][i]]
@@ -424,20 +424,31 @@ def numpy_exp_so3(w):
 @pytest.mark.parametrize("sigmas", ((0.1, 0.2), (0.1, 0.0), (0.0, 0.2)))
 def test_sample_measurement_replays_numpy_draw(sigmas, paper_params, paper_gains,
                                                paper_inertia):
-    # the same rng.normal calls in the same order: noisy runs replay, and the
-    # generator ends in the same state
+    # each measurement holds the values of a rng.normal(0, sigma, 3) call per
+    # noisy channel and step, in that order, so noisy runs replay; a block of
+    # measurements leaves the generator as its calls would
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(*sigmas)
     loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise)
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    for _ in range(50):
-        m = loop.sample_measurement(rng)
-        E = numpy_exp_so3(twin.normal(0.0, sigmas[0], 3)) if sigmas[0] > 0.0 else np.eye(3)
+    draws = loop.measurements(rng)
+    for k in range(st.controllers.NOISE_BLOCK + 20):
+        m = next(draws)
+        E = twin.normal(0.0, sigmas[0], 3) if sigmas[0] > 0.0 else None
         n = twin.normal(0.0, sigmas[1], 3) if sigmas[1] > 0.0 else np.zeros(3)
         assert len(m.E) == 9 and len(m.n_omega) == 3
-        assert np.abs(np.reshape(m.E, (3, 3)) - E).max() <= 1e-15
+        if E is None:
+            assert m.E == tuple(floats(np.eye(3)))
+        else:
+            assert m.E == exp_so3_f(*E.tolist())
+            assert np.abs(np.reshape(m.E, (3, 3)) - numpy_exp_so3(E)).max() <= 1e-15
         assert np.array_equal(m.n_omega, n)
-    assert rng.bit_generator.state == twin.bit_generator.state
+        if k == 0:  # the first measurement draws the whole block
+            block = rng.bit_generator.state
+        if k == st.controllers.NOISE_BLOCK - 1:
+            assert twin.bit_generator.state == block
+    assert next(st.make_loop("basic", paper_params, paper_gains, paper_inertia,
+                             ref).measurements(rng)) is None
 
 
 def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
@@ -705,12 +716,6 @@ def test_non_hybrid_loop_runs_without_k_theta(paper_params, paper_inertia):
     assert len(arc) == 51 and not arc.jumps
     assert np.all(arc.states[:, THETA] == 0.3)
     assert st.certify_arc(arc, loop).passed
-
-
-@pytest.mark.parametrize("kind", sorted(st.controllers.LOOP_CLASSES))
-def test_each_loop_class_defines_its_own_flow(kind):
-    # per-law flow timing looks the method up in the class body
-    assert "flow" in st.controllers.LOOP_CLASSES[kind].__dict__
 
 
 # --- the jump rule -----------------------------------------------------------

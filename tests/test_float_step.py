@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track import hybrid
 from so3track.so3 import floats, orthonormalize_f
 
 LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
@@ -54,21 +53,21 @@ def initial_state(kind, rng, Re, theta, omega_e):
     return st.BasicLoop.pack(**base)
 
 
-def run_against_oracle(loop, y0, cfg, monkeypatch):
+def run_against_oracle(loop, y0, cfg):
     """Solve, then replay every accepted flow step through the oracle; returns the arc
     and the number of steps refined to a jump-set crossing."""
     steps, seen = {}, {}
-    rk4_step, record = hybrid.rk4_step, loop.record
+    step, record = loop.step, loop.record
 
-    def spy_rk4(f, t, y, h, meas):
+    def spy_step(t, y, h, meas):
         steps[t] = h  # the accepted step from t is the last one taken from t
-        return rk4_step(f, t, y, h, meas)
+        return step(t, y, h, meas)
 
     def spy_record(t, states, noise, in_jump):
         seen.setdefault("noise", []).append(noise)
         return record(t, states, noise, in_jump)
 
-    monkeypatch.setattr(hybrid, "rk4_step", spy_rk4)
+    loop.step = spy_step
     loop.record = spy_record
     arc = st.solve(loop, y0, cfg, np.random.default_rng(5))
     noise = seen["noise"]
@@ -89,8 +88,7 @@ def run_against_oracle(loop, y0, cfg, monkeypatch):
 
 @pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
 @pytest.mark.parametrize("kind", LAWS)
-def test_solve_reproduces_ndarray_oracle(kind, noisy, paper_params, paper_gains, paper_inertia,
-                                         monkeypatch):
+def test_solve_reproduces_ndarray_oracle(kind, noisy, paper_params, paper_gains, paper_inertia):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(sigma_R=0.05, sigma_omega=0.05) if noisy else None
     loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise)
@@ -98,11 +96,11 @@ def test_solve_reproduces_ndarray_oracle(kind, noisy, paper_params, paper_gains,
     # next to an unwanted critical point, so the hybrid laws jump
     y0 = initial_state(kind, rng, st.angle_axis(math.pi - 1e-3, E1), 0.0, rng.standard_normal(3))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.15, j_max=10)
-    arc, _ = run_against_oracle(loop, y0, cfg, monkeypatch)
+    arc, _ = run_against_oracle(loop, y0, cfg)
     assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
 
 
-def test_refined_jump_reproduces_ndarray_oracle(paper_params, paper_inertia, monkeypatch):
+def test_refined_jump_reproduces_ndarray_oracle(paper_params, paper_inertia):
     # the spin-up of test_jump_refinement_on_closed_loop: a crossing inside a step
     ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
     gains = st.Gains(k_R=0.2, k_omega=0.02, k_theta=0.5)
@@ -110,5 +108,5 @@ def test_refined_jump_reproduces_ndarray_oracle(paper_params, paper_inertia, mon
     y0 = initial_state("basic", None, st.angle_axis(2.75, np.array([0.0, 0.0, 1.0])), 0.0,
                        np.array([0.0, 0.0, 3.0]))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.3, j_max=5)
-    arc, refined = run_against_oracle(loop, y0, cfg, monkeypatch)
+    arc, refined = run_against_oracle(loop, y0, cfg)
     assert refined >= 1 and arc.jumps and arc.jumps[0].t > 0.0

@@ -103,8 +103,9 @@ class Strict(HybridSystem):
         assert_float_tuple(y)
         return y
 
-    def sample_measurement(self, rng):
-        return ((float(rng.normal()),),)
+    def measurements(self, rng):
+        while True:
+            yield ((float(rng.normal()),),)
 
     def record(self, t, states, noise, in_jump):
         assert states.shape == (len(t), 2) and noise.shape == (len(t), 1)
@@ -294,8 +295,8 @@ TUMBLE_SEEDS = {"basic": 7, "smooth": 16, "velocity_free": 10, "non_hybrid": 0}
 
 @pytest.mark.parametrize("law", sorted(TUMBLE_SEEDS))
 def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
-    # every flow evaluation belongs to an RK4 step: an accepted step, a
-    # refinement evaluation of the margin or the re-step to the crossing
+    # every RK4 step, and so every four flow evaluations, is an accepted step,
+    # a refinement evaluation of the margin or the re-step to the crossing
     rng = np.random.default_rng(TUMBLE_SEEDS[law])
     base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
     cfg = st.scenario_from_mapping({
@@ -307,12 +308,12 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
         "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.5,
     })
     loop, y0 = st.scenarios.build_member(cfg, cfg.members[0])
-    counts = {"flow": 0, "refine": 0, "restep": 0}
-    flow = loop.flow
+    counts = {"step": 0, "refine": 0, "restep": 0}
+    step = loop.step
 
-    def counted_flow(t, y, meas):
-        counts["flow"] += 1
-        return flow(t, y, meas)
+    def counted_step(t, y, h, meas):
+        counts["step"] += 1
+        return step(t, y, h, meas)
 
     def counted_crossing(before, after, refine, dt):
         def counted_refine(x):
@@ -323,11 +324,11 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
         counts["restep"] += tau is not None and tau < dt
         return tau
 
-    loop.flow = counted_flow
+    loop.step = counted_step
     monkeypatch.setattr(hybrid, "detect_crossing", counted_crossing)
     arc = st.solve(loop, y0, st.SolverConfig(dt=cfg.dt, t_max=cfg.t_max))
     steps = len(arc) - 1 - len(arc.jumps)
     assert steps >= 500
-    assert counts["flow"] == 4 * (steps + counts["refine"] + counts["restep"])
+    assert counts["step"] == steps + counts["refine"] + counts["restep"]
     if law != "non_hybrid":
         assert arc.jumps and counts["refine"] > 0 and counts["restep"] > 0

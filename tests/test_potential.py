@@ -135,6 +135,28 @@ def test_a_replaced_weight_brings_its_own_spectrum(paper_params):
         dataclasses.replace(p, spectral=p.spectral)
 
 
+def test_design_params_builds_the_spectrum_once(monkeypatch):
+    # design_params hands the spectrum it derived to PotentialParams, with the
+    # bits of every field that PotentialParams derives itself
+    calls = []
+    spectral_data = st.potential._spectral_data
+
+    def spy(A_diag):
+        calls.append(A_diag)
+        return spectral_data(A_diag)
+
+    monkeypatch.setattr(st.potential, "_spectral_data", spy)
+    for A in ([2.0, 4.0, 6.0], [3.0, 3.0, 7.0], [6.0, 2.0, 4.0], [1.0, 5.0, 5.5]):
+        p = st.design_params(A, [0.9 * math.pi], gamma_frac=0.5, delta_frac=0.5)
+        assert len(calls) == 1
+        own = dataclasses.replace(p).spectral  # derived by PotentialParams alone
+        assert len(calls) == 2
+        for f in dataclasses.fields(own):
+            a, b = getattr(p.spectral, f.name), getattr(own, f.name)
+            assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        calls.clear()
+
+
 def test_gap_coefficient_values(paper_params):
     p = paper_params
     A = p.A_diag

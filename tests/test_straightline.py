@@ -1,13 +1,16 @@
-"""The compiled flow: the straight-line function traced from each loop's `_rates`."""
+"""The compiled step: one straight-line function per loop structure, traced from
+`HybridSystem.step` over each loop's `_rates`, and the emitter behind it."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import so3track as st
-from so3track import straightline
+from so3track import controllers, straightline
 from so3track.errors import SolverError
+from so3track.hybrid import HybridSystem
 from so3track.so3 import floats
 
 LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
@@ -46,11 +49,27 @@ def bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
+def count_flows(loop) -> list:
+    """Count the loop's interpreted flow evaluations, which the compiled step makes none of."""
+    calls = []
+    flow = loop.flow
+
+    def spy(t, y, meas):
+        calls.append(t)
+        return flow(t, y, meas)
+
+    loop.flow = spy
+    return calls
+
+
 @pytest.mark.parametrize("kind, relaxed", STRUCTURES)
 @pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
 def test_compiled_flow_matches_rates_bit_for_bit(kind, relaxed, noisy, paper_params,
                                                  paper_gains, paper_inertia):
+    # the compiled step against the RK4 source run on the interpreted `_rates`,
+    # at the solver's dt and at a refinement step
     loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia)
+    flows = count_flows(loop)
     rng = np.random.default_rng(29)
     critical = st.undesired_critical_points(paper_params)
     states = [random_state(kind, rng) for _ in range(30)]
@@ -59,43 +78,102 @@ def test_compiled_flow_matches_rates_bit_for_bit(kind, relaxed, noisy, paper_par
         y = tuple(y.tolist())
         t = rng.uniform(0.0, 10.0)
         meas = random_measurement(rng) if noisy else None
-        z = loop.reference.z_at(t)
-        assert bits(loop.flow(t, y, meas)) == bits(loop._rates(t, y, meas, z))
-    assert loop._cores[not noisy] is not None and loop._cores[noisy] is None
+        for h in (1e-3, rng.uniform(0.0, 1e-3)):
+            got = loop.step(t, y, h, meas)
+            assert not flows
+            assert bits(got) == bits(HybridSystem.step(loop, t, y, h, meas))
+            flows.clear()
+    assert list(loop._steps) == [(not noisy, PAPER_SINE.z_fn)]
 
 
 def test_compiled_flow_keeps_signed_zeros(paper_params, paper_gains, paper_inertia):
-    # with zero velocities, warp angle and filter states the rates hold signed zeros,
-    # which must come out the same
+    # with zero velocities, warp angle and filter states the stages hold signed
+    # zeros, which must come out the same
+    rest = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
+    quiet = st.Measurement(E=(1.0, -0.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 1.0),
+                           n_omega=(-0.0, 0.0, -0.0))
     for kind, relaxed in STRUCTURES:
-        loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia,
-                    st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0))
+        loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia, rest)
         y = tuple(random_state(kind, np.random.default_rng(3)).tolist())
-        y = tuple(0.0 if i >= 9 else v for i, v in enumerate(y))
-        y = (-0.0, *y[1:])
-        assert bits(loop.flow(0.0, y, None)) == bits(loop._rates(0.0, y, None, (0.0,) * 3))
+        y = (-0.0, *y[1:9], *(math.copysign(0.0, (-1.0) ** i) for i in range(9, len(y))))
+        for meas in (None, quiet):
+            for h in (1e-3, 0.0, 2.5e-4):
+                assert bits(loop.step(0.0, y, h, meas)) == bits(
+                    HybridSystem.step(loop, 0.0, y, h, meas))
+
+
+def linear(m_bound):
+    """A reference with z(t) = (t, 0, 0), whose checks fail at a chosen stage."""
+    return st.Reference("linear", lambda t, xp=math: (t, 0.0, 0.0), m_bound=m_bound,
+                        omega_r_bound=25.0)
+
+
+# (reference, omega_r at the start, t, h, the error and the time at which the
+# step fails first).  The stages run at t, t + h/2, t + h/2 and t + h; the
+# reference velocity of a stage is omega_r plus the stage's step times z.
+CHECK_CASES = [
+    (PAPER_SINE, 30.0, 0.25, 1e-3, r"left its declared set at t=0.25: \|\|omega_r\|\| = 30 > 25",
+     0.25),
+    (linear(2.0), 24.9, 1.0, 1.0, r"left its declared set at t=1.5: \|\|omega_r\|\| = 25.4 > 25",
+     1.5),
+    (linear(2.0), 24.9, 0.0, 1.0, r"left its declared set at t=0.5: \|\|omega_r\|\| = 25.15 > 25",
+     0.5),
+    (linear(2.0), 24.6, 0.0, 1.0, r"left its declared set at t=1.0: \|\|omega_r\|\| = 25.1 > 25",
+     1.0),
+    (st.Reference("far", lambda t, xp=math: (3.0, 0.0, 0.0), m_bound=2.0, omega_r_bound=25.0),
+     0.0, 0.5, 1e-3, r"reference 'far' at t=0.5: \|\|z\|\| = 3.0 exceeds the bound 2.0", 0.5),
+    (linear(1.0), 0.0, 0.75, 1.0,
+     r"reference 'linear' at t=1.25: \|\|z\|\| = 1.25 exceeds the bound 1.0", 1.25),
+    (linear(1.0), 0.0, 0.25, 1.0,
+     r"reference 'linear' at t=1.25: \|\|z\|\| = 1.25 exceeds the bound 1.0", 1.25),
+]
 
 
 @pytest.mark.parametrize("kind", LAWS)
 def test_compiled_flow_keeps_the_reference_checks(kind, paper_params, paper_gains,
                                                   paper_inertia):
-    loop = make(kind, False, paper_params, paper_gains, paper_inertia)
-    y = list(random_state(kind, np.random.default_rng(4)).tolist())
-    loop.flow(0.0, tuple(y), None)  # compiled: the checks run outside the compiled core
-    y[st.BasicLoop.OMEGA_R] = (30.0, 0.0, 0.0)
-    for meas in (None, random_measurement(np.random.default_rng(5))):
-        with pytest.raises(SolverError, match=r"left its declared set at t=0.25: "
-                                              r"\|\|omega_r\|\| = 30 > 25") as e:
-            loop.flow(0.25, tuple(y), meas)
-        assert e.value.t == 0.25
-    far = st.Reference("far", lambda t, xp=math: (3.0, 0.0, 0.0), m_bound=2.0,
-                       omega_r_bound=25.0)
-    loop = make(kind, False, paper_params, paper_gains, paper_inertia, far)
-    y = tuple(random_state(kind, np.random.default_rng(6)).tolist())
-    with pytest.raises(SolverError, match=r"reference 'far' at t=0.5: \|\|z\|\| = 3.0 "
-                                           r"exceeds the bound 2.0") as e:
-        loop.flow(0.5, y, None)
-    assert e.value.t == 0.5
+    # each check, failing first at stage 1, 2, 3 or 4, raises its error with
+    # the message and the time of the interpreted step
+    for ref, w, t, h, message, t_fail in CHECK_CASES:
+        loop = make(kind, False, paper_params, paper_gains, paper_inertia, ref)
+        y = list(random_state(kind, np.random.default_rng(4)).tolist())
+        y[st.BasicLoop.OMEGA_R] = (w, 0.0, 0.0)
+        for meas in (None, random_measurement(np.random.default_rng(5))):
+            for step in (loop.step, lambda *a: HybridSystem.step(loop, *a)):
+                with pytest.raises(SolverError, match=message) as e:
+                    step(t, tuple(y), h, meas)
+                assert e.value.t == t_fail
+
+
+@pytest.mark.parametrize("kind", ("basic", "smooth", "velocity_free"))
+def test_a_stage_that_raises_ends_in_a_solver_error(kind, paper_params, paper_gains,
+                                                    paper_inertia):
+    # k_theta = 1e308 sends the warp angle of stage 2 to infinity, whose sine
+    # `math` refuses: the step raises what the interpreted one raises, and
+    # `solve` turns it into a SolverError at the step's t, j and h
+    gains = dataclasses.replace(paper_gains, k_theta=1e308)
+    loop = make(kind, False, paper_params, gains, paper_inertia)
+    rng = np.random.default_rng(7)
+    y0 = random_state(kind, rng)
+    while loop.jump_margin(0.0, tuple(y0.tolist()), None) >= 0.0:  # flow first
+        y0 = random_state(kind, rng)
+    y = tuple(y0.tolist())
+    with pytest.raises(ValueError, match="math domain error"):
+        HybridSystem.step(loop, 0.0, y, 1e-3, None)
+    with pytest.raises(ValueError, match="math domain error"):
+        loop.step(0.0, y, 1e-3, None)
+    with pytest.raises(SolverError, match=r"a flow evaluation failed in the step from t=0.0, "
+                                          r"j=0 with h=0.001: math domain error") as e:
+        st.solve(loop, y0, st.SolverConfig(dt=1e-3, t_max=0.01))
+    assert (e.value.t, e.value.j, e.value.h) == (0.0, 0, 1e-3)
+    # where the reference check of stage 2 fails before that stage's sine, the
+    # compiled step, which meets the sine first, still raises the check's error
+    loop = make(kind, False, paper_params, gains, paper_inertia, linear(2.0))
+    y = (*y[:13], 24.9, 0.0, 0.0, *y[16:])
+    for step in (loop.step, lambda *a: HybridSystem.step(loop, *a)):
+        with pytest.raises(SolverError, match=r"left its declared set at t=1.5: "
+                                              r"\|\|omega_r\|\| = 25.4 > 25"):
+            step(1.0, y, 1.0, None)
 
 
 @pytest.mark.parametrize("kind, relaxed", STRUCTURES)
@@ -103,9 +181,11 @@ def test_compiled_code_looks_up_no_names(kind, relaxed, paper_params, paper_gain
                                          paper_inertia):
     loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia)
     for exact in (True, False):
-        core = loop._compile_rates(exact)
-        assert core.__code__.co_names == ()
-        assert core.__name__ == f"{kind}_rates"
+        step = loop._compile_step(exact, PAPER_SINE.z_fn)
+        assert step.__code__.co_names == ()
+        assert step.__name__ == f"{kind}_step"
+        traced = controllers._STEP_TRACES[(type(loop), relaxed, exact, PAPER_SINE.z_fn)]
+        assert traced._bind.__code__.co_names == ()
 
 
 def test_trace_refuses_what_needs_a_value():
@@ -132,7 +212,55 @@ def test_trace_refuses_what_needs_a_value():
 
     for fn in (branch, library_sin, truth, numpy_scalar, numpy_scalar_right, absolute, boolean):
         with pytest.raises(TypeError):
-            straightline.compile_traced(fn, "f", x=1)
+            straightline.trace(fn, "f", x=1)
+
+
+class Knobs:
+    k = 2.0
+    pair = (3.0, 5.0)
+    name = "knobs"
+    listed = [1.0, 2.0]
+    flag = True
+    missing = None
+
+
+def test_parameters_are_read_only_floats():
+    # a parameter that is not a float or a tuple of floats would be baked into
+    # code shared by other parameter values, so the trace refuses it
+    for attr in ("name", "listed", "flag", "missing"):
+        with pytest.raises(TypeError, match=f"g.{attr}: a .* is not a float"):
+            straightline.trace(lambda xp, g, x: (getattr(g, attr) * x[0],), "f",
+                               parameters={"g": Knobs()}, x=1)
+
+    def assign(xp, g, x):
+        g.k = 1.0
+        return (x[0],)
+
+    with pytest.raises(TypeError, match="read-only"):
+        straightline.trace(assign, "f", parameters={"g": Knobs()}, x=1)
+    traced = straightline.trace(lambda xp, g, x: (g.pair[1] * x[0],), "f",
+                                parameters={"g": Knobs()}, x=1)
+    other = Knobs()
+    other.pair = (1.0, 2.0, 3.0)
+    with pytest.raises(TypeError, match="does not have the shape it was traced with"):
+        traced.bind(g=other)
+
+
+def test_parameters_are_bound_once_per_caller():
+    # the nodes of parameters alone (here -k and 2 k + pair[0]) are evaluated by
+    # `bind`; the function gets their values as defaults
+    def fn(xp, g, x):
+        return (-g.k * x[0], (2.0 * g.k + g.pair[0]) * x[1], x[0] - g.pair[1], -g.k)
+
+    traced = straightline.trace(fn, "f", parameters={"g": Knobs()}, x=2)
+    assert "k" not in traced.source and "c_" not in traced.source
+    for k, pair in ((2.0, (3.0, 5.0)), (0.1, (0.7, -0.0)), (-3, (1, 2))):
+        g = Knobs()
+        g.k, g.pair = k, pair
+        f = traced.bind(g=g)
+        x = (0.3, -1.7)
+        assert bits(f(x)) == bits((-k * x[0], (2.0 * k + pair[0]) * x[1], x[0] - pair[1], -k))
+        assert f.__code__ is traced.code
 
 
 def test_compiled_function_folds_single_use_nodes():
@@ -140,7 +268,7 @@ def test_compiled_function_folds_single_use_nodes():
         s = xp.sin(x[0])
         return (s * s + 2.0 * x[1], -(x[1] / 3) - s, c[1][0], 1.5)
 
-    f = straightline.compile_traced(fn, "f", x=2, c=(1, 1))
+    f = straightline.trace(fn, "f", x=2, c=(1, 1)).bind()
     a, b = 0.7, -1.25
     s = math.sin(a)
     assert bits(f((a, b), ((9.0,), (4.0,)))) == bits((s * s + 2.0 * b, -(b / 3) - s, 4.0, 1.5))
@@ -148,34 +276,106 @@ def test_compiled_function_folds_single_use_nodes():
     assert "t_0" in f.__code__.co_varnames and "t_1" not in f.__code__.co_varnames
 
 
-def count_compiles(monkeypatch) -> list:
+def test_emitter_reuses_the_name_of_a_dead_local():
+    # a, b and c are each used twice and each dies where the next is made, so
+    # all three live in one name
+    def fn(xp, x):
+        a = x[0] * x[1]
+        b = a + a
+        c = b * b
+        return (c - c / x[0],)
+
+    traced = straightline.trace(fn, "f", x=2)
+    f = traced.bind()
+    assert "t_0 = t_0 + t_0" in traced.source and "t_0 = t_0 * t_0" in traced.source
+    assert "t_1" not in f.__code__.co_varnames
+    x = (0.3, 1.9)
+    a = x[0] * x[1]
+    c = (a + a) * (a + a)
+    assert bits(f(x)) == bits((c - c / x[0],))
+
+
+def test_emitter_writes_only_the_parentheses_the_grouping_needs():
+    # each grouping below gives other bits when regrouped, so the values check
+    # that the text keeps it; -(a * b) equals (-a) * b in IEEE arithmetic, so
+    # only its text is checked
+    def fn(xp, x):
+        a, b, c = x
+        return (a - (b - c), a / (b * c), -(a * b), a * (b * c), (a - b) - c, a * b + c,
+                -(a - b), a - -b)
+
+    traced = straightline.trace(fn, "f", x=3)
+    for text in ("x0 - (x1 - x2)", "x0 / (x1 * x2)", "-(x0 * x1)", "x0 * (x1 * x2)",
+                 "x0 - x1 - x2", "x0 * x1 + x2", "-(x0 - x1)", "x0 - -x1"):
+        assert text in traced.source
+    a, b, c = 1.0, 1e-16, -1e-16
+    assert a - (b - c) != (a - b) - c
+    assert 0.1 * (0.2 * 0.3) != (0.1 * 0.2) * 0.3
+    assert 1.0 / (3.0 * 3.0) != 1.0 / 3.0 * 3.0
+    assert -(1.0 - 1e-16) != -1.0 - 1e-16
+    f = traced.bind()
+    for x in ((a, b, c), (0.1, 0.2, 0.3), (1.0, 3.0, 3.0)):
+        a_, b_, c_ = x
+        want = (a_ - (b_ - c_), a_ / (b_ * c_), -(a_ * b_), a_ * (b_ * c_), (a_ - b_) - c_,
+                a_ * b_ + c_, -(a_ - b_), a_ - -b_)
+        assert bits(f(x)) == bits(want)
+
+
+def count_traces(monkeypatch) -> list:
+    """The names traced from here on, with the structure cache emptied."""
     calls = []
-    original = straightline.compile_traced
+    original = straightline.trace
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(straightline, "compile_traced", spy)
+    monkeypatch.setattr(straightline, "trace", spy)
+    monkeypatch.setattr(controllers, "_STEP_TRACES", {})
     return calls
 
 
 def test_loops_compile_on_first_flow_and_share_code(monkeypatch, fig4_cfg):
-    calls = count_compiles(monkeypatch)
+    calls = count_traces(monkeypatch)
     st.validate_scenario(fig4_cfg)
     built = [st.build_member(fig4_cfg, m) for m in fig4_cfg.members]
     assert calls == []
     loop, y0 = built[0]
     y = tuple(y0.tolist())
-    loop.flow(0.0, y, None)
-    loop.flow(0.1, y, None)
-    assert calls == ["basic_rates"]
-    # a second loop of the same structure, with another k_theta, reuses the code object
+    loop.step(0.0, y, 1e-3, None)
+    loop.step(0.1, y, 1e-3, None)
+    assert calls == ["basic_step"]
+    # a second loop of the same structure, with another k_theta, reuses the trace
     other_cfg = st.scenario_from_mapping({**st.parse_config_text(
         st.bundled_scenarios()["fig4"].read_text()), "k_theta": 17.0})
     other, _ = st.build_member(other_cfg, other_cfg.members[0])
-    other.flow(0.0, y, None)
-    assert calls == ["basic_rates"] * 2
-    a, b = loop._cores[True], other._cores[True]
+    other.step(0.0, y, 1e-3, None)
+    assert calls == ["basic_step"]
+    key = (True, loop.reference.z_fn)
+    a, b = loop._steps[key], other._steps[key]
     assert a is not b and a.__code__ is b.__code__
     assert a.__defaults__ != b.__defaults__
+    # a loop given another reference function steps with it, traced for it
+    other.reference = st.make_reference("rest", m_bound=2.0, omega_r_bound=25.0)
+    assert bits(other.step(0.3, y, 1e-3, None)) == bits(HybridSystem.step(other, 0.3, y, 1e-3,
+                                                                           None))
+    assert calls == ["basic_step"] * 2
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
+    # 8 members of one law with their own k_theta and theta_set trace once,
+    # and a second pass over them traces nothing
+    calls = count_traces(monkeypatch)
+    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
+    cfgs = [st.scenario_from_mapping({
+        **base, "controllers": [law], "gammas": base["gammas"][:1], "k_theta": 5.0 + 3.0 * i,
+        "theta_set": [-(0.5 + 0.05 * i) * math.pi, (0.5 + 0.05 * i) * math.pi],
+        "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.005,
+    }) for i in range(8)]
+    for _ in range(2):
+        runs = [st.simulate_member(cfg, cfg.members[0]) for cfg in cfgs]
+        assert calls == [f"{law}_step"]
+    steps = {step for run in runs for step in run.loop._steps.values()}
+    assert len({s.__code__ for s in steps}) == 1 and len(steps) == 8
+    assert len({s.__defaults__ for s in steps}) == (1 if law == "non_hybrid" else 8)

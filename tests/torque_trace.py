@@ -1,8 +1,8 @@
 """The inputs a closed loop's torque reads, found by tracing it on symbolic floats.
 
-The loop's `_control` runs once on `straightline.Var` inputs, the same trace
-that compiles its flow, and the torque's expression DAG is walked back to
-the inputs it reaches.  The packed state enters as y0, y1, ..., the
+The loop's `_control` runs once on `straightline.Var` inputs, the symbolic
+floats that its compiled step is traced on, and the torque's expression DAG
+is walked back to the inputs it reaches.  The packed state enters as y0, y1, ..., the
 reference acceleration as z0..z2 and a noisy measurement as meas0..meas8
 (the noise rotation E) and meas9..meas11 (n_omega).
 """
