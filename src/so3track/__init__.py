@@ -34,7 +34,6 @@ from .potential import (
     gradients,
     undesired_critical_points,
     value,
-    warp_gap,
     warp_rotation,
 )
 from .rigid_body import Inertia, Reference, feedforward, make_reference

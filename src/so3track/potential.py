@@ -151,15 +151,6 @@ class PotentialParams:
         object.__setattr__(self, "_resets",
                            tuple((th, warp_rotation_f(th, self)) for th in self.theta_set))
 
-    def to_mapping(self) -> dict:
-        """Flat mapping matching the scenario config keys for this parameter set."""
-        return {
-            "A_diag": list(self.A_diag),
-            "theta_set": [float(t) for t in self.theta_set],
-            "gamma": float(self.gamma),
-            "delta": float(self.delta),
-        }
-
 
 class CriticalPoint(NamedTuple):
     rotation: np.ndarray
@@ -210,15 +201,6 @@ class CertificationConstants:
     alignment_min: float
     alignment_p01: float
     n_samples: int
-
-
-def warp_gap(u, v, A_diag) -> float:
-    """Gap coefficient u^T (tr(A) I - A - 2 v^T A v (I - v v^T)) u, A = diag(A_diag)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.array(diag_floats(A_diag, "A_diag"))
-    uu = u @ u
-    return float(a.sum() * uu - a @ (u * u) - 2.0 * (a @ (v * v)) * (uu - (u @ v) ** 2))
 
 
 def _spectral_data(A_diag: tuple) -> SpectralData:

@@ -1,17 +1,18 @@
 """Configuration-driven scenario running.
 
 A scenario file is flat "key = value" text (lists bracketed, '#' comments).
-One scenario expands into one or more member runs: a list of controllers with
-a matching list of potential weights, sharing everything else.  Members run
-one after another in the calling thread (the solver is pure Python, so
-threads would only contend for the interpreter lock); all files are written
-after the last member finishes.
+Each key but `controllers` and `gammas` is a field of `ScenarioConfig`, with
+its kind and default; the gain keys are the fields of `Gains`.  A scenario
+expands into member runs by zipping `controllers` with the potential weights
+`gammas`, and its members share everything else.  They run one after another
+in the calling thread (the solver is pure Python, so threads would only
+contend for the interpreter lock); all files are written after the last one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -25,35 +26,6 @@ from .output import write_csv, write_member_plots
 from .potential import design_params
 from .rigid_body import Inertia, make_reference
 from .so3 import angle_axis
-
-_DEFAULTS = {
-    "delta_frac": None,
-    "delta": None,
-    "k_omega": None,
-    "k_zeta": None,
-    "k_beta": None,
-    "Gamma_diag": None,
-    "rho": None,
-    "delta_prime": None,
-    "zeta_dynamics": "standard",
-    "reference": "paper_sine",
-    "m_bound": 2.0,
-    "omega_r_bound": 25.0,
-    "omega0": [0.0, 0.0, 0.0],
-    "theta0": 0.0,
-    "zeta0": [0.0, 0.0, 0.0],
-    "Rbar0": "transpose",
-    "theta_bar0": 0.0,
-    "noise_var_R": 0.0,
-    "noise_var_omega": 0.0,
-    "seed": 0,
-    "dt": 1e-3,
-    "t_max": 20.0,
-    "j_max": 50,
-}
-
-_REQUIRED = ("name", "controllers", "gammas", "A_diag", "theta_set", "k_R", "k_theta",
-             "J_diag", "R0_axis", "R0_angle")
 
 
 def parse_config_text(text: str) -> dict:
@@ -79,8 +51,7 @@ def _parse_scalar(tok: str):
     if low == "false":
         return False
     try:
-        iv = int(tok)
-        return iv
+        return int(tok)
     except ValueError:
         pass
     try:
@@ -111,35 +82,109 @@ class MemberSpec:
     seed: int
 
 
-@dataclass
-class ScenarioConfig:
-    """Validated scenario: member list plus everything shared between members."""
+# The kinds of config key, as checks that return a value parsed or raise ConfigError.
+def _finite(key, x) -> float:
+    if isinstance(x, bool):  # float() would take true as 1.0
+        raise ConfigError(f"'{key}' must contain numbers, got {str(x).lower()}")
+    try:
+        f = float(x)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{key}' must contain numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        f = math.inf
+    if not math.isfinite(f):
+        raise ConfigError(f"'{key}' must be finite, got {x}")
+    return f
 
-    name: str
+
+def _kind(ok, what, parse=lambda key, v: v):
+    """The check that parses a value for which `ok` holds, else "'<key>' must be <what>"."""
+    def check(key, v):
+        if isinstance(v, bool) or not ok(v):  # bool is a subclass of int
+            raise ConfigError(f"'{key}' must be {what}")
+        return parse(key, v)
+    return check
+
+
+def _floats(n=None):
+    return _kind(lambda v: isinstance(v, list) and n in (None, len(v)),
+                 "a list" + (f" of {n} numbers" if n else ""),
+                 lambda key, v: [_finite(key, x) for x in v])
+
+
+def _choice(*options):
+    return _kind(lambda v: v in options, " or ".join(f"'{o}'" for o in options))
+
+
+_number = _kind(lambda v: isinstance(v, (int, float)), "a number", _finite)
+_integer = _kind(lambda v: isinstance(v, int), "an integer")
+_positive_integer = _kind(lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_token = _kind(lambda v: isinstance(v, str) and v != "", "a nonempty token")
+_reference_name = _kind(lambda v: isinstance(v, str), "the name of a reference")
+
+
+def _laws(key, v) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"'{key}' must be a nonempty list")
+    for c in v:
+        if c not in LOOP_CLASSES:
+            raise ConfigError(f"'{key}' entry '{c}' not one of {tuple(LOOP_CLASSES)}")
+    return v
+
+
+def _key(check, default=MISSING):
+    return field(default=default, metadata={"check": check})
+
+
+@dataclass(kw_only=True)
+class ScenarioConfig:
+    """Validated scenario: one field per config key, with its kind and default.
+
+    A key without a default is required.  The keys `controllers` and `gammas`
+    build `members` and are not fields, so that no `replace` leaves it stale.
+    """
+
+    name: str = _key(_token)
     members: list
-    A_diag: list
-    theta_set: list
-    delta: float | None
-    delta_frac: float | None
-    gains: Gains
-    zeta_dynamics: str
-    inertia_diag: list
-    reference: str
-    m_bound: float
-    omega_r_bound: float
-    R0_axis: list
-    R0_angle: float
-    omega0: list
-    theta0: float
-    zeta0: list
-    Rbar0: str
-    theta_bar0: float
-    noise_var_R: float
-    noise_var_omega: float
-    seed: int
-    dt: float
-    t_max: float
-    j_max: int
+    A_diag: list = _key(_floats(3))
+    theta_set: list = _key(_floats())
+    delta: float | None = _key(_number, None)
+    delta_frac: float | None = _key(_number, None)
+    k_R: float = _key(_number)
+    k_omega: float | None = _key(_number, None)
+    k_theta: float = _key(_number)
+    k_zeta: float | None = _key(_number, None)
+    k_beta: float | None = _key(_number, None)
+    Gamma_diag: list | None = _key(_floats(3), None)
+    rho: float | None = _key(_number, None)
+    delta_prime: float | None = _key(_number, None)
+    zeta_dynamics: str = _key(_choice("standard", "relaxed"), "standard")
+    J_diag: list = _key(_floats(3))  # `build_member` checks it as an `Inertia`
+    reference: str = _key(_reference_name, "paper_sine")
+    m_bound: float = _key(_number, 2.0)
+    omega_r_bound: float = _key(_number, 25.0)
+    R0_axis: list = _key(_floats(3))
+    R0_angle: float = _key(_number)
+    omega0: list = _key(_floats(3), (0.0, 0.0, 0.0))
+    theta0: float = _key(_number, 0.0)
+    zeta0: list = _key(_floats(3), (0.0, 0.0, 0.0))
+    Rbar0: str = _key(_choice("transpose", "identity"), "transpose")
+    theta_bar0: float = _key(_number, 0.0)
+    noise_var_R: float = _key(_number, 0.0)
+    noise_var_omega: float = _key(_number, 0.0)
+    seed: int = _key(_integer, 0)
+    dt: float = _key(_number, 1e-3)
+    t_max: float = _key(_number, 20.0)
+    j_max: int = _key(_positive_integer, 50)
+
+    @property
+    def gains(self) -> Gains:
+        return Gains(**{f.name: getattr(self, f.name) for f in fields(Gains)})
+
+
+# Every config key as {key: (check, default)}, MISSING marking a required key.
+CONFIG_KEYS = {f.name: (f.metadata["check"], f.default) for f in fields(ScenarioConfig)
+               if f.metadata} | {"controllers": (_laws, MISSING), "gammas": (_floats(), MISSING)}
 
 
 def _solver_config(dt, t_max, j_max) -> SolverConfig:
@@ -151,123 +196,34 @@ def _solver_config(dt, t_max, j_max) -> SolverConfig:
 
 def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed keys, with field-level errors."""
-    known = set(_DEFAULTS) | set(_REQUIRED)
     for key in raw:
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-    for key in _REQUIRED:
-        if key not in raw:
+    for key, (_, default) in CONFIG_KEYS.items():
+        if default is MISSING and key not in raw:
             raise ConfigError(f"missing required config key '{key}'")
-    d = dict(_DEFAULTS)
-    d.update(raw)
-
-    def finite(key, x):
-        if isinstance(x, bool):  # float() would take true as 1.0
-            raise ConfigError(f"'{key}' must contain numbers, got {str(x).lower()}")
-        try:
-            f = float(x)
-        except (TypeError, ValueError):
-            raise ConfigError(f"'{key}' must contain numbers") from None
-        except OverflowError:  # an integer beyond the float range
-            f = math.inf
-        if not math.isfinite(f):
-            raise ConfigError(f"'{key}' must be finite, got {x}")
-        return f
-
-    def as_floats(key, n=None):
-        v = d[key]
-        if not isinstance(v, list) or (n is not None and len(v) != n):
-            raise ConfigError(f"'{key}' must be a list" + (f" of {n} numbers" if n else ""))
-        return [finite(key, x) for x in v]
-
-    def as_float(key, allow_none=False):
-        v = d[key]
-        if v is None and allow_none:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"'{key}' must be a number")
-        return finite(key, v)
-
-    controllers = d["controllers"]
-    if not isinstance(controllers, list) or not controllers:
-        raise ConfigError("'controllers' must be a nonempty list")
-    for c in controllers:
-        if c not in LOOP_CLASSES:
-            raise ConfigError(f"'controllers' entry '{c}' not one of {tuple(LOOP_CLASSES)}")
-    gammas = as_floats("gammas")
+    if (raw.get("delta") is None) == (raw.get("delta_frac") is None):
+        raise ConfigError("give exactly one of 'delta' and 'delta_frac'")
+    values = {}
+    for key, (check, default) in CONFIG_KEYS.items():
+        v = raw.get(key, default)
+        if v is default:  # a list default is a tuple, so that no two configs share it
+            values[key] = list(v) if isinstance(v, tuple) else v
+        else:
+            values[key] = check(key, v)
+    controllers, gammas = values.pop("controllers"), values.pop("gammas")
     if len(gammas) == 1:
         gammas = gammas * len(controllers)
     if len(gammas) != len(controllers):
         raise ConfigError("'gammas' must have one entry or one entry per controller")
-
-    if (d["delta"] is None) == (d["delta_frac"] is None):
-        raise ConfigError("give exactly one of 'delta' and 'delta_frac'")
-
-    if not isinstance(d["reference"], str):
-        raise ConfigError("'reference' must be the name of a reference")
-    if d["zeta_dynamics"] not in ("standard", "relaxed"):
-        raise ConfigError("'zeta_dynamics' must be 'standard' or 'relaxed'")
-    if d["Rbar0"] not in ("transpose", "identity"):
-        raise ConfigError("'Rbar0' must be 'transpose' or 'identity'")
-    if not isinstance(d["seed"], int) or isinstance(d["seed"], bool):
-        raise ConfigError("'seed' must be an integer")
-    if isinstance(d["j_max"], bool) or not isinstance(d["j_max"], int) or d["j_max"] < 1:
-        raise ConfigError("'j_max' must be a positive integer")
-    dt = as_float("dt")
-    t_max = as_float("t_max")
-    _solver_config(dt, t_max, d["j_max"])
-    inertia_diag = as_floats("J_diag", 3)  # `build_member` checks it as an `Inertia`
-    nvr = as_float("noise_var_R")
-    nvw = as_float("noise_var_omega")
-    if nvr < 0.0 or nvw < 0.0:
+    _solver_config(values["dt"], values["t_max"], values["j_max"])
+    if values["noise_var_R"] < 0.0 or values["noise_var_omega"] < 0.0:
         raise ConfigError("noise variances must be nonnegative")
-
-    gains = Gains(
-        k_R=as_float("k_R"),
-        k_omega=as_float("k_omega", allow_none=True),
-        k_theta=as_float("k_theta"),
-        k_zeta=as_float("k_zeta", allow_none=True),
-        k_beta=as_float("k_beta", allow_none=True),
-        Gamma_diag=None if d["Gamma_diag"] is None else as_floats("Gamma_diag", 3),
-        rho=as_float("rho", allow_none=True),
-        delta_prime=as_float("delta_prime", allow_none=True),
-    )
-
-    seed = int(d["seed"])
-    members = [
-        MemberSpec(index=i, controller=c, gamma=g, label=f"{i}_{c}", seed=seed + i)
+    values["members"] = [
+        MemberSpec(index=i, controller=c, gamma=g, label=f"{i}_{c}", seed=values["seed"] + i)
         for i, (c, g) in enumerate(zip(controllers, gammas))
     ]
-    name = d["name"]
-    if not isinstance(name, str) or not name:
-        raise ConfigError("'name' must be a nonempty token")
-    return ScenarioConfig(
-        name=name,
-        members=members,
-        A_diag=as_floats("A_diag", 3),
-        theta_set=as_floats("theta_set"),
-        delta=as_float("delta", allow_none=True),
-        delta_frac=as_float("delta_frac", allow_none=True),
-        gains=gains,
-        zeta_dynamics=d["zeta_dynamics"],
-        inertia_diag=inertia_diag,
-        reference=d["reference"],
-        m_bound=as_float("m_bound"),
-        omega_r_bound=as_float("omega_r_bound"),
-        R0_axis=as_floats("R0_axis", 3),
-        R0_angle=as_float("R0_angle"),
-        omega0=as_floats("omega0", 3),
-        theta0=as_float("theta0"),
-        zeta0=as_floats("zeta0", 3),
-        Rbar0=d["Rbar0"],
-        theta_bar0=as_float("theta_bar0"),
-        noise_var_R=nvr,
-        noise_var_omega=nvw,
-        seed=seed,
-        dt=dt,
-        t_max=t_max,
-        j_max=int(d["j_max"]),
-    )
+    return ScenarioConfig(**values)
 
 
 def bundled_scenarios() -> dict:
@@ -325,9 +281,9 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec):
     except ContractError as e:
         raise ConfigError(f"member {member.label}: {e}") from None
     try:
-        inertia = Inertia(cfg.inertia_diag)
+        inertia = Inertia(cfg.J_diag)
     except ContractError as e:
-        raise ConfigError(f"'J_diag' = {list(cfg.inertia_diag)}: {e}") from None
+        raise ConfigError(f"'J_diag' = {list(cfg.J_diag)}: {e}") from None
     try:
         reference = make_reference(cfg.reference, cfg.m_bound, cfg.omega_r_bound)
     except ContractError as e:

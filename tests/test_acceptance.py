@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import so3track as st
+from potential_oracle import gap_coeff_oracle
 from torque_trace import torque_inputs
 
 PI2 = math.pi**2
@@ -103,11 +104,12 @@ def test_c3_constructor(paper_params):
         sp = q.spectral
         assert abs(float(sp.alphas @ sp.alphas) - 1.0) <= 1e-12
         # oracle: enumerate the gap coefficient over the eigenvector family
-        vals = [st.warp_gap(q.u, sp.eigenvectors[:, i], q.A_diag) for i in range(3)]
+        A = np.diag(q.A_diag)
+        vals = [gap_coeff_oracle(q.u, sp.eigenvectors[:, i], A) for i in range(3)]
         if sp.case_id == 1:
             for phi in np.linspace(0.0, 2.0 * math.pi, 1441):
                 v = math.cos(phi) * sp.eigenvectors[:, 0] + math.sin(phi) * sp.eigenvectors[:, 1]
-                vals.append(st.warp_gap(q.u, v, q.A_diag))
+                vals.append(gap_coeff_oracle(q.u, v, A))
         assert abs(min(vals) - sp.delta_star) <= 1e-10
         return sp.case_id
 

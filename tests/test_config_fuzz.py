@@ -16,10 +16,10 @@ import pytest
 import so3track as st
 from so3track.cli import main
 from so3track.errors import ConfigError, ContractError, SolverError
-from so3track.scenarios import _DEFAULTS, _REQUIRED
+from so3track.scenarios import CONFIG_KEYS
 
 # Every key the loader knows, a removed key (`priority`) and one it never knew.
-KEYS = sorted({*_DEFAULTS, *_REQUIRED}) + ["priority", "bogus"]
+KEYS = sorted(CONFIG_KEYS) + ["priority", "bogus"]
 
 # Values that `parse_config_text` can produce: ints of any size, floats with
 # their extremes, booleans, tokens and flat lists of those.

@@ -7,17 +7,12 @@ import pytest
 import so3track as st
 from so3track.errors import ContractError
 from so3track.so3 import ARRAY_MATH
+from potential_oracle import gap_coeff_oracle
 
 PI2 = math.pi**2
 
 
 # --- independent oracles -----------------------------------------------------
-
-
-def gap_coeff_oracle(u, v, A):
-    """Direct matrix arithmetic for the gap coefficient."""
-    M = np.trace(A) * np.eye(3) - A - 2.0 * (v @ A @ v) * (np.eye(3) - np.outer(v, v))
-    return float(u @ M @ u)
 
 
 def value_oracle(R, theta, p):
@@ -155,24 +150,6 @@ def test_design_params_builds_the_spectrum_once(monkeypatch):
             a, b = getattr(p.spectral, f.name), getattr(own, f.name)
             assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
         calls.clear()
-
-
-def test_gap_coefficient_values(paper_params):
-    p = paper_params
-    A = p.A_diag
-    assert st.warp_gap(p.u, np.array([1.0, 0.0, 0.0]), A) == pytest.approx(2.8, abs=1e-12)
-    best = min(st.warp_gap(p.u, v, A) for v in np.eye(3))
-    assert best == pytest.approx(2.0, abs=1e-12)
-    e3 = np.array([0.0, 0.0, 1.0])
-    assert st.warp_gap(e3, e3, A) == pytest.approx(6.0, abs=1e-12)
-    # cross-check against the independent oracle on random unit vectors
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        assert st.warp_gap(u, v, A) == pytest.approx(gap_coeff_oracle(u, v, np.diag(A)), abs=1e-12)
 
 
 # --- warp map ----------------------------------------------------------------
@@ -457,14 +434,3 @@ def test_grad_rotation_norm_bounded_by_c_psi(paper_params):
     theta = rng.uniform(-math.pi, math.pi, n)
     g_rot, _ = batch_gradients(R, theta, p)
     assert (np.einsum("ni,ni->n", g_rot, g_rot) <= 100.0 + 1e-9).all()
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def test_params_config_round_trip(paper_params):
-    p = paper_params
-    m = p.to_mapping()
-    q = st.design_params(m["A_diag"], m["theta_set"], gamma=m["gamma"], delta=m["delta"])
-    assert np.allclose(q.u, p.u, atol=0.0)
-    assert q.gamma == p.gamma and q.delta == p.delta and q.theta_set == p.theta_set
