@@ -21,15 +21,16 @@ hybrid torque laws build on this mechanism:
 A non-hybrid baseline (the basic law with the warp angle frozen at zero) is
 included for comparisons.
 
-Each law is written once, as a component-wise kernel (`*_f`) on floats (see
-`so3`).  The closed loops evaluate the kernels on the state as a tuple of
-floats and draw and apply the measurement noise in floats; after a run they
-evaluate the same kernels once more on the recorded states as column arrays
-to fill the recorded columns.
+Each law is written once, as its loop's `_rates`: the flow and the torque,
+composed of component-wise kernels (`*_f`) on floats (see `so3`), with one
+torque kernel, `torque_f`, for every law.  The closed loops evaluate them on
+the state as a tuple of floats and draw and apply the measurement noise in
+floats; after a run they evaluate the same kernels once more on the
+recorded states as column arrays to fill the recorded columns.
 
-The step is compiled.  A loop's `_rates` composes the kernels, and `flow`
-evaluates it as written, after the reference velocity and acceleration
-checks.  `step`, which `solve` calls, runs one RK4 step as one straight-line
+The step is compiled.  `flow` evaluates `_rates` as written, after the
+reference velocity and acceleration checks, and `torque` reads it too.
+`step`, which `solve` calls, runs one RK4 step as one straight-line
 function (see `straightline`): `HybridSystem.step`, the one RK4 source,
 traced on symbolic floats over `_rates` and the reference's `z_fn`.  A step
 then costs its arithmetic and little else: no kernel calls, tuple packing,
@@ -163,60 +164,20 @@ def filtered_value_w_f(AR, W, theta: float, zeta, p: PotentialParams, rho: float
     return value_w_f(AR, W, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
-def torque_basic_f(ups, g_rot, omega_e, gains: Gains) -> tuple:
-    """ups - 2 k_R g_rot - k_omega omega_e.
+def torque_f(ups, k1: float, v1, k2: float, v2) -> tuple:
+    """ups - k1 v1 - k2 v2: the torque of every law.
 
-    The basic law, and with the warp angle frozen the non-hybrid baseline; the
-    smooth law passes its filter state as g_rot.
+    The basic law (and, with the warp angle frozen, the non-hybrid baseline)
+    passes 2 k_R and the rotation gradient, then k_omega and the velocity
+    error; the smooth law passes its filter state in place of the gradient;
+    the velocity-free law passes 2 k_beta and the gradient at its auxiliary
+    rotation in place of the velocity damping.
     """
-    k = 2.0 * gains.k_R
-    kw = gains.k_omega
     return (
-        ups[0] - k * g_rot[0] - kw * omega_e[0],
-        ups[1] - k * g_rot[1] - kw * omega_e[1],
-        ups[2] - k * g_rot[2] - kw * omega_e[2],
+        ups[0] - k1 * v1[0] - k2 * v2[0],
+        ups[1] - k1 * v1[1] - k2 * v2[1],
+        ups[2] - k1 * v1[2] - k2 * v2[2],
     )
-
-
-def torque_velocity_free_f(ups, g1, g2, gains: Gains) -> tuple:
-    """ups - 2 k_R g1 - 2 k_beta g2.
-
-    g1 and g2 are the rotation gradients at the error and auxiliary rotations.
-    """
-    k1 = 2.0 * gains.k_R
-    k2 = 2.0 * gains.k_beta
-    return (
-        ups[0] - k1 * g1[0] - k2 * g2[0],
-        ups[1] - k1 * g1[1] - k2 * g2[1],
-        ups[2] - k1 * g1[2] - k2 * g2[2],
-    )
-
-
-def zeta_flow_f(AR, theta: float, zeta, omega_e, g_rot, g_th: float, p: PotentialParams,
-                gains: Gains, relaxed: bool, xp=math) -> tuple:
-    """Filter rate -k_zeta (zeta - g_rot).
-
-    The relaxed form adds the gradient rate and omega_e / rho.
-    """
-    k = -gains.k_zeta
-    out = (k * (zeta[0] - g_rot[0]), k * (zeta[1] - g_rot[1]), k * (zeta[2] - g_rot[2]))
-    if not relaxed:
-        return out
-    r = grad_rotation_rate_f(AR, theta, omega_e, -gains.k_theta * g_th, p, xp)
-    rho = gains.rho
-    return tuple(out[i] + r[i] + omega_e[i] / rho for i in range(3))
-
-
-def aux_flow_f(Rtilde, omega_e, g_rot, Gamma, E=None) -> tuple:
-    """Rate Rtilde skew(omega_e - beta) of the auxiliary rotation, beta = Gamma g_rot.
-
-    Gamma is its 3 diagonal entries.  With a measurement, g_rot is taken at
-    Rtilde E and beta is rotated back by E.
-    """
-    beta = (Gamma[0] * g_rot[0], Gamma[1] * g_rot[1], Gamma[2] * g_rot[2])
-    if E is not None:
-        beta = mat_vec_f(E, beta)
-    return mat_skew_f(Rtilde, (omega_e[0] - beta[0], omega_e[1] - beta[1], omega_e[2] - beta[2]))
 
 
 @dataclass(frozen=True)
@@ -239,9 +200,9 @@ class _TrackingLoop(HybridSystem):
     """Shared plumbing: reference inputs, measurement sampling, projection, records.
 
     The loop methods evaluate the kernels on the state as a sequence of floats
-    (`solve` passes tuples; see `HybridSystem`); each subclass's `_control`
-    gives the torque and the terms its flow shares with it, and its `_rates`
-    the flow, which `step` runs compiled.  `_control`, `_monitor` and
+    (`solve` passes tuples; see `HybridSystem`); each subclass's `_rates`
+    gives its flow, which `step` runs compiled, and its applied torque, which
+    `torque` and the records read.  `_rates`, `_monitor` and
     `_columns` also run on a batch: state entries and measurement fields as
     (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its
     monitor once, by `_monitor`.
@@ -375,16 +336,6 @@ class _TrackingLoop(HybridSystem):
             out[sl] = orthonormalize_f(y[sl])
         return tuple(out)
 
-    def _guard_reference(self, omega_r, t: float) -> None:
-        n2 = norm2_f(omega_r)
-        b = self.reference.omega_r_bound
-        if n2 > b * b:
-            raise SolverError(
-                f"reference angular velocity left its declared set at t={t}: "
-                f"||omega_r|| = {math.sqrt(n2):.6g} > {b}",
-                t=t,
-            )
-
     def _feedforward(self, R, omega_r, z) -> tuple:
         """(a, J a, feedforward) at rotation R, with a = R^T omega_r."""
         J = self.inertia.J_diag
@@ -419,21 +370,18 @@ class _TrackingLoop(HybridSystem):
         w0, w1, w2 = omega_e
         return 0.5 * (w0 * (J0 * w0) + w1 * (J1 * w1) + w2 * (J2 * w2))
 
-    def _control(self, z, v, meas, xp=math) -> tuple:
-        """Kernel terms at state v and reference acceleration z; index 0 is the applied torque."""
-        raise NotImplementedError
+    def _rates(self, y, meas, z, xp=math) -> tuple:
+        """(flow, applied torque) at state y under reference acceleration z, without the checks.
 
-    def _rates(self, t, y, meas, z, xp=math) -> tuple:
-        """The flow at state y under reference acceleration z, without the reference guard.
-
-        The source of `flow` and of the compiled `step`; `t` enters only through z.
+        The one source of `flow`, the compiled `step`, `torque` and the
+        recorded torque columns.
         """
         raise NotImplementedError
 
     def flow(self, t, y, meas):
         """The rates at state y: the reference checks, then `_rates` interpreted."""
-        self._guard_reference(y[self.OMEGA_R], t)
-        return self._rates(t, y, meas, self.reference.z_at(t))
+        self.reference.check_omega_r(y[self.OMEGA_R], t)
+        return self._rates(y, meas, self.reference.z_at(t))[0]
 
     def step(self, t, y, h, meas):
         """`HybridSystem.step` on `flow`, run as this loop's compiled step, with the same bits.
@@ -481,7 +429,7 @@ class _TrackingLoop(HybridSystem):
             def flow(tt, yy, m):
                 z = z_fn(tt, xp)
                 checked.extend((norm2_f(yy[cls.OMEGA_R]), xp.sqrt(norm2_f(z))))
-                return loop._rates(tt, yy, m, z, xp)
+                return loop._rates(yy, m, z, xp)[0]
 
             # The RK4 source over `flow`, held apart from `loop` so that no
             # reference cycle keeps the traced expressions alive.
@@ -505,7 +453,7 @@ class _TrackingLoop(HybridSystem):
     def _columns(self, t, v, meas, in_jump, xp=math) -> tuple:
         """The recorded columns at state v under measurement meas."""
         U, lyap = self._monitor(v, xp)
-        tau = self._control(self.reference.z_at(t, xp), v, meas, xp)[0]
+        tau = self._rates(v, meas, self.reference.z_at(t, xp), xp)[1]
         return (
             rot_distance_f(v[self.R_E], xp), v[self.THETA], *v[self.OMEGA_E],
             tau[0], tau[1], tau[2], U, lyap,
@@ -515,7 +463,7 @@ class _TrackingLoop(HybridSystem):
 
     def torque(self, t: float, y, meas) -> np.ndarray:
         """The applied torque at time t and state y under measurement meas."""
-        return np.array(self._control(self.reference.z_at(t), y, meas)[0])
+        return np.array(self._rates(y, meas, self.reference.z_at(t))[1])
 
     def record(self, t, states, noise, in_jump):
         """All recorded columns in one pass of the kernels over the column arrays."""
@@ -581,22 +529,16 @@ class BasicLoop(_TrackingLoop):
         "tau_x", "tau_y", "tau_z", "U", "lyap", "in_jump_set",
     )
 
-    def _control(self, z, v, meas, xp=math):
-        """(torque, a, J a, feedforward at R_e, warp gradient)."""
-        p = self.params
-        Re, wr = v[self.R_E], v[self.OMEGA_R]
+    def _rates(self, y, meas, z, xp=math):
+        """A loop without a warp angle (the non-hybrid baseline) keeps theta frozen."""
+        p, gn = self.params, self.gains
+        Re, we, wr = y[self.R_E], y[self.OMEGA_E], y[self.OMEGA_R]
         a, Ja, ups = self._feedforward(Re, wr, z)
-        Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
-        g0, g1, g2, g_th = gradients_f(diag_mul_f(p.A_diag, Rm), v[self.THETA], p, xp)
-        return torque_basic_f(ups_m, (g0, g1, g2), wem, self.gains), a, Ja, ups, g_th
-
-    def _rates(self, t, y, meas, z, xp=math):
-        Re, we = y[self.R_E], y[self.OMEGA_E]
-        tau, a, Ja, ups, g_th = self._control(z, y, meas, xp)
-        return (
-            *mat_skew_f(Re, we), -self.gains.k_theta * g_th,
-            *self._accel(we, a, Ja, ups, tau), *z,
-        )
+        Rm, wem, ups_m = self._measured(Re, we, wr, z, a, ups, meas)
+        g0, g1, g2, g_th = gradients_f(diag_mul_f(p.A_diag, Rm), y[self.THETA], p, xp)
+        tau = torque_f(ups_m, 2.0 * gn.k_R, (g0, g1, g2), gn.k_omega, wem)
+        th_dot = -gn.k_theta * g_th if self.warp_angles else 0.0
+        return (*mat_skew_f(Re, we), th_dot, *self._accel(we, a, Ja, ups, tau), *z), tau
 
     def _monitor(self, v, xp=math):
         p = self.params
@@ -609,15 +551,9 @@ class BasicLoop(_TrackingLoop):
 
 class NonHybridLoop(BasicLoop):
     kind = "non_hybrid"
-    warp_angles = ()  # no jump set
+    warp_angles = ()  # no jump set, and `BasicLoop._rates` keeps theta frozen
     jump_drop = 0.0
     gain_names = ("k_R", "k_omega")
-
-    def _rates(self, t, y, meas, z, xp=math):
-        """The basic flow with the warp angle frozen; k_theta is never read."""
-        Re, we = y[self.R_E], y[self.OMEGA_E]
-        tau, a, Ja, ups, _ = self._control(z, y, meas, xp)
-        return (*mat_skew_f(Re, we), 0.0, *self._accel(we, a, Ja, ups, tau), *z)
 
     def decay_rates(self):
         """The velocity damping alone: the warp angle is frozen."""
@@ -674,26 +610,23 @@ class SmoothLoop(_TrackingLoop):
     def decay_rates(self):
         return super().decay_rates() + [(self.gains.k_zeta, "k_zeta"), self._velocity_damping()]
 
-    def _control(self, z, v, meas, xp=math):
-        """(torque, a, J a, feedforward at R_e, A R_m, measured velocity error, gradients)."""
-        p = self.params
-        Re, wr = v[self.R_E], v[self.OMEGA_R]
+    def _rates(self, y, meas, z, xp=math):
+        """zetadot = -k_zeta (zeta - gradient), plus gradient rate + omega_e / rho when relaxed."""
+        p, gn = self.params, self.gains
+        Re, th, we, wr = y[self.R_E], y[self.THETA], y[self.OMEGA_E], y[self.OMEGA_R]
+        zeta = y[self.ZETA]
         a, Ja, ups = self._feedforward(Re, wr, z)
-        Rm, wem, ups_m = self._measured(Re, v[self.OMEGA_E], wr, z, a, ups, meas)
+        Rm, wem, ups_m = self._measured(Re, we, wr, z, a, ups, meas)
         AR = diag_mul_f(p.A_diag, Rm)
-        g0, g1, g2, g_th = gradients_f(AR, v[self.THETA], p, xp)
-        tau = torque_basic_f(ups_m, v[self.ZETA], wem, self.gains)
-        return tau, a, Ja, ups, AR, wem, (g0, g1, g2), g_th
-
-    def _rates(self, t, y, meas, z, xp=math):
-        gn = self.gains
-        Re, th, we = y[self.R_E], y[self.THETA], y[self.OMEGA_E]
-        tau, a, Ja, ups, AR, wem, g, g_th = self._control(z, y, meas, xp)
-        zdot = zeta_flow_f(AR, th, y[self.ZETA], wem, g, g_th, self.params, gn, self.relaxed, xp)
-        return (
-            *mat_skew_f(Re, we), -gn.k_theta * g_th,
-            *self._accel(we, a, Ja, ups, tau), *z, *zdot,
-        )
+        g0, g1, g2, g_th = gradients_f(AR, th, p, xp)
+        tau = torque_f(ups_m, 2.0 * gn.k_R, zeta, gn.k_omega, wem)
+        th_dot = -gn.k_theta * g_th
+        k = -gn.k_zeta
+        zdot = (k * (zeta[0] - g0), k * (zeta[1] - g1), k * (zeta[2] - g2))
+        if self.relaxed:
+            r = grad_rotation_rate_f(AR, th, wem, th_dot, p, xp)
+            zdot = tuple(zdot[i] + r[i] + wem[i] / gn.rho for i in range(3))
+        return (*mat_skew_f(Re, we), th_dot, *self._accel(we, a, Ja, ups, tau), *z, *zdot), tau
 
     def _value_w(self, AR, W, theta, y):
         """The filtered value: the jump resets theta to its least value, not the potential's."""
@@ -736,32 +669,33 @@ class VelocityFreeLoop(_TrackingLoop):
         """min(k_R, k_beta) delta: whichever warp angle resets drops its term by delta."""
         return min(self.gains.k_R, self.gains.k_beta) * self._threshold
 
-    def _control(self, z, v, meas, xp=math):
-        """(torque, a, J a, feedforward at R_e, auxiliary gradient, both warp gradients, E)."""
-        p = self.params
-        Re, wr, Rt = v[self.R_E], v[self.OMEGA_R], v[self.R_TILDE]
+    def _rates(self, y, meas, z, xp=math):
+        """Auxiliary rate Rtilde skew(omega_e - beta), with beta = Gamma times its gradient.
+
+        The torque reads the measured rotations R_e E and Rtilde E, never a
+        velocity; beta, taken at Rtilde E, is rotated back by E.
+        """
+        p, gn = self.params, self.gains
+        Re, we, wr, Rt = y[self.R_E], y[self.OMEGA_E], y[self.OMEGA_R], y[self.R_TILDE]
         a, Ja, ups = self._feedforward(Re, wr, z)
         if meas is None:
-            E, ups_m = None, ups
+            Rm, Rtm, ups_m = Re, Rt, ups
         else:
-            E = meas.E
-            Re, Rt = mat_mul_f(Re, E), mat_mul_f(Rt, E)
-            ups_m = self._feedforward(Re, wr, z)[2]
-        a0, a1, a2, a_th = gradients_f(diag_mul_f(p.A_diag, Re), v[self.THETA], p, xp)
-        b0, b1, b2, b_th = gradients_f(diag_mul_f(p.A_diag, Rt), v[self.THETA_BAR], p, xp)
-        g2 = (b0, b1, b2)
-        tau = torque_velocity_free_f(ups_m, (a0, a1, a2), g2, self.gains)
-        return tau, a, Ja, ups, g2, a_th, b_th, E
-
-    def _rates(self, t, y, meas, z, xp=math):
-        k_th = self.gains.k_theta
-        Re, we = y[self.R_E], y[self.OMEGA_E]
-        tau, a, Ja, ups, g2, a_th, b_th, E = self._control(z, y, meas, xp)
+            Rm, Rtm = mat_mul_f(Re, meas.E), mat_mul_f(Rt, meas.E)
+            ups_m = self._feedforward(Rm, wr, z)[2]
+        a0, a1, a2, a_th = gradients_f(diag_mul_f(p.A_diag, Rm), y[self.THETA], p, xp)
+        b0, b1, b2, b_th = gradients_f(diag_mul_f(p.A_diag, Rtm), y[self.THETA_BAR], p, xp)
+        tau = torque_f(ups_m, 2.0 * gn.k_R, (a0, a1, a2), 2.0 * gn.k_beta, (b0, b1, b2))
+        G = gn.Gamma_diag
+        beta = (G[0] * b0, G[1] * b1, G[2] * b2)
+        if meas is not None:
+            beta = mat_vec_f(meas.E, beta)
         return (
-            *mat_skew_f(Re, we), -k_th * a_th,
+            *mat_skew_f(Re, we), -gn.k_theta * a_th,
             *self._accel(we, a, Ja, ups, tau), *z,
-            *aux_flow_f(y[self.R_TILDE], we, g2, self.gains.Gamma_diag, E), -k_th * b_th,
-        )
+            *mat_skew_f(Rt, (we[0] - beta[0], we[1] - beta[1], we[2] - beta[2])),
+            -gn.k_theta * b_th,
+        ), tau
 
     def _monitor(self, v, xp=math):
         p, gn = self.params, self.gains

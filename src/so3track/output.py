@@ -11,13 +11,13 @@ import numpy as np
 def write_csv(path, arc, footer_lines=()) -> None:
     """Write an arc as CSV: header, one row per sample, '#' footer lines.
 
-    Column order is t, j, then the arc's recorded columns; floats are written
-    with 17 significant digits and `j` and `in_jump_set` as integers.  Output
-    is a pure function of the arc, so identical runs give byte-identical files.
+    Column order is t, j, then the arc's recorded columns; every cell is
+    written with 17 significant digits (`%.17g`), so an integer value below
+    10^17, such as `j` or a 0/1 flag, prints as an integer.  Output is a pure
+    function of the arc, so identical runs give byte-identical files.
     """
     path = Path(path)
-    row = ",".join(["%.17g", "%d"] + ["%d" if name == "in_jump_set" else "%.17g"
-                                      for name in arc.columns]) + "\n"
+    row = ",".join(["%.17g"] * (2 + len(arc.columns))) + "\n"
     with path.open("w", newline="\n") as f:
         f.write("t,j," + ",".join(arc.columns) + "\n")
         f.writelines(row % (t, j, *cells.tolist()) for t, j, cells in

@@ -44,12 +44,12 @@ class Inertia:
 class Reference:
     """Reference acceleration selection z(t) with its declared bounds.
 
-    `m_bound` bounds ||z(t)|| (checked at every evaluation) and
-    `omega_r_bound` declares the compact set the reference velocity must stay
-    in; the simulation aborts with a `SolverError` that carries the time t
-    if either bound is violated.  `z_fn(t, xp)` gives z(t) as 3 floats, or
-    as 3 arrays over an (n,) array of times with xp = ARRAY_MATH (see `so3`).
-    ContractError for a bound that is not positive.
+    `m_bound` bounds ||z(t)|| (checked by `z_at`) and `omega_r_bound`
+    declares the compact set the reference velocity must stay in (checked by
+    `check_omega_r`); the simulation aborts with a `SolverError` that carries
+    the time t if either bound is violated.  `z_fn(t, xp)` gives z(t) as 3
+    floats, or as 3 arrays over an (n,) array of times with xp = ARRAY_MATH
+    (see `so3`).  ContractError for a bound that is not positive.
     """
 
     name: str
@@ -81,6 +81,17 @@ class Reference:
                 t=t,
             )
         return z
+
+    def check_omega_r(self, omega_r, t: float) -> None:
+        """SolverError, carrying t, where the reference velocity omega_r leaves its declared set."""
+        n2 = norm2_f(omega_r)
+        b = self.omega_r_bound
+        if n2 > b * b:
+            raise SolverError(
+                f"reference angular velocity left its declared set at t={t}: "
+                f"||omega_r|| = {math.sqrt(n2):.6g} > {b}",
+                t=t,
+            )
 
 
 def _paper_sine(t: float, xp=math) -> tuple:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track.controllers import filtered_value_w_f, torque_basic_f, torque_velocity_free_f
+from so3track.controllers import filtered_value_w_f, torque_f
 from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
@@ -245,10 +245,11 @@ def public_torque(kind, s, z, meas, p, gn, J):
     ups = st.feedforward(Rm, s.omega_r, z, J)
     if kind == "velocity_free":
         g2 = st.grad_rotation(s.Rtilde @ E, s.theta_bar, p)
-        return np.array(torque_velocity_free_f(ups, st.grad_rotation(Rm, s.theta, p), g2, gn))
+        return np.array(torque_f(ups, 2.0 * gn.k_R, st.grad_rotation(Rm, s.theta, p),
+                                 2.0 * gn.k_beta, g2))
     # the smooth law feeds back its filter state; non_hybrid states have theta = 0
     g = s.zeta if kind == "smooth" else st.grad_rotation(Rm, s.theta, p)
-    return np.array(torque_basic_f(ups, g, wem, gn))
+    return np.array(torque_f(ups, 2.0 * gn.k_R, g, gn.k_omega, wem))
 
 
 def check_measured_rates(kind, s, meas, ydot, p, gn):

@@ -18,7 +18,14 @@ KEYS = {
 REQUIRED = {"name", "controllers", "gammas", "A_diag", "theta_set", "k_R", "k_theta",
             "J_diag", "R0_axis", "R0_angle"}
 
-DROP = object()  # marks a key removed from the mapping
+class _Drop:
+    """Marks a key removed from the mapping; its repr keeps the test ids the same each run."""
+
+    def __repr__(self) -> str:
+        return "DROP"
+
+
+DROP = _Drop()
 
 
 def fig4_mapping() -> dict:

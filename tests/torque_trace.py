@@ -1,6 +1,6 @@
 """The inputs a closed loop's torque reads, found by tracing it on symbolic floats.
 
-The loop's `_control` runs once on `straightline.Var` inputs, the symbolic
+The loop's `_rates` runs once on `straightline.Var` inputs, the symbolic
 floats that its compiled step is traced on, and the torque's expression DAG
 is walked back to the inputs it reaches.  The packed state enters as y0, y1, ..., the
 reference acceleration as z0..z2 and a noisy measurement as meas0..meas8
@@ -23,7 +23,7 @@ def torque_inputs(loop, noisy: bool) -> set:
         m = tuple(Var(None, f"meas{i}") for i in range(12))
         meas = Measurement(m[:9], m[9:])
     found, seen = set(), set()  # Vars are unhashable: nodes are tracked by id
-    stack = list(loop._control(z, y, meas, straightline.XP)[0])
+    stack = list(loop._rates(y, meas, z, straightline.XP)[1])
     while stack:
         v = stack.pop()
         if type(v) is not Var or id(v) in seen:
