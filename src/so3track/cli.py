@@ -44,16 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> object:
-    cfg = load_scenario(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-        overrides["members"] = [replace(m, seed=args.seed + m.index) for m in cfg.members]
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "t_max", None) is not None:
-        overrides["t_max"] = args.t_max
-    return replace(cfg, **overrides) if overrides else cfg
+    overrides = {key: getattr(args, key, None) for key in ("seed", "dt", "t_max")}
+    return replace(load_scenario(args.config),
+                   **{key: v for key, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -98,7 +98,7 @@ class PotentialParams:
       * A is positive definite with lambda_2 < lambda_3,
       * the gap coefficient and the gradient bounds of A are finite floats,
       * gamma < 4 delta_star / pi^2,
-      * delta < (4 delta_star / pi^2 - gamma) * theta_min^2 / 2.
+      * delta < (4 delta_star / pi^2 - gamma) * t^2 / 2, t the least |theta_i|.
     """
 
     theta_set: tuple
@@ -107,7 +107,6 @@ class PotentialParams:
     gamma: float
     delta: float
     spectral: SpectralData = field(init=False)
-    theta_min: float = field(init=False)
     _trA: float = field(init=False, repr=False)
     # Float forms for the kernels: u as 3 floats, ux^2 as 9, and each reset
     # angle paired with its warp rotation as 9 floats, in theta_set order.
@@ -144,7 +143,6 @@ class PotentialParams:
             raise ContractError(f"delta={self.delta} outside (0, {dmax})")
         ux = skew(self.u)
         ux2 = ux @ ux
-        object.__setattr__(self, "theta_min", tmin)
         object.__setattr__(self, "_trA", A_diag[0] + A_diag[1] + A_diag[2])
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
         object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))

@@ -12,7 +12,7 @@ contend for the interpreter lock); all files are written after the last one.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -79,7 +79,7 @@ class MemberSpec:
     controller: str
     gamma: float
     label: str
-    seed: int
+    seed: int = 0  # a `ScenarioConfig` sets it to its seed + index
 
 
 # The kinds of config key, as checks that return a value parsed or raise ConfigError.
@@ -136,12 +136,22 @@ def _key(check, default=MISSING):
     return field(default=default, metadata={"check": check})
 
 
-@dataclass(kw_only=True)
+# The most steps, t_max / dt, that a `ScenarioConfig` lets one member ask for.
+# A run keeps every sample (a full-horizon fig4 member of 20 000 steps peaks
+# at about 11 MB), so a member at the budget holds about half a gigabyte.
+STEP_BUDGET = 1_000_000
+
+
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """Validated scenario: one field per config key, with its kind and default.
 
     A key without a default is required.  The keys `controllers` and `gammas`
     build `members` and are not fields, so that no `replace` leaves it stale.
+    Construction, and so each `replace` (the config is frozen), checks the
+    rules that span keys (ConfigError): the solver settings, kept as `solver`,
+    the noise variances, the seed and STEP_BUDGET; then each member gets the
+    seed `seed + index`.
     """
 
     name: str = _key(_token)
@@ -176,6 +186,24 @@ class ScenarioConfig:
     dt: float = _key(_number, 1e-3)
     t_max: float = _key(_number, 20.0)
     j_max: int = _key(_positive_integer, 50)
+    solver: SolverConfig = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "solver",
+                               SolverConfig(dt=self.dt, t_max=self.t_max, j_max=self.j_max))
+        except ContractError as e:
+            raise ConfigError(str(e)) from None
+        if self.noise_var_R < 0.0 or self.noise_var_omega < 0.0:
+            raise ConfigError("noise variances must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be nonnegative, got {self.seed}")
+        steps = self.t_max / self.dt
+        if steps > STEP_BUDGET:
+            raise ConfigError(f"t_max / dt = {steps:.3g} steps is over the budget of "
+                              f"{STEP_BUDGET} steps per member")
+        object.__setattr__(self, "members",
+                           [replace(m, seed=self.seed + m.index) for m in self.members])
 
     @property
     def gains(self) -> Gains:
@@ -185,13 +213,6 @@ class ScenarioConfig:
 # Every config key as {key: (check, default)}, MISSING marking a required key.
 CONFIG_KEYS = {f.name: (f.metadata["check"], f.default) for f in fields(ScenarioConfig)
                if f.metadata} | {"controllers": (_laws, MISSING), "gammas": (_floats(), MISSING)}
-
-
-def _solver_config(dt, t_max, j_max) -> SolverConfig:
-    try:
-        return SolverConfig(dt=dt, t_max=t_max, j_max=j_max)
-    except ContractError as e:
-        raise ConfigError(str(e)) from None
 
 
 def scenario_from_mapping(raw: dict) -> ScenarioConfig:
@@ -216,13 +237,8 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
         gammas = gammas * len(controllers)
     if len(gammas) != len(controllers):
         raise ConfigError("'gammas' must have one entry or one entry per controller")
-    _solver_config(values["dt"], values["t_max"], values["j_max"])
-    if values["noise_var_R"] < 0.0 or values["noise_var_omega"] < 0.0:
-        raise ConfigError("noise variances must be nonnegative")
-    values["members"] = [
-        MemberSpec(index=i, controller=c, gamma=g, label=f"{i}_{c}", seed=values["seed"] + i)
-        for i, (c, g) in enumerate(zip(controllers, gammas))
-    ]
+    values["members"] = [MemberSpec(index=i, controller=c, gamma=g, label=f"{i}_{c}")
+                         for i, (c, g) in enumerate(zip(controllers, gammas))]
     return ScenarioConfig(**values)
 
 
@@ -274,7 +290,11 @@ def _unit_axis(axis) -> np.ndarray:
 
 
 def build_member(cfg: ScenarioConfig, member: MemberSpec):
-    """Closed loop plus packed initial state for one member run."""
+    """Closed loop plus packed initial state for one member run, checked.
+
+    ConfigError for what a constructor or `loop.check` refuses, or an initial
+    state whose jump-count bound V(0) / jump_drop (`jump_count_bound`) is not finite.
+    """
     try:
         params = design_params(cfg.A_diag, cfg.theta_set, gamma=member.gamma,
                                delta=cfg.delta, delta_frac=cfg.delta_frac)
@@ -298,28 +318,26 @@ def build_member(cfg: ScenarioConfig, member: MemberSpec):
     # The initial value of every state field a law may declare; the loop packs its own.
     init = dict(Re=R0, theta=cfg.theta0, omega_e=cfg.omega0, omega_r=np.zeros(3),
                 zeta=cfg.zeta0, Rtilde=Rbar0.T @ R0, theta_bar=cfg.theta_bar0)
-    return loop, loop.pack(**{name: init[name] for name, _ in loop.state_fields})
+    y0 = loop.pack(**{name: init[name] for name, _ in loop.state_fields})
+    try:
+        loop.check()
+        jump_count_bound(loop.lyapunov_packed(tuple(y0.tolist())), loop.jump_drop)
+    except ContractError as e:
+        raise ConfigError(f"member {member.label}: {e}") from None
+    return loop, y0
 
 
 # Classical RK4 is stable on the negative real axis down to h lambda = -2.785.
 RK4_REAL_LIMIT = 2.785
 
-# The most steps, t_max / dt, that `validate_scenario` lets one member ask for.
-# A run keeps every sample (a full-horizon fig4 member of 20 000 steps peaks
-# at about 11 MB), so a member at the budget holds about half a gigabyte.
-STEP_BUDGET = 1_000_000
-
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Run every member-level invariant check without simulating.
+    """Build and check every member without simulating; returns advisory warnings.
 
-    Builds each member's loop once and asks it for its gain checks
-    (`loop.check`) and linearised decay rates (`loop.decay_rates`).  Raises
-    ConfigError on hard violations, among them a negative seed, a horizon of
-    more than STEP_BUDGET steps and an initial state at which the jump-count
-    bound V(0) / jump_drop (`jump_count_bound`) is not finite; returns advisory
-    warnings, among them a step size past the RK4 limit of a member's
-    fastest rate.
+    A constructed `cfg` has passed its cross-key checks, and `build_member`
+    raises ConfigError for a member that fails its own.  The warnings are each
+    loop's gain advisories (`loop.check`) and a step size past the RK4 limit
+    of a member's fastest linearised rate (`loop.decay_rates`).
 
     For the bundled gains the rate estimate is conservative by 13 % or more.
     In fig3 and fig4 the warp-angle mode is the fastest (k_theta = 50,
@@ -330,21 +348,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     members fail from 0.008 or 0.01, and the non-hybrid member certifies up
     to 0.012 at least.
     """
-    _solver_config(cfg.dt, cfg.t_max, cfg.j_max)  # also covers overrides applied after loading
-    if cfg.seed < 0:
-        raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
-    steps = cfg.t_max / cfg.dt
-    if steps > STEP_BUDGET:
-        raise ConfigError(f"t_max / dt = {steps:.3g} steps is over the budget of "
-                          f"{STEP_BUDGET} steps per member")
     notes: list[str] = []
-    built = []
     for member in cfg.members:
-        loop, y0 = build_member(cfg, member)
-        try:
-            member_notes = loop.check()
-        except ContractError as e:
-            raise ConfigError(f"member {member.label}: {e}") from None
+        loop, _ = build_member(cfg, member)
+        member_notes = loop.check()
         rate, source = max(loop.decay_rates())
         if cfg.dt * rate > RK4_REAL_LIMIT:
             member_notes.append(
@@ -352,13 +359,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 f"of the fastest linearised rate {rate:.4g}/s ({source}); the run may diverge"
             )
         notes.extend(f"member {member.label}: {n}" for n in member_notes)
-        built.append((member, loop, y0))
-    # Checked after every member is built, so that a member's build error comes first.
-    for member, loop, y0 in built:
-        try:
-            jump_count_bound(loop.lyapunov_packed(tuple(y0.tolist())), loop.jump_drop)
-        except ContractError as e:
-            raise ConfigError(f"member {member.label}: {e}") from None
     return notes
 
 
@@ -385,9 +385,8 @@ class ScenarioResult:
 def simulate_member(cfg: ScenarioConfig, member: MemberSpec) -> MemberResult:
     """Run one member and certify its arc; no files are written."""
     loop, y0 = build_member(cfg, member)
-    solver_cfg = _solver_config(cfg.dt, cfg.t_max, cfg.j_max)
     rng = np.random.default_rng(member.seed)
-    arc = solve(loop, y0, solver_cfg, rng)
+    arc = solve(loop, y0, cfg.solver, rng)
     report = certify_arc(arc, loop)
     return MemberResult(member=member, loop=loop, arc=arc, report=report)
 

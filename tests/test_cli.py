@@ -232,19 +232,35 @@ def test_validate_rejects_bad_value_with_one_line(tmp_path, capsys, key, value, 
     assert err.startswith("config error:") and key in err and names in err
 
 
-def test_a_non_positive_inertia_has_one_message_on_every_path():
-    # the config's shape is fine, so the inertia is checked once, as an Inertia,
-    # whether the member is validated, built or run
+@pytest.mark.parametrize("change, message", [
+    ({"J_diag": [0.0, 4.0, 6.0]},
+     "'J_diag' = [0.0, 4.0, 6.0]: inertia matrix must be positive definite"),
+    ({"J_diag": [1.0, -2.0, 3.0]},
+     "'J_diag' = [1.0, -2.0, 3.0]: inertia matrix must be positive definite"),
+    ({"k_zeta": None}, "member 1_smooth: k_zeta must be positive"),
+    ({"Gamma_diag": None}, "member 2_velocity_free: Gamma matrix is required"),
+    ({"delta_prime": 0.5}, "member 1_smooth: delta_prime must lie in (0, delta)"),
+    ({"theta0": 1e300},
+     "member 0_basic: the jump-count bound V(0) / jump_drop = inf / 0.486 is not finite"),
+], ids=("J_zero", "J_negative", "k_zeta_missing", "Gamma_missing", "delta_prime_past_delta",
+        "theta0_overflow"))
+def test_a_bad_member_has_one_message_on_every_path(tmp_path, change, message):
+    # the config's shape is fine, and a member is checked where it is built
+    # (the inertia as an Inertia), so validating, building and running it and
+    # running the scenario all end in the same ConfigError
     base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
-    for J in ([0.0, 4.0, 6.0], [1.0, -2.0, 3.0]):
-        cfg = st.scenario_from_mapping({**base, "J_diag": J})
-        seen = set()
-        for path in (st.validate_scenario, lambda c: st.build_member(c, c.members[0]),
-                     lambda c: st.simulate_member(c, c.members[0])):
-            with pytest.raises(ConfigError) as e:
-                path(cfg)
-            seen.add(str(e.value))
-        assert seen == {f"'J_diag' = {J}: inertia matrix must be positive definite"}
+    raw = {k: v for k, v in {**base, **change, "t_max": 0.01}.items() if v is not None}
+    cfg = st.scenario_from_mapping(raw)
+    seen = set()
+    for path in (st.validate_scenario,
+                 lambda c: [st.build_member(c, m) for m in c.members],
+                 lambda c: [st.simulate_member(c, m) for m in c.members],
+                 lambda c: st.run_scenario(c, tmp_path / "out", plots=False)):
+        with pytest.raises(ConfigError) as e:
+            path(cfg)
+        seen.add(str(e.value))
+    assert seen == {message}
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("A_diag", [

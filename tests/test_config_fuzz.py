@@ -1,7 +1,9 @@
 """Seeded config fuzz: a mutated bundled config validates or ends in one ConfigError.
 
-A second seeded stage runs each mutated config that validates for a few steps,
-and a third passes pool values as diagonal weights to the public constructors.
+A second seeded stage runs the members of each mutated config that loads for a
+few steps: a config that validates runs every member, and one that does not
+stops at the rejected member with the same ConfigError.  A third passes pool
+values as diagonal weights to the public constructors.
 """
 
 import dataclasses
@@ -120,8 +122,9 @@ def test_mutated_configs_through_the_cli(tmp_path, capsys):
 
 
 def test_mutated_configs_that_validate_run_a_few_steps():
-    # a config that validates must run: each member ends in PASS/FAIL, a
-    # SolverError or a ConfigError, never another exception
+    # a config that loads runs its members in turn, as `run_scenario` does:
+    # each member ends in PASS/FAIL or a SolverError, except that the member
+    # `validate_scenario` rejects ends in its ConfigError, never another exception
     bases = bundled_mappings()
     rng = random.Random(20261019)
     outcomes = Counter()
@@ -130,21 +133,32 @@ def test_mutated_configs_that_validate_run_a_few_steps():
         raw = mutate(bases[name], rng)
         try:
             cfg = st.scenario_from_mapping(raw)
-            st.validate_scenario(cfg)
         except ConfigError:
             continue
         cfg = dataclasses.replace(cfg, t_max=min(cfg.t_max, RUN_STEPS * cfg.dt))
+        try:
+            st.validate_scenario(cfg)
+            rejected = None
+        except ConfigError as e:
+            rejected = str(e)
         for member in cfg.members:
             try:
                 res = st.simulate_member(cfg, member)
-            except (SolverError, ConfigError) as e:
-                outcomes[type(e).__name__] += 1
+            except SolverError:
+                outcomes["SolverError"] += 1
+            except ConfigError as e:
+                assert str(e) == rejected, (case, name, raw, member.label)
+                outcomes["ConfigError"] += 1
+                break
             except Exception as e:
                 pytest.fail(f"case {case} ({name}, {raw}), member {member.label} "
                             f"raised {type(e).__name__}: {e}")
             else:
                 outcomes["PASS" if res.report.passed else "FAIL"] += 1
+        else:
+            assert rejected is None, (case, name, raw, rejected)
     assert outcomes["PASS"] > 200 and outcomes["SolverError"] > 10, outcomes
+    assert outcomes["ConfigError"] > 50, outcomes
 
 
 # 3x3 matrices, which no constructor takes as a diagonal weight.

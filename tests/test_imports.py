@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used in its module, and every
-module-level function and class is read somewhere in the package."""
+"""Every module-level import of the package is used in its module, every
+module-level function and class is read somewhere in the package, and every
+attribute that a package class stores on itself is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "so3track"
+TESTS = Path(__file__).resolve().parent
 # The package's __init__ imports to re-export: its imports are the public API.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -68,3 +70,58 @@ def test_checker_finds_an_unread_definition():
 def test_every_definition_is_read_or_re_exported():
     sources = {p.name: p.read_text() for p in MODULES}
     assert unread_definitions(sources, (SRC / "__init__.py").read_text()) == []
+
+
+def stored_attributes(source: str) -> list[tuple[str, int, str]]:
+    """(class, line, name) of each attribute that a method of a class in `source` stores on self.
+
+    A store is `self.x = ...` (or an annotated or augmented one) or
+    `object.__setattr__(self, "x", ...)`.
+    """
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for n in ast.walk(cls):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                out.append((cls.name, n.lineno, n.attr))
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "__setattr__" and isinstance(n.func.value, ast.Name)
+                  and n.func.value.id == "object" and len(n.args) == 3
+                  and isinstance(n.args[1], ast.Constant)):
+                out.append((cls.name, n.lineno, n.args[1].value))
+    return out
+
+
+def unread_attributes(sources: dict, readers: list[str]) -> list[str]:
+    """Attributes that a class of `sources` ({module: source}) stores and no reader reads.
+
+    An attribute is read where a source of `readers` takes it as an attribute
+    (`obj.x` in a load).
+    """
+    read = {n.attr for src in readers for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}:{line}: {cls}.{name}" for module, src in sources.items()
+            for cls, line, name in stored_attributes(src) if name not in read]
+
+
+def test_checker_finds_an_unread_attribute():
+    sources = {"a": (
+        "class K:\n"
+        "    def __init__(self, v):\n"
+        "        self.used = v\n"
+        "        self.left: int = v\n"
+        "        object.__setattr__(self, 'frozen', v)\n"
+        "        object.__setattr__(self, 'kept', v)\n"
+        "    def get(self):\n"
+        "        self.used += 1\n"
+        "        return self.used, self.kept\n"
+    )}
+    assert unread_attributes(sources, list(sources.values())) == ["a:4: K.left", "a:5: K.frozen"]
+
+
+def test_every_stored_attribute_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = list(sources.values()) + [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unread_attributes(sources, readers) == []

@@ -103,11 +103,16 @@ def test_jump_count_bound():
 # theta0 = 1e300 overflows the potential's 0.5 gamma theta^2 to inf when the
 # arc is recorded, and numpy warns of it; the warning is the expected path here.
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_certify_rejects_an_infinite_initial_monitor(fig4_cfg):
-    # without `validate_scenario`, `certify_arc` overflowed in ceil(V(0) / jump_drop)
-    cfg = dataclasses.replace(fig4_cfg, theta0=1e300, t_max=0.01)
+def test_certify_rejects_an_infinite_initial_monitor(paper_params, paper_gains, paper_inertia):
+    # `build_member` refuses this state, so the fig4 basic loop is built unchecked;
+    # `certify_arc` itself once overflowed in ceil(V(0) / jump_drop)
+    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
+    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref)
+    y0 = loop.pack(Re=st.angle_axis(math.pi - 1e-9, np.array([0.0, 0.0, 1.0])), theta=1e300,
+                   omega_e=np.zeros(3), omega_r=np.zeros(3))
+    arc = st.solve(loop, y0, st.SolverConfig(t_max=0.01))
     with pytest.raises(ContractError, match=r"V\(0\) / jump_drop = inf / 0.486 is not finite"):
-        st.simulate_member(cfg, cfg.members[0])
+        st.certify_arc(arc, loop)
 
 
 def test_certify_passes_on_short_basic_run(fig3_cfg):

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import so3track as st
+from so3track.cli import main
 from so3track.errors import ConfigError
 
 # The keys the loader accepts, and those of them without a default.
@@ -108,3 +109,25 @@ def test_a_replaced_gain_reaches_the_built_loop():
         changed = dataclasses.replace(cfg, k_theta=7.0)
         assert st.build_member(changed, member)[0].gains.k_theta == 7.0
     assert cfg.gains.k_theta == 50.0
+
+
+def test_a_replaced_seed_reseeds_every_member():
+    cfg = st.load_scenario("fig3")
+    assert [m.seed for m in cfg.members] == [17, 18, 19, 20]
+    for n in (0, 5, 1000):
+        changed = dataclasses.replace(cfg, seed=n)
+        assert [m.seed for m in changed.members] == [n + m.index for m in cfg.members]
+        assert [m.label for m in changed.members] == [m.label for m in cfg.members]
+    assert [m.seed for m in cfg.members] == [17, 18, 19, 20]
+
+
+@pytest.mark.parametrize("flag, change", [
+    ("--dt", {"dt": 0.0}), ("--seed", {"seed": -3}), ("--dt", {"dt": 1e-300}),
+], ids=("dt_zero", "seed_negative", "dt_over_step_budget"))
+def test_a_replaced_config_is_checked_as_the_cli_checks_it(tmp_path, capsys, flag, change):
+    (value,) = change.values()
+    assert main(["run", "fig3", flag, str(value), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(ConfigError) as e:
+        dataclasses.replace(st.load_scenario("fig3"), **change)
+    assert err == f"config error: {e.value}\n"

@@ -365,12 +365,14 @@ def test_loops_compile_on_first_flow_and_share_code(monkeypatch, fig4_cfg):
 @pytest.mark.parametrize("law", LAWS)
 def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
     # 8 members of one law with their own k_theta and theta_set trace once,
-    # and a second pass over them traces nothing
+    # and a second pass over them traces nothing; the least theta_set, 0.5 pi,
+    # has delta = 0.1, so delta_prime goes below it
     calls = count_traces(monkeypatch)
     base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
     cfgs = [st.scenario_from_mapping({
         **base, "controllers": [law], "gammas": base["gammas"][:1], "k_theta": 5.0 + 3.0 * i,
         "theta_set": [-(0.5 + 0.05 * i) * math.pi, (0.5 + 0.05 * i) * math.pi],
+        "delta_prime": 0.05,
         "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.005,
     }) for i in range(8)]
     for _ in range(2):
