@@ -48,7 +48,13 @@ reference function.  The reference checks branch on data, so the compiled
 step returns the norms they test, and `step` checks them after the call;
 where one fails, or the compiled code raises, the step is taken again
 through `flow`, which raises the error with its message and time.
-`jump_margin`, `jump` and `project` branch on data too and stay
+
+The jump rule's values are compiled the same way: `_values`, the value of
+each warp angle and of every reset angle, is traced once per process for
+each (law, measurement kind, number of reset angles), with `theta_set` among
+the parameters, so the reset rotations are evaluated once per loop, at the
+binding.  `jump_margin` and `jump` keep in Python the two picks that branch
+on data: the least reset value and the largest gap.  `project` stays
 interpreted.
 """
 
@@ -106,6 +112,9 @@ NOISE_BLOCK = 1024
 # exact measurement, reference function).  A trace depends on nothing else,
 # so every loop of one structure in the process shares it.
 _STEP_TRACES: dict = {}
+# The traced margin values of each loop structure, keyed by (loop class, exact
+# measurement, number of reset angles), shared in the same way.
+_MARGIN_TRACES: dict = {}
 
 
 class Measurement(NamedTuple):
@@ -208,10 +217,10 @@ class _TrackingLoop(HybridSystem):
     monitor once, by `_monitor`.
 
     The sets and the jump map follow the jump rule of the module docstring,
-    applied here once by `_gaps`: a law declares only its warp angles
-    (`warp_angles`), the value whose gap it watches (`_value_w`) and the
-    gap's threshold (`_threshold`), and a jump drops the monitor by at least
-    `jump_drop`.
+    applied here once by `jump_margin` and `jump` on the values of `_values`:
+    a law declares only its warp angles (`warp_angles`), the value whose gap
+    it watches (`_value_w`) and the gap's threshold (`_threshold`), and a
+    jump drops the monitor by at least `jump_drop`.
 
     Everything else a law needs is declared on its class too: its state
     fields (`state_fields`, read by `pack`), the gains it reads (`gain_names`
@@ -250,6 +259,7 @@ class _TrackingLoop(HybridSystem):
         self.noise = noise if (noise is not None and noise.enabled) else None
         self.relaxed = relaxed
         self._steps = {}  # the compiled step by (exact measurement, reference function)
+        self._margins = {}  # the compiled margin values by exact measurement
         self._threshold = params.delta  # the gap at which a warp angle jumps
 
     @classmethod
@@ -325,10 +335,11 @@ class _TrackingLoop(HybridSystem):
     def _noise(rng, n: NoiseModel):
         scale = np.repeat([s for s in (n.sigma_R, n.sigma_omega) if s > 0.0], 3)
         while True:
-            for row in (0.0 + scale * rng.standard_normal((NOISE_BLOCK, scale.size))).tolist():
-                E = exp_so3_f(*row[:3]) if n.sigma_R > 0.0 else _EYE_F
-                nw = tuple(row[-3:]) if n.sigma_omega > 0.0 else _ZERO_F
-                yield Measurement(E, nw)
+            # The block's columns: the attitude channel's first, the velocity's last.
+            cols = (0.0 + scale * rng.standard_normal((NOISE_BLOCK, scale.size))).T.tolist()
+            E = map(exp_so3_f, *cols[:3]) if n.sigma_R > 0.0 else repeat(_EYE_F, NOISE_BLOCK)
+            nw = zip(*cols[-3:]) if n.sigma_omega > 0.0 else repeat(_ZERO_F, NOISE_BLOCK)
+            yield from map(Measurement, E, nw)
 
     def project(self, y):
         out = list(y)
@@ -481,44 +492,81 @@ class _TrackingLoop(HybridSystem):
         """The value whose gap defines the sets, at AR = A R_m and the warp rotation W of theta."""
         return value_w_f(AR, W, theta, self.params)
 
-    def _gaps(self, y, meas) -> list:
-        """(gap, best reset angle) of each warp angle, at its measured rotation R_m = R E.
+    def _values(self, y, meas, xp=math) -> list:
+        """(value at the warp angle, values at the reset angles) of each warp angle.
 
-        The best reset angle is the one of least value; ties go to the first
-        angle of `theta_set`.
+        Each is taken at the warp angle's measured rotation R_m = R E; the
+        reset angles are `theta_set`, in order.  `jump_margin` and `jump` run
+        this compiled.
         """
         p = self.params
         value = self._value_w
         out = []
         for _, sl, i in self.warp_angles:
             AR = diag_mul_f(p.A_diag, y[sl] if meas is None else mat_mul_f(y[sl], meas.E))
-            best_t, best_v = p.theta_set[0], math.inf
-            for tp, W in p._resets:
-                v = value(AR, W, tp, y)
-                if v < best_v:
-                    best_t, best_v = tp, v
             th = y[i]
-            out.append((value(AR, warp_rotation_f(th, p), th, y) - best_v, best_t))
+            out.append((value(AR, warp_rotation_f(th, p, xp), th, y),
+                        tuple(value(AR, warp_rotation_f(tp, p, xp), tp, y)
+                              for tp in p.theta_set)))
         return out
 
+    def _compile_values(self, exact: bool):
+        """`_values` of this loop's structure, traced once per process, bound to its parameters."""
+        key = (type(self), exact, len(self.params.theta_set))
+        traced = _MARGIN_TRACES.get(key)
+        if traced is None:
+            cls = type(self)
+
+            def values(xp, params, gains, y, meas):
+                loop = object.__new__(cls)  # holds only what `_value_w` reads
+                loop.params, loop.gains = params, gains
+                return loop._values(y, None if meas is None else Measurement(*meas), xp)
+
+            traced = _MARGIN_TRACES[key] = straightline.trace(
+                values, f"{self.kind}_margin",
+                parameters=dict(params=self.params, gains=self.gains),
+                y=self.WIDTH, meas=None if exact else (9, 3),
+            )
+        return traced.bind(params=self.params, gains=self.gains)
+
     def jump_margin(self, t, y, meas):
-        """The largest gap minus the threshold; -inf for a loop without a warp angle."""
-        gaps = self._gaps(y, meas)
-        return max(gaps)[0] - self._threshold if gaps else -math.inf
+        """The largest gap minus the threshold: NaN if a gap is NaN, -inf without a warp angle.
+
+        A warp angle's gap is its value minus the least reset value, the first
+        least in `theta_set` order, so a NaN value is never the least.
+        """
+        fn = self._margins.get(meas is None)
+        if fn is None:
+            fn = self._margins[meas is None] = self._compile_values(meas is None)
+        largest = -math.inf
+        for v, resets in fn(y, meas):
+            least = math.inf
+            for r in resets:
+                if r < least:
+                    least = r
+            g = v - least
+            if g > largest or g != g:  # once NaN, the largest stays NaN
+                largest = g
+        return largest - self._threshold
 
     def jump(self, t, y, meas):
         """Reset each warp angle whose gap reaches the threshold (a filter state does not jump).
 
-        SolverError if no gap reaches it: the state is outside the jump set.
+        The angle resets to the reset angle of its least value, the first in
+        `theta_set` on a tie.  SolverError if the state is outside the jump
+        set: its margin is negative or NaN.
         """
-        out = list(y)
-        fired = False
-        for (g, best), (_, _, i) in zip(self._gaps(y, meas), self.warp_angles):
-            if g >= self._threshold:
-                out[i] = best
-                fired = True
-        if not fired:
+        if not self.jump_margin(t, y, meas) >= 0.0:
             raise SolverError(f"the {self.kind} jump map was applied outside the jump set")
+        out = list(y)
+        thetas = self.params.theta_set
+        for (v, resets), (_, _, i) in zip(self._margins[meas is None](y, meas), self.warp_angles):
+            best, least = thetas[0], math.inf
+            for tp, r in zip(thetas, resets):
+                if r < least:
+                    best, least = tp, r
+            if v - least >= self._threshold:
+                out[i] = best
         return tuple(out)
 
 
@@ -554,6 +602,10 @@ class NonHybridLoop(BasicLoop):
     warp_angles = ()  # no jump set, and `BasicLoop._rates` keeps theta frozen
     jump_drop = 0.0
     gain_names = ("k_R", "k_omega")
+
+    def jump_margin(self, t, y, meas):
+        """-inf: no warp angle, so no jump set and no margin values to compile."""
+        return -math.inf
 
     def decay_rates(self):
         """The velocity damping alone: the warp angle is frozen."""

@@ -22,8 +22,9 @@ The gap states the one jump rule of every hybrid law: a warp angle's gap is
 its value minus the least value over the reset set, the jump set is where the
 gap reaches the threshold delta, and a jump resets the angle to the reset
 angle of least value, so the value drops by at least delta.  The closed loops
-apply the rule in `controllers._TrackingLoop._gaps`, where the smooth law
-takes its filtered value and threshold delta' in place of the potential's.
+apply the rule in `controllers._TrackingLoop.jump_margin` and `jump`, where
+the smooth law takes its filtered value and threshold delta' in place of the
+potential's.
 
 Each formula is written once, as a component-wise kernel (`*_f`) on Python
 floats: rotations as 9 floats in row-major order, vectors as 3 floats, and A
@@ -125,6 +126,8 @@ class PotentialParams:
         for th in self.theta_set:
             if not 0.0 < abs(th) <= math.pi + 1e-12:
                 raise ContractError(f"reset angle {th} outside (0, pi]")
+        # Floats in a tuple: the form in which the loops' traced margins read it.
+        object.__setattr__(self, "theta_set", tuple(map(float, self.theta_set)))
         if abs(float(np.linalg.norm(self.u)) - 1.0) > 1e-12:
             raise ContractError("warp axis u must be a unit vector")
         try:
@@ -414,7 +417,7 @@ def gap(R, theta, p: PotentialParams):
     """value(R, theta) minus the least value over the reset set; may be negative.
 
     R is one rotation and theta a float, or R an (n, 3, 3) stack and theta an
-    (n,) array.  The closed loops take the same gap in `_gaps`.
+    (n,) array.  The closed loops take the same gap in `jump_margin`.
     """
     AR = moment(R, p)
     best = np.min([value_w_f(AR, W, tp, p) for tp, W in p._resets], axis=0)

@@ -172,6 +172,7 @@ def orthonormalize_f(r) -> tuple:
     single pass reaches machine precision.  R is returned as it is once
     R^T R - I is within 1e-15 entrywise; drifts beyond 1e-4, outside the
     iteration's safe range, fall back to the exact factor `project_to_so3`.
+    ContractError where R^T R - I has an entry that is not finite.
     """
     for _ in range(3):
         r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
@@ -182,10 +183,14 @@ def orthonormalize_f(r) -> tuple:
         d01 = r0 * r1 + r3 * r4 + r6 * r7
         d02 = r0 * r2 + r3 * r5 + r6 * r8
         d12 = r1 * r2 + r4 * r5 + r7 * r8
-        m = max(abs(d00), abs(d11), abs(d22), abs(d01), abs(d02), abs(d12))
-        if m <= 1e-15:
+        if (-1e-15 <= d00 <= 1e-15 and -1e-15 <= d11 <= 1e-15 and -1e-15 <= d22 <= 1e-15
+                and -1e-15 <= d01 <= 1e-15 and -1e-15 <= d02 <= 1e-15
+                and -1e-15 <= d12 <= 1e-15):
             return r
-        if m > 1e-4:
+        if not (-1e-4 <= d00 <= 1e-4 and -1e-4 <= d11 <= 1e-4 and -1e-4 <= d22 <= 1e-4
+                and -1e-4 <= d01 <= 1e-4 and -1e-4 <= d02 <= 1e-4 and -1e-4 <= d12 <= 1e-4):
+            if not all(map(math.isfinite, (d00, d11, d22, d01, d02, d12))):
+                raise ContractError("orthonormalize_f: the drift R^T R - I is not finite")
             return tuple(floats(project_to_so3(np.array(r).reshape(3, 3))))
         r = mat_mul_f(r, (
             1.0 - 0.5 * d00, -0.5 * d01, -0.5 * d02,
@@ -254,10 +259,12 @@ def rot_distance(R) -> float:
 def project_to_so3(M) -> np.ndarray:
     """Nearest rotation to M in Frobenius norm (symmetric square-root polar factor).
 
-    M must have positive determinant and sit within Frobenius distance 0.1 of
-    SO(3); reflected or degenerate inputs are rejected.
+    M must be finite, have positive determinant and sit within Frobenius
+    distance 0.1 of SO(3); other inputs are rejected.
     """
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():  # the SVD of an infinite entry does not return
+        raise ContractError("project_to_so3: input is not finite")
     if np.linalg.det(M) <= 0.0:
         raise ContractError("project_to_so3: input is degenerate or orientation-reversing")
     U, s, Vt = np.linalg.svd(M)

@@ -110,14 +110,35 @@ def test_warp_reset_drops_potential_by_gap(paper_params, paper_gains, paper_iner
 
 def test_warp_reset_tie_break_prefers_first(paper_gains, paper_inertia):
     # at a diagonal half turn A R is diagonal and the potential is even in
-    # theta, so {a, -a} ties exactly; at theta = 0 the state is in the jump set
+    # theta, so {a, -a} ties exactly, and so does the smooth law's filtered
+    # value at zeta = 0; at theta = 0 the state is in the jump set.  The
+    # velocity-free law meets the tie at its auxiliary rotation, with its
+    # error rotation at rest in the flow set, so only theta_bar resets
     R = np.diag([1.0, -1.0, -1.0])
+    rest = dict(theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
+    cases = [  # (law, the warp angle that ties, its index in the packed state, state)
+        ("basic", 0, THETA, st.BasicLoop.pack(Re=R, **rest)),
+        ("smooth", 0, THETA, st.SmoothLoop.pack(Re=R, **rest, zeta=np.zeros(3))),
+        ("velocity_free", 1, THETA_BAR,
+         st.VelocityFreeLoop.pack(Re=np.eye(3), **rest, Rtilde=R, theta_bar=0.0)),
+    ]
+    quiet = st.Measurement(E=tuple(floats(np.eye(3))), n_omega=(0.0, 0.0, 0.0))
     for theta_set in ([0.9 * math.pi, -0.9 * math.pi], [-0.9 * math.pi, 0.9 * math.pi]):
         p = st.design_params([2.0, 4.0, 6.0], theta_set, gamma_frac=0.5, delta_frac=0.5)
         a, b = p.theta_set
         assert st.value(R, a, p) == st.value(R, b, p)
         assert st.gap(R, 0.0, p) >= p.delta
         assert warp_reset(R, 0.0, p, paper_gains, paper_inertia) == a
+        for kind, w, i, y in cases:
+            loop = st.make_loop(kind, p, paper_gains, paper_inertia, REST)
+            y = tuple(y.tolist())
+            for meas in (None, quiet):
+                _, resets = loop._values(y, meas)[w]
+                assert resets[0] == resets[1]
+                assert loop.jump_margin(0.0, y, meas) >= 0.0
+                post = loop.jump(0.0, y, meas)
+                assert post[i] == a
+                assert post[:i] + post[i + 1:] == y[:i] + y[i + 1:]
 
 
 def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
@@ -739,6 +760,75 @@ def attractor_state(kind):
     if kind == "velocity_free":
         return st.VelocityFreeLoop.pack(**base, Rtilde=np.eye(3), theta_bar=0.0)
     return st.BasicLoop.pack(**base)
+
+
+def nan_state(kind, field):
+    """The fig4 member's initial state, in the jump set, with a NaN in one field."""
+    cfg = fig4_config(kind)
+    loop, y0 = st.build_member(cfg, cfg.members[0])
+    y = y0.tolist()
+    y[{"theta": THETA, "theta_bar": THETA_BAR, "Re": 0, "Rtilde": R_TILDE.start,
+       "zeta": ZETA.start}[field]] = math.nan
+    return loop, tuple(y)
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("basic", "theta"), ("basic", "Re"), ("smooth", "theta"), ("smooth", "zeta"),
+    ("velocity_free", "theta"), ("velocity_free", "Re"),
+    ("velocity_free", "theta_bar"), ("velocity_free", "Rtilde"),
+])
+def test_a_nan_gap_makes_the_margin_nan(kind, field):
+    # a NaN gap of either warp angle puts the state in neither set: the margin
+    # is NaN and the jump map refuses it.  At the velocity-free member's y0,
+    # where theta's gap reaches delta, a NaN theta_bar or Rtilde used to give
+    # the margin 0.743 and a jump that kept theta_bar NaN
+    loop, y = nan_state(kind, field)
+    noisy = st.Measurement(E=exp_so3_f(0.01, -0.02, 0.03), n_omega=(0.1, 0.0, -0.1))
+    for meas in (None, noisy):
+        assert math.isnan(loop.jump_margin(0.0, y, meas))
+        with pytest.raises(SolverError, match="outside the jump set"):
+            loop.jump(0.0, y, meas)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("values, margin, theta, theta_bar", [
+    # theta's least reset value skips a NaN and ties to the first angle
+    (((10.0, (NAN, 3.0, 3.0)), (0.0, (1.0, 1.0, 1.0))), 7.0, 1, None),
+    # so does theta_bar's
+    (((0.0, (1.0, 2.0, 3.0)), (10.0, (NAN, 2.0, 2.0))), 8.0, None, 1),
+    # a value of neither warp angle reaches the threshold without a reset value
+    (((10.0, (NAN, NAN, NAN)), (0.0, (1.0, 1.0, 1.0))), -1.0, None, None),
+    # a NaN gap of either warp angle makes the margin NaN
+    (((10.0, (1.0, 2.0, 3.0)), (NAN, (1.0, 1.0, 1.0))), NAN, None, None),
+    (((NAN, (1.0, 2.0, 3.0)), (10.0, (1.0, 1.0, 1.0))), NAN, None, None),
+    (((10.0, (1.0, 2.0, 3.0)), (10.0, (NAN, NAN, 1.0))), 9.0, 0, 2),
+], ids=["theta_skips_nan_first_of_ties", "theta_bar_skips_nan_first_of_ties",
+        "no_reset_value", "nan_theta_bar_gap", "nan_theta_gap", "both_reset"])
+def test_the_picks_on_given_values(values, margin, theta, theta_bar, paper_gains,
+                                   paper_inertia):
+    # jump_margin and jump on the values of each warp angle and of its reset
+    # angles: the least reset value is the first that is below every earlier
+    # one, and the margin is the largest gap, NaN if any gap is.  `min()`,
+    # or `<=` in place of `<`, fails here
+    p = st.design_params([2.0, 4.0, 6.0], [-0.9 * math.pi, 0.7 * math.pi, 0.9 * math.pi],
+                         gamma_frac=0.5, delta_frac=0.5)
+    loop = st.make_loop("velocity_free", p, paper_gains, paper_inertia, REST)
+    loop._margins[True] = lambda y, meas: values
+    y = tuple(attractor_state("velocity_free").tolist())
+    got = loop.jump_margin(0.0, y, None)
+    if margin != margin:
+        assert math.isnan(got)
+    else:
+        assert got == margin - p.delta
+    if theta is None and theta_bar is None:
+        with pytest.raises(SolverError, match="outside the jump set"):
+            loop.jump(0.0, y, None)
+        return
+    post = loop.jump(0.0, y, None)
+    assert post[THETA] == (0.0 if theta is None else p.theta_set[theta])
+    assert post[THETA_BAR] == (0.0 if theta_bar is None else p.theta_set[theta_bar])
 
 
 @pytest.mark.parametrize("kind", ["basic", "smooth", "velocity_free"])

@@ -145,6 +145,10 @@ def test_project_rejects_bad_inputs():
         st.project_to_so3(np.diag([1.0, 1.0, -1.0]))  # reflection
     with pytest.raises(ContractError):
         st.project_to_so3(2.0 * np.eye(3))  # too far from SO(3)
+    # an infinite entry used to send the SVD into a loop that did not return
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ContractError, match="not finite"):
+            st.project_to_so3(np.diag([bad, 1.0, 1.0]))
 
 
 def test_orthonormalize_matches_polar_factor():
@@ -199,6 +203,57 @@ def test_orthonormalize_f_rejects_reflection():
     M = np.diag([1.0, 1.0, -1.0]) + 1e-3 * np.random.default_rng(46).standard_normal((3, 3))
     with pytest.raises(ContractError, match="orientation-reversing"):
         st.so3.orthonormalize_f(st.so3.floats(M))
+
+
+def orthonormalize_max_abs(r):
+    """`orthonormalize_f` with its drift bounds tested as max(abs(...)) of the six entries."""
+    for _ in range(3):
+        r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+        d00 = r0 * r0 + r3 * r3 + r6 * r6 - 1.0
+        d11 = r1 * r1 + r4 * r4 + r7 * r7 - 1.0
+        d22 = r2 * r2 + r5 * r5 + r8 * r8 - 1.0
+        d01 = r0 * r1 + r3 * r4 + r6 * r7
+        d02 = r0 * r2 + r3 * r5 + r6 * r8
+        d12 = r1 * r2 + r4 * r5 + r7 * r8
+        m = max(abs(d00), abs(d11), abs(d22), abs(d01), abs(d02), abs(d12))
+        if m <= 1e-15:
+            return r
+        if m > 1e-4:
+            return tuple(st.so3.floats(st.project_to_so3(np.array(r).reshape(3, 3))))
+        r = st.so3.mat_mul_f(r, (
+            1.0 - 0.5 * d00, -0.5 * d01, -0.5 * d02,
+            -0.5 * d01, 1.0 - 0.5 * d11, -0.5 * d12,
+            -0.5 * d02, -0.5 * d12, 1.0 - 0.5 * d22,
+        ))
+    return r
+
+
+def test_orthonormalize_f_drift_bounds_keep_their_tuples():
+    # the early exits, the Newton-Schulz passes and the SVD fallback of the
+    # tests above, and drifts across both bounds, give the tuples of the
+    # bounds tested as max(abs(...))
+    rng = np.random.default_rng(47)
+    blocks = [st.so3.floats(R) for R in (np.eye(3), st.angle_axis(0.5, E3),
+                                         st.angle_axis(math.pi, E1))]
+    for scale in (1e-17, 1e-16, 1e-15, 1e-12, 1e-9, 1e-6, 3e-5, 5e-5, 1e-4, 2e-4, 1e-3):
+        for _ in range(20):
+            blocks.append(st.so3.floats(st.random_rotation(rng)
+                                        + scale * rng.standard_normal((3, 3))))
+    for v in blocks:
+        assert np.array(st.so3.orthonormalize_f(v)).tobytes() == np.array(
+            orthonormalize_max_abs(v)).tobytes()
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 1e200))
+def test_orthonormalize_f_rejects_a_drift_that_is_not_finite(bad):
+    # wherever the entry sits, a drift R^T R - I that is not finite (here NaN,
+    # infinite, or overflowing from 1e200) is a ContractError, which `solve`
+    # reports as a failed projection
+    for k in range(9):
+        r = st.so3.floats(np.eye(3))
+        r[k] = bad
+        with pytest.raises(ContractError, match="drift R\\^T R - I is not finite"):
+            st.so3.orthonormalize_f(r)
 
 
 def test_random_rotations_are_rotations():

@@ -1,5 +1,6 @@
-"""The compiled step: one straight-line function per loop structure, traced from
-`HybridSystem.step` over each loop's `_rates`, and the emitter behind it."""
+"""The compiled step and margin values: one straight-line function per loop
+structure, traced from `HybridSystem.step` over each loop's `_rates` and from
+each loop's `_values`, and the emitter behind them."""
 
 import dataclasses
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import margin_oracle
 import so3track as st
 from so3track import controllers, straightline
 from so3track.errors import SolverError
@@ -102,6 +104,77 @@ def test_compiled_flow_keeps_signed_zeros(paper_params, paper_gains, paper_inert
                     HybridSystem.step(loop, 0.0, y, h, meas))
 
 
+# Reset sets of 1, 2 and 3 angles; the paper's single angle is the first.
+RESET_SETS = ([0.9 * math.pi], [-0.9 * math.pi, 0.9 * math.pi],
+              [0.9 * math.pi, -0.9 * math.pi, 0.7 * math.pi])
+
+
+def tie_state(kind, rng):
+    """A state next to the diagonal half turn, where the values of {a, -a} tie exactly."""
+    y = random_state(kind, rng)
+    R = np.diag([1.0, -1.0, -1.0]) @ st.exp_so3(rng.normal(0.0, 1e-9, 3))
+    y[st.BasicLoop.R_E] = R.ravel()
+    y[st.BasicLoop.THETA] = rng.normal(0.0, 1e-9)
+    if kind == "smooth":
+        y[st.SmoothLoop.ZETA] = 0.0
+    if kind == "velocity_free":
+        y[st.VelocityFreeLoop.R_TILDE] = R.T.ravel()
+        y[st.VelocityFreeLoop.THETA_BAR] = rng.normal(0.0, 1e-9)
+    return y
+
+
+@pytest.mark.parametrize("resets", (1, 2, 3))
+@pytest.mark.parametrize("kind", LAWS)
+@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
+def test_compiled_margin_matches_the_float_kernels_bit_for_bit(kind, noisy, resets,
+                                                               paper_gains, paper_inertia):
+    # jump_margin and jump on the compiled margin values against the jump
+    # rule evaluated on floats over `_value_w` (see margin_oracle), on states
+    # in both sets, next to the critical points and next to a tie
+    p = st.design_params([2.0, 4.0, 6.0], RESET_SETS[resets - 1], gamma=7.0 / math.pi**2,
+                         delta_frac=0.8)
+    loop = make(kind, False, p, paper_gains, paper_inertia)
+    rng = np.random.default_rng(31 + resets)
+    states = [(random_state(kind, rng), 0.1) for _ in range(40)]
+    states += [(random_state(kind, rng, near_critical=c), 0.1)
+               for c in st.undesired_critical_points(p)]
+    states += [(tie_state(kind, rng), 1e-12) for _ in range(5)]  # a tie stays near under noise
+    signs = set()
+    for y, sigma in states:
+        y = tuple(y.tolist())
+        meas = None
+        if noisy:
+            meas = st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, sigma, 3)))),
+                                  n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
+        margin = loop.jump_margin(0.0, y, meas)
+        assert bits(margin) == bits(margin_oracle.margin(loop, y, meas))
+        signs.add(margin >= 0.0)
+        post = margin_oracle.jump(loop, y, meas)
+        if post is None:
+            with pytest.raises(SolverError, match="outside the jump set"):
+                loop.jump(0.0, y, meas)
+        else:
+            assert bits(loop.jump(0.0, y, meas)) == bits(post)
+    assert signs == ({False} if kind == "non_hybrid" else {False, True})
+    assert list(loop._margins) == ([] if kind == "non_hybrid" else [not noisy])
+
+
+def test_a_margin_of_more_reset_angles_is_traced_for_them(monkeypatch, paper_gains,
+                                                          paper_inertia):
+    # the number of reset angles is part of a margin's structure: a loop with
+    # two, built after one with one, gets its own trace, not a bind of the
+    # first that refuses its theta_set
+    calls = count_traces(monkeypatch)
+    rng = np.random.default_rng(37)
+    y = tuple(random_state("basic", rng).tolist())
+    for theta_set in RESET_SETS[:2]:
+        p = st.design_params([2.0, 4.0, 6.0], theta_set, gamma=7.0 / math.pi**2,
+                             delta_frac=0.8)
+        loop = make("basic", False, p, paper_gains, paper_inertia)
+        assert bits(loop.jump_margin(0.0, y, None)) == bits(margin_oracle.margin(loop, y, None))
+    assert calls == ["basic_margin"] * 2
+
+
 def linear(m_bound):
     """A reference with z(t) = (t, 0, 0), whose checks fail at a chosen stage."""
     return st.Reference("linear", lambda t, xp=math: (t, 0.0, 0.0), m_bound=m_bound,
@@ -186,6 +259,12 @@ def test_compiled_code_looks_up_no_names(kind, relaxed, paper_params, paper_gain
         assert step.__name__ == f"{kind}_step"
         traced = controllers._STEP_TRACES[(type(loop), relaxed, exact, PAPER_SINE.z_fn)]
         assert traced._bind.__code__.co_names == ()
+        if kind != "non_hybrid":
+            values = loop._compile_values(exact)
+            assert values.__code__.co_names == ()
+            assert values.__name__ == f"{kind}_margin"
+            traced = controllers._MARGIN_TRACES[(type(loop), exact, 1)]
+            assert traced._bind.__code__.co_names == ()
 
 
 def test_trace_refuses_what_needs_a_value():
@@ -332,6 +411,7 @@ def count_traces(monkeypatch) -> list:
 
     monkeypatch.setattr(straightline, "trace", spy)
     monkeypatch.setattr(controllers, "_STEP_TRACES", {})
+    monkeypatch.setattr(controllers, "_MARGIN_TRACES", {})
     return calls
 
 
@@ -355,11 +435,20 @@ def test_loops_compile_on_first_flow_and_share_code(monkeypatch, fig4_cfg):
     a, b = loop._steps[key], other._steps[key]
     assert a is not b and a.__code__ is b.__code__
     assert a.__defaults__ != b.__defaults__
-    # a loop given another reference function steps with it, traced for it
+    # the margin values trace at the first margin, once for the structure
+    loop.jump_margin(0.0, y, None)
+    other.jump_margin(0.0, y, None)
+    loop.jump(0.0, y, None)
+    assert calls == ["basic_step", "basic_margin"]
+    a, b = loop._margins[True], other._margins[True]
+    assert a is not b and a.__code__ is b.__code__
+    # a loop given another reference function steps with it, traced for it;
+    # its margin does not read the reference
     other.reference = st.make_reference("rest", m_bound=2.0, omega_r_bound=25.0)
     assert bits(other.step(0.3, y, 1e-3, None)) == bits(HybridSystem.step(other, 0.3, y, 1e-3,
                                                                            None))
-    assert calls == ["basic_step"] * 2
+    other.jump_margin(0.3, y, None)
+    assert calls == ["basic_step", "basic_margin", "basic_step"]
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -375,9 +464,18 @@ def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
         "delta_prime": 0.05,
         "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.005,
     }) for i in range(8)]
+    # `solve` takes the margin at the initial state before the first step; a
+    # loop without a warp angle traces no margin
+    traced = [f"{law}_step"] if law == "non_hybrid" else [f"{law}_margin", f"{law}_step"]
     for _ in range(2):
         runs = [st.simulate_member(cfg, cfg.members[0]) for cfg in cfgs]
-        assert calls == [f"{law}_step"]
+        assert calls == traced
     steps = {step for run in runs for step in run.loop._steps.values()}
     assert len({s.__code__ for s in steps}) == 1 and len(steps) == 8
     assert len({s.__defaults__ for s in steps}) == (1 if law == "non_hybrid" else 8)
+    margins = {m for run in runs for m in run.loop._margins.values()}
+    if law == "non_hybrid":
+        assert margins == set()
+    else:  # each member binds its own theta_set
+        assert len({m.__code__ for m in margins}) == 1 and len(margins) == 8
+        assert len({m.__defaults__ for m in margins}) == 8
