@@ -39,17 +39,18 @@ so that every formula keeps a single source; the traced code runs the same
 IEEE operations in the same expression tree, so it returns the bits of
 `HybridSystem.step` on `flow`.
 
-Each loop structure (law, `relaxed`, measurement kind, reference function)
-is traced once per process, with the gains, the inertia and the potential's
-parameters as inputs; each loop then binds its own values, and the nodes
-that depend on them alone are evaluated once, at the binding.  Tracing and
-binding happen at a loop's first step for each measurement kind and
-reference function.  The reference checks branch on data, so the compiled
-step returns the norms they test, and `step` checks them after the call;
-where one fails, or the compiled code raises, the step is taken again
-through `flow`, which raises the error with its message and time.
+`_compile` traces each loop structure (law, `relaxed`, measurement kind,
+reference function) once per process, into the one module cache `_TRACES`,
+with the gains, the inertia and the potential's parameters as inputs; each
+loop then binds its own values, and the nodes that depend on them alone are
+evaluated once, at the binding.  Tracing and binding happen at a loop's
+first step for each measurement kind and reference function.  The reference
+checks branch on data, so the compiled step returns the norms they test, and
+`step` checks them after the call; where one fails, or the compiled code
+raises, the step is taken again through `flow`, which raises the error with
+its message and time.
 
-The jump rule's values are compiled the same way: `_values`, the value of
+The jump rule's values go through `_compile` too: `_values`, the value of
 each warp angle and of every reset angle, is traced once per process for
 each (law, measurement kind, number of reset angles), with `theta_set` among
 the parameters, so the reset rotations are evaluated once per loop, at the
@@ -108,13 +109,10 @@ _ZERO_F = (0.0, 0.0, 0.0)
 # Steps per block of measurement noise: a block is 3 x 1024 normals per noisy channel.
 NOISE_BLOCK = 1024
 
-# The traced RK4 step of each loop structure, keyed by (loop class, relaxed,
-# exact measurement, reference function).  A trace depends on nothing else,
-# so every loop of one structure in the process shares it.
-_STEP_TRACES: dict = {}
-# The traced margin values of each loop structure, keyed by (loop class, exact
-# measurement, number of reset angles), shared in the same way.
-_MARGIN_TRACES: dict = {}
+# The traced kernels of each loop structure, keyed by (loop class, kernel
+# name, *structure) (see `_TrackingLoop._compile`).  A trace depends on
+# nothing else, so every loop of one structure in the process shares it.
+_TRACES: dict = {}
 
 
 class Measurement(NamedTuple):
@@ -415,43 +413,50 @@ class _TrackingLoop(HybridSystem):
             return HybridSystem.step(self, t, y, h, meas)
         return y_h
 
-    def _compile_step(self, exact: bool, z_fn):
-        """The step of this loop's structure, traced once per process, bound to its parameters."""
-        key = (type(self), self.relaxed, exact, z_fn)
-        traced = _STEP_TRACES.get(key)
-        if traced is None:
-            traced = _STEP_TRACES[key] = self._trace_step(exact, z_fn)
-        return traced.bind(params=self.params, gains=self.gains, inertia=self.inertia)
+    def _compile(self, structure: tuple, method, name: str, **shapes):
+        """`method` traced once per process for this loop's class and `structure`, bound here.
 
-    def _trace_step(self, exact: bool, z_fn):
-        """Trace `HybridSystem.step` over `_rates` and `z_fn`.
-
-        The traced function returns the new state and, for each stage in
-        order, |omega_r|^2 and ||z||, the values the reference checks test.
+        method(loop, xp, meas, **inputs) runs on a stand-in loop that holds
+        only the traced params, gains and inertia and `relaxed`, with meas a
+        Measurement, or None where its shape is None (exact).  `structure`
+        names all else the trace depends on; the compiled function takes the
+        inputs of `shapes` by position, in their order.
         """
         cls, relaxed = type(self), self.relaxed
+        objects = dict(params=self.params, gains=self.gains, inertia=self.inertia)
+        key = (cls, name, *structure)
+        traced = _TRACES.get(key)
+        if traced is None:
+            def kernel(xp, params, gains, inertia, meas, **inputs):
+                loop = object.__new__(cls)
+                loop.params, loop.gains, loop.inertia = params, gains, inertia
+                loop.relaxed = relaxed
+                return method(loop, xp, None if meas is None else Measurement(*meas), **inputs)
 
-        def rk4(xp, params, gains, inertia, t, y, h, meas):
-            # A loop that holds only what `_rates` reads, all of it traced.
-            loop = object.__new__(cls)
-            loop.params, loop.gains, loop.inertia, loop.relaxed = params, gains, inertia, relaxed
+            traced = _TRACES[key] = straightline.trace(kernel, f"{self.kind}_{name}",
+                                                       parameters=objects, **shapes)
+        return traced.bind(**objects)
+
+    def _compile_step(self, exact: bool, z_fn):
+        """`HybridSystem.step` over `_rates` and `z_fn`, compiled for (`relaxed`, exact, z_fn).
+
+        The compiled function returns the new state and, for each stage in
+        order, |omega_r|^2 and ||z||, the values the reference checks test.
+        """
+        def rk4(loop, xp, meas, t, y, h):
             checked = []
 
             def flow(tt, yy, m):
                 z = z_fn(tt, xp)
-                checked.extend((norm2_f(yy[cls.OMEGA_R]), xp.sqrt(norm2_f(z))))
+                checked.extend((norm2_f(yy[loop.OMEGA_R]), xp.sqrt(norm2_f(z))))
                 return loop._rates(yy, m, z, xp)[0]
 
             # The RK4 source over `flow`, held apart from `loop` so that no
             # reference cycle keeps the traced expressions alive.
-            m = None if meas is None else Measurement(*meas)
-            return HybridSystem.step(SimpleNamespace(flow=flow), t, y, h, m), checked
+            return HybridSystem.step(SimpleNamespace(flow=flow), t, y, h, meas), checked
 
-        return straightline.trace(
-            rk4, f"{self.kind}_step",
-            parameters=dict(params=self.params, gains=self.gains, inertia=self.inertia),
-            t=(), y=self.WIDTH, h=(), meas=None if exact else (9, 3),
-        )
+        return self._compile((self.relaxed, exact, z_fn), rk4, "step",
+                             t=(), y=self.WIDTH, h=(), meas=None if exact else (9, 3))
 
     def _monitor(self, v, xp=math) -> tuple:
         """(potential at the error rotation, monitor value) at state v."""
@@ -511,23 +516,10 @@ class _TrackingLoop(HybridSystem):
         return out
 
     def _compile_values(self, exact: bool):
-        """`_values` of this loop's structure, traced once per process, bound to its parameters."""
-        key = (type(self), exact, len(self.params.theta_set))
-        traced = _MARGIN_TRACES.get(key)
-        if traced is None:
-            cls = type(self)
-
-            def values(xp, params, gains, y, meas):
-                loop = object.__new__(cls)  # holds only what `_value_w` reads
-                loop.params, loop.gains = params, gains
-                return loop._values(y, None if meas is None else Measurement(*meas), xp)
-
-            traced = _MARGIN_TRACES[key] = straightline.trace(
-                values, f"{self.kind}_margin",
-                parameters=dict(params=self.params, gains=self.gains),
-                y=self.WIDTH, meas=None if exact else (9, 3),
-            )
-        return traced.bind(params=self.params, gains=self.gains)
+        """`_values`, compiled for (exact, number of reset angles)."""
+        return self._compile((exact, len(self.params.theta_set)),
+                             lambda loop, xp, meas, y: loop._values(y, meas, xp), "margin",
+                             y=self.WIDTH, meas=None if exact else (9, 3))
 
     def jump_margin(self, t, y, meas):
         """The largest gap minus the threshold: NaN if a gap is NaN, -inf without a warp angle.

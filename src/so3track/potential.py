@@ -24,7 +24,8 @@ gap reaches the threshold delta, and a jump resets the angle to the reset
 angle of least value, so the value drops by at least delta.  The closed loops
 apply the rule in `controllers._TrackingLoop.jump_margin` and `jump`, where
 the smooth law takes its filtered value and threshold delta' in place of the
-potential's.
+potential's.  No reset rotation is stored: `gap` forms each from its angle,
+and a loop's compiled margin evaluates them once, when it binds `theta_set`.
 
 Each formula is written once, as a component-wise kernel (`*_f`) on Python
 floats: rotations as 9 floats in row-major order, vectors as 3 floats, and A
@@ -109,11 +110,9 @@ class PotentialParams:
     delta: float
     spectral: SpectralData = field(init=False)
     _trA: float = field(init=False, repr=False)
-    # Float forms for the kernels: u as 3 floats, ux^2 as 9, and each reset
-    # angle paired with its warp rotation as 9 floats, in theta_set order.
+    # Float forms for the kernels: u as 3 floats and ux^2 as 9.
     _u_f: tuple = field(init=False, repr=False)
     _ux2_f: tuple = field(init=False, repr=False)
-    _resets: tuple = field(init=False, repr=False)
     _spectral: InitVar[SpectralData | None] = None
 
     def __post_init__(self, _spectral):
@@ -149,8 +148,6 @@ class PotentialParams:
         object.__setattr__(self, "_trA", A_diag[0] + A_diag[1] + A_diag[2])
         object.__setattr__(self, "_u_f", tuple(floats(self.u)))
         object.__setattr__(self, "_ux2_f", tuple(floats(ux2)))
-        object.__setattr__(self, "_resets",
-                           tuple((th, warp_rotation_f(th, self)) for th in self.theta_set))
 
 
 class CriticalPoint(NamedTuple):
@@ -417,10 +414,11 @@ def gap(R, theta, p: PotentialParams):
     """value(R, theta) minus the least value over the reset set; may be negative.
 
     R is one rotation and theta a float, or R an (n, 3, 3) stack and theta an
-    (n,) array.  The closed loops take the same gap in `jump_margin`.
+    (n,) array.  Each reset value is `value_f` at its angle of `theta_set`.
+    The closed loops take the same gap in `jump_margin`.
     """
     AR = moment(R, p)
-    best = np.min([value_w_f(AR, W, tp, p) for tp, W in p._resets], axis=0)
+    best = np.min([value_f(AR, tp, p) for tp in p.theta_set], axis=0)
     return value_f(AR, theta, p, ARRAY_MATH if np.ndim(R) == 3 else math) - best
 
 

@@ -265,6 +265,10 @@ def project_to_so3(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():  # the SVD of an infinite entry does not return
         raise ContractError("project_to_so3: input is not finite")
+    # ||M - R|| >= |M_ij| - 1 for a rotation R, so an entry past 1.1 is too far;
+    # tested before `det`, which overflows on a block of huge entries.
+    if np.abs(M).max() > 1.1:
+        raise ContractError("project_to_so3: input is farther than 0.1 from SO(3)")
     if np.linalg.det(M) <= 0.0:
         raise ContractError("project_to_so3: input is degenerate or orientation-reversing")
     U, s, Vt = np.linalg.svd(M)

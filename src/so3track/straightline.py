@@ -25,7 +25,8 @@ emitted as a second function, `bind`, which `Traced.bind` evaluates once for
 each set of parameter objects (partial evaluation), and the main function
 takes their values as default arguments.  One trace thus serves every caller
 whose parameters have the same shapes.  Nothing is cached here: a caller
-keeps the `Traced` it will bind again (the loops keep one per structure).
+keeps the `Traced` it will bind again (the closed loops keep theirs in one
+cache, by loop structure; see `controllers._TrackingLoop._compile`).
 
 The emitted code applies the same IEEE operations to the same operands in
 the same expression tree as the traced function, so it returns the same

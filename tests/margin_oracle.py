@@ -1,11 +1,11 @@
 """An interpreted oracle for the closed loops' jump margin and jump map.
 
 The jump rule evaluated on floats, warp angle by warp angle and reset angle
-by reset angle, through the loop's own `_value_w` and the reset rotations
-stored in `PotentialParams`: the loop that the compiled margin values
-replace.  The least reset value is the first that is `<` every earlier one,
-so ties go to the first angle of `theta_set` and a NaN value is never the
-least; the margin is NaN if any gap is.
+by reset angle, through the loop's own `_value_w`, with each reset rotation
+built here from its angle by `warp_rotation_f`: the loop that the compiled
+margin values replace.  The least reset value is the first that is `<` every
+earlier one, so ties go to the first angle of `theta_set` and a NaN value is
+never the least; the margin is NaN if any gap is.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ def gaps(loop, y, meas) -> list:
     for _, sl, i in loop.warp_angles:
         AR = diag_mul_f(p.A_diag, y[sl] if meas is None else mat_mul_f(y[sl], meas.E))
         best_t, best_v = p.theta_set[0], math.inf
-        for tp, W in p._resets:
-            v = loop._value_w(AR, W, tp, y)
+        for tp in p.theta_set:
+            v = loop._value_w(AR, warp_rotation_f(tp, p), tp, y)
             if v < best_v:
                 best_t, best_v = tp, v
         th = y[i]

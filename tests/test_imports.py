@@ -1,6 +1,7 @@
 """Every module-level import of the package is used in its module, every
-module-level function and class is read somewhere in the package, and every
-attribute that a package class stores on itself is read somewhere."""
+module-level function and class is read somewhere in the package, every
+attribute that a package class stores on itself is read somewhere, and one
+call site traces the package's kernels."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,42 @@ def test_every_stored_attribute_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = list(sources.values()) + [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unread_attributes(sources, readers) == []
+
+
+def trace_calls(sources: dict) -> list[str]:
+    """The calls of `straightline.trace` in `sources` ({module: source}).
+
+    A call is `straightline.trace(...)`, or one of a name that
+    `from .straightline import trace` binds.
+    """
+    out = []
+    for module, src in sources.items():
+        tree = ast.parse(src)
+        names = {alias.asname or alias.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and (n.module or "").endswith("straightline")
+                 for alias in n.names if alias.name == "trace"}
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if ((isinstance(f, ast.Attribute) and f.attr == "trace"
+                 and isinstance(f.value, ast.Name) and f.value.id == "straightline")
+                    or (isinstance(f, ast.Name) and f.id in names)):
+                out.append(f"{module}:{n.lineno}")
+    return out
+
+
+def test_checker_finds_every_trace_call():
+    sources = {
+        "a": "from . import straightline\n\nt = straightline.trace(f, 'f')\nnp.trace(m)\n",
+        "b": "from .straightline import trace as tr\n\ndef g():\n    return tr(f, 'g')\n",
+    }
+    assert trace_calls(sources) == ["a:3", "b:4"]
+
+
+def test_one_call_site_traces_the_kernels():
+    # `_TrackingLoop._compile` traces every kernel and keeps the one cache of
+    # traces; a second call site would grow a second cache
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "straightline.py"}
+    calls = trace_calls(sources)
+    assert len(calls) == 1 and calls[0].startswith("controllers.py:")

@@ -287,13 +287,20 @@ def test_gap_closed_form_at_half_turns(paper_params):
 
 
 def test_gap_matches_value_difference(paper_params):
-    p = paper_params
+    # bit for bit, on one rotation and on a stack, whose value at theta takes
+    # its sines from ARRAY_MATH and whose reset values are those of each row
+    three = st.design_params([2.0, 4.0, 6.0], [0.9 * math.pi, -0.9 * math.pi, 0.7 * math.pi],
+                             gamma=7.0 / math.pi**2, delta_frac=0.8)
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        R = st.random_rotation(rng)
-        theta = rng.uniform(-math.pi, math.pi)
-        direct = st.value(R, theta, p) - min(st.value(R, tp, p) for tp in p.theta_set)
-        assert st.gap(R, theta, p) == pytest.approx(direct, abs=1e-12)
+    for p in (paper_params, three):
+        Rs = st.random_rotations(50, rng)
+        thetas = rng.uniform(-math.pi, math.pi, 50)
+        resets = np.array([[st.value(R, tp, p) for tp in p.theta_set] for R in Rs])
+        for R, theta, values in zip(Rs, thetas, resets):
+            direct = st.value(R, theta, p) - min(values)
+            assert np.float64(st.gap(R, theta, p)).tobytes() == np.float64(direct).tobytes()
+        direct = batch_value(Rs, thetas, p) - resets.min(axis=1)
+        assert st.gap(Rs, thetas, p).tobytes() == direct.tobytes()
 
 
 # --- gradient rate -----------------------------------------------------------

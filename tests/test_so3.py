@@ -141,14 +141,20 @@ def test_project_restores_invariants_after_perturbation():
 
 
 def test_project_rejects_bad_inputs():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="degenerate or orientation-reversing"):
         st.project_to_so3(np.diag([1.0, 1.0, -1.0]))  # reflection
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="farther than 0.1"):
         st.project_to_so3(2.0 * np.eye(3))  # too far from SO(3)
     # an infinite entry used to send the SVD into a loop that did not return
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ContractError, match="not finite"):
             st.project_to_so3(np.diag([bad, 1.0, 1.0]))
+    # a finite block of huge entries is too far, not an overflow in det
+    for huge in (1e110, -1e110):
+        with pytest.raises(ContractError, match="farther than 0.1"):
+            st.project_to_so3(huge * np.eye(3))
+    with pytest.raises(ContractError, match="farther than 0.1"):
+        st.so3.orthonormalize_f(st.so3.floats(np.eye(3) * 1e110))
 
 
 def test_orthonormalize_matches_polar_factor():

@@ -257,13 +257,13 @@ def test_compiled_code_looks_up_no_names(kind, relaxed, paper_params, paper_gain
         step = loop._compile_step(exact, PAPER_SINE.z_fn)
         assert step.__code__.co_names == ()
         assert step.__name__ == f"{kind}_step"
-        traced = controllers._STEP_TRACES[(type(loop), relaxed, exact, PAPER_SINE.z_fn)]
+        traced = controllers._TRACES[(type(loop), "step", relaxed, exact, PAPER_SINE.z_fn)]
         assert traced._bind.__code__.co_names == ()
         if kind != "non_hybrid":
             values = loop._compile_values(exact)
             assert values.__code__.co_names == ()
             assert values.__name__ == f"{kind}_margin"
-            traced = controllers._MARGIN_TRACES[(type(loop), exact, 1)]
+            traced = controllers._TRACES[(type(loop), "margin", exact, 1)]
             assert traced._bind.__code__.co_names == ()
 
 
@@ -401,7 +401,7 @@ def test_emitter_writes_only_the_parentheses_the_grouping_needs():
 
 
 def count_traces(monkeypatch) -> list:
-    """The names traced from here on, with the structure cache emptied."""
+    """The names traced from here on, with the trace cache emptied."""
     calls = []
     original = straightline.trace
 
@@ -410,8 +410,7 @@ def count_traces(monkeypatch) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(straightline, "trace", spy)
-    monkeypatch.setattr(controllers, "_STEP_TRACES", {})
-    monkeypatch.setattr(controllers, "_MARGIN_TRACES", {})
+    monkeypatch.setattr(controllers, "_TRACES", {})
     return calls
 
 
@@ -449,6 +448,27 @@ def test_loops_compile_on_first_flow_and_share_code(monkeypatch, fig4_cfg):
                                                                            None))
     other.jump_margin(0.3, y, None)
     assert calls == ["basic_step", "basic_margin", "basic_step"]
+
+
+def test_a_relaxed_filter_has_its_own_step_and_shares_the_margin(monkeypatch, paper_params,
+                                                                  paper_gains, paper_inertia):
+    # `relaxed` is part of the step's structure only: the margin does not read it
+    calls = count_traces(monkeypatch)
+    y = tuple(random_state("smooth", np.random.default_rng(41)).tolist())
+    loops = [make("smooth", relaxed, paper_params, paper_gains, paper_inertia)
+             for relaxed in (False, True)]
+    for loop in loops:
+        loop.step(0.0, y, 1e-3, None)
+        loop.jump_margin(0.0, y, None)
+    assert calls == ["smooth_step", "smooth_margin", "smooth_step"]
+    plain, relaxed = loops
+    key = (True, PAPER_SINE.z_fn)
+    assert plain._steps[key].__code__ is not relaxed._steps[key].__code__
+    assert plain._margins[True].__code__ is relaxed._margins[True].__code__
+    assert set(controllers._TRACES) == {
+        (st.SmoothLoop, "step", False, True, PAPER_SINE.z_fn),
+        (st.SmoothLoop, "step", True, True, PAPER_SINE.z_fn),
+        (st.SmoothLoop, "margin", True, 1)}
 
 
 @pytest.mark.parametrize("law", LAWS)
