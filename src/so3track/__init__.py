@@ -37,7 +37,15 @@ from .potential import (
     warp_rotation,
 )
 from .rigid_body import Inertia, Reference, feedforward, make_reference
-from .hybrid import HybridArc, HybridSystem, JumpEvent, SolverConfig, detect_crossing, solve
+from .hybrid import (
+    HybridArc,
+    HybridSystem,
+    JumpEvent,
+    SolverConfig,
+    SolverStats,
+    detect_crossing,
+    solve,
+)
 from .controllers import (
     BasicLoop,
     Gains,

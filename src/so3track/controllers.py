@@ -54,9 +54,14 @@ The jump rule's values go through `_compile` too: `_values`, the value of
 each warp angle and of every reset angle, is traced once per process for
 each (law, measurement kind, number of reset angles), with `theta_set` among
 the parameters, so the reset rotations are evaluated once per loop, at the
-binding.  `jump_margin` and `jump` keep in Python the two picks that branch
-on data: the least reset value and the largest gap.  `project` stays
-interpreted.
+binding.  The one trace is bound twice: to `math`, for `jump_margin` and
+`jump` on a state's floats, and to `ARRAY_MATH`, for `jump_margins` on the
+(n,) columns of a run's samples (see `hybrid.solve`).  The two picks that
+branch on data, the least reset value and the largest gap, are written once,
+in `_picks`, over a `where`: a conditional expression for floats and
+`np.where` for columns.  The margin stays a kernel of its own, not part of
+the step, since a kernel past 256 locals pays an `EXTENDED_ARG` on each
+access to the ones past it (see `straightline`).  `project` stays interpreted.
 """
 
 from __future__ import annotations
@@ -171,6 +176,33 @@ def filtered_value_w_f(AR, W, theta: float, zeta, p: PotentialParams, rho: float
     return value_w_f(AR, W, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
+def _choose(c, a, b):
+    """a where c holds, else b: `np.where` for one float."""
+    return a if c else b
+
+
+def _picks(values, thetas, where) -> tuple:
+    """The jump rule's two picks on the values of `_TrackingLoop._values`: (largest gap, picks).
+
+    picks holds, for each warp angle, its gap and the reset angle of its
+    least value.  The least reset value is the first in `thetas` order that
+    is below every earlier one, so ties go to the first and a NaN value is
+    never the least; once a gap is NaN, the largest stays NaN.  Written once
+    for floats (where = `_choose`) and for (n,) columns (where = `np.where`).
+    """
+    largest = -math.inf
+    picks = []
+    for v, resets in values:
+        best, least = thetas[0], math.inf
+        for tp, r in zip(thetas, resets):
+            below = r < least
+            best, least = where(below, tp, best), where(below, r, least)
+        g = v - least
+        largest = where((g > largest) | (g != g), g, largest)
+        picks.append((g, best))
+    return largest, picks
+
+
 def torque_f(ups, k1: float, v1, k2: float, v2) -> tuple:
     """ups - k1 v1 - k2 v2: the torque of every law.
 
@@ -258,6 +290,7 @@ class _TrackingLoop(HybridSystem):
         self.relaxed = relaxed
         self._steps = {}  # the compiled step by (exact measurement, reference function)
         self._margins = {}  # the compiled margin values by exact measurement
+        self._margin_columns = {}  # the same, bound to (n,) columns
         self._threshold = params.delta  # the gap at which a warp angle jumps
 
     @classmethod
@@ -315,6 +348,19 @@ class _TrackingLoop(HybridSystem):
     def _velocity_damping(self) -> tuple:
         """(rate, source) of the velocity damping of a law that reads the velocity."""
         return self.gains.k_omega / min(self.inertia.J_diag), "k_omega / lambda_min(J)"
+
+    def _attitude_oscillation(self) -> tuple:
+        """(rate, source) of the lightly damped attitude mode of the gradient feedback 2 k_R.
+
+        About body axis i the potential's stiffness at the identity is
+        a_bar_i, so the mode's |lambda| is sqrt(2 k_R a_bar_i / J_i), largest
+        over the axes.  It lies near the imaginary axis, where RK4's limit,
+        2.83, is close to the real one.
+        """
+        a_bar = np.diag(self.params.spectral.a_bar)
+        rate = max(math.sqrt(2.0 * self.gains.k_R * a / J)
+                   for a, J in zip(a_bar.tolist(), self.inertia.J_diag))
+        return rate, "sqrt(2 k_R a_bar_i / J_i), the attitude oscillation"
 
     def measurements(self, rng):
         """None for ever without noise; else a Measurement per step, from blocks of normals.
@@ -413,14 +459,15 @@ class _TrackingLoop(HybridSystem):
             return HybridSystem.step(self, t, y, h, meas)
         return y_h
 
-    def _compile(self, structure: tuple, method, name: str, **shapes):
+    def _compile(self, structure: tuple, method, name: str, xp=math, **shapes):
         """`method` traced once per process for this loop's class and `structure`, bound here.
 
         method(loop, xp, meas, **inputs) runs on a stand-in loop that holds
         only the traced params, gains and inertia and `relaxed`, with meas a
         Measurement, or None where its shape is None (exact).  `structure`
         names all else the trace depends on; the compiled function takes the
-        inputs of `shapes` by position, in their order.
+        inputs of `shapes` by position, in their order, and calls the math
+        functions of `xp`.
         """
         cls, relaxed = type(self), self.relaxed
         objects = dict(params=self.params, gains=self.gains, inertia=self.inertia)
@@ -435,7 +482,7 @@ class _TrackingLoop(HybridSystem):
 
             traced = _TRACES[key] = straightline.trace(kernel, f"{self.kind}_{name}",
                                                        parameters=objects, **shapes)
-        return traced.bind(**objects)
+        return traced.bind(xp, **objects)
 
     def _compile_step(self, exact: bool, z_fn):
         """`HybridSystem.step` over `_rates` and `z_fn`, compiled for (`relaxed`, exact, z_fn).
@@ -481,13 +528,18 @@ class _TrackingLoop(HybridSystem):
         """The applied torque at time t and state y under measurement meas."""
         return np.array(self._rates(y, meas, self.reference.z_at(t))[1])
 
+    @staticmethod
+    def _measurement_columns(noise):
+        """The Measurement of (n, 12) packed noise, as (n,) columns; None without noise."""
+        if noise is None:
+            return None
+        n = columns(noise)
+        return Measurement(tuple(n[0:9]), tuple(n[9:12]))
+
     def record(self, t, states, noise, in_jump):
         """All recorded columns in one pass of the kernels over the column arrays."""
-        meas = None
-        if noise is not None:
-            n = columns(noise)
-            meas = Measurement(tuple(n[0:9]), tuple(n[9:12]))
-        return self._columns(t, columns(states), meas, in_jump, ARRAY_MATH)
+        return self._columns(t, columns(states), self._measurement_columns(noise), in_jump,
+                             ARRAY_MATH)
 
     def lyapunov_packed(self, y) -> float:
         """The loop's monitor at packed state y."""
@@ -515,31 +567,35 @@ class _TrackingLoop(HybridSystem):
                               for tp in p.theta_set)))
         return out
 
-    def _compile_values(self, exact: bool):
-        """`_values`, compiled for (exact, number of reset angles)."""
+    def _compile_values(self, exact: bool, xp=math):
+        """`_values`, compiled for (exact, number of reset angles), calling xp's math.
+
+        One trace serves floats (`math`) and (n,) columns (`ARRAY_MATH`).
+        """
         return self._compile((exact, len(self.params.theta_set)),
                              lambda loop, xp, meas, y: loop._values(y, meas, xp), "margin",
-                             y=self.WIDTH, meas=None if exact else (9, 3))
+                             xp=xp, y=self.WIDTH, meas=None if exact else (9, 3))
 
     def jump_margin(self, t, y, meas):
-        """The largest gap minus the threshold: NaN if a gap is NaN, -inf without a warp angle.
-
-        A warp angle's gap is its value minus the least reset value, the first
-        least in `theta_set` order, so a NaN value is never the least.
-        """
+        """The largest gap minus the threshold: NaN if a gap is NaN, -inf without a warp angle."""
         fn = self._margins.get(meas is None)
         if fn is None:
             fn = self._margins[meas is None] = self._compile_values(meas is None)
-        largest = -math.inf
-        for v, resets in fn(y, meas):
-            least = math.inf
-            for r in resets:
-                if r < least:
-                    least = r
-            g = v - least
-            if g > largest or g != g:  # once NaN, the largest stays NaN
-                largest = g
-        return largest - self._threshold
+        return _picks(fn(y, meas), self.params.theta_set, _choose)[0] - self._threshold
+
+    def jump_margins(self, t, states, noise, meas):
+        """`jump_margin` of each sample, by the same margin trace bound to columns.
+
+        The columns' overflows and invalid operations give the inf and NaN
+        that floats give, without numpy's warnings.
+        """
+        fn = self._margin_columns.get(noise is None)
+        if fn is None:
+            fn = self._margin_columns[noise is None] = self._compile_values(noise is None,
+                                                                            ARRAY_MATH)
+        with np.errstate(all="ignore"):
+            values = fn(columns(states), self._measurement_columns(noise))
+            return _picks(values, self.params.theta_set, np.where)[0] - self._threshold
 
     def jump(self, t, y, meas):
         """Reset each warp angle whose gap reaches the threshold (a filter state does not jump).
@@ -551,13 +607,9 @@ class _TrackingLoop(HybridSystem):
         if not self.jump_margin(t, y, meas) >= 0.0:
             raise SolverError(f"the {self.kind} jump map was applied outside the jump set")
         out = list(y)
-        thetas = self.params.theta_set
-        for (v, resets), (_, _, i) in zip(self._margins[meas is None](y, meas), self.warp_angles):
-            best, least = thetas[0], math.inf
-            for tp, r in zip(thetas, resets):
-                if r < least:
-                    best, least = tp, r
-            if v - least >= self._threshold:
+        picks = _picks(self._margins[meas is None](y, meas), self.params.theta_set, _choose)[1]
+        for (g, best), (_, _, i) in zip(picks, self.warp_angles):
+            if g >= self._threshold:
                 out[i] = best
         return tuple(out)
 
@@ -586,7 +638,7 @@ class BasicLoop(_TrackingLoop):
         return U, self.gains.k_R * U + self._kinetic(v[self.OMEGA_E])
 
     def decay_rates(self):
-        return super().decay_rates() + [self._velocity_damping()]
+        return super().decay_rates() + [self._velocity_damping(), self._attitude_oscillation()]
 
 
 class NonHybridLoop(BasicLoop):
@@ -599,9 +651,13 @@ class NonHybridLoop(BasicLoop):
         """-inf: no warp angle, so no jump set and no margin values to compile."""
         return -math.inf
 
+    def jump_margins(self, t, states, noise, meas):
+        """-inf for every sample, as `jump_margin`."""
+        return np.full(len(t), -math.inf)
+
     def decay_rates(self):
-        """The velocity damping alone: the warp angle is frozen."""
-        return [self._velocity_damping()]
+        """The velocity damping and the attitude oscillation: the warp angle is frozen."""
+        return [self._velocity_damping(), self._attitude_oscillation()]
 
 
 class SmoothLoop(_TrackingLoop):

@@ -4,20 +4,36 @@ Solutions are produced on hybrid time domains: samples carry (t, j) where t
 accumulates flow time and j counts jumps.  Flow uses fixed-step RK4 in the
 ambient space (`HybridSystem.step`) with an optional per-step projection
 hook (used to push rotation blocks back onto SO(3)).  The state is a tuple
-of Python floats on the whole step path; numpy only builds the recorded arc.
-Both sets come from one scalar, the jump margin m: the jump set is m >= 0
-and the flow set m <= 0, so together they cover every state with a number
-for a margin.  Jumps are detected through the margin's sign and their times
-refined by bisection on it.
+of Python floats on the whole step path; numpy only builds the recorded arc
+and takes the margins of a run's samples.  Both sets come from one scalar,
+the jump margin m: the jump set is m >= 0 and the flow set m <= 0, so
+together they cover every state with a number for a margin.  Jumps are
+detected through the margin's sign and their times refined by bisection on
+it.
 
 Where the flow and jump sets overlap, the jump is taken: jump priority forces
 the designed potential drop at the set boundary.
+
+Flow steps are taken in runs.  Inside a run `solve` steps, projects and
+records, but asks no margin; after the run it takes the margins of all the
+run's samples in one `HybridSystem.jump_margins` call, under the measurement
+of the step into each sample and, with noise, also under the fresh one
+drawn after it.  The first sample whose margin is >= 0 or NaN rolls the run
+back to the sample before it: the buffers are truncated, the measurements
+drawn past that point are replayed, not drawn again, and the step into that
+sample is taken once more alone, with its margins after it, which refines
+the crossing, jumps or raises as every step did before.  A step that raised
+ends its run, and its error is raised only if no event comes before it.  So
+the arc, its jumps and the errors are those of checking every step alone.
+A run is RUN_FIRST steps after an event and doubles after each clean run,
+up to RECORD_BATCH.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from struct import Struct
 
@@ -27,8 +43,16 @@ from .errors import ContractError, SolverError
 
 # Samples per `record` call.  A recording pass holds some 80 temporaries of its
 # batch length; at 1024 samples they stay below a megabyte and in cache, which
-# a 20 000-sample member recorded at once (12 MB) would not.
+# a 20 000-sample member recorded at once (12 MB) would not.  It is also the
+# longest run of flow steps, whose margins are taken as one batch.
 RECORD_BATCH = 1024
+
+# Flow steps in the first run and in the run after a rollback (see `solve`).
+# On the closed loops, the batch margins of a run break even with per-sample
+# margins at about 18 noisy or 33 exact samples, and cost a tenth of them
+# at 1024; jumps come in bursts early in a member, where a longer first run
+# would discard more steps at each rollback.
+RUN_FIRST = 32
 
 # More jumps than this at one instant, with no flow in between, stop the run.
 MAX_JUMPS_PER_INSTANT = 10
@@ -73,19 +97,32 @@ class HybridSystem:
 
     Measurement contract: `measurements(rng)` gives an iterator, and `solve`
     takes one item from it before the first sample and one after each flow
-    step; the item is the measurement in force until the next one.  The
-    default yields None, for a system without measurement noise.  The
-    iterator lives for one run, so whatever it buffers goes with it.
+    step; the item is the measurement in force until the next one.  Items
+    drawn after a step that a rollback discards are kept and taken again, in
+    order, after the steps that replace it, so the arc's measurements are
+    the iterator's items in order, whatever was rolled back.  The default
+    yields None, for a system without measurement noise.  The iterator
+    lives for one `solve` call, so whatever it buffers goes with it.
 
-    Recording: during the run `solve` keeps, for each sample, only t, j, the
-    jump-set flag, the state and the measurement in force (the one the step
-    into the sample used); the last two are packed as doubles into flat
-    buffers.  A measurement is a tuple of float sequences (the loops' is E as
-    9 floats and n_omega as 3), kept concatenated.  After the run `solve`
-    calls `record` on consecutive batches of n <= RECORD_BATCH samples, with
-    these as t (n,), states (n, dim), noise (n, width), or None when the
-    measurements are None, and in_jump (n,) bools.  `record`
+    Recording: while it integrates, `solve` keeps, for each sample, only t,
+    j, the jump-set flag, the state and the measurement in force (the one
+    the step into the sample used); the last two are packed as doubles into
+    flat buffers.  A measurement is a tuple of float sequences (the loops'
+    is E as 9 floats and n_omega as 3), kept concatenated.  At the end
+    `solve` calls `record` on consecutive batches of n <= RECORD_BATCH
+    samples, with these as t (n,), states (n, dim), noise (n, width), or
+    None when the measurements are None, and in_jump (n,) bools.  `record`
     returns one (n,) array per entry of `columns`, in that order.
+
+    Runs (see the module docstring): `solve` takes the margins of a run's
+    flow samples in one `jump_margins` call, with t, the states and the noise
+    in the forms `record` gets, plus the measurements themselves as
+    `jump_margin` takes them, and it must get back the bits of `jump_margin`
+    on each sample.  The default calls `jump_margin` sample by sample; the
+    closed loops run their compiled margin on columns.  A margin >= 0 or NaN
+    rolls the run back, so `step` and `project` may have run on states that
+    the arc does not keep: they must not depend on how often they were
+    called.
     """
 
     kind: str = "generic"
@@ -116,6 +153,16 @@ class HybridSystem:
         """Scalar that is >= 0 exactly on the jump set and <= 0 exactly on the flow set."""
         return -math.inf
 
+    def jump_margins(self, t: np.ndarray, states: np.ndarray, noise, meas: list) -> np.ndarray:
+        """`jump_margin` of each of n samples, as an (n,) array.
+
+        t is (n,), states (n, dim), noise (n, width) or None, packed as
+        `record` gets them, and meas the n measurements as `jump_margin`
+        takes them.
+        """
+        return np.array([self.jump_margin(tt, tuple(y), m)
+                         for tt, y, m in zip(t.tolist(), states.tolist(), meas)])
+
     def project(self, y: tuple) -> tuple:
         return y
 
@@ -144,6 +191,25 @@ class JumpEvent:
 
 
 @dataclass
+class SolverStats:
+    """What `solve` did, in counts; no times, so an arc stays a function of its inputs.
+
+    Every step call is an accepted step, a refinement evaluation, the re-step
+    to a located crossing or a step of a run that a rollback discarded:
+    step_calls = steps + refine_evals + crossings + rolled_back.
+    """
+
+    steps: int = 0  # accepted flow steps
+    step_calls: int = 0  # calls of `system.step`
+    runs: int = 0  # runs of flow steps, each with one `jump_margins` call
+    rolled_back: int = 0  # step calls of runs that a rollback discarded
+    margins_batched: int = 0  # margins taken by `jump_margins`, per sample and measurement
+    margins_scalar: int = 0  # margins taken by `jump_margin`, refinement included
+    refine_evals: int = 0  # margins taken by `detect_crossing` inside a step
+    crossings: int = 0  # crossings located inside a step, each re-stepped to
+
+
+@dataclass
 class HybridArc:
     """A recorded solution: samples over a hybrid time domain plus jump events."""
 
@@ -156,6 +222,7 @@ class HybridArc:
     jumps: list
     status: str
     dt: float
+    stats: SolverStats = field(default_factory=SolverStats)
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -219,6 +286,10 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     rejects, or a flow evaluation in it raises ValueError (typically a step
     size too large for the gains); an error of a flow step also carries the
     step length h.
+
+    Flow steps are taken in runs (see the module docstring); the arc, the
+    jumps and the errors are those of checking every step alone, and
+    `arc.stats` counts the work.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -226,18 +297,22 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     t = 0.0
     j = 0
     draws = system.measurements(rng)
+    replay = deque()  # measurements drawn by a rolled-back run, taken again in order
     meas = next(draws)
+    stats = SolverStats()
 
     ts: list[float] = []
     js: list[int] = []
     flags: list[bool] = []
     # The state and the noise of each sample, packed as doubles.
     states = bytearray()
-    pack_state = Struct(f"{len(y)}d").pack
+    state_struct = Struct(f"{len(y)}d")
+    pack_state, state_bytes = state_struct.pack, state_struct.size
     noise = None
     if meas is not None:
         noise = bytearray()
-        pack_noise = Struct(f"{sum(map(len, meas))}d").pack
+        noise_struct = Struct(f"{sum(map(len, meas))}d")
+        pack_noise, noise_bytes = noise_struct.pack, noise_struct.size
     jumps: list[JumpEvent] = []
 
     def sample(in_jump: bool):
@@ -250,6 +325,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
 
     def advance(h: float) -> tuple:
         """The projected RK4 step of length h from (t, y)."""
+        stats.step_calls += 1
         try:
             y_h = system.step(t, y, h, meas)
         except ValueError as e:  # `math` refuses an infinite stage value: "math domain error"
@@ -273,6 +349,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
 
     def membership(tt, yy):
         """(margin, in_jump) under the current measurement."""
+        stats.margins_scalar += 1
         m = system.jump_margin(tt, yy, meas)
         if m != m:
             raise SolverError(
@@ -282,9 +359,35 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             )
         return m, m >= 0.0
 
+    def run_margins(n0: int, taken: list) -> np.ndarray:
+        """The margins of the samples from n0 on: under the step's measurement, then the fresh one.
+
+        taken holds the measurement in force before each step of the run and,
+        last, the one drawn after it.  Without noise the two coincide, and
+        the margins are taken once.  The buffers are copied out, so that they
+        can shrink and grow again.
+        """
+        n = len(ts) - n0
+        tt, rows = ts[n0:], states[n0 * state_bytes:]
+        meas_in = taken[:n]
+        if noise is not None:
+            tt, rows, meas_in = tt * 2, rows * 2, meas_in + taken[1:]
+            steps_noise = noise[n0 * noise_bytes:]
+            fresh_noise = steps_noise[noise_bytes:] + pack_noise(*chain.from_iterable(taken[n]))
+            noise_in = np.frombuffer(steps_noise + fresh_noise).reshape(2 * n, -1)
+        else:
+            noise_in = None
+        m = system.jump_margins(np.array(tt), np.frombuffer(rows).reshape(len(tt), -1),
+                                noise_in, meas_in)
+        stats.margins_batched += len(m)
+        return m
+
     margin, in_jump = membership(t, y)
     sample(in_jump)
 
+    t_max, dt = config.t_max, config.dt
+    run = RUN_FIRST  # steps in the next run
+    alone = False  # whether the next flow step is taken alone
     jumps_here = 0
     last_jump_t = None
     status = "t_max"
@@ -311,27 +414,81 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             margin, in_jump = membership(t, y)
             sample(in_jump)
             continue
-        remaining = config.t_max - t
+        remaining = t_max - t
         if remaining <= 1e-12:
             status = "t_max"
             break
-        h = config.dt if config.dt < remaining else remaining
+        if not alone:
+            # A run: the margins of its samples are taken after its last step.
+            stats.runs += 1
+            n0 = len(ts)
+            taken = [meas]
+            held = None
+            for _ in range(run):
+                remaining = t_max - t
+                if remaining <= 1e-12:
+                    break
+                h = dt if dt < remaining else remaining
+                try:
+                    y_new = advance(h)
+                except SolverError as e:
+                    held = e
+                    break
+                t += h
+                y = y_new
+                sample(False)
+                meas = replay.popleft() if replay else next(draws)
+                taken.append(meas)
+            n = len(ts) - n0
+            if not n:  # the run's first step raised
+                raise held
+            m = run_margins(n0, taken)
+            event = ~(m < 0.0)  # a margin >= 0 or NaN
+            if noise is not None:
+                event = event[:n] | event[n:]
+            if not event.any():
+                if held is not None:
+                    raise held
+                margin = float(m[-1])
+                run = min(2 * run, RECORD_BATCH)
+                continue
+            # Roll back to the sample before the first event; the margin of
+            # the run's start is still `margin`.
+            k = int(event.argmax())
+            stats.rolled_back += n + (held is not None) - k
+            keep = n0 + k
+            t, y = ts[keep - 1], state_struct.unpack_from(states, (keep - 1) * state_bytes)
+            if k:
+                margin = float(m[k - 1 if noise is None else n + k - 1])
+            del ts[keep:], js[keep:], flags[keep:], states[keep * state_bytes:]
+            if noise is not None:
+                del noise[keep * noise_bytes:]
+            meas = taken[k]
+            replay.extendleft(reversed(taken[k + 1:]))
+            run = RUN_FIRST
+            alone = True
+            continue
+        alone = False
+        h = dt if dt < remaining else remaining
         y_new = advance(h)
         margin_new, in_jump_new = membership(t + h, y_new)
         if in_jump_new and margin < 0.0:
 
             def margin_at(tau: float) -> float:
+                stats.refine_evals += 1
+                stats.margins_scalar += 1
                 return system.jump_margin(t + tau, advance(tau), meas)
 
             tau_c = detect_crossing(margin, margin_new, margin_at, h)
             if tau_c is not None and tau_c < h:
+                stats.crossings += 1
                 h = tau_c
                 y_new = advance(h)
                 margin_new, in_jump_new = membership(t + h, y_new)
         t += h
         y = y_new
         sample(in_jump_new)
-        fresh = next(draws)
+        fresh = replay.popleft() if replay else next(draws)
         if fresh is None and meas is None:
             # No noise: the membership under the step's measurement is current.
             margin, in_jump = margin_new, in_jump_new
@@ -340,6 +497,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             margin, in_jump = membership(t, y)
 
     n = len(ts)
+    stats.steps = n - 1 - len(jumps)
     t_arr, j_arr, flags_arr = np.array(ts), np.array(js, dtype=int), np.array(flags, dtype=bool)
     # Views of the packed buffers, without a copy.
     states_arr = np.frombuffer(states).reshape(n, -1)
@@ -361,4 +519,5 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         jumps=jumps,
         status=status,
         dt=config.dt,
+        stats=stats,
     )

@@ -8,20 +8,29 @@ from pathlib import Path
 import numpy as np
 
 
+# Rows formatted by one `%`: 256 rows of a member hold about 0.25 MB of
+# temporaries (their floats, their list and the string).
+CSV_BATCH = 256
+
+
 def write_csv(path, arc, footer_lines=()) -> None:
     """Write an arc as CSV: header, one row per sample, '#' footer lines.
 
     Column order is t, j, then the arc's recorded columns; every cell is
     written with 17 significant digits (`%.17g`), so an integer value below
-    10^17, such as `j` or a 0/1 flag, prints as an integer.  Output is a pure
-    function of the arc, so identical runs give byte-identical files.
+    10^17, such as `j` or a 0/1 flag, prints as an integer (the same from a
+    float as from an int).  Output is a pure function of the arc, so
+    identical runs give byte-identical files.  Each batch of rows is one `%`
+    over the row format repeated, on one list of its cells.
     """
     path = Path(path)
     row = ",".join(["%.17g"] * (2 + len(arc.columns))) + "\n"
     with path.open("w", newline="\n") as f:
         f.write("t,j," + ",".join(arc.columns) + "\n")
-        f.writelines(row % (t, j, *cells.tolist()) for t, j, cells in
-                     zip(arc.t.tolist(), arc.j.tolist(), arc.data))
+        for a in range(0, len(arc.t), CSV_BATCH):
+            b = a + CSV_BATCH
+            rows = np.column_stack((arc.t[a:b], arc.j[a:b], arc.data[a:b]))
+            f.write(row * len(rows) % tuple(rows.ravel().tolist()))
         for line in footer_lines:
             f.write(f"# {line}\n")
 

@@ -14,7 +14,17 @@ expressions directly:
     released there and not kept until the return;
   * each input sequence is unpacked once;
   * every constant and math function is bound as a default argument, so the
-    body makes no global or attribute lookup (`co_names == ()`).
+    body makes no global or attribute lookup (`co_names == ()`).  The math
+    functions are those of the `xp` that `Traced.bind` is given: `math` for
+    floats, or elementwise ones for (n,) arrays (`so3.ARRAY_MATH`), on which
+    the same code runs every operation elementwise, with the same bits.
+
+A local is addressed by a one-byte argument up to the 256th; past that
+every access pays an `EXTENDED_ARG`.  So a caller keeps kernels apart rather
+than tracing them as one: a noisy velocity_free step traced together with
+its two jump margins has 299 locals and ran 31-32 % slower than the step
+and the margins called apart (41 against 31 us on a 2-core machine), while
+for the basic and smooth laws (222 and 252 locals) the fold gained nothing.
 
 The parameters of a trace are objects (gains, weights) that the traced code
 reads attributes of.  During the trace each is a read-only stand-in: reading
@@ -191,13 +201,14 @@ def _visit(v, uses: dict, order: list, stop: dict) -> None:
         order.append(v)
 
 
-def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list]:
-    """(source text, default values) of a function of `inputs` returning `outputs`.
+def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
+    """(source text, constants, math function names) of a function of `inputs` returning `outputs`.
 
     outputs is a nested sequence of Vars and constants, returned as nested
     tuples.  The nodes in `bound` are parameters b_0, b_1, ... of the
-    function, after the inputs; their defaults are not in the returned list,
-    which holds those of the constants and the math functions that follow.
+    function, after the inputs, and the constants and the math functions
+    follow them, in the order of the two lists; none of these has a default
+    in the source.
     """
     names = {id(v): f"b_{i}" for i, v in enumerate(bound)}  # id of a node -> its name
     uses, order = _graph(_flatten(outputs), names)
@@ -259,7 +270,7 @@ def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list]:
     params = [*inputs, *(f"b_{i}" for i in range(len(bound))),
               *(f"c_{i}" for i in range(len(defaults))), *funcs]
     source = f"def {name}({', '.join(params)}):\n" + "\n".join(body) + "\n"
-    return source, [*defaults, *(_FUNCTIONS[f] for f in funcs)]
+    return source, defaults, funcs
 
 
 def _function_code(source: str) -> types.CodeType:
@@ -270,20 +281,25 @@ def _function_code(source: str) -> types.CodeType:
 class Traced:
     """A traced function: its code, and `bind`, which gives it the values of parameter objects."""
 
-    def __init__(self, name: str, source: str, defaults: list, leaves: list,
-                 bind_source: str, bind_defaults: list):
+    def __init__(self, name: str, leaves: list, emitted: tuple, bind_emitted: tuple):
+        """emitted and bind_emitted are what `_emit` gives for the function and for `bind`."""
         self.name = name
-        self.source = source
-        self.code = _function_code(source)
-        self._defaults = tuple(defaults)
+        self.source, constants, self._calls = emitted
+        self.code = _function_code(self.source)
+        self._constants = tuple(constants)
         self._leaves = leaves
-        self._bind = types.FunctionType(_function_code(bind_source), {}, "bind",
-                                        tuple(bind_defaults))
+        bind_source, bind_constants, bind_calls = bind_emitted
+        self._bind = types.FunctionType(_function_code(bind_source), {}, "bind", (
+            *bind_constants, *(_FUNCTIONS[f] for f in bind_calls)))
 
-    def bind(self, **objects):
+    def bind(self, xp=math, **objects):
         """The traced function with the parameters of `objects`, named as in the trace.
 
-        Every attribute the trace read must have the shape it had then;
+        The function calls the math functions of `xp`: `math` for floats, or
+        any namespace whose `sin`, `cos` and `sqrt` apply to the inputs it
+        will be given (such as `so3.ARRAY_MATH`, for (n,) arrays).  The
+        parameters are evaluated here on floats, with `math`, whatever `xp`
+        is.  Every attribute the trace read must have the shape it had then;
         TypeError otherwise.
         """
         p = []
@@ -301,7 +317,8 @@ class Traced:
                 p.append(value)
             else:
                 p.extend(value)
-        return types.FunctionType(self.code, {}, self.name, self._bind(p) + self._defaults)
+        return types.FunctionType(self.code, {}, self.name, (
+            *self._bind(p), *self._constants, *(getattr(xp, f) for f in self._calls)))
 
 
 def trace(fn, name: str, parameters: dict | None = None, **shapes) -> Traced:
@@ -327,10 +344,10 @@ def trace(fn, name: str, parameters: dict | None = None, **shapes) -> Traced:
     inputs = {arg: _inputs(arg, shape) for arg, shape in shapes.items()}
     outputs = fn(XP, **stand_ins, **inputs)
     bound = _bound_nodes(outputs, {id(v) for v in flat})
-    source, defaults = _emit(name, inputs, outputs, bound)
-    bind_source, bind_defaults = _emit("bind", {"p": tuple(flat)}, bound)
+    emitted = _emit(name, inputs, outputs, bound)
+    bind_emitted = _emit("bind", {"p": tuple(flat)}, bound)
     del stand_ins, inputs, outputs, bound, flat  # the DAG goes before the compiler's peak
-    return Traced(name, source, defaults, leaves, bind_source, bind_defaults)
+    return Traced(name, leaves, emitted, bind_emitted)
 
 
 def _bound_nodes(outputs, parameters: set) -> list:

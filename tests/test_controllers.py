@@ -1005,13 +1005,34 @@ def test_each_missing_or_non_positive_gain_keeps_its_message(kind, paper_params,
 
 @pytest.mark.parametrize("scenario, rates", [
     ("fig3", {"0_basic": 515.198, "1_basic": 525.330, "2_basic": 535.462,
-              "3_non_hybrid": 13.333}),
+              "3_non_hybrid": 30.715}),
     ("fig4", {"0_basic": 535.462, "1_smooth": 535.462, "2_velocity_free": 535.462}),
 ])
 def test_fastest_decay_rate_of_each_bundled_member(scenario, rates):
+    # the baseline's fastest mode is its attitude oscillation, sqrt(2 k_R
+    # a_bar_i / J_i), not its velocity damping k_omega / lambda_min(J) = 13.3
     cfg = st.load_scenario(scenario)
     for member in cfg.members:
         rate, source = max(st.build_member(cfg, member)[0].decay_rates())
         assert rate == pytest.approx(rates[member.label], abs=5e-4), member.label
-        assert source == ("k_omega / lambda_min(J)" if member.controller == "non_hybrid"
+        assert source == ("sqrt(2 k_R a_bar_i / J_i), the attitude oscillation"
+                          if member.controller == "non_hybrid"
                           else "k_theta times the warp-angle curvature bound")
+
+
+def test_the_baseline_step_limit_counts_its_attitude_oscillation():
+    # the non-hybrid fig3 member alone: with only its velocity damping listed,
+    # validate passed dt up to 0.2, where the run leaves SO(3); the attitude
+    # mode's limit is 2.785 / 30.7 = 0.0907 s
+    base = st.parse_config_text(st.bundled_scenarios()["fig3"].read_text())
+
+    def baseline(dt):
+        return st.scenario_from_mapping({**base, "controllers": ["non_hybrid"],
+                                         "gammas": [0.7092482854963644], "dt": dt})
+
+    for dt in (0.1, 0.2):
+        (note,) = st.validate_scenario(baseline(dt))
+        assert "RK4 stability limit 0.0907" in note and "attitude oscillation" in note
+    cfg = baseline(0.08)
+    assert st.validate_scenario(cfg) == []
+    assert st.simulate_member(cfg, cfg.members[0]).report.passed

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -296,7 +297,8 @@ TUMBLE_SEEDS = {"basic": 7, "smooth": 16, "velocity_free": 10, "non_hybrid": 0}
 @pytest.mark.parametrize("law", sorted(TUMBLE_SEEDS))
 def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
     # every RK4 step, and so every four flow evaluations, is an accepted step,
-    # a refinement evaluation of the margin or the re-step to the crossing
+    # a refinement evaluation of the margin, the re-step to the crossing or a
+    # step of a run that a rollback discarded; the solver's counters agree
     rng = np.random.default_rng(TUMBLE_SEEDS[law])
     base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
     cfg = st.scenario_from_mapping({
@@ -329,6 +331,176 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
     arc = st.solve(loop, y0, st.SolverConfig(dt=cfg.dt, t_max=cfg.t_max))
     steps = len(arc) - 1 - len(arc.jumps)
     assert steps >= 500
-    assert counts["step"] == steps + counts["refine"] + counts["restep"]
+    stats = arc.stats
+    assert counts["step"] == steps + counts["refine"] + counts["restep"] + stats.rolled_back
+    assert ((stats.steps, stats.step_calls, stats.refine_evals, stats.crossings)
+            == (steps, counts["step"], counts["refine"], counts["restep"]))
     if law != "non_hybrid":
         assert arc.jumps and counts["refine"] > 0 and counts["restep"] > 0
+
+
+# Runs of flow steps: `solve` against itself with runs of one step, which
+# checks the margin after every step as a solver without runs does.
+
+
+def solve_alone_and_in_runs(monkeypatch, system, y0, cfg, seed=0) -> list:
+    """[every step checked alone, default runs]: each an arc, or the SolverError raised."""
+    out = []
+    for alone in (True, False):
+        with monkeypatch.context() as m:
+            if alone:
+                m.setattr(hybrid, "RUN_FIRST", 1)
+                m.setattr(hybrid, "RECORD_BATCH", 1)
+            try:
+                out.append(st.solve(system, np.array(y0), cfg, np.random.default_rng(seed)))
+            except SolverError as e:
+                out.append(e)
+    return out
+
+
+def assert_same_arcs(a, b):
+    if isinstance(a, SolverError) or isinstance(b, SolverError):
+        assert type(a) is type(b)
+        assert (str(a), a.t, a.j, a.h) == (str(b), b.t, b.j, b.h)
+        return
+    assert a.status == b.status
+    for name in ("t", "j", "data", "states"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert len(a.jumps) == len(b.jumps)
+    for p, q in zip(a.jumps, b.jumps):
+        assert (p.t, p.j_before, p.meas) == (q.t, q.j_before, q.meas)
+        assert p.y_pre.tobytes() == q.y_pre.tobytes() and p.y_post.tobytes() == q.y_post.tobytes()
+
+
+class Cliff(HybridSystem):
+    """A clock reset to zero at x = c, whose flow turns NaN from x = b on."""
+
+    kind = "cliff"
+    columns = ("x",)
+
+    def __init__(self, c, b=math.inf):
+        self.c, self.b = c, b
+
+    def flow(self, t, y, meas):
+        return (1.0 if y[0] < self.b else math.nan,)
+
+    def jump(self, t, y, meas):
+        return (0.0,)
+
+    def jump_margin(self, t, y, meas):
+        return y[0] - self.c
+
+    def record(self, t, states, noise, in_jump):
+        return (states[:, 0],)
+
+
+@pytest.mark.parametrize("offset", ("first", "second", "last"))
+def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset, monkeypatch):
+    # the crossing lies inside the step into the run's first, second or last
+    # sample and is refined there; each reset starts a run at the clock's zero
+    dt = 1e-3
+    k = {"first": 0, "second": 1, "last": hybrid.RUN_FIRST - 1}[offset]
+    cfg = st.SolverConfig(dt=dt, t_max=0.7, j_max=40)
+    alone, runs = solve_alone_and_in_runs(monkeypatch, Cliff((k + 0.5) * dt), [0.0], cfg)
+    assert_same_arcs(alone, runs)
+    assert runs.jumps and runs.stats.crossings == len(runs.jumps)
+    assert runs.stats.rolled_back == len(runs.jumps) * (hybrid.RUN_FIRST - k)
+
+
+@pytest.mark.parametrize("event_first", (True, False))
+def test_a_non_finite_step_in_a_run_raises_only_without_an_event_before_it(event_first,
+                                                                         monkeypatch):
+    # the flow turns NaN 2.5 steps past the crossing, so a run reaches the bad
+    # step after it has passed the crossing; the reset there keeps the clock
+    # away from it.  Without the reset the step's error is raised as it is
+    dt = 1e-3
+    c = 10.5 * dt
+    cliff = Cliff(c, c + 2.5 * dt) if event_first else Cliff(1.0, c)
+    cfg = st.SolverConfig(dt=dt, t_max=0.2, j_max=40)
+    alone, runs = solve_alone_and_in_runs(monkeypatch, cliff, [0.0], cfg)
+    assert_same_arcs(alone, runs)
+    if event_first:
+        assert runs.status == "t_max" and len(runs.jumps) == 19
+    else:
+        assert isinstance(runs, SolverError) and "non-finite" in str(runs)
+        assert (runs.j, runs.h) == (0, dt) and runs.t == pytest.approx(c - 0.5 * dt)
+
+
+def test_a_nan_margin_in_a_run_raises_as_a_single_step_does(monkeypatch):
+    # Escaper's margin is NaN from the eleventh step on
+    cfg = st.SolverConfig(dt=1e-3, t_max=1.0, j_max=5)
+    alone, runs = solve_alone_and_in_runs(monkeypatch, Escaper(), [1.0 - 10.5e-3], cfg)
+    assert isinstance(runs, SolverError) and "not a number" in str(runs)
+    assert_same_arcs(alone, runs)
+
+
+class Counted(HybridSystem):
+    """A clock whose measurement counts the draws: the i-th draw is i.
+
+    The state is (x, armed).  An armed state enters the jump set when the
+    measurement in force is `trigger`, so the fresh draw after a step, not
+    the step itself, makes the event; the jump disarms it.
+    """
+
+    kind = "counted"
+    columns = ("x", "draw")
+
+    def __init__(self, trigger):
+        self.trigger = trigger
+
+    def flow(self, t, y, meas):
+        return (1.0, 0.0)
+
+    def measurements(self, rng):
+        return (((float(i),),) for i in itertools.count())
+
+    def jump_margin(self, t, y, meas):
+        return 1.0 if (meas[0][0] == self.trigger and y[1] == 1.0) else -1.0
+
+    def jump(self, t, y, meas):
+        return (y[0], 0.0)
+
+    def record(self, t, states, noise, in_jump):
+        return (states[:, 0], noise[:, 0])
+
+
+def test_draws_after_a_rollback_are_replayed(monkeypatch):
+    # the draw after step 10 arms the jump set: the run rolls back to the
+    # sample after step 9, and the draws it made past there are taken again
+    # in order, so the step into each flow sample holds draws 0, 1, 2, ...
+    monkeypatch.setattr(hybrid, "RUN_FIRST", 32)
+    cfg = st.SolverConfig(dt=0.25, t_max=25.0, j_max=5)
+    alone, runs = solve_alone_and_in_runs(monkeypatch, Counted(10.0), [0.0, 1.0], cfg)
+    assert_same_arcs(alone, runs)
+    flow = np.flatnonzero(np.diff(runs.t) > 0.0) + 1
+    assert runs.column("draw")[flow].tolist() == list(map(float, range(100)))
+    assert [(ev.t, ev.j_before, ev.meas) for ev in runs.jumps] == [(2.5, 0, ((10.0,),))]
+    # hand counts: a run of 32 steps finds the event at its tenth sample and
+    # discards 23 steps; step 10 is taken alone, with its two margins, then the
+    # jump's margin; two clean runs of 32 and 58 steps end at t_max
+    assert runs.stats == hybrid.SolverStats(
+        steps=100, step_calls=123, runs=3, rolled_back=23, margins_batched=2 * (32 + 32 + 58),
+        margins_scalar=4, refine_evals=0, crossings=0)
+    assert alone.stats.rolled_back == 1 and alone.stats.margins_batched == 2 * 100
+
+
+@pytest.mark.parametrize("law, noisy", [("basic", False), ("smooth", True),
+                                        ("velocity_free", True), ("non_hybrid", True)])
+def test_closed_loops_in_runs_give_the_arc_of_single_steps(law, noisy, monkeypatch):
+    # a tumbling member (refined jumps) without noise, and fig4 members with it
+    rng = np.random.default_rng(TUMBLE_SEEDS[law])
+    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
+    overrides = {"controllers": [law], "gammas": base["gammas"][:1], "t_max": 0.25}
+    if not noisy:
+        overrides.update({
+            "omega0": rng.uniform(-20.0, 20.0, 3).tolist(),
+            "theta0": float(rng.uniform(-math.pi, math.pi)),
+            "R0_axis": rng.normal(size=3).tolist(), "R0_angle": float(rng.uniform(0.0, math.pi)),
+            "theta_set": [-0.9 * math.pi, 0.9 * math.pi],
+            "noise_var_R": 0.0, "noise_var_omega": 0.0})
+    cfg = st.scenario_from_mapping({**base, **overrides})
+    loop, y0 = st.scenarios.build_member(cfg, cfg.members[0])
+    alone, runs = solve_alone_and_in_runs(monkeypatch, loop, y0, cfg.solver, seed=5)
+    assert_same_arcs(alone, runs)
+    assert runs.stats.margins_scalar - runs.stats.refine_evals < 0.1 * runs.stats.steps

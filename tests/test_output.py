@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from so3track import output
 from so3track.hybrid import HybridArc
 from so3track.output import write_csv
 
@@ -22,3 +23,17 @@ def test_write_csv_prints_integers_as_integers_and_floats_with_17_digits(tmp_pat
         "3,1000000,0.33333333333333331,0\n"
         "# done\n"
     )
+
+
+def test_write_csv_gives_the_same_bytes_batch_by_batch(tmp_path, monkeypatch):
+    # rows are formatted in batches of CSV_BATCH; a batch boundary changes no byte
+    arc = HybridArc(
+        controller="basic", columns=("x",), t=np.linspace(0.0, 1.0, 5), j=np.arange(5),
+        data=np.sqrt(np.arange(5.0))[:, None], states=np.zeros((5, 1)), jumps=[],
+        status="ok", dt=0.25,
+    )
+    write_csv(tmp_path / "one.csv", arc)
+    monkeypatch.setattr(output, "CSV_BATCH", 2)
+    write_csv(tmp_path / "three.csv", arc)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes()
+    assert (tmp_path / "one.csv").read_text().splitlines()[2] == "0.25,1,1"

@@ -159,6 +159,51 @@ def test_compiled_margin_matches_the_float_kernels_bit_for_bit(kind, noisy, rese
     assert list(loop._margins) == ([] if kind == "non_hybrid" else [not noisy])
 
 
+def nan_entry(kind, y, rng):
+    """y with a NaN in a field that one of the law's values reads."""
+    fields = {"basic": [0, 9], "non_hybrid": [0, 9], "smooth": [0, 9, 16],
+              "velocity_free": [0, 9, 16, 25]}[kind]
+    y = y.copy()
+    y[fields[rng.integers(len(fields))]] = math.nan
+    return y
+
+
+@pytest.mark.parametrize("resets", (1, 2, 3))
+@pytest.mark.parametrize("kind", LAWS)
+@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
+def test_batch_margins_match_the_float_margin_bit_for_bit(kind, noisy, resets, monkeypatch,
+                                                           paper_gains, paper_inertia):
+    # `jump_margins` binds the margin trace to (n,) columns and takes the picks
+    # through `np.where`: on seeded states, states next to the critical points
+    # and to a tie, and states with a NaN value, it gives the bits of
+    # `jump_margin` on each sample, and it traces nothing of its own
+    calls = count_traces(monkeypatch)
+    p = st.design_params([2.0, 4.0, 6.0], RESET_SETS[resets - 1], gamma=7.0 / math.pi**2,
+                         delta_frac=0.8)
+    loop = make(kind, False, p, paper_gains, paper_inertia)
+    rng = np.random.default_rng(43 + resets)
+    states = [(random_state(kind, rng), 0.1) for _ in range(40)]
+    states += [(random_state(kind, rng, near_critical=c), 0.1)
+               for c in st.undesired_critical_points(p)]
+    states += [(tie_state(kind, rng), 1e-12) for _ in range(5)]
+    states += [(nan_entry(kind, random_state(kind, rng), rng), 0.1) for _ in range(6)]
+    meas = [st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, sigma, 3)))),
+                           n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
+            if noisy else None for _, sigma in states]
+    S = np.array([y for y, _ in states])
+    noise = np.array([[*m.E, *m.n_omega] for m in meas]) if noisy else None
+    t = rng.uniform(0.0, 10.0, len(S))
+    want = [loop.jump_margin(tt, tuple(y.tolist()), m) for tt, y, m in zip(t, S, meas)]
+    assert bits(want) == bits([margin_oracle.margin(loop, tuple(y.tolist()), m)
+                               for y, m in zip(S, meas)])
+    got = loop.jump_margins(t, S, noise, meas)
+    assert got.shape == (len(S),) and got.tobytes() == bits(want)
+    assert HybridSystem.jump_margins(loop, t, S, noise, meas).tobytes() == bits(want)
+    if kind != "non_hybrid":
+        assert {m >= 0.0 for m in want} == {False, True} and any(m != m for m in want)
+    assert calls == ([] if kind == "non_hybrid" else [f"{kind}_margin"])
+
+
 def test_a_margin_of_more_reset_angles_is_traced_for_them(monkeypatch, paper_gains,
                                                           paper_inertia):
     # the number of reset angles is part of a margin's structure: a loop with
