@@ -6,6 +6,8 @@ a generic flow/jump solver, and Lyapunov instrumentation that certifies the
 decrease properties numerically.
 """
 
+__version__ = "0.1.0"  # set before the submodules import it
+
 from .errors import ConfigError, ContractError, SolverError
 from .so3 import (
     angle_axis,
@@ -72,4 +74,3 @@ from .scenarios import (
     validate_scenario,
 )
 
-__version__ = "0.1.0"

@@ -23,10 +23,18 @@ included for comparisons.
 
 Each law is written once, as its loop's `_rates`: the flow and the torque,
 composed of component-wise kernels (`*_f`) on floats (see `so3`), with one
-torque kernel, `torque_f`, for every law.  The closed loops evaluate them on
-the state as a tuple of floats and draw and apply the measurement noise in
-floats; after a run they evaluate the same kernels once more on the
-recorded states as column arrays to fill the recorded columns.
+torque kernel, `torque_f`, for every law.  A law applies the torque
+tau = Upsilon_m - (feedback), Upsilon_m the feedforward at the measured
+rotation, and its flow reads tau relative to the feedforward Upsilon at the
+true rotation: `torque_f` over Upsilon_m - Upsilon (see `rigid_body`).  With
+exact measurements that difference is the constant zero, so the closed loop
+is J omegadot_e = Sigma(omega_e) omega_e - (feedback): the rates do not
+read Upsilon, and the compiled step, which keeps only the operations its
+result depends on, never evaluates it; `torque` and the recorded torque
+columns do.  The closed loops evaluate the kernels on the state as a tuple
+of floats and draw and apply the measurement noise in floats; after a run
+they evaluate the same kernels once more on the recorded states as column
+arrays to fill the recorded columns.
 
 The step is compiled.  `flow` evaluates `_rates` as written, after the
 reference velocity and acceleration checks, and `torque` reads it too.
@@ -204,7 +212,7 @@ def _picks(values, thetas, where) -> tuple:
 
 
 def torque_f(ups, k1: float, v1, k2: float, v2) -> tuple:
-    """ups - k1 v1 - k2 v2: the torque of every law.
+    """ups - k1 v1 - k2 v2: the torque of every law, and its difference from the feedforward.
 
     The basic law (and, with the warp angle frozen, the non-hybrid baseline)
     passes 2 k_R and the rotation gradient, then k_omega and the velocity
@@ -416,9 +424,20 @@ class _TrackingLoop(HybridSystem):
         )
         return Rm, wem, ups_m
 
-    def _accel(self, omega_e, a, Ja, ups, tau) -> tuple:
+    @staticmethod
+    def _torques(ups, ups_m, meas, *feedback) -> tuple:
+        """(applied torque, torque minus the feedforward ups at the true rotation), by `torque_f`.
+
+        The applied torque is `torque_f(ups_m, *feedback)`; the error dynamics
+        read `torque_f(ups_m - ups, *feedback)`, with the difference the
+        constant zero for exact measurements, so that the flow never reads ups.
+        """
+        d = _ZERO_F if meas is None else (ups_m[0] - ups[0], ups_m[1] - ups[1], ups_m[2] - ups[2])
+        return torque_f(ups_m, *feedback), torque_f(d, *feedback)
+
+    def _accel(self, omega_e, a, Ja, tau_rel) -> tuple:
         J = self.inertia
-        return error_accel_f(omega_e, a, Ja, ups, tau, J.J_diag, J.J_inv_diag)
+        return error_accel_f(omega_e, a, Ja, tau_rel, J.J_diag, J.J_inv_diag)
 
     def _kinetic(self, omega_e) -> float:
         J0, J1, J2 = self.inertia.J_diag
@@ -628,9 +647,9 @@ class BasicLoop(_TrackingLoop):
         a, Ja, ups = self._feedforward(Re, wr, z)
         Rm, wem, ups_m = self._measured(Re, we, wr, z, a, ups, meas)
         g0, g1, g2, g_th = gradients_f(diag_mul_f(p.A_diag, Rm), y[self.THETA], p, xp)
-        tau = torque_f(ups_m, 2.0 * gn.k_R, (g0, g1, g2), gn.k_omega, wem)
+        tau, tau_rel = self._torques(ups, ups_m, meas, 2.0 * gn.k_R, (g0, g1, g2), gn.k_omega, wem)
         th_dot = -gn.k_theta * g_th if self.warp_angles else 0.0
-        return (*mat_skew_f(Re, we), th_dot, *self._accel(we, a, Ja, ups, tau), *z), tau
+        return (*mat_skew_f(Re, we), th_dot, *self._accel(we, a, Ja, tau_rel), *z), tau
 
     def _monitor(self, v, xp=math):
         p = self.params
@@ -719,14 +738,14 @@ class SmoothLoop(_TrackingLoop):
         Rm, wem, ups_m = self._measured(Re, we, wr, z, a, ups, meas)
         AR = diag_mul_f(p.A_diag, Rm)
         g0, g1, g2, g_th = gradients_f(AR, th, p, xp)
-        tau = torque_f(ups_m, 2.0 * gn.k_R, zeta, gn.k_omega, wem)
+        tau, tau_rel = self._torques(ups, ups_m, meas, 2.0 * gn.k_R, zeta, gn.k_omega, wem)
         th_dot = -gn.k_theta * g_th
         k = -gn.k_zeta
         zdot = (k * (zeta[0] - g0), k * (zeta[1] - g1), k * (zeta[2] - g2))
         if self.relaxed:
             r = grad_rotation_rate_f(AR, th, wem, th_dot, p, xp)
             zdot = tuple(zdot[i] + r[i] + wem[i] / gn.rho for i in range(3))
-        return (*mat_skew_f(Re, we), th_dot, *self._accel(we, a, Ja, ups, tau), *z, *zdot), tau
+        return (*mat_skew_f(Re, we), th_dot, *self._accel(we, a, Ja, tau_rel), *z, *zdot), tau
 
     def _value_w(self, AR, W, theta, y):
         """The filtered value: the jump resets theta to its least value, not the potential's."""
@@ -785,14 +804,15 @@ class VelocityFreeLoop(_TrackingLoop):
             ups_m = self._feedforward(Rm, wr, z)[2]
         a0, a1, a2, a_th = gradients_f(diag_mul_f(p.A_diag, Rm), y[self.THETA], p, xp)
         b0, b1, b2, b_th = gradients_f(diag_mul_f(p.A_diag, Rtm), y[self.THETA_BAR], p, xp)
-        tau = torque_f(ups_m, 2.0 * gn.k_R, (a0, a1, a2), 2.0 * gn.k_beta, (b0, b1, b2))
+        tau, tau_rel = self._torques(ups, ups_m, meas,
+                                     2.0 * gn.k_R, (a0, a1, a2), 2.0 * gn.k_beta, (b0, b1, b2))
         G = gn.Gamma_diag
         beta = (G[0] * b0, G[1] * b1, G[2] * b2)
         if meas is not None:
             beta = mat_vec_f(meas.E, beta)
         return (
             *mat_skew_f(Re, we), -gn.k_theta * a_th,
-            *self._accel(we, a, Ja, ups, tau), *z,
+            *self._accel(we, a, Ja, tau_rel), *z,
             *mat_skew_f(Rt, (we[0] - beta[0], we[1] - beta[1], we[2] - beta[2])),
             -gn.k_theta * b_th,
         ), tau

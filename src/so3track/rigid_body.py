@@ -3,6 +3,16 @@
 The feedforward and coupling terms of the error dynamics are written once, as
 component-wise kernels (`*_f`) on floats (see `so3`), which read the inertia
 J and J^-1 as their diagonal entries, as `Inertia` holds them.
+
+The error dynamics are J omegadot_e = Sigma(omega_e) omega_e - Upsilon + tau,
+with the feedforward Upsilon = J R_e^T z + a x J a, a = R_e^T omega_r, at the
+true error rotation.  The tracking laws apply tau = Upsilon_m - (feedback),
+Upsilon_m the feedforward at the measured rotation, so `error_accel_f` takes
+the torque relative to the true feedforward, tau - Upsilon = (Upsilon_m -
+Upsilon) - (feedback).  With exact measurements Upsilon_m is Upsilon, the
+difference is zero, and the closed loop is J omegadot_e = Sigma(omega_e)
+omega_e - (feedback): the flow does not read Upsilon, and the compiled exact
+step never evaluates it (see `controllers`).
 """
 
 from __future__ import annotations
@@ -155,13 +165,18 @@ def coupling_times_f(omega_e, a, Ja, J) -> tuple:
     )
 
 
-def error_accel_f(omega_e, a, Ja, ups, tau, J, J_inv) -> tuple:
-    """omegadot_e = J^-1 (Sigma omega_e - ups + tau), ups the feedforward at R."""
+def error_accel_f(omega_e, a, Ja, tau_rel, J, J_inv) -> tuple:
+    """omegadot_e = J^-1 (Sigma omega_e + tau_rel), tau_rel the torque minus the feedforward at R.
+
+    J omegadot_e = Sigma omega_e - ups + tau with ups the feedforward at the
+    true rotation R; a law passes tau - ups, which it forms without ups where
+    its feedforward is taken at R itself.
+    """
     s0, s1, s2 = coupling_times_f(omega_e, a, Ja, J)
     return (
-        J_inv[0] * (s0 - ups[0] + tau[0]),
-        J_inv[1] * (s1 - ups[1] + tau[1]),
-        J_inv[2] * (s2 - ups[2] + tau[2]),
+        J_inv[0] * (s0 + tau_rel[0]),
+        J_inv[1] * (s1 + tau_rel[1]),
+        J_inv[2] * (s2 + tau_rel[2]),
     )
 
 

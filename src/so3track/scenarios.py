@@ -11,13 +11,16 @@ contend for the interpreter lock); all files are written after the last one.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+import platform
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .controllers import LOOP_CLASSES, Gains, NoiseModel, make_loop
 from .errors import ConfigError, ContractError
 from .hybrid import SolverConfig, solve
@@ -391,8 +394,31 @@ def simulate_member(cfg: ScenarioConfig, member: MemberSpec) -> MemberResult:
     return MemberResult(member=member, loop=loop, arc=arc, report=report)
 
 
+def run_record(res: MemberResult) -> dict:
+    """What a member run was and what it did, as `run_scenario` writes it to `<stem>_run.json`.
+
+    The member, the versions it ran on, the arc's status and solver counts
+    (`SolverStats`), and the certificate's verdicts with its failures.  It
+    holds no wall time, so a replay writes the same bytes.
+    """
+    m, rep = res.member, res.report
+    verdicts = ("flow_monotone_ok", "jump_drops_ok", "jump_count_ok", "torque_continuity_ok")
+    return {
+        "member": {"label": m.label, "controller": m.controller, "gamma": m.gamma, "seed": m.seed},
+        "versions": {"so3track": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
+        "status": res.arc.status,
+        "stats": asdict(res.arc.stats),
+        "certificate": {
+            "passed": rep.passed,
+            **{k: getattr(rep, k) for k in verdicts},
+            "failures": rep.failures,
+        },
+    }
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir, *, plots: bool = True) -> ScenarioResult:
-    """Run all members in turn, certify, and write CSVs, reports, and charts."""
+    """Run all members in turn, certify, and write CSVs, run records, reports, and charts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = [simulate_member(cfg, m) for m in cfg.members]
@@ -402,6 +428,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *, plots: bool = True) -> Scenari
         res.csv_path = out_dir / f"{stem}.csv"
         write_csv(res.csv_path, res.arc, footer_lines=res.report.lines())
         (out_dir / f"{stem}_cert.txt").write_text(res.report.as_text())
+        (out_dir / f"{stem}_run.json").write_text(json.dumps(run_record(res), indent=2) + "\n")
         if plots:
             write_member_plots(out_dir, stem, res.arc)
         summary_lines.append(

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +111,27 @@ def test_run_writes_expected_artifacts(tmp_path, capsys):
         vals = [float(c) for c in cells]
         assert all(np.isfinite(v) for v in vals)
         assert vals[12] in (0.0, 1.0)  # in_jump_set flag
+
+
+def test_run_writes_a_run_record_that_replays(tmp_path):
+    cfg = write_cfg(tmp_path, MINI)
+    for out in ("a", "b"):
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / out), "--no-plots"]) == 0
+    record = (tmp_path / "a" / "mini_0_basic_run.json").read_bytes()
+    rec = json.loads(record)
+    assert rec["member"] == {"label": "0_basic", "controller": "basic",
+                             "gamma": 0.7092482854963644, "seed": 7}
+    assert rec["versions"] == {"so3track": st.__version__, "python": platform.python_version(),
+                               "numpy": np.__version__}
+    assert rec["status"] == "t_max"
+    stats = rec["stats"]
+    assert stats["steps"] == 500  # t_max = 0.5 at dt = 1e-3
+    assert stats["step_calls"] == (stats["steps"] + stats["refine_evals"] + stats["crossings"]
+                                   + stats["rolled_back"])
+    assert rec["certificate"] == {"passed": True, "flow_monotone_ok": True, "jump_drops_ok": True,
+                                  "jump_count_ok": True, "torque_continuity_ok": None,
+                                  "failures": []}
+    assert (tmp_path / "b" / "mini_0_basic_run.json").read_bytes() == record
 
 
 def test_run_no_plots_flag(tmp_path):

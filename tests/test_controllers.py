@@ -333,6 +333,23 @@ def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains
 
 
 @pytest.mark.parametrize("kind", LAWS)
+def test_exact_flow_cancels_the_feedforward(kind, paper_params, paper_gains, paper_inertia):
+    # with exact measurements the applied feedforward cancels the -Upsilon of
+    # the error dynamics, so the velocity-error rates do not read z at all:
+    # two references that differ only in z give the same bits
+    loops = [st.make_loop(kind, paper_params, paper_gains, paper_inertia,
+                          st.make_reference(name, m_bound=2.0, omega_r_bound=25.0))
+             for name in ("paper_sine", "rest")]
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        y = tuple(pack(kind, random_loop_state(kind, rng)).tolist())
+        t = rng.uniform(0.0, 10.0)
+        sine, rest = (loop.flow(t, y, None) for loop in loops)
+        assert sine[OMEGA_E] == rest[OMEGA_E]
+        assert sine[OMEGA_E.stop:OMEGA_E.stop + 3] != rest[OMEGA_E.stop:OMEGA_E.stop + 3]
+
+
+@pytest.mark.parametrize("kind", LAWS)
 def test_noisy_flow_applies_public_torque_at_measured_state(
     kind, paper_params, paper_gains, paper_inertia
 ):

@@ -25,12 +25,14 @@ def rk4(f, y, h):
 def error_rates(Re, omega_e, omega_r, z, tau, inertia):
     """(Rdot_e, omegadot_e) from the package kernels.
 
-    Rdot_e = R_e skew(omega_e) and J omegadot_e = Sigma omega_e - Upsilon + tau.
+    Rdot_e = R_e skew(omega_e) and J omegadot_e = Sigma omega_e - Upsilon + tau:
+    `error_accel_f` takes the torque relative to the feedforward, tau - Upsilon.
     """
     R, we = floats(Re), floats(omega_e)
     a, Ja = shared_terms_f(R, floats(omega_r), inertia.J_diag)
     ups = feedforward_f(R, floats(z), a, Ja, inertia.J_diag)
-    wdot = error_accel_f(we, a, Ja, ups, floats(tau), inertia.J_diag, inertia.J_inv_diag)
+    tau_rel = tuple(t - u for t, u in zip(floats(tau), ups))
+    wdot = error_accel_f(we, a, Ja, tau_rel, inertia.J_diag, inertia.J_inv_diag)
     return np.array(mat_skew_f(R, we)).reshape(3, 3), np.array(wdot)
 
 
