@@ -69,7 +69,20 @@ branch on data, the least reset value and the largest gap, are written once,
 in `_picks`, over a `where`: a conditional expression for floats and
 `np.where` for columns.  The margin stays a kernel of its own, not part of
 the step, since a kernel past 256 locals pays an `EXTENDED_ARG` on each
-access to the ones past it (see `straightline`).  `project` stays interpreted.
+access to the ones past it (see `straightline`).  A run shorter than
+MARGIN_BATCH_MIN samples takes `jump_margin` sample by sample instead, which
+is cheaper there and gives the same bits.
+
+The record pass goes through `_compile` as well: `_recorded`, the applied
+torque, the potential and the monitor, is traced once per process for each
+(law, `relaxed`, measurement kind) and bound to `ARRAY_MATH`, so the flow
+rates that `_rates` computes beside the torque drop out of it.  z enters as
+an input, computed and norm-checked by `z_at` outside, as are the clamped
+distance columns (`rot_distance_f`) and the pass-through state columns.  A
+pass over 1 024 rows takes 0.8 ms for the basic law and 1.3 to 1.5 ms for
+the noisy velocity-free one, against 1.35 and 2.5 ms with `_columns`
+interpreted on the columns (best of 25, 2-core box).  `project` stays
+interpreted.
 """
 
 from __future__ import annotations
@@ -121,6 +134,13 @@ _ZERO_F = (0.0, 0.0, 0.0)
 
 # Steps per block of measurement noise: a block is 3 x 1024 normals per noisy channel.
 NOISE_BLOCK = 1024
+
+# Samples from which `jump_margins` runs the margin trace on columns.  On 16 to
+# 32 samples a batch call costs 57 to 150 us, nearly all of it fixed, and the
+# scalar margins 2.3 to 5 us a sample (best of 30, 2-core box): the two break
+# even at 24 to 32 samples for every law, so a shorter batch is taken sample
+# by sample.
+MARGIN_BATCH_MIN = 32
 
 # The traced kernels of each loop structure, keyed by (loop class, kernel
 # name, *structure) (see `_TrackingLoop._compile`).  A trace depends on
@@ -299,6 +319,7 @@ class _TrackingLoop(HybridSystem):
         self._steps = {}  # the compiled step by (exact measurement, reference function)
         self._margins = {}  # the compiled margin values by exact measurement
         self._margin_columns = {}  # the same, bound to (n,) columns
+        self._records = {}  # the compiled `_recorded`, bound to (n,) columns, by exact measurement
         self._threshold = params.delta  # the gap at which a warp angle jumps
 
     @classmethod
@@ -532,13 +553,23 @@ class _TrackingLoop(HybridSystem):
         """Values of the columns a loop adds to the shared ones."""
         return ()
 
-    def _columns(self, t, v, meas, in_jump, xp=math) -> tuple:
-        """The recorded columns at state v under measurement meas."""
+    def _recorded(self, v, meas, z, xp=math) -> tuple:
+        """(applied torque, potential, monitor) at state v: what `record` runs compiled."""
         U, lyap = self._monitor(v, xp)
-        tau = self._rates(v, meas, self.reference.z_at(t, xp), xp)[1]
+        return (*self._rates(v, meas, z, xp)[1], U, lyap)
+
+    def _columns(self, t, v, meas, in_jump, xp=math, recorded=None) -> tuple:
+        """The recorded columns at state v under measurement meas.
+
+        recorded(v, meas, z) gives the values of `_recorded`; by default it
+        is `_recorded` interpreted, and `record` passes it compiled.
+        """
+        z = self.reference.z_at(t, xp)
+        tau0, tau1, tau2, U, lyap = (recorded(v, meas, z) if recorded else
+                                     self._recorded(v, meas, z, xp))
         return (
             rot_distance_f(v[self.R_E], xp), v[self.THETA], *v[self.OMEGA_E],
-            tau[0], tau[1], tau[2], U, lyap,
+            tau0, tau1, tau2, U, lyap,
             in_jump * 1.0,
             *self._extra_columns(v, xp),
         )
@@ -555,10 +586,23 @@ class _TrackingLoop(HybridSystem):
         n = columns(noise)
         return Measurement(tuple(n[0:9]), tuple(n[9:12]))
 
+    def _compile_record(self, exact: bool):
+        """`_recorded`, compiled for (`relaxed`, exact) and bound to (n,) columns.
+
+        z is an input, so the trace serves every reference function, and
+        `z_at` checks its norm outside.
+        """
+        return self._compile((self.relaxed, exact),
+                             lambda loop, xp, meas, v, z: loop._recorded(v, meas, z, xp), "record",
+                             xp=ARRAY_MATH, v=self.WIDTH, meas=None if exact else (9, 3), z=3)
+
     def record(self, t, states, noise, in_jump):
-        """All recorded columns in one pass of the kernels over the column arrays."""
+        """All recorded columns in one pass over the column arrays, with `_recorded` compiled."""
+        fn = self._records.get(noise is None)
+        if fn is None:
+            fn = self._records[noise is None] = self._compile_record(noise is None)
         return self._columns(t, columns(states), self._measurement_columns(noise), in_jump,
-                             ARRAY_MATH)
+                             ARRAY_MATH, fn)
 
     def lyapunov_packed(self, y) -> float:
         """The loop's monitor at packed state y."""
@@ -605,9 +649,13 @@ class _TrackingLoop(HybridSystem):
     def jump_margins(self, t, states, noise, meas):
         """`jump_margin` of each sample, by the same margin trace bound to columns.
 
-        The columns' overflows and invalid operations give the inf and NaN
-        that floats give, without numpy's warnings.
+        Fewer than MARGIN_BATCH_MIN samples take `jump_margin` one by one,
+        which gives the same bits.  The columns' overflows and invalid
+        operations give the inf and NaN that floats give, without numpy's
+        warnings.
         """
+        if len(t) < MARGIN_BATCH_MIN:
+            return HybridSystem.jump_margins(self, t, states, noise, meas)
         fn = self._margin_columns.get(noise is None)
         if fn is None:
             fn = self._margin_columns[noise is None] = self._compile_values(noise is None,

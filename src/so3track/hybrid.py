@@ -25,8 +25,10 @@ sample is taken once more alone, with its margins after it, which refines
 the crossing, jumps or raises as every step did before.  A step that raised
 ends its run, and its error is raised only if no event comes before it.  So
 the arc, its jumps and the errors are those of checking every step alone.
-A run is RUN_FIRST steps after an event and doubles after each clean run,
-up to RECORD_BATCH.
+The first run is RUN_FIRST steps.  A run whose first event lies k steps in
+is followed by a run of 2k steps, at least one and at most RUN_FIRST, so
+events a few steps apart discard a few steps each, not a whole run; a clean
+run doubles the next, up to RECORD_BATCH.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ from .errors import ContractError, SolverError
 # longest run of flow steps, whose margins are taken as one batch.
 RECORD_BATCH = 1024
 
-# Flow steps in the first run and in the run after a rollback (see `solve`).
-# On the closed loops, the batch margins of a run break even with per-sample
-# margins at about 18 noisy or 33 exact samples, and cost a tenth of them
-# at 1024; jumps come in bursts early in a member, where a longer first run
-# would discard more steps at each rollback.
+# Flow steps in the first run, and the most in the run after a rollback (see
+# `solve`).  On the closed loops, the batch margins of a run cost a tenth of
+# per-sample margins at 1024 samples; jumps come in bursts early in a member,
+# where a longer first run would discard more steps at each rollback.
 RUN_FIRST = 32
 
 # More jumps than this at one instant, with no flow in between, stop the run.
@@ -465,7 +466,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 del noise[keep * noise_bytes:]
             meas = taken[k]
             replay.extendleft(reversed(taken[k + 1:]))
-            run = RUN_FIRST
+            run = min(RUN_FIRST, max(1, 2 * k))
             alone = True
             continue
         alone = False

@@ -394,17 +394,23 @@ def simulate_member(cfg: ScenarioConfig, member: MemberSpec) -> MemberResult:
     return MemberResult(member=member, loop=loop, arc=arc, report=report)
 
 
-def run_record(res: MemberResult) -> dict:
+def run_record(cfg: ScenarioConfig, res: MemberResult) -> dict:
     """What a member run was and what it did, as `run_scenario` writes it to `<stem>_run.json`.
 
-    The member, the versions it ran on, the arc's status and solver counts
-    (`SolverStats`), and the certificate's verdicts with its failures.  It
-    holds no wall time, so a replay writes the same bytes.
+    The member, the scenario's config keys as resolved (defaults and
+    overrides in; `scenario_from_mapping` rebuilds cfg from them), the
+    versions it ran on, the arc's status and solver counts (`SolverStats`),
+    and the certificate's verdicts with its failures.  It holds no wall
+    time, so a replay writes the same bytes.
     """
     m, rep = res.member, res.report
     verdicts = ("flow_monotone_ok", "jump_drops_ok", "jump_count_ok", "torque_continuity_ok")
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.metadata}
+    config["controllers"] = [member.controller for member in cfg.members]
+    config["gammas"] = [member.gamma for member in cfg.members]
     return {
         "member": {"label": m.label, "controller": m.controller, "gamma": m.gamma, "seed": m.seed},
+        "config": config,
         "versions": {"so3track": __version__, "python": platform.python_version(),
                      "numpy": np.__version__},
         "status": res.arc.status,
@@ -428,7 +434,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *, plots: bool = True) -> Scenari
         res.csv_path = out_dir / f"{stem}.csv"
         write_csv(res.csv_path, res.arc, footer_lines=res.report.lines())
         (out_dir / f"{stem}_cert.txt").write_text(res.report.as_text())
-        (out_dir / f"{stem}_run.json").write_text(json.dumps(run_record(res), indent=2) + "\n")
+        (out_dir / f"{stem}_run.json").write_text(json.dumps(run_record(cfg, res), indent=2) + "\n")
         if plots:
             write_member_plots(out_dir, stem, res.arc)
         summary_lines.append(

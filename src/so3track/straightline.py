@@ -7,6 +7,11 @@ function once on symbolic floats (`Var`), which record every operation they
 take part in, and emits one Python function that evaluates the recorded
 expressions directly:
 
+  * an operation that repeats an earlier one, the same op on the same
+    operands, is emitted once (value numbering): the two `t + h/2` stages
+    of an RK4 step evaluate the reference once, and the basic law's exact
+    step drops from 1 084 to 1 060 binary operations and from 20 to 17
+    math calls;
   * a node used once is folded into the expression that uses it, with only
     the parentheses that its grouping needs; only nodes used more than once
     become locals;
@@ -201,6 +206,34 @@ def _visit(v, uses: dict, order: list, stop: dict) -> None:
         order.append(v)
 
 
+def _numbered(outputs):
+    """outputs, with each operation node that repeats an earlier one replaced by that one.
+
+    Value numbering: in order, operands first, a node whose op and operands
+    (after their own replacement) are those of an earlier node is replaced
+    by it, in the operands of every later node (in place) and in outputs.
+    Constants are the same operand when their reprs are, so 0.0 and -0.0
+    stay apart.  A node and its repeat compute the same bits, so the merged
+    DAG does too.
+    """
+    _, order = _graph(_flatten(outputs), {})
+    first, same = {}, {}  # (op, *operand keys) -> its first node; id of a repeat -> that node
+    for v in order:
+        v.args = args = tuple([same.get(id(a), a) for a in v.args])
+        key = (v.op, *[id(a) if type(a) is Var else (type(a), repr(a)) for a in args])
+        u = first.setdefault(key, v)
+        if u is not v:
+            same[id(v)] = u
+    return _replaced(outputs, same)
+
+
+def _replaced(outputs, same: dict):
+    # A function of its own, not a closure: see `_visit`.
+    if type(outputs) is tuple or type(outputs) is list:
+        return tuple(_replaced(o, same) for o in outputs)
+    return same.get(id(outputs), outputs)
+
+
 def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
     """(source text, constants, math function names) of a function of `inputs` returning `outputs`.
 
@@ -342,7 +375,7 @@ def trace(fn, name: str, parameters: dict | None = None, **shapes) -> Traced:
     leaves, flat = [], []
     stand_ins = {arg: _Parameters(arg, obj, leaves, flat) for arg, obj in parameters.items()}
     inputs = {arg: _inputs(arg, shape) for arg, shape in shapes.items()}
-    outputs = fn(XP, **stand_ins, **inputs)
+    outputs = _numbered(fn(XP, **stand_ins, **inputs))
     bound = _bound_nodes(outputs, {id(v) for v in flat})
     emitted = _emit(name, inputs, outputs, bound)
     bind_emitted = _emit("bind", {"p": tuple(flat)}, bound)

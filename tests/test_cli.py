@@ -132,6 +132,16 @@ def test_run_writes_a_run_record_that_replays(tmp_path):
                                   "jump_count_ok": True, "torque_continuity_ok": None,
                                   "failures": []}
     assert (tmp_path / "b" / "mini_0_basic_run.json").read_bytes() == record
+    # the recorded config keys rebuild the scenario, and a run of the rebuilt
+    # config replays the record and the CSV byte for byte
+    rebuilt = st.scenario_from_mapping(rec["config"])
+    assert rebuilt == st.load_scenario(cfg)
+    member = rebuilt.members[0]
+    assert rec["member"] == {"label": member.label, "controller": member.controller,
+                             "gamma": member.gamma, "seed": member.seed}
+    st.run_scenario(rebuilt, tmp_path / "c", plots=False)
+    for name in ("mini_0_basic_run.json", "mini_0_basic.csv"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 def test_run_no_plots_flag(tmp_path):

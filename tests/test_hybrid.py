@@ -398,14 +398,30 @@ class Cliff(HybridSystem):
 @pytest.mark.parametrize("offset", ("first", "second", "last"))
 def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset, monkeypatch):
     # the crossing lies inside the step into the run's first, second or last
-    # sample and is refined there; each reset starts a run at the clock's zero
+    # sample and is refined there; each reset starts a run at the clock's zero.
+    # The first run has RUN_FIRST steps, and each run after a rollback twice
+    # the event's offset k (at least one, at most RUN_FIRST)
     dt = 1e-3
     k = {"first": 0, "second": 1, "last": hybrid.RUN_FIRST - 1}[offset]
     cfg = st.SolverConfig(dt=dt, t_max=0.7, j_max=40)
     alone, runs = solve_alone_and_in_runs(monkeypatch, Cliff((k + 0.5) * dt), [0.0], cfg)
     assert_same_arcs(alone, runs)
     assert runs.jumps and runs.stats.crossings == len(runs.jumps)
-    assert runs.stats.rolled_back == len(runs.jumps) * (hybrid.RUN_FIRST - k)
+    after = min(hybrid.RUN_FIRST, max(1, 2 * k))
+    assert runs.stats.rolled_back == (hybrid.RUN_FIRST - k) + (len(runs.jumps) - 1) * (after - k)
+
+
+def test_an_event_every_step_rolls_back_few_steps(monkeypatch):
+    # a clock reset half a step after each jump, so every run after a rollback
+    # finds its event at its first sample; that run has one step, and the
+    # step calls outside refinement stay within 3 x (steps + jumps).  A run
+    # of RUN_FIRST steps after every rollback made 1 360 (40 steps, 40 jumps).
+    # Refinement evaluates 56 states per crossing here, whatever the runs are
+    cfg = st.SolverConfig(dt=1e-3, t_max=0.7, j_max=40)
+    arc = st.solve(Cliff(0.5e-3), np.array([0.0]), cfg)
+    stats = arc.stats
+    assert (stats.steps, len(arc.jumps)) == (40, 40)
+    assert stats.step_calls - stats.refine_evals <= 3 * (stats.steps + len(arc.jumps))
 
 
 @pytest.mark.parametrize("event_first", (True, False))
@@ -478,10 +494,11 @@ def test_draws_after_a_rollback_are_replayed(monkeypatch):
     assert [(ev.t, ev.j_before, ev.meas) for ev in runs.jumps] == [(2.5, 0, ((10.0,),))]
     # hand counts: a run of 32 steps finds the event at its tenth sample and
     # discards 23 steps; step 10 is taken alone, with its two margins, then the
-    # jump's margin; two clean runs of 32 and 58 steps end at t_max
+    # jump's margin; clean runs of 18 (twice the event's offset 9), 36 and 36
+    # steps end at t_max
     assert runs.stats == hybrid.SolverStats(
-        steps=100, step_calls=123, runs=3, rolled_back=23, margins_batched=2 * (32 + 32 + 58),
-        margins_scalar=4, refine_evals=0, crossings=0)
+        steps=100, step_calls=123, runs=4, rolled_back=23,
+        margins_batched=2 * (32 + 18 + 36 + 36), margins_scalar=4, refine_evals=0, crossings=0)
     assert alone.stats.rolled_back == 1 and alone.stats.margins_batched == 2 * 100
 
 

@@ -2,6 +2,7 @@
 structure, traced from `HybridSystem.step` over each loop's `_rates` and from
 each loop's `_values`, and the emitter behind them."""
 
+import ast
 import dataclasses
 import math
 
@@ -13,7 +14,7 @@ import so3track as st
 from so3track import controllers, straightline
 from so3track.errors import SolverError
 from so3track.hybrid import HybridSystem
-from so3track.so3 import floats
+from so3track.so3 import ARRAY_MATH, columns, floats
 
 LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
 # (law, relaxed filter) for every loop structure
@@ -196,12 +197,61 @@ def test_batch_margins_match_the_float_margin_bit_for_bit(kind, noisy, resets, m
     want = [loop.jump_margin(tt, tuple(y.tolist()), m) for tt, y, m in zip(t, S, meas)]
     assert bits(want) == bits([margin_oracle.margin(loop, tuple(y.tolist()), m)
                                for y, m in zip(S, meas)])
-    got = loop.jump_margins(t, S, noise, meas)
-    assert got.shape == (len(S),) and got.tobytes() == bits(want)
+    # a run shorter than MARGIN_BATCH_MIN takes the scalar margins, binding no
+    # columns; the whole batch, past it, the columns
+    short = slice(len(S) - (controllers.MARGIN_BATCH_MIN - 1), None)
+    assert short.start > 0
+    for rows, bound in ((short, []), (slice(None), [] if kind == "non_hybrid" else [not noisy])):
+        got = loop.jump_margins(t[rows], S[rows], None if noise is None else noise[rows],
+                                meas[rows])
+        assert got.shape == (len(want[rows]),) and got.tobytes() == bits(want[rows])
+        assert list(loop._margin_columns) == bound
     assert HybridSystem.jump_margins(loop, t, S, noise, meas).tobytes() == bits(want)
     if kind != "non_hybrid":
         assert {m >= 0.0 for m in want} == {False, True} and any(m != m for m in want)
     assert calls == ([] if kind == "non_hybrid" else [f"{kind}_margin"])
+
+
+def recorded_columns_state(kind, rng, at_identity):
+    """A packed state, or one whose rotations sit at or just past the identity.
+
+    Past it, the trace of R exceeds 3 and the recorded distance clamps.
+    """
+    y = random_state(kind, rng)
+    if at_identity:
+        eye = np.eye(3) * (1.0 + 2.0**-52 * rng.integers(2))
+        y[st.BasicLoop.R_E] = eye.ravel()
+        if kind == "velocity_free":
+            y[st.VelocityFreeLoop.R_TILDE] = eye.ravel()
+    return y
+
+
+@pytest.mark.parametrize("kind, relaxed", STRUCTURES)
+@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
+def test_compiled_record_matches_the_interpreted_columns_bit_for_bit(kind, relaxed, noisy,
+                                                                     monkeypatch, paper_params,
+                                                                     paper_gains, paper_inertia):
+    # `record` runs `_recorded` traced and bound to columns; the interpreted
+    # `_columns` on the same columns gives the same bits in every column, at
+    # seeded states and at the identity, where the distance clamps outside
+    # the trace.  A relaxed filter gets a record trace of its own
+    calls = count_traces(monkeypatch)
+    loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia)
+    rng = np.random.default_rng(47)
+    S = np.array([recorded_columns_state(kind, rng, i % 8 == 0) for i in range(40)])
+    t = rng.uniform(0.0, 10.0, len(S))
+    noise = None
+    if noisy:
+        noise = np.array([[*m.E, *m.n_omega] for m in (random_measurement(rng) for _ in S)])
+    in_jump = rng.integers(2, size=len(S)).astype(bool)
+    got = loop.record(t, S, noise, in_jump)
+    want = loop._columns(t, columns(S), loop._measurement_columns(noise), in_jump, ARRAY_MATH)
+    assert len(got) == len(want) == len(loop.columns)
+    for name, a, b in zip(loop.columns, got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert (got[0][::8] == 0.0).all()  # the distance at the identity
+    assert calls == [f"{kind}_record"]
+    assert (type(loop), "record", relaxed, not noisy) in controllers._TRACES
 
 
 def test_a_margin_of_more_reset_angles_is_traced_for_them(monkeypatch, paper_gains,
@@ -310,6 +360,11 @@ def test_compiled_code_looks_up_no_names(kind, relaxed, paper_params, paper_gain
             assert values.__name__ == f"{kind}_margin"
             traced = controllers._TRACES[(type(loop), "margin", exact, 1)]
             assert traced._bind.__code__.co_names == ()
+        record = loop._compile_record(exact)
+        assert record.__code__.co_names == ()
+        assert record.__name__ == f"{kind}_record"
+        traced = controllers._TRACES[(type(loop), "record", relaxed, exact)]
+        assert traced._bind.__code__.co_names == ()
 
 
 def test_trace_refuses_what_needs_a_value():
@@ -422,15 +477,16 @@ def test_emitter_reuses_the_name_of_a_dead_local():
 def test_emitter_writes_only_the_parentheses_the_grouping_needs():
     # each grouping below gives other bits when regrouped, so the values check
     # that the text keeps it; -(a * b) equals (-a) * b in IEEE arithmetic, so
-    # only its text is checked
+    # only its text is checked.  No two expressions share an operation, which
+    # value numbering would emit once, as a local, and not inline
     def fn(xp, x):
-        a, b, c = x
-        return (a - (b - c), a / (b * c), -(a * b), a * (b * c), (a - b) - c, a * b + c,
-                -(a - b), a - -b)
+        a, b, c, d = x
+        return (a - (b - c), a / (b * c), -(a * b), a * (b * d), (a - b) - c, a * d + c,
+                -(a - d), a - -b)
 
-    traced = straightline.trace(fn, "f", x=3)
-    for text in ("x0 - (x1 - x2)", "x0 / (x1 * x2)", "-(x0 * x1)", "x0 * (x1 * x2)",
-                 "x0 - x1 - x2", "x0 * x1 + x2", "-(x0 - x1)", "x0 - -x1"):
+    traced = straightline.trace(fn, "f", x=4)
+    for text in ("x0 - (x1 - x2)", "x0 / (x1 * x2)", "-(x0 * x1)", "x0 * (x1 * x3)",
+                 "x0 - x1 - x2", "x0 * x3 + x2", "-(x0 - x3)", "x0 - -x1"):
         assert text in traced.source
     a, b, c = 1.0, 1e-16, -1e-16
     assert a - (b - c) != (a - b) - c
@@ -438,11 +494,95 @@ def test_emitter_writes_only_the_parentheses_the_grouping_needs():
     assert 1.0 / (3.0 * 3.0) != 1.0 / 3.0 * 3.0
     assert -(1.0 - 1e-16) != -1.0 - 1e-16
     f = traced.bind()
-    for x in ((a, b, c), (0.1, 0.2, 0.3), (1.0, 3.0, 3.0)):
-        a_, b_, c_ = x
-        want = (a_ - (b_ - c_), a_ / (b_ * c_), -(a_ * b_), a_ * (b_ * c_), (a_ - b_) - c_,
-                a_ * b_ + c_, -(a_ - b_), a_ - -b_)
+    for x in ((a, b, c, b), (0.1, 0.2, 0.3, 0.3), (1.0, 3.0, 3.0, 3.0)):
+        a_, b_, c_, d_ = x
+        want = (a_ - (b_ - c_), a_ / (b_ * c_), -(a_ * b_), a_ * (b_ * d_), (a_ - b_) - c_,
+                a_ * d_ + c_, -(a_ - d_), a_ - -b_)
         assert bits(f(x)) == bits(want)
+
+
+def repeated_operations(source: str, constants=()) -> list:
+    """The operations of an emitted function that repeat an earlier one's op and operands.
+
+    A local stands for the value last assigned to it, and each c_i for the
+    repr of constants[i]; so an operation is one value-numbered node of the
+    traced DAG, and a repeat one that value numbering would have merged.
+    """
+    numbers = {}  # (op, *operand numbers) or a name -> value number
+    names = {f"c_{i}": numbers.setdefault(("c", repr(c)), len(numbers))
+             for i, c in enumerate(constants)}
+    repeats = []
+
+    def number(node) -> int:
+        if isinstance(node, ast.Name):
+            if node.id not in names:  # an input
+                names[node.id] = numbers.setdefault(node.id, len(numbers))
+            return names[node.id]
+        if isinstance(node, ast.BinOp):
+            key = (type(node.op).__name__, number(node.left), number(node.right))
+        elif isinstance(node, ast.UnaryOp):
+            key = ("neg", number(node.operand))
+        else:
+            key = (node.func.id, number(node.args[0]))
+        if key in numbers:
+            repeats.append(ast.unparse(node))
+        return numbers.setdefault(key, len(numbers))
+
+    for stmt in ast.parse(source).body[0].body:
+        if isinstance(stmt, ast.Return):
+            for node in ast.walk(stmt.value):  # the returned expressions, not their tuples
+                if isinstance(node, ast.Tuple):
+                    for e in node.elts:
+                        if not isinstance(e, ast.Tuple):
+                            number(e)
+        elif isinstance(stmt.targets[0], ast.Name):  # a local; unpacked inputs are names
+            names[stmt.targets[0].id] = number(stmt.value)
+    return repeats
+
+
+def test_checker_finds_repeated_operations():
+    # the same text is the same operation only while its locals hold the same
+    # values, and two constants are the same operand when their reprs are
+    source = ("def f(x0, x1, c_0, c_1):\n"
+              "    t_0 = x0 * x1\n"
+              "    t_1 = t_0 + x0\n"
+              "    t_0 = x1 - x0\n"
+              "    return (t_0 + x0, t_1, x0 * x1 + c_0, x0 * x1 + c_1, -sin(x1), sin(x1), )\n")
+    repeats = ["x0 * x1", "x0 * x1", "sin(x1)"]
+    assert repeated_operations(source, (2.0, 3.0)) == repeats
+    assert repeated_operations(source, (-0.0, 0.0)) == repeats
+    assert repeated_operations(source, (2.0, 2.0)) == ["x0 * x1", "x0 * x1", "x0 * x1 + c_1",
+                                                       "sin(x1)"]
+
+
+def test_a_repeated_expression_is_emitted_once():
+    def fn(xp, x):
+        a = x[0] * x[1]
+        b = x[0] * x[1]
+        return (a + 2.0, b - xp.sin(x[0]), xp.sin(x[0]) * 2.0)
+
+    traced = straightline.trace(fn, "f", x=2)
+    assert traced.source.count(" * ") == 2 and traced.source.count("sin(") == 1
+    assert repeated_operations(traced.source, traced._constants) == []
+    x = (0.3, -1.7)
+    assert bits(traced.bind()(x)) == bits((x[0] * x[1] + 2.0, x[0] * x[1] - math.sin(x[0]),
+                                           math.sin(x[0]) * 2.0))
+
+
+def test_no_kernel_repeats_an_operation(monkeypatch, paper_params, paper_gains, paper_inertia):
+    # every step, margin and record kernel of the four laws, exact and noisy
+    count_traces(monkeypatch)
+    for kind, relaxed in STRUCTURES:
+        loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia)
+        for exact in (True, False):
+            loop._compile_step(exact, PAPER_SINE.z_fn)
+            loop._compile_record(exact)
+            if kind != "non_hybrid":
+                loop._compile_values(exact)
+    # a step and a record per structure, a margin per hybrid law, each exact and noisy
+    assert len(controllers._TRACES) == 2 * (2 * len(STRUCTURES) + 3)
+    for key, traced in controllers._TRACES.items():
+        assert repeated_operations(traced.source, traced._constants) == [], key
 
 
 def count_traces(monkeypatch) -> list:
@@ -529,15 +669,18 @@ def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
         "delta_prime": 0.05,
         "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.005,
     }) for i in range(8)]
-    # `solve` takes the margin at the initial state before the first step; a
-    # loop without a warp angle traces no margin
-    traced = [f"{law}_step"] if law == "non_hybrid" else [f"{law}_margin", f"{law}_step"]
+    # `solve` takes the margin at the initial state before the first step and
+    # records the arc after the last; a loop without a warp angle traces no margin
+    traced = ([f"{law}_step", f"{law}_record"] if law == "non_hybrid" else
+              [f"{law}_margin", f"{law}_step", f"{law}_record"])
     for _ in range(2):
         runs = [st.simulate_member(cfg, cfg.members[0]) for cfg in cfgs]
         assert calls == traced
     steps = {step for run in runs for step in run.loop._steps.values()}
     assert len({s.__code__ for s in steps}) == 1 and len(steps) == 8
     assert len({s.__defaults__ for s in steps}) == (1 if law == "non_hybrid" else 8)
+    records = {r for run in runs for r in run.loop._records.values()}
+    assert len({r.__code__ for r in records}) == 1 and len(records) == 8
     margins = {m for run in runs for m in run.loop._margins.values()}
     if law == "non_hybrid":
         assert margins == set()
