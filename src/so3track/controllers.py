@@ -32,9 +32,10 @@ is J omegadot_e = Sigma(omega_e) omega_e - (feedback): the rates do not
 read Upsilon, and the compiled step, which keeps only the operations its
 result depends on, never evaluates it; `torque` and the recorded torque
 columns do.  The closed loops evaluate the kernels on the state as a tuple
-of floats and draw and apply the measurement noise in floats; after a run
-they evaluate the same kernels once more on the recorded states as column
-arrays to fill the recorded columns.
+of floats and apply the measurement noise in floats, drawn and exponentiated
+a block at a time on columns; after a run they evaluate the same kernels
+once more on the recorded states as column arrays to fill the recorded
+columns.
 
 The step is compiled.  `flow` evaluates `_rates` as written, after the
 reference velocity and acceleration checks, and `torque` reads it too.
@@ -64,10 +65,11 @@ each (law, measurement kind, number of reset angles), with `theta_set` among
 the parameters, so the reset rotations are evaluated once per loop, at the
 binding.  The one trace is bound twice: to `math`, for `jump_margin` and
 `jump` on a state's floats, and to `ARRAY_MATH`, for `jump_margins` on the
-(n,) columns of a run's samples (see `hybrid.solve`).  The two picks that
-branch on data, the least reset value and the largest gap, are written once,
-in `_picks`, over a `where`: a conditional expression for floats and
-`np.where` for columns.  The margin stays a kernel of its own, not part of
+(n,) columns of a run's samples (see `hybrid.solve`); the second binding
+takes the first one's parameter values.  The two picks that branch on data,
+the least reset value and the largest gap, are written once, in `_picks`,
+over a `where`: a conditional expression for floats and `np.where` for
+columns.  The margin stays a kernel of its own, not part of
 the step, since a kernel past 256 locals pays an `EXTENDED_ARG` on each
 access to the ones past it (see `straightline`).  A run shorter than
 MARGIN_BATCH_MIN samples takes `jump_margin` sample by sample instead, which
@@ -117,6 +119,7 @@ from .rigid_body import (
 )
 from .so3 import (
     ARRAY_MATH,
+    choose,
     columns,
     diag_floats,
     diag_mul_f,
@@ -134,6 +137,10 @@ _ZERO_F = (0.0, 0.0, 0.0)
 
 # Steps per block of measurement noise: a block is 3 x 1024 normals per noisy channel.
 NOISE_BLOCK = 1024
+# Rows of a block turned into floats at a time.  A whole block's 12 288 floats
+# at once raised a fig4 member's traced peak by 0.14 MB over drawing float by
+# float; 256 rows do not, at the same cost per draw.
+NOISE_ROWS = 256
 
 # Samples from which `jump_margins` runs the margin trace on columns.  On 16 to
 # 32 samples a batch call costs 57 to 150 us, nearly all of it fixed, and the
@@ -204,11 +211,6 @@ def filtered_value_w_f(AR, W, theta: float, zeta, p: PotentialParams, rho: float
     return value_w_f(AR, W, theta, p) + rho * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
-def _choose(c, a, b):
-    """a where c holds, else b: `np.where` for one float."""
-    return a if c else b
-
-
 def _picks(values, thetas, where) -> tuple:
     """The jump rule's two picks on the values of `_TrackingLoop._values`: (largest gap, picks).
 
@@ -216,7 +218,7 @@ def _picks(values, thetas, where) -> tuple:
     least value.  The least reset value is the first in `thetas` order that
     is below every earlier one, so ties go to the first and a NaN value is
     never the least; once a gap is NaN, the largest stays NaN.  Written once
-    for floats (where = `_choose`) and for (n,) columns (where = `np.where`).
+    for floats (where = `choose`) and for (n,) columns (where = `np.where`).
     """
     largest = -math.inf
     picks = []
@@ -394,25 +396,33 @@ class _TrackingLoop(HybridSystem):
     def measurements(self, rng):
         """None for ever without noise; else a Measurement per step, from blocks of normals.
 
-        Each block is `rng.standard_normal((NOISE_BLOCK, k))` over the k
-        channels whose sigma is positive (3 each, attitude first), scaled as
-        `0.0 + sigma * z`: the values, in the order, of a `rng.normal(0.0,
-        sigma, 3)` call per channel and step.
+        rng is a Generator or a seed (see `HybridSystem`); the generator
+        `np.random.default_rng(rng)` is made only under a noise model, so a
+        noise-free run never imports `numpy.random`.  Each block is
+        `standard_normal((NOISE_BLOCK, k))` over the k channels whose sigma is
+        positive (3 each, attitude first), scaled as `0.0 + sigma * z`: the
+        values, in the order, of a `normal(0.0, sigma, 3)` call per channel
+        and step.  The block's attitude noise is exponentiated on its columns,
+        which become floats NOISE_ROWS rows at a time.
         """
         n = self.noise
         if n is None:
             return repeat(None)
-        return self._noise(rng, n)
+        return self._noise(np.random.default_rng(rng), n)
 
     @staticmethod
     def _noise(rng, n: NoiseModel):
         scale = np.repeat([s for s in (n.sigma_R, n.sigma_omega) if s > 0.0], 3)
         while True:
             # The block's columns: the attitude channel's first, the velocity's last.
-            cols = (0.0 + scale * rng.standard_normal((NOISE_BLOCK, scale.size))).T.tolist()
-            E = map(exp_so3_f, *cols[:3]) if n.sigma_R > 0.0 else repeat(_EYE_F, NOISE_BLOCK)
-            nw = zip(*cols[-3:]) if n.sigma_omega > 0.0 else repeat(_ZERO_F, NOISE_BLOCK)
-            yield from map(Measurement, E, nw)
+            cols = (0.0 + scale * rng.standard_normal((NOISE_BLOCK, scale.size))).T
+            E = exp_so3_f(*cols[:3], ARRAY_MATH, np.where) if n.sigma_R > 0.0 else None
+            nw = cols[-3:] if n.sigma_omega > 0.0 else None
+            for k in range(0, NOISE_BLOCK, NOISE_ROWS):
+                at = slice(k, k + NOISE_ROWS)
+                Ek = zip(*[e[at].tolist() for e in E]) if E else repeat(_EYE_F, NOISE_ROWS)
+                nk = zip(*nw[:, at].tolist()) if nw is not None else repeat(_ZERO_F, NOISE_ROWS)
+                yield from map(Measurement, Ek, nk)
 
     def project(self, y):
         out = list(y)
@@ -499,7 +509,7 @@ class _TrackingLoop(HybridSystem):
             return HybridSystem.step(self, t, y, h, meas)
         return y_h
 
-    def _compile(self, structure: tuple, method, name: str, xp=math, **shapes):
+    def _compile(self, structure: tuple, method, name: str, xp=math, like=None, **shapes):
         """`method` traced once per process for this loop's class and `structure`, bound here.
 
         method(loop, xp, meas, **inputs) runs on a stand-in loop that holds
@@ -507,7 +517,9 @@ class _TrackingLoop(HybridSystem):
         Measurement, or None where its shape is None (exact).  `structure`
         names all else the trace depends on; the compiled function takes the
         inputs of `shapes` by position, in their order, and calls the math
-        functions of `xp`.
+        functions of `xp`.  `like`, a function this loop already bound from
+        the same trace, lends its parameter values, so they are not evaluated
+        again (`straightline.Traced.rebind`).
         """
         cls, relaxed = type(self), self.relaxed
         objects = dict(params=self.params, gains=self.gains, inertia=self.inertia)
@@ -522,7 +534,7 @@ class _TrackingLoop(HybridSystem):
 
             traced = _TRACES[key] = straightline.trace(kernel, f"{self.kind}_{name}",
                                                        parameters=objects, **shapes)
-        return traced.bind(xp, **objects)
+        return traced.bind(xp, **objects) if like is None else traced.rebind(like, xp)
 
     def _compile_step(self, exact: bool, z_fn):
         """`HybridSystem.step` over `_rates` and `z_fn`, compiled for (`relaxed`, exact, z_fn).
@@ -633,18 +645,26 @@ class _TrackingLoop(HybridSystem):
     def _compile_values(self, exact: bool, xp=math):
         """`_values`, compiled for (exact, number of reset angles), calling xp's math.
 
-        One trace serves floats (`math`) and (n,) columns (`ARRAY_MATH`).
+        One trace serves floats (`math`) and (n,) columns (`ARRAY_MATH`); the
+        columns take the parameter values bound for floats, so a loop
+        evaluates them once.
         """
         return self._compile((exact, len(self.params.theta_set)),
                              lambda loop, xp, meas, y: loop._values(y, meas, xp), "margin",
-                             xp=xp, y=self.WIDTH, meas=None if exact else (9, 3))
+                             xp=xp, like=None if xp is math else self._margin(exact),
+                             y=self.WIDTH, meas=None if exact else (9, 3))
+
+    def _margin(self, exact: bool):
+        """The compiled `_values` on floats, bound at its first use."""
+        fn = self._margins.get(exact)
+        if fn is None:
+            fn = self._margins[exact] = self._compile_values(exact)
+        return fn
 
     def jump_margin(self, t, y, meas):
         """The largest gap minus the threshold: NaN if a gap is NaN, -inf without a warp angle."""
-        fn = self._margins.get(meas is None)
-        if fn is None:
-            fn = self._margins[meas is None] = self._compile_values(meas is None)
-        return _picks(fn(y, meas), self.params.theta_set, _choose)[0] - self._threshold
+        values = self._margin(meas is None)(y, meas)
+        return _picks(values, self.params.theta_set, choose)[0] - self._threshold
 
     def jump_margins(self, t, states, noise, meas):
         """`jump_margin` of each sample, by the same margin trace bound to columns.
@@ -674,7 +694,7 @@ class _TrackingLoop(HybridSystem):
         if not self.jump_margin(t, y, meas) >= 0.0:
             raise SolverError(f"the {self.kind} jump map was applied outside the jump set")
         out = list(y)
-        picks = _picks(self._margins[meas is None](y, meas), self.params.theta_set, _choose)[1]
+        picks = _picks(self._margins[meas is None](y, meas), self.params.theta_set, choose)[1]
         for (g, best), (_, _, i) in zip(picks, self.warp_angles):
             if g >= self._threshold:
                 out[i] = best

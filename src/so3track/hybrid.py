@@ -98,7 +98,11 @@ class HybridSystem:
 
     Measurement contract: `measurements(rng)` gives an iterator, and `solve`
     takes one item from it before the first sample and one after each flow
-    step; the item is the measurement in force until the next one.  Items
+    step; the item is the measurement in force until the next one.  rng is
+    what the caller gave `solve`, a `numpy.random.Generator` or a seed, and
+    a system that draws makes its generator with `np.random.default_rng(rng)`,
+    which returns a Generator as it is; a system that does not draw leaves it
+    alone, so its runs never import `numpy.random`.  Items
     drawn after a step that a rollback discards are kept and taken again, in
     order, after the steps that replace it, so the arc's measurements are
     the iterator's items in order, whatever was rolled back.  The default
@@ -278,6 +282,11 @@ def detect_crossing(scalar_before: float, scalar_after: float, refine, dt: float
 def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc:
     """Integrate a hybrid system from y0 until t_max or j_max.
 
+    rng, a `numpy.random.Generator` or a seed, 0 when it is None (the
+    default), goes to `system.measurements` as it is: a system that draws
+    noise makes its generator from it, and none is made for a system that
+    does not draw.
+
     Raises SolverError, carrying the hybrid time t and jump count j, when the
     jump margin is not a number (the state then lies in neither set), when
     more than MAX_JUMPS_PER_INSTANT jumps occur without any flow in between
@@ -292,12 +301,10 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     jumps and the errors are those of checking every step alone, and
     `arc.stats` counts the work.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     y = system.project(tuple(np.asarray(y0, dtype=float).tolist()))
     t = 0.0
     j = 0
-    draws = system.measurements(rng)
+    draws = system.measurements(0 if rng is None else rng)
     replay = deque()  # measurements drawn by a rolled-back run, taken again in order
     meas = next(draws)
     stats = SolverStats()

@@ -388,8 +388,7 @@ class ScenarioResult:
 def simulate_member(cfg: ScenarioConfig, member: MemberSpec) -> MemberResult:
     """Run one member and certify its arc; no files are written."""
     loop, y0 = build_member(cfg, member)
-    rng = np.random.default_rng(member.seed)
-    arc = solve(loop, y0, cfg.solver, rng)
+    arc = solve(loop, y0, cfg.solver, member.seed)
     report = certify_arc(arc, loop)
     return MemberResult(member=member, loop=loop, arc=arc, report=report)
 

@@ -140,21 +140,28 @@ def rot_distance_f(r, xp=math) -> float:
     return xp.sqrt(0.25 * tr)
 
 
-def exp_so3_f(w0: float, w1: float, w2: float) -> tuple:
+def choose(c, a, b):
+    """a where c holds, else b: `np.where` for one float."""
+    return a if c else b
+
+
+def exp_so3_f(w0, w1, w2, xp=math, where=choose) -> tuple:
     """exp(skew(w)) as 9 floats: I + a W + b W^2 with W^2 = w w^T - |w|^2 I.
 
     Rodrigues coefficients a = sin(t)/t and b = (1 - cos(t))/t^2, t = |w|, with
-    a series below t = 1e-6 to avoid the cancellation in sin(t)/t.
+    a series below t = 1e-6 to avoid the cancellation in sin(t)/t.  Written
+    once for floats and for (n,) columns (xp = ARRAY_MATH, where = np.where),
+    with the same bits in each element.  Both branches are evaluated; the
+    closed form at t = 1 wherever the series is taken, so w = 0 divides by
+    no zero.
     """
     s0, s1, s2 = w0 * w0, w1 * w1, w2 * w2
-    t = math.sqrt(s0 + s1 + s2)
+    t = xp.sqrt(s0 + s1 + s2)
     t2 = t * t
-    if t < 1e-6:
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / t2
+    small = t < 1e-6
+    u = where(small, 1.0, t)
+    a = where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, xp.sin(u) / u)
+    b = where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - xp.cos(u)) / (u * u))
     aw0, aw1, aw2 = a * w0, a * w1, a * w2
     b01, b02, b12 = b * (w0 * w1), b * (w0 * w2), b * (w1 * w2)
     return (

@@ -403,3 +403,33 @@ def test_non_finite_initial_monitor_is_a_config_error(tmp_path, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == ("config error: member 0_basic: the jump-count bound "
                                            "V(0) / jump_drop = inf / 0.486 is not finite\n")
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+import so3track as st
+
+def short(name):
+    text = st.bundled_scenarios()[name].read_text()
+    return st.scenario_from_mapping({**st.parse_config_text(text), "t_max": 0.05})
+
+fig3, fig4 = short("fig3"), short("fig4")
+st.simulate_member(fig3, fig3.members[0])
+st.run_scenario(fig3, sys.argv[1])
+print("numpy.random" in sys.modules)
+st.simulate_member(fig4, fig4.members[0])
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_only_a_noisy_run_imports_numpy_random(tmp_path):
+    # the generator is made where noise is drawn: a noise-free member and a
+    # fig3 scenario run with its files never import numpy.random (+6 MB of
+    # resident memory), and fig4's noisy member does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, str(tmp_path / "out")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
+    assert (tmp_path / "out" / "fig3_0_basic_dist.svg").is_file()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -105,6 +106,7 @@ class Strict(HybridSystem):
         return y
 
     def measurements(self, rng):
+        rng = np.random.default_rng(rng)
         while True:
             yield ((float(rng.normal()),),)
 
@@ -264,6 +266,27 @@ def test_deterministic_replay_with_noise(paper_params, paper_inertia, paper_gain
     b = st.solve(loop, y0, cfg, np.random.default_rng(42))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.data, b.data)
+
+
+def arc_bits(arc) -> tuple:
+    """Everything an arc holds, as bytes and plain values."""
+    return (arc.t.tobytes(), arc.j.tobytes(), arc.data.tobytes(), arc.states.tobytes(),
+            [(ev.t, ev.j_before, ev.y_pre.tobytes(), ev.y_post.tobytes(), ev.meas)
+             for ev in arc.jumps], arc.status, arc.stats)
+
+
+def test_a_seed_and_its_generator_give_the_same_arc(fig4_cfg):
+    # `solve` hands the loop its rng as given, and a noisy loop makes its
+    # generator with np.random.default_rng: a seed and the generator of that
+    # seed draw the same noise, and no rng at all is the seed 0
+    cfg = dataclasses.replace(fig4_cfg, t_max=0.3)
+    loop, y0 = st.build_member(cfg, cfg.members[1])
+    assert loop.noise is not None
+    seeded = st.solve(loop, y0, cfg.solver, 7)
+    assert seeded.jumps and seeded.stats.rolled_back > 0
+    assert arc_bits(seeded) == arc_bits(st.solve(loop, y0, cfg.solver, np.random.default_rng(7)))
+    assert arc_bits(st.solve(loop, y0, cfg.solver)) == arc_bits(st.solve(loop, y0, cfg.solver, 0))
+    assert arc_bits(st.solve(loop, y0, cfg.solver)) != arc_bits(seeded)
 
 
 def test_step_halving_changes_little(fig3_cfg):

@@ -687,3 +687,36 @@ def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
     else:  # each member binds its own theta_set
         assert len({m.__code__ for m in margins}) == 1 and len(margins) == 8
         assert len({m.__defaults__ for m in margins}) == 8
+
+
+def test_a_loop_evaluates_each_kernels_parameters_once(monkeypatch, fig4_cfg):
+    # a noisy velocity_free member binds its step, its record and its margin
+    # twice (floats and columns); the parameter values of each trace are
+    # evaluated once per loop, the columns' margin taking the floats' values
+    count_traces(monkeypatch)
+    evaluated = []
+    original = straightline.Traced.__init__
+
+    def init(traced, *args, **kwargs):
+        original(traced, *args, **kwargs)
+        inner = traced._bind
+
+        def spy(p):
+            evaluated.append(traced.name)
+            return inner(p)
+
+        traced._bind = spy
+
+    monkeypatch.setattr(straightline.Traced, "__init__", init)
+    cfg = dataclasses.replace(fig4_cfg, t_max=0.2)
+    member = next(m for m in cfg.members if m.controller == "velocity_free")
+    kernels = ["velocity_free_margin", "velocity_free_record", "velocity_free_step"]
+    for n in (1, 2):
+        res = st.simulate_member(cfg, member)
+        assert res.arc.stats.margins_batched > 0 and list(res.loop._margin_columns) == [False]
+        assert sorted(evaluated) == sorted(kernels * n)
+    loop = res.loop
+    f, cols = loop._margins[False], loop._margin_columns[False]
+    calls = len(controllers._TRACES[type(loop), "margin", False, len(loop.params.theta_set)]._calls)
+    assert f.__code__ is cols.__code__ and calls > 0
+    assert f.__defaults__[:-calls] == cols.__defaults__[:-calls]
