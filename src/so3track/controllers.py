@@ -39,7 +39,7 @@ columns.
 
 The step is compiled.  `flow` evaluates `_rates` as written, after the
 reference velocity and acceleration checks, and `torque` reads it too.
-`step`, which `solve` calls, runs one RK4 step as one straight-line
+`step` runs one RK4 step as one straight-line
 function (see `straightline`): `HybridSystem.step`, the one RK4 source,
 traced on symbolic floats over `_rates` and the reference's `z_fn`.  A step
 then costs its arithmetic and little else: no kernel calls, tuple packing,
@@ -58,6 +58,11 @@ checks branch on data, so the compiled step returns the norms they test, and
 `step` checks them after the call; where one fails, or the compiled code
 raises, the step is taken again through `flow`, which raises the error with
 its message and time.
+
+`solve` takes the steps of its runs through the run hook, `flow_steps`: one
+call of a compiled run (see `runs`), made once per process for each loop
+class and measurement kind and kept in `_TRACES`, takes up to a whole run of
+steps, each as `solve`, `step` and `project` would.
 
 The jump rule's values go through `_compile` too: `_values`, the value of
 each warp angle and of every reset angle, is traced once per process for
@@ -110,6 +115,7 @@ from .potential import (
     value_w_f,
     warp_rotation_f,
 )
+from .runs import run_function
 from .rigid_body import (
     Inertia,
     Reference,
@@ -150,8 +156,10 @@ NOISE_ROWS = 256
 MARGIN_BATCH_MIN = 32
 
 # The traced kernels of each loop structure, keyed by (loop class, kernel
-# name, *structure) (see `_TrackingLoop._compile`).  A trace depends on
-# nothing else, so every loop of one structure in the process shares it.
+# name, *structure) (see `_TrackingLoop._compile`), and the compiled run of
+# flow steps of each loop class and measurement kind (`_compile_run`).  A
+# trace depends on nothing else, so every loop of one structure in the
+# process shares it.
 _TRACES: dict = {}
 
 
@@ -488,6 +496,14 @@ class _TrackingLoop(HybridSystem):
         self.reference.check_omega_r(y[self.OMEGA_R], t)
         return self._rates(y, meas, self.reference.z_at(t))[0]
 
+    def _step_function(self, exact: bool):
+        """The compiled step for exact or noisy measurements and the reference's `z_fn`."""
+        key = (exact, self.reference.z_fn)
+        fn = self._steps.get(key)
+        if fn is None:
+            fn = self._steps[key] = self._compile_step(*key)
+        return fn
+
     def step(self, t, y, h, meas):
         """`HybridSystem.step` on `flow`, run as this loop's compiled step, with the same bits.
 
@@ -496,12 +512,8 @@ class _TrackingLoop(HybridSystem):
         at the stage and time it does.
         """
         ref = self.reference
-        key = (meas is None, ref.z_fn)
-        fn = self._steps.get(key)
-        if fn is None:
-            fn = self._steps[key] = self._compile_step(*key)
         try:
-            y_h, (w1, z1, w2, z2, w3, z3, w4, z4) = fn(t, y, h, meas)
+            y_h, (w1, z1, w2, z2, w3, z3, w4, z4) = self._step_function(meas is None)(t, y, h, meas)
         except (ValueError, ArithmeticError):  # which error comes first is the stages' order
             return HybridSystem.step(self, t, y, h, meas)
         w, m = ref.omega_r_bound * ref.omega_r_bound, ref.m_bound
@@ -556,6 +568,24 @@ class _TrackingLoop(HybridSystem):
 
         return self._compile((self.relaxed, exact, z_fn), rk4, "step",
                              t=(), y=self.WIDTH, h=(), meas=None if exact else (9, 3))
+
+    def flow_steps(self, n, t, y, meas, t_max, dt, out):
+        """The run hook (see `HybridSystem`): up to n steps in one call of the compiled run."""
+        ref, exact = self.reference, meas is None
+        # The step is traced before the run is made: the other order raised
+        # the peak resident memory of a fig3 scenario run by about 0.35 MB.
+        step = self._step_function(exact)
+        w = ref.omega_r_bound
+        return self._compile_run(exact)(n, t, y, meas, t_max, dt, w * w, ref.m_bound, step, *out)
+
+    def _compile_run(self, exact: bool):
+        """The compiled run of flow steps (see `runs`) of this class, made once per process."""
+        key = (type(self), "run", exact)
+        run = _TRACES.get(key)
+        if run is None:
+            run = _TRACES[key] = run_function(f"{self.kind}_run", self.WIDTH,
+                                              self.rotation_slices, exact)
+        return run
 
     def _monitor(self, v, xp=math) -> tuple:
         """(potential at the error rotation, monitor value) at state v."""

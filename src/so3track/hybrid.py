@@ -29,6 +29,13 @@ The first run is RUN_FIRST steps.  A run whose first event lies k steps in
 is followed by a run of 2k steps, at least one and at most RUN_FIRST, so
 events a few steps apart discard a few steps each, not a whole run; a clean
 run doubles the next, up to RECORD_BATCH.
+
+A system may take the steps of a run itself, through its run hook
+`HybridSystem.flow_steps`: each call takes as many of the run's steps as it
+can finish as `solve` would, with the same bits, and stops before any other,
+which `solve` then takes through `system.step` and `system.project`, raising
+or not as it would.  The closed loops take them in one compiled call (see
+`controllers`); the default hook takes none.
 """
 
 from __future__ import annotations
@@ -60,6 +67,9 @@ MAX_JUMPS_PER_INSTANT = 10
 
 # Evenly spaced points at which `detect_crossing` scans a step for a sign change.
 CROSSING_SCANS = 64
+
+# The integration ends once t_max - t is at most END_GAP.
+END_GAP = 1e-12
 
 
 @dataclass
@@ -128,6 +138,11 @@ class HybridSystem:
     rolls the run back, so `step` and `project` may have run on states that
     the arc does not keep: they must not depend on how often they were
     called.
+
+    Run hook: `flow_steps` may take a run's flow steps itself, each with the
+    bits and the outcome of `step`, the finiteness test and `project`; it
+    stops before a step where it cannot, and `solve` takes that step.  The
+    default takes none.
     """
 
     kind: str = "generic"
@@ -171,6 +186,25 @@ class HybridSystem:
     def project(self, y: tuple) -> tuple:
         return y
 
+    def flow_steps(self, n: int, t: float, y: tuple, meas, t_max: float, dt: float,
+                   out: tuple) -> tuple:
+        """The run hook: up to n flow steps from (t, y) under meas; (k, t, y, meas) after k of them.
+
+        Each step is one of `solve`'s: of length dt, or t_max - t if that is
+        shorter, and none once t_max - t <= END_GAP; `step`, the finiteness
+        test, then `project`.  After each step the hook records its sample
+        and takes the next measurement, through the buffers of
+        out = (add_t, add_state, pack_state, add_noise, pack_noise, take,
+        replay, draws, keep): add_t(t), add_state(pack_state(*y)) with the
+        projected state, add_noise(pack_noise(...)) with the measurement the
+        step used, flattened, unless add_noise is None; then meas = take()
+        if replay else next(draws), and keep(meas).  `solve` records the
+        samples' j and flags.  The hook stops before a step that it cannot
+        finish with `solve`'s bits and outcome, and `solve` takes that step.
+        The default takes no step.
+        """
+        return 0, t, y, meas
+
     def measurements(self, rng):
         return repeat(None)
 
@@ -205,13 +239,14 @@ class SolverStats:
     """
 
     steps: int = 0  # accepted flow steps
-    step_calls: int = 0  # calls of `system.step`
+    step_calls: int = 0  # flow steps taken, by `system.step` or the run hook
     runs: int = 0  # runs of flow steps, each with one `jump_margins` call
     rolled_back: int = 0  # step calls of runs that a rollback discarded
     margins_batched: int = 0  # margins taken by `jump_margins`, per sample and measurement
     margins_scalar: int = 0  # margins taken by `jump_margin`, refinement included
     refine_evals: int = 0  # margins taken by `detect_crossing` inside a step
     crossings: int = 0  # crossings located inside a step, each re-stepped to
+    handed_back: int = 0  # steps of runs that the run hook left to `system.step`
 
 
 @dataclass
@@ -297,9 +332,9 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     size too large for the gains); an error of a flow step also carries the
     step length h.
 
-    Flow steps are taken in runs (see the module docstring); the arc, the
-    jumps and the errors are those of checking every step alone, and
-    `arc.stats` counts the work.
+    Flow steps are taken in runs, through the system's run hook where it
+    takes them (see the module docstring); the arc, the jumps and the errors
+    are those of checking every step alone, and `arc.stats` counts the work.
     """
     y = system.project(tuple(np.asarray(y0, dtype=float).tolist()))
     t = 0.0
@@ -322,6 +357,10 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         noise_struct = Struct(f"{sum(map(len, meas))}d")
         pack_noise, noise_bytes = noise_struct.pack, noise_struct.size
     jumps: list[JumpEvent] = []
+    # What the run hook records with, but for the list of a run's measurements.
+    out = (ts.append, states.extend, pack_state,
+           None if noise is None else noise.extend, None if noise is None else pack_noise,
+           replay.popleft, replay, draws)
 
     def sample(in_jump: bool):
         ts.append(t)
@@ -423,7 +462,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             sample(in_jump)
             continue
         remaining = t_max - t
-        if remaining <= 1e-12:
+        if remaining <= END_GAP:
             status = "t_max"
             break
         if not alone:
@@ -432,10 +471,19 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             n0 = len(ts)
             taken = [meas]
             held = None
-            for _ in range(run):
+            left = run
+            while left:
+                k, t, y, meas = system.flow_steps(left, t, y, meas, t_max, dt,
+                                                  (*out, taken.append))
+                js.extend(repeat(j, k))
+                flags.extend(repeat(False, k))
+                stats.step_calls += k
+                left -= k
                 remaining = t_max - t
-                if remaining <= 1e-12:
+                if not left or remaining <= END_GAP:
                     break
+                # The hook stopped before this step.
+                stats.handed_back += 1
                 h = dt if dt < remaining else remaining
                 try:
                     y_new = advance(h)
@@ -447,6 +495,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 sample(False)
                 meas = replay.popleft() if replay else next(draws)
                 taken.append(meas)
+                left -= 1
             n = len(ts) - n0
             if not n:  # the run's first step raised
                 raise held

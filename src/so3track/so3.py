@@ -171,39 +171,60 @@ def exp_so3_f(w0, w1, w2, xp=math, where=choose) -> tuple:
     )
 
 
+# `orthonormalize_f` returns R once every drift entry lies within DRIFT_DONE,
+# and takes no Newton-Schulz pass past DRIFT_SAFE.
+DRIFT_DONE = 1e-15
+DRIFT_SAFE = 1e-4
+NS_PASSES = 3  # the most Newton-Schulz passes of one `orthonormalize_f`
+
+
+def drift_f(r) -> tuple:
+    """The drift D = R^T R - I of a 9-float R, symmetric: (d00, d11, d22, d01, d02, d12)."""
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    return (
+        r0 * r0 + r3 * r3 + r6 * r6 - 1.0,
+        r1 * r1 + r4 * r4 + r7 * r7 - 1.0,
+        r2 * r2 + r5 * r5 + r8 * r8 - 1.0,
+        r0 * r1 + r3 * r4 + r6 * r7,
+        r0 * r2 + r3 * r5 + r6 * r8,
+        r1 * r2 + r4 * r5 + r7 * r8,
+    )
+
+
+def newton_schulz_f(r, d) -> tuple:
+    """One Newton-Schulz pass R (3 I - R^T R) / 2 = R (I - D / 2), with d = `drift_f(r)`."""
+    d00, d11, d22, d01, d02, d12 = d
+    return mat_mul_f(r, (
+        1.0 - 0.5 * d00, -0.5 * d01, -0.5 * d02,
+        -0.5 * d01, 1.0 - 0.5 * d11, -0.5 * d12,
+        -0.5 * d02, -0.5 * d12, 1.0 - 0.5 * d22,
+    ))
+
+
 def orthonormalize_f(r) -> tuple:
     """Per-step drift correction of a 9-float R toward its symmetric polar factor.
 
-    Newton-Schulz iterations R (3 I - R^T R) / 2 converge quadratically to the
-    polar factor; for the tiny drifts produced by one integration step a
-    single pass reaches machine precision.  R is returned as it is once
-    R^T R - I is within 1e-15 entrywise; drifts beyond 1e-4, outside the
-    iteration's safe range, fall back to the exact factor `project_to_so3`.
-    ContractError where R^T R - I has an entry that is not finite.
+    Newton-Schulz iterations (`newton_schulz_f`) converge quadratically to
+    the polar factor; for the tiny drifts produced by one integration step a
+    single pass reaches machine precision.  R is returned as it is once its
+    drift is within DRIFT_DONE entrywise, and after NS_PASSES passes; drifts
+    beyond DRIFT_SAFE, outside the iteration's safe range, fall back to the
+    exact factor `project_to_so3`.  ContractError where the drift has an
+    entry that is not finite.  The closed loops' compiled runs of flow steps
+    take the same passes and tests (see `controllers`).
     """
-    for _ in range(3):
-        r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-        # D = R^T R - I, symmetric.
-        d00 = r0 * r0 + r3 * r3 + r6 * r6 - 1.0
-        d11 = r1 * r1 + r4 * r4 + r7 * r7 - 1.0
-        d22 = r2 * r2 + r5 * r5 + r8 * r8 - 1.0
-        d01 = r0 * r1 + r3 * r4 + r6 * r7
-        d02 = r0 * r2 + r3 * r5 + r6 * r8
-        d12 = r1 * r2 + r4 * r5 + r7 * r8
-        if (-1e-15 <= d00 <= 1e-15 and -1e-15 <= d11 <= 1e-15 and -1e-15 <= d22 <= 1e-15
-                and -1e-15 <= d01 <= 1e-15 and -1e-15 <= d02 <= 1e-15
-                and -1e-15 <= d12 <= 1e-15):
+    lo, hi, s_lo, s_hi = -DRIFT_DONE, DRIFT_DONE, -DRIFT_SAFE, DRIFT_SAFE
+    for _ in range(NS_PASSES):
+        d = d00, d11, d22, d01, d02, d12 = drift_f(r)
+        if (lo <= d00 <= hi and lo <= d11 <= hi and lo <= d22 <= hi
+                and lo <= d01 <= hi and lo <= d02 <= hi and lo <= d12 <= hi):
             return r
-        if not (-1e-4 <= d00 <= 1e-4 and -1e-4 <= d11 <= 1e-4 and -1e-4 <= d22 <= 1e-4
-                and -1e-4 <= d01 <= 1e-4 and -1e-4 <= d02 <= 1e-4 and -1e-4 <= d12 <= 1e-4):
-            if not all(map(math.isfinite, (d00, d11, d22, d01, d02, d12))):
+        if not (s_lo <= d00 <= s_hi and s_lo <= d11 <= s_hi and s_lo <= d22 <= s_hi
+                and s_lo <= d01 <= s_hi and s_lo <= d02 <= s_hi and s_lo <= d12 <= s_hi):
+            if not all(map(math.isfinite, d)):
                 raise ContractError("orthonormalize_f: the drift R^T R - I is not finite")
             return tuple(floats(project_to_so3(np.array(r).reshape(3, 3))))
-        r = mat_mul_f(r, (
-            1.0 - 0.5 * d00, -0.5 * d01, -0.5 * d02,
-            -0.5 * d01, 1.0 - 0.5 * d11, -0.5 * d12,
-            -0.5 * d02, -0.5 * d12, 1.0 - 0.5 * d22,
-        ))
+        r = newton_schulz_f(r, d)
     return r
 
 

@@ -49,6 +49,11 @@ bits.  Whatever would need a value at trace time (a branch, a comparison,
 `abs`, a `math` function, a numpy scalar) raises TypeError instead of being
 baked in; a kernel takes its math functions from its `xp` argument, and the
 trace passes `XP`.
+
+`statements` emits a traced kernel as statements instead, for generated code
+with control flow around it that holds the kernel's inputs in locals (the
+closed loops' runs of flow steps inline the Newton-Schulz pass this way),
+and `function` makes such code a function.
 """
 
 from __future__ import annotations
@@ -234,14 +239,21 @@ def _replaced(outputs, same: dict):
     return same.get(id(outputs), outputs)
 
 
-def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
-    """(source text, constants, math function names) of a function of `inputs` returning `outputs`.
+def _display(o, render) -> str:
+    """A nested sequence of nodes as a tuple display, each node rendered by `render`."""
+    if type(o) is tuple or type(o) is list:
+        return "(" + "".join(_display(x, render) + ", " for x in o) + ")"
+    return render(o)[0]
 
-    outputs is a nested sequence of Vars and constants, returned as nested
-    tuples.  The nodes in `bound` are parameters b_0, b_1, ... of the
-    function, after the inputs, and the constants and the math functions
-    follow them, in the order of the two lists; none of these has a default
-    in the source.
+
+def _statements(outputs, bound=(), prefix: str = "") -> tuple[list, str, list, list]:
+    """(statements, result, constants, math function names) that evaluate `outputs`.
+
+    outputs is a nested sequence of Vars and constants; result displays it
+    as nested tuples over the statements' locals, named prefix + t_<i>, and
+    the inputs' names.  The nodes in `bound` are read as b_0, b_1, ..., the
+    constants as prefix + c_<i>, in the order of the constants list, and the
+    math functions by their names: the caller binds them all.
     """
     names = {id(v): f"b_{i}" for i, v in enumerate(bound)}  # id of a node -> its name
     uses, order = _graph(_flatten(outputs), names)
@@ -258,7 +270,7 @@ def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
                     dead.append(text)
             return text, _ATOM
         if type(v) is not Var:  # constants are kept alive by the DAG, so ids stay unique
-            text = names[id(v)] = f"c_{len(defaults)}"
+            text = names[id(v)] = f"{prefix}c_{len(defaults)}"
             defaults.append(v)
             return text, _ATOM
         if v.op is None:
@@ -278,14 +290,7 @@ def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
         calls.add(v.op)
         return f"{v.op}({render(v.args[0])[0]})", _ATOM
 
-    def display(o) -> str:
-        if type(o) is tuple or type(o) is list:
-            return "(" + "".join(display(x) + ", " for x in o) + ")"
-        return render(o)[0]
-
-    body = [f"    {display(part)} = {arg}" for arg, part in inputs.items()
-            if type(part) is tuple and part]
-    free, n_names = [], 0
+    body, free, n_names = [], [], 0
     for v in order:
         if id(v) in unread:
             value = render(v)[0]
@@ -294,16 +299,62 @@ def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
             if free:
                 local = free.pop()
             else:
-                local = f"t_{n_names}"
+                local = f"{prefix}t_{n_names}"
                 n_names += 1
-            body.append(f"    {local} = {value}")
+            body.append(f"{local} = {value}")
             names[id(v)] = local
-    body.append(f"    return {display(outputs)}")
-    funcs = sorted(calls)
+    return body, _display(outputs, render), defaults, sorted(calls)
+
+
+def _emit(name: str, inputs: dict, outputs, bound=()) -> tuple[str, list, list]:
+    """(source text, constants, math function names) of a function of `inputs` returning `outputs`.
+
+    outputs is a nested sequence of Vars and constants, returned as nested
+    tuples.  The nodes in `bound` are parameters b_0, b_1, ... of the
+    function, after the inputs, and the constants and the math functions
+    follow them, in the order of the two lists; none of these has a default
+    in the source.
+    """
+    unpack = [f"{_display(part, lambda v: (v.args,))} = {arg}" for arg, part in inputs.items()
+              if type(part) is tuple and part]
+    body, result, defaults, funcs = _statements(outputs, bound)
     params = [*inputs, *(f"b_{i}" for i in range(len(bound))),
               *(f"c_{i}" for i in range(len(defaults))), *funcs]
-    source = f"def {name}({', '.join(params)}):\n" + "\n".join(body) + "\n"
+    lines = [*unpack, *body, f"return {result}"]
+    source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in lines)
     return source, defaults, funcs
+
+
+def statements(fn, prefix: str, **inputs) -> tuple[list, str, dict]:
+    """fn traced into statements for generated code that holds its inputs in locals.
+
+    Each input is a tuple of the names of the locals that hold its floats;
+    fn(XP, **inputs) gets a tuple of Vars of those names for each and
+    returns a nested sequence of traced floats and constants.  Returns
+    (lines, result, constants): the lines compute, in order, the nodes read
+    more than once into locals named prefix + t_<i>; result is the outputs
+    as a tuple display over those locals and the inputs, to be assigned at
+    once, since an output's local may be an input of another; constants
+    maps the names by which the lines read constants, prefix + c_<i>, to
+    their values, which the generated code binds.  The lines run the traced
+    operations as `trace`'s code does, so they give its bits; fn may call no
+    math function.
+    """
+    outputs = _numbered(fn(XP, **{arg: tuple(Var(None, n) for n in names)
+                                  for arg, names in inputs.items()}))
+    lines, result, constants, calls = _statements(outputs, prefix=prefix)
+    if calls:
+        raise TypeError(f"a statement calls {calls}: generated code binds no math function")
+    return lines, result, {f"{prefix}c_{i}": c for i, c in enumerate(constants)}
+
+
+def function(source: str, name: str, defaults: tuple) -> types.FunctionType:
+    """The function `name` defined by `source`, with `defaults` for its last parameters.
+
+    The function's globals are empty, so its code must read every name it
+    uses from its parameters.
+    """
+    return types.FunctionType(_function_code(source), {}, name, defaults)
 
 
 def _function_code(source: str) -> types.CodeType:
@@ -322,7 +373,7 @@ class Traced:
         self._constants = tuple(constants)
         self._leaves = leaves
         bind_source, bind_constants, bind_calls = bind_emitted
-        self._bind = types.FunctionType(_function_code(bind_source), {}, "bind", (
+        self._bind = function(bind_source, "bind", (
             *bind_constants, *(_FUNCTIONS[f] for f in bind_calls)))
 
     def bind(self, xp=math, **objects):

@@ -11,6 +11,7 @@ from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
 from so3track.so3 import exp_so3_f, floats
+from step_spy import spy_compiled_step
 from torque_trace import torque_inputs
 
 E1, E2, E3 = np.eye(3)
@@ -419,13 +420,8 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
     s = random_loop_state(kind, np.random.default_rng(21))
     s.Re, s.theta = st.angle_axis(math.pi, E1), 0.0  # an unwanted critical point
     seen = spy_on_record(loop)
-    step, calls = loop.step, []
-
-    def spy_step(t, y, h, meas):
-        calls.append((t + h, meas))
-        return step(t, y, h, meas)
-
-    loop.step = spy_step
+    calls = []
+    spy_compiled_step(loop, lambda t, y, h, meas: calls.append((t + h, meas)))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.2, j_max=10)
     arc = st.solve(loop, pack(kind, s), cfg, np.random.default_rng(3))
     assert (len(arc.jumps) > 0) == (kind != "non_hybrid")

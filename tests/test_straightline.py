@@ -365,6 +365,19 @@ def test_compiled_code_looks_up_no_names(kind, relaxed, paper_params, paper_gain
         assert record.__name__ == f"{kind}_record"
         traced = controllers._TRACES[(type(loop), "record", relaxed, exact)]
         assert traced._bind.__code__.co_names == ()
+        # the run reads the builtins it calls, the step and the buffer
+        # methods from its arguments
+        run = loop._compile_run(exact)
+        assert run.__code__.co_names == ()
+        assert run.__name__ == f"{kind}_run"
+        assert controllers._TRACES[(type(loop), "run", exact)] is run
+        code = run.__code__
+        bound = dict(zip(code.co_varnames[code.co_argcount - len(run.__defaults__):],
+                         run.__defaults__))
+        assert (bound["range"], bound["sum"], bound["isfinite"], bound["next"]) == (
+            range, sum, math.isfinite, next)
+        assert {"step", "add_t", "add_state", "add_noise", "take", "draws", "keep"} <= set(
+            code.co_varnames[:code.co_argcount])
 
 
 def test_trace_refuses_what_needs_a_value():
@@ -586,15 +599,20 @@ def test_no_kernel_repeats_an_operation(monkeypatch, paper_params, paper_gains, 
 
 
 def count_traces(monkeypatch) -> list:
-    """The names traced from here on, with the trace cache emptied."""
+    """The names traced, and of the runs generated, from here on, with the trace cache emptied."""
     calls = []
-    original = straightline.trace
+    original, run = straightline.trace, controllers.run_function
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
+    def run_spy(name, *args):
+        calls.append(name)
+        return run(name, *args)
+
     monkeypatch.setattr(straightline, "trace", spy)
+    monkeypatch.setattr(controllers, "run_function", run_spy)
     monkeypatch.setattr(controllers, "_TRACES", {})
     return calls
 
@@ -669,10 +687,12 @@ def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
         "delta_prime": 0.05,
         "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.005,
     }) for i in range(8)]
-    # `solve` takes the margin at the initial state before the first step and
-    # records the arc after the last; a loop without a warp angle traces no margin
-    traced = ([f"{law}_step", f"{law}_record"] if law == "non_hybrid" else
-              [f"{law}_margin", f"{law}_step", f"{law}_record"])
+    # `solve` takes the margin at the initial state before the first step,
+    # binds the step and makes the run of flow steps at its first run, and
+    # records the arc after the last; a loop without a warp angle traces no
+    # margin.  The run is made once, not once per loop
+    traced = ([f"{law}_step", f"{law}_run", f"{law}_record"] if law == "non_hybrid" else
+              [f"{law}_margin", f"{law}_step", f"{law}_run", f"{law}_record"])
     for _ in range(2):
         runs = [st.simulate_member(cfg, cfg.members[0]) for cfg in cfgs]
         assert calls == traced
@@ -681,6 +701,10 @@ def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
     assert len({s.__defaults__ for s in steps}) == (1 if law == "non_hybrid" else 8)
     records = {r for run in runs for r in run.loop._records.values()}
     assert len({r.__code__ for r in records}) == 1 and len(records) == 8
+    # every member runs its steps through the one run of the structure
+    assert [key for key in controllers._TRACES if key[1] == "run"] == [(type(runs[0].loop), "run",
+                                                                      True)]
+    assert all(run.arc.stats.handed_back == 0 for run in runs)
     margins = {m for run in runs for m in run.loop._margins.values()}
     if law == "non_hybrid":
         assert margins == set()
