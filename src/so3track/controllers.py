@@ -85,18 +85,21 @@ torque, the potential and the monitor, is traced once per process for each
 (law, `relaxed`, measurement kind) and bound to `ARRAY_MATH`, so the flow
 rates that `_rates` computes beside the torque drop out of it.  z enters as
 an input, computed and norm-checked by `z_at` outside, as are the clamped
-distance columns (`rot_distance_f`) and the pass-through state columns.  A
-pass over 1 024 rows takes 0.8 ms for the basic law and 1.3 to 1.5 ms for
-the noisy velocity-free one, against 1.35 and 2.5 ms with `_columns`
-interpreted on the columns (best of 25, 2-core box).  `project` stays
-interpreted.
+distance columns (`rot_distance_f`) and the pass-through state columns.
+`project` stays interpreted.
+
+A measurement is a row of 12 floats, the noise rotation E row-major, then
+n_omega: `measurements` draws them a block at a time (see
+`hybrid.HybridSystem`), and the compiled kernels take the row as it is.
+`_rates` and `_values` read the (E, n_omega) view of a row, a
+`Measurement`, which `_compile` builds inside the trace, so the compiled
+code holds no view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -141,18 +144,12 @@ from .so3 import (
 _EYE_F = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 _ZERO_F = (0.0, 0.0, 0.0)
 
-# Steps per block of measurement noise: a block is 3 x 1024 normals per noisy channel.
+# Measurement rows per block: a block is 3 x 1024 normals per noisy channel.
 NOISE_BLOCK = 1024
-# Rows of a block turned into floats at a time.  A whole block's 12 288 floats
-# at once raised a fig4 member's traced peak by 0.14 MB over drawing float by
-# float; 256 rows do not, at the same cost per draw.
-NOISE_ROWS = 256
 
-# Samples from which `jump_margins` runs the margin trace on columns.  On 16 to
-# 32 samples a batch call costs 57 to 150 us, nearly all of it fixed, and the
-# scalar margins 2.3 to 5 us a sample (best of 30, 2-core box): the two break
-# even at 24 to 32 samples for every law, so a shorter batch is taken sample
-# by sample.
+# Samples from which `jump_margins` runs the margin trace on columns.  A batch
+# call costs nearly all of its time whatever its length, so a shorter batch is
+# taken sample by sample, where that is cheaper.
 MARGIN_BATCH_MIN = 32
 
 # The traced kernels of each loop structure, keyed by (loop class, kernel
@@ -164,13 +161,19 @@ _TRACES: dict = {}
 
 
 class Measurement(NamedTuple):
-    """One sample of measurement noise, held constant over an integration step.
+    """The view that `_rates` and `_values` read of a measurement row of 12 floats.
 
-    E is 9 floats and n_omega 3 (see `so3`); `record` passes (n,) arrays.
+    E is its first 9 (see `so3`), n_omega its last 3, each floats or (n,)
+    arrays.
     """
 
     E: tuple  # attitude noise rotation, R_y = R @ E
     n_omega: tuple
+
+
+def _view(meas):
+    """The Measurement of a row, None for None (exact measurements)."""
+    return None if meas is None else Measurement(meas[:9], meas[9:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +283,8 @@ class _TrackingLoop(HybridSystem):
     (`solve` passes tuples; see `HybridSystem`); each subclass's `_rates`
     gives its flow, which `step` runs compiled, and its applied torque, which
     `torque` and the records read.  `_rates`, `_monitor` and
-    `_columns` also run on a batch: state entries and measurement fields as
-    (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its
+    `_columns` also run on a batch: state entries and measurement entries
+    as (n,) arrays, t an (n,) array, xp = ARRAY_MATH.  Each law defines its
     monitor once, by `_monitor`.
 
     The sets and the jump map follow the jump rule of the module docstring,
@@ -402,35 +405,33 @@ class _TrackingLoop(HybridSystem):
         return rate, "sqrt(2 k_R a_bar_i / J_i), the attitude oscillation"
 
     def measurements(self, rng):
-        """None for ever without noise; else a Measurement per step, from blocks of normals.
+        """None without noise; else blocks of NOISE_BLOCK measurement rows, for ever.
 
         rng is a Generator or a seed (see `HybridSystem`); the generator
         `np.random.default_rng(rng)` is made only under a noise model, so a
-        noise-free run never imports `numpy.random`.  Each block is
+        noise-free run never imports `numpy.random`.  Each block draws
         `standard_normal((NOISE_BLOCK, k))` over the k channels whose sigma is
         positive (3 each, attitude first), scaled as `0.0 + sigma * z`: the
         values, in the order, of a `normal(0.0, sigma, 3)` call per channel
-        and step.  The block's attitude noise is exponentiated on its columns,
-        which become floats NOISE_ROWS rows at a time.
+        and step.  The attitude noise is exponentiated on its columns into E;
+        a channel without noise gives the identity or zeros.
         """
         n = self.noise
         if n is None:
-            return repeat(None)
+            return None
         return self._noise(np.random.default_rng(rng), n)
 
     @staticmethod
     def _noise(rng, n: NoiseModel):
         scale = np.repeat([s for s in (n.sigma_R, n.sigma_omega) if s > 0.0], 3)
         while True:
-            # The block's columns: the attitude channel's first, the velocity's last.
+            # The draw's columns: the attitude channel's first, the velocity's last.
             cols = (0.0 + scale * rng.standard_normal((NOISE_BLOCK, scale.size))).T
-            E = exp_so3_f(*cols[:3], ARRAY_MATH, np.where) if n.sigma_R > 0.0 else None
-            nw = cols[-3:] if n.sigma_omega > 0.0 else None
-            for k in range(0, NOISE_BLOCK, NOISE_ROWS):
-                at = slice(k, k + NOISE_ROWS)
-                Ek = zip(*[e[at].tolist() for e in E]) if E else repeat(_EYE_F, NOISE_ROWS)
-                nk = zip(*nw[:, at].tolist()) if nw is not None else repeat(_ZERO_F, NOISE_ROWS)
-                yield from map(Measurement, Ek, nk)
+            block = np.empty((NOISE_BLOCK, 12))
+            block[:, :9] = (np.transpose(exp_so3_f(*cols[:3], ARRAY_MATH, np.where))
+                            if n.sigma_R > 0.0 else _EYE_F)
+            block[:, 9:] = cols[-3:].T if n.sigma_omega > 0.0 else 0.0
+            yield block
 
     def project(self, y):
         out = list(y)
@@ -494,7 +495,7 @@ class _TrackingLoop(HybridSystem):
     def flow(self, t, y, meas):
         """The rates at state y: the reference checks, then `_rates` interpreted."""
         self.reference.check_omega_r(y[self.OMEGA_R], t)
-        return self._rates(y, meas, self.reference.z_at(t))[0]
+        return self._rates(y, _view(meas), self.reference.z_at(t))[0]
 
     def _step_function(self, exact: bool):
         """The compiled step for exact or noisy measurements and the reference's `z_fn`."""
@@ -525,9 +526,9 @@ class _TrackingLoop(HybridSystem):
         """`method` traced once per process for this loop's class and `structure`, bound here.
 
         method(loop, xp, meas, **inputs) runs on a stand-in loop that holds
-        only the traced params, gains and inertia and `relaxed`, with meas a
-        Measurement, or None where its shape is None (exact).  `structure`
-        names all else the trace depends on; the compiled function takes the
+        only the traced params, gains and inertia and `relaxed`, with meas
+        the Measurement of a row, or None where its shape is None (exact).
+        `structure` names all else the trace depends on; the compiled function takes the
         inputs of `shapes` by position, in their order, and calls the math
         functions of `xp`.  `like`, a function this loop already bound from
         the same trace, lends its parameter values, so they are not evaluated
@@ -542,7 +543,7 @@ class _TrackingLoop(HybridSystem):
                 loop = object.__new__(cls)
                 loop.params, loop.gains, loop.inertia = params, gains, inertia
                 loop.relaxed = relaxed
-                return method(loop, xp, None if meas is None else Measurement(*meas), **inputs)
+                return method(loop, xp, _view(meas), **inputs)
 
             traced = _TRACES[key] = straightline.trace(kernel, f"{self.kind}_{name}",
                                                        parameters=objects, **shapes)
@@ -567,13 +568,13 @@ class _TrackingLoop(HybridSystem):
             return HybridSystem.step(SimpleNamespace(flow=flow), t, y, h, meas), checked
 
         return self._compile((self.relaxed, exact, z_fn), rk4, "step",
-                             t=(), y=self.WIDTH, h=(), meas=None if exact else (9, 3))
+                             t=(), y=self.WIDTH, h=(), meas=None if exact else 12)
 
     def flow_steps(self, n, t, y, meas, t_max, dt, out):
         """The run hook (see `HybridSystem`): up to n steps in one call of the compiled run."""
         ref, exact = self.reference, meas is None
-        # The step is traced before the run is made: the other order raised
-        # the peak resident memory of a fig3 scenario run by about 0.35 MB.
+        # The step is traced before the run is made, which keeps the peak
+        # memory of the two lower than the other order.
         step = self._step_function(exact)
         w = ref.omega_r_bound
         return self._compile_run(exact)(n, t, y, meas, t_max, dt, w * w, ref.m_bound, step, *out)
@@ -600,15 +601,14 @@ class _TrackingLoop(HybridSystem):
         U, lyap = self._monitor(v, xp)
         return (*self._rates(v, meas, z, xp)[1], U, lyap)
 
-    def _columns(self, t, v, meas, in_jump, xp=math, recorded=None) -> tuple:
-        """The recorded columns at state v under measurement meas.
+    def _columns(self, t, v, meas, in_jump, xp, recorded) -> tuple:
+        """The recorded columns at state v under the measurement row meas, or its columns.
 
-        recorded(v, meas, z) gives the values of `_recorded`; by default it
-        is `_recorded` interpreted, and `record` passes it compiled.
+        recorded(v, meas, z) gives the values of `_recorded`: `record` passes
+        it compiled.
         """
         z = self.reference.z_at(t, xp)
-        tau0, tau1, tau2, U, lyap = (recorded(v, meas, z) if recorded else
-                                     self._recorded(v, meas, z, xp))
+        tau0, tau1, tau2, U, lyap = recorded(v, meas, z)
         return (
             rot_distance_f(v[self.R_E], xp), v[self.THETA], *v[self.OMEGA_E],
             tau0, tau1, tau2, U, lyap,
@@ -617,16 +617,8 @@ class _TrackingLoop(HybridSystem):
         )
 
     def torque(self, t: float, y, meas) -> np.ndarray:
-        """The applied torque at time t and state y under measurement meas."""
-        return np.array(self._rates(y, meas, self.reference.z_at(t))[1])
-
-    @staticmethod
-    def _measurement_columns(noise):
-        """The Measurement of (n, 12) packed noise, as (n,) columns; None without noise."""
-        if noise is None:
-            return None
-        n = columns(noise)
-        return Measurement(tuple(n[0:9]), tuple(n[9:12]))
+        """The applied torque at time t and state y under the measurement row meas."""
+        return np.array(self._rates(y, _view(meas), self.reference.z_at(t))[1])
 
     def _compile_record(self, exact: bool):
         """`_recorded`, compiled for (`relaxed`, exact) and bound to (n,) columns.
@@ -636,15 +628,15 @@ class _TrackingLoop(HybridSystem):
         """
         return self._compile((self.relaxed, exact),
                              lambda loop, xp, meas, v, z: loop._recorded(v, meas, z, xp), "record",
-                             xp=ARRAY_MATH, v=self.WIDTH, meas=None if exact else (9, 3), z=3)
+                             xp=ARRAY_MATH, v=self.WIDTH, meas=None if exact else 12, z=3)
 
     def record(self, t, states, noise, in_jump):
         """All recorded columns in one pass over the column arrays, with `_recorded` compiled."""
         fn = self._records.get(noise is None)
         if fn is None:
             fn = self._records[noise is None] = self._compile_record(noise is None)
-        return self._columns(t, columns(states), self._measurement_columns(noise), in_jump,
-                             ARRAY_MATH, fn)
+        return self._columns(t, columns(states), None if noise is None else columns(noise),
+                             in_jump, ARRAY_MATH, fn)
 
     def lyapunov_packed(self, y) -> float:
         """The loop's monitor at packed state y."""
@@ -682,7 +674,7 @@ class _TrackingLoop(HybridSystem):
         return self._compile((exact, len(self.params.theta_set)),
                              lambda loop, xp, meas, y: loop._values(y, meas, xp), "margin",
                              xp=xp, like=None if xp is math else self._margin(exact),
-                             y=self.WIDTH, meas=None if exact else (9, 3))
+                             y=self.WIDTH, meas=None if exact else 12)
 
     def _margin(self, exact: bool):
         """The compiled `_values` on floats, bound at its first use."""
@@ -696,7 +688,7 @@ class _TrackingLoop(HybridSystem):
         values = self._margin(meas is None)(y, meas)
         return _picks(values, self.params.theta_set, choose)[0] - self._threshold
 
-    def jump_margins(self, t, states, noise, meas):
+    def jump_margins(self, t, states, noise):
         """`jump_margin` of each sample, by the same margin trace bound to columns.
 
         Fewer than MARGIN_BATCH_MIN samples take `jump_margin` one by one,
@@ -705,13 +697,13 @@ class _TrackingLoop(HybridSystem):
         warnings.
         """
         if len(t) < MARGIN_BATCH_MIN:
-            return HybridSystem.jump_margins(self, t, states, noise, meas)
+            return HybridSystem.jump_margins(self, t, states, noise)
         fn = self._margin_columns.get(noise is None)
         if fn is None:
             fn = self._margin_columns[noise is None] = self._compile_values(noise is None,
                                                                             ARRAY_MATH)
         with np.errstate(all="ignore"):
-            values = fn(columns(states), self._measurement_columns(noise))
+            values = fn(columns(states), None if noise is None else columns(noise))
             return _picks(values, self.params.theta_set, np.where)[0] - self._threshold
 
     def jump(self, t, y, meas):
@@ -768,7 +760,7 @@ class NonHybridLoop(BasicLoop):
         """-inf: no warp angle, so no jump set and no margin values to compile."""
         return -math.inf
 
-    def jump_margins(self, t, states, noise, meas):
+    def jump_margins(self, t, states, noise):
         """-inf for every sample, as `jump_margin`."""
         return np.full(len(t), -math.inf)
 

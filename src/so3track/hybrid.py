@@ -18,9 +18,8 @@ Flow steps are taken in runs.  Inside a run `solve` steps, projects and
 records, but asks no margin; after the run it takes the margins of all the
 run's samples in one `HybridSystem.jump_margins` call, under the measurement
 of the step into each sample and, with noise, also under the fresh one
-drawn after it.  The first sample whose margin is >= 0 or NaN rolls the run
-back to the sample before it: the buffers are truncated, the measurements
-drawn past that point are replayed, not drawn again, and the step into that
+after it.  The first sample whose margin is >= 0 or NaN rolls the run back
+to the sample before it: the buffers are truncated, and the step into that
 sample is taken once more alone, with its margins after it, which refines
 the crossing, jumps or raises as every step did before.  A step that raised
 ends its run, and its error is raised only if no event comes before it.  So
@@ -29,6 +28,10 @@ The first run is RUN_FIRST steps.  A run whose first event lies k steps in
 is followed by a run of 2k steps, at least one and at most RUN_FIRST, so
 events a few steps apart discard a few steps each, not a whole run; a clean
 run doubles the next, up to RECORD_BATCH.
+
+Measurements are rows of floats, drawn a block at a time into one buffer
+and indexed by the count of accepted flow steps (see `HybridSystem`), so a
+rollback resets only the index and the samples carry no measurement.
 
 A system may take the steps of a run itself, through its run hook
 `HybridSystem.flow_steps`: each call takes as many of the run's steps as it
@@ -41,20 +44,21 @@ or not as it would.  The closed loops take them in one compiled call (see
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from struct import Struct
 
 import numpy as np
 
 from .errors import ContractError, SolverError
 
-# Samples per `record` call.  A recording pass holds some 80 temporaries of its
-# batch length; at 1024 samples they stay below a megabyte and in cache, which
-# a 20 000-sample member recorded at once (12 MB) would not.  It is also the
-# longest run of flow steps, whose margins are taken as one batch.
+# Samples per `record` call, whose pass holds some 80 temporaries of its batch
+# length.  It is also the longest run of flow steps, whose margins are taken as
+# one batch.
 RECORD_BATCH = 1024
+
+# Measurement rows turned into floats at a time for a run of flow steps.
+NOISE_ROWS = 256
 
 # Flow steps in the first run, and the most in the run after a rollback (see
 # `solve`).  On the closed loops, the batch margins of a run cost a tenth of
@@ -106,38 +110,36 @@ class HybridSystem:
     raises.  `solve` takes every flow step, and every state at which
     refinement evaluates the margin, through `step`.
 
-    Measurement contract: `measurements(rng)` gives an iterator, and `solve`
-    takes one item from it before the first sample and one after each flow
-    step; the item is the measurement in force until the next one.  rng is
-    what the caller gave `solve`, a `numpy.random.Generator` or a seed, and
-    a system that draws makes its generator with `np.random.default_rng(rng)`,
-    which returns a Generator as it is; a system that does not draw leaves it
-    alone, so its runs never import `numpy.random`.  Items
-    drawn after a step that a rollback discards are kept and taken again, in
-    order, after the steps that replace it, so the arc's measurements are
-    the iterator's items in order, whatever was rolled back.  The default
-    yields None, for a system without measurement noise.  The iterator
-    lives for one `solve` call, so whatever it buffers goes with it.
+    Measurement contract: `measurements(rng)` is None for a system without
+    measurement noise.  Otherwise it is an iterator of blocks, float arrays
+    of shape (rows, width) whose rows in order are the measurements: row i
+    is in force over the i-th accepted flow step (the first is in force from
+    the initial sample) and at the jumps after it.  `solve` takes a block
+    when it needs a row past those it holds, so each row is drawn once,
+    whatever a rollback discards.  It hands `step`, `jump_margin` and `jump`
+    a row as a tuple of floats (the loops' is E row-major, then n_omega),
+    and None without noise.  rng is what the caller gave `solve`, a
+    `numpy.random.Generator` or a seed, and a system that draws makes its
+    generator with `np.random.default_rng(rng)`, which returns a Generator
+    as it is; a system that does not draw leaves it alone, so its runs never
+    import `numpy.random`.  The iterator lives for one `solve` call.
 
     Recording: while it integrates, `solve` keeps, for each sample, only t,
-    j, the jump-set flag, the state and the measurement in force (the one
-    the step into the sample used); the last two are packed as doubles into
-    flat buffers.  A measurement is a tuple of float sequences (the loops'
-    is E as 9 floats and n_omega as 3), kept concatenated.  At the end
-    `solve` calls `record` on consecutive batches of n <= RECORD_BATCH
-    samples, with these as t (n,), states (n, dim), noise (n, width), or
-    None when the measurements are None, and in_jump (n,) bools.  `record`
+    j, the jump-set flag and the state, packed as doubles into a flat
+    buffer.  At the end it calls `record` on consecutive batches of
+    n <= RECORD_BATCH samples, with these as t (n,), states (n, dim), noise
+    (n, width), the row in force at each sample (the row of the step into a
+    flow sample), or None without noise, and in_jump (n,) bools.  `record`
     returns one (n,) array per entry of `columns`, in that order.
 
     Runs (see the module docstring): `solve` takes the margins of a run's
-    flow samples in one `jump_margins` call, with t, the states and the noise
-    in the forms `record` gets, plus the measurements themselves as
-    `jump_margin` takes them, and it must get back the bits of `jump_margin`
-    on each sample.  The default calls `jump_margin` sample by sample; the
-    closed loops run their compiled margin on columns.  A margin >= 0 or NaN
-    rolls the run back, so `step` and `project` may have run on states that
-    the arc does not keep: they must not depend on how often they were
-    called.
+    flow samples in one `jump_margins` call, with t, the states and the
+    noise in the forms `record` gets, and it must get back the bits of
+    `jump_margin` on each sample.  The default calls `jump_margin` sample by
+    sample; the closed loops run their compiled margin on columns.  A margin
+    >= 0 or NaN rolls the run back, so `step` and `project` may have run on
+    states that the arc does not keep: they must not depend on how often
+    they were called.
 
     Run hook: `flow_steps` may take a run's flow steps itself, each with the
     bits and the outcome of `step`, the finiteness test and `project`; it
@@ -173,13 +175,13 @@ class HybridSystem:
         """Scalar that is >= 0 exactly on the jump set and <= 0 exactly on the flow set."""
         return -math.inf
 
-    def jump_margins(self, t: np.ndarray, states: np.ndarray, noise, meas: list) -> np.ndarray:
+    def jump_margins(self, t: np.ndarray, states: np.ndarray, noise) -> np.ndarray:
         """`jump_margin` of each of n samples, as an (n,) array.
 
-        t is (n,), states (n, dim), noise (n, width) or None, packed as
-        `record` gets them, and meas the n measurements as `jump_margin`
-        takes them.
+        t is (n,), states (n, dim) and noise (n, width) or None, as `record`
+        gets them.
         """
+        meas = repeat(None) if noise is None else zip(*noise.T.tolist())
         return np.array([self.jump_margin(tt, tuple(y), m)
                          for tt, y, m in zip(t.tolist(), states.tolist(), meas)])
 
@@ -193,20 +195,17 @@ class HybridSystem:
         Each step is one of `solve`'s: of length dt, or t_max - t if that is
         shorter, and none once t_max - t <= END_GAP; `step`, the finiteness
         test, then `project`.  After each step the hook records its sample
-        and takes the next measurement, through the buffers of
-        out = (add_t, add_state, pack_state, add_noise, pack_noise, take,
-        replay, draws, keep): add_t(t), add_state(pack_state(*y)) with the
-        projected state, add_noise(pack_noise(...)) with the measurement the
-        step used, flattened, unless add_noise is None; then meas = take()
-        if replay else next(draws), and keep(meas).  `solve` records the
-        samples' j and flags.  The hook stops before a step that it cannot
-        finish with `solve`'s bits and outcome, and `solve` takes that step.
-        The default takes no step.
+        through out = (add_t, add_state, pack_state, fresh): add_t(t) and
+        add_state(pack_state(*y)) with the projected state; then, under
+        noise, meas = next(fresh), the row in force after the step (fresh is
+        None without noise).  `solve` records the samples' j and flags.  The
+        hook stops before a step that it cannot finish with `solve`'s bits
+        and outcome, and `solve` takes that step.  The default takes no step.
         """
         return 0, t, y, meas
 
     def measurements(self, rng):
-        return repeat(None)
+        return None
 
     def record(self, t: np.ndarray, states: np.ndarray, noise, in_jump: np.ndarray) -> tuple:
         return ()
@@ -216,7 +215,8 @@ class HybridSystem:
 class JumpEvent:
     """One jump: at time t the state y_pre of jump count j_before became y_post.
 
-    `meas` is the measurement the jump was taken under (None without noise).
+    `meas` is the measurement row the jump was taken under, a tuple of
+    floats (None without noise).
     On the arc the jump is the pair of adjacent samples (t, j_before) and
     (t, j_before + 1), whose recorded columns hold the values before and
     after it.
@@ -247,6 +247,7 @@ class SolverStats:
     refine_evals: int = 0  # margins taken by `detect_crossing` inside a step
     crossings: int = 0  # crossings located inside a step, each re-stepped to
     handed_back: int = 0  # steps of runs that the run hook left to `system.step`
+    noise_blocks: int = 0  # blocks of measurements drawn, 0 without noise
 
 
 @dataclass
@@ -339,36 +340,50 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     y = system.project(tuple(np.asarray(y0, dtype=float).tolist()))
     t = 0.0
     j = 0
-    draws = system.measurements(0 if rng is None else rng)
-    replay = deque()  # measurements drawn by a rolled-back run, taken again in order
-    meas = next(draws)
     stats = SolverStats()
+    blocks = system.measurements(0 if rng is None else rng)
+    # The measurement rows drawn so far, the first `drawn` rows of `noise`,
+    # which has room for as many again; None without noise.
+    noise, drawn = None, 0
+
+    def rows(i: int, n: int):
+        """Measurement rows i to i + n - 1 as tuples of floats, NOISE_ROWS at a time.
+
+        Blocks are drawn into `noise` as the rows reach past those drawn.
+        """
+        nonlocal noise, drawn
+        end = i + n
+        while i < end:
+            while i >= drawn:
+                block = next(blocks)
+                stats.noise_blocks += 1
+                if noise is None or drawn + len(block) > len(noise):  # room for twice the rows
+                    room = np.empty((2 * (drawn + len(block)), block.shape[1]))
+                    if drawn:
+                        room[:drawn] = noise[:drawn]
+                    noise = room
+                noise[drawn:drawn + len(block)] = block
+                drawn += len(block)
+            chunk = noise[i:min(end, i + NOISE_ROWS, drawn)]
+            i += len(chunk)
+            yield from zip(*chunk.T.tolist())
+
+    meas = None if blocks is None else next(rows(0, 1))
 
     ts: list[float] = []
     js: list[int] = []
     flags: list[bool] = []
-    # The state and the noise of each sample, packed as doubles.
+    # The state of each sample, packed as doubles.
     states = bytearray()
     state_struct = Struct(f"{len(y)}d")
     pack_state, state_bytes = state_struct.pack, state_struct.size
-    noise = None
-    if meas is not None:
-        noise = bytearray()
-        noise_struct = Struct(f"{sum(map(len, meas))}d")
-        pack_noise, noise_bytes = noise_struct.pack, noise_struct.size
     jumps: list[JumpEvent] = []
-    # What the run hook records with, but for the list of a run's measurements.
-    out = (ts.append, states.extend, pack_state,
-           None if noise is None else noise.extend, None if noise is None else pack_noise,
-           replay.popleft, replay, draws)
 
     def sample(in_jump: bool):
         ts.append(t)
         js.append(j)
         flags.append(in_jump)
         states.extend(pack_state(*y))
-        if noise is not None:
-            noise.extend(pack_noise(*chain.from_iterable(meas)))
 
     def advance(h: float) -> tuple:
         """The projected RK4 step of length h from (t, y)."""
@@ -406,26 +421,21 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             )
         return m, m >= 0.0
 
-    def run_margins(n0: int, taken: list) -> np.ndarray:
+    def run_margins(n0: int) -> np.ndarray:
         """The margins of the samples from n0 on: under the step's measurement, then the fresh one.
 
-        taken holds the measurement in force before each step of the run and,
-        last, the one drawn after it.  Without noise the two coincide, and
-        the margins are taken once.  The buffers are copied out, so that they
-        can shrink and grow again.
+        Without noise the two coincide, and the margins are taken once.  The
+        buffers are copied out, so that they can shrink and grow again.
         """
         n = len(ts) - n0
-        tt, rows = ts[n0:], states[n0 * state_bytes:]
-        meas_in = taken[:n]
+        tt, rows_in = ts[n0:], states[n0 * state_bytes:]
+        noise_in = None
         if noise is not None:
-            tt, rows, meas_in = tt * 2, rows * 2, meas_in + taken[1:]
-            steps_noise = noise[n0 * noise_bytes:]
-            fresh_noise = steps_noise[noise_bytes:] + pack_noise(*chain.from_iterable(taken[n]))
-            noise_in = np.frombuffer(steps_noise + fresh_noise).reshape(2 * n, -1)
-        else:
-            noise_in = None
-        m = system.jump_margins(np.array(tt), np.frombuffer(rows).reshape(len(tt), -1),
-                                noise_in, meas_in)
+            s0 = n0 - 1 - len(jumps)  # the flow steps before the run
+            tt, rows_in = tt * 2, rows_in * 2
+            noise_in = np.concatenate((noise[s0:s0 + n], noise[s0 + 1:s0 + n + 1]))
+        m = system.jump_margins(np.array(tt), np.frombuffer(rows_in).reshape(len(tt), -1),
+                                noise_in)
         stats.margins_batched += len(m)
         return m
 
@@ -469,12 +479,12 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             # A run: the margins of its samples are taken after its last step.
             stats.runs += 1
             n0 = len(ts)
-            taken = [meas]
+            fresh = None if noise is None else rows(n0 - len(jumps), run)
+            out = (ts.append, states.extend, pack_state, fresh)
             held = None
             left = run
             while left:
-                k, t, y, meas = system.flow_steps(left, t, y, meas, t_max, dt,
-                                                  (*out, taken.append))
+                k, t, y, meas = system.flow_steps(left, t, y, meas, t_max, dt, out)
                 js.extend(repeat(j, k))
                 flags.extend(repeat(False, k))
                 stats.step_calls += k
@@ -493,13 +503,13 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 t += h
                 y = y_new
                 sample(False)
-                meas = replay.popleft() if replay else next(draws)
-                taken.append(meas)
+                if fresh is not None:
+                    meas = next(fresh)
                 left -= 1
             n = len(ts) - n0
             if not n:  # the run's first step raised
                 raise held
-            m = run_margins(n0, taken)
+            m = run_margins(n0)
             event = ~(m < 0.0)  # a margin >= 0 or NaN
             if noise is not None:
                 event = event[:n] | event[n:]
@@ -519,9 +529,7 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 margin = float(m[k - 1 if noise is None else n + k - 1])
             del ts[keep:], js[keep:], flags[keep:], states[keep * state_bytes:]
             if noise is not None:
-                del noise[keep * noise_bytes:]
-            meas = taken[k]
-            replay.extendleft(reversed(taken[k + 1:]))
+                meas = next(rows(keep - 1 - len(jumps), 1))
             run = min(RUN_FIRST, max(1, 2 * k))
             alone = True
             continue
@@ -545,26 +553,28 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
         t += h
         y = y_new
         sample(in_jump_new)
-        fresh = replay.popleft() if replay else next(draws)
-        if fresh is None and meas is None:
-            # No noise: the membership under the step's measurement is current.
+        if noise is None:
+            # The membership under the step's measurement is current.
             margin, in_jump = margin_new, in_jump_new
         else:
-            meas = fresh
+            meas = next(rows(len(ts) - 1 - len(jumps), 1))
             margin, in_jump = membership(t, y)
 
     n = len(ts)
     stats.steps = n - 1 - len(jumps)
     t_arr, j_arr, flags_arr = np.array(ts), np.array(js, dtype=int), np.array(flags, dtype=bool)
-    # Views of the packed buffers, without a copy.
-    states_arr = np.frombuffer(states).reshape(n, -1)
-    noise_arr = None if noise is None else np.frombuffer(noise).reshape(n, -1)
+    states_arr = np.frombuffer(states).reshape(n, -1)  # a view, without a copy
+    if noise is not None:
+        # The row in force at each sample: the count of flow samples up to
+        # it, less one at a flow sample, which holds its step's.
+        flow = np.concatenate(([False], j_arr[1:] == j_arr[:-1]))
+        noise_at = np.cumsum(flow) - flow
     data = np.empty((n, len(system.columns)))
     if system.columns:
         for a in range(0, n, RECORD_BATCH):
             b = a + RECORD_BATCH
             cols = system.record(t_arr[a:b], states_arr[a:b],
-                                 None if noise_arr is None else noise_arr[a:b], flags_arr[a:b])
+                                 None if noise is None else noise[noise_at[a:b]], flags_arr[a:b])
             data[a:b] = np.stack(cols, axis=1)
     return HybridArc(
         controller=system.kind,

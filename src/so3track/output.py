@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 
-# Rows formatted by one `%`: 256 rows of a member hold about 0.25 MB of
-# temporaries (their floats, their list and the string).
+# Rows formatted by one `%`, which holds their floats, their list and the
+# string as temporaries.
 CSV_BATCH = 256
 
 

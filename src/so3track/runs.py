@@ -17,24 +17,19 @@ with their bits:
     with `so3.drift_f` and `so3.newton_schulz_f` traced into statements on
     the run's locals (`straightline.statements`), so each formula keeps one
     source;
-  * the sample's t and packed state and, under noise, packed measurement,
-    and the next measurement, from the replayed ones first.
+  * the sample's t and packed state and, under noise, the measurement row
+    in force after the step, from the rows that `solve` hands it.
 
 The RK4 body stays in the compiled step, which the run calls, so it exists
 once.  The run returns before a step that would take another path: the
 compiled step raising or failing a check, a state that is not finite, or a
 drift past DRIFT_SAFE or not a number; `solve` takes that step through
 `step` and `project`, which raise or fall back to the interpreted step or
-to the SVD.  Against those and `solve`'s bookkeeping called for
-each step, this takes 7 % off a tumble_sweep member and 9 % off a fig3
-member (sums of per-member minima over seven alternating rounds, 2-core
-box).
+to the SVD.
 
 The generator is a module of its own, not part of `controllers`: without a
 bytecode cache every process compiles the package's sources at import, and
-compiling `controllers` sets the peak of that (2.3 MB of traced
-allocations); inside it, the generator raised the peak resident memory of
-a fig3 scenario run by 0.4 MB.
+compiling `controllers` sets the peak memory of that.
 """
 
 from __future__ import annotations
@@ -54,11 +49,11 @@ def _within(names, bound: float) -> str:
 def run_function(name: str, width: int, rotation_slices: tuple, exact: bool):
     """The compiled run, named `name`, for a state of `width` floats with these rotation blocks.
 
-    exact selects the run for exact measurements (None), which packs no
-    noise.  Its parameters are those of `HybridSystem.flow_steps` but out,
-    then the squared omega_r bound w, the z bound m and the compiled step,
-    then the buffers of out; the builtins and the constants it reads are
-    bound as defaults, so the code looks up no name.
+    exact selects the run for exact measurements (None), which takes no
+    measurement row.  Its parameters are those of `HybridSystem.flow_steps`
+    but out, then the squared omega_r bound w, the z bound m and the
+    compiled step, then the entries of out; the builtins and the constants
+    it reads are bound as defaults, so the code looks up no name.
     """
     ys = [f"y{i}" for i in range(width)]
     ds = [f"d{i}" for i in range(6)]
@@ -101,15 +96,13 @@ def run_function(name: str, width: int, rotation_slices: tuple, exact: bool):
         f"    y = ({', '.join(ys)})",
         "    add_t(t)",
         "    add_state(pack_state(*y))",
-        *([] if exact else ["    add_noise(pack_noise(*meas[0], *meas[1]))"]),
-        "    meas = take() if replay else next(draws)",
-        "    keep(meas)",
+        *([] if exact else ["    meas = next(fresh)"]),
         "return n, t, y, meas",
     ]
     builtins = dict(range=range, sum=sum, isfinite=math.isfinite, next=next,
                     errors=(ValueError, ArithmeticError))
     bound = {**builtins, **constants}
     params = ["n", "t", "y", "meas", "t_max", "dt", "w", "m", "step", "add_t", "add_state",
-              "pack_state", "add_noise", "pack_noise", "take", "replay", "draws", "keep", *bound]
+              "pack_state", "fresh", *bound]
     source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
     return straightline.function(source, name, tuple(bound.values()))

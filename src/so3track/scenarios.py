@@ -140,8 +140,7 @@ def _key(check, default=MISSING):
 
 
 # The most steps, t_max / dt, that a `ScenarioConfig` lets one member ask for.
-# A run keeps every sample (a full-horizon fig4 member of 20 000 steps peaks
-# at about 11 MB), so a member at the budget holds about half a gigabyte.
+# A run keeps every sample, so the budget bounds a member's memory.
 STEP_BUDGET = 1_000_000
 
 

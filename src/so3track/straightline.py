@@ -27,9 +27,9 @@ expressions directly:
 A local is addressed by a one-byte argument up to the 256th; past that
 every access pays an `EXTENDED_ARG`.  So a caller keeps kernels apart rather
 than tracing them as one: a noisy velocity_free step traced together with
-its two jump margins has 299 locals and ran 31-32 % slower than the step
-and the margins called apart (41 against 31 us on a 2-core machine), while
-for the basic and smooth laws (222 and 252 locals) the fold gained nothing.
+its two jump margins has 299 locals and ran slower than the step and the
+margins called apart, while for the basic and smooth laws (222 and 252
+locals) the fold gained nothing.
 
 The parameters of a trace are objects (gains, weights) that the traced code
 reads attributes of.  During the trace each is a read-only stand-in: reading

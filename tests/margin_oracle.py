@@ -21,7 +21,7 @@ def gaps(loop, y, meas) -> list:
     p = loop.params
     out = []
     for _, sl, i in loop.warp_angles:
-        AR = diag_mul_f(p.A_diag, y[sl] if meas is None else mat_mul_f(y[sl], meas.E))
+        AR = diag_mul_f(p.A_diag, y[sl] if meas is None else mat_mul_f(y[sl], meas[:9]))
         best_t, best_v = p.theta_set[0], math.inf
         for tp in p.theta_set:
             v = loop._value_w(AR, warp_rotation_f(tp, p), tp, y)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track.controllers import filtered_value_w_f, torque_f
+from so3track.controllers import _view, filtered_value_w_f, torque_f
 from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
@@ -123,7 +123,7 @@ def test_warp_reset_tie_break_prefers_first(paper_gains, paper_inertia):
         ("velocity_free", 1, THETA_BAR,
          st.VelocityFreeLoop.pack(Re=np.eye(3), **rest, Rtilde=R, theta_bar=0.0)),
     ]
-    quiet = st.Measurement(E=tuple(floats(np.eye(3))), n_omega=(0.0, 0.0, 0.0))
+    quiet = (*floats(np.eye(3)), 0.0, 0.0, 0.0)
     for theta_set in ([0.9 * math.pi, -0.9 * math.pi], [-0.9 * math.pi, 0.9 * math.pi]):
         p = st.design_params([2.0, 4.0, 6.0], theta_set, gamma_frac=0.5, delta_frac=0.5)
         a, b = p.theta_set
@@ -134,7 +134,7 @@ def test_warp_reset_tie_break_prefers_first(paper_gains, paper_inertia):
             loop = st.make_loop(kind, p, paper_gains, paper_inertia, REST)
             y = tuple(y.tolist())
             for meas in (None, quiet):
-                _, resets = loop._values(y, meas)[w]
+                _, resets = loop._values(y, _view(meas))[w]
                 assert resets[0] == resets[1]
                 assert loop.jump_margin(0.0, y, meas) >= 0.0
                 post = loop.jump(0.0, y, meas)
@@ -240,17 +240,17 @@ def test_packed_layout_and_flow_width(kind, width, paper_params, paper_gains, pa
 
 
 def random_measurement(rng):
-    return st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, 0.1, 3)))),
-                          n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
+    """A measurement row: E row-major, then n_omega."""
+    return (*floats(st.exp_so3(rng.normal(0.0, 0.1, 3))), *floats(rng.normal(0.0, 0.1, 3)))
 
 
 def measured(s, meas):
     """(E, R_m, omega_e,m): noise rotation, measured error rotation and velocity error."""
     if meas is None:
         return np.eye(3), s.Re, s.omega_e
-    E = np.reshape(meas.E, (3, 3))
+    E = np.reshape(meas[:9], (3, 3))
     Rm = s.Re @ E
-    return E, Rm, s.omega_e + np.array(meas.n_omega) + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
+    return E, Rm, s.omega_e + np.array(meas[9:]) + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
 
 
 def filtered_gap(R, theta, zeta, p, rho):
@@ -323,7 +323,7 @@ def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains
     # reproduce the exact-measurement values bit for bit
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
-    quiet = st.Measurement(E=tuple(floats(np.eye(3))), n_omega=tuple(floats(np.zeros(3))))
+    quiet = (*floats(np.eye(3)), *floats(np.zeros(3)))
     rng = np.random.default_rng(12)
     for _ in range(20):
         y = pack(kind, random_loop_state(kind, rng))
@@ -405,8 +405,12 @@ def spy_on_record(loop):
 
 def assert_rows_equal_scalar_kernels(loop, arc, t, states, meas, in_jump, rows):
     """Each recorded row, bit for bit, equals the float kernels at its sample."""
+    def recorded(v, m, z):
+        return loop._recorded(v, _view(m), z)
+
     for i in rows:
-        row = loop._columns(float(t[i]), states[i].tolist(), meas[i], bool(in_jump[i]))
+        row = loop._columns(float(t[i]), states[i].tolist(), meas[i], bool(in_jump[i]), math,
+                            recorded)
         assert np.array(row, dtype=float).tobytes() == arc.data[i].tobytes(), f"row {i}"
 
 
@@ -429,7 +433,7 @@ def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_g
     noise = seen["noise"]
     assert (noise is None) != noisy
     meas = ([None] * len(arc) if noise is None else
-            [st.Measurement(tuple(r[0:9]), tuple(r[9:12])) for r in noise.tolist()])
+            [tuple(r) for r in noise.tolist()])
     # a flow sample is recorded under the measurement of the step into it,
     # which ends at the sample time (the accepted step is the last one to end there)
     step_meas = dict(calls)
@@ -459,31 +463,32 @@ def numpy_exp_so3(w):
 @pytest.mark.parametrize("sigmas", ((0.1, 0.2), (0.1, 0.0), (0.0, 0.2)))
 def test_sample_measurement_replays_numpy_draw(sigmas, paper_params, paper_gains,
                                                paper_inertia):
-    # each measurement holds the values of a rng.normal(0, sigma, 3) call per
-    # noisy channel and step, in that order, so noisy runs replay; a block of
-    # measurements leaves the generator as its calls would
+    # each measurement row holds the values of a rng.normal(0, sigma, 3) call
+    # per noisy channel and step, in that order, so noisy runs replay; a
+    # block of rows leaves the generator as its calls would
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(*sigmas)
     loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise)
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    draws = loop.measurements(rng)
-    for k in range(st.controllers.NOISE_BLOCK + 20):
-        m = next(draws)
+    blocks = loop.measurements(rng)
+    first = next(blocks)
+    after_first = rng.bit_generator.state
+    rows = [*first.tolist(), *next(blocks).tolist()]
+    assert first.shape == (st.controllers.NOISE_BLOCK, 12)
+    for k, m in enumerate(rows[:st.controllers.NOISE_BLOCK + 20]):
         E = twin.normal(0.0, sigmas[0], 3) if sigmas[0] > 0.0 else None
         n = twin.normal(0.0, sigmas[1], 3) if sigmas[1] > 0.0 else np.zeros(3)
-        assert len(m.E) == 9 and len(m.n_omega) == 3
+        assert len(m) == 12
         if E is None:
-            assert m.E == tuple(floats(np.eye(3)))
+            assert tuple(m[:9]) == tuple(floats(np.eye(3)))
         else:
-            assert m.E == exp_so3_f(*E.tolist())
-            assert np.abs(np.reshape(m.E, (3, 3)) - numpy_exp_so3(E)).max() <= 1e-15
-        assert np.array_equal(m.n_omega, n)
-        if k == 0:  # the first measurement draws the whole block
-            block = rng.bit_generator.state
+            assert tuple(m[:9]) == exp_so3_f(*E.tolist())
+            assert np.abs(np.reshape(m[:9], (3, 3)) - numpy_exp_so3(E)).max() <= 1e-15
+        assert np.array_equal(m[9:], n)
         if k == st.controllers.NOISE_BLOCK - 1:
-            assert twin.bit_generator.state == block
-    assert next(st.make_loop("basic", paper_params, paper_gains, paper_inertia,
-                             ref).measurements(rng)) is None
+            assert twin.bit_generator.state == after_first
+    assert st.make_loop("basic", paper_params, paper_gains, paper_inertia,
+                        ref).measurements(rng) is None
 
 
 def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
@@ -796,7 +801,7 @@ def test_a_nan_gap_makes_the_margin_nan(kind, field):
     # where theta's gap reaches delta, a NaN theta_bar or Rtilde used to give
     # the margin 0.743 and a jump that kept theta_bar NaN
     loop, y = nan_state(kind, field)
-    noisy = st.Measurement(E=exp_so3_f(0.01, -0.02, 0.03), n_omega=(0.1, 0.0, -0.1))
+    noisy = (*exp_so3_f(0.01, -0.02, 0.03), 0.1, 0.0, -0.1)
     for meas in (None, noisy):
         assert math.isnan(loop.jump_margin(0.0, y, meas))
         with pytest.raises(SolverError, match="outside the jump set"):

@@ -83,8 +83,7 @@ def run_against_oracle(loop, y0, cfg):
             continue
         t0 = float(arc.t[i - 1])
         h = steps[t0]
-        meas = None if noise is None else st.Measurement(tuple(noise[i, 0:9].tolist()),
-                                                         tuple(noise[i, 9:12].tolist()))
+        meas = None if noise is None else tuple(noise[i].tolist())
         want = oracle_step(loop, t0, arc.states[i - 1], h, meas)
         assert want.tobytes() == arc.states[i].tobytes(), f"sample {i}"
         refined += h < cfg.dt and arc.t[i] < cfg.t_max - 1e-12

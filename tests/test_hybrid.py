@@ -81,10 +81,11 @@ def assert_float_tuple(y):
 
 
 class Strict(HybridSystem):
-    """A noisy clock with a projection that checks every state it is handed.
+    """A noisy clock with a projection that checks every state and measurement it is handed.
 
     x' = 1 with a reset to zero at x = 0.3337 (inside a step, so the crossing
-    is refined), and a decaying second component.
+    is refined), and a decaying second component.  Its measurement rows come
+    in blocks of 16, so a run crosses blocks.
     """
 
     kind = "strict"
@@ -92,14 +93,17 @@ class Strict(HybridSystem):
 
     def flow(self, t, y, meas):
         assert_float_tuple(y)
+        assert_float_tuple(meas)
         return (1.0, -y[1])
 
     def jump_margin(self, t, y, meas):
         assert_float_tuple(y)
+        assert_float_tuple(meas)
         return y[0] - 0.3337
 
     def jump(self, t, y, meas):
         assert_float_tuple(y)
+        assert_float_tuple(meas)
         return (0.0, y[1])
 
     def project(self, y):
@@ -109,7 +113,7 @@ class Strict(HybridSystem):
     def measurements(self, rng):
         rng = np.random.default_rng(rng)
         while True:
-            yield ((float(rng.normal()),),)
+            yield rng.normal(size=(16, 1))
 
     def record(self, t, states, noise, in_jump):
         assert states.shape == (len(t), 2) and noise.shape == (len(t), 1)
@@ -288,6 +292,22 @@ def test_a_seed_and_its_generator_give_the_same_arc(fig4_cfg):
     assert arc_bits(seeded) == arc_bits(st.solve(loop, y0, cfg.solver, np.random.default_rng(7)))
     assert arc_bits(st.solve(loop, y0, cfg.solver)) == arc_bits(st.solve(loop, y0, cfg.solver, 0))
     assert arc_bits(st.solve(loop, y0, cfg.solver)) != arc_bits(seeded)
+
+
+def test_noise_blocks_are_the_blocks_the_arc_spans(fig4_cfg, fig3_runs):
+    # fig4's smooth member at seed 1 rolls back 62 steps; its rows, 0 in force
+    # from the start to `steps` after the last step, span the blocks it drew,
+    # so no row is drawn twice and a rollback draws nothing.  The count reaches
+    # the run record, and the step calls are still all counted
+    cfg = dataclasses.replace(fig4_cfg, t_max=1.5, seed=1)
+    res = st.simulate_member(cfg, cfg.members[1])
+    stats = res.arc.stats
+    assert res.loop.kind == "smooth" and stats.rolled_back == 62
+    assert stats.noise_blocks == -(-(stats.steps + 1) // st.controllers.NOISE_BLOCK) == 2
+    assert st.scenarios.run_record(cfg, res)["stats"]["noise_blocks"] == 2
+    assert stats.step_calls == (stats.steps + stats.refine_evals + stats.crossings
+                                + stats.rolled_back)
+    assert {arc.stats.noise_blocks for _, _, arc, _, _ in fig3_runs.values()} == {0}
 
 
 def test_step_halving_changes_little(fig3_cfg):
@@ -476,27 +496,33 @@ def test_a_nan_margin_in_a_run_raises_as_a_single_step_does(monkeypatch):
 
 
 class Counted(HybridSystem):
-    """A clock whose measurement counts the draws: the i-th draw is i.
+    """A clock whose measurement counts the rows: row i is (i,), in blocks of 16 rows.
 
     The state is (x, armed).  An armed state enters the jump set when the
     measurement in force is `trigger`, so the fresh draw after a step, not
-    the step itself, makes the event; the jump disarms it.
+    the step itself, makes the event; the jump disarms it.  Every step
+    starts at a multiple of dt, and the one from t = k dt must be handed
+    row k, whatever was rolled back.
     """
 
     kind = "counted"
     columns = ("x", "draw")
 
-    def __init__(self, trigger):
-        self.trigger = trigger
+    def __init__(self, trigger, dt):
+        self.trigger, self.dt = trigger, dt
 
     def flow(self, t, y, meas):
         return (1.0, 0.0)
 
+    def step(self, t, y, h, meas):
+        assert meas == (t / self.dt,), (t, meas)
+        return HybridSystem.step(self, t, y, h, meas)
+
     def measurements(self, rng):
-        return (((float(i),),) for i in itertools.count())
+        return (np.arange(i, i + 16.0).reshape(16, 1) for i in itertools.count(0, 16))
 
     def jump_margin(self, t, y, meas):
-        return 1.0 if (meas[0][0] == self.trigger and y[1] == 1.0) else -1.0
+        return 1.0 if (meas[0] == self.trigger and y[1] == 1.0) else -1.0
 
     def jump(self, t, y, meas):
         return (y[0], 0.0)
@@ -506,25 +532,25 @@ class Counted(HybridSystem):
 
 
 def test_draws_after_a_rollback_are_replayed(monkeypatch):
-    # the draw after step 10 arms the jump set: the run rolls back to the
-    # sample after step 9, and the draws it made past there are taken again
-    # in order, so the step into each flow sample holds draws 0, 1, 2, ...
+    # row 10, in force after step 10, arms the jump set: the run rolls back to
+    # the sample after step 9, and the rows past there are taken again in
+    # order, so the step into each flow sample holds rows 0, 1, 2, ...
     monkeypatch.setattr(hybrid, "RUN_FIRST", 32)
     cfg = st.SolverConfig(dt=0.25, t_max=25.0, j_max=5)
-    alone, runs = solve_alone_and_in_runs(monkeypatch, Counted(10.0), [0.0, 1.0], cfg)
+    alone, runs = solve_alone_and_in_runs(monkeypatch, Counted(10.0, cfg.dt), [0.0, 1.0], cfg)
     assert_same_arcs(alone, runs)
     flow = np.flatnonzero(np.diff(runs.t) > 0.0) + 1
     assert runs.column("draw")[flow].tolist() == list(map(float, range(100)))
-    assert [(ev.t, ev.j_before, ev.meas) for ev in runs.jumps] == [(2.5, 0, ((10.0,),))]
+    assert [(ev.t, ev.j_before, ev.meas) for ev in runs.jumps] == [(2.5, 0, (10.0,))]
     # hand counts: a run of 32 steps finds the event at its tenth sample and
     # discards 23 steps; step 10 is taken alone, with its two margins, then the
     # jump's margin; clean runs of 18 (twice the event's offset 9), 36 and 36
     # steps end at t_max; the toy has no run hook, so each run step is handed
-    # back to `system.step`
+    # back to `system.step`.  Rows 0 to 100 span seven blocks, each drawn once
     assert runs.stats == hybrid.SolverStats(
         steps=100, step_calls=123, runs=4, rolled_back=23,
         margins_batched=2 * (32 + 18 + 36 + 36), margins_scalar=4, refine_evals=0, crossings=0,
-        handed_back=32 + 18 + 36 + 36)
+        handed_back=32 + 18 + 36 + 36, noise_blocks=7)
     assert alone.stats.rolled_back == 1 and alone.stats.margins_batched == 2 * 100
 
 

@@ -131,3 +131,16 @@ def test_a_replaced_config_is_checked_as_the_cli_checks_it(tmp_path, capsys, fla
     with pytest.raises(ConfigError) as e:
         dataclasses.replace(st.load_scenario("fig3"), **change)
     assert err == f"config error: {e.value}\n"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: `validate` tests only the fastest "
+                   "hand-derived decay mode, which misses the baseline's worst state")
+def test_validate_warns_at_a_step_size_where_the_baseline_diverges():
+    # a non-hybrid-only fig3 copy at dt = 0.09: the run fails its projection
+    # at t = 1.53, yet `validate_scenario` has no note for it
+    raw = st.parse_config_text(st.bundled_scenarios()["fig3"].read_text())
+    cfg = st.scenario_from_mapping({**raw, "controllers": ["non_hybrid"],
+                                    "gammas": [0.7092482854963644], "dt": 0.09})
+    with pytest.raises(st.SolverError, match=r"projection failed .* t=1\.53"):
+        st.simulate_member(cfg, cfg.members[0])
+    assert st.validate_scenario(cfg)

@@ -12,6 +12,7 @@ import pytest
 import margin_oracle
 import so3track as st
 from so3track import controllers, straightline
+from so3track.controllers import _view
 from so3track.errors import SolverError
 from so3track.hybrid import HybridSystem
 from so3track.so3 import ARRAY_MATH, columns, floats
@@ -43,9 +44,9 @@ def random_state(kind, rng, near_critical=None):
     return st.BasicLoop.pack(**base)
 
 
-def random_measurement(rng):
-    return st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, 0.1, 3)))),
-                          n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
+def random_measurement(rng, sigma=0.1):
+    """A measurement row: E row-major, then n_omega."""
+    return (*floats(st.exp_so3(rng.normal(0.0, sigma, 3))), *floats(rng.normal(0.0, 0.1, 3)))
 
 
 def bits(values) -> bytes:
@@ -93,8 +94,7 @@ def test_compiled_flow_keeps_signed_zeros(paper_params, paper_gains, paper_inert
     # with zero velocities, warp angle and filter states the stages hold signed
     # zeros, which must come out the same
     rest = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    quiet = st.Measurement(E=(1.0, -0.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 1.0),
-                           n_omega=(-0.0, 0.0, -0.0))
+    quiet = (1.0, -0.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 1.0, -0.0, 0.0, -0.0)
     for kind, relaxed in STRUCTURES:
         loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia, rest)
         y = tuple(random_state(kind, np.random.default_rng(3)).tolist())
@@ -143,10 +143,7 @@ def test_compiled_margin_matches_the_float_kernels_bit_for_bit(kind, noisy, rese
     signs = set()
     for y, sigma in states:
         y = tuple(y.tolist())
-        meas = None
-        if noisy:
-            meas = st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, sigma, 3)))),
-                                  n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
+        meas = random_measurement(rng, sigma) if noisy else None
         margin = loop.jump_margin(0.0, y, meas)
         assert bits(margin) == bits(margin_oracle.margin(loop, y, meas))
         signs.add(margin >= 0.0)
@@ -188,11 +185,9 @@ def test_batch_margins_match_the_float_margin_bit_for_bit(kind, noisy, resets, m
                for c in st.undesired_critical_points(p)]
     states += [(tie_state(kind, rng), 1e-12) for _ in range(5)]
     states += [(nan_entry(kind, random_state(kind, rng), rng), 0.1) for _ in range(6)]
-    meas = [st.Measurement(E=tuple(floats(st.exp_so3(rng.normal(0.0, sigma, 3)))),
-                           n_omega=tuple(floats(rng.normal(0.0, 0.1, 3))))
-            if noisy else None for _, sigma in states]
+    meas = [random_measurement(rng, sigma) if noisy else None for _, sigma in states]
     S = np.array([y for y, _ in states])
-    noise = np.array([[*m.E, *m.n_omega] for m in meas]) if noisy else None
+    noise = np.array(meas) if noisy else None
     t = rng.uniform(0.0, 10.0, len(S))
     want = [loop.jump_margin(tt, tuple(y.tolist()), m) for tt, y, m in zip(t, S, meas)]
     assert bits(want) == bits([margin_oracle.margin(loop, tuple(y.tolist()), m)
@@ -202,11 +197,10 @@ def test_batch_margins_match_the_float_margin_bit_for_bit(kind, noisy, resets, m
     short = slice(len(S) - (controllers.MARGIN_BATCH_MIN - 1), None)
     assert short.start > 0
     for rows, bound in ((short, []), (slice(None), [] if kind == "non_hybrid" else [not noisy])):
-        got = loop.jump_margins(t[rows], S[rows], None if noise is None else noise[rows],
-                                meas[rows])
+        got = loop.jump_margins(t[rows], S[rows], None if noise is None else noise[rows])
         assert got.shape == (len(want[rows]),) and got.tobytes() == bits(want[rows])
         assert list(loop._margin_columns) == bound
-    assert HybridSystem.jump_margins(loop, t, S, noise, meas).tobytes() == bits(want)
+    assert HybridSystem.jump_margins(loop, t, S, noise).tobytes() == bits(want)
     if kind != "non_hybrid":
         assert {m >= 0.0 for m in want} == {False, True} and any(m != m for m in want)
     assert calls == ([] if kind == "non_hybrid" else [f"{kind}_margin"])
@@ -242,10 +236,11 @@ def test_compiled_record_matches_the_interpreted_columns_bit_for_bit(kind, relax
     t = rng.uniform(0.0, 10.0, len(S))
     noise = None
     if noisy:
-        noise = np.array([[*m.E, *m.n_omega] for m in (random_measurement(rng) for _ in S)])
+        noise = np.array([random_measurement(rng) for _ in S])
     in_jump = rng.integers(2, size=len(S)).astype(bool)
     got = loop.record(t, S, noise, in_jump)
-    want = loop._columns(t, columns(S), loop._measurement_columns(noise), in_jump, ARRAY_MATH)
+    want = loop._columns(t, columns(S), None if noise is None else columns(noise), in_jump,
+                         ARRAY_MATH, lambda v, m, z: loop._recorded(v, _view(m), z, ARRAY_MATH))
     assert len(got) == len(want) == len(loop.columns)
     for name, a, b in zip(loop.columns, got, want):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
@@ -376,8 +371,7 @@ def test_compiled_code_looks_up_no_names(kind, relaxed, paper_params, paper_gain
                          run.__defaults__))
         assert (bound["range"], bound["sum"], bound["isfinite"], bound["next"]) == (
             range, sum, math.isfinite, next)
-        assert {"step", "add_t", "add_state", "add_noise", "take", "draws", "keep"} <= set(
-            code.co_varnames[:code.co_argcount])
+        assert {"step", "add_t", "add_state", "fresh"} <= set(code.co_varnames[:code.co_argcount])
 
 
 def test_trace_refuses_what_needs_a_value():
