@@ -67,14 +67,13 @@ steps, each as `solve`, `step` and `project` would.
 The jump rule's values go through `_compile` too: `_values`, the value of
 each warp angle and of every reset angle, is traced once per process for
 each (law, measurement kind, number of reset angles), with `theta_set` among
-the parameters, so the reset rotations are evaluated once per loop, at the
-binding.  The one trace is bound twice: to `math`, for `jump_margin` and
-`jump` on a state's floats, and to `ARRAY_MATH`, for `jump_margins` on the
-(n,) columns of a run's samples (see `hybrid.solve`); the second binding
-takes the first one's parameter values.  The two picks that branch on data,
-the least reset value and the largest gap, are written once, in `_picks`,
-over a `where`: a conditional expression for floats and `np.where` for
-columns.  The margin stays a kernel of its own, not part of
+the parameters, so the reset rotations are evaluated at each binding, not
+at each call.  The one trace is bound twice: to `math`, for `jump_margin`
+and `jump` on a state's floats, and to `ARRAY_MATH`, for `jump_margins` on
+the (n,) columns of a run's samples (see `hybrid.solve`).  The two picks
+that branch on data, the least reset value and the largest gap, are written
+once, in `_picks`, over a `where`: a conditional expression for floats and
+`np.where` for columns.  The margin stays a kernel of its own, not part of
 the step, since a kernel past 256 locals pays an `EXTENDED_ARG` on each
 access to the ones past it (see `straightline`).  A run shorter than
 MARGIN_BATCH_MIN samples takes `jump_margin` sample by sample instead, which
@@ -522,7 +521,7 @@ class _TrackingLoop(HybridSystem):
             return HybridSystem.step(self, t, y, h, meas)
         return y_h
 
-    def _compile(self, structure: tuple, method, name: str, xp=math, like=None, **shapes):
+    def _compile(self, structure: tuple, method, name: str, xp=math, **shapes):
         """`method` traced once per process for this loop's class and `structure`, bound here.
 
         method(loop, xp, meas, **inputs) runs on a stand-in loop that holds
@@ -530,9 +529,7 @@ class _TrackingLoop(HybridSystem):
         the Measurement of a row, or None where its shape is None (exact).
         `structure` names all else the trace depends on; the compiled function takes the
         inputs of `shapes` by position, in their order, and calls the math
-        functions of `xp`.  `like`, a function this loop already bound from
-        the same trace, lends its parameter values, so they are not evaluated
-        again (`straightline.Traced.rebind`).
+        functions of `xp`.
         """
         cls, relaxed = type(self), self.relaxed
         objects = dict(params=self.params, gains=self.gains, inertia=self.inertia)
@@ -547,7 +544,7 @@ class _TrackingLoop(HybridSystem):
 
             traced = _TRACES[key] = straightline.trace(kernel, f"{self.kind}_{name}",
                                                        parameters=objects, **shapes)
-        return traced.bind(xp, **objects) if like is None else traced.rebind(like, xp)
+        return traced.bind(xp, **objects)
 
     def _compile_step(self, exact: bool, z_fn):
         """`HybridSystem.step` over `_rates` and `z_fn`, compiled for (`relaxed`, exact, z_fn).
@@ -667,14 +664,12 @@ class _TrackingLoop(HybridSystem):
     def _compile_values(self, exact: bool, xp=math):
         """`_values`, compiled for (exact, number of reset angles), calling xp's math.
 
-        One trace serves floats (`math`) and (n,) columns (`ARRAY_MATH`); the
-        columns take the parameter values bound for floats, so a loop
-        evaluates them once.
+        One trace serves floats (`math`) and (n,) columns (`ARRAY_MATH`),
+        each bound on its own.
         """
         return self._compile((exact, len(self.params.theta_set)),
                              lambda loop, xp, meas, y: loop._values(y, meas, xp), "margin",
-                             xp=xp, like=None if xp is math else self._margin(exact),
-                             y=self.WIDTH, meas=None if exact else 12)
+                             xp=xp, y=self.WIDTH, meas=None if exact else 12)
 
     def _margin(self, exact: bool):
         """The compiled `_values` on floats, bound at its first use."""

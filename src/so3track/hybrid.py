@@ -19,11 +19,11 @@ records, but asks no margin; after the run it takes the margins of all the
 run's samples in one `HybridSystem.jump_margins` call, under the measurement
 of the step into each sample and, with noise, also under the fresh one
 after it.  The first sample whose margin is >= 0 or NaN rolls the run back
-to the sample before it: the buffers are truncated, and the step into that
-sample is taken once more alone, with its margins after it, which refines
-the crossing, jumps or raises as every step did before.  A step that raised
-ends its run, and its error is raised only if no event comes before it.  So
-the arc, its jumps and the errors are those of checking every step alone.
+to the sample before it, keeping the event's state and margin, from which
+the event is resolved as a step checked alone is: refined, jumped or raised,
+without taking the step again.  A step that raised ends its run, and its
+error is raised only if no event comes before it.  So the arc, its jumps
+and the errors are those of checking every step alone.
 The first run is RUN_FIRST steps.  A run whose first event lies k steps in
 is followed by a run of 2k steps, at least one and at most RUN_FIRST, so
 events a few steps apart discard a few steps each, not a whole run; a clean
@@ -334,8 +334,11 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
     step length h.
 
     Flow steps are taken in runs, through the system's run hook where it
-    takes them (see the module docstring); the arc, the jumps and the errors
-    are those of checking every step alone, and `arc.stats` counts the work.
+    takes them, and each event is resolved from the run that found it (see
+    the module docstring): `system.step` runs only for refinement, the
+    re-step to a crossing and the steps the hook hands back.  The arc, the
+    jumps and the errors are those of checking every step alone, and
+    `arc.stats` counts the work.
     """
     y = system.project(tuple(np.asarray(y0, dtype=float).tolist()))
     t = 0.0
@@ -409,10 +412,11 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
                 t=t, j=j, h=h,
             ) from e
 
-    def membership(tt, yy):
-        """(margin, in_jump) under the current measurement."""
-        stats.margins_scalar += 1
-        m = system.jump_margin(tt, yy, meas)
+    def membership(tt, yy, m=None):
+        """(margin, in_jump) under the current measurement: m, taken by a run, or `jump_margin`'s."""
+        if m is None:
+            stats.margins_scalar += 1
+            m = system.jump_margin(tt, yy, meas)
         if m != m:
             raise SolverError(
                 f"the jump margin is not a number at t={tt}, j={j}: "
@@ -444,7 +448,6 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
 
     t_max, dt = config.t_max, config.dt
     run = RUN_FIRST  # steps in the next run
-    alone = False  # whether the next flow step is taken alone
     jumps_here = 0
     last_jump_t = None
     status = "t_max"
@@ -471,72 +474,69 @@ def solve(system: HybridSystem, y0, config: SolverConfig, rng=None) -> HybridArc
             margin, in_jump = membership(t, y)
             sample(in_jump)
             continue
-        remaining = t_max - t
-        if remaining <= END_GAP:
+        if t_max - t <= END_GAP:
             status = "t_max"
             break
-        if not alone:
-            # A run: the margins of its samples are taken after its last step.
-            stats.runs += 1
-            n0 = len(ts)
-            fresh = None if noise is None else rows(n0 - len(jumps), run)
-            out = (ts.append, states.extend, pack_state, fresh)
-            held = None
-            left = run
-            while left:
-                k, t, y, meas = system.flow_steps(left, t, y, meas, t_max, dt, out)
-                js.extend(repeat(j, k))
-                flags.extend(repeat(False, k))
-                stats.step_calls += k
-                left -= k
-                remaining = t_max - t
-                if not left or remaining <= END_GAP:
-                    break
-                # The hook stopped before this step.
-                stats.handed_back += 1
-                h = dt if dt < remaining else remaining
-                try:
-                    y_new = advance(h)
-                except SolverError as e:
-                    held = e
-                    break
-                t += h
-                y = y_new
-                sample(False)
-                if fresh is not None:
-                    meas = next(fresh)
-                left -= 1
-            n = len(ts) - n0
-            if not n:  # the run's first step raised
+        # A run: the margins of its samples are taken after its last step.
+        stats.runs += 1
+        n0 = len(ts)
+        fresh = None if noise is None else rows(n0 - len(jumps), run)
+        out = (ts.append, states.extend, pack_state, fresh)
+        held = None
+        left = run
+        while left:
+            k, t, y, meas = system.flow_steps(left, t, y, meas, t_max, dt, out)
+            js.extend(repeat(j, k))
+            flags.extend(repeat(False, k))
+            stats.step_calls += k
+            left -= k
+            remaining = t_max - t
+            if not left or remaining <= END_GAP:
+                break
+            # The hook stopped before this step.
+            stats.handed_back += 1
+            h = dt if dt < remaining else remaining
+            try:
+                y_new = advance(h)
+            except SolverError as e:
+                held = e
+                break
+            t += h
+            y = y_new
+            sample(False)
+            if fresh is not None:
+                meas = next(fresh)
+            left -= 1
+        n = len(ts) - n0
+        if not n:  # the run's first step raised
+            raise held
+        m = run_margins(n0)
+        event = ~(m < 0.0)  # a margin >= 0 or NaN
+        if noise is not None:
+            event = event[:n] | event[n:]
+        if not event.any():
+            if held is not None:
                 raise held
-            m = run_margins(n0)
-            event = ~(m < 0.0)  # a margin >= 0 or NaN
-            if noise is not None:
-                event = event[:n] | event[n:]
-            if not event.any():
-                if held is not None:
-                    raise held
-                margin = float(m[-1])
-                run = min(2 * run, RECORD_BATCH)
-                continue
-            # Roll back to the sample before the first event; the margin of
-            # the run's start is still `margin`.
-            k = int(event.argmax())
-            stats.rolled_back += n + (held is not None) - k
-            keep = n0 + k
-            t, y = ts[keep - 1], state_struct.unpack_from(states, (keep - 1) * state_bytes)
-            if k:
-                margin = float(m[k - 1 if noise is None else n + k - 1])
-            del ts[keep:], js[keep:], flags[keep:], states[keep * state_bytes:]
-            if noise is not None:
-                meas = next(rows(keep - 1 - len(jumps), 1))
-            run = min(RUN_FIRST, max(1, 2 * k))
-            alone = True
+            margin = float(m[-1])
+            run = min(2 * run, RECORD_BATCH)
             continue
-        alone = False
+        # Roll back to the sample before the first event, keeping the event's
+        # state and its margin under the step's measurement; the margin of the
+        # run's start is still `margin`.
+        k = int(event.argmax())
+        stats.rolled_back += n + (held is not None) - k - 1
+        keep = n0 + k
+        t, y = ts[keep - 1], state_struct.unpack_from(states, (keep - 1) * state_bytes)
+        y_new = state_struct.unpack_from(states, keep * state_bytes)
+        if k:
+            margin = float(m[k - 1 if noise is None else n + k - 1])
+        del ts[keep:], js[keep:], flags[keep:], states[keep * state_bytes:]
+        if noise is not None:
+            meas = next(rows(keep - 1 - len(jumps), 1))
+        run = min(RUN_FIRST, max(1, 2 * k))
+        remaining = t_max - t
         h = dt if dt < remaining else remaining
-        y_new = advance(h)
-        margin_new, in_jump_new = membership(t + h, y_new)
+        margin_new, in_jump_new = membership(t + h, y_new, float(m[k]))
         if in_jump_new and margin < 0.0:
 
             def margin_at(tau: float) -> float:

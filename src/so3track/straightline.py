@@ -404,15 +404,6 @@ class Traced:
         return types.FunctionType(self.code, {}, self.name, (
             *self._bind(p), *self._constants, *(getattr(xp, f) for f in self._calls)))
 
-    def rebind(self, fn, xp=math):
-        """fn, a function that `bind` gave, calling the math functions of xp instead.
-
-        The parameters keep fn's values; they are not evaluated again.
-        """
-        kept = fn.__defaults__[:len(fn.__defaults__) - len(self._calls)]
-        return types.FunctionType(self.code, {}, self.name, (
-            *kept, *(getattr(xp, f) for f in self._calls)))
-
 
 def trace(fn, name: str, parameters: dict | None = None, **shapes) -> Traced:
     """Trace fn(XP, **stand-ins, **inputs) into a straight-line function of the inputs.

@@ -1,13 +1,15 @@
-"""Regenerate `tests/golden.json`: the digests and parsed values of two short scenario runs.
+"""Regenerate `tests/golden.json`: the digests and parsed values of short runs.
 
     PYTHONPATH=src python tests/make_golden.py
 
-The runs are `so3track run fig4 --t-max 1.5` and `so3track run fig3
---t-max 2`.  For each CSV and `_cert.txt` they write, the file holds its
-sha256 and a summary of its parsed values (`values`), next to the platform
-the bits depend on: the Python and numpy versions and the C library, whose
-`sin` and `cos` the kernels call.  `test_golden.py` compares a fresh run
-with it.
+The runs are `so3track run fig4 --t-max 1.5`, `so3track run fig3 --t-max 2`
+and the four tumbling members of `tumble` to t = 0.5, whose hybrid laws
+refine a crossing each; a member's CSV is written by `write_csv`, with its
+certificate's lines as the footer.  For each CSV and `_cert.txt`, the file
+holds its sha256 and a summary of its parsed values (`values`), next to the
+platform the bits depend on: the Python and numpy versions and the C
+library, whose `sin` and `cos` the kernels call.  `test_golden.py` compares
+a fresh run with it.
 
 Regenerating is a deliberate output change and a logged step of its own: the
 script prints the largest difference of each changed value from the old
@@ -28,6 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from so3track import cli
+from so3track.output import write_csv
+from so3track.scenarios import simulate_member
+from tumble import TUMBLE_SEEDS, tumble_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 RUNS = (("fig4", "--t-max", "1.5"), ("fig3", "--t-max", "2"))
@@ -41,7 +46,8 @@ def platform_key() -> dict:
 
 
 def run_all(out_dir: Path) -> dict:
-    """Run each of RUNS into a directory of its own under out_dir; {name: path} of its files."""
+    """Run RUNS into directories of their own under out_dir and the tumbling members into
+    `tumble_<law>.csv` there; {name: path} of the files."""
     files = {}
     for name, *args in RUNS:
         target = out_dir / name
@@ -50,6 +56,11 @@ def run_all(out_dir: Path) -> dict:
             raise RuntimeError(f"so3track run {name} {' '.join(args)} exited {code}")
         files.update((p.name, p) for p in sorted(target.iterdir())
                      if p.suffix == ".csv" or p.name.endswith("_cert.txt"))
+    for law in sorted(TUMBLE_SEEDS):
+        cfg = tumble_config(law)
+        res = simulate_member(cfg, cfg.members[0])
+        path = files[f"tumble_{law}.csv"] = out_dir / f"tumble_{law}.csv"
+        write_csv(path, res.arc, footer_lines=res.report.lines())
     return files
 
 

@@ -10,6 +10,7 @@ from so3track import hybrid
 from so3track.errors import ContractError, SolverError
 from so3track.hybrid import HybridSystem, detect_crossing
 from step_spy import spy_compiled_step
+from tumble import TUMBLE_SEEDS, fig4, tumble_config, tumble_overrides
 
 
 class Decay(HybridSystem):
@@ -295,14 +296,14 @@ def test_a_seed_and_its_generator_give_the_same_arc(fig4_cfg):
 
 
 def test_noise_blocks_are_the_blocks_the_arc_spans(fig4_cfg, fig3_runs):
-    # fig4's smooth member at seed 1 rolls back 62 steps; its rows, 0 in force
+    # fig4's smooth member at seed 1 rolls back 60 steps; its rows, 0 in force
     # from the start to `steps` after the last step, span the blocks it drew,
     # so no row is drawn twice and a rollback draws nothing.  The count reaches
     # the run record, and the step calls are still all counted
     cfg = dataclasses.replace(fig4_cfg, t_max=1.5, seed=1)
     res = st.simulate_member(cfg, cfg.members[1])
     stats = res.arc.stats
-    assert res.loop.kind == "smooth" and stats.rolled_back == 62
+    assert res.loop.kind == "smooth" and stats.rolled_back == 60
     assert stats.noise_blocks == -(-(stats.steps + 1) // st.controllers.NOISE_BLOCK) == 2
     assert st.scenarios.run_record(cfg, res)["stats"]["noise_blocks"] == 2
     assert stats.step_calls == (stats.steps + stats.refine_evals + stats.crossings
@@ -333,28 +334,22 @@ def test_rotations_stay_on_manifold_along_arc(fig3_runs):
         assert np.linalg.det(Rs).min() > 0.0
 
 
-# A tumbling member per law: fig4's settings, noise off, a seeded initial
-# state.  The seeds are picked so that each hybrid law refines a jump.
-TUMBLE_SEEDS = {"basic": 7, "smooth": 16, "velocity_free": 10, "non_hybrid": 0}
-
-
+# A tumbling member per law (see `tumble`), each hybrid one refining a jump.
 @pytest.mark.parametrize("law", sorted(TUMBLE_SEEDS))
 def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
     # every RK4 step, and so every four flow evaluations, is an accepted step,
     # a refinement evaluation of the margin, the re-step to the crossing or a
-    # step of a run that a rollback discarded; the solver's counters agree
-    rng = np.random.default_rng(TUMBLE_SEEDS[law])
-    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
-    cfg = st.scenario_from_mapping({
-        **base, "name": "tumble", "controllers": [law], "gammas": base["gammas"][:1],
-        "omega0": rng.uniform(-20.0, 20.0, 3).tolist(),
-        "theta0": float(rng.uniform(-math.pi, math.pi)),
-        "R0_axis": rng.normal(size=3).tolist(), "R0_angle": float(rng.uniform(0.0, math.pi)),
-        "theta_set": [-0.9 * math.pi, 0.9 * math.pi],
-        "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.5,
-    })
+    # step of a run that a rollback discarded; the solver's counters agree.
+    # `solve` calls `loop.step` only to refine, to re-step to a crossing and
+    # for a step that the run hands back: it never takes a run's step again
+    cfg = tumble_config(law)
     loop, y0 = st.scenarios.build_member(cfg, cfg.members[0])
-    counts = {"step": 0, "refine": 0, "restep": 0}
+    counts = {"step": 0, "refine": 0, "restep": 0, "loop.step": 0}
+    loop_step = loop.step
+
+    def counted_loop_step(t, y, h, meas):
+        counts["loop.step"] += 1
+        return loop_step(t, y, h, meas)
 
     def counted_step(t, y, h, meas):
         counts["step"] += 1
@@ -370,6 +365,7 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
 
     spy_compiled_step(loop, counted_step)
     monkeypatch.setattr(hybrid, "detect_crossing", counted_crossing)
+    monkeypatch.setattr(loop, "step", counted_loop_step)
     arc = st.solve(loop, y0, st.SolverConfig(dt=cfg.dt, t_max=cfg.t_max))
     steps = len(arc) - 1 - len(arc.jumps)
     assert steps >= 500
@@ -379,6 +375,7 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
     assert calls == steps + counts["refine"] + counts["restep"] + stats.rolled_back
     assert ((stats.steps, stats.step_calls, stats.refine_evals, stats.crossings)
             == (steps, calls, counts["refine"], counts["restep"]))
+    assert counts["loop.step"] == stats.refine_evals + stats.crossings + stats.handed_back
     if law != "non_hybrid":
         assert arc.jumps and counts["refine"] > 0 and counts["restep"] > 0
 
@@ -444,7 +441,8 @@ def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset, 
     # the crossing lies inside the step into the run's first, second or last
     # sample and is refined there; each reset starts a run at the clock's zero.
     # The first run has RUN_FIRST steps, and each run after a rollback twice
-    # the event's offset k (at least one, at most RUN_FIRST)
+    # the event's offset k (at least one, at most RUN_FIRST); a rollback keeps
+    # the k steps before the event and the event's own step
     dt = 1e-3
     k = {"first": 0, "second": 1, "last": hybrid.RUN_FIRST - 1}[offset]
     cfg = st.SolverConfig(dt=dt, t_max=0.7, j_max=40)
@@ -452,7 +450,8 @@ def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset, 
     assert_same_arcs(alone, runs)
     assert runs.jumps and runs.stats.crossings == len(runs.jumps)
     after = min(hybrid.RUN_FIRST, max(1, 2 * k))
-    assert runs.stats.rolled_back == (hybrid.RUN_FIRST - k) + (len(runs.jumps) - 1) * (after - k)
+    assert runs.stats.rolled_back == ((hybrid.RUN_FIRST - k - 1)
+                                      + (len(runs.jumps) - 1) * (after - k - 1))
 
 
 def test_an_event_every_step_rolls_back_few_steps(monkeypatch):
@@ -543,31 +542,25 @@ def test_draws_after_a_rollback_are_replayed(monkeypatch):
     assert runs.column("draw")[flow].tolist() == list(map(float, range(100)))
     assert [(ev.t, ev.j_before, ev.meas) for ev in runs.jumps] == [(2.5, 0, (10.0,))]
     # hand counts: a run of 32 steps finds the event at its tenth sample and
-    # discards 23 steps; step 10 is taken alone, with its two margins, then the
-    # jump's margin; clean runs of 18 (twice the event's offset 9), 36 and 36
+    # discards the 22 steps after it; step 10 keeps its state and its batch
+    # margin, and takes the fresh row's margin, then the jump's; clean runs of 18 (twice the event's offset 9), 36 and 36
     # steps end at t_max; the toy has no run hook, so each run step is handed
     # back to `system.step`.  Rows 0 to 100 span seven blocks, each drawn once
     assert runs.stats == hybrid.SolverStats(
-        steps=100, step_calls=123, runs=4, rolled_back=23,
-        margins_batched=2 * (32 + 18 + 36 + 36), margins_scalar=4, refine_evals=0, crossings=0,
+        steps=100, step_calls=122, runs=4, rolled_back=22,
+        margins_batched=2 * (32 + 18 + 36 + 36), margins_scalar=3, refine_evals=0, crossings=0,
         handed_back=32 + 18 + 36 + 36, noise_blocks=7)
-    assert alone.stats.rolled_back == 1 and alone.stats.margins_batched == 2 * 100
+    assert alone.stats.rolled_back == 0 and alone.stats.margins_batched == 2 * 100
 
 
 @pytest.mark.parametrize("law, noisy", [("basic", False), ("smooth", True),
                                         ("velocity_free", True), ("non_hybrid", True)])
 def test_closed_loops_in_runs_give_the_arc_of_single_steps(law, noisy, monkeypatch):
     # a tumbling member (refined jumps) without noise, and fig4 members with it
-    rng = np.random.default_rng(TUMBLE_SEEDS[law])
-    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
+    base = fig4()
     overrides = {"controllers": [law], "gammas": base["gammas"][:1], "t_max": 0.25}
     if not noisy:
-        overrides.update({
-            "omega0": rng.uniform(-20.0, 20.0, 3).tolist(),
-            "theta0": float(rng.uniform(-math.pi, math.pi)),
-            "R0_axis": rng.normal(size=3).tolist(), "R0_angle": float(rng.uniform(0.0, math.pi)),
-            "theta_set": [-0.9 * math.pi, 0.9 * math.pi],
-            "noise_var_R": 0.0, "noise_var_omega": 0.0})
+        overrides.update(tumble_overrides(law))
     cfg = st.scenario_from_mapping({**base, **overrides})
     loop, y0 = st.scenarios.build_member(cfg, cfg.members[0])
     alone, runs = solve_alone_and_in_runs(monkeypatch, loop, y0, cfg.solver, seed=5)
