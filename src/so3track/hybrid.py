@@ -107,8 +107,9 @@ class HybridSystem:
     Step contract: `step(t, y, h, meas)` is one classical RK4 step of
     y' = flow(t, y, meas).  A system may run it another way (the closed loops
     compile it) if it returns the same bits and raises what the default
-    raises.  `solve` takes every flow step, and every state at which
-    refinement evaluates the margin, through `step`.
+    raises.  The run hook (below) takes the flow steps of a run; `solve`
+    calls `step` only where refinement evaluates the margin, for the
+    re-step to a located crossing and for a step the hook hands back.
 
     Measurement contract: `measurements(rng)` is None for a system without
     measurement noise.  Otherwise it is an iterator of blocks, float arrays

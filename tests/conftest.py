@@ -1,38 +1,26 @@
 import dataclasses
-import math
 import time
 
-import numpy as np
 import pytest
 
+import paths
 import so3track as st
 
 
 @pytest.fixture(scope="session")
 def paper_params():
     """The simulation-study parameter set: A=diag(2,4,6), one reset at 0.9 pi."""
-    return st.design_params(
-        [2.0, 4.0, 6.0], [0.9 * math.pi], gamma=7.0 / math.pi**2, delta_frac=0.8
-    )
+    return paths.params(1)
 
 
 @pytest.fixture(scope="session")
 def paper_inertia():
-    return st.Inertia([0.0159, 0.0150, 0.0297])
+    return paths.INERTIA
 
 
 @pytest.fixture(scope="session")
 def paper_gains():
-    return st.Gains(
-        k_R=1.5,
-        k_omega=0.2,
-        k_theta=50.0,
-        k_zeta=150.0,
-        k_beta=3.0,
-        Gamma_diag=[30.0, 30.0, 30.0],
-        rho=0.0146,
-        delta_prime=0.162,
-    )
+    return paths.GAINS
 
 
 @pytest.fixture(scope="session")

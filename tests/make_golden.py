@@ -3,13 +3,13 @@
     PYTHONPATH=src python tests/make_golden.py
 
 The runs are `so3track run fig4 --t-max 1.5`, `so3track run fig3 --t-max 2`
-and the four tumbling members of `tumble` to t = 0.5, whose hybrid laws
+and the four tumbling members of `paths` to t = 0.5, whose hybrid laws
 refine a crossing each; a member's CSV is written by `write_csv`, with its
-certificate's lines as the footer.  For each CSV and `_cert.txt`, the file
-holds its sha256 and a summary of its parsed values (`values`), next to the
-platform the bits depend on: the Python and numpy versions and the C
-library, whose `sin` and `cos` the kernels call.  `test_golden.py` compares
-a fresh run with it.
+certificate's lines as the footer.  For each CSV, `_cert.txt` and `_run.json`,
+the file holds its sha256 and a summary of its parsed values (`values`), next
+to the platform the bits depend on: the Python and numpy versions and the C
+library, whose `sin` and `cos` the kernels call.  `test_golden.py` compares a
+fresh run with it.
 
 Regenerating is a deliberate output change and a logged step of its own: the
 script prints the largest difference of each changed value from the old
@@ -32,7 +32,7 @@ import numpy as np
 from so3track import cli
 from so3track.output import write_csv
 from so3track.scenarios import simulate_member
-from tumble import TUMBLE_SEEDS, tumble_config
+from paths import TUMBLE_SEEDS, tumble_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 RUNS = (("fig4", "--t-max", "1.5"), ("fig3", "--t-max", "2"))
@@ -47,7 +47,7 @@ def platform_key() -> dict:
 
 def run_all(out_dir: Path) -> dict:
     """Run RUNS into directories of their own under out_dir and the tumbling members into
-    `tumble_<law>.csv` there; {name: path} of the files."""
+    `tumble_<law>.csv` there; {name: path} of the CSVs, certificates and run records."""
     files = {}
     for name, *args in RUNS:
         target = out_dir / name
@@ -55,7 +55,7 @@ def run_all(out_dir: Path) -> dict:
         if code != cli.EXIT_OK:
             raise RuntimeError(f"so3track run {name} {' '.join(args)} exited {code}")
         files.update((p.name, p) for p in sorted(target.iterdir())
-                     if p.suffix == ".csv" or p.name.endswith("_cert.txt"))
+                     if p.suffix == ".csv" or p.name.endswith(("_cert.txt", "_run.json")))
     for law in sorted(TUMBLE_SEEDS):
         cfg = tumble_config(law)
         res = simulate_member(cfg, cfg.members[0])
@@ -76,8 +76,12 @@ def values(path: Path) -> dict:
 
     A CSV gives its header, its row count, per column the sum, the sum of
     absolute values, the least, the largest and the last value, and its '#'
-    footer as text; a certificate gives its text.
+    footer as text; a certificate gives its text; a run record gives its
+    fields but `versions`, whose Python and numpy the digest covers where the
+    platform matches.
     """
+    if path.suffix == ".json":
+        return {k: v for k, v in json.loads(path.read_text()).items() if k != "versions"}
     lines = path.read_text().splitlines()
     if path.suffix != ".csv":
         return _text_values(lines)
@@ -93,7 +97,10 @@ def values(path: Path) -> dict:
 
 
 def digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The sha256 of the file; of a run record, with the package version blanked, since a
+    release changes it and no output."""
+    return hashlib.sha256(re.sub(rb'"so3track": "[^"]*"', b'"so3track": ""',
+                                 path.read_bytes())).hexdigest()
 
 
 def golden(files: dict) -> dict:

@@ -11,7 +11,7 @@ from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
 from so3track.so3 import exp_so3_f, floats
-from step_spy import spy_compiled_step
+from paths import LAWS, fields, fig4_member, measurement
 from torque_trace import torque_inputs
 
 E1, E2, E3 = np.eye(3)
@@ -20,15 +20,6 @@ REST = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
 THETA, OMEGA_E = st.BasicLoop.THETA, st.BasicLoop.OMEGA_E
 ZETA = st.SmoothLoop.ZETA
 R_TILDE, THETA_BAR = st.VelocityFreeLoop.R_TILDE, st.VelocityFreeLoop.THETA_BAR
-
-
-def random_basic_state(rng):
-    return SimpleNamespace(
-        Re=st.random_rotation(rng),
-        theta=rng.uniform(-math.pi, math.pi),
-        omega_e=rng.standard_normal(3),
-        omega_r=rng.standard_normal(3),
-    )
 
 
 def pack(kind, s):
@@ -183,7 +174,7 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
     loop = st.make_loop("basic", p, gn, J, ref)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        s = random_basic_state(rng)
+        s = random_loop_state("basic", rng)
         y = pack("basic", s)
         t = rng.uniform(0.0, 10.0)
         ydot = loop.flow(t, y, None)
@@ -197,20 +188,9 @@ def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
         assert ldot == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
 
 
-LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
-
-
 def random_loop_state(kind, rng):
-    base = random_basic_state(rng)
-    if kind == "smooth":
-        return SimpleNamespace(**vars(base), zeta=rng.standard_normal(3))
-    if kind == "velocity_free":
-        return SimpleNamespace(
-            **vars(base), Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
-        )
-    if kind == "non_hybrid":
-        base.theta = 0.0  # the baseline's warp angle stays at zero
-    return base
+    """The fields of a random state of the law; the baseline's warp angle stays at zero."""
+    return SimpleNamespace(**fields(kind, rng, **({"theta": 0.0} if kind == "non_hybrid" else {})))
 
 
 # State field of each named offset, by the law whose loop class declares it.
@@ -237,11 +217,6 @@ def test_packed_layout_and_flow_width(kind, width, paper_params, paper_gains, pa
     assert sorted(covered) == list(range(width))
     ydot = loop.flow(0.3, tuple(y.tolist()), None)
     assert type(ydot) is tuple and len(ydot) == width
-
-
-def random_measurement(rng):
-    """A measurement row: E row-major, then n_omega."""
-    return (*floats(st.exp_so3(rng.normal(0.0, 0.1, 3))), *floats(rng.normal(0.0, 0.1, 3)))
 
 
 def measured(s, meas):
@@ -318,22 +293,6 @@ def torque_from_flow(loop, s, t, ydot):
 
 
 @pytest.mark.parametrize("kind", LAWS)
-def test_identity_measurement_matches_exact_path(kind, paper_params, paper_gains, paper_inertia):
-    # a noise sample of E = I, n_omega = 0 takes the measured branch and must
-    # reproduce the exact-measurement values bit for bit
-    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
-    quiet = (*floats(np.eye(3)), *floats(np.zeros(3)))
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        y = pack(kind, random_loop_state(kind, rng))
-        t = rng.uniform(0.0, 10.0)
-        assert np.array_equal(loop.flow(t, y, quiet), loop.flow(t, y, None))
-        assert np.array_equal(loop.torque(t, y, quiet), loop.torque(t, y, None))
-        assert loop.jump_margin(t, y, quiet) == loop.jump_margin(t, y, None)
-
-
-@pytest.mark.parametrize("kind", LAWS)
 def test_exact_flow_cancels_the_feedforward(kind, paper_params, paper_gains, paper_inertia):
     # with exact measurements the applied feedforward cancels the -Upsilon of
     # the error dynamics, so the velocity-error rates do not read z at all:
@@ -362,7 +321,7 @@ def test_noisy_flow_applies_public_torque_at_measured_state(
         s = random_loop_state(kind, rng)
         y = pack(kind, s)
         t = rng.uniform(0.0, 10.0)
-        meas = random_measurement(rng)
+        meas = measurement(rng)
         ydot = loop.flow(t, y, meas)
         tau = public_torque(kind, s, ref.z_at(t), meas, p, gn, J)
         assert np.allclose(torque_from_flow(loop, s, t, ydot), tau, rtol=0.0, atol=1e-11)
@@ -388,69 +347,6 @@ def test_flow_torque_matches_public_op(paper_params, paper_gains, paper_inertia)
             assert np.array_equal(loop.torque(t, y, None), tau)
             assert np.allclose(torque_from_flow(loop, s, t, loop.flow(t, y, None)), tau,
                                rtol=0.0, atol=1e-11)
-
-
-def spy_on_record(loop):
-    """Keep the arguments `solve` hands to `loop.record`."""
-    seen = {}
-    record = loop.record
-
-    def spy(t, states, noise, in_jump):
-        seen.update(t=t, states=states, noise=noise, in_jump=in_jump)
-        return record(t, states, noise, in_jump)
-
-    loop.record = spy
-    return seen
-
-
-def assert_rows_equal_scalar_kernels(loop, arc, t, states, meas, in_jump, rows):
-    """Each recorded row, bit for bit, equals the float kernels at its sample."""
-    def recorded(v, m, z):
-        return loop._recorded(v, _view(m), z)
-
-    for i in rows:
-        row = loop._columns(float(t[i]), states[i].tolist(), meas[i], bool(in_jump[i]), math,
-                            recorded)
-        assert np.array(row, dtype=float).tobytes() == arc.data[i].tobytes(), f"row {i}"
-
-
-@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
-@pytest.mark.parametrize("kind", LAWS)
-def test_batched_columns_equal_scalar_kernels(kind, noisy, paper_params, paper_gains,
-                                              paper_inertia):
-    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    noise = st.NoiseModel(sigma_R=0.05, sigma_omega=0.05) if noisy else None
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref, noise)
-    s = random_loop_state(kind, np.random.default_rng(21))
-    s.Re, s.theta = st.angle_axis(math.pi, E1), 0.0  # an unwanted critical point
-    seen = spy_on_record(loop)
-    calls = []
-    spy_compiled_step(loop, lambda t, y, h, meas: calls.append((t + h, meas)))
-    cfg = st.SolverConfig(dt=1e-3, t_max=0.2, j_max=10)
-    arc = st.solve(loop, pack(kind, s), cfg, np.random.default_rng(3))
-    assert (len(arc.jumps) > 0) == (kind != "non_hybrid")
-    assert np.array_equal(seen["states"], arc.states)
-    noise = seen["noise"]
-    assert (noise is None) != noisy
-    meas = ([None] * len(arc) if noise is None else
-            [tuple(r) for r in noise.tolist()])
-    # a flow sample is recorded under the measurement of the step into it,
-    # which ends at the sample time (the accepted step is the last one to end there)
-    step_meas = dict(calls)
-    for i in range(1, len(arc)):
-        if arc.j[i] == arc.j[i - 1]:
-            assert meas[i] == step_meas[seen["t"][i]]
-    assert_rows_equal_scalar_kernels(loop, arc, seen["t"], seen["states"], meas,
-                                     seen["in_jump"], range(len(arc)))
-
-
-def test_fig3_columns_equal_scalar_kernels(fig3_runs):
-    for _, loop, arc, _, _ in fig3_runs.values():
-        rows = sorted({*range(0, len(arc), 10), len(arc) - 1,
-                       *(k for k in range(1, len(arc)) if arc.j[k] != arc.j[k - 1])})
-        flags = arc.column("in_jump_set") == 1.0
-        assert_rows_equal_scalar_kernels(loop, arc, arc.t, arc.states, [None] * len(arc),
-                                         flags, rows)
 
 
 def numpy_exp_so3(w):
@@ -499,8 +395,7 @@ def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia)
     for relaxed in (False, True):
         loop = st.make_loop("smooth", p, gn, J, ref, relaxed_filter=relaxed)
         for _ in range(30):
-            base = random_basic_state(rng)
-            s = SimpleNamespace(**vars(base), zeta=rng.standard_normal(3))
+            s = random_loop_state("smooth", rng)
             y = pack("smooth", s)
             t = rng.uniform(0.0, 10.0)
             ydot = loop.flow(t, y, None)
@@ -542,7 +437,7 @@ def smooth_state(R, theta, zeta):
 def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inertia):
     p, gn, J = paper_params, paper_gains, paper_inertia
     rng = np.random.default_rng(7)
-    base = random_basic_state(rng)
+    base = random_loop_state("basic", rng)
     z = rng.standard_normal(3)
     zeta = rng.standard_normal(3)
     loop = st.make_loop("smooth", p, gn, J, fixed_reference(z))
@@ -662,10 +557,7 @@ def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_i
     loop = st.make_loop("velocity_free", p, gn, J, ref)
     rng = np.random.default_rng(10)
     for _ in range(50):
-        base = random_basic_state(rng)
-        s = SimpleNamespace(
-            **vars(base), Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0)
-        )
+        s = random_loop_state("velocity_free", rng)
         y = pack("velocity_free", s)
         t = rng.uniform(0.0, 10.0)
         ydot = loop.flow(t, y, None)
@@ -709,7 +601,7 @@ def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
 def test_non_hybrid_equals_basic_at_zero_warp(paper_params, paper_gains, paper_inertia):
     rng = np.random.default_rng(11)
     for _ in range(20):
-        s = random_basic_state(rng)
+        s = random_loop_state("basic", rng)
         z = rng.standard_normal(3)
         ref = fixed_reference(z)
         s.theta = 0.0
@@ -764,12 +656,6 @@ def test_non_hybrid_loop_runs_without_k_theta(paper_params, paper_inertia):
 TWO_RESETS = [-0.9 * math.pi, 0.9 * math.pi]
 
 
-def fig4_config(kind, **overrides):
-    """fig4 with a single member of one law, plus config overrides."""
-    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
-    return st.scenario_from_mapping({**base, "controllers": [kind], **overrides})
-
-
 def attractor_state(kind):
     """The packed state of a law at its attractor, at rest on a resting frame."""
     base = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
@@ -778,16 +664,6 @@ def attractor_state(kind):
     if kind == "velocity_free":
         return st.VelocityFreeLoop.pack(**base, Rtilde=np.eye(3), theta_bar=0.0)
     return st.BasicLoop.pack(**base)
-
-
-def nan_state(kind, field):
-    """The fig4 member's initial state, in the jump set, with a NaN in one field."""
-    cfg = fig4_config(kind)
-    loop, y0 = st.build_member(cfg, cfg.members[0])
-    y = y0.tolist()
-    y[{"theta": THETA, "theta_bar": THETA_BAR, "Re": 0, "Rtilde": R_TILDE.start,
-       "zeta": ZETA.start}[field]] = math.nan
-    return loop, tuple(y)
 
 
 @pytest.mark.parametrize("kind, field", [
@@ -800,7 +676,12 @@ def test_a_nan_gap_makes_the_margin_nan(kind, field):
     # is NaN and the jump map refuses it.  At the velocity-free member's y0,
     # where theta's gap reaches delta, a NaN theta_bar or Rtilde used to give
     # the margin 0.743 and a jump that kept theta_bar NaN
-    loop, y = nan_state(kind, field)
+    cfg = fig4_member(kind)
+    loop, y = st.build_member(cfg, cfg.members[0])  # in the jump set
+    y = y.tolist()
+    y[{"theta": THETA, "theta_bar": THETA_BAR, "Re": 0, "Rtilde": R_TILDE.start,
+       "zeta": ZETA.start}[field]] = math.nan
+    y = tuple(y)
     noisy = (*exp_so3_f(0.01, -0.02, 0.03), 0.1, 0.0, -0.1)
     for meas in (None, noisy):
         assert math.isnan(loop.jump_margin(0.0, y, meas))
@@ -853,7 +734,7 @@ def test_the_picks_on_given_values(values, margin, theta, theta_bar, paper_gains
 def test_every_jump_drops_the_monitor_by_jump_drop(kind):
     # the smooth law must reset theta to the least filtered value: resetting
     # to the potential's least value missed k_R delta' on some of these states
-    cfg = fig4_config(kind, theta_set=TWO_RESETS)
+    cfg = fig4_member(kind, theta_set=TWO_RESETS)
     loop = st.build_member(cfg, cfg.members[0])[0]
     rng = np.random.default_rng(1)
     jumped = 0
@@ -873,7 +754,7 @@ def test_every_jump_drops_the_monitor_by_jump_drop(kind):
 def test_tumbling_smooth_member_certifies():
     # a tumble_sweep member whose first jump, reset to the potential's least
     # value, dropped the monitor by 0.102 < k_R delta' = 0.243
-    cfg = fig4_config(
+    cfg = fig4_member(
         "smooth",
         R0_axis=[0.5819519089813335, -0.16672078425554362, 0.7959498449840907],
         R0_angle=3.0030760170524027,

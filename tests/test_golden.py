@@ -1,10 +1,10 @@
-"""Byte identity across commits: two short scenario runs against `golden.json`.
+"""Byte identity across commits: the runs of `make_golden.run_all` against `golden.json`.
 
 `make_golden.py` wrote the file, and regenerates it for a deliberate output
-change.  Where the platform matches the one it was made on, every CSV and
-certificate must have its digest; elsewhere (another Python, numpy or C
-library) their parsed values must agree at 1e-12, and a warning says that
-the exact check did not run.
+change.  Where the platform matches the one it was made on, every CSV,
+certificate and run record must have its digest; elsewhere (another Python,
+numpy or C library) their parsed values must agree at 1e-12, and a warning
+says that the exact check did not run.
 """
 
 import json

@@ -9,8 +9,7 @@ import so3track as st
 from so3track import hybrid
 from so3track.errors import ContractError, SolverError
 from so3track.hybrid import HybridSystem, detect_crossing
-from step_spy import spy_compiled_step
-from tumble import TUMBLE_SEEDS, fig4, tumble_config, tumble_overrides
+from paths import TUMBLE_SEEDS, arc_bits, solved, tumble_config, wrap_step
 
 
 class Decay(HybridSystem):
@@ -56,6 +55,37 @@ class Chatter(HybridSystem):
         return 1.0
 
 
+class Blowup(HybridSystem):
+    """Flow that returns NaN, as a diverged right-hand side would."""
+
+    kind = "blowup"
+
+    def flow(self, t, y, meas):
+        return (math.nan,) * len(y)
+
+
+class Cliff(HybridSystem):
+    """A clock reset to zero at x = c, whose flow turns NaN from x = b on."""
+
+    kind = "cliff"
+    columns = ("x",)
+
+    def __init__(self, c, b=math.inf):
+        self.c, self.b = c, b
+
+    def flow(self, t, y, meas):
+        return (1.0 if y[0] < self.b else math.nan,)
+
+    def jump(self, t, y, meas):
+        return (0.0,)
+
+    def jump_margin(self, t, y, meas):
+        return y[0] - self.c
+
+    def record(self, t, states, noise, in_jump):
+        return (states[:, 0],)
+
+
 class Escaper(HybridSystem):
     """Flow x' = 1 whose margin is not a number past x = 1, as a broken margin formula gives."""
 
@@ -68,17 +98,9 @@ class Escaper(HybridSystem):
         return -1.0 if y[0] <= 1.0 else math.nan
 
 
-class Blowup(HybridSystem):
-    """Flow that returns NaN, as a diverged right-hand side would."""
-
-    kind = "blowup"
-
-    def flow(self, t, y, meas):
-        return (math.nan,) * len(y)
-
-
-def assert_float_tuple(y):
-    assert type(y) is tuple and all(type(x) is float for x in y), y
+def assert_float_tuples(*values):
+    for y in values:
+        assert type(y) is tuple and all(type(x) is float for x in y), y
 
 
 class Strict(HybridSystem):
@@ -93,22 +115,19 @@ class Strict(HybridSystem):
     columns = ("x",)
 
     def flow(self, t, y, meas):
-        assert_float_tuple(y)
-        assert_float_tuple(meas)
+        assert_float_tuples(y, meas)
         return (1.0, -y[1])
 
     def jump_margin(self, t, y, meas):
-        assert_float_tuple(y)
-        assert_float_tuple(meas)
+        assert_float_tuples(y, meas)
         return y[0] - 0.3337
 
     def jump(self, t, y, meas):
-        assert_float_tuple(y)
-        assert_float_tuple(meas)
+        assert_float_tuples(y, meas)
         return (0.0, y[1])
 
     def project(self, y):
-        assert_float_tuple(y)
+        assert_float_tuples(y)
         return y
 
     def measurements(self, rng):
@@ -119,6 +138,7 @@ class Strict(HybridSystem):
     def record(self, t, states, noise, in_jump):
         assert states.shape == (len(t), 2) and noise.shape == (len(t), 1)
         return (states[:, 0],)
+
 
 
 def test_solve_hands_the_system_only_float_tuples():
@@ -260,39 +280,14 @@ def test_jump_refinement_on_closed_loop(paper_params, paper_inertia):
 def test_deterministic_replay_with_noise(paper_params, paper_inertia, paper_gains):
     ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
     noise = st.NoiseModel(sigma_R=0.1, sigma_omega=0.1)
-    y0 = st.BasicLoop.pack(
-        Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])),
-        theta=0.0,
-        omega_e=np.zeros(3),
-        omega_r=np.zeros(3),
-    )
+    y0 = st.BasicLoop.pack(Re=st.angle_axis(1.0, np.array([0.0, 1.0, 0.0])), theta=0.0,
+                           omega_e=np.zeros(3), omega_r=np.zeros(3))
     cfg = st.SolverConfig(dt=1e-3, t_max=0.5, j_max=10)
     loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, ref, noise)
     a = st.solve(loop, y0, cfg, np.random.default_rng(42))
     b = st.solve(loop, y0, cfg, np.random.default_rng(42))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.data, b.data)
-
-
-def arc_bits(arc) -> tuple:
-    """Everything an arc holds, as bytes and plain values."""
-    return (arc.t.tobytes(), arc.j.tobytes(), arc.data.tobytes(), arc.states.tobytes(),
-            [(ev.t, ev.j_before, ev.y_pre.tobytes(), ev.y_post.tobytes(), ev.meas)
-             for ev in arc.jumps], arc.status, arc.stats)
-
-
-def test_a_seed_and_its_generator_give_the_same_arc(fig4_cfg):
-    # `solve` hands the loop its rng as given, and a noisy loop makes its
-    # generator with np.random.default_rng: a seed and the generator of that
-    # seed draw the same noise, and no rng at all is the seed 0
-    cfg = dataclasses.replace(fig4_cfg, t_max=0.3)
-    loop, y0 = st.build_member(cfg, cfg.members[1])
-    assert loop.noise is not None
-    seeded = st.solve(loop, y0, cfg.solver, 7)
-    assert seeded.jumps and seeded.stats.rolled_back > 0
-    assert arc_bits(seeded) == arc_bits(st.solve(loop, y0, cfg.solver, np.random.default_rng(7)))
-    assert arc_bits(st.solve(loop, y0, cfg.solver)) == arc_bits(st.solve(loop, y0, cfg.solver, 0))
-    assert arc_bits(st.solve(loop, y0, cfg.solver)) != arc_bits(seeded)
 
 
 def test_noise_blocks_are_the_blocks_the_arc_spans(fig4_cfg, fig3_runs):
@@ -334,7 +329,7 @@ def test_rotations_stay_on_manifold_along_arc(fig3_runs):
         assert np.linalg.det(Rs).min() > 0.0
 
 
-# A tumbling member per law (see `tumble`), each hybrid one refining a jump.
+# A tumbling member per law (see `paths.tumble_config`), each hybrid one refining a jump.
 @pytest.mark.parametrize("law", sorted(TUMBLE_SEEDS))
 def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
     # every RK4 step, and so every four flow evaluations, is an accepted step,
@@ -351,8 +346,9 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
         counts["loop.step"] += 1
         return loop_step(t, y, h, meas)
 
-    def counted_step(t, y, h, meas):
+    def counted_step(step, *a):
         counts["step"] += 1
+        return step(*a)
 
     def counted_crossing(before, after, refine, dt):
         def counted_refine(x):
@@ -363,7 +359,7 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
         counts["restep"] += tau is not None and tau < dt
         return tau
 
-    spy_compiled_step(loop, counted_step)
+    wrap_step(loop, counted_step)
     monkeypatch.setattr(hybrid, "detect_crossing", counted_crossing)
     monkeypatch.setattr(loop, "step", counted_loop_step)
     arc = st.solve(loop, y0, st.SolverConfig(dt=cfg.dt, t_max=cfg.t_max))
@@ -380,64 +376,12 @@ def test_flow_evaluations_are_four_per_rk4_step(law, monkeypatch):
         assert arc.jumps and counts["refine"] > 0 and counts["restep"] > 0
 
 
-# Runs of flow steps: `solve` against itself with runs of one step, which
-# checks the margin after every step as a solver without runs does.
-
-
-def solve_alone_and_in_runs(monkeypatch, system, y0, cfg, seed=0) -> list:
-    """[every step checked alone, default runs]: each an arc, or the SolverError raised."""
-    out = []
-    for alone in (True, False):
-        with monkeypatch.context() as m:
-            if alone:
-                m.setattr(hybrid, "RUN_FIRST", 1)
-                m.setattr(hybrid, "RECORD_BATCH", 1)
-            try:
-                out.append(st.solve(system, np.array(y0), cfg, np.random.default_rng(seed)))
-            except SolverError as e:
-                out.append(e)
-    return out
-
-
-def assert_same_arcs(a, b):
-    if isinstance(a, SolverError) or isinstance(b, SolverError):
-        assert type(a) is type(b)
-        assert (str(a), a.t, a.j, a.h) == (str(b), b.t, b.j, b.h)
-        return
-    assert a.status == b.status
-    for name in ("t", "j", "data", "states"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
-    assert len(a.jumps) == len(b.jumps)
-    for p, q in zip(a.jumps, b.jumps):
-        assert (p.t, p.j_before, p.meas) == (q.t, q.j_before, q.meas)
-        assert p.y_pre.tobytes() == q.y_pre.tobytes() and p.y_post.tobytes() == q.y_post.tobytes()
-
-
-class Cliff(HybridSystem):
-    """A clock reset to zero at x = c, whose flow turns NaN from x = b on."""
-
-    kind = "cliff"
-    columns = ("x",)
-
-    def __init__(self, c, b=math.inf):
-        self.c, self.b = c, b
-
-    def flow(self, t, y, meas):
-        return (1.0 if y[0] < self.b else math.nan,)
-
-    def jump(self, t, y, meas):
-        return (0.0,)
-
-    def jump_margin(self, t, y, meas):
-        return y[0] - self.c
-
-    def record(self, t, states, noise, in_jump):
-        return (states[:, 0],)
+# Runs of flow steps against runs of one step (as the `single_steps` row of
+# `paths`), with the work that the runs take.
 
 
 @pytest.mark.parametrize("offset", ("first", "second", "last"))
-def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset, monkeypatch):
+def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset):
     # the crossing lies inside the step into the run's first, second or last
     # sample and is refined there; each reset starts a run at the clock's zero.
     # The first run has RUN_FIRST steps, and each run after a rollback twice
@@ -446,15 +390,16 @@ def test_an_event_at_each_offset_of_a_run_gives_the_arc_of_single_steps(offset, 
     dt = 1e-3
     k = {"first": 0, "second": 1, "last": hybrid.RUN_FIRST - 1}[offset]
     cfg = st.SolverConfig(dt=dt, t_max=0.7, j_max=40)
-    alone, runs = solve_alone_and_in_runs(monkeypatch, Cliff((k + 0.5) * dt), [0.0], cfg)
-    assert_same_arcs(alone, runs)
+    runs = solved(Cliff((k + 0.5) * dt), [0.0], cfg)
+    assert arc_bits(runs, stats=False) == arc_bits(
+        solved(Cliff((k + 0.5) * dt), [0.0], cfg, single=True), stats=False)
     assert runs.jumps and runs.stats.crossings == len(runs.jumps)
     after = min(hybrid.RUN_FIRST, max(1, 2 * k))
     assert runs.stats.rolled_back == ((hybrid.RUN_FIRST - k - 1)
                                       + (len(runs.jumps) - 1) * (after - k - 1))
 
 
-def test_an_event_every_step_rolls_back_few_steps(monkeypatch):
+def test_an_event_every_step_rolls_back_few_steps():
     # a clock reset half a step after each jump, so every run after a rollback
     # finds its event at its first sample; that run has one step, and the
     # step calls outside refinement stay within 3 x (steps + jumps).  A run
@@ -468,8 +413,7 @@ def test_an_event_every_step_rolls_back_few_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("event_first", (True, False))
-def test_a_non_finite_step_in_a_run_raises_only_without_an_event_before_it(event_first,
-                                                                         monkeypatch):
+def test_a_non_finite_step_in_a_run_raises_only_without_an_event_before_it(event_first):
     # the flow turns NaN 2.5 steps past the crossing, so a run reaches the bad
     # step after it has passed the crossing; the reset there keeps the clock
     # away from it.  Without the reset the step's error is raised as it is
@@ -477,8 +421,9 @@ def test_a_non_finite_step_in_a_run_raises_only_without_an_event_before_it(event
     c = 10.5 * dt
     cliff = Cliff(c, c + 2.5 * dt) if event_first else Cliff(1.0, c)
     cfg = st.SolverConfig(dt=dt, t_max=0.2, j_max=40)
-    alone, runs = solve_alone_and_in_runs(monkeypatch, cliff, [0.0], cfg)
-    assert_same_arcs(alone, runs)
+    runs = solved(cliff, [0.0], cfg)
+    assert arc_bits(runs, stats=False) == arc_bits(solved(cliff, [0.0], cfg, single=True),
+                                                   stats=False)
     if event_first:
         assert runs.status == "t_max" and len(runs.jumps) == 19
     else:
@@ -486,12 +431,12 @@ def test_a_non_finite_step_in_a_run_raises_only_without_an_event_before_it(event
         assert (runs.j, runs.h) == (0, dt) and runs.t == pytest.approx(c - 0.5 * dt)
 
 
-def test_a_nan_margin_in_a_run_raises_as_a_single_step_does(monkeypatch):
+def test_a_nan_margin_in_a_run_raises_as_a_single_step_does():
     # Escaper's margin is NaN from the eleventh step on
     cfg = st.SolverConfig(dt=1e-3, t_max=1.0, j_max=5)
-    alone, runs = solve_alone_and_in_runs(monkeypatch, Escaper(), [1.0 - 10.5e-3], cfg)
+    runs = solved(Escaper(), [1.0 - 10.5e-3], cfg)
     assert isinstance(runs, SolverError) and "not a number" in str(runs)
-    assert_same_arcs(alone, runs)
+    assert arc_bits(runs) == arc_bits(solved(Escaper(), [1.0 - 10.5e-3], cfg, single=True))
 
 
 class Counted(HybridSystem):
@@ -536,8 +481,9 @@ def test_draws_after_a_rollback_are_replayed(monkeypatch):
     # order, so the step into each flow sample holds rows 0, 1, 2, ...
     monkeypatch.setattr(hybrid, "RUN_FIRST", 32)
     cfg = st.SolverConfig(dt=0.25, t_max=25.0, j_max=5)
-    alone, runs = solve_alone_and_in_runs(monkeypatch, Counted(10.0, cfg.dt), [0.0, 1.0], cfg)
-    assert_same_arcs(alone, runs)
+    alone = solved(Counted(10.0, cfg.dt), [0.0, 1.0], cfg, single=True)
+    runs = solved(Counted(10.0, cfg.dt), [0.0, 1.0], cfg)
+    assert arc_bits(runs, stats=False) == arc_bits(alone, stats=False)
     flow = np.flatnonzero(np.diff(runs.t) > 0.0) + 1
     assert runs.column("draw")[flow].tolist() == list(map(float, range(100)))
     assert [(ev.t, ev.j_before, ev.meas) for ev in runs.jumps] == [(2.5, 0, (10.0,))]
@@ -551,18 +497,3 @@ def test_draws_after_a_rollback_are_replayed(monkeypatch):
         margins_batched=2 * (32 + 18 + 36 + 36), margins_scalar=3, refine_evals=0, crossings=0,
         handed_back=32 + 18 + 36 + 36, noise_blocks=7)
     assert alone.stats.rolled_back == 0 and alone.stats.margins_batched == 2 * 100
-
-
-@pytest.mark.parametrize("law, noisy", [("basic", False), ("smooth", True),
-                                        ("velocity_free", True), ("non_hybrid", True)])
-def test_closed_loops_in_runs_give_the_arc_of_single_steps(law, noisy, monkeypatch):
-    # a tumbling member (refined jumps) without noise, and fig4 members with it
-    base = fig4()
-    overrides = {"controllers": [law], "gammas": base["gammas"][:1], "t_max": 0.25}
-    if not noisy:
-        overrides.update(tumble_overrides(law))
-    cfg = st.scenario_from_mapping({**base, **overrides})
-    loop, y0 = st.scenarios.build_member(cfg, cfg.members[0])
-    alone, runs = solve_alone_and_in_runs(monkeypatch, loop, y0, cfg.solver, seed=5)
-    assert_same_arcs(alone, runs)
-    assert runs.stats.margins_scalar - runs.stats.refine_evals < 0.1 * runs.stats.steps

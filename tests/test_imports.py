@@ -1,12 +1,14 @@
 """Every module-level import of the package is used in its module, every
 module-level function and class is read somewhere in the package, every
 attribute that a package class stores on itself is read somewhere, and one
-call site traces the package's kernels."""
+call site traces the package's kernels; `line_counts` sorts lines by kind."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import line_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "so3track"
 TESTS = Path(__file__).resolve().parent
@@ -165,3 +167,9 @@ def test_one_call_site_traces_the_kernels():
     sources = {p.name: p.read_text() for p in MODULES if p.name != "straightline.py"}
     calls = trace_calls(sources)
     assert len(calls) == 1 and calls[0].startswith("controllers.py:")
+
+
+def test_line_counts_counts_each_line_once_by_kind():
+    source = '"""Doc\nstring."""\n\nx = """two\nlines"""  # comment\n# comment\n'
+    assert line_counts.count(source) == {"code": 2, "docstring": 2, "comment": 1, "blank": 1,
+                                         "total": 6}

@@ -207,17 +207,6 @@ def test_value_closed_form_at_half_turns(paper_params):
             assert st.value(R, theta, p) == pytest.approx(closed, abs=1e-10)
 
 
-def test_value_many_matches_scalar(paper_params):
-    """The potential kernel on a batch reproduces its float form bit for bit."""
-    p = paper_params
-    rng = np.random.default_rng(4)
-    R = st.random_rotations(50, rng)
-    theta = rng.uniform(-math.pi, math.pi, 50)
-    vals = batch_value(R, theta, p)
-    for k in range(50):
-        assert vals[k] == st.value(R[k], theta[k], p)
-
-
 # --- gradients ---------------------------------------------------------------
 
 
@@ -248,19 +237,6 @@ def test_gradients_vanish_at_critical_points(paper_params):
         assert abs(g_th) <= 1e-10
 
 
-def test_gradients_many_matches_scalar(paper_params):
-    """The gradient kernel on a batch reproduces its float form bit for bit."""
-    p = paper_params
-    rng = np.random.default_rng(6)
-    R = st.random_rotations(50, rng)
-    theta = rng.uniform(-math.pi, math.pi, 50)
-    g_rot, g_th = batch_gradients(R, theta, p)
-    for k in range(50):
-        sr, sth = st.gradients(R[k], theta[k], p)
-        assert np.array_equal(g_rot[k], sr)
-        assert g_th[k] == sth
-
-
 # --- gap function ------------------------------------------------------------
 
 
@@ -287,8 +263,8 @@ def test_gap_closed_form_at_half_turns(paper_params):
 
 
 def test_gap_matches_value_difference(paper_params):
-    # bit for bit, on one rotation and on a stack, whose value at theta takes
-    # its sines from ARRAY_MATH and whose reset values are those of each row
+    # bit for bit on one rotation; the `potential` row of `paths` takes the
+    # gap of a stack against this one
     three = st.design_params([2.0, 4.0, 6.0], [0.9 * math.pi, -0.9 * math.pi, 0.7 * math.pi],
                              gamma=7.0 / math.pi**2, delta_frac=0.8)
     rng = np.random.default_rng(7)
@@ -299,8 +275,6 @@ def test_gap_matches_value_difference(paper_params):
         for R, theta, values in zip(Rs, thetas, resets):
             direct = st.value(R, theta, p) - min(values)
             assert np.float64(st.gap(R, theta, p)).tobytes() == np.float64(direct).tobytes()
-        direct = batch_value(Rs, thetas, p) - resets.min(axis=1)
-        assert st.gap(Rs, thetas, p).tobytes() == direct.tobytes()
 
 
 # --- gradient rate -----------------------------------------------------------

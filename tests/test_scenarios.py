@@ -7,6 +7,7 @@ import pytest
 import so3track as st
 from so3track.cli import main
 from so3track.errors import ConfigError
+from paths import fig4
 
 # The keys the loader accepts, and those of them without a default.
 KEYS = {
@@ -27,10 +28,6 @@ class _Drop:
 
 
 DROP = _Drop()
-
-
-def fig4_mapping() -> dict:
-    return st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
 
 
 def error_message(raw: dict) -> str | None:
@@ -67,7 +64,7 @@ def error_message(raw: dict) -> str | None:
     ("k_R", DROP, "missing required config key 'k_R'"),
 ], ids=lambda v: None if isinstance(v, str) else repr(v))
 def test_each_bad_key_has_its_own_message(key, value, message):
-    raw = fig4_mapping()
+    raw = fig4()
     if value is DROP:
         del raw[key]
     else:
@@ -76,7 +73,7 @@ def test_each_bad_key_has_its_own_message(key, value, message):
 
 
 def test_the_loader_accepts_exactly_the_declared_keys():
-    base = fig4_mapping()
+    base = fig4()
     for key in KEYS | {"priority", "bogus"}:
         unknown = error_message({**base, key: object()}) == f"unknown config key '{key}'"
         assert unknown == (key not in KEYS), key

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 import so3track as st
-from so3track import so3
 from so3track.errors import ContractError
-from so3track.so3 import floats
 
 E1, E2, E3 = np.eye(3)
 
@@ -105,23 +103,6 @@ def test_exp_first_order_taylor():
 def test_log_errors_at_half_turn():
     with pytest.raises(ContractError):
         st.log_so3(st.angle_axis(math.pi, E1))
-
-
-def test_exp_so3_f_on_columns_gives_the_bits_of_floats():
-    # one Rodrigues formula for floats and (n,) columns: the same bits in each
-    # element on both sides of the series' threshold t = 1e-6, at w = 0 and
-    # at large angles, with no division by zero on either side
-    rng = np.random.default_rng(17)
-    w = rng.standard_normal((3, 400)) * 10.0 ** rng.uniform(-9.0, 1.5, 400)
-    w[:, :4] = [[0.0, 1e-6, 1e-6 * (1.0 - 2.0**-52), -5e-7], [0.0, 0.0, 0.0, 5e-7],
-                [0.0, 0.0, 0.0, 5e-7]]
-    t = np.sqrt((w * w).sum(axis=0))
-    assert (t < 1e-6).sum() > 20 and (t >= 1e-6).sum() > 20
-    cols = so3.exp_so3_f(*w, so3.ARRAY_MATH, np.where)
-    assert len(cols) == 9 and all(c.shape == (400,) for c in cols)
-    per_draw = [so3.exp_so3_f(*x) for x in w.T.tolist()]
-    assert np.array(cols).T.tobytes() == np.array(per_draw).tobytes()
-    assert per_draw[0] == tuple(floats(np.eye(3)))
 
 
 def test_rot_distance_values():

@@ -9,15 +9,12 @@ import math
 import numpy as np
 import pytest
 
-import margin_oracle
 import so3track as st
+from paths import LAWS, bits, fig4, fig4_member, measurement, state
 from so3track import controllers, straightline
-from so3track.controllers import _view
 from so3track.errors import SolverError
 from so3track.hybrid import HybridSystem
-from so3track.so3 import ARRAY_MATH, columns, floats
 
-LAWS = ("basic", "smooth", "velocity_free", "non_hybrid")
 # (law, relaxed filter) for every loop structure
 STRUCTURES = [(kind, False) for kind in LAWS] + [("smooth", True)]
 PAPER_SINE = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
@@ -25,244 +22,6 @@ PAPER_SINE = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
 
 def make(kind, relaxed, p, gn, J, ref=PAPER_SINE):
     return st.make_loop(kind, p, gn, J, ref, relaxed_filter=relaxed)
-
-
-def random_state(kind, rng, near_critical=None):
-    """A packed state of the law's width, or one next to the given critical point."""
-    R = st.random_rotation(rng)
-    theta = rng.uniform(-math.pi, math.pi)
-    if near_critical is not None:
-        R = near_critical.rotation @ st.exp_so3(rng.normal(0.0, 1e-7, 3))
-        theta = near_critical.theta + rng.normal(0.0, 1e-9)
-    base = dict(Re=R, theta=theta, omega_e=rng.standard_normal(3),
-                omega_r=rng.standard_normal(3))
-    if kind == "smooth":
-        return st.SmoothLoop.pack(**base, zeta=rng.standard_normal(3))
-    if kind == "velocity_free":
-        return st.VelocityFreeLoop.pack(**base, Rtilde=st.random_rotation(rng),
-                                        theta_bar=rng.uniform(-2.0, 2.0))
-    return st.BasicLoop.pack(**base)
-
-
-def random_measurement(rng, sigma=0.1):
-    """A measurement row: E row-major, then n_omega."""
-    return (*floats(st.exp_so3(rng.normal(0.0, sigma, 3))), *floats(rng.normal(0.0, 0.1, 3)))
-
-
-def bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
-
-
-def count_flows(loop) -> list:
-    """Count the loop's interpreted flow evaluations, which the compiled step makes none of."""
-    calls = []
-    flow = loop.flow
-
-    def spy(t, y, meas):
-        calls.append(t)
-        return flow(t, y, meas)
-
-    loop.flow = spy
-    return calls
-
-
-@pytest.mark.parametrize("kind, relaxed", STRUCTURES)
-@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
-def test_compiled_flow_matches_rates_bit_for_bit(kind, relaxed, noisy, paper_params,
-                                                 paper_gains, paper_inertia):
-    # the compiled step against the RK4 source run on the interpreted `_rates`,
-    # at the solver's dt and at a refinement step
-    loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia)
-    flows = count_flows(loop)
-    rng = np.random.default_rng(29)
-    critical = st.undesired_critical_points(paper_params)
-    states = [random_state(kind, rng) for _ in range(30)]
-    states += [random_state(kind, rng, near_critical=c) for c in critical]
-    for y in states:
-        y = tuple(y.tolist())
-        t = rng.uniform(0.0, 10.0)
-        meas = random_measurement(rng) if noisy else None
-        for h in (1e-3, rng.uniform(0.0, 1e-3)):
-            got = loop.step(t, y, h, meas)
-            assert not flows
-            assert bits(got) == bits(HybridSystem.step(loop, t, y, h, meas))
-            flows.clear()
-    assert list(loop._steps) == [(not noisy, PAPER_SINE.z_fn)]
-
-
-def test_compiled_flow_keeps_signed_zeros(paper_params, paper_gains, paper_inertia):
-    # with zero velocities, warp angle and filter states the stages hold signed
-    # zeros, which must come out the same
-    rest = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    quiet = (1.0, -0.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 1.0, -0.0, 0.0, -0.0)
-    for kind, relaxed in STRUCTURES:
-        loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia, rest)
-        y = tuple(random_state(kind, np.random.default_rng(3)).tolist())
-        y = (-0.0, *y[1:9], *(math.copysign(0.0, (-1.0) ** i) for i in range(9, len(y))))
-        for meas in (None, quiet):
-            for h in (1e-3, 0.0, 2.5e-4):
-                assert bits(loop.step(0.0, y, h, meas)) == bits(
-                    HybridSystem.step(loop, 0.0, y, h, meas))
-
-
-# Reset sets of 1, 2 and 3 angles; the paper's single angle is the first.
-RESET_SETS = ([0.9 * math.pi], [-0.9 * math.pi, 0.9 * math.pi],
-              [0.9 * math.pi, -0.9 * math.pi, 0.7 * math.pi])
-
-
-def tie_state(kind, rng):
-    """A state next to the diagonal half turn, where the values of {a, -a} tie exactly."""
-    y = random_state(kind, rng)
-    R = np.diag([1.0, -1.0, -1.0]) @ st.exp_so3(rng.normal(0.0, 1e-9, 3))
-    y[st.BasicLoop.R_E] = R.ravel()
-    y[st.BasicLoop.THETA] = rng.normal(0.0, 1e-9)
-    if kind == "smooth":
-        y[st.SmoothLoop.ZETA] = 0.0
-    if kind == "velocity_free":
-        y[st.VelocityFreeLoop.R_TILDE] = R.T.ravel()
-        y[st.VelocityFreeLoop.THETA_BAR] = rng.normal(0.0, 1e-9)
-    return y
-
-
-@pytest.mark.parametrize("resets", (1, 2, 3))
-@pytest.mark.parametrize("kind", LAWS)
-@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
-def test_compiled_margin_matches_the_float_kernels_bit_for_bit(kind, noisy, resets,
-                                                               paper_gains, paper_inertia):
-    # jump_margin and jump on the compiled margin values against the jump
-    # rule evaluated on floats over `_value_w` (see margin_oracle), on states
-    # in both sets, next to the critical points and next to a tie
-    p = st.design_params([2.0, 4.0, 6.0], RESET_SETS[resets - 1], gamma=7.0 / math.pi**2,
-                         delta_frac=0.8)
-    loop = make(kind, False, p, paper_gains, paper_inertia)
-    rng = np.random.default_rng(31 + resets)
-    states = [(random_state(kind, rng), 0.1) for _ in range(40)]
-    states += [(random_state(kind, rng, near_critical=c), 0.1)
-               for c in st.undesired_critical_points(p)]
-    states += [(tie_state(kind, rng), 1e-12) for _ in range(5)]  # a tie stays near under noise
-    signs = set()
-    for y, sigma in states:
-        y = tuple(y.tolist())
-        meas = random_measurement(rng, sigma) if noisy else None
-        margin = loop.jump_margin(0.0, y, meas)
-        assert bits(margin) == bits(margin_oracle.margin(loop, y, meas))
-        signs.add(margin >= 0.0)
-        post = margin_oracle.jump(loop, y, meas)
-        if post is None:
-            with pytest.raises(SolverError, match="outside the jump set"):
-                loop.jump(0.0, y, meas)
-        else:
-            assert bits(loop.jump(0.0, y, meas)) == bits(post)
-    assert signs == ({False} if kind == "non_hybrid" else {False, True})
-    assert list(loop._margins) == ([] if kind == "non_hybrid" else [not noisy])
-
-
-def nan_entry(kind, y, rng):
-    """y with a NaN in a field that one of the law's values reads."""
-    fields = {"basic": [0, 9], "non_hybrid": [0, 9], "smooth": [0, 9, 16],
-              "velocity_free": [0, 9, 16, 25]}[kind]
-    y = y.copy()
-    y[fields[rng.integers(len(fields))]] = math.nan
-    return y
-
-
-@pytest.mark.parametrize("resets", (1, 2, 3))
-@pytest.mark.parametrize("kind", LAWS)
-@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
-def test_batch_margins_match_the_float_margin_bit_for_bit(kind, noisy, resets, monkeypatch,
-                                                           paper_gains, paper_inertia):
-    # `jump_margins` binds the margin trace to (n,) columns and takes the picks
-    # through `np.where`: on seeded states, states next to the critical points
-    # and to a tie, and states with a NaN value, it gives the bits of
-    # `jump_margin` on each sample, and it traces nothing of its own
-    calls = count_traces(monkeypatch)
-    p = st.design_params([2.0, 4.0, 6.0], RESET_SETS[resets - 1], gamma=7.0 / math.pi**2,
-                         delta_frac=0.8)
-    loop = make(kind, False, p, paper_gains, paper_inertia)
-    rng = np.random.default_rng(43 + resets)
-    states = [(random_state(kind, rng), 0.1) for _ in range(40)]
-    states += [(random_state(kind, rng, near_critical=c), 0.1)
-               for c in st.undesired_critical_points(p)]
-    states += [(tie_state(kind, rng), 1e-12) for _ in range(5)]
-    states += [(nan_entry(kind, random_state(kind, rng), rng), 0.1) for _ in range(6)]
-    meas = [random_measurement(rng, sigma) if noisy else None for _, sigma in states]
-    S = np.array([y for y, _ in states])
-    noise = np.array(meas) if noisy else None
-    t = rng.uniform(0.0, 10.0, len(S))
-    want = [loop.jump_margin(tt, tuple(y.tolist()), m) for tt, y, m in zip(t, S, meas)]
-    assert bits(want) == bits([margin_oracle.margin(loop, tuple(y.tolist()), m)
-                               for y, m in zip(S, meas)])
-    # a run shorter than MARGIN_BATCH_MIN takes the scalar margins, binding no
-    # columns; the whole batch, past it, the columns
-    short = slice(len(S) - (controllers.MARGIN_BATCH_MIN - 1), None)
-    assert short.start > 0
-    for rows, bound in ((short, []), (slice(None), [] if kind == "non_hybrid" else [not noisy])):
-        got = loop.jump_margins(t[rows], S[rows], None if noise is None else noise[rows])
-        assert got.shape == (len(want[rows]),) and got.tobytes() == bits(want[rows])
-        assert list(loop._margin_columns) == bound
-    assert HybridSystem.jump_margins(loop, t, S, noise).tobytes() == bits(want)
-    if kind != "non_hybrid":
-        assert {m >= 0.0 for m in want} == {False, True} and any(m != m for m in want)
-    assert calls == ([] if kind == "non_hybrid" else [f"{kind}_margin"])
-
-
-def recorded_columns_state(kind, rng, at_identity):
-    """A packed state, or one whose rotations sit at or just past the identity.
-
-    Past it, the trace of R exceeds 3 and the recorded distance clamps.
-    """
-    y = random_state(kind, rng)
-    if at_identity:
-        eye = np.eye(3) * (1.0 + 2.0**-52 * rng.integers(2))
-        y[st.BasicLoop.R_E] = eye.ravel()
-        if kind == "velocity_free":
-            y[st.VelocityFreeLoop.R_TILDE] = eye.ravel()
-    return y
-
-
-@pytest.mark.parametrize("kind, relaxed", STRUCTURES)
-@pytest.mark.parametrize("noisy", (False, True), ids=("exact", "noisy"))
-def test_compiled_record_matches_the_interpreted_columns_bit_for_bit(kind, relaxed, noisy,
-                                                                     monkeypatch, paper_params,
-                                                                     paper_gains, paper_inertia):
-    # `record` runs `_recorded` traced and bound to columns; the interpreted
-    # `_columns` on the same columns gives the same bits in every column, at
-    # seeded states and at the identity, where the distance clamps outside
-    # the trace.  A relaxed filter gets a record trace of its own
-    calls = count_traces(monkeypatch)
-    loop = make(kind, relaxed, paper_params, paper_gains, paper_inertia)
-    rng = np.random.default_rng(47)
-    S = np.array([recorded_columns_state(kind, rng, i % 8 == 0) for i in range(40)])
-    t = rng.uniform(0.0, 10.0, len(S))
-    noise = None
-    if noisy:
-        noise = np.array([random_measurement(rng) for _ in S])
-    in_jump = rng.integers(2, size=len(S)).astype(bool)
-    got = loop.record(t, S, noise, in_jump)
-    want = loop._columns(t, columns(S), None if noise is None else columns(noise), in_jump,
-                         ARRAY_MATH, lambda v, m, z: loop._recorded(v, _view(m), z, ARRAY_MATH))
-    assert len(got) == len(want) == len(loop.columns)
-    for name, a, b in zip(loop.columns, got, want):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
-    assert (got[0][::8] == 0.0).all()  # the distance at the identity
-    assert calls == [f"{kind}_record"]
-    assert (type(loop), "record", relaxed, not noisy) in controllers._TRACES
-
-
-def test_a_margin_of_more_reset_angles_is_traced_for_them(monkeypatch, paper_gains,
-                                                          paper_inertia):
-    # the number of reset angles is part of a margin's structure: a loop with
-    # two, built after one with one, gets its own trace, not a bind of the
-    # first that refuses its theta_set
-    calls = count_traces(monkeypatch)
-    rng = np.random.default_rng(37)
-    y = tuple(random_state("basic", rng).tolist())
-    for theta_set in RESET_SETS[:2]:
-        p = st.design_params([2.0, 4.0, 6.0], theta_set, gamma=7.0 / math.pi**2,
-                             delta_frac=0.8)
-        loop = make("basic", False, p, paper_gains, paper_inertia)
-        assert bits(loop.jump_margin(0.0, y, None)) == bits(margin_oracle.margin(loop, y, None))
-    assert calls == ["basic_margin"] * 2
 
 
 def linear(m_bound):
@@ -299,9 +58,9 @@ def test_compiled_flow_keeps_the_reference_checks(kind, paper_params, paper_gain
     # the message and the time of the interpreted step
     for ref, w, t, h, message, t_fail in CHECK_CASES:
         loop = make(kind, False, paper_params, paper_gains, paper_inertia, ref)
-        y = list(random_state(kind, np.random.default_rng(4)).tolist())
+        y = list(state(kind, np.random.default_rng(4)).tolist())
         y[st.BasicLoop.OMEGA_R] = (w, 0.0, 0.0)
-        for meas in (None, random_measurement(np.random.default_rng(5))):
+        for meas in (None, measurement(np.random.default_rng(5))):
             for step in (loop.step, lambda *a: HybridSystem.step(loop, *a)):
                 with pytest.raises(SolverError, match=message) as e:
                     step(t, tuple(y), h, meas)
@@ -317,9 +76,9 @@ def test_a_stage_that_raises_ends_in_a_solver_error(kind, paper_params, paper_ga
     gains = dataclasses.replace(paper_gains, k_theta=1e308)
     loop = make(kind, False, paper_params, gains, paper_inertia)
     rng = np.random.default_rng(7)
-    y0 = random_state(kind, rng)
+    y0 = state(kind, rng)
     while loop.jump_margin(0.0, tuple(y0.tolist()), None) >= 0.0:  # flow first
-        y0 = random_state(kind, rng)
+        y0 = state(kind, rng)
     y = tuple(y0.tolist())
     with pytest.raises(ValueError, match="math domain error"):
         HybridSystem.step(loop, 0.0, y, 1e-3, None)
@@ -622,8 +381,7 @@ def test_loops_compile_on_first_flow_and_share_code(monkeypatch, fig4_cfg):
     loop.step(0.1, y, 1e-3, None)
     assert calls == ["basic_step"]
     # a second loop of the same structure, with another k_theta, reuses the trace
-    other_cfg = st.scenario_from_mapping({**st.parse_config_text(
-        st.bundled_scenarios()["fig4"].read_text()), "k_theta": 17.0})
+    other_cfg = st.scenario_from_mapping({**fig4(), "k_theta": 17.0})
     other, _ = st.build_member(other_cfg, other_cfg.members[0])
     other.step(0.0, y, 1e-3, None)
     assert calls == ["basic_step"]
@@ -651,7 +409,7 @@ def test_a_relaxed_filter_has_its_own_step_and_shares_the_margin(monkeypatch, pa
                                                                   paper_gains, paper_inertia):
     # `relaxed` is part of the step's structure only: the margin does not read it
     calls = count_traces(monkeypatch)
-    y = tuple(random_state("smooth", np.random.default_rng(41)).tolist())
+    y = tuple(state("smooth", np.random.default_rng(41)).tolist())
     loops = [make("smooth", relaxed, paper_params, paper_gains, paper_inertia)
              for relaxed in (False, True)]
     for loop in loops:
@@ -674,13 +432,9 @@ def test_one_trace_serves_every_member_of_a_structure(law, monkeypatch):
     # and a second pass over them traces nothing; the least theta_set, 0.5 pi,
     # has delta = 0.1, so delta_prime goes below it
     calls = count_traces(monkeypatch)
-    base = st.parse_config_text(st.bundled_scenarios()["fig4"].read_text())
-    cfgs = [st.scenario_from_mapping({
-        **base, "controllers": [law], "gammas": base["gammas"][:1], "k_theta": 5.0 + 3.0 * i,
-        "theta_set": [-(0.5 + 0.05 * i) * math.pi, (0.5 + 0.05 * i) * math.pi],
-        "delta_prime": 0.05,
-        "noise_var_R": 0.0, "noise_var_omega": 0.0, "t_max": 0.005,
-    }) for i in range(8)]
+    cfgs = [fig4_member(law, k_theta=5.0 + 3.0 * i, delta_prime=0.05, noise_var_R=0.0,
+                        theta_set=[-(0.5 + 0.05 * i) * math.pi, (0.5 + 0.05 * i) * math.pi],
+                        noise_var_omega=0.0, t_max=0.005) for i in range(8)]
     # `solve` takes the margin at the initial state before the first step,
     # binds the step and makes the run of flow steps at its first run, and
     # records the arc after the last; a loop without a warp angle traces no
