@@ -35,6 +35,15 @@ def write_csv(path, arc, footer_lines=()) -> None:
             f.write(f"# {line}\n")
 
 
+def _escape(text: str) -> str:
+    """text as XML character data: &, < and > escaped, as `xml.sax.saxutils.escape` does.
+
+    That module imports `urllib.request`, which adds megabytes to a run's
+    peak memory.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # Chart size in pixels, and the most points drawn of one series (longer series
@@ -44,8 +53,12 @@ CHART_MAX_POINTS = 1500
 
 
 def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series) -> None:
-    """Minimal polyline chart; `series` is a list of (name, x, y) arrays."""
+    """Minimal polyline chart; `series` is a list of (name, x, y) arrays.
+
+    The title, the axis labels and the series names are text, XML-escaped.
+    """
     path = Path(path)
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     width, height = CHART_WIDTH, CHART_HEIGHT
     ml, mr, mt, mb = 64, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
@@ -107,7 +120,7 @@ def svg_line_chart(path, title: str, xlabel: str, ylabel: str, series) -> None:
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         parts.append(
             f'<text x="{ml + pw - 6}" y="{mt + 16 + 14 * k}" text-anchor="end" '
-            f'fill="{color}">{name}</text>'
+            f'fill="{color}">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")

@@ -152,8 +152,9 @@ class ScenarioConfig:
     build `members` and are not fields, so that no `replace` leaves it stale.
     Construction, and so each `replace` (the config is frozen), checks the
     rules that span keys (ConfigError): the solver settings, kept as `solver`,
-    the noise variances, the seed and STEP_BUDGET; then each member gets the
-    seed `seed + index`.
+    the noise variances, the seed and STEP_BUDGET; that `name`, which begins
+    every output file's name, is one file-name component; then each member
+    gets the seed `seed + index`.
     """
 
     name: str = _key(_token)
@@ -191,6 +192,8 @@ class ScenarioConfig:
     solver: SolverConfig = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigError(f"'name' must be one file-name component, got {self.name!r}")
         try:
             object.__setattr__(self, "solver",
                                SolverConfig(dt=self.dt, t_max=self.t_max, j_max=self.j_max))

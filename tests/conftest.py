@@ -56,6 +56,13 @@ def fig4_result(fig4_cfg, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def traffic(fig3_runs, fig4_result):
+    """States of the fig3 and fig4 arcs by law, as `paths.traffic` samples them."""
+    return paths.traffic([(loop, arc) for _, loop, arc, _, _ in fig3_runs.values()]
+                         + [(m.loop, m.arc) for m in fig4_result.members])
+
+
+@pytest.fixture(scope="session")
 def vf_quiet_run(fig4_cfg):
     """The velocity-free fig4 member with measurement noise switched off."""
     cfg = dataclasses.replace(fig4_cfg, noise_var_R=0.0, noise_var_omega=0.0)

@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-The runs are `so3track run fig4 --t-max 1.5`, `so3track run fig3 --t-max 2`
-and the four tumbling members of `paths` to t = 0.5, whose hybrid laws
-refine a crossing each; a member's CSV is written by `write_csv`, with its
-certificate's lines as the footer.  For each CSV, `_cert.txt` and `_run.json`,
-the file holds its sha256 and a summary of its parsed values (`values`), next
+The runs are `so3track run fig4 --t-max 1.5 --no-plots`, `so3track run fig3
+--t-max 2` (with its SVG charts) and the four tumbling members of `paths` to
+t = 0.5, whose hybrid laws refine a crossing each; a member's CSV is written
+by `write_csv`, with its certificate's lines as the footer.  For each CSV,
+`_cert.txt`, `_run.json` and chart, the file holds its sha256 and a summary
+of its parsed values (`values`), next
 to the platform the bits depend on: the Python and numpy versions and the C
 library, whose `sin` and `cos` the kernels call.  `test_golden.py` compares a
 fresh run with it.
@@ -35,7 +36,8 @@ from so3track.scenarios import simulate_member
 from paths import TUMBLE_SEEDS, tumble_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
-RUNS = (("fig4", "--t-max", "1.5"), ("fig3", "--t-max", "2"))
+RUNS = (("fig4", "--t-max", "1.5", "--no-plots"), ("fig3", "--t-max", "2"))
+_POINTS = re.compile(r'points="([^"]*)"')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|\binf\b|\bnan\b)")
 
 
@@ -47,15 +49,15 @@ def platform_key() -> dict:
 
 def run_all(out_dir: Path) -> dict:
     """Run RUNS into directories of their own under out_dir and the tumbling members into
-    `tumble_<law>.csv` there; {name: path} of the CSVs, certificates and run records."""
+    `tumble_<law>.csv` there; {name: path} of the CSVs, certificates, run records and charts."""
     files = {}
     for name, *args in RUNS:
         target = out_dir / name
-        code = cli.main(["run", name, "--out-dir", str(target), "--no-plots", *args])
+        code = cli.main(["run", name, "--out-dir", str(target), *args])
         if code != cli.EXIT_OK:
             raise RuntimeError(f"so3track run {name} {' '.join(args)} exited {code}")
         files.update((p.name, p) for p in sorted(target.iterdir())
-                     if p.suffix == ".csv" or p.name.endswith(("_cert.txt", "_run.json")))
+                     if p.suffix in (".csv", ".svg") or p.name.endswith(("_cert.txt", "_run.json")))
     for law in sorted(TUMBLE_SEEDS):
         cfg = tumble_config(law)
         res = simulate_member(cfg, cfg.members[0])
@@ -71,18 +73,30 @@ def _text_values(lines) -> dict:
     return {"skeleton": _NUMBER.sub("#", text), "numbers": numbers}
 
 
+def _summary(c) -> list:
+    """The least, the largest, the first, the last and the mean of the values c."""
+    return [float(c.min()), float(c.max()), float(c[0]), float(c[-1]), float(c.mean())]
+
+
 def values(path: Path) -> dict:
-    """The parsed values of a CSV or a certificate, summarised to compare at a tolerance.
+    """The parsed values of a file of `run_all`, summarised to compare at a tolerance.
 
     A CSV gives its header, its row count, per column the sum, the sum of
     absolute values, the least, the largest and the last value, and its '#'
     footer as text; a certificate gives its text; a run record gives its
     fields but `versions`, whose Python and numpy the digest covers where the
-    platform matches.
+    platform matches; a chart gives its text but the points, and per polyline
+    the point count and, of x and of y, the least, the largest, the first,
+    the last and the mean point.
     """
     if path.suffix == ".json":
         return {k: v for k, v in json.loads(path.read_text()).items() if k != "versions"}
     lines = path.read_text().splitlines()
+    if path.suffix == ".svg":
+        polylines = [np.array([p.split(",") for p in pts.split()], dtype=float)
+                     for pts in _POINTS.findall("\n".join(lines))]
+        return {"text": _text_values([_POINTS.sub('points=""', line) for line in lines]),
+                "points": [[len(xy), *_summary(xy[:, 0]), *_summary(xy[:, 1])] for xy in polylines]}
     if path.suffix != ".csv":
         return _text_values(lines)
     rows = [line for line in lines[1:] if not line.startswith("#")]

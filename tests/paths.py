@@ -145,14 +145,17 @@ def loop(s: Structure, noise=None):
                         s.relaxed)
 
 
-def fields(kind: str, rng, **given) -> dict:
-    """The fields of a state of the law, by name: random, but those given."""
-    out = dict(Re=st.random_rotation(rng), theta=rng.uniform(-math.pi, math.pi),
-               omega_e=rng.standard_normal(3), omega_r=rng.standard_normal(3))
+def fields(kind: str, rng, n=None, **given) -> dict:
+    """The fields of a state of the law, by name: random, but those given; of n states, each
+    field's values stacked along a first axis, if n is given."""
+    rotation = st.random_rotation if n is None else functools.partial(st.random_rotations, n)
+    vector = 3 if n is None else (n, 3)
+    out = dict(Re=rotation(rng), theta=rng.uniform(-math.pi, math.pi, n),
+               omega_e=rng.standard_normal(vector), omega_r=rng.standard_normal(vector))
     if kind == "smooth":
-        out["zeta"] = rng.standard_normal(3)
+        out["zeta"] = rng.standard_normal(vector)
     if kind == "velocity_free":
-        out.update(Rtilde=st.random_rotation(rng), theta_bar=rng.uniform(-2.0, 2.0))
+        out.update(Rtilde=rotation(rng), theta_bar=rng.uniform(-2.0, 2.0, n))
     return {**out, **given}
 
 

@@ -363,15 +363,20 @@ def test_run_output_error_exit_code(tmp_path):
     ("m_bound", "-1", "'m_bound' must be positive, got -1.0"),
     ("m_bound", "0", "'m_bound' must be positive, got 0.0"),
     ("omega_r_bound", "-1", "'omega_r_bound' must be positive, got -1.0"),
-], ids=("seed_negative", "m_bound_negative", "m_bound_zero", "omega_r_bound_negative"))
+    ("name", "../escaped", "'name' must be one file-name component, got '../escaped'"),
+    ("name", "ok/../z", "'name' must be one file-name component, got 'ok/../z'"),
+], ids=("seed_negative", "m_bound_negative", "m_bound_zero", "omega_r_bound_negative",
+        "name_parent", "name_through_a_directory"))
 def test_run_rejects_a_negative_seed_or_bound_with_one_line(tmp_path, capsys, key, value,
                                                             message):
     # a negative seed crashed in np.random.default_rng, m_bound = -1 in the
-    # reference check, and omega_r_bound = -1 was squared and passed
+    # reference check, and omega_r_bound = -1 was squared and passed; the
+    # name `../escaped` wrote every file beside --out-dir, and `ok/../z`
+    # exited 4 with a raw "[Errno 2]"
     cfg = write_cfg(tmp_path, MINI.replace("seed = 7", "") + f"{key} = {value}\n")
-    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out" / "sub")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == [cfg]  # nothing written, in out/sub or beside it
 
 
 def test_run_rejects_a_negative_seed_override_with_one_line(tmp_path, capsys):

@@ -11,6 +11,7 @@ from so3track.errors import ContractError, SolverError
 from so3track.potential import moment, warp_rotation_f
 from so3track.rigid_body import coupling_times_f, shared_terms_f
 from so3track.so3 import exp_so3_f, floats
+from laws import attractor, filtered_gap
 from paths import LAWS, fields, fig4_member, measurement
 from torque_trace import torque_inputs
 
@@ -61,10 +62,6 @@ def jump_set_states(p, rng, n):
         if st.gap(R, theta, p) >= p.delta:
             out.append((R, theta))
     return out
-
-
-def test_warp_rate_zero_at_target(paper_params, paper_gains, paper_inertia):
-    assert warp_rate(np.eye(3), 0.0, paper_params, paper_gains, paper_inertia) == 0.0
 
 
 def test_warp_rate_pure_quadratic_pull(paper_params, paper_gains, paper_inertia):
@@ -156,38 +153,6 @@ def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
 # --- torque laws -------------------------------------------------------------
 
 
-def test_torque_basic_zero_at_attractor(paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, REST)
-    tau = loop.torque(0.0, rest_state(np.eye(3), 0.0), None)
-    assert np.array_equal(tau, np.zeros(3))
-
-
-def test_basic_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
-    """Chain-rule derivative of the basic monitor equals its closed form.
-
-    Along closed-loop flows the monitor rate must be
-    -k_omega |omega_e|^2 - k_R k_theta |grad_warp|^2; this pins the coupling
-    matrix, feedforward, and gradient conventions simultaneously.
-    """
-    p, gn, J = paper_params, paper_gains, paper_inertia
-    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop("basic", p, gn, J, ref)
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        s = random_loop_state("basic", rng)
-        y = pack("basic", s)
-        t = rng.uniform(0.0, 10.0)
-        ydot = loop.flow(t, y, None)
-        g_rot, g_th = st.gradients(s.Re, s.theta, p)
-        theta_dot = ydot[THETA]
-        we_dot = ydot[OMEGA_E]
-        ldot = gn.k_R * (2.0 * s.omega_e @ g_rot + g_th * theta_dot) + s.omega_e @ (
-            np.diag(J.J_diag) @ we_dot
-        )
-        expected = -gn.k_omega * (s.omega_e @ s.omega_e) - gn.k_R * gn.k_theta * g_th**2
-        assert ldot == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
-
-
 def random_loop_state(kind, rng):
     """The fields of a random state of the law; the baseline's warp angle stays at zero."""
     return SimpleNamespace(**fields(kind, rng, **({"theta": 0.0} if kind == "non_hybrid" else {})))
@@ -226,14 +191,6 @@ def measured(s, meas):
     E = np.reshape(meas[:9], (3, 3))
     Rm = s.Re @ E
     return E, Rm, s.omega_e + np.array(meas[9:]) + s.Re.T @ s.omega_r - Rm.T @ s.omega_r
-
-
-def filtered_gap(R, theta, zeta, p, rho):
-    """The smooth law's filtered gap: the filtered value at theta minus its least over the resets."""
-    AR, zeta = moment(R, p), floats(zeta)
-    best = min(filtered_value_w_f(AR, warp_rotation_f(tp, p), tp, zeta, p, rho)
-               for tp in p.theta_set)
-    return filtered_value_w_f(AR, warp_rotation_f(theta, p), theta, zeta, p, rho) - best
 
 
 def public_torque(kind, s, z, meas, p, gn, J):
@@ -387,47 +344,6 @@ def test_sample_measurement_replays_numpy_draw(sigmas, paper_params, paper_gains
                         ref).measurements(rng) is None
 
 
-def test_smooth_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
-    """Filtered-monitor rate matches its closed form for both filter variants."""
-    p, gn, J = paper_params, paper_gains, paper_inertia
-    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    rng = np.random.default_rng(6)
-    for relaxed in (False, True):
-        loop = st.make_loop("smooth", p, gn, J, ref, relaxed_filter=relaxed)
-        for _ in range(30):
-            s = random_loop_state("smooth", rng)
-            y = pack("smooth", s)
-            t = rng.uniform(0.0, 10.0)
-            ydot = loop.flow(t, y, None)
-            g_rot, g_th = st.gradients(s.Re, s.theta, p)
-            theta_dot = ydot[THETA]
-            we_dot = ydot[OMEGA_E]
-            zeta_dot = ydot[ZETA]
-            rate_g = st.grad_rotation_rate(s.Re, s.theta, s.omega_e, theta_dot, p)
-            mism = s.zeta - g_rot
-            wdot = (
-                2.0 * s.omega_e @ g_rot
-                + g_th * theta_dot
-                + 2.0 * gn.rho * mism @ (zeta_dot - rate_g)
-            )
-            ldot = gn.k_R * wdot + s.omega_e @ (np.diag(J.J_diag) @ we_dot)
-            if relaxed:
-                expected = (
-                    -gn.k_omega * (s.omega_e @ s.omega_e)
-                    - gn.k_R * gn.k_theta * g_th**2
-                    - 2.0 * gn.k_R * gn.rho * gn.k_zeta * (mism @ mism)
-                )
-            else:
-                expected = (
-                    -gn.k_omega * (s.omega_e @ s.omega_e)
-                    - gn.k_R * gn.k_theta * g_th**2
-                    - 2.0 * gn.k_R * gn.rho * gn.k_zeta * (mism @ mism)
-                    - 2.0 * gn.k_R * gn.rho * (mism @ rate_g)
-                    - 2.0 * gn.k_R * (s.omega_e @ mism)
-                )
-            assert ldot == pytest.approx(expected, abs=1e-8 * max(1.0, abs(expected)))
-
-
 def smooth_state(R, theta, zeta):
     """Smooth-loop state at rest on a resting reference."""
     return st.SmoothLoop.pack(Re=R, theta=theta, omega_e=np.zeros(3), omega_r=np.zeros(3),
@@ -450,16 +366,6 @@ def test_smooth_torque_ignores_warp_jumps(paper_params, paper_gains, paper_inert
     pre = loop.torque(0.0, y, None)
     post = loop.torque(0.0, y_post, None)
     assert np.array_equal(pre, post)  # the filter state does not jump
-
-
-def test_zeta_flow_stationary_at_gradient(paper_params, paper_gains, paper_inertia):
-    rng = np.random.default_rng(8)
-    R = st.random_rotation(rng)
-    theta = 0.8
-    g = st.grad_rotation(R, theta, paper_params)
-    loop = st.make_loop("smooth", paper_params, paper_gains, paper_inertia, REST)
-    zdot = loop.flow(0.0, smooth_state(R, theta, g), None)[ZETA]
-    assert np.array_equal(zdot, np.zeros(3))
 
 
 def test_filtered_potential_properties(paper_params, paper_gains):
@@ -494,32 +400,7 @@ def test_filtered_gap_margin_with_compliant_rho(paper_params, paper_gains, paper
         assert smooth_margin(cp.rotation, cp.theta, np.zeros(3), p, gains, paper_inertia) == fg - dp
 
 
-def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
-    # at the attractor the smooth loop lies in its flow set only
-    m = smooth_margin(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains, paper_inertia)
-    assert m < 0.0
-    assert m == filtered_gap(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains.rho) - (
-        paper_gains.delta_prime
-    )
-
-
 # --- velocity-free law -------------------------------------------------------
-
-
-def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
-    y = st.VelocityFreeLoop.pack(
-        Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
-        Rtilde=np.eye(3), theta_bar=0.0,
-    )
-    ydot = loop.flow(0.0, y, None)
-    assert np.array_equal(ydot[R_TILDE], np.zeros(9))
-    assert ydot[THETA_BAR] == 0.0
-
-
-def test_aux_damping_output_zero_at_target(paper_params, paper_gains):
-    beta = np.diag(paper_gains.Gamma_diag) @ st.grad_rotation(np.eye(3), 0.0, paper_params)
-    assert np.array_equal(beta, np.zeros(3))
 
 
 def test_velocity_free_gain_relation(paper_gains):
@@ -542,41 +423,6 @@ def test_velocity_free_torque_reads_no_velocity(paper_params, paper_gains, paper
         assert reads.isdisjoint(omega_e | n_omega)
         assert {"y13", "y14", "y15"} <= reads  # the reference velocity is known, not measured
         assert torque_inputs(basic, noisy) >= omega_e | (n_omega if noisy else set())
-
-
-def test_velocity_free_torque_zero_at_attractor(paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
-    y = loop.pack(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
-                  Rtilde=np.eye(3), theta_bar=0.0)
-    assert np.array_equal(loop.torque(0.0, y, None), np.zeros(3))
-
-
-def test_velocity_free_lyapunov_rate_identity(paper_params, paper_gains, paper_inertia):
-    p, gn, J = paper_params, paper_gains, paper_inertia
-    ref = st.make_reference("paper_sine", m_bound=2.0, omega_r_bound=25.0)
-    loop = st.make_loop("velocity_free", p, gn, J, ref)
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        s = random_loop_state("velocity_free", rng)
-        y = pack("velocity_free", s)
-        t = rng.uniform(0.0, 10.0)
-        ydot = loop.flow(t, y, None)
-        g1, g1_th = st.gradients(s.Re, s.theta, p)
-        g2, g2_th = st.gradients(s.Rtilde, s.theta_bar, p)
-        we_dot = ydot[OMEGA_E]
-        # chain rule: U(Rtilde, theta_bar) flows with drive omega_e - beta
-        beta = np.diag(gn.Gamma_diag) @ g2
-        ldot = (
-            gn.k_R * (2.0 * s.omega_e @ g1 + g1_th * ydot[THETA])
-            + gn.k_beta * (2.0 * (s.omega_e - beta) @ g2 + g2_th * ydot[THETA_BAR])
-            + s.omega_e @ (np.diag(J.J_diag) @ we_dot)
-        )
-        expected = (
-            -gn.k_R * gn.k_theta * g1_th**2
-            - gn.k_beta * gn.k_theta * g2_th**2
-            - 2.0 * gn.k_beta * (g2 @ (np.diag(gn.Gamma_diag) @ g2))
-        )
-        assert ldot == pytest.approx(expected, abs=1e-8 * max(1.0, abs(expected)))
 
 
 def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
@@ -656,16 +502,6 @@ def test_non_hybrid_loop_runs_without_k_theta(paper_params, paper_inertia):
 TWO_RESETS = [-0.9 * math.pi, 0.9 * math.pi]
 
 
-def attractor_state(kind):
-    """The packed state of a law at its attractor, at rest on a resting frame."""
-    base = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
-    if kind == "smooth":
-        return st.SmoothLoop.pack(**base, zeta=np.zeros(3))
-    if kind == "velocity_free":
-        return st.VelocityFreeLoop.pack(**base, Rtilde=np.eye(3), theta_bar=0.0)
-    return st.BasicLoop.pack(**base)
-
-
 @pytest.mark.parametrize("kind, field", [
     ("basic", "theta"), ("basic", "Re"), ("smooth", "theta"), ("smooth", "zeta"),
     ("velocity_free", "theta"), ("velocity_free", "Re"),
@@ -715,7 +551,7 @@ def test_the_picks_on_given_values(values, margin, theta, theta_bar, paper_gains
                          gamma_frac=0.5, delta_frac=0.5)
     loop = st.make_loop("velocity_free", p, paper_gains, paper_inertia, REST)
     loop._margins[True] = lambda y, meas: values
-    y = tuple(attractor_state("velocity_free").tolist())
+    y = attractor("velocity_free")
     got = loop.jump_margin(0.0, y, None)
     if margin != margin:
         assert math.isnan(got)
@@ -765,15 +601,6 @@ def test_tumbling_smooth_member_certifies():
     res = st.simulate_member(cfg, cfg.members[0])
     assert res.arc.jumps
     assert res.report.passed, res.report.failures
-
-
-@pytest.mark.parametrize("kind", LAWS)
-def test_jump_outside_the_jump_set_raises(kind, paper_params, paper_gains, paper_inertia):
-    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, REST)
-    y = attractor_state(kind)
-    assert loop.jump_margin(0.0, y, None) < 0.0
-    with pytest.raises(SolverError, match="outside the jump set"):
-        loop.jump(0.0, y, None)
 
 
 # --- gains validation --------------------------------------------------------

@@ -7,78 +7,6 @@ import pytest
 import so3track as st
 from so3track.errors import ContractError
 from so3track.monitors import jump_count_bound
-from so3track.so3 import ARRAY_MATH
-
-
-def loops(p, gn, J):
-    """The basic, smooth and velocity-free loops, whose monitors the tests evaluate."""
-    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    return [st.make_loop(kind, p, gn, J, ref)
-            for kind in ("basic", "smooth", "velocity_free")]
-
-
-def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia):
-    basic_loop, smooth_loop, vf_loop = loops(paper_params, paper_gains, paper_inertia)
-    basic = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
-    assert basic_loop.lyapunov_packed(st.BasicLoop.pack(**basic)) == 0.0
-    smooth = st.SmoothLoop.pack(**basic, zeta=np.zeros(3))
-    assert smooth_loop.lyapunov_packed(smooth) == 0.0
-    vf = st.VelocityFreeLoop.pack(**basic, Rtilde=np.eye(3), theta_bar=0.0)
-    assert vf_loop.lyapunov_packed(vf) == 0.0
-
-
-def test_lyapunov_reductions(paper_params, paper_gains, paper_inertia):
-    p, gn = paper_params, paper_gains
-    basic_loop, smooth_loop, vf_loop = loops(p, gn, paper_inertia)
-    rng = np.random.default_rng(0)
-    base = dict(
-        Re=st.random_rotation(rng),
-        theta=0.7,
-        omega_e=np.zeros(3),
-        omega_r=np.zeros(3),
-    )
-    # no velocity error: the basic monitor is k_R U
-    assert basic_loop.lyapunov_packed(st.BasicLoop.pack(**base)) == pytest.approx(
-        gn.k_R * st.value(base["Re"], base["theta"], p), abs=1e-14
-    )
-    # filter state equal to the gradient: smooth monitor reduces to the basic one
-    base["omega_e"] = rng.standard_normal(3)
-    plain = basic_loop.lyapunov_packed(st.BasicLoop.pack(**base))
-    g = st.grad_rotation(base["Re"], base["theta"], p)
-    smooth = st.SmoothLoop.pack(**base, zeta=g)
-    assert smooth_loop.lyapunov_packed(smooth) == plain
-    # auxiliary rotation at its target: only the k_R and kinetic terms remain
-    vf = st.VelocityFreeLoop.pack(**base, Rtilde=np.eye(3), theta_bar=0.0)
-    assert vf_loop.lyapunov_packed(vf) == plain
-
-
-def test_jump_drop_per_law(paper_params, paper_gains, paper_inertia):
-    # the designed monitor drop at a jump: k_R delta, k_R delta', min(k_R, k_beta) delta, 0
-    p, gn = paper_params, paper_gains
-    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
-    drops = {kind: st.make_loop(kind, p, gn, paper_inertia, ref).jump_drop
-             for kind in ("basic", "smooth", "velocity_free", "non_hybrid")}
-    assert drops == {
-        "basic": gn.k_R * p.delta,
-        "smooth": gn.k_R * gn.delta_prime,
-        "velocity_free": min(gn.k_R, gn.k_beta) * p.delta,
-        "non_hybrid": 0.0,
-    }
-
-
-def test_lyapunov_positive_away_from_attractor(paper_params, paper_gains, paper_inertia):
-    p, gn, J = paper_params, paper_gains, paper_inertia
-    rng = np.random.default_rng(1)
-    n = 100_000
-    R = st.random_rotations(n, rng)
-    theta = rng.uniform(-math.pi, math.pi, n)
-    we = rng.standard_normal((n, 3))
-    U = st.potential.value_f(st.potential.moment(R, p), theta, p, ARRAY_MATH)
-    kin = 0.5 * np.einsum("ni,ij,nj->n", we, np.diag(J.J_diag), we)
-    lyap = gn.k_R * U + kin
-    dist = np.sqrt(np.clip((3.0 - np.einsum("nii->n", R)) / 4.0, 0.0, None))
-    away = (dist > 1e-3) | (np.abs(theta) > 1e-3) | (np.linalg.norm(we, axis=1) > 1e-3)
-    assert lyap[away].min() > 0.0
 
 
 def test_exponential_fit_recovers_rate():

@@ -1,10 +1,12 @@
-"""CSV output: the bytes `write_csv` gives for a known arc."""
+"""CSV and SVG output: the bytes `write_csv` gives for a known arc, and well-formed charts."""
+
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
 from so3track import output
 from so3track.hybrid import HybridArc
-from so3track.output import write_csv
+from so3track.output import svg_line_chart, write_csv
 
 
 def test_write_csv_prints_integers_as_integers_and_floats_with_17_digits(tmp_path):
@@ -37,3 +39,12 @@ def test_write_csv_gives_the_same_bytes_batch_by_batch(tmp_path, monkeypatch):
     write_csv(tmp_path / "three.csv", arc)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes()
     assert (tmp_path / "one.csv").read_text().splitlines()[2] == "0.25,1,1"
+
+
+def test_svg_chart_text_is_escaped(tmp_path):
+    # a scenario named `a&b` or `x<y` wrote a chart that was not well-formed XML
+    path = tmp_path / "chart.svg"
+    svg_line_chart(path, "a&b <x> y", "t < 1", "u > 0", [("tau & co", [0.0, 1.0], [2.0, 3.0])])
+    texts = [e.text for e in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "a&b <x> y"
+    assert {"t < 1", "u > 0", "tau & co"} <= set(texts)

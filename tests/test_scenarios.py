@@ -45,6 +45,8 @@ def error_message(raw: dict) -> str | None:
     ("seed", 1.5, "'seed' must be an integer"),
     ("seed", True, "'seed' must be an integer"),
     ("name", 3, "'name' must be a nonempty token"),
+    *[("name", name, f"'name' must be one file-name component, got {name!r}")
+      for name in ("../escaped", "ok/../z", "a\\b", "a\0b", ".", "..")],
     ("controllers", [], "'controllers' must be a nonempty list"),
     ("controllers", "basic", "'controllers' must be a nonempty list"),
     ("controllers", ["basic", "x"],
