@@ -64,6 +64,10 @@ def jump_set_states(p, rng, n):
     return out
 
 
+def test_warp_rate_zero_at_target(paper_params, paper_gains, paper_inertia):
+    assert warp_rate(np.eye(3), 0.0, paper_params, paper_gains, paper_inertia) == 0.0
+
+
 def test_warp_rate_pure_quadratic_pull(paper_params, paper_gains, paper_inertia):
     # rotations about e1 have their gradient direction orthogonal to the warp
     # axis, leaving only the quadratic term
@@ -151,6 +155,12 @@ def test_flow_and_jump_sets(paper_params, paper_gains, paper_inertia):
 
 
 # --- torque laws -------------------------------------------------------------
+
+
+def test_torque_basic_zero_at_attractor(paper_params, paper_gains, paper_inertia):
+    loop = st.make_loop("basic", paper_params, paper_gains, paper_inertia, REST)
+    tau = loop.torque(0.0, rest_state(np.eye(3), 0.0), None)
+    assert np.array_equal(tau, np.zeros(3))
 
 
 def random_loop_state(kind, rng):
@@ -400,7 +410,32 @@ def test_filtered_gap_margin_with_compliant_rho(paper_params, paper_gains, paper
         assert smooth_margin(cp.rotation, cp.theta, np.zeros(3), p, gains, paper_inertia) == fg - dp
 
 
+def test_smooth_set_membership(paper_params, paper_gains, paper_inertia):
+    # at the attractor the smooth loop lies in its flow set only
+    m = smooth_margin(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains, paper_inertia)
+    assert m < 0.0
+    assert m == filtered_gap(np.eye(3), 0.0, np.zeros(3), paper_params, paper_gains.rho) - (
+        paper_gains.delta_prime
+    )
+
+
 # --- velocity-free law -------------------------------------------------------
+
+
+def test_aux_flow_stationary_at_target(paper_params, paper_gains, paper_inertia):
+    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
+    y = st.VelocityFreeLoop.pack(
+        Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
+        Rtilde=np.eye(3), theta_bar=0.0,
+    )
+    ydot = loop.flow(0.0, y, None)
+    assert np.array_equal(ydot[R_TILDE], np.zeros(9))
+    assert ydot[THETA_BAR] == 0.0
+
+
+def test_aux_damping_output_zero_at_target(paper_params, paper_gains):
+    beta = np.diag(paper_gains.Gamma_diag) @ st.grad_rotation(np.eye(3), 0.0, paper_params)
+    assert np.array_equal(beta, np.zeros(3))
 
 
 def test_velocity_free_gain_relation(paper_gains):
@@ -423,6 +458,13 @@ def test_velocity_free_torque_reads_no_velocity(paper_params, paper_gains, paper
         assert reads.isdisjoint(omega_e | n_omega)
         assert {"y13", "y14", "y15"} <= reads  # the reference velocity is known, not measured
         assert torque_inputs(basic, noisy) >= omega_e | (n_omega if noisy else set())
+
+
+def test_velocity_free_torque_zero_at_attractor(paper_params, paper_gains, paper_inertia):
+    loop = st.make_loop("velocity_free", paper_params, paper_gains, paper_inertia, REST)
+    y = loop.pack(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3),
+                  Rtilde=np.eye(3), theta_bar=0.0)
+    assert np.array_equal(loop.torque(0.0, y, None), np.zeros(3))
 
 
 def test_velocity_free_dual_jump(paper_params, paper_gains, paper_inertia):
@@ -601,6 +643,15 @@ def test_tumbling_smooth_member_certifies():
     res = st.simulate_member(cfg, cfg.members[0])
     assert res.arc.jumps
     assert res.report.passed, res.report.failures
+
+
+@pytest.mark.parametrize("kind", LAWS)
+def test_jump_outside_the_jump_set_raises(kind, paper_params, paper_gains, paper_inertia):
+    loop = st.make_loop(kind, paper_params, paper_gains, paper_inertia, REST)
+    y = attractor(kind)
+    assert loop.jump_margin(0.0, y, None) < 0.0
+    with pytest.raises(SolverError, match="outside the jump set"):
+        loop.jump(0.0, y, None)
 
 
 # --- gains validation --------------------------------------------------------

@@ -9,6 +9,19 @@ from so3track.errors import ContractError
 from so3track.monitors import jump_count_bound
 
 
+def test_lyapunov_values_at_attractors(paper_params, paper_gains, paper_inertia):
+    ref = st.make_reference("rest", m_bound=1.0, omega_r_bound=5.0)
+    basic_loop, smooth_loop, vf_loop = (
+        st.make_loop(kind, paper_params, paper_gains, paper_inertia, ref)
+        for kind in ("basic", "smooth", "velocity_free"))
+    basic = dict(Re=np.eye(3), theta=0.0, omega_e=np.zeros(3), omega_r=np.zeros(3))
+    assert basic_loop.lyapunov_packed(st.BasicLoop.pack(**basic)) == 0.0
+    smooth = st.SmoothLoop.pack(**basic, zeta=np.zeros(3))
+    assert smooth_loop.lyapunov_packed(smooth) == 0.0
+    vf = st.VelocityFreeLoop.pack(**basic, Rtilde=np.eye(3), theta_bar=0.0)
+    assert vf_loop.lyapunov_packed(vf) == 0.0
+
+
 def test_exponential_fit_recovers_rate():
     t = np.linspace(0.0, 10.0, 2001)
     vals = 3.0 * np.exp(-1.7 * t)
